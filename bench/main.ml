@@ -449,10 +449,6 @@ let experiment_ablation () =
     let base = { fsp_search_config with Search.witnesses_per_path = witnesses } in
     let full = run "Achilles (all optimizations)" base in
     let _ =
-      run "  - incremental solver sessions"
-        { base with Search.incremental_bindings = false }
-    in
-    let _ =
       run "  - differentFrom matrix"
         { base with Search.use_different_from = false }
     in

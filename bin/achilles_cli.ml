@@ -158,16 +158,6 @@ let no_prune_arg =
   let doc = "Disable no-Trojan state pruning." in
   Arg.(value & flag & info [ "no-prune" ] ~doc)
 
-let no_incremental_arg =
-  let doc =
-    "Disable assumption-based incremental solving: every solver query is \
-     decided on a fresh scratch SAT instance instead of the per-domain \
-     frame-stack context (also: $(b,ACHILLES_INCREMENTAL=0)). Reports are \
-     byte-identical in both modes; this is the escape hatch and the \
-     baseline for $(b,--experiment incremental)."
-  in
-  Arg.(value & flag & info [ "no-incremental" ] ~doc)
-
 let no_slice_arg =
   let doc =
     "Disable static dependency slicing: branch feasibility goes back to \
@@ -351,7 +341,6 @@ type manifest = {
   mf_no_drop : bool;
   mf_no_df : bool;
   mf_no_prune : bool;
-  mf_no_incremental : bool;
   mf_no_slice : bool;
   mf_explain : bool;
   mf_deadline : float option;
@@ -394,44 +383,22 @@ let search_config_of_manifest target mf =
     ~no_slice:mf.mf_no_slice ~explain:mf.mf_explain ~workers:mf.mf_workers
     ~deadline:mf.mf_deadline ~conflicts:mf.mf_conflicts
 
-(* Client extraction + differentFrom, then the job record every process of
-   the run must agree on. *)
+(* The pre-search steps [Achilles.analyze] runs, then the job record every
+   process of the run must agree on. *)
 let dist_job target config =
-  let client_config =
-    match target.client_interp with
-    | Some c -> c
-    | None -> Interp.default_config
-  in
-  let client, client_stats =
-    Client_extract.extract ~config:client_config ~layout:target.layout
-      target.clients
-  in
-  let different_from, different_from_stats =
-    if config.Search.use_different_from then
-      let server_slice =
-        if config.Search.use_slice then
-          Some (Slice.analyze ~layout:target.layout target.server)
-        else None
-      in
-      let df, stats =
-        Different_from.compute ?mask:config.Search.mask
-          ~use_slice:config.Search.use_slice ?server_slice client
-      in
-      (Some df, Some stats)
-    else (None, None)
+  let inputs =
+    Achilles.prepare ~search_config:config ?client_interp:target.client_interp
+      ~layout:target.layout ~clients:target.clients ~server:target.server ()
   in
   let job =
-    Dist.Worker.job_of ~config ?different_from ~client ~server:target.server ()
+    Dist.Worker.job_of ~config ?different_from:inputs.Achilles.different_from
+      ~client:inputs.Achilles.client ~server:target.server ()
   in
-  (job, client, client_stats, different_from, different_from_stats)
+  (job, inputs)
 
 let run_coordinator target config ~workers ~workdir ~lease_ttl
     ~reassign_budget ~manifest_flags =
-  let t0 = Unix.gettimeofday () in
-  let job, client, client_stats, different_from, different_from_stats =
-    dist_job target config
-  in
-  let t1 = Unix.gettimeofday () in
+  let job, inputs = dist_job target config in
   let mf = { manifest_flags with mf_fingerprint = job.Dist.Worker.j_fingerprint } in
   let spawn =
     Dist.Coordinator.process_spawner ~prog:Sys.executable_name
@@ -447,25 +414,9 @@ let run_coordinator target config ~workers ~workdir ~lease_ttl
       Dist.Coordinator.c_cancel = (fun () -> Atomic.get interrupted);
     }
   in
-  let report =
-    Dist.Coordinator.run ~config:ccfg ~workdir ~job ~spawn
-      ~manifest:(Marshal.to_string mf []) ()
-  in
-  {
-    Achilles.client;
-    client_stats;
-    different_from;
-    different_from_stats;
-    report;
-    timing =
-      {
-        Achilles.client_extraction =
-          client_stats.Client_extract.wall_time;
-        preprocessing =
-          t1 -. t0 -. client_stats.Client_extract.wall_time;
-        server_analysis = report.Search.search_stats.Search.wall_time;
-      };
-  }
+  Achilles.assemble inputs
+    (Dist.Coordinator.run ~config:ccfg ~workdir ~job ~spawn
+       ~manifest:(Marshal.to_string mf []) ())
 
 (* --- commands -------------------------------------------------------------------- *)
 
@@ -479,7 +430,7 @@ let list_cmd =
   Cmd.v (Cmd.info "list" ~doc:"List the bundled target systems")
     Term.(const run $ const ())
 
-let analyze name mask witnesses no_drop no_df no_prune no_incremental no_slice
+let analyze name mask witnesses no_drop no_df no_prune no_slice
     verbose explain domains deadline solver_budget checkpoint_dir resume trace
     workers work_dir lease_ttl reassign_budget digest =
   match find_target name with
@@ -494,7 +445,6 @@ let analyze name mask witnesses no_drop no_df no_prune no_incremental no_slice
       let workers =
         if workers < 0 then Pool.recommended_domains () else workers
       in
-      if no_incremental then Solver.set_incremental false;
       if no_slice then Slice.set_enabled false;
       install_signal_handlers ();
       (* name this process before any trace stream opens, so the
@@ -540,7 +490,6 @@ let analyze name mask witnesses no_drop no_df no_prune no_incremental no_slice
                   mf_no_drop = no_drop;
                   mf_no_df = no_df;
                   mf_no_prune = no_prune;
-                  mf_no_incremental = no_incremental;
                   mf_no_slice = no_slice;
                   mf_explain = explain;
                   mf_deadline = deadline;
@@ -635,7 +584,7 @@ let analyze_cmd =
          ])
     Term.(
       const analyze $ target_arg $ mask_arg $ witnesses_arg $ no_drop_arg
-      $ no_df_arg $ no_prune_arg $ no_incremental_arg $ no_slice_arg
+      $ no_df_arg $ no_prune_arg $ no_slice_arg
       $ verbose_arg $ explain_arg $ domains_arg $ deadline_arg
       $ solver_budget_arg $ checkpoint_dir_arg $ resume_arg $ trace_arg
       $ workers_arg $ work_dir_arg $ lease_ttl_arg $ reassign_budget_arg
@@ -797,10 +746,9 @@ let worker workdir wid epoch =
               Format.eprintf "achilles worker: %s@." e;
               2
           | Ok target ->
-              if mf.mf_no_incremental then Solver.set_incremental false;
               if mf.mf_no_slice then Slice.set_enabled false;
               let config = search_config_of_manifest target mf in
-              let job, _, _, _, _ = dist_job target config in
+              let job, _ = dist_job target config in
               if job.Dist.Worker.j_fingerprint <> mf.mf_fingerprint then begin
                 (* binary or target drift: serving would poison the merge *)
                 Format.eprintf

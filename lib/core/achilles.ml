@@ -6,6 +6,13 @@ type timing = {
   server_analysis : float;
 }
 
+type inputs = {
+  client : Predicate.client_predicate;
+  client_stats : Client_extract.stats;
+  different_from : Different_from.t option;
+  different_from_stats : Different_from.stats option;
+}
+
 type analysis = {
   client : Predicate.client_predicate;
   client_stats : Client_extract.stats;
@@ -15,7 +22,7 @@ type analysis = {
   timing : timing;
 }
 
-let analyze ?(search_config = Search.default_config)
+let prepare ?(search_config = Search.default_config)
     ?(client_interp = Interp.default_config) ~layout ~clients ~server () =
   let client_interp =
     (* the slice oracle is verdict-preserving, so client extraction can use
@@ -31,7 +38,7 @@ let analyze ?(search_config = Search.default_config)
   let client, client_stats =
     Client_extract.extract ~config:client_interp ~layout clients
   in
-  let different_from, different_from_stats, preprocessing =
+  let different_from, different_from_stats =
     if search_config.Search.use_different_from then begin
       let server_slice =
         if search_config.Search.use_slice then
@@ -42,26 +49,38 @@ let analyze ?(search_config = Search.default_config)
         Different_from.compute ?mask:search_config.Search.mask
           ~use_slice:search_config.Search.use_slice ?server_slice client
       in
-      (Some df, Some stats, stats.Different_from.wall_time)
+      (Some df, Some stats)
     end
-    else (None, None, 0.)
+    else (None, None)
   in
-  let report =
-    Search.run ~config:search_config ?different_from ~client ~server ()
-  in
+  { client; client_stats; different_from; different_from_stats }
+
+let assemble (i : inputs) report =
   {
-    client;
-    client_stats;
-    different_from;
-    different_from_stats;
+    client = i.client;
+    client_stats = i.client_stats;
+    different_from = i.different_from;
+    different_from_stats = i.different_from_stats;
     report;
     timing =
       {
-        client_extraction = client_stats.Client_extract.wall_time;
-        preprocessing;
+        client_extraction = i.client_stats.Client_extract.wall_time;
+        preprocessing =
+          (match i.different_from_stats with
+          | Some s -> s.Different_from.wall_time
+          | None -> 0.);
         server_analysis = report.Search.search_stats.Search.wall_time;
       };
   }
+
+let analyze ?(search_config = Search.default_config) ?client_interp ~layout
+    ~clients ~server () =
+  let i =
+    prepare ~search_config ?client_interp ~layout ~clients ~server ()
+  in
+  assemble i
+    (Search.run ~config:search_config ?different_from:i.different_from
+       ~client:i.client ~server ())
 
 let trojans analysis = analysis.report.Search.trojans
 

@@ -84,6 +84,24 @@ let record_failure p index exn bt =
   | Some (i, _, _) when i <= index -> ()
   | _ -> p.failure <- Some (index, exn, bt)
 
+(* Run [task] and account for it. Called with [p.mutex] held, which is
+   released while the task runs. *)
+let execute p task =
+  Mutex.unlock p.mutex;
+  Obs.count "pool.tasks_executed";
+  let failed =
+    try
+      task.run ();
+      None
+    with exn -> Some (exn, Printexc.get_raw_backtrace ())
+  in
+  Mutex.lock p.mutex;
+  (match failed with
+  | Some (exn, bt) -> record_failure p task.index exn bt
+  | None -> ());
+  p.outstanding <- p.outstanding - 1;
+  if p.outstanding = 0 then Condition.broadcast p.batch_done
+
 let worker_loop p w =
   Mutex.lock p.mutex;
   let rec loop () =
@@ -94,20 +112,7 @@ let worker_loop p w =
           Condition.wait p.work_ready p.mutex;
           loop ()
       | Some task ->
-          Mutex.unlock p.mutex;
-          Obs.count "pool.tasks_executed";
-          let failed =
-            try
-              task.run ();
-              None
-            with exn -> Some (exn, Printexc.get_raw_backtrace ())
-          in
-          Mutex.lock p.mutex;
-          (match failed with
-          | Some (exn, bt) -> record_failure p task.index exn bt
-          | None -> ());
-          p.outstanding <- p.outstanding - 1;
-          if p.outstanding = 0 then Condition.broadcast p.batch_done;
+          execute p task;
           loop ()
   in
   loop ()
@@ -128,7 +133,10 @@ let create ~domains =
       workers = [||];
     }
   in
-  p.workers <- Array.init domains (fun w -> Domain.spawn (fun () -> worker_loop p w));
+  (* worker 0 is the submitting domain itself (see [run_tasks]) *)
+  p.workers <-
+    Array.init (domains - 1) (fun w ->
+        Domain.spawn (fun () -> worker_loop p (w + 1)));
   p
 
 let run_tasks p fs =
@@ -151,8 +159,12 @@ let run_tasks p fs =
       fs;
     p.outstanding <- n;
     Condition.broadcast p.work_ready;
+    (* the submitter works the batch as worker 0 until every deque is dry,
+       then waits for the tasks still running on sibling domains *)
     while p.outstanding > 0 do
-      Condition.wait p.batch_done p.mutex
+      match find_task p 0 with
+      | Some task -> execute p task
+      | None -> Condition.wait p.batch_done p.mutex
     done;
     let failure = p.failure in
     p.failure <- None;

@@ -5,7 +5,8 @@
     the workers' deques; a worker runs its own deque newest-first and steals
     oldest-first from its siblings when it runs dry. Tasks must not submit
     further batches themselves — one batch is in flight at a time, submitted
-    from (and awaited by) a single coordinating domain.
+    from a single coordinating domain, which works the batch as worker 0
+    while it waits: a pool of size 1 runs every task inline on the caller.
 
     Determinism: {!parallel_map} places results by task index, so the output
     never depends on which worker ran which task or in what order tasks
@@ -14,8 +15,8 @@
 type t
 
 val create : domains:int -> t
-(** Spawn a pool of [domains] worker domains (at least 1; this is the number
-    of workers, the coordinating domain does not run tasks). Raises
+(** A pool of [domains] workers (at least 1): the submitting domain is
+    worker 0 and [domains - 1] more domains are spawned. Raises
     [Invalid_argument] for [domains < 1]. *)
 
 val size : t -> int

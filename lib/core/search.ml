@@ -8,14 +8,11 @@ type config = {
   use_different_from : bool;
   prune_no_trojan : bool;
   check_overlap : bool;
-  incremental_bindings : bool;
-      (* alive-set checks through per-client incremental solver sessions:
-         the msgS = msgC binding is asserted once and each check solves
-         under the current path constraints as assumptions *)
+  incremental_bindings : bool; (* unused; see search.mli *)
   explain_drops : bool;
       (* record, for every dropped client path, the unsat core of server
-         constraints that made it incompatible (requires
-         incremental_bindings) *)
+         constraints that made it incompatible (from the frame context's
+         assumption core; none while incremental solving is off) *)
   use_slice : bool;
       (* answer branch feasibility through the static-slice oracle (cone
          restriction + equality-chain decisions); verdict-preserving, so
@@ -27,7 +24,7 @@ type config = {
   domains : int;
   split_bits : int option;
   solver_budget : Solver.budget option;
-      (* ambient per-query budget installed in every search worker *)
+      (* per-query budget installed for every shard's queries *)
   shard_retries : int; (* extra attempts per raising shard task *)
   shard_backoff : int -> float; (* seconds to sleep before retry [n+1] *)
   checkpoint_dir : string option;
@@ -35,7 +32,8 @@ type config = {
   resume : bool; (* reuse matching shard checkpoints already in the dir *)
   cancel : unit -> bool;
       (* polled cooperative interrupt: when it turns true, in-flight
-         exploration stops and only already-completed shards are reported *)
+         exploration stops; completed shards and the partial logs of the
+         interrupted ones are reported *)
   chaos : (shard_index:int -> attempt:int -> unit) option;
       (* test hook run at each shard attempt start; may raise to simulate
          a crashing worker *)
@@ -157,15 +155,15 @@ type report = {
   coverage : coverage;
 }
 
-(* --- parallel-mode event log ----------------------------------------------
+(* --- shard event log ---------------------------------------------------------
 
-   A shard worker cannot use sequential state ids (each task numbers its own
+   A shard worker cannot use global state ids (each task numbers its own
    states), so instead of filling the report directly it logs every
    observation keyed by the state's route. Only the shard that *owns* a
    state records it, so the merge is a concatenation — no deduplication —
    sorted by route, with ids rewritten to the lexicographic rank of the
-   route, which equals the id the sequential depth-first run would have
-   assigned. *)
+   route, which equals the id a single depth-first run over the whole tree
+   assigns. *)
 
 type cevent = {
   (* one per recorded constraint on a message-constrained state *)
@@ -244,38 +242,20 @@ type search_ctx = {
   different_from : Different_from.t option;
   alive : (int, int list) Hashtbl.t; (* state id -> alive client indices *)
   bindings : (int, Term.t list) Hashtbl.t; (* client idx -> msgS=msgC binding *)
-  sessions : (int, Solver.Incremental.session) Hashtbl.t;
-      (* client idx -> incremental session with the binding asserted *)
   negations : (int, Term.t) Hashtbl.t; (* client idx -> negate(pathCi) *)
-  shard : Interp.shard option; (* the route shard this worker explores *)
-  recorder : recorder option; (* event log target (parallel mode only) *)
+  shard : Interp.shard; (* the route shard this worker explores *)
+  recorder : recorder; (* the shard's event log *)
   mutable server_vars : Term.var array option;
   mutable field_var_ids : (string * int list) list; (* server var ids per field *)
-  mutable trojans_rev : trojan list;
-  mutable accepting_rev : Predicate.server_path list;
-  mutable samples_rev : alive_sample list;
-  mutable drops_rev : drop_explanation list;
-  mutable n_accepting : int;
-  mutable n_rejecting : int;
-  mutable n_other : int;
-  mutable n_pruned : int;
-  mutable n_alive_checks : int;
-  mutable n_transitive : int;
-  mutable n_unknown_alive : int;
-  mutable n_unknown_prune : int;
-  mutable n_unknown_witness : int;
   mutable n_abandoned : int; (* states cut off by cancellation *)
   started : float;
 }
 
 let all_indices ctx = List.init (Array.length ctx.paths) Fun.id
 
-(* Does this worker record observations for this state? Sequential runs
-   record everything; a shard worker records only the states it owns. *)
-let records ctx (st : State.t) =
-  match ctx.shard with
-  | None -> true
-  | Some sh -> Interp.shard_owns sh st.State.route
+(* Does this worker record observations for this state? Only the shard
+   that owns it does (with a single shard, that is every state). *)
+let records ctx (st : State.t) = Interp.shard_owns ctx.shard st.State.route
 
 let negation_for ctx idx =
   match Hashtbl.find_opt ctx.negations idx with
@@ -313,7 +293,7 @@ let setup_server_vars ctx vars =
          allocate fresh (primed) variables; doing all of them at the first
          message-constrained state — a point every shard passes with the
          same fresh counter — gives the primed variables identical ids in
-         every shard and in the sequential run, whichever state a worker
+         every shard and at every decomposition, whichever state a worker
          happens to need one for first. *)
       List.iter (fun i -> ignore (negation_for ctx i)) (all_indices ctx)
 
@@ -326,51 +306,30 @@ let binding_for ctx idx =
       Hashtbl.replace ctx.bindings idx b;
       b
 
-let session_for ctx idx =
-  match Hashtbl.find_opt ctx.sessions idx with
-  | Some s -> s
-  | None ->
-      let s = Solver.Incremental.create () in
-      List.iter (Solver.Incremental.assert_always s) (binding_for ctx idx);
-      Hashtbl.replace ctx.sessions idx s;
-      s
-
 (* pathS /\ bind(pathCi) unsatisfiable? The hot query of the search.
    [Unknown] (budget exhausted, fault injected) must keep the client path
    alive: an alive path only adds its — then implied — negation to the
    Trojan query, whereas a wrong drop would delete a conjunct and admit
    spurious Trojans. Degrading towards "alive" is the sound direction. *)
 let binding_check ctx idx (st : State.t) =
-  let r =
-    if Solver.incremental_enabled () then
-      (* the per-domain frame context: the path prefix is asserted once and
-         shared with the prune query, the interpreter's feasibility checks
-         and every other client's binding check at this state; only the
-         binding terms ride as per-call assumptions *)
-      Solver.check_assuming ~path:st.State.path (binding_for ctx idx)
-    else if ctx.cfg.incremental_bindings then
-      Solver.Incremental.check (session_for ctx idx) st.State.path
-    else Solver.check (List.rev_append st.State.path (binding_for ctx idx))
-  in
-  match r with
+  (* on the per-domain frame context the path prefix is asserted once and
+     shared with the prune query, the interpreter's feasibility checks and
+     every other client's binding check at this state; only the binding
+     terms ride as per-call assumptions (scratch while incremental solving
+     is off) *)
+  match Solver.check_assuming ~path:st.State.path (binding_for ctx idx) with
   | Solver.Unsat -> `Incompatible
   | Solver.Sat _ -> `Compatible
   | Solver.Unknown -> `Unknown
 
 (* Explanation for the drop just reported by [binding_check]: the server
-   constraints in the unsat core. With the shared frame context the core
-   may also name binding terms; those are filtered out so the explanation
-   keeps its historical meaning. *)
-let drop_core ctx idx (st : State.t) =
-  if Solver.incremental_enabled () then
-    match Solver.last_assumption_core () with
-    | None -> None
-    | Some core ->
-        Some
-          (List.filter
-             (fun t -> List.exists (Term.equal t) st.State.path)
-             core)
-  else Solver.Incremental.unsat_core (session_for ctx idx)
+   constraints in the unsat core. The frame context's core may also name
+   binding terms; those are filtered out so the explanation keeps its
+   historical meaning. No core (incremental solving off): no explanation. *)
+let drop_core (st : State.t) =
+  Option.map
+    (List.filter (fun t -> List.exists (Term.equal t) st.State.path))
+    (Solver.last_assumption_core ())
 
 let alive_for ctx (st : State.t) =
   match Hashtbl.find_opt ctx.alive st.State.id with
@@ -458,35 +417,21 @@ let on_constraint ctx (st : State.t) cond =
                        the client path alive (its negation stays in the
                        Trojan query, over- rather than under-constraining) *)
                     if recording then
-                      ctx.n_unknown_alive <- ctx.n_unknown_alive + 1
+                      let r = ctx.recorder in
+                      r.rec_unknown_alive <- r.rec_unknown_alive + 1
                 | `Incompatible ->
-                  if
-                    recording && ctx.cfg.explain_drops
-                    && (ctx.cfg.incremental_bindings
-                       || Solver.incremental_enabled ())
-                  then begin
-                    match drop_core ctx i st with
-                    | Some conflicting -> (
-                        let plen = List.length st.State.path in
-                        match ctx.recorder with
-                        | None ->
-                            ctx.drops_rev <-
-                              {
-                                at_state = st.State.id;
-                                dropped_path = i;
-                                conflicting;
-                              }
-                              :: ctx.drops_rev
-                        | Some r ->
-                            r.rec_drops <-
-                              {
-                                wd_route = st.State.route;
-                                wd_plen = plen;
-                                wd_ord = !drop_ord;
-                                wd_path = i;
-                                wd_conflicting = conflicting;
-                              }
-                              :: r.rec_drops);
+                  if recording && ctx.cfg.explain_drops then begin
+                    match drop_core st with
+                    | Some conflicting ->
+                        ctx.recorder.rec_drops <-
+                          {
+                            wd_route = st.State.route;
+                            wd_plen = List.length st.State.path;
+                            wd_ord = !drop_ord;
+                            wd_path = i;
+                            wd_conflicting = conflicting;
+                          }
+                          :: ctx.recorder.rec_drops;
                         incr drop_ord
                     | None -> ()
                   end;
@@ -506,8 +451,6 @@ let on_constraint ctx (st : State.t) cond =
           List.filter (fun i -> not (Hashtbl.mem dropped i)) alive
         end
       in
-      ctx.n_alive_checks <- ctx.n_alive_checks + !checks_here;
-      ctx.n_transitive <- ctx.n_transitive + !transitive_here;
       Hashtbl.replace ctx.alive st.State.id alive;
       let pruned =
         ctx.cfg.prune_no_trojan
@@ -529,55 +472,41 @@ let on_constraint ctx (st : State.t) cond =
         | Solver.Unknown ->
             (* sound degradation: only a proven-Trojan-free state may be
                pruned; an undecided query keeps the state alive *)
-            if recording then ctx.n_unknown_prune <- ctx.n_unknown_prune + 1;
+            (if recording then
+               let r = ctx.recorder in
+               r.rec_unknown_prune <- r.rec_unknown_prune + 1);
             false
       in
       if pruned then begin
-        ctx.n_pruned <- ctx.n_pruned + 1;
         Obs.count "search.pruned_states";
         if Obs.live () then
           Obs.emit ~kind:"drop" ~name:"pruned"
             ~args:[ ("route", Obs.S st.State.route) ]
             ()
       end;
-      if recording then begin
-        let plen = List.length st.State.path in
-        let n_alive = List.length alive in
-        match ctx.recorder with
-        | None ->
-            ctx.samples_rev <-
-              { state_id = st.State.id; path_length = plen; alive = n_alive }
-              :: ctx.samples_rev
-        | Some r ->
-            r.rec_cevents <-
-              {
-                ce_route = st.State.route;
-                ce_plen = plen;
-                ce_alive = n_alive;
-                ce_checks = !checks_here;
-                ce_transitive = !transitive_here;
-                ce_pruned = pruned;
-              }
-              :: r.rec_cevents
-      end;
+      if recording then
+        ctx.recorder.rec_cevents <-
+          {
+            ce_route = st.State.route;
+            ce_plen = List.length st.State.path;
+            ce_alive = List.length alive;
+            ce_checks = !checks_here;
+            ce_transitive = !transitive_here;
+            ce_pruned = pruned;
+          }
+          :: ctx.recorder.rec_cevents;
       not pruned
 
 let on_fork ctx ~parent ~child =
   let alive = alive_for ctx parent in
   Hashtbl.replace ctx.alive child.State.id alive;
-  match ctx.recorder, ctx.shard with
-  | Some r, Some sh ->
-      let croute = child.State.route in
-      if Interp.shard_owns sh croute then r.rec_routes <- croute :: r.rec_routes;
-      (* count each two-sided fork once: at its '0' child, by the parent's
-         owner (who always explores that child) *)
-      let clen = String.length croute in
-      if
-        clen > 0
-        && croute.[clen - 1] = '0'
-        && Interp.shard_owns sh parent.State.route
-      then r.rec_forks <- r.rec_forks + 1
-  | _ -> ()
+  let r = ctx.recorder and croute = child.State.route in
+  if Interp.shard_owns ctx.shard croute then r.rec_routes <- croute :: r.rec_routes;
+  (* count each two-sided fork once: at its '0' child, by the parent's
+     owner (who always explores that child) *)
+  let clen = String.length croute in
+  if clen > 0 && croute.[clen - 1] = '0' && records ctx parent then
+    r.rec_forks <- r.rec_forks + 1
 
 let witness_of_model vars model =
   Array.map
@@ -597,25 +526,15 @@ let emit_trojans ctx (st : State.t) label =
       setup_server_vars ctx vars;
       let alive = alive_for ctx st in
       let base_query = trojan_query ctx st alive in
-      (match ctx.recorder with
-      | None ->
-          ctx.accepting_rev <-
-            {
-              Predicate.sp_state_id = st.State.id;
-              label;
-              msg_vars = vars;
-              sp_constraints = List.rev st.State.path;
-            }
-            :: ctx.accepting_rev
-      | Some r ->
-          r.rec_accepting <-
-            {
-              wa_route = st.State.route;
-              wa_label = label;
-              wa_msg_vars = vars;
-              wa_constraints = List.rev st.State.path;
-            }
-            :: r.rec_accepting);
+      let r = ctx.recorder in
+      r.rec_accepting <-
+        {
+          wa_route = st.State.route;
+          wa_label = label;
+          wa_msg_vars = vars;
+          wa_constraints = List.rev st.State.path;
+        }
+        :: r.rec_accepting;
       let block witness =
         match ctx.cfg.distinct_by with
         | Some f -> f witness vars
@@ -639,33 +558,18 @@ let emit_trojans ctx (st : State.t) label =
                 ("confirmed", Obs.B confirmed);
               ]
             ();
-        let found_at = Unix.gettimeofday () -. ctx.started in
-        match ctx.recorder with
-        | None ->
-            ctx.trojans_rev <-
-              {
-                server_state_id = st.State.id;
-                accept_label = label;
-                witness;
-                symbolic = base_query;
-                msg_vars = vars;
-                confirmed;
-                found_at;
-              }
-              :: ctx.trojans_rev
-        | Some r ->
-            r.rec_trojans <-
-              {
-                wt_route = st.State.route;
-                wt_idx = n;
-                wt_label = label;
-                wt_witness = witness;
-                wt_symbolic = base_query;
-                wt_msg_vars = vars;
-                wt_confirmed = confirmed;
-                wt_found_at = found_at;
-              }
-              :: r.rec_trojans
+        r.rec_trojans <-
+          {
+            wt_route = st.State.route;
+            wt_idx = n;
+            wt_label = label;
+            wt_witness = witness;
+            wt_symbolic = base_query;
+            wt_msg_vars = vars;
+            wt_confirmed = confirmed;
+            wt_found_at = Unix.gettimeofday () -. ctx.started;
+          }
+          :: r.rec_trojans
       in
       let rec enumerate blocked n =
         if n < ctx.cfg.witnesses_per_path then
@@ -676,7 +580,7 @@ let emit_trojans ctx (st : State.t) label =
                  symbolic Trojan expression but no extracted message —
                  an over-approximation flagged [unconfirmed], never a
                  silently dropped Trojan *)
-              ctx.n_unknown_witness <- ctx.n_unknown_witness + 1;
+              r.rec_unknown_witness <- r.rec_unknown_witness + 1;
               emit ~n ~confirmed:false (Array.map (fun _ -> Bv.zero 8) vars)
           | Solver.Sat model ->
               let witness = witness_of_model vars model in
@@ -709,21 +613,12 @@ let minimize_witness (t : trojan) =
   current
 
 let on_terminal ctx (st : State.t) =
-  if records ctx st then begin
-    (match ctx.recorder with
-    | Some r when st.State.status <> State.Running ->
-        r.rec_terminals <- (st.State.route, st.State.status) :: r.rec_terminals
-    | _ -> ());
+  if records ctx st && st.State.status <> State.Running then begin
+    let r = ctx.recorder in
+    r.rec_terminals <- (st.State.route, st.State.status) :: r.rec_terminals;
     match st.State.status with
-    | State.Accepted label ->
-        ctx.n_accepting <- ctx.n_accepting + 1;
-        emit_trojans ctx st label
-    | State.Rejected _ | State.Finished ->
-        (* per §5.1, a server path that returns to the event loop without
-           accepting rejected its message *)
-        ctx.n_rejecting <- ctx.n_rejecting + 1
-    | State.Dropped | State.Crashed _ -> ctx.n_other <- ctx.n_other + 1
-    | State.Running -> ()
+    | State.Accepted label -> emit_trojans ctx st label
+    | _ -> ()
   end
 
 let make_ctx ~config ~client ~different_from ~shard ~recorder ~started =
@@ -734,25 +629,11 @@ let make_ctx ~config ~client ~different_from ~shard ~recorder ~started =
     different_from;
     alive = Hashtbl.create 256;
     bindings = Hashtbl.create 64;
-    sessions = Hashtbl.create 64;
     negations = Hashtbl.create 64;
     shard;
     recorder;
     server_vars = None;
     field_var_ids = [];
-    trojans_rev = [];
-    accepting_rev = [];
-    samples_rev = [];
-    drops_rev = [];
-    n_accepting = 0;
-    n_rejecting = 0;
-    n_other = 0;
-    n_pruned = 0;
-    n_alive_checks = 0;
-    n_transitive = 0;
-    n_unknown_alive = 0;
-    n_unknown_prune = 0;
-    n_unknown_witness = 0;
     n_abandoned = 0;
     started;
   }
@@ -765,89 +646,20 @@ let hooks_of ctx =
     Interp.on_terminal = (fun st -> on_terminal ctx st);
   }
 
-(* --- sequential mode ------------------------------------------------------- *)
-
-let run_sequential ~config ~different_from ~client ~server ~started =
-  let ctx =
-    make_ctx ~config ~client ~different_from ~shard:None ~recorder:None
-      ~started
-  in
-  let solver_stats = Solver.stats () in
-  let exhaustions0 = solver_stats.Solver.budget_exhaustions in
-  let faults0 = solver_stats.Solver.injected_faults in
-  let saved_budget = Solver.get_budget () in
-  Solver.set_budget config.solver_budget;
-  let iconfig =
-    if config.use_slice then
-      { config.interp with Interp.oracle = Some (Slice.make_oracle ()) }
-    else config.interp
-  in
-  let run_result =
-    Fun.protect
-      ~finally:(fun () -> Solver.set_budget saved_budget)
-      (fun () ->
-        Obs.span Obs.Server_se (fun () ->
-            Interp.run ~config:iconfig ~hooks:(hooks_of ctx) server))
-  in
-  let stats =
-    {
-      accepting_paths = ctx.n_accepting;
-      rejecting_paths = ctx.n_rejecting;
-      other_paths = ctx.n_other;
-      pruned_states = ctx.n_pruned;
-      forks = run_result.Interp.stats.Interp.forks;
-      alive_checks = ctx.n_alive_checks;
-      transitive_drops = ctx.n_transitive;
-      alive_samples = List.rev ctx.samples_rev;
-      wall_time = Unix.gettimeofday () -. started;
-    }
-  in
-  let interrupted = config.cancel () in
-  let agg = Solver.aggregate_stats () in
-  let slice_static, slice_cone = slice_counters () in
-  let coverage =
-    {
-      total_shards = 1;
-      completed_shards = (if interrupted then 0 else 1);
-      failed_shards = [];
-      resumed_shards = 0;
-      shard_retry_attempts = 0;
-      interrupted;
-      unknown_alive = ctx.n_unknown_alive;
-      unknown_prune = ctx.n_unknown_prune;
-      unknown_witness = ctx.n_unknown_witness;
-      budget_exhaustions =
-        solver_stats.Solver.budget_exhaustions - exhaustions0;
-      injected_faults = solver_stats.Solver.injected_faults - faults0;
-      abandoned_states = ctx.n_abandoned;
-      solver_cache_entries = Solver.aggregate_cache_entries ();
-      solver_cache_evictions = agg.Solver.cache_evictions;
-      solver_cache_hits = agg.Solver.cache_hits;
-      solver_queries = agg.Solver.queries;
-      slice_static_branches = slice_static;
-      slice_cone_queries = slice_cone;
-    }
-  in
-  {
-    trojans = List.rev ctx.trojans_rev;
-    accepting = List.rev ctx.accepting_rev;
-    drops = List.rev ctx.drops_rev;
-    search_stats = stats;
-    coverage;
-  }
-
-(* --- parallel mode ---------------------------------------------------------
+(* --- shard driver -----------------------------------------------------------
 
    The exploration tree is split into 2^split_bits route shards; each shard
-   is one task on a pool of [domains] workers. A task replays the shared
-   spine (routes shorter than split_bits) and exclusively explores — and
-   records — the subtrees matching its bit pattern, with its domain-local
-   solver state and its fresh-variable counter reset to the pre-search
-   base, so every variable (message bytes, negation primes) gets the same
-   id it gets sequentially. The merge concatenates the disjoint event logs,
-   sorts them by route (lexicographic route order = sequential depth-first
-   creation order), and renumbers state ids by route rank; everything
-   except wall-clock timestamps is bit-identical to the sequential run. *)
+   is one task on a pool of [domains] workers (the calling domain is worker
+   0). A task replays the shared spine (routes shorter than split_bits) and
+   exclusively explores — and records — the subtrees matching its bit
+   pattern, with its domain-local solver state and its fresh-variable
+   counter reset to the pre-search base, so every variable (message bytes,
+   negation primes) gets the same id whatever the decomposition. The merge
+   concatenates the disjoint event logs, sorts them by route (lexicographic
+   route order = depth-first creation order), and renumbers state ids by
+   route rank; everything except wall-clock timestamps is bit-identical
+   across domain counts. A single-domain run without checkpoints is one
+   shard (0 split bits): no spine replay, run inline on the caller. *)
 
 module String_set = Set.Make (String)
 
@@ -1066,21 +878,22 @@ let split_bits_of config =
   | None -> min 8 (ceil_log2 config.domains + 2)
 
 (* Deterministic merge of disjoint shard event logs into a report:
-   concatenate, sort by route (lexicographic route order = sequential
-   depth-first creation order), and renumber state ids by route rank. The
+   concatenate, sort by route (lexicographic route order = depth-first
+   creation order), and renumber state ids by route rank. The
    in-process pool and the multi-process coordinator both end here — which
    is what makes the final report digest independent of worker count,
-   kills, lease reassignments and resume history. *)
-let merge_outs ~total ~base ~started ~outs_resumed ~failed_shards
+   kills, lease reassignments and resume history. [partial] logs (shards
+   the cancel cut short) join the report but not the completed count. *)
+let merge_outs ~total ~base ~started ~outs_resumed ~partial ~failed_shards
     ~retry_attempts ~interrupted ~abandoned =
-  let outs = List.map fst outs_resumed in
+  let outs = List.map fst outs_resumed @ partial in
   let sum f = List.fold_left (fun acc (r, _) -> acc + f r) 0 outs in
   let agg = Solver.aggregate_stats () in
   let slice_static, slice_cone = slice_counters () in
   let coverage =
     {
       total_shards = total;
-      completed_shards = List.length outs;
+      completed_shards = List.length outs_resumed;
       failed_shards;
       resumed_shards = List.length (List.filter snd outs_resumed);
       shard_retry_attempts = retry_attempts;
@@ -1103,9 +916,9 @@ let merge_outs ~total ~base ~started ~outs_resumed ~failed_shards
      allocated, so later analyses cannot reuse ids live in this report *)
   let top = List.fold_left (fun acc (_, c) -> max acc c) base outs in
   Term.set_fresh_counter (max top (Term.fresh_counter_value ()));
-  (* Sequential ids are assigned in depth-first creation order, and the
+  (* A whole-tree run assigns ids in depth-first creation order, and the
      interpreter forks true-branch first, so creation order is exactly the
-     lexicographic order of routes. Rank = sequential id. *)
+     lexicographic order of routes. Rank = whole-tree id. *)
   let routes =
     List.fold_left
       (fun acc (r, _) ->
@@ -1141,7 +954,7 @@ let merge_outs ~total ~base ~started ~outs_resumed ~failed_shards
   in
   (* found_at is wall clock — the one field outside the determinism claim.
      Tasks finish out of order, so restore monotonicity along the merged
-     (sequential-equivalent) order for the Figure-10 discovery curve. *)
+     (depth-first) order for the Figure-10 discovery curve. *)
   let _, trojans =
     List.fold_left_map
       (fun floor w ->
@@ -1184,6 +997,8 @@ let merge_outs ~total ~base ~started ~outs_resumed ~failed_shards
   in
   let terminals = List.concat_map (fun (r, _) -> r.rec_terminals) outs in
   let count p = List.length (List.filter p terminals) in
+  (* per §5.1, a server path that returns to the event loop without
+     accepting rejected its message *)
   let stats =
     {
       accepting_paths =
@@ -1214,25 +1029,24 @@ let merge_outs ~total ~base ~started ~outs_resumed ~failed_shards
   in
   { trojans; accepting; drops; search_stats = stats; coverage }
 
-(* Run one route shard to completion in the calling domain: replay the
-   sequential fresh-variable id sequence from [base], explore the shard's
-   subtrees, and return the completed event log plus the states abandoned
-   to cancellation. [None] when the cooperative cancel fired — a partial
-   event log must neither be checkpointed nor merged. This is the unit of
-   work a distributed worker process executes for one lease. *)
+(* Run one route shard in the calling domain: replay the fresh-variable id
+   sequence from [base], explore the shard's subtrees, and return its event
+   log, whether it ran to completion, and the states abandoned to
+   cancellation. A log the cooperative cancel cut short is partial: it may
+   be reported, but never checkpointed or counted as a completed shard.
+   The shard installs [config.solver_budget] for its own queries and gives
+   the domain its previous budget back, because the domain may be the
+   caller's. This is the unit of work a distributed worker process
+   executes for one lease. *)
 let explore_shard ~config ~different_from ~client ~server ~bits ~base ~started
     idx =
   let shard = { Interp.shard_index = idx; Interp.shard_bits = bits } in
   Term.set_fresh_counter base;
-  Solver.set_budget config.solver_budget;
   let solver_stats = Solver.stats () in
   let exhaustions0 = solver_stats.Solver.budget_exhaustions in
   let faults0 = solver_stats.Solver.injected_faults in
   let recorder = fresh_recorder () in
-  let ctx =
-    make_ctx ~config ~client ~different_from ~shard:(Some shard)
-      ~recorder:(Some recorder) ~started
-  in
+  let ctx = make_ctx ~config ~client ~different_from ~shard ~recorder ~started in
   let iconfig =
     {
       config.interp with
@@ -1243,24 +1057,21 @@ let explore_shard ~config ~different_from ~client ~server ~bits ~base ~started
         (if config.use_slice then Some (Slice.make_oracle ()) else None);
     }
   in
-  Obs.span Obs.Server_se (fun () ->
-      ignore (Interp.run ~config:iconfig ~hooks:(hooks_of ctx) server));
-  if config.cancel () then (None, ctx.n_abandoned)
-  else begin
-    recorder.rec_unknown_alive <- ctx.n_unknown_alive;
-    recorder.rec_unknown_prune <- ctx.n_unknown_prune;
-    recorder.rec_unknown_witness <- ctx.n_unknown_witness;
-    recorder.rec_exhaustions <-
-      solver_stats.Solver.budget_exhaustions - exhaustions0;
-    recorder.rec_faults <- solver_stats.Solver.injected_faults - faults0;
-    (Some (recorder, Term.fresh_counter_value ()), ctx.n_abandoned)
-  end
+  let saved_budget = Solver.get_budget () in
+  Solver.set_budget config.solver_budget;
+  Fun.protect
+    ~finally:(fun () -> Solver.set_budget saved_budget)
+    (fun () ->
+      Obs.span Obs.Server_se (fun () ->
+          ignore (Interp.run ~config:iconfig ~hooks:(hooks_of ctx) server)));
+  recorder.rec_exhaustions <-
+    solver_stats.Solver.budget_exhaustions - exhaustions0;
+  recorder.rec_faults <- solver_stats.Solver.injected_faults - faults0;
+  ( (recorder, Term.fresh_counter_value ()),
+    not (config.cancel ()),
+    ctx.n_abandoned )
 
-let run_parallel ~config ~different_from ~client ~server ~started =
-  (* One main-domain span covering sharding, pool execution and the merge:
-     worker domains open their own nested Server_se spans per shard. *)
-  Obs.span Obs.Server_se @@ fun () ->
-  let bits = split_bits_of config in
+let run_shards ~config ~different_from ~client ~server ~started ~bits =
   let n_tasks = 1 lsl bits in
   let base = Term.fresh_counter_value () in
   let fingerprint =
@@ -1293,28 +1104,25 @@ let run_parallel ~config ~different_from ~client ~server ~started =
     | None -> ());
     if config.cancel () then None
     else begin
-      let out, n_abandoned =
+      let out, complete, n_abandoned =
         explore_shard ~config ~different_from ~client ~server ~bits ~base
           ~started idx
       in
       ignore (Atomic.fetch_and_add abandoned n_abandoned);
-      match out with
-      | None ->
-          (* the event log is partial: neither checkpoint nor merge it *)
-          if Obs.live () then
-            Obs.emit ~kind:"shard" ~name:"cancelled"
-              ~args:[ ("index", Obs.I idx) ]
-              ();
-          None
-      | Some out ->
-          (match config.checkpoint_dir with
-          | Some dir -> write_shard_checkpoint ~dir ~fingerprint ~idx out
-          | None -> ());
-          if Obs.live () then
-            Obs.emit ~kind:"shard" ~name:"done"
-              ~args:[ ("index", Obs.I idx); ("attempt", Obs.I attempt) ]
-              ();
-          Some out
+      if complete then begin
+        (match config.checkpoint_dir with
+        | Some dir -> write_shard_checkpoint ~dir ~fingerprint ~idx out
+        | None -> ());
+        if Obs.live () then
+          Obs.emit ~kind:"shard" ~name:"done"
+            ~args:[ ("index", Obs.I idx); ("attempt", Obs.I attempt) ]
+            ()
+      end
+      else if Obs.live () then
+        Obs.emit ~kind:"shard" ~name:"cancelled"
+          ~args:[ ("index", Obs.I idx) ]
+          ();
+      Some (out, complete)
     end
   in
   let missing =
@@ -1338,8 +1146,9 @@ let run_parallel ~config ~different_from ~client ~server ~started =
   Array.iteri
     (fun k idx ->
       match outcomes.(k).Pool.result with
-      | Ok (Some out) -> shard_results.(idx) <- `Done (out, false)
-      | Ok None -> () (* cancelled before completing: stays missing *)
+      | Ok (Some (out, true)) -> shard_results.(idx) <- `Done (out, false)
+      | Ok (Some (out, false)) -> shard_results.(idx) <- `Partial out
+      | Ok None -> () (* cancelled before it started: stays missing *)
       | Error _ ->
           if Obs.live () then
             Obs.emit ~kind:"shard" ~name:"failed"
@@ -1347,17 +1156,15 @@ let run_parallel ~config ~different_from ~client ~server ~started =
               ();
           shard_results.(idx) <- `Failed)
     missing;
-  let outs_resumed =
-    List.filter_map
-      (function `Done (out, resumed) -> Some (out, resumed) | _ -> None)
-      (Array.to_list shard_results)
-  in
-  let failed_shards =
-    List.filter_map Fun.id
-      (List.init n_tasks (fun idx ->
-           match shard_results.(idx) with `Failed -> Some idx | _ -> None))
-  in
-  merge_outs ~total:n_tasks ~base ~started ~outs_resumed ~failed_shards
+  let results = Array.to_list shard_results in
+  merge_outs ~total:n_tasks ~base ~started
+    ~outs_resumed:
+      (List.filter_map (function `Done d -> Some d | _ -> None) results)
+    ~partial:
+      (List.filter_map (function `Partial out -> Some out | _ -> None) results)
+    ~failed_shards:
+      (List.concat
+         (List.mapi (fun idx -> function `Failed -> [ idx ] | _ -> []) results))
     ~retry_attempts:
       (Array.fold_left (fun acc o -> acc + o.Pool.attempts - 1) 0 outcomes)
     ~interrupted:(config.cancel ()) ~abandoned:(Atomic.get abandoned)
@@ -1365,8 +1172,15 @@ let run_parallel ~config ~different_from ~client ~server ~started =
 let run ?(config = default_config) ?different_from ~client ~server () =
   let started = Unix.gettimeofday () in
   if config.domains <= 1 && config.checkpoint_dir = None && not config.resume
-  then run_sequential ~config ~different_from ~client ~server ~started
-  else run_parallel ~config ~different_from ~client ~server ~started
+  then
+    (* one shard, whose own span covers the whole exploration *)
+    run_shards ~config ~different_from ~client ~server ~started ~bits:0
+  else
+    (* one calling-domain span around sharding, the pool and the merge;
+       every shard task opens its own nested span *)
+    Obs.span Obs.Server_se (fun () ->
+        run_shards ~config ~different_from ~client ~server ~started
+          ~bits:(split_bits_of config))
 
 (* Accepting states paired with the Trojan query the search decided them
    with — the predicate export consumed by the filter compiler
@@ -1392,14 +1206,22 @@ let trojan_queries (r : report) =
    ([Achilles_dist]) is built on: explore one leased shard, persist or load
    its event log as a durable checkpoint file, and merge disjoint logs into
    the canonical report. Everything here is exactly what the in-process
-   parallel mode uses, so the two modes cannot drift. *)
+   driver uses, so the two cannot drift. *)
 module Shards = struct
   type out = recorder * int
 
   let split_bits = split_bits_of
   let fingerprint = run_fingerprint
   let prepare_dir = ensure_checkpoint_dir
-  let explore = explore_shard
+
+  let explore ~config ~different_from ~client ~server ~bits ~base ~started idx
+      =
+    let out, complete, abandoned =
+      explore_shard ~config ~different_from ~client ~server ~bits ~base
+        ~started idx
+    in
+    ((if complete then Some out else None), abandoned)
+
   let write = write_checkpoint_file
   let load = load_checkpoint_file
   let merge = merge_outs

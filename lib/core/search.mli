@@ -18,20 +18,22 @@
     witnesses per accepting path, each timestamped for the discovery curve
     of Figure 10.
 
-    {b Multicore.} With [domains > 1] the exploration tree is split into
-    [2^split_bits] route shards run as tasks on a {!Pool} of domains, each
-    with its own solver sessions, domain-local solver cache/stats and a
-    fresh-variable counter replaying the sequential id sequence. Exactly one
+    {b Multicore.} Every run splits the exploration tree into
+    [2^split_bits] route shards run as tasks on a {!Pool} of [domains]
+    workers (the calling domain is worker 0), each with its domain-local
+    solver context, cache and stats and a fresh-variable counter replaying
+    the pre-search id sequence. A single-domain run without checkpointing
+    uses 0 split bits: one shard, run inline on the caller. Exactly one
     shard owns (records) each state, and the merge sorts the disjoint event
-    logs by route — lexicographic route order equals sequential depth-first
-    creation order — and renumbers state ids by route rank, so the report is
-    identical to the sequential one except for wall-clock fields
+    logs by route — lexicographic route order equals depth-first creation
+    order — and renumbers state ids by route rank, so the report is
+    identical at every domain count except for wall-clock fields
     ([wall_time], and [found_at], which is re-monotonized in merge order).
     Caveats: determinism assumes the server allocates no fresh symbolic
     variables after its first fork (all bundled models receive the analyzed
-    message up front), that [max_states] (a per-task bound in parallel mode)
-    is not hit, and [explain_drops] unsat-core {e contents} may differ
-    (cores depend on solver history; the set of drop events does not). *)
+    message up front), that [max_states] (a per-shard bound) is not hit,
+    and [explain_drops] unsat-core {e contents} may differ (cores depend on
+    solver history; the set of drop events does not). *)
 
 open Achilles_smt
 open Achilles_symvm
@@ -42,12 +44,13 @@ type config = {
   prune_no_trojan : bool; (* drop states with an unsat Trojan query *)
   check_overlap : bool; (* negate's false-positive discard (§4.1) *)
   incremental_bindings : bool;
-      (* run the alive-set checks through per-client incremental solver
-         sessions: the msgS = msgC binding is bitblasted once and each
-         check solves under the path constraints as assumptions *)
+      (* no effect: no code in lib/ or bin/ reads it. Kept only because the
+         perfbench harness's config literal names it; delete it together
+         with that line *)
   explain_drops : bool;
-      (* record an unsat-core explanation for every dropped client path
-         (requires incremental_bindings) *)
+      (* record an unsat-core explanation for every dropped client path,
+         taken from {!Solver.last_assumption_core} (so none while
+         incremental solving is switched off) *)
   use_slice : bool;
       (* answer server branch feasibility through the static-slice oracle
          ({!Achilles_slice.Slice.make_oracle}): cone-restricted, memoized
@@ -62,29 +65,32 @@ type config = {
          distinct message classes; [None] blocks the exact witness bytes *)
   interp : Interp.config;
   domains : int;
-      (* worker domains for the parallel search; <= 1 runs sequentially *)
+      (* pool workers for the search, the calling domain included; <= 1
+         runs one shard inline on the caller (unless checkpointing) *)
   split_bits : int option;
       (* route shards = 2^split_bits (in [0,16]); [None] picks
          ceil(log2 domains) + 2, capped at 8 *)
   solver_budget : Solver.budget option;
-      (* ambient solver budget installed for the run (per worker domain in
-         parallel mode); [None] leaves queries unbounded *)
+      (* solver budget installed for each shard's queries on whichever
+         domain runs it (the caller's own budget is restored afterwards);
+         [None] leaves queries unbounded *)
   shard_retries : int;
       (* extra in-place attempts for a shard task that raises, before the
-         shard is recorded as failed (parallel mode) *)
+         shard is recorded as failed *)
   shard_backoff : int -> float;
       (* seconds to sleep before retry [attempt + 1]; default exponential,
          50 ms doubling *)
   checkpoint_dir : string option;
-      (* when set (parallel mode), every completed shard's event log is
-         flushed to [dir/shard-NNNN.ckpt] via an atomic rename *)
+      (* when set, every completed shard's event log is flushed to
+         [dir/shard-NNNN.ckpt] via an atomic rename *)
   resume : bool;
       (* with [checkpoint_dir]: load valid shard checkpoints and re-explore
          only the missing shards *)
   cancel : unit -> bool;
       (* cooperative cancellation, polled at every branch constraint; once
          true, in-flight shards abandon exploration and the report is
-         assembled from the shards already complete *)
+         assembled from the completed shards plus the partial logs of the
+         shards cut short (never checkpointed, never counted complete) *)
   chaos : (shard_index:int -> attempt:int -> unit) option;
       (* test hook run at the top of every shard attempt (raise to simulate
          a shard crash and exercise the retry path) *)
@@ -148,7 +154,7 @@ type stats = {
     coverage, which is why they are reported here instead of being folded
     into a seemingly complete report. *)
 type coverage = {
-  total_shards : int; (* 1 in sequential mode *)
+  total_shards : int; (* 1 for a single-domain run *)
   completed_shards : int;
   failed_shards : int list; (* shard indices exhausted of retries *)
   resumed_shards : int; (* loaded from checkpoints instead of explored *)
@@ -250,8 +256,8 @@ module Shards : sig
     out option * int
   (** [explore ... idx] runs shard [idx] to completion in the calling
       domain, replaying the fresh-variable sequence from [base]. Returns
-      [(None, abandoned)] when [config.cancel] fired mid-shard — a partial
-      log must neither be written nor merged. *)
+      [(None, abandoned)] when [config.cancel] fired mid-shard: the partial
+      log is dropped, as a leased shard either completes or fails. *)
 
   val write : file:string -> fingerprint:string -> idx:int -> out -> unit
   (** Durable atomic checkpoint: marshal to a pid-qualified temp file,
@@ -267,12 +273,15 @@ module Shards : sig
     base:int ->
     started:float ->
     outs_resumed:(out * bool) list ->
+    partial:out list ->
     failed_shards:int list ->
     retry_attempts:int ->
     interrupted:bool ->
     abandoned:int ->
     report
   (** Deterministic merge of disjoint shard logs ([resumed] flags feed the
-      coverage block). [failed_shards] are reported as uncovered — never
-      silently dropped. *)
+      coverage block). [partial] logs of shards the cancel cut short join
+      the report's results but not its completed-shard count.
+      [failed_shards] are reported as uncovered — never silently
+      dropped. *)
 end

@@ -563,8 +563,9 @@ let run ?(config = default_config) ?run_id ~workdir ~job ~spawn ?manifest () =
   in
   let failed_shards = Lease.Table.uncovered table in
   let interrupted = config.c_cancel () || not (Lease.Table.settled table) in
+  (* a worker's cancelled shard is a failed lease: no partial logs here *)
   Search.Shards.merge ~total ~base:job.Worker.j_base ~started ~outs_resumed
-    ~failed_shards ~retry_attempts:(Lease.Table.reassignments table)
+    ~partial:[] ~failed_shards ~retry_attempts:(Lease.Table.reassignments table)
     ~interrupted ~abandoned:!abandoned
 
 (* --- spawners ------------------------------------------------------------ *)

@@ -293,19 +293,11 @@ let aggregate_incremental_contexts () =
 
 (* --- incremental-solving switch --------------------------------------------
 
-   The escape hatch demanded by any refactor of the solver hot path: with
-   incrementality off every query takes the historical scratch route (fresh
-   SAT instance per query), so a miscompare between the two modes is one
-   environment variable away from a workaround and a bug report. *)
+   The reference switch for differential tests: with incrementality off
+   every verdict query takes the scratch route (fresh SAT instance per
+   query), which the frame-stack route must agree with. *)
 
-let incremental_flag =
-  Atomic.make
-    (match Sys.getenv_opt "ACHILLES_INCREMENTAL" with
-    | Some s -> (
-        match String.lowercase_ascii (String.trim s) with
-        | "0" | "false" | "off" | "no" -> false
-        | _ -> true)
-    | None -> true)
+let incremental_flag = Atomic.make true
 
 let incremental_enabled () = Atomic.get incremental_flag
 let set_incremental b = Atomic.set incremental_flag b
@@ -521,105 +513,6 @@ let get_model terms =
   match check terms with Sat m -> Some m | Unsat | Unknown -> None
 
 let implied assumptions t = is_unsat (Term.not_ t :: assumptions)
-
-(* --- incremental sessions ------------------------------------------------- *)
-
-module Incremental = struct
-  type session = {
-    sat : Sat.t;
-    bb : Bitblast.t;
-    indicators : int Term.Tbl.t; (* assumption term -> guard var *)
-    terms_of_guard : (int, Term.t) Hashtbl.t; (* reverse, for unsat cores *)
-    mutable dead : bool; (* permanent constraints became unsatisfiable *)
-  }
-
-  let create () =
-    let sat = Sat.create () in
-    {
-      sat;
-      bb = Bitblast.create sat;
-      indicators = Term.Tbl.create 64;
-      terms_of_guard = Hashtbl.create 64;
-      dead = false;
-    }
-
-  let assert_always session (term : Term.t) =
-    match term.Term.node with
-    | Term.True -> ()
-    | Term.False -> session.dead <- true
-    | _ -> Bitblast.assert_true session.bb term
-
-  (* Guard variable implying the term: assuming the guard forces the term.
-     Terms are translated (and their implication clause added) once per
-     session; later checks reuse the same guard. *)
-  let indicator session term =
-    match Term.Tbl.find_opt session.indicators term with
-    | Some g -> g
-    | None ->
-        let g = Sat.new_var session.sat in
-        Sat.add_clause session.sat [ -g; Bitblast.lit_of session.bb term ];
-        Term.Tbl.replace session.indicators term g;
-        Hashtbl.replace session.terms_of_guard g term;
-        g
-
-  let check ?conflict_limit session terms =
-    let d = domain_state () in
-    let st = d.dstats in
-    st.queries <- st.queries + 1;
-    if session.dead then Unsat
-    else
-      Obs.span Obs.Solver_query (fun () ->
-      match canonicalize terms with
-      | None -> Unsat
-      | Some terms ->
-          let assumptions =
-            Obs.span Obs.Bitblast (fun () ->
-                List.map (indicator session) terms)
-          in
-          with_budget ~conflict_limit d (fun ~conflict_limit ~deadline ->
-              if fault_fires d then Unknown
-              else begin
-                st.sat_calls <- st.sat_calls + 1;
-                let t0 = Unix.gettimeofday () in
-                let answer =
-                  Sat.solve ?conflict_limit ?deadline ~assumptions session.sat
-                in
-                st.solve_time <- st.solve_time +. (Unix.gettimeofday () -. t0);
-                match answer with
-                | Some Sat.Sat ->
-                    st.sat_results <- st.sat_results + 1;
-                    Sat (Bitblast.extract_model session.bb)
-                | Some Sat.Unsat ->
-                    st.unsat_results <- st.unsat_results + 1;
-                    (* Unsat under assumptions; the session stays usable
-                       unless the permanent part itself is contradictory,
-                       which the next unassumed call would reveal. *)
-                    Unsat
-                | None -> Unknown
-              end))
-
-  (* The subset of the last check's terms already responsible for its
-     unsatisfiability; [None] when the permanent constraints alone are
-     contradictory (the empty core). *)
-  let unsat_core session =
-    match Sat.unsat_core session.sat with
-    | [] -> None
-    | lits ->
-        Some
-          (List.filter_map
-             (fun l -> Hashtbl.find_opt session.terms_of_guard (abs l))
-             lits)
-
-  let is_sat ?conflict_limit session terms =
-    match check ?conflict_limit session terms with
-    | Sat _ -> true
-    | Unsat | Unknown -> false
-
-  let is_unsat ?conflict_limit session terms =
-    match check ?conflict_limit session terms with
-    | Unsat -> true
-    | Sat _ | Unknown -> false
-end
 
 (* --- assumption-based frame stack ------------------------------------------
 

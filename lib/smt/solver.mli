@@ -62,14 +62,13 @@ val implied : Term.t list -> Term.t -> bool
 
 val incremental_enabled : unit -> bool
 (** Whether {!check_assuming} uses the per-domain incremental context.
-    Defaults to [true]; the environment variable [ACHILLES_INCREMENTAL]
-    (["0"], ["false"], ["off"], ["no"]) or {!set_incremental} turns it off,
-    falling back to the scratch path. *)
+    Starts [true]; only {!set_incremental} turns it off. *)
 
 val set_incremental : bool -> unit
-(** Toggle incremental solving globally (the [--no-incremental] escape
-    hatch). Takes effect on the next query; existing contexts are kept and
-    simply bypassed while disabled. *)
+(** Toggle incremental solving globally: the reference switch differential
+    tests use to compare the frame-stack route against scratch solving.
+    Takes effect on the next query; existing contexts are kept and simply
+    bypassed while disabled. *)
 
 val check_assuming :
   ?conflict_limit:int -> ?path:Term.t list -> Term.t list -> result
@@ -269,37 +268,3 @@ val cache_stats : unit -> cache_stats
 val aggregate_cache_entries : unit -> int
 (** Total live result-cache entries across every registered domain. *)
 
-(** {1 Incremental sessions}
-
-    A session keeps one SAT instance alive across queries: permanent
-    constraints are asserted once, and each {!Incremental.check} solves
-    under per-call assumption terms (guard literals in the underlying CDCL
-    solver). Terms are bitblasted once per session and learnt clauses
-    persist, which is exactly right for symbolic execution's pattern of
-    re-querying a fixed binding under monotonically growing path
-    constraints. *)
-module Incremental : sig
-  type session
-
-  val create : unit -> session
-
-  val assert_always : session -> Term.t -> unit
-  (** Add a permanent constraint. *)
-
-  val check : ?conflict_limit:int -> session -> Term.t list -> result
-  (** Satisfiability of (permanent constraints /\ the given terms); the
-      given terms hold for this call only. Honors the calling domain's
-      ambient {!budget} (deadline, conflicts, escalation ladder) and fault
-      injection exactly like the top-level {!check}. *)
-
-  val is_sat : ?conflict_limit:int -> session -> Term.t list -> bool
-  val is_unsat : ?conflict_limit:int -> session -> Term.t list -> bool
-  (** Like the top-level specializations, both map [Unknown] to [false]:
-      an exhausted budget proves neither satisfiability nor its negation. *)
-
-  val unsat_core : session -> Term.t list option
-  (** After an [Unsat] answer: the subset of that check's terms already
-      sufficient for unsatisfiability together with the permanent
-      constraints — an explanation of the conflict. [None] when the
-      permanent constraints alone are contradictory. *)
-end

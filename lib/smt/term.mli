@@ -214,6 +214,6 @@ val dedup : t list -> t list
 (** Hash table keyed by terms, hashing with the stored [hkey] and comparing
     with {!equal}. The semantics are exactly those of a polymorphic
     [Hashtbl] over the old structural representation, at O(1) per probe on
-    interned terms — which is what makes the bitblast memo and incremental-
-    session indicator maps cheap without perturbing their contents. *)
+    interned terms — which is what makes the bitblast memo and the frame
+    contexts' guard maps cheap without perturbing their contents. *)
 module Tbl : Hashtbl.S with type key = t

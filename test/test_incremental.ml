@@ -85,8 +85,8 @@ let verdicts_agree a b =
    stack; the oracle is the always-scratch [Solver.check] on the same
    conjunction. *)
 let run_differential (path_atoms, extra_atom) =
-  (* pin the route under test: the property must not go vacuous when the
-     suite runs under ACHILLES_INCREMENTAL=0 (the CI scratch leg) *)
+  (* pin the route under test: the property must not go vacuous if an
+     earlier case left incremental solving switched off *)
   with_incremental true (fun () ->
       let vars = make_vars () in
       let path = List.map (build_atom vars) path_atoms in

@@ -65,6 +65,15 @@ let test_pool_shutdown () =
   | _ -> Alcotest.fail "expected Invalid_argument for zero domains"
   | exception Invalid_argument _ -> ()
 
+(* A pool of size 1 spawns nothing: its one worker is the submitting
+   domain, so a single-domain search runs inline on the caller. *)
+let test_pool_size_one_inline () =
+  let caller = Domain.self () in
+  Pool.with_pool ~domains:1 (fun pool ->
+      let ran_on = Pool.parallel_map pool (fun _ -> Domain.self ()) [| 0; 1; 2 |] in
+      Alcotest.(check bool) "every task ran on the caller's domain" true
+        (Array.for_all (fun d -> d = caller) ran_on))
+
 (* --- solver thread-safety ----------------------------------------------------- *)
 
 (* Four domains hammer overlapping sat/unsat queries; every model must
@@ -342,6 +351,8 @@ let () =
           Alcotest.test_case "empty batch" `Quick test_pool_empty;
           Alcotest.test_case "exception propagation" `Quick test_pool_exception;
           Alcotest.test_case "shutdown" `Quick test_pool_shutdown;
+          Alcotest.test_case "size 1 runs inline" `Quick
+            test_pool_size_one_inline;
         ] );
       ( "solver",
         [

@@ -144,22 +144,28 @@ let test_budget_validation () =
   | _ -> Alcotest.fail "expected Invalid_argument for negative escalations"
   | exception Invalid_argument _ -> ()
 
-let test_incremental_budget () =
+(* The zero-budget ladder on the frame-stack route: Unknown under the
+   budget, Sat once it is lifted (an Unknown must not be cached as a
+   verdict). *)
+let test_assuming_budget () =
   Solver.reset_all_for_tests ();
+  let prev = Solver.incremental_enabled () in
+  Solver.set_incremental true;
+  Fun.protect ~finally:(fun () -> Solver.set_incremental prev) @@ fun () ->
   let x = Term.fresh_var ~name:"rbi_x" (Term.Bitvec 8) in
   let y = Term.fresh_var ~name:"rbi_y" (Term.Bitvec 8) in
-  let session = Solver.Incremental.create () in
-  Solver.Incremental.assert_always session
-    (Term.eq (Term.bxor (Term.var x) (Term.var y)) (Term.int ~width:8 5));
+  let path =
+    [ Term.eq (Term.bxor (Term.var x) (Term.var y)) (Term.int ~width:8 5) ]
+  in
   let q = [ Term.eq (Term.add (Term.var x) (Term.var y)) (Term.int ~width:8 9) ] in
   Solver.set_budget (Some (Solver.budget ~conflicts:0 ~escalations:1 ()));
   Fun.protect
     ~finally:(fun () -> Solver.set_budget None)
     (fun () ->
-      match Solver.Incremental.check session q with
+      match Solver.check_assuming ~path q with
       | Solver.Unknown -> ()
-      | _ -> Alcotest.fail "expected Unknown from a zero-budget session");
-  match Solver.Incremental.check session q with
+      | _ -> Alcotest.fail "expected Unknown under a zero conflict budget");
+  match Solver.check_assuming ~path q with
   | Solver.Sat _ -> ()
   | _ -> Alcotest.fail "expected Sat once the budget is lifted"
 
@@ -307,8 +313,8 @@ let qcheck_fault_superset =
         let clean_labels = trojan_labels clean in
         (* each chaos configuration runs on both solver routes: the default
            assumption-based frame contexts and the scratch-instance fallback
-           ([--no-incremental]); degraded answers must over-approximate on
-           either one *)
+           ([Solver.set_incremental false]); degraded answers must
+           over-approximate on either one *)
         let faulty_ok (domains, seed, incremental) =
           let prev = Solver.incremental_enabled () in
           Solver.set_fault_injection ~rate:0.3 ~seed ();
@@ -549,6 +555,84 @@ let test_cancel_partial_then_resume () =
   Alcotest.(check bool) "resumed coverage complete" true
     (Search.coverage_complete resumed.Search.coverage)
 
+(* --- single-domain runs --------------------------------------------------------- *)
+
+(* A cancel at one domain still reports the Trojans found before it: the
+   one shard's partial log joins the report, but the shard is not counted
+   complete. *)
+let test_interrupted_single_domain_keeps_trojans () =
+  let client, server, base = extract_case fixed_case in
+  let polls = Atomic.make 0 in
+  let clean =
+    run_case
+      ~config:
+        {
+          Search.default_config with
+          Search.domains = 1;
+          Search.cancel = (fun () -> Atomic.incr polls; false);
+        }
+      ~base client server
+  in
+  let total = Atomic.get polls in
+  let calls = Atomic.make 0 in
+  let partial =
+    run_case
+      ~config:
+        {
+          Search.default_config with
+          Search.domains = 1;
+          Search.cancel = (fun () -> Atomic.fetch_and_add calls 1 >= total / 2);
+        }
+      ~base client server
+  in
+  let c = partial.Search.coverage in
+  Alcotest.(check bool) "interruption reported" true c.Search.interrupted;
+  Alcotest.(check int) "the one shard is not complete" 0
+    c.Search.completed_shards;
+  Alcotest.(check bool) "trojans found before the cancel are kept" true
+    (partial.Search.trojans <> []);
+  Alcotest.(check bool) "and they are a subset of the clean run's" true
+    (List.for_all
+       (fun l -> List.mem l (trojan_labels clean))
+       (trojan_labels partial))
+
+(* The search installs [solver_budget] for its own queries only: at one
+   domain those run on the caller's domain, whose ambient budget must be
+   back in place afterwards. *)
+let test_caller_budget_restored () =
+  let client, server, base = extract_case fixed_case in
+  let ambient = Some (Solver.budget ~conflicts:1_000_000 ()) in
+  Solver.set_budget ambient;
+  Fun.protect ~finally:(fun () -> Solver.set_budget None) @@ fun () ->
+  let report =
+    run_case
+      ~config:
+        {
+          Search.default_config with
+          Search.domains = 1;
+          Search.solver_budget = Some (Solver.budget ~conflicts:0 ~escalations:1 ());
+        }
+      ~base client server
+  in
+  Alcotest.(check bool) "the run used its own budget" true
+    (report.Search.coverage.Search.budget_exhaustions > 0);
+  Alcotest.(check bool) "the caller's budget is restored" true
+    (Solver.get_budget () = ambient)
+
+(* One shard run on the caller opens one [Server_se] span, not a covering
+   span plus the shard's own: the Metrics block counts what a single
+   exploration cost. *)
+let test_single_domain_one_span () =
+  let client, server, base = extract_case fixed_case in
+  (* [run_case] resets the Obs counters before the search *)
+  ignore
+    (run_case
+       ~config:{ Search.default_config with Search.domains = 1 }
+       ~base client server);
+  let module Obs = Achilles_obs.Obs in
+  let spans = (List.assoc Obs.Server_se (Obs.aggregate ()).Obs.phases).Obs.spans in
+  Alcotest.(check int) "one server_se span" 1 spans
+
 (* --- FSP end-to-end under faults (the acceptance drill) ----------------------- *)
 
 let distinct_trojan_states (r : Search.report) =
@@ -579,7 +663,7 @@ let test_fsp_under_faults () =
   let clean_states = distinct_trojan_states clean in
   Solver.set_fault_injection ~rate:0.05 ~seed:0xf5b ();
   (* pin the frame-context route for the chaos run, so the drill stays
-     meaningful when the suite runs under ACHILLES_INCREMENTAL=0 *)
+     meaningful whatever route an earlier case left switched on *)
   let prev_incremental = Solver.incremental_enabled () in
   Solver.set_incremental true;
   let faulty =
@@ -625,8 +709,8 @@ let () =
           Alcotest.test_case "generous budget invisible" `Quick
             test_budget_generous_is_invisible;
           Alcotest.test_case "validation" `Quick test_budget_validation;
-          Alcotest.test_case "incremental sessions" `Quick
-            test_incremental_budget;
+          Alcotest.test_case "check_assuming budget" `Quick
+            test_assuming_budget;
           Alcotest.test_case "fault injection" `Quick test_fault_injection;
         ] );
       ( "degradation",
@@ -648,6 +732,15 @@ let () =
             test_checkpoint_fingerprint_guard;
           Alcotest.test_case "cancel, flush, resume" `Quick
             test_cancel_partial_then_resume;
+        ] );
+      ( "single-domain",
+        [
+          Alcotest.test_case "interrupted -j 1 keeps its trojans" `Quick
+            test_interrupted_single_domain_keeps_trojans;
+          Alcotest.test_case "caller budget restored" `Quick
+            test_caller_budget_restored;
+          Alcotest.test_case "one server_se span" `Quick
+            test_single_domain_one_span;
         ] );
       ( "fsp-drill",
         [ Alcotest.test_case "FSP under faults" `Slow test_fsp_under_faults ] );

@@ -341,41 +341,10 @@ let test_solver_unknown_on_budget () =
   | Solver.Unknown | Solver.Sat _ -> ()
   | Solver.Unsat -> Alcotest.fail "factoring 0x6E0F is satisfiable"
 
-(* --- incremental sessions ------------------------------------------------------ *)
+(* --- incremental frames -------------------------------------------------------- *)
 
-let test_incremental_basic () =
-  let x = fresh8 "ix" in
-  let vx = Term.var x in
-  let s = Solver.Incremental.create () in
-  Solver.Incremental.assert_always s (Term.ult vx (t8 10));
-  Alcotest.(check bool) "x<10, x=5 sat" true
-    (Solver.Incremental.is_sat s [ Term.eq vx (t8 5) ]);
-  Alcotest.(check bool) "x<10, x=20 unsat" true
-    (Solver.Incremental.is_unsat s [ Term.eq vx (t8 20) ]);
-  (* the session survives an unsat answer under assumptions *)
-  Alcotest.(check bool) "x=3 sat afterwards" true
-    (Solver.Incremental.is_sat s [ Term.eq vx (t8 3) ]);
-  (* growing the permanent part mid-session *)
-  Solver.Incremental.assert_always s (Term.ugt vx (t8 3));
-  Alcotest.(check bool) "x=3 now unsat" true
-    (Solver.Incremental.is_unsat s [ Term.eq vx (t8 3) ]);
-  Alcotest.(check bool) "x=7 still sat" true
-    (Solver.Incremental.is_sat s [ Term.eq vx (t8 7) ])
-
-let test_incremental_models () =
-  let x = fresh8 "imx" in
-  let vx = Term.var x in
-  let s = Solver.Incremental.create () in
-  Solver.Incremental.assert_always s (Term.ult vx (t8 50));
-  match Solver.Incremental.check s [ Term.ugt vx (t8 40) ] with
-  | Solver.Sat m ->
-      let value = Model.eval_bv m vx in
-      Alcotest.(check bool) "model within both bounds" true
-        (Bv.ult value (Bv.of_int ~width:8 50) && Bv.ult (Bv.of_int ~width:8 40) value)
-  | _ -> Alcotest.fail "expected SAT"
-
-(* incremental answers must agree with one-shot solving on random query
-   sequences over shared permanent constraints *)
+(* answers from one long-lived frame context must agree with one-shot solving
+   on random query sequences over shared permanent frames *)
 let qcheck_incremental_matches_oneshot =
   let gen =
     QCheck2.Gen.(
@@ -394,12 +363,12 @@ let qcheck_incremental_matches_oneshot =
       let permanent =
         [ Term.ule (t8 lo) vx; Term.ule vx (t8 hi) ]
       in
-      let session = Solver.Incremental.create () in
-      List.iter (Solver.Incremental.assert_always session) permanent;
+      let frames = Solver.Frames.create () in
+      List.iter (Solver.Frames.push frames) permanent;
       List.for_all
         (fun (a, b) ->
           let extra = [ Term.uge vx (t8 a); Term.ule vx (t8 b) ] in
-          let incremental = Solver.Incremental.is_sat session extra in
+          let incremental = Solver.Frames.is_sat frames extra in
           Solver.set_cache_enabled false;
           let oneshot = Solver.is_sat (extra @ permanent) in
           Solver.set_cache_enabled true;
@@ -600,11 +569,6 @@ let () =
           Alcotest.test_case "implication" `Quick test_solver_implied;
           Alcotest.test_case "unknown on tiny budget" `Quick
             test_solver_unknown_on_budget;
-        ] );
-      ( "incremental",
-        [
-          Alcotest.test_case "sessions" `Quick test_incremental_basic;
-          Alcotest.test_case "models" `Quick test_incremental_models;
         ] );
       qsuite "incremental-properties" [ qcheck_incremental_matches_oneshot ];
       ( "interval",
