@@ -425,6 +425,10 @@ let run ?(config = default_config) ?run_id ~workdir ~job ~spawn ?manifest () =
           Lease.emit_worker_event ~name:"worker_bye" ~args:[ ("wid", Obs.I wid) ]
         end
   in
+  let handle_inbox () =
+    List.iter handle_message
+      (List.filter_map Lease.parse_to_coordinator (Lease.Mailbox.recv inbox))
+  in
   let poll_slots ~now =
     Array.iter
       (fun slot ->
@@ -444,6 +448,10 @@ let run ?(config = default_config) ?run_id ~workdir ~job ~spawn ?manifest () =
                 slot.handle <- None;
                 Lease.emit_worker_event ~name:"exit"
                   ~args:[ ("wid", Obs.I slot.wid); ("code", Obs.I code) ];
+                (* whatever the worker sent before exiting is in the inbox
+                   by now: a [Completed] read after its leases are released
+                   would be fenced off as stale, losing a checkpointed shard *)
+                handle_inbox ();
                 release_leases_of ~worker:slot.wid;
                 if (not slot.gave_up) && not !draining then begin
                   if slot.epoch > config.c_max_respawns then begin
@@ -472,9 +480,7 @@ let run ?(config = default_config) ?run_id ~workdir ~job ~spawn ?manifest () =
       let finished = ref false in
       while not !finished do
         let now = Unix.gettimeofday () in
-        List.iter handle_message
-          (List.filter_map Lease.parse_to_coordinator
-             (Lease.Mailbox.recv inbox));
+        handle_inbox ();
         List.iter
           (fun (shard, token, wid) ->
             Lease.remove_lease ~workdir ~shard;
@@ -522,9 +528,7 @@ let run ?(config = default_config) ?run_id ~workdir ~job ~spawn ?manifest () =
       let deadline = Unix.gettimeofday () +. config.c_drain_grace in
       while live_handles () && Unix.gettimeofday () < deadline do
         (* keep consuming messages so workers blocked on a reply drain *)
-        List.iter handle_message
-          (List.filter_map Lease.parse_to_coordinator
-             (Lease.Mailbox.recv inbox));
+        handle_inbox ();
         poll_slots ~now:(Unix.gettimeofday ());
         Array.iter
           (fun slot -> if slot.handle <> None then reply slot.wid Lease.Drain)
@@ -550,7 +554,9 @@ let run ?(config = default_config) ?run_id ~workdir ~job ~spawn ?manifest () =
               reap 100;
               slot.handle <- None
           | None -> ())
-        slots);
+        slots;
+      (* the last workers' final messages, sent after the loop's last read *)
+      handle_inbox ());
   (* final status: the run is settled (or cancelled); ages freeze here *)
   write_status ~state:"done" ~now:(Unix.gettimeofday ());
   let outs_resumed =

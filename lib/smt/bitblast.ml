@@ -10,16 +10,19 @@ type t = {
      cache and record their vars under their own entry *)
   cone_cache : int array Term.Tbl.t;
   (* memoized full translation cones of top-level (asserted/guarded) terms *)
-  true_lit : int;
+  mutable true_lit : int;
   mutable n_clauses : int;
   mutable n_aux : int;
+  mutable marks : int array;
+  (* by SAT variable: the stamp of the last [cone_vars] call that listed it *)
+  mutable mark_stamp : int;
 }
 
-(* Per-domain memo counters, aggregated across contexts: scratch solver
-   queries build a fresh context each (model determinism forbids reusing CNF
-   between model-extracting queries), so per-context hit counts would vanish
-   with the context. Long-lived incremental contexts accumulate into the
-   same per-domain counters. *)
+(* Per-domain memo counters, aggregated across contexts: every scratch
+   solver query starts from a [reset] context (model determinism forbids
+   reusing CNF between model-extracting queries), so per-context hit counts
+   would vanish with each reset. Long-lived incremental contexts accumulate
+   into the same per-domain counters. *)
 type memo_state = { mutable m_hits : int; mutable m_misses : int }
 
 let memo_registry : memo_state list ref = ref []
@@ -66,8 +69,15 @@ let fresh t =
   t.n_aux <- t.n_aux + 1;
   Sat.new_var t.sat
 
+(* The true literal is the context's first variable, asserted by a unit
+   clause. *)
+let init_true_lit t =
+  let tl = fresh t in
+  t.true_lit <- tl;
+  clause t [ tl ]
+
 let create sat =
-  let dummy =
+  let t =
     {
       sat;
       cache = Term.Tbl.create 256;
@@ -77,12 +87,27 @@ let create sat =
       true_lit = 0;
       n_clauses = 0;
       n_aux = 0;
+      marks = [||];
+      mark_stamp = 0;
     }
   in
-  let tl = fresh dummy in
-  let t = { dummy with true_lit = tl } in
-  clause t [ tl ];
+  init_true_lit t;
   t
+
+(* The tables are [reset] rather than [clear]ed, which also shrinks them
+   back to their initial bucket count: the context is then the one [create]
+   builds, down to the tables' iteration order. *)
+let reset t =
+  Sat.reset t.sat;
+  Term.Tbl.reset t.cache;
+  Hashtbl.reset t.term_vars;
+  Term.Tbl.reset t.ranges;
+  Term.Tbl.reset t.cone_cache;
+  t.n_clauses <- 0;
+  t.n_aux <- 0;
+  (* [marks] is kept as is: stamps only ever increase, so no old mark can
+     match a later call's stamp *)
+  init_true_lit t
 
 (* --- boolean gates -------------------------------------------------------- *)
 
@@ -405,7 +430,14 @@ let cone_of t term =
       arr
 
 let cone_vars t terms =
-  let mark = Bytes.make (Sat.num_vars t.sat + 1) '\000' in
+  let nv = Sat.num_vars t.sat in
+  if nv >= Array.length t.marks then begin
+    let marks = Array.make (max (nv + 1) (2 * Array.length t.marks)) 0 in
+    Array.blit t.marks 0 marks 0 (Array.length t.marks);
+    t.marks <- marks
+  end;
+  t.mark_stamp <- t.mark_stamp + 1;
+  let stamp = t.mark_stamp and marks = t.marks in
   let buf = ref (Array.make 256 0) in
   let n = ref 0 in
   let push v =
@@ -421,8 +453,8 @@ let cone_vars t terms =
     (fun tm ->
       Array.iter
         (fun v ->
-          if Bytes.get mark v = '\000' then begin
-            Bytes.set mark v '\001';
+          if marks.(v) <> stamp then begin
+            marks.(v) <- stamp;
             push v
           end)
         (cone_of t tm))

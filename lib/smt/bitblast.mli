@@ -11,6 +11,12 @@
 type t
 
 val create : Sat.t -> t
+
+val reset : t -> unit
+(** [Sat.reset] the context's instance and empty every table, leaving the
+    context exactly as [create] on a fresh [Sat.t] builds it (the true
+    literal is variable 1 again) while keeping the allocations. *)
+
 val sat : t -> Sat.t
 
 val assert_true : t -> Term.t -> unit

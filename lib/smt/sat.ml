@@ -12,11 +12,13 @@ type clause = {
 module Vec = struct
   type 'a t = { mutable data : 'a array; mutable size : int; dummy : 'a }
 
-  let create dummy = { data = Array.make 16 dummy; size = 0; dummy }
+  (* Starts empty, allocating on the first push: most of a bitblasted
+     instance's watch lists (two per variable) stay empty or short. *)
+  let create dummy = { data = [||]; size = 0; dummy }
 
   let push v x =
     if v.size = Array.length v.data then begin
-      let data = Array.make (2 * v.size) v.dummy in
+      let data = Array.make (max 4 (2 * v.size)) v.dummy in
       Array.blit v.data 0 data 0 v.size;
       v.data <- data
     end;
@@ -28,6 +30,13 @@ module Vec = struct
   let size v = v.size
   let shrink v n = v.size <- n
   let clear v = v.size <- 0
+
+  (* [clear], also dropping the references held beyond the new size so the
+     GC can reclaim them; the buffer itself is kept. *)
+  let release v =
+    Array.fill v.data 0 v.size v.dummy;
+    v.size <- 0
+
   let pop v = v.size <- v.size - 1; v.data.(v.size)
 end
 
@@ -65,7 +74,7 @@ let create () =
     nvars = 0;
     clauses = Vec.create dummy_clause;
     learnts = Vec.create dummy_clause;
-    watches = Array.init 4 (fun _ -> Vec.create dummy_clause);
+    watches = Array.init 8 (fun _ -> Vec.create dummy_clause);
     assigns = Array.make 4 (-1);
     level = Array.make 4 0;
     reason = Array.make 4 None;
@@ -86,14 +95,41 @@ let create () =
     last_core = [];
   }
 
+(* Back to the state [create] builds, keeping every buffer. Only variables
+   [0..nvars] and literals below [2 * (nvars + 1)] were ever written, so
+   restoring those prefixes restores the whole arrays. *)
+let reset s =
+  let n = s.nvars + 1 in
+  Array.fill s.assigns 0 n (-1);
+  Array.fill s.level 0 n 0;
+  Array.fill s.reason 0 n None;
+  Array.fill s.activity 0 n 0.;
+  Array.fill s.polarity 0 n false;
+  Array.fill s.seen 0 n false;
+  Array.fill s.heap_index 0 n (-1);
+  for l = 0 to (2 * n) - 1 do
+    Vec.release s.watches.(l)
+  done;
+  Vec.release s.clauses;
+  Vec.release s.learnts;
+  Vec.clear s.heap;
+  Vec.clear s.trail;
+  Vec.clear s.trail_lim;
+  s.ok <- true;
+  s.nvars <- 0;
+  s.qhead <- 0;
+  s.var_inc <- 1.0;
+  s.cla_inc <- 1.0;
+  s.n_conflicts <- 0;
+  s.n_decisions <- 0;
+  s.n_propagations <- 0;
+  s.max_learnts <- 0.;
+  s.last_core <- []
+
 let grow_array make a n =
-  let len = Array.length a in
-  if n < len then a
-  else begin
-    let a' = make (max n (2 * len)) in
-    Array.blit a 0 a' 0 len;
-    a'
-  end
+  let a' = make n in
+  Array.blit a 0 a' 0 (Array.length a);
+  a'
 
 (* --- activity order heap ------------------------------------------------ *)
 
@@ -149,24 +185,25 @@ let heap_decrease s v = if s.heap_index.(v) >= 0 then heap_sift_up s s.heap_inde
 
 (* --- variables and values ----------------------------------------------- *)
 
+(* The per-variable arrays always share one length, the variable capacity,
+   and [watches] holds two literals per variable slot. *)
 let new_var s =
   s.nvars <- s.nvars + 1;
   let v = s.nvars in
-  let n = v + 1 in
-  s.assigns <- grow_array (fun n -> Array.make n (-1)) s.assigns n;
-  s.level <- grow_array (fun n -> Array.make n 0) s.level n;
-  s.reason <- grow_array (fun n -> Array.make n None) s.reason n;
-  s.activity <- grow_array (fun n -> Array.make n 0.) s.activity n;
-  s.polarity <- grow_array (fun n -> Array.make n false) s.polarity n;
-  s.seen <- grow_array (fun n -> Array.make n false) s.seen n;
-  s.heap_index <- grow_array (fun n -> Array.make n (-1)) s.heap_index n;
-  let nlits = 2 * (v + 1) in
-  if nlits > Array.length s.watches then begin
-    let watches = Array.init (max nlits (2 * Array.length s.watches))
-        (fun i -> if i < Array.length s.watches then s.watches.(i)
-          else Vec.create dummy_clause)
-    in
-    s.watches <- watches
+  let cap = Array.length s.assigns in
+  if v >= cap then begin
+    let n = max (v + 1) (2 * cap) in
+    s.assigns <- grow_array (fun n -> Array.make n (-1)) s.assigns n;
+    s.level <- grow_array (fun n -> Array.make n 0) s.level n;
+    s.reason <- grow_array (fun n -> Array.make n None) s.reason n;
+    s.activity <- grow_array (fun n -> Array.make n 0.) s.activity n;
+    s.polarity <- grow_array (fun n -> Array.make n false) s.polarity n;
+    s.seen <- grow_array (fun n -> Array.make n false) s.seen n;
+    s.heap_index <- grow_array (fun n -> Array.make n (-1)) s.heap_index n;
+    let old = s.watches in
+    s.watches <-
+      Array.init (2 * n) (fun i ->
+          if i < Array.length old then old.(i) else Vec.create dummy_clause)
   end;
   heap_insert s v;
   v
@@ -247,23 +284,48 @@ let add_clause s lits =
      by a previous [solve] must not satisfy-away or shrink a new clause *)
   cancel_until s 0;
   if s.ok then begin
-    let lits = List.map (lit_of_dimacs s) lits in
-    (* remove duplicates; drop clause if tautological or already true *)
-    let lits = List.sort_uniq compare lits in
-    let tautology =
-      List.exists (fun l -> List.mem (l lxor 1) lits) lits
-      || List.exists (fun l -> lit_val s l = 1) lits
-    in
-    if not tautology then begin
-      let lits = List.filter (fun l -> lit_val s l <> 0) lits in
-      match lits with
-      | [] -> s.ok <- false
-      | [ l ] -> enqueue s l None
-      | _ ->
-          let c = { lits = Array.of_list lits; learnt = false; activity = 0. } in
+    let n = List.length lits in
+    let a = Array.make n 0 in
+    List.iteri (fun i l -> a.(i) <- lit_of_dimacs s l) lits;
+    (* ascending, like the watch order the solver has always used; gate
+       clauses have two or three literals, where insertion sort is cheapest *)
+    if n > 8 then Array.sort Int.compare a
+    else
+      for i = 1 to n - 1 do
+        let x = a.(i) in
+        let j = ref (i - 1) in
+        while !j >= 0 && a.(!j) > x do
+          a.(!j + 1) <- a.(!j);
+          decr j
+        done;
+        a.(!j + 1) <- x
+      done;
+    (* one pass over the sorted literals: drop duplicates and false
+       literals; a complementary pair (adjacent once sorted) or a true
+       literal makes the clause redundant *)
+    let kept = ref 0 and prev = ref (-1) and redundant = ref false in
+    for i = 0 to n - 1 do
+      let l = a.(i) in
+      if l <> !prev then begin
+        if l = !prev lxor 1 then redundant := true;
+        (match lit_val s l with
+        | 1 -> redundant := true
+        | 0 -> ()
+        | _ ->
+            a.(!kept) <- l;
+            incr kept);
+        prev := l
+      end
+    done;
+    if not !redundant then
+      match !kept with
+      | 0 -> s.ok <- false
+      | 1 -> enqueue s a.(0) None
+      | k ->
+          let lits = if k = n then a else Array.sub a 0 k in
+          let c = { lits; learnt = false; activity = 0. } in
           Vec.push s.clauses c;
           attach_clause s c
-    end
   end
 
 (* --- propagation --------------------------------------------------------- *)

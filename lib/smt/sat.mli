@@ -16,6 +16,13 @@ type t
 
 val create : unit -> t
 
+val reset : t -> unit
+(** Return the instance to exactly the state {!create} builds — no
+    variables, clauses, learnts, counters or saved phases — while keeping
+    its allocated buffers for reuse. Everything observable afterwards
+    (variable numbering, decisions, models, statistics) is as on a fresh
+    instance. *)
+
 val new_var : t -> int
 (** Allocate a fresh variable; returns its (positive) index, starting at 1. *)
 

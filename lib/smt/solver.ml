@@ -164,6 +164,8 @@ type domain_state = {
   dslot : int; (* registration order; seeds the fault PRNG *)
   mutable dfault : (int * Random.State.t) option; (* generation, PRNG *)
   mutable dframes : frames_ctx option; (* lazily-built incremental context *)
+  mutable dscratch : Bitblast.t option; (* scratch-route instance, reset per query *)
+  mutable dscratch_busy : bool;
 }
 
 let registry : domain_state list ref = ref []
@@ -184,6 +186,8 @@ let domain_key =
           dslot = List.length !registry;
           dfault = None;
           dframes = None;
+          dscratch = None;
+          dscratch_busy = false;
         }
       in
       registry := st :: !registry;
@@ -294,8 +298,9 @@ let aggregate_incremental_contexts () =
 (* --- incremental-solving switch --------------------------------------------
 
    The reference switch for differential tests: with incrementality off
-   every verdict query takes the scratch route (fresh SAT instance per
-   query), which the frame-stack route must agree with. *)
+   every verdict query takes the scratch route (the whole CNF rebuilt per
+   query on a reset instance), which the frame-stack route must agree
+   with. *)
 
 let incremental_flag = Atomic.make true
 
@@ -450,26 +455,47 @@ let with_budget ~conflict_limit d attempt =
         go 0 1
       end
 
+(* The scratch route builds the query's whole CNF from nothing, on this
+   domain's instance reset to the state a fresh one has: models depend only
+   on the query, and the instance's buffers are reused rather than
+   reallocated per query. A re-entrant call, which would reset the instance
+   under its caller, gets a fresh instance instead. *)
+let with_scratch d f =
+  if d.dscratch_busy then f (Bitblast.create (Sat.create ()))
+  else begin
+    let bb =
+      match d.dscratch with
+      | Some bb ->
+          Bitblast.reset bb;
+          bb
+      | None ->
+          let bb = Bitblast.create (Sat.create ()) in
+          d.dscratch <- Some bb;
+          bb
+    in
+    d.dscratch_busy <- true;
+    Fun.protect ~finally:(fun () -> d.dscratch_busy <- false) (fun () -> f bb)
+  end
+
 let solve_with_sat d terms ~conflict_limit ~deadline =
   let st = d.dstats in
   if fault_fires d then Unknown
-  else begin
-    let sat = Sat.create () in
-    let bb = Bitblast.create sat in
-    Obs.span Obs.Bitblast (fun () -> List.iter (Bitblast.assert_true bb) terms);
-    st.sat_calls <- st.sat_calls + 1;
-    let t0 = Unix.gettimeofday () in
-    let answer = Sat.solve ?conflict_limit ?deadline sat in
-    st.solve_time <- st.solve_time +. (Unix.gettimeofday () -. t0);
-    match answer with
-    | Some Sat.Sat ->
-        st.sat_results <- st.sat_results + 1;
-        Sat (Bitblast.extract_model bb)
-    | Some Sat.Unsat ->
-        st.unsat_results <- st.unsat_results + 1;
-        Unsat
-    | None -> Unknown
-  end
+  else
+    with_scratch d (fun bb ->
+        let sat = Bitblast.sat bb in
+        Obs.span Obs.Bitblast (fun () -> List.iter (Bitblast.assert_true bb) terms);
+        st.sat_calls <- st.sat_calls + 1;
+        let t0 = Unix.gettimeofday () in
+        let answer = Sat.solve ?conflict_limit ?deadline sat in
+        st.solve_time <- st.solve_time +. (Unix.gettimeofday () -. t0);
+        match answer with
+        | Some Sat.Sat ->
+            st.sat_results <- st.sat_results + 1;
+            Sat (Bitblast.extract_model bb)
+        | Some Sat.Unsat ->
+            st.unsat_results <- st.unsat_results + 1;
+            Unsat
+        | None -> Unknown)
 
 let check ?conflict_limit terms =
   let d = domain_state () in

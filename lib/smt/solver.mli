@@ -9,9 +9,10 @@
     The cache and the statistics are per-domain ([Domain.DLS]): every domain
     running solver queries gets its own, so parallel search workers never
     contend on shared tables. {!aggregate_stats} merges across domains.
-    Because each non-cached query is decided on a fresh SAT instance built
-    from a canonicalized key, answers (including models) do not depend on
-    which domain's cache served them. *)
+    Because each non-cached query is decided on a CNF built from nothing
+    from a canonicalized key — on the domain's SAT instance reset to the
+    state of a fresh one — answers (including models) do not depend on
+    which domain's cache served them, or on the queries before them. *)
 
 type result = Sat of Model.t | Unsat | Unknown
 

@@ -187,6 +187,49 @@ let test_multicore_golden_digests () =
     (Report.report_digest a1.Achilles.report)
     (Report.report_digest a4.Achilles.report)
 
+(* The behaviour contract, pinned end to end through the CLI: the report
+   digest of `achilles analyze T --digest` for every bundled target, plus
+   the benchmark's FSP configuration (16 witnesses per path). A change that
+   moves any verdict, witness byte or drop record moves one of these. *)
+let golden_cli_digests =
+  [
+    ([ "rw" ], "bf430d33e770dd4c6ec88929b2a349ba");
+    ([ "fsp" ], "42e36197b1e44cdbd5c610596c6302e7");
+    ([ "pbft" ], "6933013c9c83c0381db4141c5ec9df7b");
+    ([ "kv" ], "635b39e2e1d6db38d28a29748f17769a");
+    ([ "gossip" ], "eb39e792fada258394cd5ad2fca06494");
+    ([ "paxos" ], "da8a0eb1b469ab11a68727482b38ad61");
+    ([ "fsp"; "-w"; "16" ], "f11b5f6bd11517813345e6edbac57363");
+  ]
+
+let cli_digest args =
+  let binary =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bin/achilles_cli.exe"
+  in
+  let argv = Array.of_list ((binary :: "analyze" :: args) @ [ "--digest" ]) in
+  let ic = Unix.open_process_args_in binary argv in
+  let rec digest found =
+    match input_line ic with
+    | line ->
+        let prefix = "report digest: " in
+        let n = String.length prefix in
+        if String.length line > n && String.sub line 0 n = prefix then
+          digest (Some (String.sub line n (String.length line - n)))
+        else digest found
+    | exception End_of_file -> found
+  in
+  let found = digest None in
+  ignore (Unix.close_process_in ic);
+  found
+
+let test_cli_golden_digests () =
+  List.iter
+    (fun (args, golden) ->
+      Alcotest.(check (option string))
+        ("analyze " ^ String.concat " " args ^ " --digest")
+        (Some golden) (cli_digest args))
+    golden_cli_digests
+
 let test_wildcard_trojan_via_analysis () =
   (* with globbing-aware clients, the analysis must produce a witness with a
      literal '*' in the path — the wildcard bug found by Achilles *)
@@ -225,6 +268,11 @@ let () =
           Alcotest.test_case "wildcard bug" `Slow test_wildcard_trojan_via_analysis;
           Alcotest.test_case "multicore golden digests" `Slow
             test_multicore_golden_digests;
+        ] );
+      ( "cli",
+        [
+          Alcotest.test_case "golden report digests" `Slow
+            test_cli_golden_digests;
         ] );
       ( "pbft",
         [ Alcotest.test_case "MAC attack end to end" `Slow test_pbft_end_to_end ] );

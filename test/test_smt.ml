@@ -202,6 +202,94 @@ let qcheck_sat_matches_brute_force =
       | Some Sat.Unsat -> not expected
       | None -> false)
 
+(* [Sat.reset] must leave nothing of the previous problem behind: after a
+   reset, an instance left in any end state answers a new CNF exactly as a
+   fresh one does, down to the model and the search counters. *)
+
+type prior = Prior_sat | Prior_unsat | Prior_unknown | Prior_core
+
+(* Leave [s] in the given end state. A pigeonhole gadget, switched on by
+   the selector [sel], sits on the lowest variables so the search's
+   conflicts, learnt clauses, saved phases and activities land on the
+   variables the next problem reuses; a planted (satisfiable) random CNF
+   follows. *)
+let drive_to_state s rng prior =
+  let sel = Sat.new_var s in
+  let pigeons = if prior = Prior_unknown then 7 else 5 in
+  let holes = pigeons - 1 in
+  let p = Array.init pigeons (fun _ -> Array.init holes (fun _ -> Sat.new_var s)) in
+  Array.iter (fun row -> Sat.add_clause s (-sel :: Array.to_list row)) p;
+  for h = 0 to holes - 1 do
+    for a = 0 to pigeons - 1 do
+      for b = a + 1 to pigeons - 1 do
+        Sat.add_clause s [ -p.(a).(h); -p.(b).(h) ]
+      done
+    done
+  done;
+  let n = 20 + Random.State.int rng 20 in
+  let vars = Array.init n (fun _ -> Sat.new_var s) in
+  let planted = Array.init n (fun _ -> Random.State.bool rng) in
+  for _ = 1 to 3 * n do
+    let lit () =
+      let i = Random.State.int rng n in
+      if Random.State.bool rng then vars.(i) else -vars.(i)
+    in
+    (* the first literal is true under the planted assignment *)
+    let i = Random.State.int rng n in
+    let first = if planted.(i) then vars.(i) else -vars.(i) in
+    Sat.add_clause s [ first; lit (); lit () ]
+  done;
+  match prior with
+  | Prior_sat ->
+      Sat.solve ~assumptions:[ sel ] s = Some Sat.Unsat
+      && Sat.solve s = Some Sat.Sat
+  | Prior_core ->
+      Sat.solve ~assumptions:[ sel ] s = Some Sat.Unsat && Sat.unsat_core s <> []
+  | Prior_unsat ->
+      Sat.add_clause s [ sel ];
+      Sat.solve s = Some Sat.Unsat && Sat.solve s = Some Sat.Unsat
+  | Prior_unknown ->
+      Sat.add_clause s [ sel ];
+      Sat.solve ~conflict_limit:20 s = None
+
+let qcheck_sat_reset_is_create =
+  let gen =
+    QCheck2.Gen.(
+      let* prior = oneofl [ Prior_sat; Prior_unsat; Prior_unknown; Prior_core ] in
+      let* seed = int in
+      let* nvars = int_range 1 30 in
+      let* ratio = int_range 1 6 in
+      let lit = map2 (fun v s -> if s then v else -v) (int_range 1 nvars) bool in
+      let* clauses = list_size (return (ratio * nvars)) (list_size (int_range 0 5) lit) in
+      let+ assumptions = list_size (int_range 0 4) lit in
+      (prior, seed, nvars, clauses, assumptions))
+  in
+  QCheck2.Test.make ~name:"reset instance answers like a fresh one" ~count:300 gen
+    (fun (prior, seed, nvars, clauses, assumptions) ->
+      let reused = Sat.create () in
+      let primed = drive_to_state reused (Random.State.make [| seed |]) prior in
+      Sat.reset reused;
+      let fresh = Sat.create () in
+      let load s =
+        for _ = 1 to nvars do
+          ignore (Sat.new_var s)
+        done;
+        List.iter (Sat.add_clause s) clauses
+      in
+      load reused;
+      load fresh;
+      let observe s answer =
+        ( answer,
+          List.init nvars (fun i -> Sat.value s (i + 1)),
+          (Sat.conflicts s, Sat.decisions s, Sat.propagations s),
+          (Sat.num_clauses s, Sat.num_learnts s, Sat.unsat_core s) )
+      in
+      let solve_both f = observe reused (f reused) = observe fresh (f fresh) in
+      primed
+      && Sat.num_vars reused = nvars
+      && solve_both (fun s -> Sat.solve s)
+      && solve_both (fun s -> Sat.solve ~assumptions s))
+
 (* --- Solver / bitblast ----------------------------------------------------- *)
 
 let fresh8 name = Term.fresh_var ~name (Term.Bitvec 8)
@@ -340,6 +428,32 @@ let test_solver_unknown_on_budget () =
   match Solver.check ~conflict_limit:1 terms with
   | Solver.Unknown | Solver.Sat _ -> ()
   | Solver.Unsat -> Alcotest.fail "factoring 0x6E0F is satisfiable"
+
+(* Scratch queries share one per-domain instance, reset between queries:
+   a model must not depend on which queries came before it. *)
+let test_solver_model_independent_of_history () =
+  let x = fresh8 "hx" and y = fresh8 "hy" and z = fresh8 "hz" in
+  let vx = Term.var x and vy = Term.var y and vz = Term.var z in
+  let key = [ Term.ult (Term.add vx vy) (t8 100); Term.ugt vx (t8 7) ] in
+  let unrelated =
+    [
+      [ Term.eq (Term.mul vz vz) (t8 49) ];
+      [ Term.ult vz (t8 3); Term.ugt vz (t8 9) ];
+      [ Term.eq (Term.udiv vy vz) (t8 5); Term.ugt vz (t8 1) ];
+    ]
+  in
+  Solver.set_cache_enabled false;
+  Fun.protect ~finally:(fun () -> Solver.set_cache_enabled true) (fun () ->
+      let model () =
+        match Solver.check key with
+        | Solver.Sat m -> Model.bindings m
+        | Solver.Unsat | Solver.Unknown -> Alcotest.fail "expected SAT"
+      in
+      let before = model () in
+      List.iter (fun q -> ignore (Solver.check q)) unrelated;
+      let after = model () in
+      Alcotest.(check bool) "identical model after unrelated queries" true
+        (before = after))
 
 (* --- incremental frames -------------------------------------------------------- *)
 
@@ -554,7 +668,8 @@ let () =
           Alcotest.test_case "pigeonhole" `Quick test_sat_pigeonhole;
           Alcotest.test_case "empty clause" `Quick test_sat_empty_clause;
         ] );
-      qsuite "sat-properties" [ qcheck_sat_matches_brute_force ];
+      qsuite "sat-properties"
+        [ qcheck_sat_matches_brute_force; qcheck_sat_reset_is_create ];
       ( "solver",
         [
           Alcotest.test_case "ranges" `Quick test_solver_simple;
@@ -569,6 +684,8 @@ let () =
           Alcotest.test_case "implication" `Quick test_solver_implied;
           Alcotest.test_case "unknown on tiny budget" `Quick
             test_solver_unknown_on_budget;
+          Alcotest.test_case "model independent of query history" `Quick
+            test_solver_model_independent_of_history;
         ] );
       qsuite "incremental-properties" [ qcheck_incremental_matches_oneshot ];
       ( "interval",
