@@ -67,17 +67,23 @@ let read_file path =
    file must never wedge the protocol. *)
 
 module Mailbox = struct
-  type t = { dir : string; seq : int Atomic.t }
+  type t = { dir : string }
+
+  (* One counter for the whole process, not one per handle: worker domains
+     share the pid, and with per-handle counters two of them could pick the
+     same name in the same microsecond, the later rename silently replacing
+     the earlier message. *)
+  let seq = Atomic.make 0
 
   let attach dir =
     ensure_dir dir;
-    { dir; seq = Atomic.make 0 }
+    { dir }
 
   let send t line =
     let name =
       Printf.sprintf "m-%017.6f-%06d-%06d.msg" (Unix.gettimeofday ())
         (Unix.getpid ())
-        (Atomic.fetch_and_add t.seq 1)
+        (Atomic.fetch_and_add seq 1)
     in
     (try atomic_write ~path:(Filename.concat t.dir name) line
      with Sys_error _ | Unix.Unix_error _ -> ())

@@ -31,10 +31,11 @@ module Vec = struct
   let shrink v n = v.size <- n
   let clear v = v.size <- 0
 
-  (* [clear], also dropping the references held beyond the new size so the
-     GC can reclaim them; the buffer itself is kept. *)
+  (* [clear], also dropping every reference the buffer holds, including
+     those in slots [shrink] and [pop] vacated, so the GC can reclaim them;
+     the buffer itself is kept. *)
   let release v =
-    Array.fill v.data 0 v.size v.dummy;
+    Array.fill v.data 0 (Array.length v.data) v.dummy;
     v.size <- 0
 
   let pop v = v.size <- v.size - 1; v.data.(v.size)
@@ -287,19 +288,10 @@ let add_clause s lits =
     let n = List.length lits in
     let a = Array.make n 0 in
     List.iteri (fun i l -> a.(i) <- lit_of_dimacs s l) lits;
-    (* ascending, like the watch order the solver has always used; gate
-       clauses have two or three literals, where insertion sort is cheapest *)
-    if n > 8 then Array.sort Int.compare a
-    else
-      for i = 1 to n - 1 do
-        let x = a.(i) in
-        let j = ref (i - 1) in
-        while !j >= 0 && a.(!j) > x do
-          a.(!j + 1) <- a.(!j);
-          decr j
-        done;
-        a.(!j + 1) <- x
-      done;
+    (* ascending, like the watch order the solver has always used; the
+       stdlib's stable sort insertion-sorts short arrays in place, and
+       bitblasted clauses have at most three literals *)
+    Array.stable_sort Int.compare a;
     (* one pass over the sorted literals: drop duplicates and false
        literals; a complementary pair (adjacent once sorted) or a true
        literal makes the clause redundant *)

@@ -263,7 +263,12 @@ let clear_one_cache d =
      guards for terms from the configuration being abandoned — and after a
      [Term.clear_interning] those structural keys can collide with fresh
      terms. The next incremental check lazily rebuilds a fresh context. *)
-  d.dframes <- None
+  d.dframes <- None;
+  (* The scratch instance holds no results, only buffers sized to the
+     largest query so far; dropping it lets a dead worker domain's memory
+     go. A query running on it keeps its own reference, and the next query
+     builds a fresh instance. *)
+  d.dscratch <- None
 
 (* Clearing is registry-wide: a per-domain clear left the other domains'
    caches holding results computed under the configuration being abandoned,

@@ -796,6 +796,32 @@ let test_worker_traces_flushed () =
         (contains "shards");
       rm_rf workdir
 
+(* Every message one process sends gets its own (pid, sequence) name
+   suffix, whichever handle sends it: worker domains share the pid, and a
+   shared suffix let two same-microsecond sends overwrite each other. *)
+let test_mailbox_names_unique_per_process () =
+  let dir = fresh_workdir "achilles-dist-mailbox" in
+  let handles = List.init 3 (fun _ -> Dist.Lease.Mailbox.attach dir) in
+  for i = 0 to 2 do
+    List.iteri
+      (fun h mb -> Dist.Lease.Mailbox.send mb (Printf.sprintf "msg %d %d" h i))
+      handles
+  done;
+  let suffixes =
+    Array.to_list (Sys.readdir dir)
+    |> List.filter (fun n -> Filename.check_suffix n ".msg")
+    |> List.map (fun n ->
+           match String.split_on_char '-' n with
+           | [ _; _; pid; seq ] -> pid ^ "-" ^ seq
+           | _ -> Alcotest.failf "unexpected mailbox file name %s" n)
+  in
+  Alcotest.(check int) "every send left a file" 9 (List.length suffixes);
+  Alcotest.(check int) "no two sends share a (pid, sequence) suffix" 9
+    (List.length (List.sort_uniq compare suffixes));
+  Alcotest.(check int) "every message received" 9
+    (List.length (Dist.Lease.Mailbox.recv (List.hd handles)));
+  rm_rf dir
+
 let () =
   Alcotest.run "dist"
     [
@@ -821,6 +847,8 @@ let () =
             test_dist_coordinator_restart_resumes;
           QCheck_alcotest.to_alcotest ~verbose:false
             qcheck_dist_kill_at_any_point;
+          Alcotest.test_case "mailbox names unique per process" `Quick
+            test_mailbox_names_unique_per_process;
         ] );
       ( "checkpoint-durability",
         [
