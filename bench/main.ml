@@ -20,38 +20,30 @@ open Achilles_core
 open Achilles_baselines
 open Achilles_runtime
 open Achilles_targets
+module Obs = Achilles_obs.Obs
 
 let quick = ref false
 let csv_dir : string option ref = ref None
 let banner title = Format.printf "@.=== %s ===@.@." title
 
-(* Optionally persist a figure's data series for external plotting. *)
+(* Persist a figure's data series for external plotting: to --csv DIR when
+   given, to bench/figures otherwise. *)
 let write_csv name header rows =
-  match !csv_dir with
-  | None -> ()
-  | Some dir ->
-      (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-      let path = Filename.concat dir name in
-      let oc = open_out path in
-      output_string oc (header ^ "\n");
-      List.iter (fun row -> output_string oc (row ^ "\n")) rows;
-      close_out oc;
-      Format.printf "  (series written to %s)@." path
-
-(* Machine-readable twin of a figure: one JSON object per experiment so the
-   perf trajectory can be tracked across PRs without re-parsing CSVs. *)
-let write_bench_json name fields =
-  match !csv_dir with
-  | None -> ()
-  | Some dir ->
-      (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-      let path = Filename.concat dir name in
-      let oc = open_out path in
-      let module J = Achilles_obs.Obs.Json in
-      output_string oc (J.to_string (J.VObj fields));
-      output_string oc "\n";
-      close_out oc;
-      Format.printf "  (json written to %s)@." path
+  let dir =
+    match !csv_dir with
+    | Some dir -> dir
+    | None ->
+        (try Unix.mkdir "bench" 0o755
+         with Unix.Unix_error ((Unix.EEXIST | Unix.EPERM), _, _) -> ());
+        Filename.concat "bench" "figures"
+  in
+  (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+  let path = Filename.concat dir name in
+  let oc = open_out path in
+  output_string oc (header ^ "\n");
+  List.iter (fun row -> output_string oc (row ^ "\n")) rows;
+  close_out oc;
+  Format.printf "  (series written to %s)@." path
 
 let fresh_measurement f =
   (* measurements must not be flattered by earlier experiments' caches *)
@@ -598,679 +590,228 @@ let experiment_local_state () =
     "@.  One symbolic run covers what would otherwise need one concrete@.\
     \  analysis per proposal value — the trade-off described in §3.4.@."
 
-(* --- E11: multicore scaling ----------------------------------------------------------------------- *)
+(* --- layers: one ablation table over the analysis stack --------------------------------------- *)
 
-let experiment_scaling () =
-  banner "E11: domain-parallel server search — scaling and determinism";
-  let run domains =
-    (* identical starting state for every run so the reports (including
-       fresh-variable ids) are comparable byte for byte *)
-    Solver.reset_all_for_tests ();
-    Term.set_fresh_counter 0;
-    let t0 = Unix.gettimeofday () in
-    let analysis =
-      Achilles.analyze
-        ~search_config:{ fsp_search_config with Search.domains }
-        ~layout:Fsp_model.layout ~clients:(Fsp_model.clients ())
-        ~server:Fsp_model.server ()
-    in
-    (analysis, Unix.gettimeofday () -. t0)
-  in
-  let runs = List.map (fun d -> (d, run d)) [ 1; 2; 4 ] in
-  let _, (_, t1) = List.hd runs in
-  let base_digest =
-    let _, (a, _) = List.hd runs in
-    Report.report_digest a.Achilles.report
-  in
-  Format.printf "  %-8s %10s %10s %9s  %s@." "domains" "total (s)"
-    "server (s)" "speedup" "report digest";
-  let rows =
-    List.map
-      (fun (d, ((analysis : Achilles.analysis), t)) ->
-        let digest = Report.report_digest analysis.Achilles.report in
-        let server = analysis.Achilles.timing.Achilles.server_analysis in
-        Format.printf "  %-8d %10.2f %10.2f %8.2fx  %s%s@." d t server
-          (t1 /. max t 1e-9) digest
-          (if digest = base_digest then "" else "  << MISMATCH");
-        Printf.sprintf "%d,%.4f,%.4f,%.4f,%s" d t server (t1 /. max t 1e-9)
-          digest)
-      runs
-  in
-  let all_equal =
-    List.for_all
-      (fun (_, ((a : Achilles.analysis), _)) ->
-        Report.report_digest a.Achilles.report = base_digest)
-      runs
-  in
-  Format.printf "  reports identical across domain counts: %b@." all_equal;
-  let cores =
-    match Domain.recommended_domain_count () with n when n > 0 -> n | _ -> 1
-  in
-  Format.printf
-    "@.  (speedup is bounded by the machine's cores — this host reports %d;@.\
-    \  on a single-core host the parallel runs only demonstrate determinism@.\
-    \  and pay the sharding spine-replay overhead)@."
-    cores;
-  (* always persist the series, defaulting next to the other figure data *)
-  let saved = !csv_dir in
-  if saved = None then begin
-    (try Unix.mkdir "bench" 0o755
-     with Unix.Unix_error ((Unix.EEXIST | Unix.EPERM), _, _) -> ());
-    csv_dir := Some (Filename.concat "bench" "figures")
-  end;
-  write_csv "scaling.csv" "domains,total_s,server_analysis_s,speedup,digest"
-    rows;
-  csv_dir := saved;
-  if not all_equal then begin
-    Format.eprintf "scaling: reports differ across domain counts@.";
-    exit 1
-  end
+(* The layers stacked on the paper's algorithm, switched off one at a time
+   (or degraded on purpose) on the same analysis. Each row is one traced run
+   from an identical reset state, so the work counters compare across rows.
+   A [preserving] row must reproduce the all-on report digest byte for byte;
+   that is the only gate. The degraded rows (injected solver Unknowns, a
+   starved budget) may only add unconfirmed trojans, which the printed state
+   check shows. Wall time is reported, never gated. *)
 
-(* --- E12: robustness drill ----------------------------------------------------------------------- *)
+type layer_row = {
+  row : string;
+  preserving : bool;
+  domains : int;
+  sharing : bool;
+  incremental : bool;
+  slice : bool;
+  fault_rate : float;
+  budget : Solver.budget option;
+}
 
-let experiment_robustness () =
-  banner "E12: degraded runs — fault injection and starved solver budgets";
-  let distinct_states (r : Search.report) =
-    List.sort_uniq compare
-      (List.map
-         (fun (t : Search.trojan) -> t.Search.server_state_id)
-         r.Search.trojans)
-  in
-  let run ~label ~fault_rate ~budget =
-    Solver.reset_all_for_tests ();
-    Term.set_fresh_counter 0;
-    Solver.set_fault_injection ~rate:fault_rate ~seed:0xf5b ();
-    let analysis =
-      Fun.protect
-        ~finally:(fun () -> Solver.set_fault_injection ())
-        (fun () ->
-          Achilles.analyze
-            ~search_config:
-              {
-                fsp_search_config with
-                Search.domains = 4;
-                Search.solver_budget = budget;
-              }
-            ~layout:Fsp_model.layout ~clients:(Fsp_model.clients ())
-            ~server:Fsp_model.server ())
-    in
-    let r = analysis.Achilles.report in
-    let c = r.Search.coverage in
-    let unconfirmed =
-      List.length
-        (List.filter
-           (fun (t : Search.trojan) -> not t.Search.confirmed)
-           r.Search.trojans)
-    in
-    Format.printf
-      "  %-16s %6.2fs  %3d trojans (%d unconfirmed), %2d states, unknowns \
-       %d/%d/%d, exhausted %d, faults %d@."
-      label r.Search.search_stats.Search.wall_time
-      (List.length r.Search.trojans)
-      unconfirmed
-      (List.length (distinct_states r))
-      c.Search.unknown_alive c.Search.unknown_prune c.Search.unknown_witness
-      c.Search.budget_exhaustions c.Search.injected_faults;
-    r
-  in
-  let clean = run ~label:"clean" ~fault_rate:0. ~budget:None in
-  let faulty = run ~label:"faults 5%" ~fault_rate:0.05 ~budget:None in
-  let starved =
-    run ~label:"starved budget" ~fault_rate:0.
-      ~budget:(Some (Solver.budget ~conflicts:0 ~escalations:1 ()))
-  in
-  (* the over-approximation guarantee, measured: a degraded run may add
-     unconfirmed trojan states but must not lose one the clean run found *)
-  let lost label degraded =
-    let d = List.length (distinct_states degraded) in
-    let c = List.length (distinct_states clean) in
-    if d < c then begin
-      Format.eprintf "robustness: %s run lost trojan states (%d < %d)@." label
-        d c;
-      true
-    end
-    else false
-  in
-  let any_lost = lost "faulty" faulty || lost "starved" starved in
-  Format.printf "  degraded runs kept every clean trojan state: %b@."
-    (not any_lost);
-  if any_lost then exit 1
+let all_on =
+  {
+    row = "all-on";
+    preserving = true;
+    domains = 1;
+    sharing = true;
+    incremental = true;
+    slice = true;
+    fault_rate = 0.;
+    budget = None;
+  }
 
-(* --- E13: hash-consed sharing ------------------------------------------------------------------- *)
+let layer_rows =
+  [
+    all_on;
+    { all_on with row = "j2"; domains = 2 };
+    { all_on with row = "j4"; domains = 4 };
+    { all_on with row = "sharing-off"; sharing = false };
+    { all_on with row = "incremental-off"; incremental = false };
+    { all_on with row = "slice-off"; slice = false };
+    {
+      all_on with
+      row = "faults-5%-j4";
+      preserving = false;
+      domains = 4;
+      fault_rate = 0.05;
+    };
+    {
+      all_on with
+      row = "starved-budget";
+      preserving = false;
+      budget = Some (Solver.budget ~conflicts:0 ~escalations:1 ());
+    };
+  ]
 
-let experiment_sharing () =
-  banner "E13: hash-consed term core — sharing ratio, memo hits, end-to-end cost";
+(* the shared record, in print and CSV order *)
+let layer_columns =
+  [
+    "wall_s"; "digest"; "queries"; "sat_calls"; "bitblast_memo_misses";
+    "terms_created"; "feasibility_queries"; "pairs_checked"; "trojans";
+    "unconfirmed"; "trojan_states"; "bitblast_share"; "solver_query_share";
+  ]
+
+let distinct_trojan_states (r : Search.report) =
+  List.sort_uniq compare
+    (List.map
+       (fun (t : Search.trojan) -> t.Search.server_state_id)
+       r.Search.trojans)
+
+(* One row: the analysis under the row's switches, traced to a temp file
+   and summarized the way `achilles trace summarize` does. Returns the
+   report digest, the trojan-bearing states and every other record field. *)
+let measure_layer_row (l : layer_row) analyze =
+  Solver.reset_all_for_tests ();
+  Term.set_fresh_counter 0;
+  Term.set_sharing l.sharing;
+  Solver.set_incremental l.incremental;
+  Solver.set_fault_injection ~rate:l.fault_rate ~seed:0xf5b ();
+  let file = Filename.temp_file "achilles-layers-" ".jsonl" in
+  Obs.Trace.enable file;
+  let t0 = Unix.gettimeofday () in
+  let analysis =
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.Trace.disable ();
+        Term.set_sharing true;
+        Solver.set_incremental true;
+        Solver.set_fault_injection ())
+      (fun () -> analyze l)
+  in
+  let wall = Unix.gettimeofday () -. t0 in
+  let summary =
+    match Obs.Summary.load file with
+    | Ok s -> s
+    | Error e ->
+        Format.eprintf "layers: trace unreadable: %s@." e;
+        exit 1
+  in
+  Sys.remove file;
+  let share phase =
+    let open Obs.Summary in
+    match List.find_opt (fun r -> r.row_phase = phase) summary.rows with
+    | Some r when summary.wall > 0. -> r.self_seconds /. summary.wall
+    | _ -> 0.
+  in
+  let report = analysis.Achilles.report in
+  let agg = Solver.aggregate_stats () in
+  let _, blast_misses = Bitblast.aggregate_memo_stats () in
+  let _, terms_created = Term.aggregate_intern_stats () in
+  let full_path_queries =
+    Option.value ~default:0
+      (List.assoc_opt "interp.feasibility_queries"
+         (Obs.aggregate ()).Obs.counters)
+  in
+  let pairs_checked =
+    match analysis.Achilles.different_from_stats with
+    | Some s -> s.Different_from.pairs_checked
+    | None -> 0
+  in
+  let unconfirmed =
+    List.filter
+      (fun (t : Search.trojan) -> not t.Search.confirmed)
+      report.Search.trojans
+  in
+  let states = distinct_trojan_states report in
+  let int = string_of_int in
+  ( Report.report_digest report,
+    states,
+    [
+      ("wall_s", Printf.sprintf "%.3f" wall);
+      ("queries", int agg.Solver.queries);
+      ("sat_calls", int agg.Solver.sat_calls);
+      ("bitblast_memo_misses", int blast_misses);
+      ("terms_created", int terms_created);
+      ( "feasibility_queries",
+        int
+          (full_path_queries
+          + report.Search.coverage.Search.slice_cone_queries) );
+      ("pairs_checked", int pairs_checked);
+      ("trojans", int (List.length report.Search.trojans));
+      ("unconfirmed", int (List.length unconfirmed));
+      ("trojan_states", int (List.length states));
+      ("bitblast_share", Printf.sprintf "%.3f" (share "bitblast"));
+      ("solver_query_share", Printf.sprintf "%.3f" (share "solver_query"));
+    ] )
+
+let experiment_layers () =
+  banner "layers: every layer switched off in turn, on FSP (E1) and PBFT";
   (* Force the lazy config outside the measured runs: [over_approximate]
-     allocates a fresh variable at construction, which would shift the id
-     sequence of whichever run happened to force it first. *)
+     allocates a fresh variable at construction. *)
   let pbft = Lazy.force pbft_config in
+  let config base (l : layer_row) =
+    {
+      base with
+      Search.domains = l.domains;
+      Search.use_slice = l.slice;
+      Search.solver_budget = l.budget;
+    }
+  in
   let targets =
     [
       ( "fsp",
-        fun () ->
-          Achilles.analyze ~search_config:fsp_search_config
+        fun l ->
+          Achilles.analyze
+            ~search_config:(config fsp_search_config l)
             ~layout:Fsp_model.layout ~clients:(Fsp_model.clients ())
             ~server:Fsp_model.server () );
       ( "pbft",
-        fun () ->
-          Achilles.analyze ~search_config:pbft ~layout:Pbft_model.layout
-            ~clients:[ Pbft_model.client ] ~server:Pbft_model.replica () );
+        fun l ->
+          Achilles.analyze ~search_config:(config pbft l)
+            ~layout:Pbft_model.layout ~clients:[ Pbft_model.client ]
+            ~server:Pbft_model.replica () );
     ]
   in
-  (* One measurement = one full analysis from an identical starting state
-     (counters zeroed, every cache/interning table dropped), with sharing on
-     or off. Off reproduces the pre-interning cost model: every construction
-     allocates, every equality/ordering walks structurally. *)
-  let measure sharing analyze =
-    Solver.reset_all_for_tests ();
-    Term.set_fresh_counter 0;
-    Term.set_sharing sharing;
-    let t0 = Unix.gettimeofday () in
-    let analysis = analyze () in
-    let wall = Unix.gettimeofday () -. t0 in
-    let agg = Solver.aggregate_stats () in
-    let intern_hits, created = Term.aggregate_intern_stats () in
-    let blast_hits, blast_misses = Bitblast.aggregate_memo_stats () in
-    let work = Term.structural_work () in
-    let digest = Report.report_digest analysis.Achilles.report in
-    ( digest,
-      [
-        ("wall_s", Printf.sprintf "%.4f" wall);
-        ("solve_s", Printf.sprintf "%.4f" agg.Solver.solve_time);
-        ("queries", string_of_int agg.Solver.queries);
-        ("sat_calls", string_of_int agg.Solver.sat_calls);
-        ("solver_cache_hits", string_of_int agg.Solver.cache_hits);
-        ("solver_cache_entries", string_of_int (Solver.aggregate_cache_entries ()));
-        ("solver_cache_evictions", string_of_int agg.Solver.cache_evictions);
-        ("terms_created", string_of_int created);
-        ("intern_hits", string_of_int intern_hits);
-        ( "sharing_ratio",
-          Printf.sprintf "%.4f"
-            (float_of_int intern_hits
-            /. float_of_int (max 1 (intern_hits + created))) );
-        ("bitblast_memo_hits", string_of_int blast_hits);
-        ("bitblast_memo_misses", string_of_int blast_misses);
-        ("structural_work", string_of_int work);
-        ("digest", digest);
-      ] )
+  (* fixed-width columns; a digest is 32 characters *)
+  let width c = if c = "digest" then 32 else max 6 (String.length c) in
+  let line target row values =
+    String.concat " "
+      (Printf.sprintf "%-6s %-15s" target row
+      :: List.map2 (fun c v -> Printf.sprintf "%*s" (width c) v) layer_columns
+           values)
   in
-  let rows = ref [] in
-  let failed = ref false in
-  Fun.protect
-    ~finally:(fun () -> Term.set_sharing true)
-    (fun () ->
-      List.iter
-        (fun (name, analyze) ->
-          let digest_on, on = measure true analyze in
-          let digest_off, off = measure false analyze in
-          if digest_on <> digest_off then begin
-            Format.eprintf
-              "sharing: %s report digest differs between sharing modes (%s \
-               vs %s)@."
-              name digest_on digest_off;
-            failed := true
-          end;
-          let get k row = List.assoc k row in
-          Format.printf "  %-5s sharing=on  wall %ss, solve %ss, %s queries, \
-                         sharing ratio %s, blast memo %s/%s, work %s@."
-            name (get "wall_s" on) (get "solve_s" on) (get "queries" on)
-            (get "sharing_ratio" on) (get "bitblast_memo_hits" on)
-            (get "bitblast_memo_misses" on) (get "structural_work" on);
-          Format.printf "  %-5s sharing=off wall %ss, solve %ss, %s queries, \
-                         work %s@."
-            name (get "wall_s" off) (get "solve_s" off) (get "queries" off)
-            (get "structural_work" off);
-          (* Queries and bitblast CNF are pinned byte-identical across modes
-             (that is the digest guarantee), so the work counter that can
-             legitimately differ is term construction: every off-mode
-             construction allocates and hashes a fresh node, every on-mode
-             intern hit answers in O(1). *)
-          let created_on = int_of_string (get "terms_created" on) in
-          let created_off = int_of_string (get "terms_created" off) in
-          let alloc_reduction =
-            float_of_int created_off /. float_of_int (max 1 created_on)
-          in
-          let work_on = int_of_string (get "structural_work" on) in
-          let work_off = int_of_string (get "structural_work" off) in
-          let work_reduction =
-            float_of_int work_off /. float_of_int (max 1 work_on)
-          in
-          Format.printf
-            "  %-5s term-construction work: %d -> %d nodes allocated (%.1fx \
-             reduction); structural walks: %d -> %d nodes (%.1fx); digests \
-             identical: %b@."
-            name created_off created_on alloc_reduction work_off work_on
-            work_reduction (digest_on = digest_off);
-          if name = "fsp" && alloc_reduction < 2. then begin
-            Format.eprintf
-              "sharing: expected >= 2x term-construction work reduction on \
-               FSP, got %.2fx@."
-              alloc_reduction;
-            failed := true
-          end;
-          let csv mode row =
-            Printf.sprintf "%s,%s,%s" name mode
-              (String.concat "," (List.map snd row))
-          in
-          rows := csv "off" off :: csv "on" on :: !rows)
-        targets);
-  (* always persist the series, like the other figure experiments *)
-  let saved = !csv_dir in
-  if saved = None then begin
-    (try Unix.mkdir "bench" 0o755
-     with Unix.Unix_error ((Unix.EEXIST | Unix.EPERM), _, _) -> ());
-    csv_dir := Some (Filename.concat "bench" "figures")
-  end;
-  write_csv "sharing.csv"
-    "target,sharing,wall_s,solve_s,queries,sat_calls,solver_cache_hits,solver_cache_entries,solver_cache_evictions,terms_created,intern_hits,sharing_ratio,bitblast_memo_hits,bitblast_memo_misses,structural_work,digest"
-    (List.rev !rows);
-  csv_dir := saved;
-  if !failed then exit 1
-
-(* --- E14: per-phase profile through the tracing layer ------------------------------- *)
-
-module Obs = Achilles_obs.Obs
-
-let experiment_profile () =
-  banner "E14: per-phase time attribution — tracing + trace summarize";
-  let profile name run =
-    Solver.reset_all_for_tests ();
-    Term.set_fresh_counter 0;
-    let file =
-      Filename.temp_file ("achilles-profile-" ^ name ^ "-") ".jsonl"
-    in
-    Obs.Trace.enable file;
-    ignore (run ());
-    Obs.Trace.disable ();
-    let summary =
-      match Obs.Summary.load file with
-      | Ok s -> s
-      | Error e ->
-          Format.printf "  %s: trace unreadable: %s@." name e;
-          exit 1
-    in
-    Sys.remove file;
-    (name, summary)
+  Format.printf "  %s@." (line "target" "row" layer_columns);
+  let mismatches = ref 0 in
+  let rows =
+    List.concat_map
+      (fun (target, analyze) ->
+        let measured =
+          List.map (fun l -> (l, measure_layer_row l analyze)) layer_rows
+        in
+        (* the first row is all-on: the reference for the others *)
+        let _, (clean_digest, clean_states, _) = List.hd measured in
+        List.map
+          (fun ((l : layer_row), (digest, states, fields)) ->
+            let shown =
+              if (not l.preserving) || digest = clean_digest then digest
+              else begin
+                incr mismatches;
+                "MISMATCH"
+              end
+            in
+            let record = ("digest", shown) :: fields in
+            let values = List.map (fun c -> List.assoc c record) layer_columns in
+            Format.printf "  %s%s@." (line target l.row values)
+              (if l.preserving then ""
+               else
+                 Printf.sprintf "  (degraded; kept every clean trojan state: %b)"
+                   (List.for_all (fun s -> List.mem s states) clean_states));
+            String.concat "," (target :: l.row :: values))
+          measured)
+      targets
   in
-  let fsp =
-    profile "fsp" (fun () ->
-        Achilles.analyze ~search_config:fsp_search_config
-          ~layout:Fsp_model.layout ~clients:(Fsp_model.clients ())
-          ~server:Fsp_model.server ())
-  in
-  let pbft =
-    profile "pbft" (fun () ->
-        Achilles.analyze
-          ~search_config:(Lazy.force pbft_config)
-          ~layout:Pbft_model.layout ~clients:[ Pbft_model.client ]
-          ~server:Pbft_model.replica ())
-  in
-  let rows = ref [] in
-  List.iter
-    (fun (name, (s : Obs.Summary.t)) ->
-      let open Obs.Summary in
-      Format.printf "@.  %s: %.3fs wall, %.1f%% attributed to phases@." name
-        s.wall
-        (100. *. s.attributed);
-      Format.printf "    %-16s %10s %8s %8s@." "phase" "self(s)" "share"
-        "spans";
-      let sorted =
-        List.sort (fun a b -> compare b.self_seconds a.self_seconds) s.rows
-      in
-      List.iter
-        (fun r ->
-          let share =
-            if s.wall > 0. then r.self_seconds /. s.wall else 0.
-          in
-          Format.printf "    %-16s %10.3f %7.1f%% %8d@." r.row_phase
-            r.self_seconds (100. *. share) r.row_spans;
-          rows :=
-            Printf.sprintf "%s,%s,%.6f,%.6f,%d,%.4f" name r.row_phase
-              r.self_seconds r.total_seconds r.row_spans share
-            :: !rows)
-        sorted)
-    [ fsp; pbft ];
-  (* always persist the per-phase shares, like the other figure experiments *)
-  let saved = !csv_dir in
-  if saved = None then begin
-    (try Unix.mkdir "bench" 0o755
-     with Unix.Unix_error ((Unix.EEXIST | Unix.EPERM), _, _) -> ());
-    csv_dir := Some (Filename.concat "bench" "figures")
-  end;
-  write_csv "profile.csv" "target,phase,self_s,total_s,spans,share_of_wall"
-    (List.rev !rows);
-  csv_dir := saved;
-  (* acceptance: the taxonomy must account for (almost) the whole FSP run *)
-  let _, (fsp_summary : Obs.Summary.t) = fsp in
-  if fsp_summary.Obs.Summary.attributed < 0.95 then begin
-    Format.printf
-      "  FAIL: only %.1f%% of the FSP run attributed to named phases (< 95%%)@."
-      (100. *. fsp_summary.Obs.Summary.attributed);
+  write_csv "layers.csv"
+    (String.concat "," ("target" :: "row" :: layer_columns))
+    rows;
+  if !mismatches > 0 then begin
+    Format.eprintf
+      "layers: %d verdict-preserving row(s) moved the report digest@."
+      !mismatches;
     exit 1
   end
-
-(* --- E15: incremental vs scratch solving ----------------------------------------- *)
-
-let experiment_incremental () =
-  banner
-    "E15: assumption-based incremental solving — frame stack vs scratch \
-     queries";
-  (* One measurement = one traced FSP analysis from an identical starting
-     state, with incremental solving on or off, at a given domain count.
-     The digest must be byte-identical across all four combinations: the
-     frame contexts serve verdict-only queries, witness extraction stays on
-     the scratch path, and complete solvers agree on verdicts. *)
-  let measure ~incremental ~domains =
-    Solver.reset_all_for_tests ();
-    Term.set_fresh_counter 0;
-    Solver.set_incremental incremental;
-    let file = Filename.temp_file "achilles-incremental-" ".jsonl" in
-    Obs.Trace.enable file;
-    let t0 = Unix.gettimeofday () in
-    let analysis =
-      Achilles.analyze
-        ~search_config:{ fsp_search_config with Search.domains }
-        ~layout:Fsp_model.layout ~clients:(Fsp_model.clients ())
-        ~server:Fsp_model.server ()
-    in
-    let wall = Unix.gettimeofday () -. t0 in
-    Obs.Trace.disable ();
-    let summary =
-      match Obs.Summary.load file with
-      | Ok s -> s
-      | Error e ->
-          Format.printf "  incremental: trace unreadable: %s@." e;
-          exit 1
-    in
-    Sys.remove file;
-    let self phase =
-      match
-        List.find_opt
-          (fun r -> r.Obs.Summary.row_phase = phase)
-          summary.Obs.Summary.rows
-      with
-      | Some r -> r.Obs.Summary.self_seconds
-      | None -> 0.
-    in
-    let agg = Solver.aggregate_stats () in
-    let _, blast_misses = Bitblast.aggregate_memo_stats () in
-    let digest = Report.report_digest analysis.Achilles.report in
-    ( digest,
-      [
-        ("wall_s", Printf.sprintf "%.4f" wall);
-        ("solve_s", Printf.sprintf "%.4f" agg.Solver.solve_time);
-        ("solver_query_self_s", Printf.sprintf "%.4f" (self "solver_query"));
-        ("bitblast_self_s", Printf.sprintf "%.4f" (self "bitblast"));
-        ("queries", string_of_int agg.Solver.queries);
-        ("sat_calls", string_of_int agg.Solver.sat_calls);
-        ("incremental_checks", string_of_int agg.Solver.incremental_checks);
-        ("bitblast_memo_misses", string_of_int blast_misses);
-        ("learnts_retained", string_of_int agg.Solver.learnts_retained);
-        ("frame_pushes", string_of_int agg.Solver.frame_pushes);
-        ("frame_pops", string_of_int agg.Solver.frame_pops);
-        ("context_resets", string_of_int agg.Solver.context_resets);
-        ("digest", digest);
-      ] )
-  in
-  let domain_counts = [ 1; 4 ] in
-  let rows = ref [] in
-  let failed = ref false in
-  let get k row = List.assoc k row in
-  Fun.protect
-    ~finally:(fun () -> Solver.set_incremental true)
-    (fun () ->
-      List.iter
-        (fun domains ->
-          let digest_on, on = measure ~incremental:true ~domains in
-          let digest_off, off = measure ~incremental:false ~domains in
-          if digest_on <> digest_off then begin
-            Format.eprintf
-              "incremental: FSP report digest differs between modes at %d \
-               domain(s) (%s vs %s)@."
-              domains digest_on digest_off;
-            failed := true
-          end;
-          Format.printf
-            "  fsp j=%d incremental=on  wall %ss, solver_query self %ss, \
-             bitblast self %ss, %s sat calls, %s blast misses, %s learnts \
-             retained@."
-            domains (get "wall_s" on)
-            (get "solver_query_self_s" on)
-            (get "bitblast_self_s" on) (get "sat_calls" on)
-            (get "bitblast_memo_misses" on)
-            (get "learnts_retained" on);
-          Format.printf
-            "  fsp j=%d incremental=off wall %ss, solver_query self %ss, \
-             bitblast self %ss, %s sat calls, %s blast misses@."
-            domains (get "wall_s" off)
-            (get "solver_query_self_s" off)
-            (get "bitblast_self_s" off) (get "sat_calls" off)
-            (get "bitblast_memo_misses" off);
-          (* Wall-clock is noisy under CI; the deterministic proxy for the
-             avoided work is CNF translation: scratch mode re-bitblasts the
-             whole conjunction on every non-cached query, the frame context
-             translates each distinct term once. *)
-          let misses_on = int_of_string (get "bitblast_memo_misses" on) in
-          let misses_off = int_of_string (get "bitblast_memo_misses" off) in
-          let q_on = float_of_string (get "solver_query_self_s" on) in
-          let q_off = float_of_string (get "solver_query_self_s" off) in
-          Format.printf
-            "  fsp j=%d translation work: %d -> %d memo misses (%.1fx \
-             reduction); solver_query self-time: %.4fs -> %.4fs (%.2fx); \
-             digests identical: %b@."
-            domains misses_off misses_on
-            (float_of_int misses_off /. float_of_int (max 1 misses_on))
-            q_off q_on
-            (q_off /. Float.max q_on 1e-9)
-            (digest_on = digest_off);
-          if domains = 1 && misses_on >= misses_off then begin
-            Format.eprintf
-              "incremental: expected a translation-work reduction on FSP, \
-               got %d (on) vs %d (off) bitblast memo misses@."
-              misses_on misses_off;
-            failed := true
-          end;
-          let csv mode row =
-            Printf.sprintf "fsp,%d,%s,%s" domains mode
-              (String.concat "," (List.map snd row))
-          in
-          rows := csv "off" off :: csv "on" on :: !rows)
-        domain_counts);
-  (* always persist the series, like the other figure experiments *)
-  let saved = !csv_dir in
-  if saved = None then begin
-    (try Unix.mkdir "bench" 0o755
-     with Unix.Unix_error ((Unix.EEXIST | Unix.EPERM), _, _) -> ());
-    csv_dir := Some (Filename.concat "bench" "figures")
-  end;
-  write_csv "incremental.csv"
-    "target,domains,incremental,wall_s,solve_s,solver_query_self_s,bitblast_self_s,queries,sat_calls,incremental_checks,bitblast_memo_misses,learnts_retained,frame_pushes,frame_pops,context_resets,digest"
-    (List.rev !rows);
-  csv_dir := saved;
-  if !failed then exit 1
-
-(* --- E18: static dependency slicing ----------------------------------------------- *)
-
-let experiment_slice () =
-  banner
-    "E18: static slice oracle — taint-directed feasibility vs full-path \
-     queries";
-  (* One measurement = one traced FSP analysis from an identical starting
-     state, slice oracle on or off, at a given domain count. The oracle is
-     verdict-preserving, so the digest must be byte-identical across every
-     combination; what changes is how branch feasibility gets decided —
-     statically from equality chains, from the per-run memo, or by a
-     cone-restricted query instead of a full-path one — and how many
-     differentFrom pairs ever reach the solver. *)
-  let measure ~slice ~domains =
-    Solver.reset_all_for_tests ();
-    Obs.reset_all ();
-    Term.set_fresh_counter 0;
-    let file = Filename.temp_file "achilles-slice-" ".jsonl" in
-    Obs.Trace.enable file;
-    let t0 = Unix.gettimeofday () in
-    let analysis =
-      Achilles.analyze
-        ~search_config:
-          {
-            fsp_search_config with
-            Search.domains;
-            Search.use_slice = slice;
-          }
-        ~layout:Fsp_model.layout ~clients:(Fsp_model.clients ())
-        ~server:Fsp_model.server ()
-    in
-    let wall = Unix.gettimeofday () -. t0 in
-    Obs.Trace.disable ();
-    let summary =
-      match Obs.Summary.load file with
-      | Ok s -> s
-      | Error e ->
-          Format.printf "  slice: trace unreadable: %s@." e;
-          exit 1
-    in
-    Sys.remove file;
-    let self phase =
-      match
-        List.find_opt
-          (fun r -> r.Obs.Summary.row_phase = phase)
-          summary.Obs.Summary.rows
-      with
-      | Some r -> r.Obs.Summary.self_seconds
-      | None -> 0.
-    in
-    let agg = Solver.aggregate_stats () in
-    let counters = (Obs.aggregate ()).Obs.counters in
-    let counter name =
-      Option.value ~default:0 (List.assoc_opt name counters)
-    in
-    let cov = analysis.Achilles.report.Search.coverage in
-    let pairs_checked, pairs_static =
-      match analysis.Achilles.different_from_stats with
-      | Some s -> (s.Different_from.pairs_checked, s.Different_from.pairs_static)
-      | None -> (0, 0)
-    in
-    let digest = Report.report_digest analysis.Achilles.report in
-    ( digest,
-      [
-        ("wall_s", Printf.sprintf "%.4f" wall);
-        ("solve_s", Printf.sprintf "%.4f" agg.Solver.solve_time);
-        ("solver_query_self_s", Printf.sprintf "%.4f" (self "solver_query"));
-        ("slice_self_s", Printf.sprintf "%.4f" (self "slice"));
-        ("queries", string_of_int agg.Solver.queries);
-        ("sat_calls", string_of_int agg.Solver.sat_calls);
-        ( "full_path_feasibility",
-          string_of_int (counter "interp.feasibility_queries") );
-        ("static_branches", string_of_int cov.Search.slice_static_branches);
-        ("cone_queries", string_of_int cov.Search.slice_cone_queries);
-        ("pairs_checked", string_of_int pairs_checked);
-        ("pairs_static", string_of_int pairs_static);
-        ("digest", digest);
-      ] )
-  in
-  let domain_counts = [ 1; 4 ] in
-  let rows = ref [] in
-  let jrows = ref [] in
-  let failed = ref false in
-  let get k row = List.assoc k row in
-  List.iter
-    (fun domains ->
-      let digest_on, on = measure ~slice:true ~domains in
-      let digest_off, off = measure ~slice:false ~domains in
-      if digest_on <> digest_off then begin
-        Format.eprintf
-          "slice: FSP report digest differs between modes at %d domain(s) \
-           (%s vs %s)@."
-          domains digest_on digest_off;
-        failed := true
-      end;
-      Format.printf
-        "  fsp j=%d slice=on  wall %ss, %s solver queries (%s sat calls), \
-         %s full-path feasibility, %s branches decided statically, %s cone \
-         queries, pairs %s checked / %s static@."
-        domains (get "wall_s" on) (get "queries" on) (get "sat_calls" on)
-        (get "full_path_feasibility" on)
-        (get "static_branches" on)
-        (get "cone_queries" on) (get "pairs_checked" on)
-        (get "pairs_static" on);
-      Format.printf
-        "  fsp j=%d slice=off wall %ss, %s solver queries (%s sat calls), \
-         %s full-path feasibility, pairs %s checked@."
-        domains (get "wall_s" off) (get "queries" off) (get "sat_calls" off)
-        (get "full_path_feasibility" off)
-        (get "pairs_checked" off);
-      (* Wall-clock is noisy under CI; the deterministic proxy for the saved
-         interpreter work is the branch-feasibility solver stream: without
-         the oracle every branch decision pays a full-path query, with it
-         the same decisions are settled statically, from the memo, or by a
-         cone-restricted query over the few conjuncts sharing variables
-         with the condition. *)
-      let feas_on =
-        int_of_string (get "full_path_feasibility" on)
-        + int_of_string (get "cone_queries" on)
-      in
-      let feas_off = int_of_string (get "full_path_feasibility" off) in
-      let p_on = int_of_string (get "pairs_checked" on) in
-      let p_off = int_of_string (get "pairs_checked" off) in
-      Format.printf
-        "  fsp j=%d feasibility work: %d -> %d branch queries (%.1fx \
-         reduction); pairs: %d -> %d (%.1fx); digests identical: %b@."
-        domains feas_off feas_on
-        (float_of_int feas_off /. float_of_int (max 1 feas_on))
-        p_off p_on
-        (float_of_int p_off /. float_of_int (max 1 p_on))
-        (digest_on = digest_off);
-      if domains = 1 then begin
-        if feas_off < 2 * feas_on then begin
-          Format.eprintf
-            "slice: expected a >= 2x branch-feasibility reduction on FSP, \
-             got %d (on) vs %d (off)@."
-            feas_on feas_off;
-          failed := true
-        end;
-        if p_off < 3 * p_on then begin
-          Format.eprintf
-            "slice: expected a >= 3x pairs_checked reduction on FSP, got %d \
-             (on) vs %d (off)@."
-            p_on p_off;
-          failed := true
-        end
-      end;
-      let csv mode row =
-        Printf.sprintf "fsp,%d,%s,%s" domains mode
-          (String.concat "," (List.map snd row))
-      in
-      let json mode row =
-        let module J = Achilles_obs.Obs.Json in
-        J.VObj
-          (("target", J.VStr "fsp")
-          :: ("domains", J.VNum (float_of_int domains))
-          :: ("slice", J.VStr mode)
-          :: List.map
-               (fun (k, v) ->
-                 match float_of_string_opt v with
-                 | Some f -> (k, J.VNum f)
-                 | None -> (k, J.VStr v))
-               row)
-      in
-      rows := csv "off" off :: csv "on" on :: !rows;
-      jrows := json "off" off :: json "on" on :: !jrows)
-    domain_counts;
-  (* always persist the series, like the other figure experiments *)
-  let saved = !csv_dir in
-  if saved = None then begin
-    (try Unix.mkdir "bench" 0o755
-     with Unix.Unix_error ((Unix.EEXIST | Unix.EPERM), _, _) -> ());
-    csv_dir := Some (Filename.concat "bench" "figures")
-  end;
-  write_csv "slice.csv"
-    "target,domains,slice,wall_s,solve_s,solver_query_self_s,slice_self_s,queries,sat_calls,full_path_feasibility,static_branches,cone_queries,pairs_checked,pairs_static,digest"
-    (List.rev !rows);
-  (let module J = Achilles_obs.Obs.Json in
-   write_bench_json "BENCH_E18.json"
-     [ ("experiment", J.VStr "slice"); ("rows", J.VArr (List.rev !jrows)) ]);
-  csv_dir := saved;
-  if !failed then exit 1
 
 (* --- Bechamel micro-benchmarks ------------------------------------------------------------------ *)
 
@@ -1390,135 +931,6 @@ let bechamel_benchmarks () =
       in
       Format.printf "  %-32s %16s@." name pretty)
     rows
-
-(* --- E16: multi-process search ------------------------------------------------------------------ *)
-
-let experiment_dist () =
-  banner "E16: multi-process search — coordinator/worker digest equality";
-  let rec rm_rf path =
-    match Sys.is_directory path with
-    | true ->
-        Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-        Unix.rmdir path
-    | false -> Sys.remove path
-    | exception Sys_error _ -> ()
-  in
-  let config = { fsp_search_config with Search.domains = 4 } in
-  (* the golden single-process run every distributed configuration must
-     reproduce byte for byte *)
-  let golden_digest, t_inproc =
-    Solver.reset_all_for_tests ();
-    Term.set_fresh_counter 0;
-    let t0 = Unix.gettimeofday () in
-    let analysis =
-      Achilles.analyze ~search_config:config ~layout:Fsp_model.layout
-        ~clients:(Fsp_model.clients ()) ~server:Fsp_model.server ()
-    in
-    (Report.report_digest analysis.Achilles.report, Unix.gettimeofday () -. t0)
-  in
-  let dist ~label ~workers ~fault_rate =
-    Solver.reset_all_for_tests ();
-    Term.set_fresh_counter 0;
-    let client, _ =
-      Client_extract.extract ~config:Interp.default_config
-        ~layout:Fsp_model.layout
-        (Fsp_model.clients ())
-    in
-    let different_from =
-      if config.Search.use_different_from then
-        Some (fst (Different_from.compute ?mask:config.Search.mask client))
-      else None
-    in
-    let job =
-      Achilles_dist.Worker.job_of ~config ?different_from ~client
-        ~server:Fsp_model.server ()
-    in
-    let params =
-      {
-        Achilles_dist.Worker.heartbeat_interval = 0.02;
-        snapshot_interval = 0.05;
-        poll_sleep = 0.005;
-        orphan_timeout = 30.0;
-        fault_rate;
-        fault_seed = 0xf00d;
-      }
-    in
-    let workdir =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "achilles-bench-dist-%d-%s" (Unix.getpid ()) label)
-    in
-    rm_rf workdir;
-    Unix.mkdir workdir 0o755;
-    let ccfg =
-      {
-        Achilles_dist.Coordinator.c_workers = workers;
-        c_lease_ttl = 5.0;
-        c_reassign_budget = 50;
-        c_max_respawns = 500;
-        c_backoff = (fun _ -> 0.01);
-        c_drain_grace = 10.0;
-        c_tick = 0.005;
-        c_cancel = (fun () -> false);
-        c_status_interval = 0.1;
-      }
-    in
-    let spawn =
-      Achilles_dist.Coordinator.domain_spawner ~workdir ~job ~params ()
-    in
-    let t0 = Unix.gettimeofday () in
-    let report = Achilles_dist.Coordinator.run ~config:ccfg ~workdir ~job ~spawn () in
-    let t = Unix.gettimeofday () -. t0 in
-    rm_rf workdir;
-    (label, workers, fault_rate, t, report)
-  in
-  let runs =
-    [
-      dist ~label:"workers2" ~workers:2 ~fault_rate:0.;
-      dist ~label:"workers4" ~workers:4 ~fault_rate:0.;
-      dist ~label:"workers4-kills" ~workers:4 ~fault_rate:0.05;
-    ]
-  in
-  Format.printf "  %-16s %9s %9s %12s  %s@." "mode" "wall (s)" "faults"
-    "reassigned" "report digest";
-  Format.printf "  %-16s %9.2f %9s %12s  %s@." "in-process" t_inproc "-" "-"
-    golden_digest;
-  let rows =
-    Printf.sprintf "in-process,1,0,%.4f,0,%s" t_inproc golden_digest
-    :: List.map
-         (fun (label, workers, fault_rate, t, (report : Search.report)) ->
-           let digest = Report.report_digest report in
-           let retried = report.Search.coverage.Search.shard_retry_attempts in
-           Format.printf "  %-16s %9.2f %9.2f %12d  %s%s@." label t fault_rate
-             retried digest
-             (if digest = golden_digest then "" else "  << MISMATCH");
-           Printf.sprintf "%s,%d,%.2f,%.4f,%d,%s" label workers fault_rate t
-             retried digest)
-         runs
-  in
-  let all_equal =
-    List.for_all
-      (fun (_, _, _, _, (r : Search.report)) ->
-        Report.report_digest r = golden_digest)
-      runs
-  in
-  Format.printf
-    "@.  digests identical across {in-process, 2 workers, 4 workers, 4 \
-     workers with kills}: %b@."
-    all_equal;
-  let saved = !csv_dir in
-  if saved = None then begin
-    (try Unix.mkdir "bench" 0o755
-     with Unix.Unix_error ((Unix.EEXIST | Unix.EPERM), _, _) -> ());
-    csv_dir := Some (Filename.concat "bench" "figures")
-  end;
-  write_csv "dist.csv" "mode,workers,fault_rate,wall_s,reassignments,digest"
-    rows;
-  csv_dir := saved;
-  if not all_equal then begin
-    Format.eprintf "dist: a distributed run diverged from the golden digest@.";
-    exit 1
-  end
 
 (* --- E17: serving compiled filters — line rate vs per-message re-analysis ---- *)
 
@@ -1669,19 +1081,6 @@ let experiment_serve () =
       Printf.sprintf "baseline,%d,%.4f,%.0f,1.0" n_baseline baseline_s
         baseline_rate;
     ];
-  (let module J = Achilles_obs.Obs.Json in
-   write_bench_json "BENCH_E17.json"
-     [
-       ("experiment", J.VStr "serve");
-       ("filter_messages", J.VNum (float_of_int n_filter));
-       ("filter_seconds", J.VNum filter_s);
-       ("filter_msgs_per_sec", J.VNum filter_rate);
-       ("baseline_messages", J.VNum (float_of_int n_baseline));
-       ("baseline_seconds", J.VNum baseline_s);
-       ("baseline_msgs_per_sec", J.VNum baseline_rate);
-       ("speedup_vs_baseline", J.VNum speedup);
-       ("mismatches", J.VNum (float_of_int !mismatches));
-     ]);
   if !mismatches > 0 then begin
     Format.eprintf "serve: filter and baseline verdicts diverged@.";
     exit 1
@@ -1702,7 +1101,6 @@ let experiment_serve () =
    verdict counter. *)
 let experiment_telemetry () =
   banner "E19: telemetry cost and scrape consistency under serving load";
-  let module Obs = Achilles_obs.Obs in
   let analysis, _ = Lazy.force fsp_analysis in
   let report = analysis.Achilles.report in
   let filter = Filter.compile ~target:"fsp" ~layout:Fsp_model.layout ~report () in
@@ -1987,12 +1385,6 @@ let experiment_telemetry () =
       (100. *. overhead);
     failed := true
   end;
-  let saved = !csv_dir in
-  if saved = None then begin
-    (try Unix.mkdir "bench" 0o755
-     with Unix.Unix_error ((Unix.EEXIST | Unix.EPERM), _, _) -> ());
-    csv_dir := Some (Filename.concat "bench" "figures")
-  end;
   write_csv "e19_telemetry.csv"
     "mode,messages,seconds,msgs_per_sec,overhead_pct,scrapes"
     [
@@ -2000,21 +1392,6 @@ let experiment_telemetry () =
       Printf.sprintf "metrics-on,%d,%.4f,%.0f,%.2f,%d" n on_s rate_on
         (100. *. overhead) scrapes;
     ];
-  (let module J = Obs.Json in
-   write_bench_json "BENCH_E19.json"
-     [
-       ("experiment", J.VStr "telemetry");
-       ("messages_per_pass", J.VNum (float_of_int n));
-       ("passes", J.VNum (float_of_int reps));
-       ("off_seconds", J.VNum off_s);
-       ("off_msgs_per_sec", J.VNum rate_off);
-       ("on_seconds", J.VNum on_s);
-       ("on_msgs_per_sec", J.VNum rate_on);
-       ("overhead_pct", J.VNum (100. *. overhead));
-       ("concurrent_scrapes", J.VNum (float_of_int scrapes));
-       ("counters_consistent", J.VBool (not !failed));
-     ]);
-  csv_dir := saved;
   if !failed then exit 1
 
 (* --- driver ------------------------------------------------------------------------------------- *)
@@ -2031,13 +1408,7 @@ let experiments =
     ("impact-fsp", experiment_impact_fsp);
     ("impact-pbft", experiment_impact_pbft);
     ("local-state", experiment_local_state);
-    ("scaling", experiment_scaling);
-    ("robustness", experiment_robustness);
-    ("sharing", experiment_sharing);
-    ("profile", experiment_profile);
-    ("incremental", experiment_incremental);
-    ("slice", experiment_slice);
-    ("dist", experiment_dist);
+    ("layers", experiment_layers);
     ("serve", experiment_serve);
     ("telemetry", experiment_telemetry);
   ]

@@ -164,8 +164,8 @@ let no_slice_arg =
      full-path solver queries, message-independent branches count against \
      the depth bound again, and every differentFrom pair check hits the \
      solver (also: $(b,ACHILLES_SLICE=0)). Reports are byte-identical in \
-     both modes; this is the escape hatch and the baseline for \
-     $(b,--experiment slice)."
+     both modes; this is the escape hatch and the $(i,slice-off) row of \
+     $(b,--experiment layers)."
   in
   Arg.(value & flag & info [ "no-slice" ] ~doc)
 
@@ -306,7 +306,10 @@ let parse_mask target = function
 (* SIGINT/SIGTERM flip a flag the search polls at every branch constraint:
    in-flight shards wind down, completed shards are kept (and checkpointed
    when --checkpoint-dir is set), and a partial report is still printed —
-   with its coverage block flagging the interruption — before exiting 3. *)
+   with its coverage block flagging the interruption — before exiting 3.
+   SIGPIPE is ignored: a peer that hangs up surfaces as an EPIPE error on
+   that one socket (the daemon then closes the connection) instead of
+   killing the process. *)
 let interrupted = Atomic.make false
 
 let install_signal_handlers () =
@@ -317,7 +320,8 @@ let install_signal_handlers () =
     with Invalid_argument _ | Sys_error _ -> ()
   in
   handle Sys.sigint;
-  handle Sys.sigterm
+  handle Sys.sigterm;
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore
 
 (* 0 = complete coverage, 3 = partial (interrupted or uncovered shards) *)
 let exit_code_of (report : Search.report) =

@@ -314,7 +314,7 @@ let finish ctx (st : State.t) status =
   ctx.hooks.on_terminal st;
   st
 
-(* Resource-bound cuts, labeled so E18 can attribute which bound bites.
+(* Resource-bound cuts, labeled so traces can attribute which bound bites.
    The crash reason strings are part of terminal-state identity and must
    not change. *)
 let truncate ctx st kind =

@@ -782,6 +782,22 @@ let test_serve_subprocess () =
       let c, _ = send_message fd benign in
       Alcotest.(check char) "subprocess accepts benign" 'A' c;
       Unix.close fd;
+      (* a client that hangs up without reading its verdicts: shutting its
+         read side first makes every reply hit a closed pipe (EPIPE), which
+         must cost that connection only, not the daemon (no SIGPIPE death) *)
+      let rude = connect_unix sock in
+      Unix.shutdown rude Unix.SHUTDOWN_RECEIVE;
+      let burst = Buffer.create 4096 in
+      for _ = 1 to 200 do
+        Buffer.add_bytes burst (frame_of benign)
+      done;
+      let burst = Buffer.to_bytes burst in
+      ignore (Unix.write rude burst 0 (Bytes.length burst));
+      Unix.close rude;
+      let fd = connect_unix sock in
+      let c, _ = send_message fd benign in
+      Alcotest.(check char) "later connection still judged" 'A' c;
+      Unix.close fd;
       (* clean SIGTERM drain: exit 0 and final statistics on stdout *)
       Unix.kill pid Sys.sigterm;
       let _, status = Unix.waitpid [] pid in

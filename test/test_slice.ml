@@ -6,7 +6,8 @@
    - slice-aware differentFrom: identical matrices, identical fresh-variable
      consumption, fewer solver queries;
    - the soundness bar itself: report digests byte-identical slice on/off,
-     at domains 1 and 4, on the bundled targets and on random server trees;
+     at domains 1 and 4, on the bundled targets and on random server trees,
+     and the FSP branch-query and differentFrom-pair work the oracle saves;
    - the taint-aware depth bound: message-independent branches stop
      consuming [max_depth] when the oracle is installed. *)
 
@@ -458,7 +459,11 @@ let setups =
     };
   ]
 
-let digest_of s ~use_slice ~domains =
+(* One analysis of a setup from a reset state: the report digest, plus the
+   two work counters the oracle exists to shrink — branch-feasibility solver
+   queries (full-path, plus cone-restricted with the oracle on) and the
+   differentFrom pairs that reach the solver. *)
+let run_setup s ~use_slice ~domains =
   Solver.reset_all_for_tests ();
   Term.reset_fresh_counter ();
   let config =
@@ -475,19 +480,50 @@ let digest_of s ~use_slice ~domains =
     Achilles.analyze ~search_config:config ?client_interp:s.client_interp
       ~layout:s.layout ~clients:s.clients ~server:s.server ()
   in
-  Report.report_digest analysis.Achilles.report
+  let report = analysis.Achilles.report in
+  let full_path =
+    Option.value ~default:0
+      (List.assoc_opt "interp.feasibility_queries"
+         (Achilles_obs.Obs.aggregate ()).Achilles_obs.Obs.counters)
+  in
+  let pairs_checked =
+    match analysis.Achilles.different_from_stats with
+    | Some st -> st.Different_from.pairs_checked
+    | None -> 0
+  in
+  ( Report.report_digest report,
+    full_path + report.Search.coverage.Search.slice_cone_queries,
+    pairs_checked )
 
 let test_digests_slice_invariant () =
   List.iter
     (fun s ->
-      let reference = digest_of s ~use_slice:false ~domains:1 in
+      let reference, feas_off, pairs_off =
+        run_setup s ~use_slice:false ~domains:1
+      in
       List.iter
         (fun (use_slice, domains) ->
+          let digest, feas, pairs = run_setup s ~use_slice ~domains in
           Alcotest.(check string)
             (Printf.sprintf "%s: slice %b, domains %d" s.sname use_slice
                domains)
-            reference
-            (digest_of s ~use_slice ~domains))
+            reference digest;
+          (* the oracle pays for itself on FSP (200 -> 32 branch queries and
+             96 -> 16 pairs when last measured) *)
+          if s.sname = "fsp" && use_slice && domains = 1 then begin
+            Alcotest.(check bool)
+              (Printf.sprintf
+                 "fsp: >= 2x fewer branch-feasibility queries (%d -> %d)"
+                 feas_off feas)
+              true
+              (feas_off >= 2 * feas);
+            Alcotest.(check bool)
+              (Printf.sprintf
+                 "fsp: >= 3x fewer differentFrom pairs checked (%d -> %d)"
+                 pairs_off pairs)
+              true
+              (pairs_off >= 3 * pairs)
+          end)
         [ (true, 1); (false, 4); (true, 4) ])
     setups
 
