@@ -1253,6 +1253,21 @@ let trace_summarize file =
             r.total_seconds r.row_spans (q 0.5) (q 0.95) (q 0.99)
             (1000. *. r.max_seconds))
         rows;
+      if s.sites <> [] then begin
+        (* the same self-time attribution, split by the caller that issued
+           each span *)
+        Format.printf "@.%-16s %-16s %10s %8s %10s %8s@." "phase" "call site"
+          "self(s)" "share" "total(s)" "spans";
+        List.iter
+          (fun (site, r) ->
+            Format.printf "%-16s %-16s %10.3f %7.1f%% %10.3f %8d@." r.row_phase
+              site r.self_seconds
+              (if s.wall > 0. then 100. *. r.self_seconds /. s.wall else 0.)
+              r.total_seconds r.row_spans)
+          (List.sort
+             (fun (_, a) (_, b) -> compare b.self_seconds a.self_seconds)
+             s.sites)
+      end;
       if s.verdicts <> [] then begin
         Format.printf "@.solver verdicts:";
         List.iter (fun (v, n) -> Format.printf " %s=%d" v n) s.verdicts;

@@ -38,7 +38,9 @@ let check_pair ~layout field_name (pi : Predicate.client_path)
       in
       (* verdict-only: rides the per-domain incremental context so the
          O(paths^2 x fields) matrix reuses translations across probes *)
-      (Solver.is_sat_assuming (Term.eq x value_i :: negation :: constraints_i), true)
+      ( Solver.is_sat_assuming ~site:"different_from"
+          (Term.eq x value_i :: negation :: constraints_i),
+        true )
 
 (* Decide a pair without the solver when both sides' field summaries are
    statically known. Mirrors [check_pair] case by case, so the verdict is

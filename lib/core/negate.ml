@@ -66,7 +66,8 @@ let negate_path ?(check_overlap = true) ?mask ~layout ~server_vars
               (* verdict-only, so the overlap probe shares the per-domain
                  incremental context (and its bitblasted binding) across
                  all fields and paths; scratch when incrementality is off *)
-              && Solver.is_sat_assuming (disjunct :: Lazy.force binding)
+              && Solver.is_sat_assuming ~site:"negate"
+                   (disjunct :: Lazy.force binding)
             then None (* a message satisfies both: discard to avoid FPs *)
             else Some disjunct)
       fields

@@ -317,7 +317,10 @@ let binding_check ctx idx (st : State.t) =
      every other client's binding check at this state; only the binding
      terms ride as per-call assumptions (scratch while incremental solving
      is off) *)
-  match Solver.check_assuming ~path:st.State.path (binding_for ctx idx) with
+  match
+    Solver.check_assuming ~site:"alive" ~path:st.State.path
+      (binding_for ctx idx)
+  with
   | Solver.Unsat -> `Incompatible
   | Solver.Sat _ -> `Compatible
   | Solver.Unknown -> `Unknown
@@ -463,9 +466,10 @@ let on_constraint ctx (st : State.t) cond =
            a persistent instance would perturb report digests). *)
         match
           (if Solver.incremental_enabled () then
-             Solver.check_assuming ~path:st.State.path
+             Solver.check_assuming ~site:"prune" ~path:st.State.path
                (List.map (negation_for ctx) alive)
-           else Solver.check (Term.dedup (trojan_query ctx st alive)))
+           else
+             Solver.check ~site:"prune" (Term.dedup (trojan_query ctx st alive)))
         with
         | Solver.Unsat -> true
         | Solver.Sat _ -> false
@@ -573,7 +577,10 @@ let emit_trojans ctx (st : State.t) label =
       in
       let rec enumerate blocked n =
         if n < ctx.cfg.witnesses_per_path then
-          match Solver.check (Term.dedup (List.rev_append blocked base_query)) with
+          match
+            Solver.check ~site:"witness"
+              (Term.dedup (List.rev_append blocked base_query))
+          with
           | Solver.Unsat -> ()
           | Solver.Unknown ->
               (* sound degradation: the accepting state is reported with its
@@ -605,7 +612,7 @@ let minimize_witness (t : trojan) =
     (fun i byte ->
       if not (Bv.equal byte (Bv.zero 8)) then begin
         pins.(i) <- Some (Bv.zero 8);
-        if Solver.is_sat (pin_terms () @ t.symbolic) then
+        if Solver.is_sat ~site:"minimize" (pin_terms () @ t.symbolic) then
           current.(i) <- Bv.zero 8
         else pins.(i) <- Some current.(i)
       end)

@@ -552,7 +552,7 @@ let enumerate_residue ~budget b msg_vars t =
     let rec enumerate blocked values n =
       if n > budget then None
       else
-        match Solver.check (t :: blocked) with
+        match Solver.check ~site:"filter_compile" (t :: blocked) with
         | Solver.Unknown -> None
         | Solver.Unsat -> Some values
         | Solver.Sat model ->
@@ -618,7 +618,7 @@ let compile_conjunct ~budget b msg_vars is_aux t =
     in
     if msg_free then
       (* closed existential: one solver call decides it for good *)
-      match Solver.check [ t ] with
+      match Solver.check ~site:"filter_compile" [ t ] with
       | Solver.Sat _ -> None
       | Solver.Unsat -> raise State_is_false
       | Solver.Unknown -> Some (push_unknown b)

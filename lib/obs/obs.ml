@@ -634,10 +634,13 @@ let emit ?(args = []) ~kind ~name () =
         match !sink with Some f -> f ev | None -> ())
   end
 
-let span p f =
+let span ?site p f =
   let c = (slice ()).cells.(phase_index p) in
   let name = phase_name p in
-  if Atomic.get live_flag then emit ~kind:"span_begin" ~name ();
+  if Atomic.get live_flag then begin
+    let args = match site with Some s -> [ ("site", S s) ] | None -> [] in
+    emit ~args ~kind:"span_begin" ~name ()
+  end;
   let t0 = Unix.gettimeofday () in
   Fun.protect
     ~finally:(fun () ->
@@ -1078,9 +1081,15 @@ module Summary = struct
     cache_misses : int;
     events : int;
     kinds : (string * int) list;
+    sites : (string * row) list;
   }
 
-  type open_span = { os_name : string; os_start : float; mutable os_child : float }
+  type open_span = {
+    os_name : string;
+    os_site : string option;
+    os_start : float;
+    mutable os_child : float;
+  }
 
   let str fields k =
     match List.assoc_opt k fields with Some (Json.Str s) -> Some s | _ -> None
@@ -1094,6 +1103,8 @@ module Summary = struct
     let counters : (string, int) Hashtbl.t = Hashtbl.create 16 in
     let verdicts : (string, int) Hashtbl.t = Hashtbl.create 4 in
     let kinds : (string, int) Hashtbl.t = Hashtbl.create 8 in
+    let sites : (string * string, row) Hashtbl.t = Hashtbl.create 8 in
+    let site_order = ref [] in
     let stacks : (int, open_span list ref) Hashtbl.t = Hashtbl.create 8 in
     let bump tbl k n =
       let cur = try Hashtbl.find tbl k with Not_found -> 0 in
@@ -1115,15 +1126,14 @@ module Summary = struct
           Hashtbl.add stacks tid s;
           s
     in
-    let add_span tid name ~dur ~self =
-      let self = Float.max 0. self in
+    let bump_row tbl order key phase ~dur ~self =
       let r =
-        match Hashtbl.find_opt rows name with
+        match Hashtbl.find_opt tbl key with
         | Some r -> r
         | None ->
-            row_order := name :: !row_order;
+            order := key :: !order;
             {
-              row_phase = name;
+              row_phase = phase;
               self_seconds = 0.;
               total_seconds = 0.;
               row_spans = 0;
@@ -1133,14 +1143,21 @@ module Summary = struct
       in
       let b = bucket_of_seconds (Float.max 0. dur) in
       r.row_hist.(b) <- r.row_hist.(b) + 1;
-      Hashtbl.replace rows name
+      Hashtbl.replace tbl key
         {
           r with
           self_seconds = r.self_seconds +. self;
           total_seconds = r.total_seconds +. dur;
           row_spans = r.row_spans + 1;
           max_seconds = Float.max r.max_seconds dur;
-        };
+        }
+    in
+    let add_span ?site tid name ~dur ~self =
+      let self = Float.max 0. self in
+      bump_row rows row_order name name ~dur ~self;
+      Option.iter
+        (fun site -> bump_row sites site_order (name, site) name ~dur ~self)
+        site;
       let stack = stack_of tid in
       match !stack with
       | parent :: _ -> parent.os_child <- parent.os_child +. dur
@@ -1162,7 +1179,9 @@ module Summary = struct
         match kind with
         | "span_begin" ->
             let stack = stack_of tid in
-            stack := { os_name = name; os_start = t; os_child = 0. } :: !stack
+            let os_site = str fields "site" in
+            stack :=
+              { os_name = name; os_site; os_start = t; os_child = 0. } :: !stack
         | "span_end" -> (
             let stack = stack_of tid in
             match !stack with
@@ -1173,7 +1192,8 @@ module Summary = struct
                   | Some d -> d
                   | None -> t -. top.os_start
                 in
-                add_span tid name ~dur ~self:(dur -. top.os_child)
+                add_span ?site:top.os_site tid name ~dur
+                  ~self:(dur -. top.os_child)
             | _ ->
                 (* Orphaned end (trace truncated at the front): count the
                    span from its own dur field when present. *)
@@ -1204,7 +1224,8 @@ module Summary = struct
             | top :: rest when top == os -> stack' := rest
             | _ -> ());
             let dur = Float.max 0. (last -. os.os_start) in
-            add_span tid os.os_name ~dur ~self:(dur -. os.os_child))
+            add_span ?site:os.os_site tid os.os_name ~dur
+              ~self:(dur -. os.os_child))
           !stack)
       stacks;
     let wall =
@@ -1223,6 +1244,8 @@ module Summary = struct
       verdicts = sorted verdicts;
       cache_hits = !cache_hits;
       cache_misses = !cache_misses;
+      sites =
+        List.rev_map (fun key -> (snd key, Hashtbl.find sites key)) !site_order;
       events = !n_events;
       kinds = sorted kinds;
     }

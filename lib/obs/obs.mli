@@ -42,8 +42,11 @@ val phase_of_name : string -> phase option
 (** [span p f] runs [f ()], charging its duration to phase [p] in this
     domain's metrics slice (count, total seconds, latency histogram) and —
     when a trace or sink is live — emitting [span_begin]/[span_end] events.
+    [site] names the caller on whose behalf the span runs (a solver query's
+    [witness], [alive], ...); it rides on [span_begin] only while a trace
+    or sink is live, and {!Summary} splits the phase's time by it.
     Exceptions close the span before propagating. *)
-val span : phase -> (unit -> 'a) -> 'a
+val span : ?site:string -> phase -> (unit -> 'a) -> 'a
 
 (** [count ?n name] bumps the named counter by [n] (default 1) in this
     domain's slice. Counter values are deterministic counts and may be
@@ -267,6 +270,9 @@ module Summary : sig
     cache_misses : int;
     events : int;
     kinds : (string * int) list;     (** event kind -> count *)
+    sites : (string * row) list;
+        (** spans that carried a call site: (site, row of that site's
+            spans of phase [row_phase]), in first-seen order *)
   }
 
   (** Compute per-phase self-time from parsed events (file order). Spans

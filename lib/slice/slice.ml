@@ -597,7 +597,9 @@ let make_oracle () : Interp.oracle =
             v
         | None ->
             Obs.count "slice.cone_queries";
-            let v = verdict_of_result (Solver.check (cond :: cone)) in
+            let v =
+              verdict_of_result (Solver.check ~site:"slice_cone" (cond :: cone))
+            in
             (* Unknown is retryable (budgets, fault injection): don't pin it *)
             if v <> Interp.Feasible_unknown then Hashtbl.replace memo key v;
             v)

@@ -65,6 +65,12 @@ let clause t lits =
   t.n_clauses <- t.n_clauses + 1;
   Sat.add_clause t.sat lits
 
+(* The gates' clauses, entered without building a list; a binary clause
+   repeats its last literal, which the duplicate removal drops. *)
+let clause3 t a b c =
+  t.n_clauses <- t.n_clauses + 1;
+  Sat.add_clause3 t.sat a b c
+
 let fresh t =
   t.n_aux <- t.n_aux + 1;
   Sat.new_var t.sat
@@ -121,9 +127,9 @@ let and2 t a b =
   else if a = -b then -t.true_lit
   else begin
     let x = fresh t in
-    clause t [ -x; a ];
-    clause t [ -x; b ];
-    clause t [ x; -a; -b ];
+    clause3 t (-x) a a;
+    clause3 t (-x) b b;
+    clause3 t x (-a) (-b);
     x
   end
 
@@ -138,10 +144,10 @@ let xor2 t a b =
   else if a = -b then t.true_lit
   else begin
     let x = fresh t in
-    clause t [ -x; a; b ];
-    clause t [ -x; -a; -b ];
-    clause t [ x; -a; b ];
-    clause t [ x; a; -b ];
+    clause3 t (-x) a b;
+    clause3 t (-x) (-a) (-b);
+    clause3 t x (-a) b;
+    clause3 t x a (-b);
     x
   end
 
@@ -154,10 +160,10 @@ let mux t c a b =
   else if a = b then a
   else begin
     let x = fresh t in
-    clause t [ -x; -c; a ];
-    clause t [ -x; c; b ];
-    clause t [ x; -c; -a ];
-    clause t [ x; c; -b ];
+    clause3 t (-x) (-c) a;
+    clause3 t (-x) c b;
+    clause3 t x (-c) (-a);
+    clause3 t x c (-b);
     x
   end
 

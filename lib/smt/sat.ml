@@ -1,28 +1,37 @@
 (* A MiniSat-style CDCL solver. Internal literals are encoded as
    [2*var + sign] with sign = 1 for negated, so [lit lxor 1] negates and
    [lit lsr 1] recovers the variable. Variables are 1-based; index 0 of the
-   per-variable arrays is unused. *)
+   per-variable arrays is unused.
 
-type clause = {
-  mutable lits : int array; (* lits.(0) and lits.(1) are watched *)
-  learnt : bool;
-  mutable activity : float;
-}
+   Clauses live in one flat [int array] arena and are named by the offset
+   of their header word:
 
+     arena.(c)        length lsl 2, lor [learnt_bit], lor [deleted_bit]
+     arena.(c + 1)    learnt id, indexing [cla_act] (unused by problem clauses)
+     arena.(c + 2..)  the literals; the first two are watched
+
+   Watch lists, the clause and learnt vectors and [reason] hold offsets, so
+   neither loading a clause nor propagating allocates a heap block per
+   clause. *)
+
+let learnt_bit = 1
+let deleted_bit = 2
+
+(* Growable int vectors. *)
 module Vec = struct
-  type 'a t = { mutable data : 'a array; mutable size : int; dummy : 'a }
+  type t = { mutable data : int array; mutable size : int }
 
   (* Starts empty, allocating on the first push: most of a bitblasted
      instance's watch lists (two per variable) stay empty or short. *)
-  let create dummy = { data = [||]; size = 0; dummy }
+  let create () = { data = [||]; size = 0 }
 
   let push v x =
     if v.size = Array.length v.data then begin
-      let data = Array.make (max 4 (2 * v.size)) v.dummy in
+      let data = Array.make (max 4 (2 * v.size)) 0 in
       Array.blit v.data 0 data 0 v.size;
       v.data <- data
     end;
-    v.data.(v.size) <- x;
+    Array.unsafe_set v.data v.size x;
     v.size <- v.size + 1
 
   let get v i = v.data.(i)
@@ -30,33 +39,36 @@ module Vec = struct
   let size v = v.size
   let shrink v n = v.size <- n
   let clear v = v.size <- 0
-
-  (* [clear], also dropping every reference the buffer holds, including
-     those in slots [shrink] and [pop] vacated, so the GC can reclaim them;
-     the buffer itself is kept. *)
-  let release v =
-    Array.fill v.data 0 (Array.length v.data) v.dummy;
-    v.size <- 0
-
   let pop v = v.size <- v.size - 1; v.data.(v.size)
+
+  let map_inplace f v =
+    for i = 0 to v.size - 1 do
+      v.data.(i) <- f v.data.(i)
+    done
 end
 
 type t = {
   mutable ok : bool; (* false once a top-level conflict is found *)
   mutable nvars : int;
-  clauses : clause Vec.t;
-  learnts : clause Vec.t;
-  mutable watches : clause Vec.t array; (* indexed by internal literal *)
+  mutable arena : int array;
+  mutable arena_size : int; (* words in use, live and deleted *)
+  mutable garbage : int; (* words of deleted clauses not yet compacted *)
+  mutable cla_act : float array; (* learnt clause activity, by learnt id *)
+  mutable n_learnt_ids : int;
+  clauses : Vec.t;
+  learnts : Vec.t;
+  mutable watches : Vec.t array; (* indexed by internal literal *)
   mutable assigns : int array; (* -1 unassigned / 0 false / 1 true, by var *)
   mutable level : int array;
-  mutable reason : clause option array;
+  mutable reason : int array; (* clause offset, -1 for none *)
   mutable activity : float array;
   mutable polarity : bool array; (* saved phase, by var *)
   mutable seen : bool array; (* scratch for conflict analysis *)
   mutable heap_index : int array; (* position in [heap], -1 if absent *)
-  heap : int Vec.t; (* binary max-heap of vars ordered by activity *)
-  trail : int Vec.t; (* assigned literals in order *)
-  trail_lim : int Vec.t; (* trail size at each decision level *)
+  heap : Vec.t; (* binary max-heap of vars ordered by activity *)
+  trail : Vec.t; (* assigned literals in order *)
+  trail_lim : Vec.t; (* trail size at each decision level *)
+  lits : Vec.t; (* scratch: the clause being added or learnt *)
   mutable qhead : int;
   mutable var_inc : float;
   mutable cla_inc : float;
@@ -67,25 +79,29 @@ type t = {
   mutable last_core : int list; (* internal lits; valid after assumption-UNSAT *)
 }
 
-let dummy_clause = { lits = [||]; learnt = false; activity = 0. }
-
 let create () =
   {
     ok = true;
     nvars = 0;
-    clauses = Vec.create dummy_clause;
-    learnts = Vec.create dummy_clause;
-    watches = Array.init 8 (fun _ -> Vec.create dummy_clause);
+    arena = [||];
+    arena_size = 0;
+    garbage = 0;
+    cla_act = [||];
+    n_learnt_ids = 0;
+    clauses = Vec.create ();
+    learnts = Vec.create ();
+    watches = Array.init 8 (fun _ -> Vec.create ());
     assigns = Array.make 4 (-1);
     level = Array.make 4 0;
-    reason = Array.make 4 None;
+    reason = Array.make 4 (-1);
     activity = Array.make 4 0.;
     polarity = Array.make 4 false;
     seen = Array.make 4 false;
     heap_index = Array.make 4 (-1);
-    heap = Vec.create 0;
-    trail = Vec.create 0;
-    trail_lim = Vec.create 0;
+    heap = Vec.create ();
+    trail = Vec.create ();
+    trail_lim = Vec.create ();
+    lits = Vec.create ();
     qhead = 0;
     var_inc = 1.0;
     cla_inc = 1.0;
@@ -96,23 +112,27 @@ let create () =
     last_core = [];
   }
 
-(* Back to the state [create] builds, keeping every buffer. Only variables
-   [0..nvars] and literals below [2 * (nvars + 1)] were ever written, so
-   restoring those prefixes restores the whole arrays. *)
+(* Back to the state [create] builds, keeping every buffer: the arena is
+   truncated, not freed. Only variables [0..nvars] and literals below
+   [2 * (nvars + 1)] were ever written, so restoring those prefixes
+   restores the whole arrays. *)
 let reset s =
   let n = s.nvars + 1 in
   Array.fill s.assigns 0 n (-1);
   Array.fill s.level 0 n 0;
-  Array.fill s.reason 0 n None;
+  Array.fill s.reason 0 n (-1);
   Array.fill s.activity 0 n 0.;
   Array.fill s.polarity 0 n false;
   Array.fill s.seen 0 n false;
   Array.fill s.heap_index 0 n (-1);
   for l = 0 to (2 * n) - 1 do
-    Vec.release s.watches.(l)
+    Vec.clear s.watches.(l)
   done;
-  Vec.release s.clauses;
-  Vec.release s.learnts;
+  s.arena_size <- 0;
+  s.garbage <- 0;
+  s.n_learnt_ids <- 0;
+  Vec.clear s.clauses;
+  Vec.clear s.learnts;
   Vec.clear s.heap;
   Vec.clear s.trail;
   Vec.clear s.trail_lim;
@@ -196,7 +216,7 @@ let new_var s =
     let n = max (v + 1) (2 * cap) in
     s.assigns <- grow_array (fun n -> Array.make n (-1)) s.assigns n;
     s.level <- grow_array (fun n -> Array.make n 0) s.level n;
-    s.reason <- grow_array (fun n -> Array.make n None) s.reason n;
+    s.reason <- grow_array (fun n -> Array.make n (-1)) s.reason n;
     s.activity <- grow_array (fun n -> Array.make n 0.) s.activity n;
     s.polarity <- grow_array (fun n -> Array.make n false) s.polarity n;
     s.seen <- grow_array (fun n -> Array.make n false) s.seen n;
@@ -204,7 +224,7 @@ let new_var s =
     let old = s.watches in
     s.watches <-
       Array.init (2 * n) (fun i ->
-          if i < Array.length old then old.(i) else Vec.create dummy_clause)
+          if i < Array.length old then old.(i) else Vec.create ())
   end;
   heap_insert s v;
   v
@@ -240,7 +260,7 @@ let cancel_until s lvl =
       let v = l lsr 1 in
       s.polarity.(v) <- s.assigns.(v) = 1;
       s.assigns.(v) <- -1;
-      s.reason.(v) <- None;
+      s.reason.(v) <- -1;
       heap_insert s v
     done;
     Vec.shrink s.trail bound;
@@ -248,13 +268,36 @@ let cancel_until s lvl =
     s.qhead <- bound
   end
 
+(* --- clause arena --------------------------------------------------------- *)
+
+let clause_len s c = s.arena.(c) lsr 2
+let is_learnt s c = s.arena.(c) land learnt_bit <> 0
+
+(* Copy the first [k] literals of [s.lits] into the arena as a new clause;
+   a learnt clause also gets the next learnt id, with zero activity. *)
+let alloc_clause s ~learnt k =
+  let c = s.arena_size in
+  let need = c + 2 + k in
+  if need > Array.length s.arena then
+    s.arena <- grow_array (fun n -> Array.make n 0) s.arena (max need (max 1024 (2 * c)));
+  s.arena.(c) <- (k lsl 2) lor (if learnt then learnt_bit else 0);
+  Array.blit s.lits.data 0 s.arena (c + 2) k;
+  s.arena_size <- need;
+  if learnt then begin
+    let id = s.n_learnt_ids in
+    if id = Array.length s.cla_act then
+      s.cla_act <- grow_array (fun n -> Array.make n 0.) s.cla_act (max 64 (2 * id));
+    s.cla_act.(id) <- 0.;
+    s.arena.(c + 1) <- id;
+    s.n_learnt_ids <- id + 1
+  end;
+  c
+
 (* --- clause management --------------------------------------------------- *)
 
-let watch s l c = Vec.push s.watches.(l) c
-
 let attach_clause s c =
-  watch s (c.lits.(0) lxor 1) c;
-  watch s (c.lits.(1) lxor 1) c
+  Vec.push s.watches.(s.arena.(c + 2) lxor 1) c;
+  Vec.push s.watches.(s.arena.(c + 3) lxor 1) c
 
 let var_bump s v =
   s.activity.(v) <- s.activity.(v) +. s.var_inc;
@@ -268,127 +311,159 @@ let var_bump s v =
 
 let var_decay s = s.var_inc <- s.var_inc /. 0.95
 
-let cla_bump s (c : clause) =
-  c.activity <- c.activity +. s.cla_inc;
-  if c.activity > 1e20 then begin
+(* Rescaling covers the clauses in [learnts] only: a learnt clause is
+   bumped once before it joins the vector, and keeps its own activity if
+   that first bump overflows. *)
+let cla_bump s c =
+  let act = s.cla_act in
+  let id = s.arena.(c + 1) in
+  act.(id) <- act.(id) +. s.cla_inc;
+  if act.(id) > 1e20 then begin
     for i = 0 to Vec.size s.learnts - 1 do
-      let c = Vec.get s.learnts i in
-      c.activity <- c.activity *. 1e-20
+      let id = s.arena.(Vec.get s.learnts i + 1) in
+      act.(id) <- act.(id) *. 1e-20
     done;
     s.cla_inc <- s.cla_inc *. 1e-20
   end
 
 let cla_decay s = s.cla_inc <- s.cla_inc /. 0.999
 
+(* Store the clause held in [s.lits]: sort it ascending (the watch order
+   the solver has always used) in place with an insertion sort, then drop
+   duplicates and false literals in one pass; a complementary pair
+   (adjacent once sorted) or a true literal makes the clause redundant. *)
+let add_lits s =
+  let n = Vec.size s.lits and a = s.lits.data in
+  for i = 1 to n - 1 do
+    let x = a.(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && a.(!j) > x do
+      a.(!j + 1) <- a.(!j);
+      decr j
+    done;
+    a.(!j + 1) <- x
+  done;
+  let kept = ref 0 and prev = ref (-1) and redundant = ref false in
+  for i = 0 to n - 1 do
+    let l = a.(i) in
+    if l <> !prev then begin
+      if l = !prev lxor 1 then redundant := true;
+      (match lit_val s l with
+      | 1 -> redundant := true
+      | 0 -> ()
+      | _ ->
+          a.(!kept) <- l;
+          incr kept);
+      prev := l
+    end
+  done;
+  if not !redundant then
+    match !kept with
+    | 0 -> s.ok <- false
+    | 1 -> enqueue s a.(0) (-1)
+    | k ->
+        let c = alloc_clause s ~learnt:false k in
+        Vec.push s.clauses c;
+        attach_clause s c
+
+(* Clauses may only be simplified against root-level facts; a model left
+   by a previous [solve] must not satisfy-away or shrink a new clause. *)
 let add_clause s lits =
-  (* clauses may only be simplified against root-level facts; a model left
-     by a previous [solve] must not satisfy-away or shrink a new clause *)
   cancel_until s 0;
   if s.ok then begin
-    let n = List.length lits in
-    let a = Array.make n 0 in
-    List.iteri (fun i l -> a.(i) <- lit_of_dimacs s l) lits;
-    (* ascending, like the watch order the solver has always used; the
-       stdlib's stable sort insertion-sorts short arrays in place, and
-       bitblasted clauses have at most three literals *)
-    Array.stable_sort Int.compare a;
-    (* one pass over the sorted literals: drop duplicates and false
-       literals; a complementary pair (adjacent once sorted) or a true
-       literal makes the clause redundant *)
-    let kept = ref 0 and prev = ref (-1) and redundant = ref false in
-    for i = 0 to n - 1 do
-      let l = a.(i) in
-      if l <> !prev then begin
-        if l = !prev lxor 1 then redundant := true;
-        (match lit_val s l with
-        | 1 -> redundant := true
-        | 0 -> ()
-        | _ ->
-            a.(!kept) <- l;
-            incr kept);
-        prev := l
-      end
-    done;
-    if not !redundant then
-      match !kept with
-      | 0 -> s.ok <- false
-      | 1 -> enqueue s a.(0) None
-      | k ->
-          let lits = if k = n then a else Array.sub a 0 k in
-          let c = { lits; learnt = false; activity = 0. } in
-          Vec.push s.clauses c;
-          attach_clause s c
+    Vec.clear s.lits;
+    List.iter (fun l -> Vec.push s.lits (lit_of_dimacs s l)) lits;
+    add_lits s
+  end
+
+let add_clause3 s a b c =
+  cancel_until s 0;
+  if s.ok then begin
+    Vec.clear s.lits;
+    Vec.push s.lits (lit_of_dimacs s a);
+    Vec.push s.lits (lit_of_dimacs s b);
+    Vec.push s.lits (lit_of_dimacs s c);
+    add_lits s
   end
 
 (* --- propagation --------------------------------------------------------- *)
 
-exception Conflict of clause
-
+(* Returns the conflicting clause, or -1. The arena does not grow while
+   propagating, and no watch list receives a clause while it is the one
+   being scanned, so both buffers can be held across the loop. *)
 let propagate s =
-  try
-    while s.qhead < Vec.size s.trail do
-      let l = Vec.get s.trail s.qhead in
-      s.qhead <- s.qhead + 1;
-      s.n_propagations <- s.n_propagations + 1;
-      (* [l] became true, so literal [l lxor 1] became false; the clauses
-         watching it are registered under [watches.(l)]. *)
-      let ws = s.watches.(l) in
-      let falsified = l lxor 1 in
-      let n = Vec.size ws in
-      let kept = ref 0 in
-      for i = 0 to n - 1 do
-        let c = Vec.get ws i in
-        (* ensure the false literal is lits.(1) *)
-        if c.lits.(0) = falsified then begin
-          c.lits.(0) <- c.lits.(1);
-          c.lits.(1) <- falsified
-        end;
-        if lit_val s c.lits.(0) = 1 then begin
-          (* clause satisfied; keep the watch *)
-          Vec.set ws !kept c;
-          incr kept
-        end
-        else begin
-          (* look for a new literal to watch *)
-          let len = Array.length c.lits in
-          let found = ref false in
-          let j = ref 2 in
-          while (not !found) && !j < len do
-            if lit_val s c.lits.(!j) <> 0 then begin
-              c.lits.(1) <- c.lits.(!j);
-              c.lits.(!j) <- falsified;
-              watch s (c.lits.(1) lxor 1) c;
-              found := true
-            end;
-            incr j
-          done;
-          if not !found then begin
-            (* unit or conflicting *)
-            Vec.set ws !kept c;
-            incr kept;
-            if lit_val s c.lits.(0) = 0 then begin
-              (* conflict: keep remaining watches before raising *)
-              for k = i + 1 to n - 1 do
-                Vec.set ws !kept (Vec.get ws k);
-                incr kept
-              done;
-              Vec.shrink ws !kept;
-              s.qhead <- Vec.size s.trail;
-              raise (Conflict c)
-            end
-            else enqueue s c.lits.(0) (Some c)
+  let confl = ref (-1) in
+  let a = s.arena in
+  while !confl < 0 && s.qhead < Vec.size s.trail do
+    let l = Vec.get s.trail s.qhead in
+    s.qhead <- s.qhead + 1;
+    s.n_propagations <- s.n_propagations + 1;
+    (* [l] became true, so literal [l lxor 1] became false; the clauses
+       watching it are registered under [watches.(l)]. *)
+    let ws = s.watches.(l) in
+    let wd = ws.Vec.data in
+    let falsified = l lxor 1 in
+    let n = Vec.size ws in
+    let kept = ref 0 and i = ref 0 in
+    while !i < n do
+      let c = wd.(!i) in
+      incr i;
+      let l0 = c + 2 in
+      (* ensure the false literal is the second one *)
+      if a.(l0) = falsified then begin
+        a.(l0) <- a.(l0 + 1);
+        a.(l0 + 1) <- falsified
+      end;
+      let first = a.(l0) in
+      if lit_val s first = 1 then begin
+        (* clause satisfied; keep the watch *)
+        wd.(!kept) <- c;
+        incr kept
+      end
+      else begin
+        (* look for a new literal to watch *)
+        let last = l0 + (a.(c) lsr 2) in
+        let j = ref (l0 + 2) in
+        while !j < last do
+          let lj = a.(!j) in
+          if lit_val s lj <> 0 then begin
+            a.(l0 + 1) <- lj;
+            a.(!j) <- falsified;
+            Vec.push s.watches.(lj lxor 1) c;
+            j := max_int
           end
+          else incr j
+        done;
+        if !j <> max_int then begin
+          (* unit or conflicting *)
+          wd.(!kept) <- c;
+          incr kept;
+          if lit_val s first = 0 then begin
+            (* conflict: keep the remaining watches *)
+            while !i < n do
+              wd.(!kept) <- wd.(!i);
+              incr kept;
+              incr i
+            done;
+            s.qhead <- Vec.size s.trail;
+            confl := c
+          end
+          else enqueue s first c
         end
-      done;
-      Vec.shrink ws !kept
+      end
     done;
-    None
-  with Conflict c -> Some c
+    Vec.shrink ws !kept
+  done;
+  !confl
 
 (* --- conflict analysis (first UIP) --------------------------------------- *)
 
+(* Leaves the learnt clause in [s.lits] — the asserting literal first, then
+   the rest latest-found first — and returns the backtrack level. *)
 let analyze s confl =
-  let learnt = ref [] in
+  let out = s.lits in
+  Vec.clear out;
+  Vec.push out 0 (* the asserting literal's slot *);
   let path_count = ref 0 in
   let p = ref (-1) in (* -1 encodes "start with the whole conflict clause" *)
   let index = ref (Vec.size s.trail - 1) in
@@ -396,18 +471,18 @@ let analyze s confl =
   let c = ref confl in
   let continue = ref true in
   while !continue do
-    if !c.learnt then cla_bump s !c;
-    let lits = !c.lits in
+    if is_learnt s !c then cla_bump s !c;
+    let base = !c + 2 in
     let start = if !p = -1 then 0 else 1 in
-    for j = start to Array.length lits - 1 do
-      let q = lits.(j) in
+    for j = start to clause_len s !c - 1 do
+      let q = s.arena.(base + j) in
       let v = q lsr 1 in
       if (not s.seen.(v)) && s.level.(v) > 0 then begin
         var_bump s v;
         s.seen.(v) <- true;
         if s.level.(v) >= decision_level s then incr path_count
         else begin
-          learnt := q :: !learnt;
+          Vec.push out q;
           if s.level.(v) > !backtrack_level then backtrack_level := s.level.(v)
         end
       end
@@ -423,22 +498,35 @@ let analyze s confl =
     p := l;
     s.seen.(l lsr 1) <- false;
     decr path_count;
-    if !path_count > 0 then
-      c :=
-        (match s.reason.(l lsr 1) with
-        | Some r -> r
-        | None -> assert false)
+    if !path_count > 0 then begin
+      c := s.reason.(l lsr 1);
+      assert (!c >= 0)
+    end
     else continue := false
   done;
-  let learnt_lits = (!p lxor 1) :: !learnt in
-  List.iter (fun l -> s.seen.(l lsr 1) <- false) !learnt;
-  (learnt_lits, !backtrack_level)
+  let d = out.data and n = Vec.size out in
+  d.(0) <- !p lxor 1;
+  for i = 1 to n - 1 do
+    s.seen.(d.(i) lsr 1) <- false
+  done;
+  (* reverse the found-order tail *)
+  let i = ref 1 and j = ref (n - 1) in
+  while !i < !j do
+    let x = d.(!i) in
+    d.(!i) <- d.(!j);
+    d.(!j) <- x;
+    incr i;
+    decr j
+  done;
+  !backtrack_level
 
 (* --- learnt clause DB reduction ------------------------------------------ *)
 
-let locked s (c : clause) =
-  let v = c.lits.(0) lsr 1 in
-  lit_val s c.lits.(0) = 1 && s.reason.(v) == Some c
+(* The clause is the reason for its first literal, which is assigned: it
+   must stay, or conflict analysis would follow a deleted reason. *)
+let locked s c =
+  let l0 = s.arena.(c + 2) in
+  lit_val s l0 = 1 && s.reason.(l0 lsr 1) = c
 
 let remove_watch s l c =
   let ws = s.watches.(l) in
@@ -446,32 +534,80 @@ let remove_watch s l c =
   let kept = ref 0 in
   for i = 0 to n - 1 do
     let c' = Vec.get ws i in
-    if c' != c then begin
+    if c' <> c then begin
       Vec.set ws !kept c';
       incr kept
     end
   done;
   Vec.shrink ws !kept
 
-let detach_clause s c =
-  remove_watch s (c.lits.(0) lxor 1) c;
-  remove_watch s (c.lits.(1) lxor 1) c
+let delete_clause s c =
+  remove_watch s (s.arena.(c + 2) lxor 1) c;
+  remove_watch s (s.arena.(c + 3) lxor 1) c;
+  s.arena.(c) <- s.arena.(c) lor deleted_bit;
+  s.garbage <- s.garbage + 2 + clause_len s c
 
+(* Slide the live clauses down over the deleted ones, keeping their order,
+   and rewrite every offset held elsewhere. Each live clause's new offset
+   is parked in its learnt-id slot until the move; the caller renumbers
+   learnt ids afterwards. *)
+let compact s =
+  let a = s.arena and size = s.arena_size in
+  let dst = ref 0 and off = ref 0 in
+  while !off < size do
+    let words = (a.(!off) lsr 2) + 2 in
+    if a.(!off) land deleted_bit = 0 then begin
+      a.(!off + 1) <- !dst;
+      dst := !dst + words
+    end;
+    off := !off + words
+  done;
+  let forward c = a.(c + 1) in
+  for l = 0 to (2 * (s.nvars + 1)) - 1 do
+    Vec.map_inplace forward s.watches.(l)
+  done;
+  for v = 1 to s.nvars do
+    if s.reason.(v) >= 0 then s.reason.(v) <- forward s.reason.(v)
+  done;
+  Vec.map_inplace forward s.clauses;
+  Vec.map_inplace forward s.learnts;
+  off := 0;
+  while !off < size do
+    let words = (a.(!off) lsr 2) + 2 in
+    if a.(!off) land deleted_bit = 0 then Array.blit a !off a (forward !off) words;
+    off := !off + words
+  done;
+  s.arena_size <- !dst;
+  s.garbage <- 0
+
+(* Drop the less active half of the learnts (never binary clauses or
+   reasons), renumber the survivors' learnt ids in their new order, and
+   compact the arena once more than half of it is garbage. *)
 let reduce_db s =
   let n = Vec.size s.learnts in
-  let arr = Array.init n (Vec.get s.learnts) in
-  Array.sort (fun (a : clause) (b : clause) -> compare a.activity b.activity) arr;
+  let arr = Array.sub s.learnts.data 0 n in
+  let act = s.cla_act in
+  let activity c = act.(s.arena.(c + 1)) in
+  Array.sort (fun a b -> Float.compare (activity a) (activity b)) arr;
   Vec.clear s.learnts;
   let limit = s.cla_inc /. float_of_int (max n 1) in
   Array.iteri
     (fun i c ->
       if
         (not (locked s c))
-        && Array.length c.lits > 2
-        && (i < n / 2 || c.activity < limit)
-      then detach_clause s c
+        && clause_len s c > 2
+        && (i < n / 2 || activity c < limit)
+      then delete_clause s c
       else Vec.push s.learnts c)
-    arr
+    arr;
+  let n_kept = Vec.size s.learnts in
+  let kept = Array.init n_kept (fun i -> activity (Vec.get s.learnts i)) in
+  if 2 * s.garbage > s.arena_size then compact s;
+  for i = 0 to n_kept - 1 do
+    act.(i) <- kept.(i);
+    s.arena.(Vec.get s.learnts i + 1) <- i
+  done;
+  s.n_learnt_ids <- n_kept
 
 (* --- search --------------------------------------------------------------- *)
 
@@ -518,34 +654,33 @@ let luby y x =
   let seq, _ = go x (find_size 1 0) in
   y ** float_of_int seq
 
-(* Which assumption decisions force the given (currently false) literals?
-   Standard analyzeFinal: walk the trail top-down through reasons, keeping
-   the decisions encountered (at assumption levels every decision is an
-   assumption). Returns internal literals of the involved assumptions. *)
-let analyze_final s seed_lits =
+(* Which assumption decisions force the seeded (currently false)
+   literals? Standard analyzeFinal: walk the trail top-down through
+   reasons, keeping the decisions encountered (at assumption levels every
+   decision is an assumption). Only assigned variables above level 0 are
+   marked, and the walk clears each mark it passes, so no scratch mark
+   outlives the call. Returns internal literals of the involved
+   assumptions. *)
+let seed_final s l =
+  let v = l lsr 1 in
+  if s.level.(v) > 0 then s.seen.(v) <- true
+
+let analyze_final s =
   let core = ref [] in
-  List.iter
-    (fun l ->
-      let v = l lsr 1 in
-      if s.level.(v) > 0 then s.seen.(v) <- true)
-    seed_lits;
   for i = Vec.size s.trail - 1 downto 0 do
     let l = Vec.get s.trail i in
     let v = l lsr 1 in
     if s.seen.(v) then begin
-      (match s.reason.(v) with
-      | None -> core := l :: !core (* a decision: an assumption *)
-      | Some c ->
-          Array.iter
-            (fun l' ->
-              let v' = l' lsr 1 in
-              if v' <> v && s.level.(v') > 0 then s.seen.(v') <- true)
-            c.lits);
+      let r = s.reason.(v) in
+      if r < 0 then core := l :: !core (* a decision: an assumption *)
+      else
+        for j = r + 2 to r + 1 + clause_len s r do
+          let v' = s.arena.(j) lsr 1 in
+          if v' <> v && s.level.(v') > 0 then s.seen.(v') <- true
+        done;
       s.seen.(v) <- false
     end
   done;
-  (* clear any remaining scratch marks (level-0 seeds) *)
-  List.iter (fun l -> s.seen.(l lsr 1) <- false) seed_lits;
   !core
 
 type result = Sat | Unsat
@@ -558,49 +693,50 @@ let search s ~assumptions ~order ~max_conflicts =
   let conflicts = ref 0 in
   (match order with Some (_, ptr) -> ptr := 0 | None -> ());
   let rec loop () =
-    match propagate s with
-    | Some confl ->
-        s.n_conflicts <- s.n_conflicts + 1;
-        incr conflicts;
-        if decision_level s = 0 then begin
-          s.ok <- false;
-          Some Unsat
-        end
-        else if decision_level s <= Array.length assumptions then begin
-          (* the conflict depends only on assumption decisions and their
-             consequences: the query is unsatisfiable under them *)
-          s.last_core <- analyze_final s (Array.to_list confl.lits);
-          raise Assumption_conflict
-        end
+    let confl = propagate s in
+    if confl >= 0 then begin
+      s.n_conflicts <- s.n_conflicts + 1;
+      incr conflicts;
+      if decision_level s = 0 then begin
+        s.ok <- false;
+        Some Unsat
+      end
+      else if decision_level s <= Array.length assumptions then begin
+        (* the conflict depends only on assumption decisions and their
+           consequences: the query is unsatisfiable under them *)
+        for j = confl + 2 to confl + 1 + clause_len s confl do
+          seed_final s s.arena.(j)
+        done;
+        s.last_core <- analyze_final s;
+        raise Assumption_conflict
+      end
+      else begin
+        let back_level = analyze s confl in
+        cancel_until s back_level;
+        (match order with Some (_, ptr) -> ptr := 0 | None -> ());
+        let k = Vec.size s.lits in
+        let asserting = Vec.get s.lits 0 in
+        if k = 1 then enqueue s asserting (-1)
         else begin
-          let learnt_lits, back_level = analyze s confl in
-          cancel_until s back_level;
-          (match order with Some (_, ptr) -> ptr := 0 | None -> ());
-          (match learnt_lits with
-          | [ l ] -> enqueue s l None
-          | l :: _ ->
-              let c =
-                { lits = Array.of_list learnt_lits; learnt = true; activity = 0. }
-              in
-              cla_bump s c;
-              Vec.push s.learnts c;
-              attach_clause s c;
-              enqueue s l (Some c)
-          | [] -> assert false);
-          var_decay s;
-          cla_decay s;
-          loop ()
-        end
-    | None ->
-        if !conflicts >= max_conflicts then begin
-          cancel_until s 0;
-          None
-        end
-        else if float_of_int (Vec.size s.learnts) >= s.max_learnts then begin
-          reduce_db s;
-          decide ()
-        end
-        else decide ()
+          let c = alloc_clause s ~learnt:true k in
+          cla_bump s c;
+          Vec.push s.learnts c;
+          attach_clause s c;
+          enqueue s asserting c
+        end;
+        var_decay s;
+        cla_decay s;
+        loop ()
+      end
+    end
+    else if !conflicts >= max_conflicts then begin
+      cancel_until s 0;
+      None
+    end
+    else begin
+      if float_of_int (Vec.size s.learnts) >= s.max_learnts then reduce_db s;
+      decide ()
+    end
   and decide () =
     let level = decision_level s in
     if level < Array.length assumptions then begin
@@ -613,11 +749,12 @@ let search s ~assumptions ~order ~max_conflicts =
           loop ()
       | 0 ->
           (* this assumption is falsified by the previous ones *)
-          s.last_core <- l :: analyze_final s [ l lxor 1 ];
+          seed_final s (l lxor 1);
+          s.last_core <- l :: analyze_final s;
           raise Assumption_conflict
       | _ ->
           Vec.push s.trail_lim (Vec.size s.trail);
-          enqueue s l None;
+          enqueue s l (-1);
           loop ()
     end
     else begin
@@ -631,7 +768,7 @@ let search s ~assumptions ~order ~max_conflicts =
         s.n_decisions <- s.n_decisions + 1;
         Vec.push s.trail_lim (Vec.size s.trail);
         let l = if s.polarity.(v) then 2 * v else (2 * v) + 1 in
-        enqueue s l None;
+        enqueue s l (-1);
         loop ()
       end
     end
@@ -724,3 +861,4 @@ let propagations s = s.n_propagations
    solves, which is what the clause-retention statistics report. *)
 let num_learnts s = Vec.size s.learnts
 let num_clauses s = Vec.size s.clauses
+let arena_words s = s.arena_size

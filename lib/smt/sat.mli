@@ -10,7 +10,23 @@
     persist across calls. An [Unsat] answer without assumptions is final
     for the instance; under assumptions it only covers that assumption set
     (unless the instance itself became unsatisfiable, which subsequent
-    calls report). *)
+    calls report).
+
+    {b Representation.} Clauses live in one growable [int array] arena —
+    per clause a header word (length and flags), a learnt-id word (indexing
+    a float array of learnt activities) and the literals — and are named
+    by their offset. Watch lists, reasons and the clause and learnt
+    vectors are int vectors of offsets, so loading and searching allocate
+    no heap block per clause. {!reset} truncates the arena; learnt-clause
+    reduction compacts it once more than half of it is garbage.
+
+    {b Trajectory contract.} The representation is not observable: the
+    literal order inside each clause, the watch-list visit and compaction
+    order, the learnt literal order, the variable bump order, the heap
+    tie-breaks and the reduction sort are part of the search, and fix
+    every decision, propagation, learnt clause and model. A change to them
+    moves models, and so report digests; [test_smt] pins the trajectory of
+    a deterministic corpus. *)
 
 type t
 
@@ -32,6 +48,12 @@ val add_clause : t -> int list -> unit
 (** Add a clause. Adding the empty clause (or only falsified literals at
     level 0) makes the instance unsatisfiable. Raises [Invalid_argument] on
     literals naming unallocated variables. *)
+
+val add_clause3 : t -> int -> int -> int -> unit
+(** [add_clause] for a clause of three literals, without building a list:
+    the same ascending sort, duplicate and false-literal removal, so
+    [add_clause3 s a b c] is exactly [add_clause s [a; b; c]]. A binary
+    clause is entered as [add_clause3 s a b b]. *)
 
 type result = Sat | Unsat
 
@@ -82,6 +104,10 @@ val num_learnts : t -> int
 
 val num_clauses : t -> int
 (** Problem (non-learnt) clauses added so far. *)
+
+val arena_words : t -> int
+(** Words the clause arena occupies: live clauses plus deleted ones not
+    yet compacted away. *)
 
 val unsat_core : t -> int list
 (** After {!solve} returned [Unsat] under assumptions: the subset of the

@@ -502,11 +502,11 @@ let solve_with_sat d terms ~conflict_limit ~deadline =
             Unsat
         | None -> Unknown)
 
-let check ?conflict_limit terms =
+let check ?site ?conflict_limit terms =
   let d = domain_state () in
   let st = d.dstats in
   st.queries <- st.queries + 1;
-  Obs.span Obs.Solver_query (fun () ->
+  Obs.span ?site Obs.Solver_query (fun () ->
       match canonicalize terms with
       | None ->
           st.unsat_results <- st.unsat_results + 1;
@@ -537,7 +537,9 @@ let check ?conflict_limit terms =
               | Sat _ | Unsat -> if d.dcache_enabled then cache_insert d key r);
               r))
 
-let is_sat terms = match check terms with Sat _ -> true | Unsat | Unknown -> false
+let is_sat ?site terms =
+  match check ?site terms with Sat _ -> true | Unsat | Unknown -> false
+
 let is_unsat terms = match check terms with Unsat -> true | Sat _ | Unknown -> false
 
 let get_model terms =
@@ -608,7 +610,8 @@ module Frames = struct
     | Some g -> g
     | None ->
         let g = Sat.new_var c.fc_sat in
-        Sat.add_clause c.fc_sat [ -g; Bitblast.lit_of c.fc_bb term ];
+        let l = Bitblast.lit_of c.fc_bb term in
+        Sat.add_clause3 c.fc_sat (-g) l l;
         Term.Tbl.replace c.fc_guards term g;
         Hashtbl.replace c.fc_guard_terms g term;
         g
@@ -661,13 +664,13 @@ module Frames = struct
 
   let learnts c = Sat.num_learnts c.fc_sat
 
-  let check ?conflict_limit c extras =
+  let check ?site ?conflict_limit c extras =
     let d = domain_state () in
     let st = d.dstats in
     st.queries <- st.queries + 1;
     st.incremental_checks <- st.incremental_checks + 1;
     c.fc_last_core <- None;
-    Obs.span Obs.Solver_query (fun () ->
+    Obs.span ?site Obs.Solver_query (fun () ->
         match canonicalize (List.rev_append c.fc_stack extras) with
         | None ->
             st.unsat_results <- st.unsat_results + 1;
@@ -775,16 +778,16 @@ module Frames = struct
   let unsat_core c = c.fc_last_core
 end
 
-let check_assuming ?conflict_limit ?(path = []) extras =
-  if not (incremental_enabled ()) then check ?conflict_limit (extras @ path)
+let check_assuming ?site ?conflict_limit ?(path = []) extras =
+  if not (incremental_enabled ()) then check ?site ?conflict_limit (extras @ path)
   else begin
     let c = Frames.for_domain () in
     Frames.set_path c path;
-    Frames.check ?conflict_limit c extras
+    Frames.check ?site ?conflict_limit c extras
   end
 
-let is_sat_assuming ?path terms =
-  match check_assuming ?path terms with
+let is_sat_assuming ?site ?path terms =
+  match check_assuming ?site ?path terms with
   | Sat _ -> true
   | Unsat | Unknown -> false
 

@@ -16,8 +16,10 @@
 
 type result = Sat of Model.t | Unsat | Unknown
 
-val check : ?conflict_limit:int -> Term.t list -> result
-(** Satisfiability of the conjunction. [Unknown] is only returned when the
+val check : ?site:string -> ?conflict_limit:int -> Term.t list -> result
+(** Satisfiability of the conjunction. [site] names the caller for the
+    trace: the query's [solver_query] span carries it (see {!Obs.span}),
+    and [trace summarize] splits solver time by it. [Unknown] is only returned when the
     query is resource-bounded — a per-call [conflict_limit], an ambient
     {!budget} installed with {!set_budget}, or active {!set_fault_injection}
     — and the bound was exhausted on every rung of the escalation ladder
@@ -26,7 +28,7 @@ val check : ?conflict_limit:int -> Term.t list -> result
     [conflict_limit] overrides the ambient budget's conflict count but still
     rides the ambient ladder and deadline. *)
 
-val is_sat : Term.t list -> bool
+val is_sat : ?site:string -> Term.t list -> bool
 (** [check] specialized to a boolean. [Unknown] maps to [false] ("not shown
     satisfiable"), so under a budget a caller needing soundness one way or
     the other must use [check] and handle [Unknown] explicitly: [is_sat] and
@@ -72,7 +74,7 @@ val set_incremental : bool -> unit
     bypassed while disabled. *)
 
 val check_assuming :
-  ?conflict_limit:int -> ?path:Term.t list -> Term.t list -> result
+  ?site:string -> ?conflict_limit:int -> ?path:Term.t list -> Term.t list -> result
 (** [check_assuming ~path extras]: satisfiability of the conjunction of
     [path] (newest-first, as [State.path]) and [extras]. With incremental
     solving enabled this syncs the calling domain's frame stack to [path]
@@ -82,7 +84,7 @@ val check_assuming :
     incremental path returns [Sat] with an empty model, while the scratch
     fallback happens to carry a real one. *)
 
-val is_sat_assuming : ?path:Term.t list -> Term.t list -> bool
+val is_sat_assuming : ?site:string -> ?path:Term.t list -> Term.t list -> bool
 (** {!check_assuming} specialized to a boolean; [Unknown] maps to [false]
     like {!is_sat}. *)
 
@@ -132,7 +134,7 @@ module Frames : sig
   (** Align the stack with a DFS path (newest first): pop frames past the
       common prefix, push the delta. *)
 
-  val check : ?conflict_limit:int -> t -> Term.t list -> result
+  val check : ?site:string -> ?conflict_limit:int -> t -> Term.t list -> result
   (** Satisfiability of (every frame on the stack /\ the given terms); the
       given terms hold for this call only. Honors the ambient {!budget}
       (with learnt clauses retained between escalation rungs) and fault

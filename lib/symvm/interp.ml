@@ -274,7 +274,7 @@ let feasible ctx (st : State.t) cond =
   | _ -> (
       Obs.count "interp.feasibility_queries";
       match
-        Solver.check_assuming
+        Solver.check_assuming ~site:"feasibility"
           ?conflict_limit:ctx.config.feasibility_conflict_limit
           ~path:st.State.path [ cond ]
       with

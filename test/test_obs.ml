@@ -1017,8 +1017,75 @@ let test_fsp_golden_traced () =
                    (fun r -> r.Obs.Summary.row_phase = phase)
                    s.Obs.Summary.rows))
             [ "client_se"; "server_se"; "solver_query" ];
+          (* solver time split by the caller that issued each query *)
+          List.iter
+            (fun site ->
+              Alcotest.(check bool)
+                (Printf.sprintf "solver_query has a %s site row in %s" site file)
+                true
+                (List.exists
+                   (fun (site', r) ->
+                     site' = site
+                     && r.Obs.Summary.row_phase = "solver_query"
+                     && r.Obs.Summary.row_spans > 0)
+                   s.Obs.Summary.sites))
+            [ "witness"; "alive" ];
           Sys.remove file)
     [ f1; f4 ]
+
+(* The trace surface of the built CLI end to end: a traced FSP analysis
+   summarizes (every headline phase and the per-site solver rows present)
+   and exports to Chrome trace-event JSON that the full JSON reader
+   accepts. The trace and export are removed only when every check
+   passes; a failure leaves both behind and names the trace in its
+   message, so a red run can still be inspected. *)
+let run_cli ~where args =
+  let binary =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bin/achilles_cli.exe"
+  in
+  let ic = Unix.open_process_args_in binary (Array.of_list (binary :: args)) in
+  let out = In_channel.input_all ic in
+  match Unix.close_process_in ic with
+  | Unix.WEXITED 0 -> out
+  | _ -> Alcotest.failf "achilles %s failed%s:\n%s" (String.concat " " args) where out
+
+let test_cli_trace_smoke () =
+  (* in the test's own directory, which outlives the run (the temporary
+     directory a test runner provides may not) *)
+  let temp_dir = Sys.getcwd () in
+  let trace = Filename.temp_file ~temp_dir "achilles-cli-trace" ".jsonl" in
+  let chrome = Filename.temp_file ~temp_dir "achilles-cli-trace" ".chrome.json" in
+  let where = Printf.sprintf " [trace: %s]" trace in
+  ignore (run_cli ~where [ "analyze"; "fsp"; "--trace"; trace ]);
+  let summary = run_cli ~where [ "trace"; "summarize"; trace ] in
+  let lines = String.split_on_char '\n' summary in
+  let has_row first second =
+    List.exists
+      (fun line ->
+        match String.split_on_char ' ' line |> List.filter (( <> ) "") with
+        | a :: b :: _ -> a = first && (second = None || Some b = second)
+        | _ -> false)
+      lines
+  in
+  List.iter
+    (fun phase ->
+      Alcotest.(check bool) (phase ^ " row" ^ where) true (has_row phase None))
+    [ "client_se"; "server_se"; "solver_query"; "report" ];
+  List.iter
+    (fun site ->
+      Alcotest.(check bool)
+        ("solver_query " ^ site ^ " site row" ^ where)
+        true
+        (has_row "solver_query" (Some site)))
+    [ "witness"; "alive" ];
+  ignore (run_cli ~where [ "trace"; "export"; trace; "-o"; chrome ]);
+  (match Obs.Json.parse (In_channel.with_open_bin chrome In_channel.input_all) with
+  | Error msg -> Alcotest.failf "export %s is not JSON%s: %s" chrome where msg
+  | Ok json -> (
+      match Obs.Json.mem "traceEvents" json with
+      | Some (Obs.Json.VArr (_ :: _)) -> ()
+      | _ -> Alcotest.failf "export %s has no traceEvents%s" chrome where));
+  List.iter Sys.remove [ trace; chrome ]
 
 let () =
   Alcotest.run "obs"
@@ -1068,6 +1135,7 @@ let () =
           Alcotest.test_case "self-time attribution" `Quick
             test_summary_self_time;
           Alcotest.test_case "chrome export" `Quick test_chrome_export;
+          Alcotest.test_case "CLI trace smoke" `Slow test_cli_trace_smoke;
         ] );
       ( "correlation",
         [

@@ -290,6 +290,262 @@ let qcheck_sat_reset_is_create =
       && solve_both (fun s -> Sat.solve s)
       && solve_both (fun s -> Sat.solve ~assumptions s))
 
+(* --- search trajectory pin ---------------------------------------------------- *)
+
+(* A deterministic corpus whose every observable — answer, search counters,
+   retained learnts, model bits and unsat core — is pinned, so a change to
+   the solver's internals that moves one decision, one propagation or one
+   learnt literal fails here before it can move a report digest. Instances
+   are generated by a local LCG (independent of the stdlib's [Random]) and
+   stay below [max_learnts], where learnt-clause reduction never runs. *)
+
+let lcg seed =
+  let st = ref seed in
+  fun bound ->
+    (* the 48-bit java.util.Random recurrence *)
+    st := ((!st * 0x5DEECE66D) + 11) land 0xFFFF_FFFF_FFFF;
+    (!st lsr 17) mod bound
+
+(* Random 3-SAT over [vars] whose clauses all hold under a planted
+   assignment (so the instance is satisfiable). *)
+let planted_3sat rand vars ~clauses =
+  let n = Array.length vars in
+  let planted = Array.init n (fun _ -> rand 2 = 0) in
+  let rec clause () =
+    let i = rand n and j = rand n and k = rand n in
+    if i = j || j = k || i = k then clause ()
+    else
+      let lit x = (x, rand 2 = 0) in
+      let c = [ lit i; lit j; lit k ] in
+      if List.exists (fun (x, positive) -> planted.(x) = positive) c then
+        List.map (fun (x, positive) -> if positive then vars.(x) else -vars.(x)) c
+      else clause ()
+  in
+  List.init clauses (fun _ -> clause ())
+
+let observe_solve s answer =
+  let model =
+    String.init (Sat.num_vars s) (fun i -> if Sat.value s (i + 1) then '1' else '0')
+  in
+  Printf.sprintf "%s c=%d d=%d p=%d l=%d m=%s core=[%s]"
+    (match answer with
+    | Some Sat.Sat -> "sat"
+    | Some Sat.Unsat -> "unsat"
+    | None -> "unknown")
+    (Sat.conflicts s) (Sat.decisions s) (Sat.propagations s)
+    (Sat.num_learnts s)
+    (String.sub (Digest.to_hex (Digest.string model)) 0 12)
+    (String.concat "," (List.map string_of_int (Sat.unsat_core s)))
+
+let trajectory_corpus () =
+  let planted n ratio seed =
+    let s = Sat.create () in
+    let vars = Array.init n (fun _ -> Sat.new_var s) in
+    List.iter (Sat.add_clause s)
+      (planted_3sat (lcg seed) vars ~clauses:(int_of_float (ratio *. float n)));
+    observe_solve s (Sat.solve s)
+  in
+  let pigeonhole () =
+    (* 5 pigeons in 4 holes behind a selector: Unsat under it, Sat without *)
+    let s = Sat.create () in
+    let sel = Sat.new_var s in
+    let p = Array.init 5 (fun _ -> Array.init 4 (fun _ -> Sat.new_var s)) in
+    Array.iter (fun row -> Sat.add_clause s (-sel :: Array.to_list row)) p;
+    for h = 0 to 3 do
+      for a = 0 to 4 do
+        for b = a + 1 to 4 do
+          Sat.add_clause s [ -p.(a).(h); -p.(b).(h) ]
+        done
+      done
+    done;
+    let under = observe_solve s (Sat.solve ~assumptions:[ sel ] s) in
+    [ under; observe_solve s (Sat.solve s) ]
+  in
+  let incremental () =
+    (* one instance across several calls: assumptions, clauses added in
+       between, and restricted decisions over the base variables (the
+       guarded groups are satisfiable by leaving their guard false) *)
+    let rand = lcg 77 in
+    let s = Sat.create () in
+    let vars = Array.init 80 (fun _ -> Sat.new_var s) in
+    List.iter (Sat.add_clause s) (planted_3sat rand vars ~clauses:300);
+    let guards = Array.init 4 (fun _ -> Sat.new_var s) in
+    let group g =
+      List.iter
+        (fun c -> Sat.add_clause s (-guards.(g) :: c))
+        (planted_3sat rand vars ~clauses:(20 + (10 * g)))
+    in
+    let lit () = if rand 2 = 0 then vars.(rand 80) else -vars.(rand 80) in
+    let decide () =
+      let a = Array.copy vars in
+      for i = Array.length a - 1 downto 1 do
+        let j = rand (i + 1) in
+        let x = a.(i) in
+        a.(i) <- a.(j);
+        a.(j) <- x
+      done;
+      a
+    in
+    let step ?assumptions ?decide_vars () =
+      observe_solve s (Sat.solve ?assumptions ?decide_vars s)
+    in
+    group 0;
+    let r1 = step ~assumptions:[ guards.(0) ] () in
+    group 1;
+    let r2 = step ~assumptions:[ guards.(0); guards.(1); lit (); lit () ] () in
+    let r3 = step ~assumptions:[ guards.(1) ] ~decide_vars:(decide ()) () in
+    group 2;
+    group 3;
+    let r4 =
+      step ~assumptions:[ guards.(2); guards.(3); lit () ] ~decide_vars:(decide ()) ()
+    in
+    let x = vars.(5) in
+    Sat.add_clause s [ -guards.(3); x ];
+    let r5 = step ~assumptions:[ guards.(3); -x ] () in
+    let r6 = step ~assumptions:[ guards.(0); guards.(1); guards.(2); guards.(3) ] () in
+    let r7 = step () in
+    [ r1; r2; r3; r4; r5; r6; r7 ]
+  in
+  [
+    planted 50 4.2 1;
+    planted 100 4.2 2;
+    planted 150 4.1 3;
+    planted 200 4.0 4;
+    planted 300 3.9 5;
+  ]
+  @ pigeonhole ()
+  @ incremental ()
+
+(* Recorded on the record-and-option clause representation the flat arena
+   replaced; the arena must reproduce every line. *)
+let pinned_trajectory =
+  [
+    "sat c=8 d=22 p=166 l=8 m=7a6d3cb44324 core=[]";
+    "sat c=19 d=49 p=570 l=19 m=1e4f9f2e90a8 core=[]";
+    "sat c=19 d=53 p=691 l=19 m=0f32c5457022 core=[]";
+    "sat c=207 d=342 p=8812 l=207 m=303d987a077b core=[]";
+    "sat c=387 d=649 p=18450 l=387 m=9e15a80ccccc core=[]";
+    "unsat c=29 d=32 p=288 l=28 m=0585e303e79a core=[1]";
+    "sat c=30 d=43 p=327 l=28 m=46fd55c62944 core=[]";
+    "sat c=3 d=21 p=134 l=3 m=c67ac9f481a0 core=[]";
+    "sat c=44 d=90 p=1007 l=44 m=87236e7cc7c6 core=[]";
+    "sat c=44 d=120 p=1088 l=44 m=61999872181c core=[]";
+    "unsat c=252 d=400 p=5247 l=251 m=fd162f31aa22 core=[83,84,-58]";
+    "unsat c=252 d=400 p=5249 l=251 m=fd162f31aa22 core=[-6,84]";
+    "unsat c=282 d=432 p=5679 l=280 m=fd162f31aa22 core=[81,82,83,84]";
+    "sat c=314 d=484 p=6570 l=312 m=591521159eea core=[]";
+  ]
+
+let test_sat_trajectory_pinned () =
+  Alcotest.(check (list string)) "trajectory" pinned_trajectory
+    (trajectory_corpus ())
+
+(* Learnt-clause reduction, forced by instances needing thousands of
+   conflicts (past the 1,000-learnt floor of [max_learnts]). Reduction must
+   keep every clause that is the reason of an assigned literal; answers
+   and models stay right. *)
+let test_sat_reduce_db () =
+  let pigeonhole pigeons =
+    let s = Sat.create () in
+    let p =
+      Array.init pigeons (fun _ -> Array.init (pigeons - 1) (fun _ -> Sat.new_var s))
+    in
+    Array.iter (fun row -> Sat.add_clause s (Array.to_list row)) p;
+    for h = 0 to pigeons - 2 do
+      for a = 0 to pigeons - 1 do
+        for b = a + 1 to pigeons - 1 do
+          Sat.add_clause s [ -p.(a).(h); -p.(b).(h) ]
+        done
+      done
+    done;
+    s
+  in
+  let reduced name s =
+    Alcotest.(check bool)
+      (name ^ ": reduction ran") true
+      (Sat.conflicts s > 3000 && Sat.num_learnts s < 1100)
+  in
+  let s = pigeonhole 8 in
+  Alcotest.(check bool) "8 pigeons, 7 holes: unsat" true (Sat.solve s = Some Sat.Unsat);
+  reduced "pigeonhole" s;
+  let s = Sat.create () in
+  let vars = Array.init 400 (fun _ -> Sat.new_var s) in
+  let cnf = planted_3sat (lcg 6) vars ~clauses:1704 in
+  List.iter (Sat.add_clause s) cnf;
+  Alcotest.(check bool) "planted 3-SAT at 4.26: sat" true (Sat.solve s = Some Sat.Sat);
+  Alcotest.(check bool) "every clause holds" true
+    (List.for_all (List.exists (Sat.lit_value s)) cnf);
+  reduced "planted" s
+
+(* The arena of one long-lived instance stays bounded across many
+   incremental solves: reduction deletes learnts and compaction reclaims
+   their words. An arena that only grew would never shrink, and would hold
+   every learnt clause derived over some 40,000 conflicts. *)
+let test_sat_arena_bounded () =
+  let rand = lcg 99 in
+  let s = Sat.create () in
+  let vars = Array.init 200 (fun _ -> Sat.new_var s) in
+  let cnf = planted_3sat rand vars ~clauses:852 in
+  List.iter (Sat.add_clause s) cnf;
+  let peaks = Array.make 2 0 and shrank = ref false in
+  for i = 0 to 199 do
+    let before = Sat.arena_words s in
+    let assumptions =
+      List.init 4 (fun _ -> if rand 2 = 0 then vars.(rand 200) else -vars.(rand 200))
+    in
+    (match Sat.solve ~conflict_limit:500 ~assumptions s with
+    | Some Sat.Sat ->
+        Alcotest.(check bool) "model satisfies" true
+          (List.for_all (List.exists (Sat.lit_value s)) cnf
+          && List.for_all (Sat.lit_value s) assumptions)
+    | Some Sat.Unsat | None -> ());
+    let words = Sat.arena_words s in
+    if words < before then shrank := true;
+    peaks.(i / 100) <- max peaks.(i / 100) words
+  done;
+  Alcotest.(check bool) "many conflicts" true (Sat.conflicts s > 30_000);
+  Alcotest.(check bool) "compaction shrank the arena" true !shrank;
+  Alcotest.(check bool) "no growth in the second hundred solves" true
+    (4 * peaks.(1) <= 5 * peaks.(0))
+
+(* Clause entry normalizes each clause by sorting it, so neither the
+   order its literals arrive in nor the fixed-arity entry (a binary clause
+   as [add_clause3 s a b b]) may change what is stored or how the search
+   runs. A few clauses are binary and a quarter are 9 to 16 literals wide,
+   past anything the bitblaster emits; the wide ones carry duplicates and
+   complementary pairs that only a full sort brings together, and the
+   arena size shows whether they were removed. *)
+let test_sat_clause_entry_normalizes () =
+  let rand = lcg 7 in
+  let nv = 100 in
+  let cnf =
+    List.init 440 (fun i ->
+        let width =
+          match i mod 16 with 1 -> 2 | r when r mod 4 = 0 -> 9 + rand 8 | _ -> 3
+        in
+        List.init width (fun _ ->
+            let v = 1 + rand nv in
+            if rand 2 = 0 then v else -v))
+  in
+  let run enter =
+    let s = Sat.create () in
+    for _ = 1 to nv do
+      ignore (Sat.new_var s)
+    done;
+    List.iter (enter s) cnf;
+    let words = Sat.arena_words s in
+    Printf.sprintf "%s arena=%d" (observe_solve s (Sat.solve s)) words
+  in
+  let listed = run Sat.add_clause in
+  Alcotest.(check string) "reversed literals" listed
+    (run (fun s c -> Sat.add_clause s (List.rev c)));
+  Alcotest.(check string) "fixed-arity entry" listed
+    (run (fun s c ->
+         match c with
+         | [ a; b ] -> Sat.add_clause3 s b a a
+         | [ a; b; c ] -> Sat.add_clause3 s c a b
+         | c -> Sat.add_clause s c))
+
 (* --- Solver / bitblast ----------------------------------------------------- *)
 
 let fresh8 name = Term.fresh_var ~name (Term.Bitvec 8)
@@ -667,6 +923,13 @@ let () =
           Alcotest.test_case "basic unsat" `Quick test_sat_unsat;
           Alcotest.test_case "pigeonhole" `Quick test_sat_pigeonhole;
           Alcotest.test_case "empty clause" `Quick test_sat_empty_clause;
+          Alcotest.test_case "search trajectory pinned" `Quick
+            test_sat_trajectory_pinned;
+          Alcotest.test_case "reduction keeps reasons" `Quick test_sat_reduce_db;
+          Alcotest.test_case "arena bounded across solves" `Quick
+            test_sat_arena_bounded;
+          Alcotest.test_case "clause entry normalizes literal order" `Quick
+            test_sat_clause_entry_normalizes;
         ] );
       qsuite "sat-properties"
         [ qcheck_sat_matches_brute_force; qcheck_sat_reset_is_create ];
