@@ -79,17 +79,15 @@ let enumerate ?restrict ?distinct_by ~max_per_path accepting =
                        (fun i v -> Term.eq (Term.var vars.(i)) (Term.const v))
                        witness)))
       in
-      let rec go blocked n =
-        if n >= max_per_path then exhausted := false
-        else
-          match Solver.get_model (List.rev_append blocked base) with
-          | None -> ()
-          | Some model ->
-              let witness = witness_of_model vars model in
-              messages := (witness, Unix.gettimeofday () -. t0) :: !messages;
-              go (block witness :: blocked) (n + 1)
-      in
-      go [] 0)
+      match
+        Solver.enumerate ~site:"classic_se" ~limit:max_per_path base
+          (fun model ->
+            let witness = witness_of_model vars model in
+            messages := (witness, Unix.gettimeofday () -. t0) :: !messages;
+            block witness)
+      with
+      | `Exhausted -> ()
+      | `Limit | `Unknown -> exhausted := false)
     accepting;
   {
     messages = List.rev !messages;

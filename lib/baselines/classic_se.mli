@@ -21,7 +21,9 @@ val explore : ?config:Interp.config -> Ast.program -> result
 
 type enumeration = {
   messages : (Bv.t array * float) list; (* message, seconds since start *)
-  exhausted : bool; (* false when the per-path cap stopped enumeration *)
+  exhausted : bool;
+      (* false when the per-path cap stopped enumeration, or the solver
+         gave up ([Unknown]) on a path *)
   enumerate_time : float;
 }
 
@@ -32,6 +34,7 @@ val enumerate :
   Predicate.server_path list ->
   enumeration
 (** Enumerate concrete messages satisfying each accepting path, blocking
-    each found message (or class, via [distinct_by]) before re-solving.
+    each found message (or class, via [distinct_by]) before re-solving, in
+    one {!Solver.enumerate} session per path.
     [restrict] adds constraints over the message bytes, e.g. a reduced
     alphabet that keeps the enumeration finite and comparable. *)

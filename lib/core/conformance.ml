@@ -7,6 +7,7 @@ type report = {
   lost : lost list;
   accepting_paths : int;
   client_paths : int;
+  incomplete_paths : int;
   wall_time : float;
 }
 
@@ -44,6 +45,7 @@ let run ?interp ?(max_per_path = 1) ~client ~server () =
         lost = [];
         accepting_paths = 0;
         client_paths = Predicate.client_path_count client;
+        incomplete_paths = 0;
         wall_time = Unix.gettimeofday () -. t0;
       }
   | (server_vars, _) :: _ ->
@@ -54,37 +56,33 @@ let run ?interp ?(max_per_path = 1) ~client ~server () =
           (fun (_, constraints) -> Term.not_ (Term.and_l constraints))
           accepting
       in
-      let lost =
-        List.concat_map
-          (fun (path : Predicate.client_path) ->
-            let binding = Predicate.bind_to_server ~server_vars path in
-            let base = rejected_by_all @ binding in
-            let block witness =
-              Term.not_
-                (Term.and_l
-                   (Array.to_list
-                      (Array.mapi
-                         (fun i b ->
-                           Term.eq (Term.var server_vars.(i)) (Term.const b))
-                         witness)))
-            in
-            let rec go blocked n acc =
-              if n >= max_per_path then List.rev acc
-              else
-                match Solver.get_model (blocked @ base) with
-                | None -> List.rev acc
-                | Some model ->
-                    let witness = witness_of_model server_vars model in
-                    go (block witness :: blocked) (n + 1)
-                      ({ client_path = path.Predicate.cp_id; witness } :: acc)
-            in
-            go [] 0 [])
-          client.Predicate.paths
-      in
+      let lost = ref [] and incomplete = ref 0 in
+      List.iter
+        (fun (path : Predicate.client_path) ->
+          let binding = Predicate.bind_to_server ~server_vars path in
+          match
+            Solver.enumerate ~site:"conformance" ~limit:max_per_path
+              (rejected_by_all @ binding) (fun model ->
+                let witness = witness_of_model server_vars model in
+                lost := { client_path = path.Predicate.cp_id; witness } :: !lost;
+                Term.not_
+                  (Term.and_l
+                     (Array.to_list
+                        (Array.mapi
+                           (fun i b ->
+                             Term.eq (Term.var server_vars.(i)) (Term.const b))
+                           witness))))
+          with
+          | `Exhausted | `Limit -> ()
+          | `Unknown ->
+              (* the solver gave up: more lost messages may exist *)
+              incr incomplete)
+        client.Predicate.paths;
       {
-        lost;
+        lost = List.rev !lost;
         accepting_paths = List.length accepting;
         client_paths = Predicate.client_path_count client;
+        incomplete_paths = !incomplete;
         wall_time = Unix.gettimeofday () -. t0;
       }
 
@@ -93,6 +91,11 @@ let pp_report layout fmt r =
     "@[<v>conformance: %d lost message(s) across %d client paths (%d server \
      accepting paths, %.2fs)@,"
     (List.length r.lost) r.client_paths r.accepting_paths r.wall_time;
+  if r.incomplete_paths > 0 then
+    Format.fprintf fmt
+      "incomplete: the solver gave up on %d client path(s); more lost \
+       messages may exist@,"
+      r.incomplete_paths;
   List.iter
     (fun l ->
       Format.fprintf fmt "lost message from client path %d:@,%a" l.client_path

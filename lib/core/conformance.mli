@@ -25,6 +25,9 @@ type report = {
   lost : lost list;
   accepting_paths : int; (* server accepting paths the check ran against *)
   client_paths : int;
+  incomplete_paths : int;
+      (* client paths whose enumeration the solver left undecided
+         ([Unknown]): their lost messages may be incomplete *)
   wall_time : float;
 }
 

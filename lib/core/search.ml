@@ -462,8 +462,9 @@ let on_constraint ctx (st : State.t) cond =
            across alive sets) before the query; the reported term lists are
            left verbatim. Verdict-only, so with incrementality on it rides
            the frame context whose stack already holds this state's path;
-           witness extraction below stays on the scratch path (models from
-           a persistent instance would perturb report digests). *)
+           witness extraction below runs in its own enumeration session
+           on a freshly reset instance (models from the shared persistent
+           one would depend on its history and perturb report digests). *)
         match
           (if Solver.incremental_enabled () then
              Solver.check_assuming ~site:"prune" ~path:st.State.path
@@ -521,8 +522,9 @@ let witness_of_model vars model =
       | None -> Bv.zero 8)
     vars
 
-(* Enumerate concrete Trojan witnesses on an accepting path, blocking each
-   discovered message (or message class) before re-solving. *)
+(* Enumerate concrete Trojan witnesses on an accepting path in one solver
+   session, blocking each discovered message (or message class) before
+   re-solving. *)
 let emit_trojans ctx (st : State.t) label =
   match st.State.msg_vars with
   | None -> ()
@@ -575,26 +577,23 @@ let emit_trojans ctx (st : State.t) label =
           }
           :: r.rec_trojans
       in
-      let rec enumerate blocked n =
-        if n < ctx.cfg.witnesses_per_path then
-          match
-            Solver.check ~site:"witness"
-              (Term.dedup (List.rev_append blocked base_query))
-          with
-          | Solver.Unsat -> ()
-          | Solver.Unknown ->
-              (* sound degradation: the accepting state is reported with its
-                 symbolic Trojan expression but no extracted message —
-                 an over-approximation flagged [unconfirmed], never a
-                 silently dropped Trojan *)
-              r.rec_unknown_witness <- r.rec_unknown_witness + 1;
-              emit ~n ~confirmed:false (Array.map (fun _ -> Bv.zero 8) vars)
-          | Solver.Sat model ->
-              let witness = witness_of_model vars model in
-              emit ~n ~confirmed:true witness;
-              enumerate (block witness :: blocked) (n + 1)
-      in
-      enumerate [] 0
+      let n = ref 0 in
+      match
+        Solver.enumerate ~site:"witness" ~limit:ctx.cfg.witnesses_per_path
+          base_query (fun model ->
+            let witness = witness_of_model vars model in
+            emit ~n:!n ~confirmed:true witness;
+            incr n;
+            block witness)
+      with
+      | `Exhausted | `Limit -> ()
+      | `Unknown ->
+          (* sound degradation: the accepting state is reported with its
+             symbolic Trojan expression but no extracted message — an
+             over-approximation flagged [unconfirmed], never a silently
+             dropped Trojan *)
+          r.rec_unknown_witness <- r.rec_unknown_witness + 1;
+          emit ~n:!n ~confirmed:false (Array.map (fun _ -> Bv.zero 8) vars)
 
 (* Greedily zero out witness bytes while the Trojan expression stays
    satisfiable: smaller witnesses make fire-drill payloads easier to read
@@ -685,7 +684,7 @@ module String_set = Set.Make (String)
    uninterrupted run (the determinism guarantee extends across process
    boundaries). *)
 
-let ckpt_magic = "ACHILLES-CKPT-2"
+let ckpt_magic = "ACHILLES-CKPT-3"
 
 (* Identity of a run for resume purposes: everything that changes the shard
    decomposition or per-shard event logs. Closure-valued config fields

@@ -549,34 +549,23 @@ let enumerate_residue ~budget b msg_vars t =
       | Some (Model.Vbool _) -> Bv.zero 8
       | None -> Bv.zero 8 (* unconstrained: zero is a valid completion *)
     in
-    let rec enumerate blocked values n =
-      if n > budget then None
-      else
-        match Solver.check ~site:"filter_compile" (t :: blocked) with
-        | Solver.Unknown -> None
-        | Solver.Unsat -> Some values
-        | Solver.Sat model ->
-            let bytes = List.map (byte_value model) vars in
-            let packed =
-              List.fold_left
-                (fun acc bv ->
-                  Int64.logor (Int64.shift_left acc 8) (Bv.value bv))
-                0L bytes
-            in
-            let block =
-              T.not_
-                (T.and_l
-                   (List.map2 (fun v bv -> T.eq (T.var v) (T.const bv)) vars
-                      bytes))
-            in
-            enumerate (block :: blocked) (packed :: values) (n + 1)
-    in
-    match enumerate [] [] 0 with
-    | None -> None
-    | Some values ->
-        let sorted =
-          List.sort_uniq Int64.unsigned_compare values
-        in
+    let values = ref [] in
+    match
+      Solver.enumerate ~site:"filter_compile" ~limit:(budget + 1) [ t ]
+        (fun model ->
+          let bytes = List.map (byte_value model) vars in
+          values :=
+            List.fold_left
+              (fun acc bv -> Int64.logor (Int64.shift_left acc 8) (Bv.value bv))
+              0L bytes
+            :: !values;
+          T.not_
+            (T.and_l
+               (List.map2 (fun v bv -> T.eq (T.var v) (T.const bv)) vars bytes)))
+    with
+    | `Limit | `Unknown -> None
+    | `Exhausted ->
+        let sorted = List.sort_uniq Int64.unsigned_compare !values in
         (* collapse adjacent values into inclusive ranges *)
         let ranges =
           List.fold_left

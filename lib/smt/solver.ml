@@ -482,25 +482,29 @@ let with_scratch d f =
     Fun.protect ~finally:(fun () -> d.dscratch_busy <- false) (fun () -> f bb)
   end
 
-let solve_with_sat d terms ~conflict_limit ~deadline =
+(* One SAT attempt on the CNF already loaded into [bb], with the model read
+   back on [Sat]. *)
+let run_sat d bb ~conflict_limit ~deadline =
   let st = d.dstats in
+  st.sat_calls <- st.sat_calls + 1;
+  let t0 = Unix.gettimeofday () in
+  let answer = Sat.solve ?conflict_limit ?deadline (Bitblast.sat bb) in
+  st.solve_time <- st.solve_time +. (Unix.gettimeofday () -. t0);
+  match answer with
+  | Some Sat.Sat ->
+      st.sat_results <- st.sat_results + 1;
+      Sat (Bitblast.extract_model bb)
+  | Some Sat.Unsat ->
+      st.unsat_results <- st.unsat_results + 1;
+      Unsat
+  | None -> Unknown
+
+let solve_with_sat d terms ~conflict_limit ~deadline =
   if fault_fires d then Unknown
   else
     with_scratch d (fun bb ->
-        let sat = Bitblast.sat bb in
         Obs.span Obs.Bitblast (fun () -> List.iter (Bitblast.assert_true bb) terms);
-        st.sat_calls <- st.sat_calls + 1;
-        let t0 = Unix.gettimeofday () in
-        let answer = Sat.solve ?conflict_limit ?deadline sat in
-        st.solve_time <- st.solve_time +. (Unix.gettimeofday () -. t0);
-        match answer with
-        | Some Sat.Sat ->
-            st.sat_results <- st.sat_results + 1;
-            Sat (Bitblast.extract_model bb)
-        | Some Sat.Unsat ->
-            st.unsat_results <- st.unsat_results + 1;
-            Unsat
-        | None -> Unknown)
+        run_sat d bb ~conflict_limit ~deadline)
 
 let check ?site ?conflict_limit terms =
   let d = domain_state () in
@@ -547,6 +551,55 @@ let get_model terms =
 
 let implied assumptions t = is_unsat (Term.not_ t :: assumptions)
 
+(* --- enumeration sessions --------------------------------------------------
+
+   The contract is in the interface. A session holds the domain's scratch
+   instance from its first solve to its last, so a solver query issued
+   from [on_model] gets a fresh instance from [with_scratch] rather than
+   resetting the session's. *)
+let enumerate ?site ~limit base on_model =
+  let d = domain_state () in
+  let st = d.dstats in
+  let query f =
+    st.queries <- st.queries + 1;
+    Obs.span ?site Obs.Solver_query f
+  in
+  if limit <= 0 then `Limit
+  else
+    with_scratch d (fun bb ->
+        let solve () =
+          with_budget ~conflict_limit:None d (fun ~conflict_limit ~deadline ->
+              if fault_fires d then Unknown
+              else run_sat d bb ~conflict_limit ~deadline)
+        in
+        (* [n]: models delivered before this answer *)
+        let rec next n = function
+          | Unsat -> `Exhausted
+          | Unknown -> `Unknown
+          | Sat model ->
+              let block = on_model model in
+              if n + 1 >= limit then `Limit
+              else
+                next (n + 1)
+                  (query (fun () ->
+                       Obs.span Obs.Bitblast (fun () ->
+                           Bitblast.assert_true bb block);
+                       solve ()))
+        in
+        next 0
+          (query (fun () ->
+               match canonicalize base with
+               | None ->
+                   st.unsat_results <- st.unsat_results + 1;
+                   Unsat
+               | Some key when Interval.definitely_unsat key ->
+                   st.interval_prunes <- st.interval_prunes + 1;
+                   Unsat
+               | Some key ->
+                   Obs.span Obs.Bitblast (fun () ->
+                       List.iter (Bitblast.assert_true bb) key);
+                   solve ())))
+
 (* --- assumption-based frame stack ------------------------------------------
 
    The incremental core of the solver: one long-lived SAT instance per
@@ -561,12 +614,13 @@ let implied assumptions t = is_unsat (Term.not_ t :: assumptions)
    checking [not cond] for the false child) costs a table hit.
 
    Checks through a frame context are verdict-oriented: [Sat] carries an
-   empty model. Model extraction must stay on the scratch path — a
+   empty model. Model extraction stays on instances reset to the fresh
+   state — scratch [check] and the enumeration sessions above — because a
    persistent instance's phase saving and learnt clauses steer it to
-   different (though equally valid) models than a fresh solve, and report
-   digests include witness bytes. Complete solvers agree on verdicts, which
-   is why routing only verdict queries through here keeps report digests
-   byte-identical with incrementality on or off. *)
+   models that depend on every earlier query, and report digests include
+   witness bytes. Complete solvers agree on verdicts, which is why routing
+   only verdict queries through here keeps report digests byte-identical
+   with incrementality on or off. *)
 
 (* Contexts are recycled once the SAT instance accumulates this many
    variables: every CDCL answer assigns all variables, so an instance that

@@ -12,7 +12,9 @@
     Because each non-cached query is decided on a CNF built from nothing
     from a canonicalized key — on the domain's SAT instance reset to the
     state of a fresh one — answers (including models) do not depend on
-    which domain's cache served them, or on the queries before them. *)
+    which domain's cache served them, or on the queries before them.
+    {!enumerate} extends the same discipline from one query to one
+    enumeration session. *)
 
 type result = Sat of Model.t | Unsat | Unknown
 
@@ -46,6 +48,35 @@ val implied : Term.t list -> Term.t -> bool
 (** [implied assumptions t]: does the conjunction of [assumptions] entail
     [t]? *)
 
+val enumerate :
+  ?site:string ->
+  limit:int ->
+  Term.t list ->
+  (Model.t -> Term.t) ->
+  [ `Exhausted | `Limit | `Unknown ]
+(** [enumerate ~limit base on_model]: block-and-resolve model enumeration
+    in one solver session. [base] is canonicalized, interval-checked and
+    bitblasted once, on the calling domain's scratch instance reset to the
+    state of a fresh one. Each model is handed to [on_model] as soon as it
+    is found; the blocking term it returns is asserted as a permanent
+    clause and the same instance is solved again, keeping its learnt
+    clauses. Ends with [`Exhausted] when no further model exists,
+    [`Limit] once [limit] models were delivered (at once when
+    [limit <= 0]), and [`Unknown] when a solve stayed undecided on every
+    rung of the {!budget} ladder or met an injected fault.
+
+    Every solve counts as one query, carries a [solver_query] span with
+    [site], and bypasses the result cache.
+
+    {b Determinism contract.} The [k]-th model is a function of the
+    canonical [base] and the first [k - 1] blocking terms only: not of the
+    queries before the session, the domain it runs on, or the cache. So
+    witnesses enumerated this way are identical at any domain count, in
+    any worker process and across a resume. They generally differ from
+    the models {!check} would return for [base] plus the same blocks,
+    except the first, which is {!check}'s model of [base] whenever neither
+    needed a budget escalation. *)
+
 (** {1 Incremental solving (assumption-based frame stack)}
 
     When incremental solving is enabled (the default; see
@@ -57,11 +88,11 @@ val implied : Term.t list -> Term.t -> bool
     clauses persist across queries and across escalation rungs.
 
     Incremental checks are {e verdict-oriented}: [Sat] answers carry an
-    empty model. Model extraction (witness enumeration) must keep using the
-    scratch {!check} — a persistent instance finds different (though equally
-    valid) models, and report digests include witness bytes. Complete
-    solvers agree on verdicts, so report digests are byte-identical whether
-    incrementality is on or off. *)
+    empty model. Model extraction keeps to instances reset to the fresh
+    state ({!check} and {!enumerate}) — a persistent instance finds models
+    that depend on its history, and report digests include witness bytes.
+    Complete solvers agree on verdicts, so report digests are
+    byte-identical whether incrementality is on or off. *)
 
 val incremental_enabled : unit -> bool
 (** Whether {!check_assuming} uses the per-domain incremental context.

@@ -150,12 +150,8 @@ let test_pbft_end_to_end () =
 
 (* The multicore determinism guarantee on the headline workload: a 4-domain
    FSP analysis produces byte-identical Figure 10 / Figure 11 data to the
-   sequential one, and both match pinned golden digests (reproducible
-   because the runs start from a reset solver and fresh-variable counter).
-   The digests cover no wall-clock fields — see {!Report.report_digest}. *)
-let golden_fig10_digest = "075ddf0b4c175bc33c01d12bc70ab018"
-let golden_fig11_digest = "0f7bc3f897fc2fdb28e2d2e7bf624c9c"
-
+   sequential one, and both match the pinned golden digests (reproducible
+   because the runs start from a reset solver and fresh-variable counter). *)
 let test_multicore_golden_digests () =
   let run domains =
     Solver.reset_all_for_tests ();
@@ -174,8 +170,8 @@ let test_multicore_golden_digests () =
     (fig10 a4);
   Alcotest.(check string) "Fig 11 samples: 4 domains = sequential" (fig11 a1)
     (fig11 a4);
-  Alcotest.(check string) "Fig 10 golden digest" golden_fig10_digest (fig10 a4);
-  Alcotest.(check string) "Fig 11 golden digest" golden_fig11_digest (fig11 a4);
+  Alcotest.(check string) "Fig 10 golden digest" Goldens.fig10_digest (fig10 a4);
+  Alcotest.(check string) "Fig 11 golden digest" Goldens.fig11_digest (fig11 a4);
   Alcotest.(check string) "full report agrees too"
     (Report.report_digest a1.Achilles.report)
     (Report.report_digest a4.Achilles.report)
@@ -185,7 +181,7 @@ let test_multicore_golden_digests () =
    verdict query on the scratch route), the FSP and PBFT reports must not
    move, and each layer must still pay for itself in its deterministic work
    counter. Last measured on FSP: 19,089 -> 2,678 terms allocated with
-   sharing on, 137,802 -> 32,647 bitblast memo misses with incremental on. *)
+   sharing on, 115,084 -> 7,549 bitblast memo misses with incremental on. *)
 let test_layer_switches () =
   let pbft_config =
     {
@@ -250,21 +246,8 @@ let test_layer_switches () =
   let digest, _, _ = run ~sharing:false ~domains:1 `Pbft in
   Alcotest.(check string) "pbft: sharing off, same digest" pbft digest
 
-(* The behaviour contract, pinned end to end through the CLI: the report
-   digest of `achilles analyze T --digest` for every bundled target, plus
-   the benchmark's FSP configuration (16 witnesses per path). A change that
-   moves any verdict, witness byte or drop record moves one of these. *)
-let golden_cli_digests =
-  [
-    ([ "rw" ], "bf430d33e770dd4c6ec88929b2a349ba");
-    ([ "fsp" ], "42e36197b1e44cdbd5c610596c6302e7");
-    ([ "pbft" ], "6933013c9c83c0381db4141c5ec9df7b");
-    ([ "kv" ], "635b39e2e1d6db38d28a29748f17769a");
-    ([ "gossip" ], "eb39e792fada258394cd5ad2fca06494");
-    ([ "paxos" ], "da8a0eb1b469ab11a68727482b38ad61");
-    ([ "fsp"; "-w"; "16" ], "f11b5f6bd11517813345e6edbac57363");
-  ]
-
+(* The behaviour contract, pinned end to end through the CLI: see
+   {!Goldens.cli_digests}. *)
 let cli_digest args =
   let binary =
     Filename.concat (Filename.dirname Sys.executable_name) "../bin/achilles_cli.exe"
@@ -291,7 +274,7 @@ let test_cli_golden_digests () =
       Alcotest.(check (option string))
         ("analyze " ^ String.concat " " args ^ " --digest")
         (Some golden) (cli_digest args))
-    golden_cli_digests
+    Goldens.cli_digests
 
 let test_wildcard_trojan_via_analysis () =
   (* with globbing-aware clients, the analysis must produce a witness with a

@@ -953,10 +953,8 @@ let qcheck_trace_invisible =
       && d = digest ~domains:4 ~traced:false
       && d = digest ~domains:4 ~traced:true)
 
-(* The pinned seed digests from test_integration: the instrumented search,
-   traced or not, must still reproduce them byte for byte. *)
-let golden_fig10_digest = "075ddf0b4c175bc33c01d12bc70ab018"
-let golden_fig11_digest = "0f7bc3f897fc2fdb28e2d2e7bf624c9c"
+(* The pinned FSP digests ({!Goldens}): the instrumented search, traced or
+   not, must still reproduce them byte for byte. *)
 
 let test_fsp_golden_traced () =
   let run domains =
@@ -985,13 +983,13 @@ let test_fsp_golden_traced () =
   let a1, f1 = run 1 in
   let a4, f4 = run 4 in
   let report (a : Achilles.analysis) = a.Achilles.report in
-  Alcotest.(check string) "Fig 10 golden, traced, domains 1" golden_fig10_digest
+  Alcotest.(check string) "Fig 10 golden, traced, domains 1" Goldens.fig10_digest
     (Report.discovery_digest (report a1));
-  Alcotest.(check string) "Fig 10 golden, traced, domains 4" golden_fig10_digest
+  Alcotest.(check string) "Fig 10 golden, traced, domains 4" Goldens.fig10_digest
     (Report.discovery_digest (report a4));
-  Alcotest.(check string) "Fig 11 golden, traced, domains 1" golden_fig11_digest
+  Alcotest.(check string) "Fig 11 golden, traced, domains 1" Goldens.fig11_digest
     (Report.alive_digest (report a1).Search.search_stats);
-  Alcotest.(check string) "Fig 11 golden, traced, domains 4" golden_fig11_digest
+  Alcotest.(check string) "Fig 11 golden, traced, domains 4" Goldens.fig11_digest
     (Report.alive_digest (report a4).Search.search_stats);
   Alcotest.(check string) "full reports agree across domains"
     (Report.report_digest (report a1))

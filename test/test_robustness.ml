@@ -191,6 +191,67 @@ let test_fault_injection () =
   | _ -> Alcotest.fail "expected Invalid_argument for rate > 1"
   | exception Invalid_argument _ -> ()
 
+(* An enumeration the solver gave up on is not an exhausted one: with every
+   SAT attempt faulted, the classic baseline reports [exhausted = false],
+   and the conformance check counts the client paths it could not finish
+   instead of reporting that no lost message exists. *)
+module Classic_se = Achilles_baselines.Classic_se
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
+let with_faults f =
+  Solver.set_fault_injection ~rate:1.0 ();
+  Fun.protect ~finally:(fun () -> Solver.set_fault_injection ()) f
+
+let test_classic_se_unknown_not_exhausted () =
+  Solver.reset_all_for_tests ();
+  let x = Term.fresh_var ~name:"rcs_x" (Term.Bitvec 8) in
+  let path =
+    {
+      Predicate.sp_state_id = 0;
+      label = "ok";
+      msg_vars = [| x |];
+      sp_constraints = [ Term.ult (Term.var x) (Term.int ~width:8 3) ];
+    }
+  in
+  let enumerate () = Classic_se.enumerate ~max_per_path:10 [ path ] in
+  let clean = enumerate () in
+  Alcotest.(check int) "three messages" 3
+    (List.length clean.Classic_se.messages);
+  Alcotest.(check bool) "clean run exhausted" true
+    clean.Classic_se.exhausted;
+  let faulty = with_faults enumerate in
+  Alcotest.(check int) "no messages" 0
+    (List.length faulty.Classic_se.messages);
+  Alcotest.(check bool) "Unknown is not exhaustion" false
+    faulty.Classic_se.exhausted
+
+let test_conformance_unknown_incomplete () =
+  Solver.reset_all_for_tests ();
+  let client, _ =
+    Client_extract.extract ~layout:Rw_example.layout [ Rw_example.client ]
+  in
+  let run () = Conformance.run ~client ~server:Rw_example.server () in
+  let clean = run () in
+  Alcotest.(check int) "clean run complete" 0 clean.Conformance.incomplete_paths;
+  let faulty = with_faults run in
+  Alcotest.(check bool) "accepting paths explored" true
+    (faulty.Conformance.accepting_paths > 0);
+  Alcotest.(check int) "every client path incomplete"
+    faulty.Conformance.client_paths faulty.Conformance.incomplete_paths;
+  Alcotest.(check int) "no lost message claimed" 0
+    (List.length faulty.Conformance.lost);
+  let printed =
+    Format.asprintf "%a" (Conformance.pp_report Rw_example.layout) faulty
+  in
+  Alcotest.(check bool) "the report says so" true
+    (contains printed "incomplete")
+
 (* --- random client/server pairs (same shape as the determinism suite) -------- *)
 
 let message_size = 3
@@ -514,6 +575,56 @@ let test_checkpoint_fingerprint_guard () =
   Alcotest.(check int) "stale checkpoints ignored" 0
     r.Search.coverage.Search.resumed_shards
 
+(* Shard files of an older format must be re-explored, never loaded, even
+   when everything else about them checks out: a format change may move the
+   event logs (new witness bytes) while the run fingerprint stays the same.
+   The stale files here carry the previous magic, this run's fingerprint
+   and indices, and the payload of another run with a matching digest. *)
+let test_checkpoint_old_magic_reexplored () =
+  let client, server, base = extract_case fixed_case in
+  let stale = fresh_dir "achilles-rob-stale" in
+  let dir = fresh_dir "achilles-rob-magic" in
+  let config ~dir ~witnesses ~resume =
+    {
+      Search.default_config with
+      Search.domains = 2;
+      Search.witnesses_per_path = witnesses;
+      Search.checkpoint_dir = Some dir;
+      Search.resume = resume;
+    }
+  in
+  ignore
+    (run_case ~config:(config ~dir:stale ~witnesses:1 ~resume:false) ~base client
+       server);
+  let full =
+    run_case ~config:(config ~dir ~witnesses:2 ~resume:false) ~base client server
+  in
+  let read file =
+    let ic = open_in_bin file in
+    Fun.protect
+      ~finally:(fun () -> close_in_noerr ic)
+      (fun () ->
+        (Marshal.from_channel ic : string * string * int * Digest.t * string))
+  in
+  Array.iter
+    (fun f ->
+      let _, fingerprint, idx, _, _ = read (Filename.concat dir f) in
+      let _, _, _, digest, payload = read (Filename.concat stale f) in
+      let oc = open_out_bin (Filename.concat dir f) in
+      Marshal.to_channel oc
+        ("ACHILLES-CKPT-2", fingerprint, idx, digest, payload)
+        [];
+      close_out oc)
+    (Sys.readdir dir);
+  let resumed =
+    run_case ~config:(config ~dir ~witnesses:2 ~resume:true) ~base client server
+  in
+  Alcotest.(check int) "no old-format shard loaded" 0
+    resumed.Search.coverage.Search.resumed_shards;
+  Alcotest.(check string) "resumed report = uninterrupted run"
+    (Report.report_digest full)
+    (Report.report_digest resumed)
+
 let test_cancel_partial_then_resume () =
   let client, server, base = extract_case fixed_case in
   let clean = run_case ~base client server in
@@ -693,6 +804,62 @@ let test_fsp_under_faults () =
   Alcotest.(check int) "no false positives among confirmed witnesses" 0
     confirmation.Achilles_runtime.Inject.rejected
 
+(* The same drill through the built CLI, in a child process whose
+   environment alone carries the fault rate and the domain count: the run
+   must terminate with complete coverage (exit 0, not 3), account for the
+   injected faults and still report Trojans; the working example must also
+   finish under a one-second deadline. *)
+let run_cli ~env args =
+  let binary =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bin/achilles_cli.exe"
+  in
+  let names = List.map (fun kv -> String.sub kv 0 (String.index kv '=')) env in
+  let inherited =
+    List.filter
+      (fun kv ->
+        match String.index_opt kv '=' with
+        | Some i -> not (List.mem (String.sub kv 0 i) names)
+        | None -> true)
+      (Array.to_list (Unix.environment ()))
+  in
+  let out = Filename.temp_file "achilles-rob-cli" ".out" in
+  Fun.protect ~finally:(fun () -> Sys.remove out) @@ fun () ->
+  let fd = Unix.openfile out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  let pid =
+    Fun.protect
+      ~finally:(fun () -> Unix.close fd)
+      (fun () ->
+        Unix.create_process_env binary
+          (Array.of_list (binary :: args))
+          (Array.of_list (env @ inherited))
+          Unix.stdin fd Unix.stderr)
+  in
+  let status =
+    match snd (Unix.waitpid [] pid) with
+    | Unix.WEXITED code -> code
+    | Unix.WSIGNALED _ | Unix.WSTOPPED _ -> -1
+  in
+  (status, In_channel.with_open_bin out In_channel.input_all)
+
+let test_cli_under_faults () =
+  let env = [ "ACHILLES_SOLVER_FAULT_RATE=0.05"; "ACHILLES_DOMAINS=4" ] in
+  let expect what args needles =
+    let code, output = run_cli ~env args in
+    Alcotest.(check int) (what ^ ": exit code") 0 code;
+    List.iter
+      (fun needle ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s prints %S" what needle)
+          true (contains output needle))
+      needles
+  in
+  expect "analyze fsp -j 4"
+    [ "analyze"; "fsp"; "-j"; "4" ]
+    [ "Coverage: complete"; "injected faults"; "Trojan message" ];
+  expect "analyze rw --deadline 1"
+    [ "analyze"; "rw"; "--deadline"; "1" ]
+    [ "Coverage: complete" ]
+
 let () =
   Alcotest.run "robustness"
     [
@@ -712,6 +879,10 @@ let () =
           Alcotest.test_case "check_assuming budget" `Quick
             test_assuming_budget;
           Alcotest.test_case "fault injection" `Quick test_fault_injection;
+          Alcotest.test_case "classic-se: Unknown is not exhaustion" `Quick
+            test_classic_se_unknown_not_exhausted;
+          Alcotest.test_case "conformance: Unknown paths counted" `Quick
+            test_conformance_unknown_incomplete;
         ] );
       ( "degradation",
         [
@@ -732,6 +903,8 @@ let () =
             test_checkpoint_fingerprint_guard;
           Alcotest.test_case "cancel, flush, resume" `Quick
             test_cancel_partial_then_resume;
+          Alcotest.test_case "old-format shards re-explored" `Quick
+            test_checkpoint_old_magic_reexplored;
         ] );
       ( "single-domain",
         [
@@ -743,5 +916,8 @@ let () =
             test_single_domain_one_span;
         ] );
       ( "fsp-drill",
-        [ Alcotest.test_case "FSP under faults" `Slow test_fsp_under_faults ] );
+        [
+          Alcotest.test_case "FSP under faults" `Slow test_fsp_under_faults;
+          Alcotest.test_case "CLI under faults" `Slow test_cli_under_faults;
+        ] );
     ]

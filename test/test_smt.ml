@@ -773,14 +773,22 @@ let test_interval_never_wrong () =
 
 (* --- property tests over the full solver ------------------------------------ *)
 
-(* random terms over two 4-bit variables, compared against brute force *)
-let qcheck_solver_matches_enumeration =
-  let x = Term.fresh_var ~name:"qx" (Term.Bitvec 4) in
-  let y = Term.fresh_var ~name:"qy" (Term.Bitvec 4) in
+(* random conjunctions of atoms over two 4-bit variables, for the
+   brute-force oracles below *)
+let qx = Term.fresh_var ~name:"qx" (Term.Bitvec 4)
+let qy = Term.fresh_var ~name:"qy" (Term.Bitvec 4)
+
+let gen_2x4_atoms ?size () =
+  let x = qx and y = qy in
+  let with_size =
+    match size with
+    | None -> QCheck2.Gen.sized
+    | Some g -> QCheck2.Gen.sized_size g
+  in
   let t4 n = Term.int ~width:4 n in
   let gen_bv_term =
     QCheck2.Gen.(
-      sized @@ fix (fun self n ->
+      with_size @@ fix (fun self n ->
           if n <= 0 then
             oneof [ return (Term.var x); return (Term.var y);
                     map (fun v -> t4 v) (int_range 0 15) ]
@@ -821,29 +829,101 @@ let qcheck_solver_matches_enumeration =
       oneofl
         [ Term.eq a b; Term.ult a b; Term.ule a b; Term.slt a b; Term.sle a b ])
   in
-  let gen = QCheck2.Gen.(list_size (int_range 1 3) gen_atom) in
+  QCheck2.Gen.(list_size (int_range 1 3) gen_atom)
+
+(* every (x, y) assignment satisfying [atoms], in ascending order *)
+let brute_force_2x4 atoms =
+  List.concat_map
+    (fun vx ->
+      List.filter_map
+        (fun vy ->
+          let m =
+            Model.of_list
+              [
+                (qx, Model.Vbv (Bv.of_int ~width:4 vx));
+                (qy, Model.Vbv (Bv.of_int ~width:4 vy));
+              ]
+          in
+          if Model.satisfies m atoms then Some (vx, vy) else None)
+        (List.init 16 Fun.id))
+    (List.init 16 Fun.id)
+
+(* random terms over two 4-bit variables, compared against brute force *)
+let qcheck_solver_matches_enumeration =
   QCheck2.Test.make ~name:"solver agrees with enumeration (2x4bit)" ~count:120
-    gen (fun atoms ->
-      let expected =
-        let found = ref false in
-        for vx = 0 to 15 do
-          for vy = 0 to 15 do
-            let m =
-              Model.of_list
-                [
-                  (x, Model.Vbv (Bv.of_int ~width:4 vx));
-                  (y, Model.Vbv (Bv.of_int ~width:4 vy));
-                ]
-            in
-            if Model.satisfies m atoms then found := true
-          done
-        done;
-        !found
-      in
+    (gen_2x4_atoms ()) (fun atoms ->
+      let expected = brute_force_2x4 atoms <> [] in
       match check_sat atoms with
       | `Sat m -> expected && Model.satisfies m atoms
       | `Unsat -> not expected
       | `Unknown -> false)
+
+(* --- enumeration sessions --------------------------------------------------- *)
+
+(* One [Solver.enumerate] session over the 2x4-bit variables with exact
+   (x, y) blocking: the models in discovery order (an absent variable is
+   unconstrained and reads as 0) and how the session ended. [after] runs
+   after each model with the count delivered so far. *)
+let session_2x4 ?(limit = 257) ?(after = fun _ -> ()) atoms =
+  let found = ref [] in
+  let value m v =
+    match Model.find m v with Some (Model.Vbv b) -> Bv.to_int b | _ -> 0
+  in
+  let outcome =
+    Solver.enumerate ~limit atoms (fun m ->
+        let vx = value m qx and vy = value m qy in
+        found := (vx, vy) :: !found;
+        after (List.length !found);
+        Term.not_
+          (Term.and_
+             (Term.eq (Term.var qx) (Term.int ~width:4 vx))
+             (Term.eq (Term.var qy) (Term.int ~width:4 vy))))
+  in
+  (List.rev !found, outcome)
+
+(* The session's oracle: enumerating to the end yields exactly the
+   brute-force solution set, each solution once, and the sequence is a
+   function of the input — a second session repeats it. *)
+let qcheck_enumerate_matches_brute_force =
+  QCheck2.Test.make ~name:"enumeration session = brute-force set (2x4bit)"
+    ~count:120
+    (* small terms: a session solves up to 257 times per case *)
+    (gen_2x4_atoms ~size:(QCheck2.Gen.int_range 0 12) ())
+    (fun atoms ->
+      let models, outcome = session_2x4 atoms in
+      outcome = `Exhausted
+      && List.length (List.sort_uniq compare models) = List.length models
+      && List.sort compare models = brute_force_2x4 atoms
+      && session_2x4 atoms = (models, outcome))
+
+let test_enumerate_limit_and_fault () =
+  Solver.reset_all_for_tests ();
+  let below5 = [ Term.ult (Term.var qx) (Term.int ~width:4 5) ] in
+  let all, outcome = session_2x4 below5 in
+  Alcotest.(check bool) "exhausted" true (outcome = `Exhausted);
+  Alcotest.(check int) "5 x 16 models" 80 (List.length all);
+  let first3, outcome = session_2x4 ~limit:3 below5 in
+  Alcotest.(check bool) "limit stops the session" true (outcome = `Limit);
+  Alcotest.(check bool) "limit keeps the prefix" true
+    (first3 = List.filteri (fun i _ -> i < 3) all);
+  let queries = (Solver.stats ()).Solver.queries in
+  Alcotest.(check bool) "limit 0 stops at once" true
+    (session_2x4 ~limit:0 below5 = ([], `Limit));
+  Alcotest.(check int) "without a query" queries (Solver.stats ()).Solver.queries;
+  (* faults switched on after the third model: the fourth solve answers
+     Unknown, and the session stops with exactly the clean prefix *)
+  let unknowns = (Solver.stats ()).Solver.unknown_results in
+  let prefix, outcome =
+    Fun.protect
+      ~finally:(fun () -> Solver.set_fault_injection ())
+      (fun () ->
+        session_2x4 below5 ~after:(fun n ->
+            if n = 3 then Solver.set_fault_injection ~rate:1.0 ()))
+  in
+  Alcotest.(check bool) "Unknown ends the session" true (outcome = `Unknown);
+  Alcotest.(check bool) "after the exact clean prefix" true (prefix = first3);
+  Alcotest.(check int) "one final Unknown" (unknowns + 1)
+    (Solver.stats ()).Solver.unknown_results
 
 (* the interval pre-check may only ever answer "unsat" when the solver
    agrees *)
@@ -949,6 +1029,8 @@ let () =
             test_solver_unknown_on_budget;
           Alcotest.test_case "model independent of query history" `Quick
             test_solver_model_independent_of_history;
+          Alcotest.test_case "enumeration limit and fault" `Quick
+            test_enumerate_limit_and_fault;
         ] );
       qsuite "incremental-properties" [ qcheck_incremental_matches_oneshot ];
       ( "interval",
@@ -962,5 +1044,6 @@ let () =
           qcheck_solver_matches_enumeration;
           qcheck_model_satisfies;
           qcheck_interval_sound;
+          qcheck_enumerate_matches_brute_force;
         ];
     ]
