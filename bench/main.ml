@@ -1,13 +1,11 @@
 (* The experiment harness: regenerates every table and figure of the
    paper's evaluation (§6), plus the in-text comparisons, on the bundled
-   models — followed by Bechamel micro-benchmarks of the analysis
-   primitives.
+   models.
 
      dune exec bench/main.exe                    # everything
      dune exec bench/main.exe -- --list          # list experiments
      dune exec bench/main.exe -- --experiment table1
      dune exec bench/main.exe -- --quick         # reduced enumerations
-     dune exec bench/main.exe -- --skip-bechamel
 
    Absolute numbers differ from the paper (their testbed ran S2E on x86
    binaries for hours; we run a DSL symbolic executor for seconds) — the
@@ -813,125 +811,6 @@ let experiment_layers () =
     exit 1
   end
 
-(* --- Bechamel micro-benchmarks ------------------------------------------------------------------ *)
-
-let bechamel_benchmarks () =
-  banner "Bechamel micro-benchmarks of the analysis primitives";
-  let open Bechamel in
-  let open Toolkit in
-  (* shared fixtures *)
-  let x = Term.fresh_var ~name:"bx" (Term.Bitvec 8) in
-  let sat_query =
-    [
-      Term.ult (Term.var x) (Term.int ~width:8 100);
-      Term.ugt (Term.var x) (Term.int ~width:8 10);
-    ]
-  in
-  let unsat_query =
-    [
-      Term.ult (Term.var x) (Term.int ~width:8 10);
-      Term.ugt (Term.var x) (Term.int ~width:8 100);
-    ]
-  in
-  let mul_query =
-    let y = Term.fresh_var ~name:"by" (Term.Bitvec 8) in
-    [
-      Term.eq
-        (Term.mul (Term.var x) (Term.var y))
-        (Term.int ~width:8 143);
-      Term.ugt (Term.var x) (Term.int ~width:8 1);
-      Term.ugt (Term.var y) (Term.int ~width:8 1);
-    ]
-  in
-  let fsp_pc =
-    fst (Client_extract.extract ~layout:Fsp_model.layout (Fsp_model.clients ()))
-  in
-  let fsp_path = List.hd fsp_pc.Predicate.paths in
-  let server_vars =
-    Array.init Fsp_model.message_size (fun i ->
-        Term.fresh_var ~name:(Printf.sprintf "sb%d" i) (Term.Bitvec 8))
-  in
-  let uncached f () =
-    Solver.set_cache_enabled false;
-    let r = f () in
-    Solver.set_cache_enabled true;
-    r
-  in
-  let tests =
-    Test.make_grouped ~name:"achilles"
-      [
-        (* Table 1 machinery: the full pipeline on the working example *)
-        Test.make ~name:"table1:rw-analysis"
-          (Staged.stage (fun () ->
-               Achilles.analyze
-                 ~search_config:
-                   {
-                     Search.default_config with
-                     Search.mask = Some [ "address" ];
-                   }
-                 ~layout:Rw_example.layout ~clients:[ Rw_example.client ]
-                 ~server:Rw_example.server ()));
-        (* Figure 10 machinery: witness enumeration on one FSP accept path *)
-        Test.make ~name:"fig10:client-extraction"
-          (Staged.stage (fun () ->
-               Client_extract.extract ~layout:Fsp_model.layout
-                 [ Fsp_model.client (List.hd Fsp_model.commands) ]));
-        (* Figure 11 machinery: one alive-set solver check *)
-        Test.make ~name:"fig11:alive-check"
-          (Staged.stage
-             (uncached (fun () ->
-                  Solver.is_sat
-                    (Predicate.bind_to_server ~server_vars fsp_path))));
-        (* §6.4 machinery: negate and differentFrom primitives *)
-        Test.make ~name:"ablation:negate-path"
-          (Staged.stage (fun () ->
-               Negate.negate_path ~mask:Fsp_model.analysis_mask
-                 ~layout:Fsp_model.layout ~server_vars fsp_path));
-        (* solver primitives under everything *)
-        Test.make ~name:"solver:sat-interval"
-          (Staged.stage (uncached (fun () -> Solver.is_sat sat_query)));
-        Test.make ~name:"solver:unsat-interval"
-          (Staged.stage (uncached (fun () -> Solver.is_unsat unsat_query)));
-        Test.make ~name:"solver:sat-factoring"
-          (Staged.stage (uncached (fun () -> Solver.is_sat mul_query)));
-        Test.make ~name:"solver:cached-hit"
-          (Staged.stage (fun () -> Solver.is_sat sat_query));
-      ]
-  in
-  let cfg =
-    Benchmark.cfg ~limit:2000
-      ~quota:(Time.second (if !quick then 0.25 else 1.0))
-      ~stabilize:true ()
-  in
-  let raw = Benchmark.all cfg Instance.[ monotonic_clock ] tests in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows =
-    Hashtbl.fold
-      (fun name ols acc ->
-        let ns =
-          match Analyze.OLS.estimates ols with
-          | Some (t :: _) -> t
-          | _ -> nan
-        in
-        (name, ns) :: acc)
-      results []
-    |> List.sort compare
-  in
-  Format.printf "  %-32s %16s@." "benchmark" "time per run";
-  List.iter
-    (fun (name, ns) ->
-      let pretty =
-        if ns >= 1e9 then Printf.sprintf "%8.2f  s" (ns /. 1e9)
-        else if ns >= 1e6 then Printf.sprintf "%8.2f ms" (ns /. 1e6)
-        else if ns >= 1e3 then Printf.sprintf "%8.2f us" (ns /. 1e3)
-        else Printf.sprintf "%8.2f ns" ns
-      in
-      Format.printf "  %-32s %16s@." name pretty)
-    rows
-
 (* --- E17: serving compiled filters — line rate vs per-message re-analysis ---- *)
 
 (* The deployment story of the paper's output: the extracted [not PC] is only
@@ -943,7 +822,6 @@ let bechamel_benchmarks () =
    sampled subset. *)
 
 module Filter = Achilles_filter.Filter
-module Daemon = Achilles_filter.Daemon
 
 let experiment_serve () =
   banner "E17: compiled-filter serving rate";
@@ -1091,309 +969,6 @@ let experiment_serve () =
     exit 1
   end
 
-(* --- E19: telemetry cost under serving load ----------------------------------------------------- *)
-
-(* The daemon from E17, but as the real select loop over a Unix socket, once
-   without the metrics endpoint and once with it (scraped continuously from
-   another domain). Telemetry must be close to free — its entire point is to
-   be left on in production — and the three views of the same run (Prometheus
-   scrape, STATS wire reply, in-process evaluator replay) must agree on every
-   verdict counter. *)
-let experiment_telemetry () =
-  banner "E19: telemetry cost and scrape consistency under serving load";
-  let analysis, _ = Lazy.force fsp_analysis in
-  let report = analysis.Achilles.report in
-  let filter = Filter.compile ~target:"fsp" ~layout:Fsp_model.layout ~report () in
-  let size = Filter.message_size filter in
-  let witnesses =
-    List.filter_map
-      (fun (t : Search.trojan) ->
-        if t.Search.confirmed then Some (Array.map Bv.to_int t.Search.witness)
-        else None)
-      report.Search.trojans
-    |> Array.of_list
-  in
-  assert (Array.length witnesses > 0);
-  (* E17's workload shape: witnesses, near-miss mutants, uniform noise *)
-  let rng = Random.State.make [| 0x5e19 |] in
-  let n = if !quick then 20_000 else 60_000 in
-  let msgs =
-    Array.init n (fun i ->
-        let pick () =
-          Array.copy witnesses.(Random.State.int rng (Array.length witnesses))
-        in
-        let m =
-          match i mod 3 with
-          | 0 -> pick ()
-          | 1 ->
-              let m = pick () in
-              for _ = 1 to 1 + Random.State.int rng 3 do
-                m.(Random.State.int rng size) <- Random.State.int rng 256
-              done;
-              m
-          | _ -> Array.init size (fun _ -> Random.State.int rng 256)
-        in
-        Bytes.init size (fun j -> Char.chr m.(j)))
-  in
-  (* ground truth: replay the workload through the in-process evaluator *)
-  let exp_accept = ref 0 and exp_trojan = ref 0 and exp_unknown = ref 0 in
-  let ev = Filter.evaluator filter in
-  Array.iter
-    (fun b ->
-      match Filter.verdict_bytes ev (Bytes.copy b) with
-      | Filter.Accept -> incr exp_accept
-      | Filter.Trojan_suspect _ -> incr exp_trojan
-      | Filter.Unknown_state -> incr exp_unknown)
-    msgs;
-  let tmp_path tag =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "achilles-e19-%s-%d.sock" tag (Unix.getpid ()))
-  in
-  let connect path =
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    Unix.connect fd (Unix.ADDR_UNIX path);
-    fd
-  in
-  let read_exactly fd k =
-    let buf = Bytes.create k in
-    let rec go off =
-      if off >= k then buf
-      else
-        match Unix.read fd buf off (k - off) with
-        | 0 -> failwith "daemon closed the connection"
-        | r -> go (off + r)
-    in
-    go 0
-  in
-  (* A scrape in flight: the request is written immediately, the response
-     harvested later — so verdict frames and the scrape answer genuinely
-     interleave in the daemon's select loop. (A dedicated scraper domain
-     would be the obvious harness, but an extra domain — even a sleeping
-     one — costs tens of percent on a single-core box through the
-     stop-the-world minor GC, drowning the effect being measured.) *)
-  let start_scrape mpath =
-    let fd = connect mpath in
-    let req = "GET /metrics HTTP/1.0\r\n\r\n" in
-    ignore (Unix.write_substring fd req 0 (String.length req));
-    fd
-  in
-  let finish_scrape fd =
-    let buf = Buffer.create 4096 in
-    let chunk = Bytes.create 4096 in
-    let rec go () =
-      match Unix.read fd chunk 0 (Bytes.length chunk) with
-      | 0 -> ()
-      | k ->
-          Buffer.add_subbytes buf chunk 0 k;
-          go ()
-    in
-    go ();
-    Unix.close fd;
-    Buffer.contents buf
-  in
-  let scrape mpath = finish_scrape (start_scrape mpath) in
-  (* one pass over the workload: pipelined batches of frames, replies read
-     back in bulk, a scrape in flight every few batches when [mpath] is
-     given; returns (wall time, completed scrapes) *)
-  let drive fd ~mpath =
-    let batch = 256 in
-    (* ~5 in-flight scrapes per pass, independent of workload size — a pass
-       lasts well under a second, so this is still an order of magnitude
-       more aggressive than any real scrape cadence *)
-    let scrape_every = max 1 (n / batch / 5) in
-    let scrapes = ref 0 in
-    let pending = ref None in
-    let harvest () =
-      match !pending with
-      | None -> ()
-      | Some sfd ->
-          pending := None;
-          if String.length (finish_scrape sfd) > 0 then incr scrapes
-    in
-    let t0 = Unix.gettimeofday () in
-    let i = ref 0 in
-    let batches = ref 0 in
-    while !i < n do
-      (match mpath with
-      | Some mpath when !batches mod scrape_every = 0 ->
-          harvest ();
-          pending := Some (start_scrape mpath)
-      | _ -> ());
-      incr batches;
-      let k = min batch (n - !i) in
-      let out = Buffer.create (k * (size + 4)) in
-      for j = !i to !i + k - 1 do
-        let hdr = Bytes.create 4 in
-        Bytes.set_int32_be hdr 0 (Int32.of_int size);
-        Buffer.add_bytes out hdr;
-        Buffer.add_bytes out msgs.(j)
-      done;
-      let b = Buffer.to_bytes out in
-      let off = ref 0 in
-      while !off < Bytes.length b do
-        off := !off + Unix.write fd b !off (Bytes.length b - !off)
-      done;
-      ignore (read_exactly fd (k * 5));
-      i := !i + k
-    done;
-    harvest ();
-    (Unix.gettimeofday () -. t0, !scrapes)
-  in
-  (* the value of an exposition sample, matched on the full name{labels} *)
-  let metric_value body sample =
-    List.find_map
-      (fun line ->
-        if String.length line = 0 || line.[0] = '#' then None
-        else
-          match String.rindex_opt line ' ' with
-          | Some i when String.sub line 0 i = sample ->
-              float_of_string_opt
-                (String.sub line (i + 1) (String.length line - i - 1))
-          | _ -> None)
-      (String.split_on_char '\n' body)
-  in
-  let stats_value text key =
-    List.find_map
-      (fun line ->
-        match String.split_on_char ' ' (String.trim line) with
-        | [ k; v ] when k = key -> float_of_string_opt v
-        | _ -> None)
-      (String.split_on_char '\n' text)
-  in
-  let reps = 3 in
-  (* one daemon per mode; [reps] passes each, best-of to dampen CI noise *)
-  let run_mode ~metrics =
-    let sock = tmp_path (if metrics then "on" else "off") in
-    let mpath = tmp_path "metrics" in
-    let stop = Atomic.make false in
-    let daemon =
-      Domain.spawn (fun () ->
-          Daemon.run
-            ?metrics:(if metrics then Some (Daemon.Unix_socket mpath) else None)
-            ~filter ~address:(Daemon.Unix_socket sock)
-            ~stop:(fun () -> Atomic.get stop)
-            ())
-    in
-    let rec wait_sock tries =
-      if Sys.file_exists sock then ()
-      else if tries <= 0 then failwith "daemon socket never appeared"
-      else begin
-        Unix.sleepf 0.01;
-        wait_sock (tries - 1)
-      end
-    in
-    wait_sock 500;
-    let scrapes = ref 0 in
-    let best = ref infinity in
-    let fd = connect sock in
-    for _ = 1 to reps do
-      let dt, sc =
-        drive fd ~mpath:(if metrics then Some mpath else None)
-      in
-      scrapes := !scrapes + sc;
-      if dt < !best then best := dt
-    done;
-    (* consistency: scrape and STATS wire reply, while the daemon is live *)
-    let final_scrape = if metrics then Some (scrape mpath) else None in
-    let req = Bytes.create 4 in
-    Bytes.set_int32_be req 0 0xFFFFFFFFl;
-    ignore (Unix.write fd req 0 4);
-    let len =
-      Int32.to_int (Bytes.get_int32_be (read_exactly fd 4) 0) land 0xFFFFFFFF
-    in
-    let stats_txt = Bytes.to_string (read_exactly fd len) in
-    Unix.close fd;
-    Atomic.set stop true;
-    let st = Domain.join daemon in
-    (try Sys.remove sock with Sys_error _ -> ());
-    (try Sys.remove mpath with Sys_error _ -> ());
-    (!best, st, stats_txt, final_scrape, !scrapes)
-  in
-  let off_s, off_st, off_stats, _, _ = run_mode ~metrics:false in
-  let on_s, on_st, on_stats, on_scrape, scrapes = run_mode ~metrics:true in
-  let total = reps * n in
-  let failed = ref false in
-  let check name got want =
-    if got <> want then begin
-      Format.eprintf "telemetry: %s: got %d, want %d@." name got want;
-      failed := true
-    end
-  in
-  (* every view of the run agrees with the evaluator replay (x reps) *)
-  List.iter
-    (fun (tag, st) ->
-      check (tag ^ " messages") st.Daemon.messages total;
-      check (tag ^ " accepts") st.Daemon.accepts (reps * !exp_accept);
-      check (tag ^ " trojans") st.Daemon.trojan_suspects (reps * !exp_trojan);
-      check (tag ^ " unknowns") st.Daemon.unknowns (reps * !exp_unknown))
-    [ ("off", off_st); ("on", on_st) ];
-  List.iter
-    (fun (tag, txt) ->
-      List.iter
-        (fun (key, want) ->
-          match stats_value txt key with
-          | Some v -> check (tag ^ " stats " ^ key) (int_of_float v) want
-          | None ->
-              Format.eprintf "telemetry: %s STATS reply lacks %s@." tag key;
-              failed := true)
-        [
-          ("messages", total);
-          ("accepts", reps * !exp_accept);
-          ("trojan_suspects", reps * !exp_trojan);
-          ("unknowns", reps * !exp_unknown);
-          ("dropped_frames", 0);
-        ])
-    [ ("off", off_stats); ("on", on_stats) ];
-  (match on_scrape with
-  | None -> assert false
-  | Some body ->
-      List.iter
-        (fun (sample, want) ->
-          match metric_value body sample with
-          | Some v -> check ("scrape " ^ sample) (int_of_float v) want
-          | None ->
-              Format.eprintf "telemetry: scrape lacks %s@." sample;
-              failed := true)
-        [
-          ("achilles_daemon_messages_total", total);
-          ( "achilles_daemon_verdicts_total{verdict=\"accept\"}",
-            reps * !exp_accept );
-          ( "achilles_daemon_verdicts_total{verdict=\"trojan_suspect\"}",
-            reps * !exp_trojan );
-          ( "achilles_daemon_verdicts_total{verdict=\"unknown\"}",
-            reps * !exp_unknown );
-          ("achilles_daemon_dropped_frames_total", 0);
-        ]);
-  let rate_off = float_of_int n /. off_s in
-  let rate_on = float_of_int n /. on_s in
-  let overhead = Float.max 0. (1. -. (rate_on /. rate_off)) in
-  Format.printf "  metrics off: %d msgs in %.3fs = %.0f msgs/s (best of %d)@." n
-    off_s rate_off reps;
-  Format.printf
-    "  metrics on:  %d msgs in %.3fs = %.0f msgs/s (best of %d, %d scrapes \
-     served concurrently)@."
-    n on_s rate_on reps scrapes;
-  Format.printf "  overhead:    %.2f%%@." (100. *. overhead);
-  if scrapes = 0 then begin
-    Format.eprintf "telemetry: no scrape succeeded during the load@.";
-    failed := true
-  end;
-  (* the headline claim: leaving telemetry on costs <= 5% throughput *)
-  if overhead > 0.05 then begin
-    Format.eprintf "telemetry: expected <= 5%% overhead, got %.2f%%@."
-      (100. *. overhead);
-    failed := true
-  end;
-  write_csv "e19_telemetry.csv"
-    "mode,messages,seconds,msgs_per_sec,overhead_pct,scrapes"
-    [
-      Printf.sprintf "metrics-off,%d,%.4f,%.0f,0.0,0" n off_s rate_off;
-      Printf.sprintf "metrics-on,%d,%.4f,%.0f,%.2f,%d" n on_s rate_on
-        (100. *. overhead) scrapes;
-    ];
-  if !failed then exit 1
-
 (* --- driver ------------------------------------------------------------------------------------- *)
 
 let experiments =
@@ -1410,33 +985,30 @@ let experiments =
     ("local-state", experiment_local_state);
     ("layers", experiment_layers);
     ("serve", experiment_serve);
-    ("telemetry", experiment_telemetry);
   ]
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
-  let rec parse selected skip_bechamel = function
-    | [] -> (selected, skip_bechamel)
+  let rec parse selected = function
+    | [] -> selected
     | "--quick" :: rest ->
         quick := true;
-        parse selected skip_bechamel rest
-    | "--skip-bechamel" :: rest -> parse selected true rest
+        parse selected rest
     | "--csv" :: dir :: rest ->
         csv_dir := Some dir;
-        parse selected skip_bechamel rest
+        parse selected rest
     | "--list" :: _ ->
         List.iter (fun (name, _) -> print_endline name) experiments;
         exit 0
-    | "--experiment" :: name :: rest -> parse (name :: selected) true rest
-    | "--bechamel" :: rest -> parse selected false rest
+    | "--experiment" :: name :: rest -> parse (name :: selected) rest
     | arg :: _ ->
         Format.eprintf
           "unknown argument %s (try --list, --experiment NAME, --quick, \
-           --csv DIR, --skip-bechamel)@."
+           --csv DIR)@."
           arg;
         exit 2
   in
-  let selected, skip_bechamel = parse [] false args in
+  let selected = parse [] args in
   let to_run =
     match selected with
     | [] -> experiments
@@ -1455,5 +1027,4 @@ let () =
      \"Finding Trojan Message Vulnerabilities in Distributed Systems\"@.\
      (ASPLOS 2014). See EXPERIMENTS.md for the paper-vs-measured record.@.";
   List.iter (fun (_, f) -> f ()) to_run;
-  if not skip_bechamel then bechamel_benchmarks ();
   Format.printf "@.done.@."

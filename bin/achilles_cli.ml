@@ -947,24 +947,7 @@ let parse_address socket tcp =
   | None, None | Some _, Some _ ->
       Error "exactly one of --socket or --tcp is required"
 
-(* --metrics takes one operand: HOST:PORT when it looks like one (has a
-   colon and no slash), otherwise a Unix-socket path *)
-let parse_metrics_address s =
-  match String.rindex_opt s ':' with
-  | Some _ when not (String.contains s '/') -> parse_address None (Some s)
-  | _ -> Ok (Daemon.Unix_socket s)
-
-let metrics_arg =
-  let doc =
-    "Also expose Prometheus text metrics (verdict counters, per-request \
-     latency histogram, frame drops, live phase counters) over HTTP at \
-     $(docv) — $(i,HOST:PORT) or a Unix-socket path. Scrapes are served \
-     from the daemon's select loop; they never block verdict traffic."
-  in
-  Arg.(
-    value & opt (some string) None & info [ "metrics" ] ~docv:"ADDR" ~doc)
-
-let serve filter_file socket tcp metrics trace =
+let serve filter_file socket tcp trace =
   match Filter.load ~file:filter_file with
   | Error e ->
       Format.eprintf "serve: %s@." e;
@@ -974,44 +957,26 @@ let serve filter_file socket tcp metrics trace =
       | Error e ->
           Format.eprintf "serve: %s@." e;
           1
-      | Ok address -> (
-          let metrics_address =
-            match metrics with
-            | None -> Ok None
-            | Some s -> Result.map Option.some (parse_metrics_address s)
+      | Ok address ->
+          install_signal_handlers ();
+          setup_trace trace;
+          Format.printf "serving %a@." Filter.pp_summary filter;
+          (match address with
+          | Daemon.Unix_socket path -> Format.printf "listening on %s@." path
+          | Daemon.Tcp (host, port) ->
+              Format.printf "listening on %s:%d@." host port);
+          (* readiness marker for scripts: the socket exists once run is
+             entered, but flushing here lets a parent wait on our stdout *)
+          Format.printf "ready@.";
+          flush stdout;
+          Fun.protect ~finally:(fun () -> Obs.Trace.disable ()) @@ fun () ->
+          let stats =
+            Daemon.run ~filter ~address
+              ~stop:(fun () -> Atomic.get interrupted)
+              ()
           in
-          match metrics_address with
-          | Error e ->
-              Format.eprintf "serve: --metrics: %s@." e;
-              1
-          | Ok metrics ->
-              install_signal_handlers ();
-              setup_trace trace;
-              Format.printf "serving %a@." Filter.pp_summary filter;
-              (match address with
-              | Daemon.Unix_socket path ->
-                  Format.printf "listening on %s@." path
-              | Daemon.Tcp (host, port) ->
-                  Format.printf "listening on %s:%d@." host port);
-              (match metrics with
-              | Some (Daemon.Unix_socket path) ->
-                  Format.printf "metrics on %s@." path
-              | Some (Daemon.Tcp (host, port)) ->
-                  Format.printf "metrics on %s:%d@." host port
-              | None -> ());
-              (* readiness marker for scripts: the socket exists once run is
-                 entered, but flushing here lets a parent wait on our stdout *)
-              Format.printf "ready@.";
-              flush stdout;
-              Fun.protect ~finally:(fun () -> Obs.Trace.disable ())
-              @@ fun () ->
-              let stats =
-                Daemon.run ?metrics ~filter ~address
-                  ~stop:(fun () -> Atomic.get interrupted)
-                  ()
-              in
-              Format.printf "%a@." Daemon.pp_stats stats;
-              0))
+          Format.printf "%a@." Daemon.pp_stats stats;
+          0)
 
 let serve_cmd =
   Cmd.v
@@ -1030,11 +995,11 @@ let serve_cmd =
               (0xFFFFFFFF when there is none). Frames above 1 MiB drop the \
               connection. A length of 0xFFFFFFFF is the STATS sentinel: \
               the daemon replies with a length-prefixed text block of its \
-              live statistics (see $(b,filter stats)).";
+              live statistics (see $(b,filter stats)). At 1,000 open \
+              connections the daemon closes each new connection as soon \
+              as it accepts it, and counts it as refused.";
          ])
-    Term.(
-      const serve $ filter_file_arg $ socket_arg $ tcp_arg $ metrics_arg
-      $ trace_arg)
+    Term.(const serve $ filter_file_arg $ socket_arg $ tcp_arg $ trace_arg)
 
 let filter_info file =
   match Filter.load ~file with
@@ -1210,8 +1175,9 @@ let filter_stats_cmd =
        ~doc:
          "Ask a running $(b,serve) daemon for its live statistics over the \
           verdict socket (uptime, connection and message totals, verdict \
-          counters, dropped frames, latency quantiles) — one $(i,key value) \
-          line each, the same totals the $(b,--metrics) endpoint exports")
+          counters, refused connections, dropped frames, latency quantiles) \
+          — one $(i,key value) line each; this is the daemon's only \
+          counter surface")
     Term.(const filter_stats $ socket_arg $ tcp_arg)
 
 let filter_cmd =

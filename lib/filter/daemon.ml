@@ -9,14 +9,22 @@ type stats = {
   trojan_suspects : int;
   unknowns : int;
   dropped_frames : int;
+  refused : int;
 }
 
 let pp_stats ppf s =
   Format.fprintf ppf
-    "%d connections, %d messages: %d accept, %d trojan-suspect, %d unknown, %d \
-     dropped"
-    s.connections s.messages s.accepts s.trojan_suspects s.unknowns
+    "%d connections (%d refused), %d messages: %d accept, %d trojan-suspect, \
+     %d unknown, %d dropped"
+    s.connections s.refused s.messages s.accepts s.trojan_suspects s.unknowns
     s.dropped_frames
+
+(* [Unix.select] cannot watch an fd at or above FD_SETSIZE (1024). Besides its
+   client connections the daemon holds fewer than 24 fds (stdio, the
+   listener, a trace file, runtime internals), so capping live connections at
+   1,000 keeps every watched fd below that limit. A connection past the cap is
+   accepted and closed at once, and counted in [refused]. *)
+let max_connections = 1000
 
 (* Frame length sentinel: a client sending 0xFFFFFFFF as the length word asks
    for a stats reply instead of a verdict. Historically any frame over
@@ -30,10 +38,6 @@ type conn = {
   lat_hist : int array; (* per-connection verdict latency, log2-µs buckets *)
   mutable lat_sum : float;
 }
-
-(* A metrics (HTTP) connection: accumulate the request until the blank line,
-   answer once, close. *)
-type mconn = { m_fd : Unix.file_descr; m_buf : Buffer.t }
 
 let be32_of buf off =
   let b i = Char.code (Buffer.nth buf (off + i)) in
@@ -84,21 +88,12 @@ let unlink_if_unix = function
   | Unix_socket path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
   | Tcp _ -> ()
 
-let run ?(max_frame = 1 lsl 20) ?metrics ~filter ~address ~stop () =
+let run ?(max_frame = 1 lsl 20) ~filter ~address ~stop () =
   let ev = Filter.evaluator filter in
   let t_start = Unix.gettimeofday () in
   let listener = bind_listener address in
   Unix.listen listener 16;
-  let mlistener =
-    match metrics with
-    | None -> None
-    | Some addr ->
-        let fd = bind_listener addr in
-        Unix.listen fd 16;
-        Some fd
-  in
   let conns = ref [] in
-  let mconns : mconn list ref = ref [] in
   let st =
     ref
       {
@@ -108,9 +103,10 @@ let run ?(max_frame = 1 lsl 20) ?metrics ~filter ~address ~stop () =
         trojan_suspects = 0;
         unknowns = 0;
         dropped_frames = 0;
+        refused = 0;
       }
   in
-  (* Latency of connections already closed; a scrape folds live ones in. *)
+  (* Latency of connections already closed; STATS folds live ones in. *)
   let drained_hist = Array.make Obs.histogram_buckets 0 in
   let drained_sum = ref 0. in
   let latency_totals () =
@@ -141,7 +137,7 @@ let run ?(max_frame = 1 lsl 20) ?metrics ~filter ~address ~stop () =
           Obs.count "filter.unknown";
           { s with messages = s.messages + 1; unknowns = s.unknowns + 1 })
   in
-  (* Line-based stats reply: the wire twin of the Prometheus exposition. *)
+  (* The STATS reply: one [key value] line per counter. *)
   let stats_text () =
     let s = !st in
     let hist, sum = latency_totals () in
@@ -155,6 +151,7 @@ let run ?(max_frame = 1 lsl 20) ?metrics ~filter ~address ~stop () =
        trojan_suspects %d\n\
        unknowns %d\n\
        dropped_frames %d\n\
+       refused %d\n\
        latency_count %d\n\
        latency_sum_seconds %.6f\n\
        latency_p50_us %.2f\n\
@@ -162,7 +159,7 @@ let run ?(max_frame = 1 lsl 20) ?metrics ~filter ~address ~stop () =
        latency_p99_us %.2f\n"
       (Unix.gettimeofday () -. t_start)
       s.connections s.messages s.accepts s.trojan_suspects s.unknowns
-      s.dropped_frames count sum (q 0.5) (q 0.95) (q 0.99)
+      s.dropped_frames s.refused count sum (q 0.5) (q 0.95) (q 0.99)
   in
   let stats_reply () =
     let text = stats_text () in
@@ -174,44 +171,6 @@ let run ?(max_frame = 1 lsl 20) ?metrics ~filter ~address ~stop () =
     Bytes.set out 3 (Char.chr (n land 0xff));
     Bytes.blit_string text 0 out 4 n;
     out
-  in
-  let exposition () =
-    let s = !st in
-    let buf = Buffer.create 4096 in
-    Obs.Prometheus.gauge buf ~name:"achilles_daemon_uptime_seconds"
-      ~help:"Seconds since the daemon started"
-      [ ([], Unix.gettimeofday () -. t_start) ];
-    Obs.Prometheus.counter buf ~name:"achilles_daemon_connections_total"
-      ~help:"Client connections accepted"
-      [ ([], float_of_int s.connections) ];
-    Obs.Prometheus.counter buf ~name:"achilles_daemon_messages_total"
-      ~help:"Messages judged" [ ([], float_of_int s.messages) ];
-    Obs.Prometheus.counter buf ~name:"achilles_daemon_verdicts_total"
-      ~help:"Verdicts by outcome"
-      [
-        ([ ("verdict", "accept") ], float_of_int s.accepts);
-        ([ ("verdict", "trojan_suspect") ], float_of_int s.trojan_suspects);
-        ([ ("verdict", "unknown") ], float_of_int s.unknowns);
-      ];
-    Obs.Prometheus.counter buf ~name:"achilles_daemon_dropped_frames_total"
-      ~help:"Connections dropped for oversized frames"
-      [ ([], float_of_int s.dropped_frames) ];
-    let hist, sum = latency_totals () in
-    Obs.Prometheus.histogram buf ~name:"achilles_daemon_request_duration_seconds"
-      ~help:"Per-verdict latency (log2-microsecond buckets)"
-      [ ([], hist, sum) ];
-    Buffer.add_string buf (Obs.Prometheus.of_snapshot (Obs.aggregate ()));
-    Buffer.contents buf
-  in
-  let http_response () =
-    let body = exposition () in
-    Printf.sprintf
-      "HTTP/1.0 200 OK\r\n\
-       Content-Type: text/plain; version=0.0.4; charset=utf-8\r\n\
-       Content-Length: %d\r\n\
-       \r\n\
-       %s"
-      (String.length body) body
   in
   let scratch = Bytes.create 4096 in
   (* Consume every complete frame in [c.buf]; raises [Drop_connection] on an
@@ -273,44 +232,8 @@ let run ?(max_frame = 1 lsl 20) ?metrics ~filter ~address ~stop () =
     | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
         close_conn c
   in
-  let close_mconn mc =
-    (try Unix.close mc.m_fd with Unix.Unix_error _ -> ());
-    mconns := List.filter (fun mc' -> mc' != mc) !mconns
-  in
-  let answer_mconn mc =
-    (try write_all mc.m_fd (Bytes.of_string (http_response ()))
-     with Unix.Unix_error _ -> ());
-    close_mconn mc
-  in
-  let has_request_end buf =
-    let s = Buffer.contents buf in
-    let n = String.length s in
-    let rec go i =
-      if i + 3 >= n then false
-      else if s.[i] = '\r' && s.[i + 1] = '\n' && s.[i + 2] = '\r' && s.[i + 3] = '\n'
-      then true
-      else go (i + 1)
-    in
-    go 0
-  in
-  let service_mconn mc =
-    match Unix.read mc.m_fd scratch 0 (Bytes.length scratch) with
-    | 0 ->
-        (* EOF before the blank line: answer anyway if anything arrived. *)
-        if Buffer.length mc.m_buf > 0 then answer_mconn mc else close_mconn mc
-    | n ->
-        Buffer.add_subbytes mc.m_buf scratch 0 n;
-        if has_request_end mc.m_buf || Buffer.length mc.m_buf > 8192 then
-          answer_mconn mc
-    | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
-        close_mconn mc
-  in
   while not (stop ()) do
-    let fds =
-      (listener :: List.map (fun c -> c.fd) !conns)
-      @ (match mlistener with Some fd -> [ fd ] | None -> [])
-      @ List.map (fun mc -> mc.m_fd) !mconns
-    in
+    let fds = listener :: List.map (fun c -> c.fd) !conns in
     match Unix.select fds [] [] 0.05 with
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
     | readable, _, _ ->
@@ -318,6 +241,9 @@ let run ?(max_frame = 1 lsl 20) ?metrics ~filter ~address ~stop () =
           (fun fd ->
             if fd = listener then begin
               match Unix.accept listener with
+              | conn_fd, _ when List.length !conns >= max_connections ->
+                  (try Unix.close conn_fd with Unix.Unix_error _ -> ());
+                  st := { !st with refused = !st.refused + 1 }
               | conn_fd, _ ->
                   conns :=
                     {
@@ -330,29 +256,13 @@ let run ?(max_frame = 1 lsl 20) ?metrics ~filter ~address ~stop () =
                   st := { !st with connections = !st.connections + 1 }
               | exception Unix.Unix_error _ -> ()
             end
-            else if mlistener = Some fd then begin
-              match Unix.accept fd with
-              | m_fd, _ ->
-                  mconns := { m_fd; m_buf = Buffer.create 256 } :: !mconns
-              | exception Unix.Unix_error _ -> ()
-            end
             else
               match List.find_opt (fun c -> c.fd = fd) !conns with
               | Some c -> service c
-              | None -> (
-                  match List.find_opt (fun mc -> mc.m_fd = fd) !mconns with
-                  | Some mc -> service_mconn mc
-                  | None -> ()))
+              | None -> ())
           readable
   done;
   List.iter (fun c -> try Unix.close c.fd with Unix.Unix_error _ -> ()) !conns;
-  List.iter
-    (fun mc -> try Unix.close mc.m_fd with Unix.Unix_error _ -> ())
-    !mconns;
   (try Unix.close listener with Unix.Unix_error _ -> ());
-  (match mlistener with
-  | Some fd -> ( try Unix.close fd with Unix.Unix_error _ -> ())
-  | None -> ());
   unlink_if_unix address;
-  (match metrics with Some addr -> unlink_if_unix addr | None -> ());
   !st

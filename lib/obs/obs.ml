@@ -363,135 +363,6 @@ module Snapshot = struct
     }
 end
 
-(* --- Prometheus text exposition (format 0.0.4) ------------------------------ *)
-
-module Prometheus = struct
-  let escape_label s =
-    let buf = Buffer.create (String.length s) in
-    String.iter
-      (fun c ->
-        match c with
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\n' -> Buffer.add_string buf "\\n"
-        | c -> Buffer.add_char buf c)
-      s;
-    Buffer.contents buf
-
-  let escape_help s =
-    let buf = Buffer.create (String.length s) in
-    String.iter
-      (fun c ->
-        match c with
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | c -> Buffer.add_char buf c)
-      s;
-    Buffer.contents buf
-
-  (* Map an arbitrary counter name onto the metric-name charset
-     [a-zA-Z_:][a-zA-Z0-9_:]*. *)
-  let metric_name s =
-    let buf = Buffer.create (String.length s) in
-    String.iteri
-      (fun i c ->
-        match c with
-        | 'a' .. 'z' | 'A' .. 'Z' | '_' | ':' -> Buffer.add_char buf c
-        | '0' .. '9' when i > 0 -> Buffer.add_char buf c
-        | _ -> Buffer.add_char buf '_')
-      s;
-    if Buffer.length buf = 0 then "_" else Buffer.contents buf
-
-  let fmt_value f =
-    if Float.is_nan f then "NaN"
-    else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
-    else Printf.sprintf "%.9g" f
-
-  let labels_str = function
-    | [] -> ""
-    | ls ->
-        "{"
-        ^ String.concat ","
-            (List.map (fun (k, v) -> k ^ "=\"" ^ escape_label v ^ "\"") ls)
-        ^ "}"
-
-  let sample buf name labels v =
-    Buffer.add_string buf name;
-    Buffer.add_string buf (labels_str labels);
-    Buffer.add_char buf ' ';
-    Buffer.add_string buf (fmt_value v);
-    Buffer.add_char buf '\n'
-
-  let header buf ~name ~help ~mtype =
-    Buffer.add_string buf (Printf.sprintf "# HELP %s %s\n" name (escape_help help));
-    Buffer.add_string buf (Printf.sprintf "# TYPE %s %s\n" name mtype)
-
-  (* [series] = (labels, value) list; one family, HELP/TYPE emitted once. *)
-  let counter buf ~name ~help series =
-    header buf ~name ~help ~mtype:"counter";
-    List.iter (fun (labels, v) -> sample buf name labels v) series
-
-  let gauge buf ~name ~help series =
-    header buf ~name ~help ~mtype:"gauge";
-    List.iter (fun (labels, v) -> sample buf name labels v) series
-
-  (* Upper bound of log2-µs bucket k, in seconds. *)
-  let le_of_bucket k = Printf.sprintf "%g" (2.0 ** float_of_int (k + 1) *. 1e-6)
-
-  (* [series] = (labels, histogram, sum_seconds) list. Buckets are emitted
-     cumulatively with a final +Inf equal to _count. *)
-  let histogram buf ~name ~help series =
-    header buf ~name ~help ~mtype:"histogram";
-    List.iter
-      (fun (labels, hist, sum) ->
-        let cum = ref 0 in
-        Array.iteri
-          (fun k v ->
-            cum := !cum + v;
-            sample buf (name ^ "_bucket")
-              (labels @ [ ("le", le_of_bucket k) ])
-              (float_of_int !cum))
-          hist;
-        sample buf (name ^ "_bucket")
-          (labels @ [ ("le", "+Inf") ])
-          (float_of_int !cum);
-        sample buf (name ^ "_sum") labels sum;
-        sample buf (name ^ "_count") labels (float_of_int !cum))
-      series
-
-  let of_snapshot ?(namespace = "achilles") snap =
-    let buf = Buffer.create 4096 in
-    counter buf
-      ~name:(namespace ^ "_phase_spans_total")
-      ~help:"Completed spans per pipeline phase"
-      (List.map
-         (fun (p, m) ->
-           ([ ("phase", phase_name p) ], float_of_int m.spans))
-         snap.phases);
-    counter buf
-      ~name:(namespace ^ "_phase_seconds_total")
-      ~help:"Total wall-clock seconds per pipeline phase"
-      (List.map (fun (p, m) -> ([ ("phase", phase_name p) ], m.seconds)) snap.phases);
-    let active =
-      List.filter (fun (_, m) -> m.spans > 0) snap.phases
-    in
-    if active <> [] then
-      histogram buf
-        ~name:(namespace ^ "_phase_duration_seconds")
-        ~help:"Span duration per pipeline phase (log2-microsecond buckets)"
-        (List.map
-           (fun (p, m) -> ([ ("phase", phase_name p) ], m.histogram, m.seconds))
-           active);
-    if snap.counters <> [] then
-      counter buf
-        ~name:(namespace ^ "_events_total")
-        ~help:"Named event counters"
-        (List.map
-           (fun (name, n) -> ([ ("name", name) ], float_of_int n))
-           snap.counters);
-    Buffer.contents buf
-end
-
 (* --- events and the JSONL trace writer ------------------------------------- *)
 
 type value = S of string | I of int | F of float | B of bool

@@ -96,7 +96,7 @@ val estimate_quantile : int array -> float -> float
 
     A versioned, text-serializable rendering of {!snapshot} so any process
     can export its metrics state over a wire or file and a peer can merge it
-    (worker heartbeats → coordinator status; daemon → scrape). The format is
+    (worker heartbeats → coordinator status). The format is
     line-based ([achsnap 1] header, [phase ...] and [counter ...] records)
     and forward-compatible: unknown phases and record tags are skipped. *)
 module Snapshot : sig
@@ -113,46 +113,6 @@ module Snapshot : sig
 
   (** Pointwise sum: spans, seconds, histograms, and counters (union). *)
   val merge : snapshot -> snapshot -> snapshot
-end
-
-(** {1 Prometheus text exposition (format 0.0.4)} *)
-
-module Prometheus : sig
-  (** Escape a label value: backslash, double-quote, newline. *)
-  val escape_label : string -> string
-
-  (** Escape a HELP text: backslash, newline. *)
-  val escape_help : string -> string
-
-  (** Sanitize an arbitrary string onto the metric-name charset. *)
-  val metric_name : string -> string
-
-  (** Upper bound (seconds, as a [le] label value) of log2-µs bucket [k]. *)
-  val le_of_bucket : int -> string
-
-  (** [counter buf ~name ~help series] appends one counter family; [series]
-      is a [(labels, value)] list and HELP/TYPE are emitted exactly once. *)
-  val counter :
-    Buffer.t -> name:string -> help:string -> ((string * string) list * float) list -> unit
-
-  val gauge :
-    Buffer.t -> name:string -> help:string -> ((string * string) list * float) list -> unit
-
-  (** [histogram buf ~name ~help series] appends one histogram family;
-      [series] is a [(labels, log2µs-histogram, sum_seconds)] list. Buckets
-      are cumulative with a trailing [+Inf] equal to [_count]. *)
-  val histogram :
-    Buffer.t ->
-    name:string ->
-    help:string ->
-    ((string * string) list * int array * float) list ->
-    unit
-
-  (** Render a whole snapshot: [<ns>_phase_spans_total],
-      [<ns>_phase_seconds_total], [<ns>_phase_duration_seconds] (histogram,
-      phases with spans only) and [<ns>_events_total] (one series per named
-      counter). [namespace] defaults to ["achilles"]. *)
-  val of_snapshot : ?namespace:string -> snapshot -> string
 end
 
 (** {1 Process identity} *)

@@ -779,6 +779,26 @@ let test_worker_traces_flushed () =
             n;
           Alcotest.(check (option string)) "merge agrees on the run id"
             (Some coord_id) run_id);
+      (* ... and so does the CLI's `trace merge`, into valid Chrome JSON *)
+      let cli_merged = Filename.concat workdir "cli-merged.json" in
+      let mg_status, mg_out =
+        run_cli binary
+          ([ "trace"; "merge"; coord_trace ] @ worker_traces
+          @ [ "-o"; cli_merged ])
+      in
+      Alcotest.(check bool) "trace merge exits 0" true
+        (mg_status = Unix.WEXITED 0);
+      Alcotest.(check bool) "trace merge prints its merged line" true
+        (String.length mg_out >= 7 && String.sub mg_out 0 7 = "merged ");
+      (match
+         Obs.Json.parse
+           (In_channel.with_open_bin cli_merged In_channel.input_all)
+       with
+      | Ok v -> (
+          match Obs.Json.mem "traceEvents" v with
+          | Some (Obs.Json.VArr (_ :: _)) -> ()
+          | _ -> Alcotest.fail "merged trace has no traceEvents")
+      | Error e -> Alcotest.failf "merged trace is not JSON: %s" e);
       (* `achilles status` renders the same run's final picture *)
       let st_status, st_out =
         run_cli binary [ "status"; "--work-dir"; workdir ]

@@ -468,7 +468,7 @@ let test_daemon_in_process () =
   Alcotest.(check int) "one connection" 1 stats.Daemon.connections;
   Alcotest.(check bool) "socket file removed" false (Sys.file_exists sock)
 
-(* --- the daemon's telemetry surfaces: STATS wire command and /metrics ---------- *)
+(* --- the daemon's telemetry surface: the STATS wire command ------------------ *)
 
 let stats_over fd =
   let req = Bytes.create 4 in
@@ -499,84 +499,13 @@ let stat_float kv key =
   | Some f -> f
   | None -> Alcotest.failf "stats reply lacks float key %s" key
 
-let read_to_eof fd =
-  let buf = Buffer.create 4096 in
-  let chunk = Bytes.create 4096 in
-  let rec go () =
-    match Unix.read fd chunk 0 4096 with
-    | 0 -> ()
-    | n ->
-        Buffer.add_subbytes buf chunk 0 n;
-        go ()
-    | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> ()
-  in
-  go ();
-  Buffer.contents buf
-
-let scrape msock =
-  let fd = connect_unix msock in
-  let req = Bytes.of_string "GET /metrics HTTP/1.0\r\n\r\n" in
-  ignore (Unix.write fd req 0 (Bytes.length req));
-  let reply = read_to_eof fd in
-  Unix.close fd;
-  match String.index_opt reply '\n' with
-  | None -> Alcotest.fail "scrape reply has no status line"
-  | Some _ -> (
-      let status = List.hd (String.split_on_char '\n' reply) in
-      Alcotest.(check string) "scrape status line" "HTTP/1.0 200 OK"
-        (String.trim status);
-      let marker = "\r\n\r\n" in
-      let ml = String.length marker and rl = String.length reply in
-      let rec find i =
-        if i + ml > rl then None
-        else if String.sub reply i ml = marker then Some (i + ml)
-        else find (i + 1)
-      in
-      match find 0 with
-      | None -> Alcotest.fail "scrape reply has no header/body separator"
-      | Some body_at -> (reply, String.sub reply body_at (rl - body_at)))
-
-(* Value of an exposition sample whose full series name (labels included)
-   is [series]. *)
-let metric_sample body series =
-  let prefix = series ^ " " in
-  let pl = String.length prefix in
-  match
-    List.find_opt
-      (fun l -> String.length l > pl && String.sub l 0 pl = prefix)
-      (String.split_on_char '\n' body)
-  with
-  | Some l -> (
-      match float_of_string_opt (String.sub l pl (String.length l - pl)) with
-      | Some f -> f
-      | None -> Alcotest.failf "unparseable sample: %s" l)
-  | None -> Alcotest.failf "exposition lacks series %s" series
-
-let check_exposition_shape body =
-  List.iter
-    (fun line ->
-      if String.length line > 0 && line.[0] <> '#' then
-        match String.rindex_opt line ' ' with
-        | Some i -> (
-            match
-              float_of_string_opt
-                (String.sub line (i + 1) (String.length line - i - 1))
-            with
-            | Some _ -> ()
-            | None -> Alcotest.failf "unparseable sample value: %s" line)
-        | None -> Alcotest.failf "sample line without value: %s" line)
-    (List.filter (fun l -> l <> "") (String.split_on_char '\n' body))
-
 let test_daemon_telemetry () =
   let _, report, filter = force "gossip" in
   let sock = temp_socket_path () in
-  let msock = temp_socket_path () in
   let stop = Atomic.make false in
   let daemon =
     Domain.spawn (fun () ->
-        Daemon.run ~filter
-          ~metrics:(Daemon.Unix_socket msock)
-          ~address:(Daemon.Unix_socket sock)
+        Daemon.run ~filter ~address:(Daemon.Unix_socket sock)
           ~stop:(fun () -> Atomic.get stop)
           ())
   in
@@ -607,6 +536,7 @@ let test_daemon_telemetry () =
   Alcotest.(check int) "wire stats: unknowns" 1 (stat_int kv "unknowns");
   Alcotest.(check int) "wire stats: dropped_frames" 0
     (stat_int kv "dropped_frames");
+  Alcotest.(check int) "wire stats: refused" 0 (stat_int kv "refused");
   Alcotest.(check int) "wire stats: connections" 1 (stat_int kv "connections");
   Alcotest.(check int) "wire stats: latency_count" 3
     (stat_int kv "latency_count");
@@ -616,28 +546,21 @@ let test_daemon_telemetry () =
     (stat_float kv "latency_p50_us" <= stat_float kv "latency_p99_us");
   let c, _ = send_message fd benign in
   Alcotest.(check char) "daemon keeps serving after STATS" 'A' c;
-  (* scrape while the verdict connection is still open: the exposition must
-     agree with the wire stats *)
-  let _, body = scrape msock in
-  check_exposition_shape body;
-  Alcotest.(check (float 0.)) "scrape: messages" 4.
-    (metric_sample body "achilles_daemon_messages_total");
-  Alcotest.(check (float 0.)) "scrape: accepts" 2.
-    (metric_sample body "achilles_daemon_verdicts_total{verdict=\"accept\"}");
-  Alcotest.(check (float 0.)) "scrape: trojan suspects" 1.
-    (metric_sample body
-       "achilles_daemon_verdicts_total{verdict=\"trojan_suspect\"}");
-  Alcotest.(check (float 0.)) "scrape: unknowns" 1.
-    (metric_sample body "achilles_daemon_verdicts_total{verdict=\"unknown\"}");
-  Alcotest.(check (float 0.)) "scrape: dropped frames" 0.
-    (metric_sample body "achilles_daemon_dropped_frames_total");
-  Alcotest.(check (float 0.)) "scrape: latency count covers live conns" 4.
-    (metric_sample body "achilles_daemon_request_duration_seconds_count");
-  Alcotest.(check (float 0.)) "scrape: +Inf bucket equals count" 4.
-    (metric_sample body
-       "achilles_daemon_request_duration_seconds_bucket{le=\"+Inf\"}");
-  Alcotest.(check bool) "scrape: uptime gauge present" true
-    (metric_sample body "achilles_daemon_uptime_seconds" >= 0.);
+  (* STATS from a second connection while the first is still open: the
+     totals cover the other connection's traffic, live latency included *)
+  let fd_b = connect_unix sock in
+  let kv_b = kv_of (stats_over fd_b) in
+  Alcotest.(check int) "second conn: messages" 4 (stat_int kv_b "messages");
+  Alcotest.(check int) "second conn: accepts" 2 (stat_int kv_b "accepts");
+  Alcotest.(check int) "second conn: trojan suspects" 1
+    (stat_int kv_b "trojan_suspects");
+  Alcotest.(check int) "second conn: unknowns" 1 (stat_int kv_b "unknowns");
+  Alcotest.(check int) "second conn: dropped frames" 0
+    (stat_int kv_b "dropped_frames");
+  Alcotest.(check int) "second conn: latency count covers live conns" 4
+    (stat_int kv_b "latency_count");
+  Alcotest.(check int) "second conn: two connections" 2
+    (stat_int kv_b "connections");
   (* an oversized frame drops that connection and counts as a drop *)
   let fd2 = connect_unix sock in
   let huge = Bytes.create 4 in
@@ -651,86 +574,49 @@ let test_daemon_telemetry () =
   in
   Alcotest.(check bool) "oversized frame drops the connection" true eof;
   Unix.close fd2;
-  (* the drop shows up on both surfaces; the first connection still serves *)
+  (* the drop shows up on both live connections, which still serve *)
   let kv = kv_of (stats_over fd) in
+  let kv_b = kv_of (stats_over fd_b) in
   Alcotest.(check int) "wire stats: drop counted" 1
     (stat_int kv "dropped_frames");
-  Alcotest.(check int) "wire stats: two connections" 2
+  Alcotest.(check int) "second conn: drop counted" 1
+    (stat_int kv_b "dropped_frames");
+  Alcotest.(check int) "wire stats: three connections" 3
     (stat_int kv "connections");
-  let _, body = scrape msock in
-  Alcotest.(check (float 0.)) "scrape: drop counted" 1.
-    (metric_sample body "achilles_daemon_dropped_frames_total");
-  Unix.close fd;
-  Atomic.set stop true;
-  let stats = Domain.join daemon in
-  (* the returned record, the wire reply, and the scrape all told the same
-     story *)
-  Alcotest.(check int) "record: messages" 4 stats.Daemon.messages;
-  Alcotest.(check int) "record: accepts" 2 stats.Daemon.accepts;
-  Alcotest.(check int) "record: trojan suspects" 1 stats.Daemon.trojan_suspects;
-  Alcotest.(check int) "record: unknowns" 1 stats.Daemon.unknowns;
-  Alcotest.(check int) "record: dropped frames" 1 stats.Daemon.dropped_frames;
-  Alcotest.(check int) "record: connections" 2 stats.Daemon.connections;
-  Alcotest.(check bool) "metrics socket file removed" false
-    (Sys.file_exists msock)
-
-(* The select loop interleaves scrapes with verdict traffic: start a scrape,
-   keep sending frames on the verdict connection, then harvest the scrape —
-   all on one daemon thread. Every scrape must be well-formed and counters
-   must be monotone across scrapes. *)
-let test_scrape_while_serving () =
-  let _, _, filter = force "gossip" in
-  let sock = temp_socket_path () in
-  let msock = temp_socket_path () in
-  let stop = Atomic.make false in
-  let daemon =
-    Domain.spawn (fun () ->
-        Daemon.run ~filter
-          ~metrics:(Daemon.Unix_socket msock)
-          ~address:(Daemon.Unix_socket sock)
-          ~stop:(fun () -> Atomic.get stop)
-          ())
+  let counters =
+    [
+      "connections"; "messages"; "accepts"; "trojan_suspects"; "unknowns";
+      "dropped_frames"; "refused"; "latency_count";
+    ]
   in
-  Fun.protect ~finally:(fun () -> Atomic.set stop true)
-  @@ fun () ->
-  let benign = Bytes.make (Filter.message_size filter) '\255' in
-  let fd = connect_unix sock in
-  let sent = ref 0 in
-  let last = ref 0. in
-  for _round = 1 to 5 do
-    (* open the scrape first, then drive traffic before harvesting it *)
-    let sfd = connect_unix msock in
-    let req = Bytes.of_string "GET /metrics HTTP/1.0\r\n\r\n" in
-    ignore (Unix.write sfd req 0 (Bytes.length req));
-    for _ = 1 to 20 do
-      let c, _ = send_message fd benign in
-      incr sent;
-      Alcotest.(check char) "verdict under scrape load" 'A' c
-    done;
-    let reply = read_to_eof sfd in
-    Unix.close sfd;
-    let marker = "\r\n\r\n" in
-    let ml = String.length marker and rl = String.length reply in
-    let rec find i =
-      if i + ml > rl then None
-      else if String.sub reply i ml = marker then Some (i + ml)
-      else find (i + 1)
-    in
-    match find 0 with
-    | None -> Alcotest.fail "interleaved scrape has no body"
-    | Some at ->
-        let body = String.sub reply at (rl - at) in
-        check_exposition_shape body;
-        let m = metric_sample body "achilles_daemon_messages_total" in
-        Alcotest.(check bool) "scrape counter is monotone" true (m >= !last);
-        Alcotest.(check bool) "scrape counter within bounds" true
-          (m <= float_of_int !sent);
-        last := m
-  done;
+  List.iter
+    (fun key ->
+      Alcotest.(check int)
+        ("both connections agree on " ^ key)
+        (stat_int kv key) (stat_int kv_b key))
+    counters;
   Unix.close fd;
+  Unix.close fd_b;
   Atomic.set stop true;
   let stats = Domain.join daemon in
-  Alcotest.(check int) "every frame judged" !sent stats.Daemon.messages
+  (* the returned record and the STATS replies told the same story *)
+  let record =
+    [
+      ("connections", stats.Daemon.connections);
+      ("messages", stats.Daemon.messages);
+      ("accepts", stats.Daemon.accepts);
+      ("trojan_suspects", stats.Daemon.trojan_suspects);
+      ("unknowns", stats.Daemon.unknowns);
+      ("dropped_frames", stats.Daemon.dropped_frames);
+      ("refused", stats.Daemon.refused);
+    ]
+  in
+  List.iter
+    (fun (key, n) ->
+      Alcotest.(check int) ("record agrees on " ^ key) (stat_int kv key) n)
+    record;
+  Alcotest.(check int) "record: messages" 4 stats.Daemon.messages;
+  Alcotest.(check int) "record: dropped frames" 1 stats.Daemon.dropped_frames
 
 (* --- the daemon as a real subprocess (achilles serve round trip) -------------- *)
 
@@ -742,31 +628,64 @@ let cli_binary () =
   in
   if Sys.file_exists candidate then Some candidate else None
 
+let contains s needle =
+  let nl = String.length needle and l = String.length s in
+  let rec go i = i + nl <= l && (String.sub s i nl = needle || go (i + 1)) in
+  go 0
+
+(* Save [filter] to a temporary file for the life of [k file]. *)
+let with_filter_file filter k =
+  let file = Filename.temp_file "achilles-filter" ".achfilter" in
+  (match Filter.save filter ~file with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "save: %s" e);
+  Fun.protect ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ())
+  @@ fun () -> k file
+
+(* Run [achilles serve FILE] on a fresh Unix socket, stdout to a file, for
+   the life of [k pid sock out]; the daemon is killed afterwards if it is
+   still there. *)
+let with_serve binary file k =
+  let sock = temp_socket_path () in
+  let out = Filename.temp_file "achilles-serve" ".out" in
+  let out_fd = Unix.openfile out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o644 in
+  let pid =
+    Unix.create_process binary
+      [| binary; "serve"; file; "--socket"; sock |]
+      Unix.stdin out_fd Unix.stderr
+  in
+  Unix.close out_fd;
+  Fun.protect ~finally:(fun () ->
+      (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+      (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ());
+      List.iter (fun f -> try Sys.remove f with Sys_error _ -> ()) [ out; sock ])
+  @@ fun () -> k pid sock out
+
+(* SIGTERM drains the daemon: exit 0; returns what it printed. *)
+let sigterm_drain pid out =
+  Unix.kill pid Sys.sigterm;
+  let _, status = Unix.waitpid [] pid in
+  Alcotest.(check bool) "clean exit on SIGTERM" true (status = Unix.WEXITED 0);
+  In_channel.with_open_bin out In_channel.input_all
+
+let check_drain_output content =
+  Alcotest.(check bool) "announced readiness" true
+    (List.exists
+       (fun line -> String.trim line = "ready")
+       (String.split_on_char '\n' content));
+  Alcotest.(check bool) "printed drain statistics" true
+    (List.exists
+       (fun line ->
+         contains line "connections" && contains line "trojan-suspect")
+       (String.split_on_char '\n' content))
+
 let test_serve_subprocess () =
   match cli_binary () with
   | None -> print_endline "achilles_cli.exe not built here; skipping"
   | Some binary ->
       let _, report, filter = force "gossip" in
-      let file = Filename.temp_file "achilles-filter" ".achfilter" in
-      (match Filter.save filter ~file with
-      | Ok () -> ()
-      | Error e -> Alcotest.failf "save: %s" e);
-      let sock = temp_socket_path () in
-      let out = Filename.temp_file "achilles-serve" ".out" in
-      let out_fd = Unix.openfile out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o644 in
-      let pid =
-        Unix.create_process binary
-          [| binary; "serve"; file; "--socket"; sock |]
-          Unix.stdin out_fd Unix.stderr
-      in
-      Unix.close out_fd;
-      Fun.protect ~finally:(fun () ->
-          (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-          (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ());
-          List.iter
-            (fun f -> try Sys.remove f with Sys_error _ -> ())
-            [ file; out; sock ])
-      @@ fun () ->
+      with_filter_file filter @@ fun file ->
+      with_serve binary file @@ fun pid sock out ->
       let fd = connect_unix sock in
       let witness =
         match
@@ -798,35 +717,152 @@ let test_serve_subprocess () =
       let c, _ = send_message fd benign in
       Alcotest.(check char) "later connection still judged" 'A' c;
       Unix.close fd;
-      (* clean SIGTERM drain: exit 0 and final statistics on stdout *)
-      Unix.kill pid Sys.sigterm;
-      let _, status = Unix.waitpid [] pid in
-      Alcotest.(check bool) "clean exit on SIGTERM" true
-        (status = Unix.WEXITED 0);
-      let ic = open_in out in
-      let content = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      Alcotest.(check bool) "announced readiness" true
-        (String.length content >= 5
-        && List.exists
-             (fun line -> String.trim line = "ready")
-             (String.split_on_char '\n' content));
-      Alcotest.(check bool) "printed drain statistics" true
-        (List.exists
-           (fun line ->
-             let line = String.trim line in
-             String.length line > 0
-             && String.index_opt line ',' <> None
-             && List.exists
-                  (fun needle ->
-                    let nl = String.length needle and ll = String.length line in
-                    let rec find i =
-                      i + nl <= ll
-                      && (String.sub line i nl = needle || find (i + 1))
-                    in
-                    find 0)
-                  [ "trojan-suspect" ])
-           (String.split_on_char '\n' content))
+      check_drain_output (sigterm_drain pid out)
+
+(* [Unix.select] cannot watch fd 1024 or above, so the daemon caps its live
+   connections at 1,000 and closes the excess on accept. The client fds live
+   in this process, not the daemon's, so only the cap keeps the daemon's own
+   fds low. Blocking reads with a receive timeout, because this process's
+   fds pass 1024 and cannot be selected on either. *)
+let test_serve_connection_cap () =
+  match cli_binary () with
+  | None -> print_endline "achilles_cli.exe not built here; skipping"
+  | Some binary ->
+      let _, _, filter = force "gossip" in
+      with_filter_file filter @@ fun file ->
+      with_serve binary file @@ fun pid sock out ->
+      let opened = ref [] in
+      let close fd =
+        (try Unix.close fd with Unix.Unix_error _ -> ());
+        opened := List.filter (fun fd' -> fd' <> fd) !opened
+      in
+      Fun.protect ~finally:(fun () -> List.iter close !opened) @@ fun () ->
+      match
+        for _ = 1 to 1050 do
+          opened := connect_unix sock :: !opened
+        done
+      with
+      | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) ->
+          print_endline
+            "too few file descriptors for 1,050 connections here; skipping"
+      | () ->
+          let conns = Array.of_list (List.rev !opened) in
+          let reads_eof fd =
+            Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
+            match Unix.read fd (Bytes.create 1) 0 1 with
+            | 0 -> true
+            | _ -> false
+            | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> true
+            | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
+              ->
+                false
+          in
+          for i = 1000 to 1049 do
+            if not (reads_eof conns.(i)) then
+              Alcotest.failf "connection #%d past the cap did not read EOF"
+                (i + 1)
+          done;
+          let kv = kv_of (stats_over conns.(0)) in
+          Alcotest.(check int) "STATS: connections" 1000
+            (stat_int kv "connections");
+          Alcotest.(check int) "STATS: refused" 50 (stat_int kv "refused");
+          Alcotest.(check bool) "daemon still running" true
+            (fst (Unix.waitpid [ Unix.WNOHANG ] pid) = 0);
+          (* close 100; the STATS round trip after the closes returns only
+             once the daemon has seen their EOFs, so the next accept has
+             room *)
+          for i = 1 to 100 do
+            close conns.(i)
+          done;
+          ignore (stats_over conns.(0));
+          let fresh = connect_unix sock in
+          opened := fresh :: !opened;
+          let benign = Bytes.make (Filter.message_size filter) '\255' in
+          let c, _ = send_message fresh benign in
+          Alcotest.(check char) "a connection under the cap is judged" 'A' c;
+          List.iter close !opened;
+          let content = sigterm_drain pid out in
+          Alcotest.(check bool) "drain statistics count the refusals" true
+            (contains content "(50 refused)")
+
+(* The CLI path end to end on FSP, as a deployment would drive it: compile
+   the filter exactly, judge every printed witness, a benign message and a
+   short one in-process ([filter query]) and over the socket ([filter send]),
+   and read totals that match the traffic back from [filter stats]. *)
+let test_cli_fsp_filter () =
+  match cli_binary () with
+  | None -> print_endline "achilles_cli.exe not built here; skipping"
+  | Some binary ->
+      let run args =
+        let ic =
+          Unix.open_process_args_in binary (Array.of_list (binary :: args))
+        in
+        let out = In_channel.input_all ic in
+        match Unix.close_process_in ic with
+        | Unix.WEXITED 0 -> out
+        | _ ->
+            Alcotest.failf "achilles %s failed:\n%s" (String.concat " " args)
+              out
+      in
+      let file = Filename.temp_file "achilles-fsp" ".achfilter" in
+      Fun.protect ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ())
+      @@ fun () ->
+      let compiled =
+        run [ "compile-filter"; "fsp"; "-o"; file; "--print-witnesses" ]
+      in
+      Alcotest.(check bool) "exact compilation: 0 unknown leaves" true
+        (contains compiled "0 unknown leaves");
+      let witnesses =
+        List.filter_map
+          (fun line ->
+            match String.split_on_char ' ' line with
+            | [ "witness"; _; hex ] -> Some hex
+            | _ -> None)
+          (String.split_on_char '\n' compiled)
+      in
+      Alcotest.(check bool) "witnesses printed" true (witnesses <> []);
+      let benign = String.make 34 '0' in
+      let messages = witnesses @ [ benign; "0000" ] in
+      let check_verdicts how out =
+        let verdict hex =
+          let prefix = hex ^ " -> " in
+          let pl = String.length prefix in
+          match
+            List.find_opt
+              (fun l -> String.length l >= pl && String.sub l 0 pl = prefix)
+              (String.split_on_char '\n' out)
+          with
+          | Some l ->
+              List.hd
+                (String.split_on_char ' '
+                   (String.sub l pl (String.length l - pl)))
+          | None -> Alcotest.failf "%s: no verdict for %s" how hex
+        in
+        List.iter
+          (fun hex ->
+            Alcotest.(check string) (how ^ ": witness " ^ hex) "trojan-suspect"
+              (verdict hex))
+          witnesses;
+        Alcotest.(check string) (how ^ ": 17 zero bytes") "accept"
+          (verdict benign);
+        Alcotest.(check string) (how ^ ": short message") "unknown-state"
+          (verdict "0000")
+      in
+      check_verdicts "filter query"
+        (run ([ "filter"; "query"; file ] @ messages));
+      with_serve binary file @@ fun pid sock out ->
+      (* [connect_unix] waits for the socket to appear *)
+      Unix.close (connect_unix sock);
+      check_verdicts "filter send"
+        (run ([ "filter"; "send"; "--socket"; sock ] @ messages));
+      let kv = kv_of (run [ "filter"; "stats"; "--socket"; sock ]) in
+      let n = List.length witnesses in
+      Alcotest.(check int) "stats: messages" (n + 2) (stat_int kv "messages");
+      Alcotest.(check int) "stats: trojan_suspects" n
+        (stat_int kv "trojan_suspects");
+      Alcotest.(check int) "stats: accepts" 1 (stat_int kv "accepts");
+      Alcotest.(check int) "stats: unknowns" 1 (stat_int kv "unknowns");
+      check_drain_output (sigterm_drain pid out)
 
 let () =
   let qsuite name tests =
@@ -856,9 +892,11 @@ let () =
           Alcotest.test_case "in-process protocol" `Quick test_daemon_in_process;
           Alcotest.test_case "telemetry surfaces agree" `Quick
             test_daemon_telemetry;
-          Alcotest.test_case "scrape while serving" `Quick
-            test_scrape_while_serving;
           Alcotest.test_case "serve subprocess round trip" `Quick
             test_serve_subprocess;
+          Alcotest.test_case "serve refuses past the connection cap" `Quick
+            test_serve_connection_cap;
+          Alcotest.test_case "CLI compile, query, serve and stats on fsp"
+            `Quick test_cli_fsp_filter;
         ] );
     ]

@@ -624,122 +624,6 @@ let qcheck_snapshot_roundtrip =
             snap.Obs.phases snap'.Obs.phases
           && snap.Obs.counters = snap'.Obs.counters)
 
-(* --- Prometheus text exposition ------------------------------------------------ *)
-
-let out_lines s =
-  List.filter (fun l -> l <> "") (String.split_on_char '\n' s)
-
-let test_prometheus_escaping () =
-  Alcotest.(check string) "label escaping" "a\\\\b\\\"c\\nd"
-    (Obs.Prometheus.escape_label "a\\b\"c\nd");
-  Alcotest.(check string) "help escaping keeps quotes" "a\\\\b\"c\\nd"
-    (Obs.Prometheus.escape_help "a\\b\"c\nd");
-  Alcotest.(check string) "metric name sanitized" "a_b_c_1"
-    (Obs.Prometheus.metric_name "a b-c/1");
-  let buf = Buffer.create 128 in
-  Obs.Prometheus.counter buf ~name:"t_total" ~help:"line1\nline2"
-    [ ([], 3.); ([ ("verdict", "a\"b\\c") ], 1.5) ];
-  Alcotest.(check string) "counter family rendering"
-    ("# HELP t_total line1\\nline2\n# TYPE t_total counter\n"
-   ^ "t_total 3\nt_total{verdict=\"a\\\"b\\\\c\"} 1.5\n")
-    (Buffer.contents buf)
-
-let test_prometheus_histogram () =
-  let hist = Array.make Obs.histogram_buckets 0 in
-  hist.(0) <- 2;
-  hist.(3) <- 1;
-  hist.(Obs.histogram_buckets - 1) <- 4;
-  let buf = Buffer.create 1024 in
-  Obs.Prometheus.histogram buf ~name:"h_seconds" ~help:"h"
-    [ ([ ("phase", "x") ], hist, 1.5) ];
-  let lines = out_lines (Buffer.contents buf) in
-  let value_of line =
-    match String.rindex_opt line ' ' with
-    | Some i ->
-        float_of_string (String.sub line (i + 1) (String.length line - i - 1))
-    | None -> Alcotest.fail ("no value on line: " ^ line)
-  in
-  let bucket_lines =
-    List.filter
-      (fun l -> String.length l > 16 && String.sub l 0 16 = "h_seconds_bucket")
-      lines
-  in
-  Alcotest.(check int) "one bucket line per bucket plus +Inf"
-    (Obs.histogram_buckets + 1)
-    (List.length bucket_lines);
-  let values = List.map value_of bucket_lines in
-  let rec monotone = function
-    | a :: (b :: _ as rest) -> a <= b && monotone rest
-    | _ -> true
-  in
-  Alcotest.(check bool) "cumulative buckets are monotone" true (monotone values);
-  let last = List.nth values (List.length values - 1) in
-  Alcotest.(check (float 0.)) "+Inf bucket carries the full mass" 7. last;
-  let count_line =
-    List.find (fun l -> String.length l > 15 && String.sub l 0 15 = "h_seconds_count") lines
-  in
-  Alcotest.(check (float 0.)) "_count equals +Inf" 7. (value_of count_line);
-  let sum_line =
-    List.find (fun l -> String.length l > 13 && String.sub l 0 13 = "h_seconds_sum") lines
-  in
-  Alcotest.(check (float 0.)) "_sum carried through" 1.5 (value_of sum_line);
-  (* the +Inf line must literally use the +Inf label *)
-  Alcotest.(check bool) "+Inf label present" true
-    (List.exists
-       (fun l ->
-         match String.index_opt l '{' with
-         | Some _ ->
-             let nl = String.length l in
-             let needle = "le=\"+Inf\"" in
-             let rec go i =
-               i + String.length needle <= nl
-               && (String.sub l i (String.length needle) = needle || go (i + 1))
-             in
-             go 0
-         | None -> false)
-       bucket_lines)
-
-let test_prometheus_of_snapshot () =
-  let snap =
-    snapshot_of
-      [ (Obs.Solver_query, metrics_of ~spans:2 ~seconds:0.25 [ (3, 2) ]) ]
-      [ ("filter.daemon.accept", 5) ]
-  in
-  let out = Obs.Prometheus.of_snapshot snap in
-  let contains needle =
-    let nl = String.length needle and l = String.length out in
-    let rec go i = i + nl <= l && (String.sub out i nl = needle || go (i + 1)) in
-    Alcotest.(check bool) (Printf.sprintf "exposition contains %s" needle) true (go 0)
-  in
-  contains "# TYPE achilles_phase_spans_total counter";
-  contains "achilles_phase_spans_total{phase=\"solver_query\"} 2";
-  contains "achilles_phase_seconds_total{phase=\"solver_query\"} 0.25";
-  contains "# TYPE achilles_phase_duration_seconds histogram";
-  contains "achilles_phase_duration_seconds_count{phase=\"solver_query\"} 2";
-  contains "achilles_events_total{name=\"filter.daemon.accept\"} 5";
-  (* idle phases get counter series but no histogram series *)
-  contains "achilles_phase_spans_total{phase=\"slice\"} 0";
-  let not_contains needle =
-    let nl = String.length needle and l = String.length out in
-    let rec go i = i + nl <= l && (String.sub out i nl = needle || go (i + 1)) in
-    Alcotest.(check bool) (Printf.sprintf "exposition omits %s" needle) false (go 0)
-  in
-  not_contains "achilles_phase_duration_seconds_count{phase=\"slice\"}";
-  (* every non-comment line is "name-or-series value" with a float value *)
-  List.iter
-    (fun line ->
-      if String.length line > 0 && line.[0] <> '#' then
-        match String.rindex_opt line ' ' with
-        | Some i -> (
-            match
-              float_of_string_opt
-                (String.sub line (i + 1) (String.length line - i - 1))
-            with
-            | Some _ -> ()
-            | None -> Alcotest.fail ("unparseable sample value: " ^ line))
-        | None -> Alcotest.fail ("sample line without value: " ^ line))
-    (out_lines out)
-
 (* --- nested JSON values (Json.v) ----------------------------------------------- *)
 
 let test_json_value_roundtrip () =
@@ -1111,15 +995,6 @@ let () =
           Alcotest.test_case "decode rejects malformed, skips unknown" `Quick
             test_snapshot_decode_errors;
           QCheck_alcotest.to_alcotest ~verbose:false qcheck_snapshot_roundtrip;
-        ] );
-      ( "prometheus",
-        [
-          Alcotest.test_case "escaping and counter families" `Quick
-            test_prometheus_escaping;
-          Alcotest.test_case "histogram exposition" `Quick
-            test_prometheus_histogram;
-          Alcotest.test_case "snapshot exposition" `Quick
-            test_prometheus_of_snapshot;
         ] );
       ( "trace-writer",
         [
