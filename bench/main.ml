@@ -44,8 +44,9 @@ let write_csv name header rows =
   Format.printf "  (series written to %s)@." path
 
 let fresh_measurement f =
-  (* measurements must not be flattered by earlier experiments' caches *)
-  Solver.clear_cache ();
+  (* measurements must not be flattered by earlier experiments' solver
+     contexts and their learnt clauses *)
+  Solver.reset_contexts ();
   Solver.reset_stats ();
   let t0 = Unix.gettimeofday () in
   let result = f () in
@@ -228,7 +229,7 @@ let experiment_timing () =
   (* the paper's preprocessing has no cross-path memoization; measure that
      raw cost too for the faithful comparison *)
   let raw_preprocessing =
-    Solver.clear_cache ();
+    Solver.reset_contexts ();
     let _, stats =
       Different_from.compute ~memoize:false ~mask:Fsp_model.analysis_mask
         analysis.Achilles.client

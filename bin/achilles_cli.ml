@@ -263,7 +263,7 @@ let verbose_arg =
 let trace_arg =
   let doc =
     "Write a JSONL event trace (span begin/end, solver verdicts, drops, \
-     cache hits/misses, shard lifecycle) to $(docv). Defaults to \
+     shard lifecycle) to $(docv). Defaults to \
      $(b,ACHILLES_TRACE) when set. Inspect with $(b,trace summarize); \
      convert for Perfetto with $(b,trace export)."
   in
@@ -1239,9 +1239,6 @@ let trace_summarize file =
         List.iter (fun (v, n) -> Format.printf " %s=%d" v n) s.verdicts;
         Format.printf "@."
       end;
-      if s.cache_hits > 0 || s.cache_misses > 0 then
-        Format.printf "solver cache:    %d hits, %d misses@." s.cache_hits
-          s.cache_misses;
       if s.counters <> [] then begin
         Format.printf "@.counters:@.";
         List.iter
@@ -1359,8 +1356,8 @@ let status_cmd =
     (Cmd.info "status"
        ~doc:
          "Render the status.json a distributed run's coordinator keeps \
-          beside its leases: shard progress, solver throughput, cache hit \
-          rate, and per-worker liveness. Works on a live run (the file is \
+          beside its leases: shard progress, solver throughput and \
+          per-worker liveness. Works on a live run (the file is \
           updated atomically every second) and on a crashed one (the last \
           written picture survives)."
        ~man:

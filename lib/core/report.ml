@@ -66,13 +66,6 @@ let pp_coverage fmt (c : Search.coverage) =
       c.Search.budget_exhaustions;
   if c.Search.injected_faults > 0 then
     Format.fprintf fmt "  injected faults %d@," c.Search.injected_faults;
-  if c.Search.solver_queries > 0 then
-    Format.fprintf fmt
-      "  solver cache    %d entries, %d evictions, %.1f%% hit rate@,"
-      c.Search.solver_cache_entries c.Search.solver_cache_evictions
-      (100.
-      *. float_of_int c.Search.solver_cache_hits
-      /. float_of_int c.Search.solver_queries);
   if c.Search.slice_static_branches > 0 || c.Search.slice_cone_queries > 0 then
     Format.fprintf fmt
       "  slice oracle    %d branches decided statically, %d cone queries@,"

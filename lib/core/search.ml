@@ -120,19 +120,10 @@ type coverage = {
   budget_exhaustions : int;
   injected_faults : int;
   abandoned_states : int; (* states cut off by cancellation *)
-  (* solver result-cache health at the end of the run, process-wide: live
-     entries across every domain's bounded cache, evictions and hits since
-     the last stats reset, and the query total the hits are a fraction of.
-     Never digested: cache behavior may not influence reported results. *)
-  solver_cache_entries : int;
-  solver_cache_evictions : int;
-  solver_cache_hits : int;
-  solver_queries : int;
   (* slice-oracle effectiveness, process-wide since the last stats reset
-     (like the cache stats above — never digested, and multi-process
-     workers' counters stay in their own processes): branch decisions
-     settled statically, and full-path feasibility queries replaced by
-     cone-restricted ones *)
+     (never digested, and multi-process workers' counters stay in their own
+     processes): branch decisions settled statically, and full-path
+     feasibility queries replaced by cone-restricted ones *)
   slice_static_branches : int;
   slice_cone_queries : int;
 }
@@ -234,6 +225,33 @@ let fresh_recorder () =
     rec_faults = 0;
   }
 
+(* --- client-path negations ---------------------------------------------------
+
+   [negate(pathCi)] belongs to the client predicate, like the differentFrom
+   matrix, so one table serves every shard a run (or one worker process)
+   explores. The first shard to reach a message-constrained state builds
+   it, in path order, under the lock. The build allocates fresh (primed)
+   variables, so the table also records the fresh-variable counter after
+   it; a later shard adopts the table and that counter, and its primed
+   variables keep exactly the ids its own build would have given them.
+   Shards reach that point with the same counter and message variables
+   unless the server allocates variables after its first fork (the
+   determinism caveat in the interface); the key records both, and a shard
+   arriving with others builds a private table, as if none were shared. A
+   build that raises stores nothing, so the next shard builds afresh. *)
+type negation_table = {
+  nt_key : int * int array; (* counter before the build, message var ids *)
+  nt_negs : Term.t array; (* client idx -> negate(pathCi) *)
+  nt_after : int; (* counter after the build *)
+}
+
+type negations = {
+  neg_lock : Mutex.t;
+  mutable neg_table : negation_table option;
+}
+
+let negations () = { neg_lock = Mutex.create (); neg_table = None }
+
 (* Mutable search context shared by the interpreter hooks. *)
 type search_ctx = {
   cfg : config;
@@ -242,7 +260,8 @@ type search_ctx = {
   different_from : Different_from.t option;
   alive : (int, int list) Hashtbl.t; (* state id -> alive client indices *)
   bindings : (int, Term.t list) Hashtbl.t; (* client idx -> msgS=msgC binding *)
-  negations : (int, Term.t) Hashtbl.t; (* client idx -> negate(pathCi) *)
+  negations : negations; (* the run's table, shared between shards *)
+  mutable negated : Term.t array; (* client idx -> negate(pathCi) *)
   shard : Interp.shard; (* the route shard this worker explores *)
   recorder : recorder; (* the shard's event log *)
   mutable server_vars : Term.var array option;
@@ -257,18 +276,36 @@ let all_indices ctx = List.init (Array.length ctx.paths) Fun.id
    that owns it does (with a single shard, that is every state). *)
 let records ctx (st : State.t) = Interp.shard_owns ctx.shard st.State.route
 
-let negation_for ctx idx =
-  match Hashtbl.find_opt ctx.negations idx with
-  | Some n -> n
-  | None ->
-      let server_vars = Option.get ctx.server_vars in
-      let n =
-        Negate.negate_path ~check_overlap:ctx.cfg.check_overlap
-          ?mask:ctx.cfg.mask ~layout:ctx.client.Predicate.layout ~server_vars
-          ctx.paths.(idx)
-      in
-      Hashtbl.replace ctx.negations idx n;
-      n
+let negation_for ctx idx = ctx.negated.(idx)
+
+let negations_for ctx vars =
+  let build () =
+    Array.map
+      (Negate.negate_path ~check_overlap:ctx.cfg.check_overlap
+         ?mask:ctx.cfg.mask ~layout:ctx.client.Predicate.layout
+         ~server_vars:vars)
+      ctx.paths
+  in
+  let key =
+    ( Term.fresh_counter_value (),
+      Array.map (fun (v : Term.var) -> v.Term.id) vars )
+  in
+  Mutex.protect ctx.negations.neg_lock (fun () ->
+      match ctx.negations.neg_table with
+      | Some t when t.nt_key = key ->
+          Term.set_fresh_counter t.nt_after;
+          t.nt_negs
+      | Some _ -> build ()
+      | None ->
+          let negs = build () in
+          ctx.negations.neg_table <-
+            Some
+              {
+                nt_key = key;
+                nt_negs = negs;
+                nt_after = Term.fresh_counter_value ();
+              };
+          negs)
 
 let setup_server_vars ctx vars =
   match ctx.server_vars with
@@ -289,13 +326,10 @@ let setup_server_vars ctx vars =
             in
             (f.Layout.field_name, List.sort compare ids))
           (Layout.fields layout);
-      (* Build every per-path negation now, in path order. Negation builds
-         allocate fresh (primed) variables; doing all of them at the first
-         message-constrained state — a point every shard passes with the
-         same fresh counter — gives the primed variables identical ids in
-         every shard and at every decomposition, whichever state a worker
-         happens to need one for first. *)
-      List.iter (fun i -> ignore (negation_for ctx i)) (all_indices ctx)
+      (* every negation at once, at the first message-constrained state:
+         the primed variables get the same ids whichever state first needs
+         one *)
+      ctx.negated <- negations_for ctx vars
 
 let binding_for ctx idx =
   match Hashtbl.find_opt ctx.bindings idx with
@@ -627,7 +661,8 @@ let on_terminal ctx (st : State.t) =
     | _ -> ()
   end
 
-let make_ctx ~config ~client ~different_from ~shard ~recorder ~started =
+let make_ctx ~config ~client ~different_from ~negations ~shard ~recorder
+    ~started =
   {
     cfg = config;
     client;
@@ -635,7 +670,8 @@ let make_ctx ~config ~client ~different_from ~shard ~recorder ~started =
     different_from;
     alive = Hashtbl.create 256;
     bindings = Hashtbl.create 64;
-    negations = Hashtbl.create 64;
+    negations;
+    negated = [||];
     shard;
     recorder;
     server_vars = None;
@@ -660,7 +696,9 @@ let hooks_of ctx =
    exclusively explores — and records — the subtrees matching its bit
    pattern, with its domain-local solver state and its fresh-variable
    counter reset to the pre-search base, so every variable (message bytes,
-   negation primes) gets the same id whatever the decomposition. The merge
+   negation primes) gets the same id whatever the decomposition. The
+   client-path negations are built once per run, by the first shard that
+   needs them, and shared by the rest (see [negations]). The merge
    concatenates the disjoint event logs, sorts them by route (lexicographic
    route order = depth-first creation order), and renumbers state ids by
    route rank; everything except wall-clock timestamps is bit-identical
@@ -894,7 +932,6 @@ let merge_outs ~total ~base ~started ~outs_resumed ~partial ~failed_shards
     ~retry_attempts ~interrupted ~abandoned =
   let outs = List.map fst outs_resumed @ partial in
   let sum f = List.fold_left (fun acc (r, _) -> acc + f r) 0 outs in
-  let agg = Solver.aggregate_stats () in
   let slice_static, slice_cone = slice_counters () in
   let coverage =
     {
@@ -910,10 +947,6 @@ let merge_outs ~total ~base ~started ~outs_resumed ~partial ~failed_shards
       budget_exhaustions = sum (fun r -> r.rec_exhaustions);
       injected_faults = sum (fun r -> r.rec_faults);
       abandoned_states = abandoned;
-      solver_cache_entries = Solver.aggregate_cache_entries ();
-      solver_cache_evictions = agg.Solver.cache_evictions;
-      solver_cache_hits = agg.Solver.cache_hits;
-      solver_queries = agg.Solver.queries;
       slice_static_branches = slice_static;
       slice_cone_queries = slice_cone;
     }
@@ -1044,15 +1077,18 @@ let merge_outs ~total ~base ~started ~outs_resumed ~partial ~failed_shards
    the domain its previous budget back, because the domain may be the
    caller's. This is the unit of work a distributed worker process
    executes for one lease. *)
-let explore_shard ~config ~different_from ~client ~server ~bits ~base ~started
-    idx =
+let explore_shard ~config ~different_from ~negations ~client ~server ~bits
+    ~base ~started idx =
   let shard = { Interp.shard_index = idx; Interp.shard_bits = bits } in
   Term.set_fresh_counter base;
   let solver_stats = Solver.stats () in
   let exhaustions0 = solver_stats.Solver.budget_exhaustions in
   let faults0 = solver_stats.Solver.injected_faults in
   let recorder = fresh_recorder () in
-  let ctx = make_ctx ~config ~client ~different_from ~shard ~recorder ~started in
+  let ctx =
+    make_ctx ~config ~client ~different_from ~negations ~shard ~recorder
+      ~started
+  in
   let iconfig =
     {
       config.interp with
@@ -1080,6 +1116,7 @@ let explore_shard ~config ~different_from ~client ~server ~bits ~base ~started
 let run_shards ~config ~different_from ~client ~server ~started ~bits =
   let n_tasks = 1 lsl bits in
   let base = Term.fresh_counter_value () in
+  let negations = negations () in
   let fingerprint =
     match config.checkpoint_dir with
     | Some dir ->
@@ -1111,8 +1148,8 @@ let run_shards ~config ~different_from ~client ~server ~started ~bits =
     if config.cancel () then None
     else begin
       let out, complete, n_abandoned =
-        explore_shard ~config ~different_from ~client ~server ~bits ~base
-          ~started idx
+        explore_shard ~config ~different_from ~negations ~client ~server
+          ~bits ~base ~started idx
       in
       ignore (Atomic.fetch_and_add abandoned n_abandoned);
       if complete then begin
@@ -1220,11 +1257,15 @@ module Shards = struct
   let fingerprint = run_fingerprint
   let prepare_dir = ensure_checkpoint_dir
 
-  let explore ~config ~different_from ~client ~server ~bits ~base ~started idx
-      =
+  type nonrec negations = negations
+
+  let negations = negations
+
+  let explore ~config ~different_from ~negations ~client ~server ~bits ~base
+      ~started idx =
     let out, complete, abandoned =
-      explore_shard ~config ~different_from ~client ~server ~bits ~base
-        ~started idx
+      explore_shard ~config ~different_from ~negations ~client ~server ~bits
+        ~base ~started idx
     in
     ((if complete then Some out else None), abandoned)
 

@@ -21,8 +21,9 @@
     {b Multicore.} Every run splits the exploration tree into
     [2^split_bits] route shards run as tasks on a {!Pool} of [domains]
     workers (the calling domain is worker 0), each with its domain-local
-    solver context, cache and stats and a fresh-variable counter replaying
-    the pre-search id sequence. A single-domain run without checkpointing
+    solver contexts and stats and a fresh-variable counter replaying the
+    pre-search id sequence; the client-path negations are built once per
+    run and shared by every shard. A single-domain run without checkpointing
     uses 0 split bits: one shard, run inline on the caller. Exactly one
     shard owns (records) each state, and the merge sorts the disjoint event
     logs by route — lexicographic route order equals depth-first creation
@@ -166,12 +167,8 @@ type coverage = {
   budget_exhaustions : int; (* solver escalation ladders ending Unknown *)
   injected_faults : int; (* faults fired by {!Solver.set_fault_injection} *)
   abandoned_states : int; (* states cut off by cancellation *)
-  solver_cache_entries : int; (* live bounded-cache entries, all domains *)
-  solver_cache_evictions : int; (* entries dropped at the size cap *)
-  solver_cache_hits : int; (* queries answered from the cache *)
-  solver_queries : int; (* total queries (denominator of the hit rate) *)
-  (* slice-oracle effectiveness (process-wide since the last stats reset,
-     like the cache stats; never digested): *)
+  (* slice-oracle effectiveness (process-wide since the last stats reset;
+     never digested): *)
   slice_static_branches : int; (* branch feasibilities settled statically *)
   slice_cone_queries : int; (* cone-restricted queries replacing full-path ones *)
 }
@@ -244,9 +241,17 @@ module Shards : sig
   (** Create the directory if needed and delete stale [*.tmp.*] leftovers
       from killed writers. Call once per run, before any worker writes. *)
 
+  type negations
+  (** The [negate(pathCi)] table of one run. Create one per run (or per
+      worker process) and pass it to every {!explore} call: the first shard
+      to need it builds it, the others adopt it. Domain-safe. *)
+
+  val negations : unit -> negations
+
   val explore :
     config:config ->
     different_from:Different_from.t option ->
+    negations:negations ->
     client:Predicate.client_predicate ->
     server:Ast.program ->
     bits:int ->

@@ -260,8 +260,6 @@ let run ?(config = default_config) ?run_id ~workdir ~job ~spawn ?manifest () =
              s_uncovered = List.length (Lease.Table.uncovered table);
              s_reassignments = Lease.Table.reassignments table;
              s_queries = counter merged "solver.queries";
-             s_cache_hits = counter merged "solver.cache_hits";
-             s_cache_misses = counter merged "solver.cache_misses";
              s_workers = workers;
              s_counters = merged.Obs.counters;
            })

@@ -33,8 +33,6 @@ type t = {
   s_uncovered : int;
   s_reassignments : int;
   s_queries : int;
-  s_cache_hits : int;
-  s_cache_misses : int;
   s_workers : worker list;
   s_counters : (string * int) list; (* merged worker counters, sorted *)
 }
@@ -42,10 +40,6 @@ type t = {
 let queries_per_sec t =
   let dt = t.s_updated -. t.s_started in
   if dt > 0. then float_of_int t.s_queries /. dt else 0.
-
-let cache_hit_rate t =
-  let total = t.s_cache_hits + t.s_cache_misses in
-  if total > 0 then float_of_int t.s_cache_hits /. float_of_int total else 0.
 
 let to_json t =
   let open Obs.Json in
@@ -72,10 +66,7 @@ let to_json t =
         VObj
           [
             ("queries", int t.s_queries);
-            ("cache_hits", int t.s_cache_hits);
-            ("cache_misses", int t.s_cache_misses);
             ("queries_per_sec", num (queries_per_sec t));
-            ("cache_hit_rate", num (cache_hit_rate t));
           ] );
       ( "workers",
         VArr
@@ -149,8 +140,6 @@ let of_json v =
           s_uncovered = d0 (int "uncovered" shards);
           s_reassignments = d0 (int "reassignments" v);
           s_queries = d0 (int "queries" solver);
-          s_cache_hits = d0 (int "cache_hits" solver);
-          s_cache_misses = d0 (int "cache_misses" solver);
           s_workers = workers;
           s_counters = counters;
         }
@@ -183,11 +172,8 @@ let pp ?now ppf t =
      reassignments@."
     t.s_done t.s_shards_total t.s_leased t.s_pending t.s_uncovered
     t.s_reassignments;
-  Format.fprintf ppf
-    "  solver: %d queries (%.1f/s), cache %d hits / %d misses (%.1f%% hit \
-     rate)@."
-    t.s_queries (queries_per_sec t) t.s_cache_hits t.s_cache_misses
-    (100. *. cache_hit_rate t);
+  Format.fprintf ppf "  solver: %d queries (%.1f/s)@." t.s_queries
+    (queries_per_sec t);
   if t.s_workers = [] then Format.fprintf ppf "  workers: none reported yet@."
   else begin
     Format.fprintf ppf "  workers:@.";

@@ -39,14 +39,11 @@ type t = {
   s_uncovered : int;
   s_reassignments : int;
   s_queries : int;
-  s_cache_hits : int;
-  s_cache_misses : int;
   s_workers : worker list;
   s_counters : (string * int) list;  (** merged worker counters, sorted *)
 }
 
 val queries_per_sec : t -> float
-val cache_hit_rate : t -> float
 
 val to_json : t -> Achilles_obs.Obs.Json.v
 val of_json : Achilles_obs.Obs.Json.v -> (t, string) result

@@ -81,6 +81,7 @@ type t = {
   epoch : int;
   workdir : string;
   job : job;
+  negations : Search.Shards.negations; (* shared by every shard it explores *)
   params : params;
   inbox : Lease.Mailbox.t; (* to the coordinator *)
   mybox : Lease.Mailbox.t; (* from the coordinator *)
@@ -96,19 +97,15 @@ type t = {
 let send w msg = Lease.Mailbox.send w.inbox (Lease.encode_to_coordinator msg)
 
 (* The worker's cumulative metrics state: Obs.aggregate plus the solver's
-   own stats (cache hit/miss exist only as trace events otherwise)
-   injected as counters so the coordinator's status can sum them. *)
+   query total injected as a counter so the coordinator's status can sum
+   it. *)
 let telemetry_snapshot () =
   let snap = Obs.aggregate () in
-  let st = Achilles_smt.Solver.aggregate_stats () in
+  let queries =
+    (Achilles_smt.Solver.aggregate_stats ()).Achilles_smt.Solver.queries
+  in
   let solver_counters =
-    List.filter
-      (fun (_, n) -> n > 0)
-      [
-        ("solver.queries", st.Achilles_smt.Solver.queries);
-        ("solver.cache_hits", st.Achilles_smt.Solver.cache_hits);
-        ("solver.cache_misses", st.Achilles_smt.Solver.cache_misses);
-      ]
+    if queries > 0 then [ ("solver.queries", queries) ] else []
   in
   {
     snap with
@@ -186,8 +183,8 @@ let run_shard w ~shard ~token ~started =
     | Some hook -> hook ~shard_index:shard ~attempt:token
     | None -> ());
     Search.Shards.explore ~config ~different_from:job.j_different_from
-      ~client:job.j_client ~server:job.j_server ~bits:job.j_bits
-      ~base:job.j_base ~started shard
+      ~negations:w.negations ~client:job.j_client ~server:job.j_server
+      ~bits:job.j_bits ~base:job.j_base ~started shard
   with
   | Some out, _ ->
       Search.Shards.write
@@ -230,6 +227,7 @@ let run ~workdir ~wid ?(epoch = 0) ?params ?die ~job () =
       epoch;
       workdir;
       job;
+      negations = Search.Shards.negations ();
       params;
       inbox = Lease.Mailbox.attach (Lease.inbox_dir workdir);
       mybox = Lease.Mailbox.attach (Lease.outbox_dir workdir wid);

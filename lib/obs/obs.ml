@@ -948,8 +948,6 @@ module Summary = struct
     rows : row list;
     counters : (string * int) list;
     verdicts : (string * int) list;
-    cache_hits : int;
-    cache_misses : int;
     events : int;
     kinds : (string * int) list;
     sites : (string * row) list;
@@ -981,7 +979,6 @@ module Summary = struct
       let cur = try Hashtbl.find tbl k with Not_found -> 0 in
       Hashtbl.replace tbl k (cur + n)
     in
-    let cache_hits = ref 0 and cache_misses = ref 0 in
     let n_events = ref 0 in
     let min_t = ref infinity and max_t = ref neg_infinity in
     let main_tid = ref None in
@@ -1078,9 +1075,6 @@ module Summary = struct
         | "solver" when name = "verdict" ->
             let r = Option.value ~default:"?" (str fields "result") in
             bump verdicts r 1
-        | "cache" ->
-            if name = "hit" then incr cache_hits
-            else if name = "miss" then incr cache_misses
         | _ -> ())
       events;
     (* Close spans the run never finished (killed mid-run) at the last
@@ -1113,8 +1107,6 @@ module Summary = struct
       rows = List.rev_map (Hashtbl.find rows) !row_order;
       counters = sorted counters;
       verdicts = sorted verdicts;
-      cache_hits = !cache_hits;
-      cache_misses = !cache_misses;
       sites =
         List.rev_map (fun key -> (snd key, Hashtbl.find sites key)) !site_order;
       events = !n_events;

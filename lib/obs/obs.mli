@@ -226,8 +226,6 @@ module Summary : sig
     rows : row list;           (** phases in first-seen order *)
     counters : (string * int) list;
     verdicts : (string * int) list;  (** solver verdict -> count *)
-    cache_hits : int;
-    cache_misses : int;
     events : int;
     kinds : (string * int) list;     (** event kind -> count *)
     sites : (string * row) list;

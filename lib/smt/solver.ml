@@ -14,7 +14,6 @@ type stats = {
   mutable budget_escalations : int;
   mutable budget_exhaustions : int;
   mutable injected_faults : int;
-  mutable cache_evictions : int;
   mutable incremental_checks : int;
   mutable frame_pushes : int;
   mutable frame_pops : int;
@@ -37,7 +36,6 @@ let fresh_stats () =
     budget_escalations = 0;
     budget_exhaustions = 0;
     injected_faults = 0;
-    cache_evictions = 0;
     incremental_checks = 0;
     frame_pushes = 0;
     frame_pops = 0;
@@ -110,35 +108,14 @@ let set_fault_injection ?(rate = 0.) ?(exceptions = false) ?(seed = 0x5eed) () =
 
 let fault_rate () = (Atomic.get fault_config).f_rate
 
-(* Result-cache keys are the canonicalized conjunct lists. The table must
-   hash and compare them structurally whatever the sharing mode — a
-   polymorphic Hashtbl would hash the [tid]s and never hit — so it uses the
-   terms' stored structural keys. *)
-module Key_tbl = Hashtbl.Make (struct
-  type t = Term.t list
-
-  let equal = List.equal Term.equal
-  let hash key = List.fold_left (fun h t -> (h * 31) + Term.hash t) 17 key
-end)
-
-(* Satellite: the per-domain result cache is bounded. Keys are evicted in
-   insertion order (FIFO) once the cap is reached — sound because a miss
-   merely re-solves, and deterministic because insertion order is the query
-   order, which the replay discipline already fixes. *)
-let cache_capacity = Atomic.make 65536
-
-let set_cache_capacity n =
-  if n < 1 then invalid_arg "Solver.set_cache_capacity";
-  Atomic.set cache_capacity n
-
-(* Every domain gets its own stats record, result cache and cache switch, so
+(* Every domain gets its own stats record, budget and solver contexts, so
    parallel search workers never contend on (or corrupt) shared tables. A
    registry of all per-domain states backs the aggregate/reset APIs. *)
 (* The per-domain incremental solver context: one long-lived SAT instance
    plus bitblast cache, a stack of activation-literal frames mirroring the
    DFS path prefix, and the guard tables mapping terms to their activation
-   variables. Lives in [domain_state] beside the intern tables and result
-   cache; see the [Frames] module below for the operations. *)
+   variables. Lives in [domain_state]; see the [Frames] module below for the
+   operations. *)
 type frames_ctx = {
   mutable fc_sat : Sat.t;
   mutable fc_bb : Bitblast.t;
@@ -150,16 +127,6 @@ type frames_ctx = {
 
 type domain_state = {
   dstats : stats;
-  dcache : result Key_tbl.t;
-  dcache_order : Term.t list Queue.t; (* insertion order, for eviction *)
-  (* Verdict-only cache for incremental checks, deliberately separate from
-     [dcache]: incremental [Sat] answers carry no model, and serving one to
-     a model-extracting scratch caller would desynchronize witness
-     enumeration between the two modes. Stores the unsat core alongside
-     [Unsat] so cached answers still explain drops. *)
-  dvcache : (result * Term.t list option) Key_tbl.t;
-  dvcache_order : Term.t list Queue.t;
-  mutable dcache_enabled : bool;
   mutable dbudget : budget option;
   dslot : int; (* registration order; seeds the fault PRNG *)
   mutable dfault : (int * Random.State.t) option; (* generation, PRNG *)
@@ -177,11 +144,6 @@ let domain_key =
       let st =
         {
           dstats = fresh_stats ();
-          dcache = Key_tbl.create 1024;
-          dcache_order = Queue.create ();
-          dvcache = Key_tbl.create 1024;
-          dvcache_order = Queue.create ();
-          dcache_enabled = true;
           dbudget = None;
           dslot = List.length !registry;
           dfault = None;
@@ -201,8 +163,6 @@ let get_budget () = (domain_state ()).dbudget
 
 let reset_one st =
   st.queries <- 0;
-  st.cache_hits <- 0;
-  st.cache_misses <- 0;
   st.interval_prunes <- 0;
   st.sat_calls <- 0;
   st.sat_results <- 0;
@@ -211,7 +171,6 @@ let reset_one st =
   st.budget_escalations <- 0;
   st.budget_exhaustions <- 0;
   st.injected_faults <- 0;
-  st.cache_evictions <- 0;
   st.incremental_checks <- 0;
   st.frame_pushes <- 0;
   st.frame_pops <- 0;
@@ -231,8 +190,6 @@ let aggregate_stats () =
     (fun d ->
       let s = d.dstats in
       acc.queries <- acc.queries + s.queries;
-      acc.cache_hits <- acc.cache_hits + s.cache_hits;
-      acc.cache_misses <- acc.cache_misses + s.cache_misses;
       acc.interval_prunes <- acc.interval_prunes + s.interval_prunes;
       acc.sat_calls <- acc.sat_calls + s.sat_calls;
       acc.sat_results <- acc.sat_results + s.sat_results;
@@ -241,7 +198,6 @@ let aggregate_stats () =
       acc.budget_escalations <- acc.budget_escalations + s.budget_escalations;
       acc.budget_exhaustions <- acc.budget_exhaustions + s.budget_exhaustions;
       acc.injected_faults <- acc.injected_faults + s.injected_faults;
-      acc.cache_evictions <- acc.cache_evictions + s.cache_evictions;
       acc.incremental_checks <- acc.incremental_checks + s.incremental_checks;
       acc.frame_pushes <- acc.frame_pushes + s.frame_pushes;
       acc.frame_pops <- acc.frame_pops + s.frame_pops;
@@ -252,17 +208,13 @@ let aggregate_stats () =
     states;
   acc
 
-let clear_one_cache d =
-  Key_tbl.reset d.dcache;
-  Queue.clear d.dcache_order;
-  Key_tbl.reset d.dvcache;
-  Queue.clear d.dvcache_order;
-  (* The incremental context is a cache too (of CNF, guard variables and
-     learnt clauses keyed by term structure): dropping only the result
-     cache would leave every other domain's long-lived SAT instance holding
-     guards for terms from the configuration being abandoned — and after a
-     [Term.clear_interning] those structural keys can collide with fresh
-     terms. The next incremental check lazily rebuilds a fresh context. *)
+let reset_one_context d =
+  (* The incremental context caches CNF, guard variables and learnt clauses
+     keyed by term structure: kept, it would leave a domain's long-lived SAT
+     instance holding guards for terms from the configuration being
+     abandoned — and after a [Term.clear_interning] those structural keys
+     can collide with fresh terms. The next incremental check lazily
+     rebuilds a fresh context. *)
   d.dframes <- None;
   (* The scratch instance holds no results, only buffers sized to the
      largest query so far; dropping it lets a dead worker domain's memory
@@ -270,14 +222,14 @@ let clear_one_cache d =
      builds a fresh instance. *)
   d.dscratch <- None
 
-(* Clearing is registry-wide: a per-domain clear left the other domains'
-   caches holding results computed under the configuration being abandoned,
+(* Resetting is registry-wide: a per-domain reset left the other domains'
+   contexts holding guards built under the configuration being abandoned,
    which is exactly the desynchronization the reconfigure paths hit. *)
-let clear_cache () =
+let reset_contexts () =
   Mutex.lock registry_mutex;
   let states = !registry in
   Mutex.unlock registry_mutex;
-  List.iter clear_one_cache states
+  List.iter reset_one_context states
 
 let reset_all_for_tests () =
   Mutex.lock registry_mutex;
@@ -286,7 +238,7 @@ let reset_all_for_tests () =
   List.iter
     (fun d ->
       reset_one d.dstats;
-      clear_one_cache d)
+      reset_one_context d)
     states;
   Term.clear_interning ();
   Bitblast.reset_memo_stats ();
@@ -312,61 +264,9 @@ let incremental_flag = Atomic.make true
 let incremental_enabled () = Atomic.get incremental_flag
 let set_incremental b = Atomic.set incremental_flag b
 
-let set_cache_enabled b = (domain_state ()).dcache_enabled <- b
-
-(* Labeled view of this domain's result-cache behaviour — the bare
-   [entries, evictions] tuple this replaced invited silent transpositions
-   at call sites. *)
-type cache_stats = {
-  cache_entries : int;
-  cache_hit_count : int;
-  cache_miss_count : int;
-  cache_eviction_count : int;
-}
-
-let cache_stats () =
-  let d = domain_state () in
-  {
-    cache_entries = Key_tbl.length d.dcache;
-    cache_hit_count = d.dstats.cache_hits;
-    cache_miss_count = d.dstats.cache_misses;
-    cache_eviction_count = d.dstats.cache_evictions;
-  }
-
-let aggregate_cache_entries () =
-  Mutex.lock registry_mutex;
-  let states = !registry in
-  Mutex.unlock registry_mutex;
-  List.fold_left (fun n d -> n + Key_tbl.length d.dcache) 0 states
-
-(* Insert a fresh result, evicting the oldest entry at capacity. Only keys
-   actually inserted are queued, so queue length always equals table size. *)
-let cache_insert d key r =
-  if not (Key_tbl.mem d.dcache key) then begin
-    if Key_tbl.length d.dcache >= Atomic.get cache_capacity then begin
-      let oldest = Queue.pop d.dcache_order in
-      Key_tbl.remove d.dcache oldest;
-      d.dstats.cache_evictions <- d.dstats.cache_evictions + 1
-    end;
-    Key_tbl.replace d.dcache key r;
-    Queue.push key d.dcache_order
-  end
-  else Key_tbl.replace d.dcache key r
-
-let vcache_insert d key r =
-  if not (Key_tbl.mem d.dvcache key) then begin
-    if Key_tbl.length d.dvcache >= Atomic.get cache_capacity then begin
-      let oldest = Queue.pop d.dvcache_order in
-      Key_tbl.remove d.dvcache oldest;
-      d.dstats.cache_evictions <- d.dstats.cache_evictions + 1
-    end;
-    Key_tbl.replace d.dvcache key r;
-    Queue.push key d.dvcache_order
-  end
-  else Key_tbl.replace d.dvcache key r
-
-(* Flatten nested conjunctions, drop [True], dedupe and sort for a canonical
-   cache key. Returns [None] when a conjunct is literally [False]. *)
+(* Flatten nested conjunctions, drop [True], dedupe and sort into the
+   canonical conjunct list every query is decided on. Returns [None] when a
+   conjunct is literally [False]. *)
 let canonicalize terms =
   let rec flatten acc = function
     | [] -> Some acc
@@ -516,30 +416,10 @@ let check ?site ?conflict_limit terms =
           st.unsat_results <- st.unsat_results + 1;
           Unsat
       | Some [] -> Sat Model.empty
-      | Some key -> (
-          match
-            if d.dcache_enabled then Key_tbl.find_opt d.dcache key else None
-          with
-          | Some r ->
-              st.cache_hits <- st.cache_hits + 1;
-              if Obs.live () then Obs.emit ~kind:"cache" ~name:"hit" ();
-              r
-          | None ->
-              if d.dcache_enabled then begin
-                st.cache_misses <- st.cache_misses + 1;
-                if Obs.live () then Obs.emit ~kind:"cache" ~name:"miss" ()
-              end;
-              let r =
-                if Interval.definitely_unsat key then begin
-                  st.interval_prunes <- st.interval_prunes + 1;
-                  Unsat
-                end
-                else with_budget ~conflict_limit d (solve_with_sat d key)
-              in
-              (match r with
-              | Unknown -> ()
-              | Sat _ | Unsat -> if d.dcache_enabled then cache_insert d key r);
-              r))
+      | Some key when Interval.definitely_unsat key ->
+          st.interval_prunes <- st.interval_prunes + 1;
+          Unsat
+      | Some key -> with_budget ~conflict_limit d (solve_with_sat d key))
 
 let is_sat ?site terms =
   match check ?site terms with Sat _ -> true | Unsat | Unknown -> false
@@ -737,21 +617,7 @@ module Frames = struct
             st.interval_prunes <- st.interval_prunes + 1;
             c.fc_last_core <- Some key;
             Unsat
-        | Some key when d.dcache_enabled && Key_tbl.mem d.dvcache key ->
-            (* verdict cache: repeated queries (sibling branches re-deciding
-               the same feasibility, the O(paths^2) matrix probes) answer
-               without touching the SAT instance, like the scratch path's
-               result cache — but from the verdict-only table *)
-            let r, core = Key_tbl.find d.dvcache key in
-            st.cache_hits <- st.cache_hits + 1;
-            if Obs.live () then Obs.emit ~kind:"cache" ~name:"hit" ();
-            (match r with Unsat -> c.fc_last_core <- core | Sat _ | Unknown -> ());
-            r
-        | Some key ->
-            if d.dcache_enabled then begin
-              st.cache_misses <- st.cache_misses + 1;
-              if Obs.live () then Obs.emit ~kind:"cache" ~name:"miss" ()
-            end;
+        | Some _ ->
             if Sat.num_vars c.fc_sat > Atomic.get context_var_cap then
               recycle c;
             let assumptions, decide_vars =
@@ -775,8 +641,7 @@ module Frames = struct
                   (assumptions, decide_vars))
             in
             let rung = ref (-1) in
-            let r =
-              with_budget ~conflict_limit d (fun ~conflict_limit ~deadline ->
+            with_budget ~conflict_limit d (fun ~conflict_limit ~deadline ->
                 incr rung;
                 let retained = Sat.num_learnts c.fc_sat in
                 st.learnts_retained <- st.learnts_retained + retained;
@@ -812,14 +677,7 @@ module Frames = struct
                                  lits));
                       Unsat
                   | None -> Unknown
-                end)
-            in
-            (match r with
-            | Unknown -> ()
-            | Sat _ | Unsat ->
-                if d.dcache_enabled then
-                  vcache_insert d key (r, c.fc_last_core));
-            r)
+                end))
 
   let is_sat ?conflict_limit c extras =
     match check ?conflict_limit c extras with

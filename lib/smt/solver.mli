@@ -2,17 +2,17 @@
     terms over the QF_BV theory.
 
     Pipeline per query: structural canonicalization (flatten conjunctions,
-    dedupe, detect trivial answers) -> result cache lookup -> unsigned
-    interval pre-check -> bitblasting -> CDCL SAT search -> model
-    extraction.
+    dedupe, detect trivial answers) -> unsigned interval pre-check ->
+    bitblasting -> CDCL SAT search -> model extraction. No answer is
+    cached between queries.
 
-    The cache and the statistics are per-domain ([Domain.DLS]): every domain
-    running solver queries gets its own, so parallel search workers never
-    contend on shared tables. {!aggregate_stats} merges across domains.
-    Because each non-cached query is decided on a CNF built from nothing
-    from a canonicalized key — on the domain's SAT instance reset to the
-    state of a fresh one — answers (including models) do not depend on
-    which domain's cache served them, or on the queries before them.
+    The solver contexts and the statistics are per-domain ([Domain.DLS]):
+    every domain running solver queries gets its own, so parallel search
+    workers never contend on shared tables. {!aggregate_stats} merges
+    across domains. Because each query is decided on a CNF built from
+    nothing from its canonical conjunct list — on the domain's SAT instance
+    reset to the state of a fresh one — answers (including models) do not
+    depend on the domain that ran them or on the queries before them.
     {!enumerate} extends the same discipline from one query to one
     enumeration session. *)
 
@@ -65,12 +65,12 @@ val enumerate :
     [limit <= 0]), and [`Unknown] when a solve stayed undecided on every
     rung of the {!budget} ladder or met an injected fault.
 
-    Every solve counts as one query, carries a [solver_query] span with
-    [site], and bypasses the result cache.
+    Every solve counts as one query and carries a [solver_query] span with
+    [site].
 
     {b Determinism contract.} The [k]-th model is a function of the
     canonical [base] and the first [k - 1] blocking terms only: not of the
-    queries before the session, the domain it runs on, or the cache. So
+    queries before the session or the domain it runs on. So
     witnesses enumerated this way are identical at any domain count, in
     any worker process and across a resume. They generally differ from
     the models {!check} would return for [base] plus the same blocks,
@@ -133,7 +133,7 @@ val set_context_var_cap : int -> unit
 
 val aggregate_incremental_contexts : unit -> int
 (** Live incremental contexts across every registered domain — 0 right
-    after {!clear_cache} / {!reset_all_for_tests}, which drop them
+    after {!reset_contexts} / {!reset_all_for_tests}, which drop them
     registry-wide. *)
 
 (** Explicit handle on the frame-stack machinery backing {!check_assuming}
@@ -188,8 +188,8 @@ end
     attempt answering [Unknown] is retried at x4 the previous budget, up to
     [escalations] extra attempts, after which [Unknown] is returned and
     counted as a budget exhaustion. Budgets are ambient and per-domain
-    (like the cache and statistics): parallel search workers install their
-    own copy. *)
+    (like the solver contexts and statistics): parallel search workers
+    install their own copy. *)
 
 type budget
 
@@ -228,12 +228,15 @@ val set_fault_injection :
 val fault_rate : unit -> float
 (** The currently configured fault rate (0 when injection is off). *)
 
-(** {1 Statistics and cache control} *)
+(** {1 Statistics and context control} *)
 
 type stats = {
   mutable queries : int;
   mutable cache_hits : int;
-  mutable cache_misses : int; (* enabled-cache lookups that missed *)
+  mutable cache_misses : int;
+  (* always 0: the solver keeps no result cache. Both fields stay only
+     because the benchmark harness still reads them; they go with its next
+     change. *)
   mutable interval_prunes : int; (* queries settled by the interval check *)
   mutable sat_calls : int;
   mutable sat_results : int;
@@ -242,7 +245,6 @@ type stats = {
   mutable budget_escalations : int; (* x4 retries taken *)
   mutable budget_exhaustions : int; (* ladders that ended in Unknown *)
   mutable injected_faults : int; (* faults fired by {!set_fault_injection} *)
-  mutable cache_evictions : int; (* result-cache entries dropped at the cap *)
   mutable incremental_checks : int; (* queries decided on a frame context *)
   mutable frame_pushes : int; (* frames entered ({!Frames.push}) *)
   mutable frame_pops : int; (* frames left ({!Frames.pop}) *)
@@ -269,36 +271,16 @@ val reset_stats : unit -> unit
 (** Zero the calling domain's statistics only. *)
 
 val reset_all_for_tests : unit -> unit
-(** Zero every domain's statistics, clear every domain's cache, drop every
-    domain's term-interning tables and zero the bitblast memo counters, so
-    test suites are order-independent regardless of which domains earlier
-    cases ran solver work on. Not safe while another domain is solving. *)
+(** Zero every domain's statistics, drop every domain's solver contexts
+    (as {!reset_contexts}) and term-interning tables and zero the bitblast
+    memo counters, so test suites are order-independent regardless of
+    which domains earlier cases ran solver work on. Not safe while another
+    domain is solving. *)
 
-val clear_cache : unit -> unit
-(** Drop the result cache of {e every} registered domain (including
-    finished ones). Clearing must be registry-wide: reconfiguration paths
-    that cleared only the calling domain's cache left other domains serving
-    results computed under the abandoned configuration. Not safe while
-    another domain is solving. *)
-
-val set_cache_enabled : bool -> unit
-(** Toggle result caching for the calling domain. *)
-
-val set_cache_capacity : int -> unit
-(** Cap (globally) on each domain's result-cache entry count; at the cap the
-    oldest entry is evicted first (FIFO), counted in [cache_evictions].
-    Default 65536. Raises [Invalid_argument] on a non-positive cap. *)
-
-type cache_stats = {
-  cache_entries : int; (* live entries in this domain's result cache *)
-  cache_hit_count : int;
-  cache_miss_count : int;
-  cache_eviction_count : int;
-}
-
-val cache_stats : unit -> cache_stats
-(** Labeled result-cache statistics for the calling domain. *)
-
-val aggregate_cache_entries : unit -> int
-(** Total live result-cache entries across every registered domain. *)
-
+val reset_contexts : unit -> unit
+(** Drop the incremental frame context and the scratch instance of
+    {e every} registered domain (including finished ones); each is rebuilt
+    fresh on its next use. Dropping must be registry-wide: reconfiguration
+    paths that reset only the calling domain left other domains holding
+    guards built under the abandoned configuration. Not safe while another
+    domain is solving. *)

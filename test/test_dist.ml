@@ -334,6 +334,19 @@ let test_dist_matches_single_process () =
   rm_rf workdir;
   Alcotest.(check bool) "coverage complete" true
     (Search.coverage_complete report.Search.coverage);
+  (* each of the 3 workers negates every client path at most once, for all
+     the shards it explores *)
+  let paths = Predicate.client_path_count client in
+  let negated =
+    Option.value ~default:0
+      (List.assoc_opt "negate.paths_negated"
+         (Achilles_obs.Obs.aggregate ()).Achilles_obs.Obs.counters)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d negations of %d paths: one table per worker" negated
+       paths)
+    true
+    (negated > 0 && negated mod paths = 0 && negated <= 3 * paths);
   Alcotest.(check string) "digest identical to single-process"
     (Report.report_digest clean)
     (Report.report_digest report)
@@ -468,8 +481,9 @@ let explore_one_shard ~config ~base client server =
   Term.set_fresh_counter base;
   let bits = Search.Shards.split_bits config in
   let out, _ =
-    Search.Shards.explore ~config ~different_from:None ~client ~server ~bits
-      ~base ~started:(Unix.gettimeofday ()) 0
+    Search.Shards.explore ~config ~different_from:None
+      ~negations:(Search.Shards.negations ()) ~client ~server ~bits ~base
+      ~started:(Unix.gettimeofday ()) 0
   in
   match out with
   | Some out -> (bits, out)
@@ -531,6 +545,144 @@ let test_stale_tmp_cleanup () =
   Alcotest.(check bool) "stale tmp swept" false (Sys.file_exists junk);
   Alcotest.(check bool) "real files kept" true (Sys.file_exists keep);
   rm_rf dir
+
+(* --- the run's negation table ------------------------------------------- *)
+
+(* A shard that raises while building the run's negation table leaves the
+   table empty: the next shard builds it afresh, every later shard adopts
+   it, and the merged report equals a run whose table was never
+   disturbed. The raise comes from a trace sink refusing the first
+   [negate] span, i.e. inside the build. *)
+let test_negation_build_raises () =
+  let client, server, base = extract_case fixed_case in
+  let config = { Search.default_config with Search.domains = 4 } in
+  let bits = Search.Shards.split_bits config in
+  let explore negations idx =
+    Search.Shards.explore ~config ~different_from:None ~negations ~client
+      ~server ~bits ~base ~started:0. idx
+  in
+  let run negations =
+    let outs =
+      List.init (1 lsl bits) (fun idx ->
+          match explore negations idx with
+          | Some out, _ -> (out, false)
+          | None, _ -> Alcotest.fail "shard exploration was cancelled?")
+    in
+    Search.Shards.merge ~total:(1 lsl bits) ~base ~started:0.
+      ~outs_resumed:outs ~partial:[] ~failed_shards:[] ~retry_attempts:0
+      ~interrupted:false ~abandoned:0
+  in
+  Solver.reset_all_for_tests ();
+  let clean = run (Search.Shards.negations ()) in
+  Solver.reset_all_for_tests ();
+  let shared = Search.Shards.negations () in
+  let fired = ref false in
+  Achilles_obs.Obs.set_sink
+    (Some
+       (fun ev ->
+         if
+           (not !fired)
+           && ev.Achilles_obs.Obs.ev_kind = "span_begin"
+           && ev.Achilles_obs.Obs.ev_name = "negate"
+         then begin
+           fired := true;
+           raise Exit
+         end));
+  let raised =
+    Fun.protect
+      ~finally:(fun () -> Achilles_obs.Obs.set_sink None)
+      (fun () ->
+        match explore shared 0 with _ -> false | exception Exit -> true)
+  in
+  Alcotest.(check bool) "the first build raised" true raised;
+  let healed = run shared in
+  Alcotest.(check string) "digest identical to an undisturbed run"
+    (Report.report_digest clean)
+    (Report.report_digest healed);
+  Alcotest.(check (option int)) "rebuilt once, then adopted by every shard"
+    (Some (Predicate.client_path_count client))
+    (List.assoc_opt "negate.paths_negated"
+       (Achilles_obs.Obs.aggregate ()).Achilles_obs.Obs.counters)
+
+(* A shard that adopts the table also adopts the fresh-variable counter
+   after the build, so it ends — and checkpoints — exactly the counter its
+   own build would have left. *)
+let test_negation_adoption_counter () =
+  let client, server, base = extract_case fixed_case in
+  let config = { Search.default_config with Search.domains = 4 } in
+  let bits = Search.Shards.split_bits config in
+  let end_counter negations idx =
+    ignore
+      (Search.Shards.explore ~config ~different_from:None ~negations ~client
+         ~server ~bits ~base ~started:0. idx);
+    Term.fresh_counter_value ()
+  in
+  Solver.reset_all_for_tests ();
+  let own = end_counter (Search.Shards.negations ()) 1 in
+  let shared = Search.Shards.negations () in
+  ignore (end_counter shared 0);
+  Alcotest.(check int) "adopting shard ends at its own build's counter" own
+    (end_counter shared 1)
+
+(* A server that allocates a symbolic variable on one side of a fork before
+   the message arrives reaches its first message-constrained state at a
+   different fresh-variable counter in each shard (the determinism caveat
+   of [Search]). A shard arriving that way must not adopt another shard's
+   table: it builds its own, exactly as when every shard built one. *)
+let test_negation_key_mismatch () =
+  let server =
+    let open Builder in
+    prog "late-symbolic"
+      ~buffers:[ ("msg", message_size) ]
+      [
+        make_symbolic "x" ~width:8;
+        if_ (v "x" >: i8 3) [ make_symbolic "y" ~width:8 ] [];
+        receive "msg";
+        if_
+          (load "msg" (i8 0) =: i8 1)
+          [ mark_accept "one" ]
+          [ mark_reject "other" ];
+      ]
+  in
+  let client, _, base = extract_case fixed_case in
+  let config =
+    {
+      Search.default_config with
+      Search.domains = 2;
+      Search.split_bits = Some 1;
+    }
+  in
+  let run table_of =
+    Solver.reset_all_for_tests ();
+    let outs =
+      List.init 2 (fun idx ->
+          match
+            Search.Shards.explore ~config ~different_from:None
+              ~negations:(table_of ()) ~client ~server ~bits:1 ~base
+              ~started:0. idx
+          with
+          | Some out, _ -> (out, false)
+          | None, _ -> Alcotest.fail "shard exploration was cancelled?")
+    in
+    let report =
+      Search.Shards.merge ~total:2 ~base ~started:0. ~outs_resumed:outs
+        ~partial:[] ~failed_shards:[] ~retry_attempts:0 ~interrupted:false
+        ~abandoned:0
+    in
+    ( Report.report_digest report,
+      List.assoc_opt "negate.paths_negated"
+        (Achilles_obs.Obs.aggregate ()).Achilles_obs.Obs.counters )
+  in
+  let shared = Search.Shards.negations () in
+  let digest_shared, negated_shared = run (fun () -> shared) in
+  let digest_own, negated_own = run Search.Shards.negations in
+  let paths = Predicate.client_path_count client in
+  Alcotest.(check (option int)) "each shard built its own table"
+    (Some (2 * paths)) negated_shared;
+  Alcotest.(check (option int)) "as with a table per shard" negated_own
+    negated_shared;
+  Alcotest.(check string) "same report as with a table per shard" digest_own
+    digest_shared
 
 (* --- telemetry: snapshot wire messages and status.json ------------------------- *)
 
@@ -638,6 +790,29 @@ let test_status_file () =
   Alcotest.(check bool) "rendering mentions the state" true (contains "done");
   Alcotest.(check bool) "rendering mentions shards" true (contains "shards")
 
+(* A status.json written before the solver result caches were removed
+   carries cache_hits, cache_misses and cache_hit_rate: it still loads, with
+   every other field intact. *)
+let test_status_loads_cache_era_file () =
+  let workdir = fresh_workdir "achilles-dist-old-status" in
+  let oc = open_out (Dist.Status.status_file workdir) in
+  output_string oc
+    {|{"version":1,"run_id":"0123456789ab","state":"done","updated":12,"started":10,"shards":{"total":8,"done":8,"leased":0,"pending":0,"uncovered":0},"reassignments":1,"solver":{"queries":2028,"cache_hits":522,"cache_misses":980,"queries_per_sec":1014,"cache_hit_rate":0.347},"workers":[{"wid":0,"pid":41,"epoch":0,"last_seen":12,"shard":-1,"phase":"server_se","queries":1400}],"counters":{"negate.paths_negated":256}}|};
+  close_out oc;
+  let loaded = Dist.Status.load ~workdir in
+  rm_rf workdir;
+  match loaded with
+  | Error e -> Alcotest.fail ("old status.json refused: " ^ e)
+  | Ok st ->
+      Alcotest.(check string) "run id" "0123456789ab" st.Dist.Status.s_run_id;
+      Alcotest.(check int) "queries" 2028 st.Dist.Status.s_queries;
+      Alcotest.(check int) "shards done" 8 st.Dist.Status.s_done;
+      Alcotest.(check int) "reassignments" 1 st.Dist.Status.s_reassignments;
+      Alcotest.(check int) "worker queries" 1400
+        (List.hd st.Dist.Status.s_workers).Dist.Status.w_queries;
+      Alcotest.(check (list (pair string int))) "counters"
+        [ ("negate.paths_negated", 256) ] st.Dist.Status.s_counters
+
 (* --- real worker processes (the CLI round trip) -------------------------------- *)
 
 let cli_binary () =
@@ -674,29 +849,67 @@ let digest_of_output content =
       | _ -> None)
     (String.split_on_char '\n' content)
 
+let client_paths_of_output content =
+  List.find_map
+    (fun line ->
+      Scanf.sscanf_opt (String.trim line) "client paths: %d" Fun.id)
+    (String.split_on_char '\n' content)
+
+(* Real worker processes reproduce the single-process digest. Each worker
+   process builds the client-path negations once, for every shard it
+   explores, so the merged [negate.paths_negated] counter in status.json
+   is the path count times the workers that explored a shard: 64 for FSP
+   with both workers busy. *)
 let test_real_worker_processes () =
   match cli_binary () with
   | None -> print_endline "achilles_cli.exe not built here; skipping"
   | Some binary ->
-      let status1, out1 = run_cli binary [ "analyze"; "rw"; "--digest" ] in
-      Alcotest.(check bool) "single-process run exits 0" true
-        (status1 = Unix.WEXITED 0);
-      let workdir = fresh_workdir "achilles-dist-proc" in
-      let status2, out2 =
-        run_cli binary
-          [
-            "analyze"; "rw"; "--digest"; "--workers"; "2"; "--work-dir";
-            workdir; "--lease-ttl"; "5";
-          ]
-      in
-      rm_rf workdir;
-      Alcotest.(check bool) "distributed run exits 0" true
-        (status2 = Unix.WEXITED 0);
-      match (digest_of_output out1, digest_of_output out2) with
-      | Some d1, Some d2 ->
-          Alcotest.(check string)
-            "real worker processes reproduce the single-process digest" d1 d2
-      | _ -> Alcotest.fail "no report digest in CLI output"
+      List.iter
+        (fun target ->
+          let status1, out1 =
+            run_cli binary (("analyze" :: target) @ [ "--digest" ])
+          in
+          Alcotest.(check bool) "single-process run exits 0" true
+            (status1 = Unix.WEXITED 0);
+          let workdir = fresh_workdir "achilles-dist-proc" in
+          let status2, out2 =
+            run_cli binary
+              (("analyze" :: target)
+              @ [
+                  "--digest"; "--workers"; "2"; "--work-dir"; workdir;
+                  "--lease-ttl"; "5";
+                ])
+          in
+          let status_json = Dist.Status.load ~workdir in
+          rm_rf workdir;
+          Alcotest.(check bool) "distributed run exits 0" true
+            (status2 = Unix.WEXITED 0);
+          (match (digest_of_output out1, digest_of_output out2) with
+          | Some d1, Some d2 ->
+              Alcotest.(check string)
+                "real worker processes reproduce the single-process digest" d1
+                d2
+          | _ -> Alcotest.fail "no report digest in CLI output");
+          let paths =
+            match client_paths_of_output out1 with
+            | Some n -> n
+            | None -> Alcotest.fail "no client path count in CLI output"
+          in
+          let negated =
+            match status_json with
+            | Ok st ->
+                Option.value ~default:0
+                  (List.assoc_opt "negate.paths_negated"
+                     st.Dist.Status.s_counters)
+            | Error e -> Alcotest.fail ("status.json unreadable: " ^ e)
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf
+               "%d negations: one table of %d per worker process (at most 2)"
+               negated paths)
+            true
+            (negated = paths || negated = 2 * paths))
+        [ [ "rw" ]; [ "fsp"; "-w"; "16" ] ]
 
 (* Worker processes must flush their trace sinks on EVERY exit path —
    including the fault-injected hard kill (_exit) — so each
@@ -876,11 +1089,22 @@ let () =
             test_checkpoint_corruption_guards;
           Alcotest.test_case "stale tmp cleanup" `Quick test_stale_tmp_cleanup;
         ] );
+      ( "negation-table",
+        [
+          Alcotest.test_case "a raising build leaves the table empty" `Quick
+            test_negation_build_raises;
+          Alcotest.test_case "adopting shards take the counter too" `Quick
+            test_negation_adoption_counter;
+          Alcotest.test_case "a shard arriving elsewhere builds its own" `Quick
+            test_negation_key_mismatch;
+        ] );
       ( "telemetry",
         [
           Alcotest.test_case "snapshot wire round-trip" `Quick
             test_snapshot_wire_roundtrip;
           Alcotest.test_case "status.json after a run" `Quick test_status_file;
+          Alcotest.test_case "status.json of the cache era loads" `Quick
+            test_status_loads_cache_era_file;
         ] );
       ( "worker-processes",
         [

@@ -1,8 +1,9 @@
 (* Tests for the hash-consed term core: semantic equivalence of the smart
    constructors against direct bit-level evaluation under random models,
    hash-consing invariants (equal <=> physical equality, id stability under
-   replay, sharing-off agreement), and the registry-wide solver-cache
-   clear/eviction behaviour the bounded per-domain cache introduced. *)
+   replay, sharing-off agreement), and the intern counters. (The group
+   holding the intern-counter case keeps its historical name,
+   "solver-cache"; the solver keeps no result cache any more.) *)
 
 open Achilles_smt
 
@@ -331,79 +332,6 @@ let qcheck_var_ids_memo_transparent =
       in
       on = off)
 
-(* --- bounded solver cache -------------------------------------------------- *)
-
-let query_of_int i =
-  let x = Term.var (Term.fresh_var ~name:"cache_probe" (Term.Bitvec 16)) in
-  [ Term.eq x (Term.int ~width:16 i) ]
-
-(* clear_cache must reach every domain's cache, not just the caller's: a
-   query cached inside a worker domain must not survive a clear issued from
-   the main domain. *)
-let test_clear_cache_all_domains () =
-  Solver.reset_all_for_tests ();
-  let worker_entries =
-    let domains =
-      List.init 2 (fun d ->
-          Domain.spawn (fun () ->
-              (* distinct queries per domain so each populates its own cache *)
-              for i = 0 to 4 do
-                ignore (Solver.is_sat (query_of_int ((d * 100) + i)))
-              done;
-              (Solver.cache_stats ()).Solver.cache_entries))
-    in
-    List.map Domain.join domains
-  in
-  List.iter
-    (fun entries ->
-      Alcotest.(check bool) "worker cached its queries" true (entries > 0))
-    worker_entries;
-  ignore (Solver.is_sat (query_of_int 999));
-  Alcotest.(check bool)
-    "aggregate sees worker + main entries" true
-    (Solver.aggregate_cache_entries () > List.fold_left ( + ) 0 worker_entries - 1);
-  Solver.clear_cache ();
-  Alcotest.(check int)
-    "clear_cache empties every domain" 0
-    (Solver.aggregate_cache_entries ());
-  Solver.reset_all_for_tests ()
-
-let test_cache_eviction_at_capacity () =
-  Solver.reset_all_for_tests ();
-  Fun.protect
-    ~finally:(fun () ->
-      Solver.set_cache_capacity 65536;
-      Solver.reset_all_for_tests ())
-    (fun () ->
-      Solver.set_cache_capacity 3;
-      (* a fixed pool: re-running queries.(i) must produce the same key *)
-      let queries = Array.init 10 query_of_int in
-      Array.iter (fun q -> ignore (Solver.is_sat q)) queries;
-      let cs = Solver.cache_stats () in
-      Alcotest.(check int) "entries bounded by the cap" 3 cs.Solver.cache_entries;
-      Alcotest.(check int) "evictions counted" 7 cs.Solver.cache_eviction_count;
-      Alcotest.(check int)
-        "misses counted for every uncached query" 10 cs.Solver.cache_miss_count;
-      Alcotest.(check int)
-        "stats expose the evictions" 7
-        (Solver.stats ()).Solver.cache_evictions;
-      (* the most recent query survived FIFO eviction and hits *)
-      let hits_before = (Solver.stats ()).Solver.cache_hits in
-      ignore (Solver.is_sat queries.(9));
-      Alcotest.(check int)
-        "most recent query still cached" (hits_before + 1)
-        (Solver.stats ()).Solver.cache_hits;
-      (* the oldest was evicted: re-solving it is a miss that re-enters *)
-      ignore (Solver.is_sat queries.(0));
-      Alcotest.(check int)
-        "evicted query re-solves without a hit" (hits_before + 1)
-        (Solver.stats ()).Solver.cache_hits)
-
-let test_cache_capacity_validation () =
-  Alcotest.check_raises "non-positive capacity rejected"
-    (Invalid_argument "Solver.set_cache_capacity")
-    (fun () -> Solver.set_cache_capacity 0)
-
 (* --- intern counters ------------------------------------------------------- *)
 
 let test_intern_stats_move () =
@@ -447,12 +375,6 @@ let () =
         ] );
       ( "solver-cache",
         [
-          Alcotest.test_case "clear_cache reaches all domains" `Quick
-            test_clear_cache_all_domains;
-          Alcotest.test_case "FIFO eviction at capacity" `Quick
-            test_cache_eviction_at_capacity;
-          Alcotest.test_case "capacity validation" `Quick
-            test_cache_capacity_validation;
           Alcotest.test_case "intern counters" `Quick test_intern_stats_move;
         ] );
     ]

@@ -240,11 +240,11 @@ let test_unsat_core_localizes () =
 
 (* --- registry-wide context clear -------------------------------------------- *)
 
-(* clear_cache must retire every domain's incremental context, not just the
-   caller's: worker domains allocate contexts lazily via check_assuming, and
-   a reconfiguration clear from the main domain must reach them all (the
+(* reset_contexts must retire every domain's incremental context, not just
+   the caller's: worker domains allocate contexts lazily via check_assuming,
+   and a reconfiguration reset from the main domain must reach them all (the
    next check then lazily rebuilds a fresh, correct context). *)
-let test_clear_cache_resets_contexts () =
+let test_reset_contexts_all_domains () =
   Solver.reset_all_for_tests ();
   with_incremental true (fun () ->
       let vars = make_vars () in
@@ -263,9 +263,9 @@ let test_clear_cache_resets_contexts () =
       Alcotest.(check bool)
         "workers allocated incremental contexts" true
         (Solver.aggregate_incremental_contexts () >= 2);
-      Solver.clear_cache ();
+      Solver.reset_contexts ();
       Alcotest.(check int)
-        "clear_cache retires every context" 0
+        "reset_contexts retires every context" 0
         (Solver.aggregate_incremental_contexts ());
       (* and the lazily-rebuilt context still answers correctly *)
       match
@@ -325,8 +325,8 @@ let () =
         ] );
       ( "lifecycle",
         [
-          Alcotest.test_case "clear_cache resets all contexts" `Quick
-            test_clear_cache_resets_contexts;
+          Alcotest.test_case "reset_contexts resets all contexts" `Quick
+            test_reset_contexts_all_domains;
           Alcotest.test_case "incremental off = scratch route" `Quick
             test_incremental_toggle;
         ] );

@@ -181,7 +181,7 @@ let test_multicore_golden_digests () =
    verdict query on the scratch route), the FSP and PBFT reports must not
    move, and each layer must still pay for itself in its deterministic work
    counter. Last measured on FSP: 19,089 -> 2,678 terms allocated with
-   sharing on, 115,084 -> 7,549 bitblast memo misses with incremental on. *)
+   sharing on, 121,323 -> 7,549 bitblast memo misses with incremental on. *)
 let test_layer_switches () =
   let pbft_config =
     {

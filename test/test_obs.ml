@@ -383,9 +383,39 @@ let test_summary_self_time () =
     (List.assoc_opt "foo" s.Obs.Summary.counters);
   Alcotest.(check (option int)) "verdict tallied" (Some 1)
     (List.assoc_opt "sat" s.Obs.Summary.verdicts);
-  Alcotest.(check int) "cache hit" 1 s.Obs.Summary.cache_hits;
-  Alcotest.(check int) "cache miss" 1 s.Obs.Summary.cache_misses;
+  (* traces from before the solver result caches were removed carry
+     "cache" events: they count under their kind and nowhere else *)
+  Alcotest.(check (option int)) "old cache events kept by kind" (Some 2)
+    (List.assoc_opt "cache" s.Obs.Summary.kinds);
+  Alcotest.(check (list (pair string int))) "cache events are not counters"
+    [ ("foo", 4) ] s.Obs.Summary.counters;
   Alcotest.(check int) "event count" 9 s.Obs.Summary.events
+
+(* A trace file written before the solver result caches were removed still
+   loads: its "cache" events show up only under events-by-kind. *)
+let test_summary_loads_old_cache_events () =
+  let file = Filename.temp_file "achilles-obs-oldcache" ".jsonl" in
+  let oc = open_out file in
+  List.iter
+    (fun l -> output_string oc (l ^ "\n"))
+    [
+      {|{"t":0,"tid":0,"kind":"span_begin","name":"solver_query"}|};
+      {|{"t":0.5,"tid":0,"kind":"cache","name":"miss"}|};
+      {|{"t":1,"tid":0,"kind":"span_end","name":"solver_query","dur":1}|};
+      {|{"t":1.5,"tid":0,"kind":"cache","name":"hit"}|};
+    ];
+  close_out oc;
+  let loaded = Obs.Summary.load file in
+  Sys.remove file;
+  match loaded with
+  | Error msg -> Alcotest.fail msg
+  | Ok s ->
+      Alcotest.(check (option int)) "cache events by kind" (Some 2)
+        (List.assoc_opt "cache" s.Obs.Summary.kinds);
+      Alcotest.(check int) "no counters from cache events" 0
+        (List.length s.Obs.Summary.counters);
+      Alcotest.(check int) "solver_query span read" 1
+        (row_of s "solver_query").Obs.Summary.row_spans
 
 (* --- Chrome export ------------------------------------------------------------- *)
 
@@ -1007,6 +1037,8 @@ let () =
         [
           Alcotest.test_case "self-time attribution" `Quick
             test_summary_self_time;
+          Alcotest.test_case "old cache events load" `Quick
+            test_summary_loads_old_cache_events;
           Alcotest.test_case "chrome export" `Quick test_chrome_export;
           Alcotest.test_case "CLI trace smoke" `Slow test_cli_trace_smoke;
         ] );

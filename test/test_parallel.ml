@@ -7,6 +7,7 @@ open Achilles_smt
 open Achilles_symvm
 open Achilles_core
 open Achilles_targets
+module Obs = Achilles_obs.Obs
 
 (* --- the domain pool --------------------------------------------------------- *)
 
@@ -250,9 +251,17 @@ let client_of_spec idx spec =
   in
   prog (Printf.sprintf "gen-client%d" idx) ~buffers:[ ("msg", message_size) ] body
 
+(* [negate(pathCi)] builds this run made: the [negate.paths_negated]
+   counter and the [negate] span count *)
+let negations_built () =
+  let snap = Obs.aggregate () in
+  ( Option.value ~default:0
+      (List.assoc_opt "negate.paths_negated" snap.Obs.counters),
+    (List.assoc Obs.Negate snap.Obs.phases).Obs.spans )
+
 let digest_at ~domains ?split_bits ~base client server =
-  (* identical starting state for every run: empty caches, zeroed stats,
-     and the fresh-variable counter back where extraction left it *)
+  (* identical starting state for every run: fresh solver contexts, zeroed
+     stats, and the fresh-variable counter back where extraction left it *)
   Solver.reset_all_for_tests ();
   Term.set_fresh_counter base;
   let config =
@@ -276,10 +285,48 @@ let qcheck_parallel_determinism =
       let client, _ = Client_extract.extract ~layout clients in
       let base = Term.fresh_counter_value () in
       let reference = digest_at ~domains:1 ~base client server in
-      List.for_all
-        (fun (domains, split_bits) ->
-          digest_at ~domains ?split_bits ~base client server = reference)
-        [ (2, None); (4, None); (4, Some 4); (3, Some 1) ])
+      (* each client path is negated once per run at any decomposition, or
+         never when no state constrains the message *)
+      let paths = Predicate.client_path_count client in
+      let negated_once () =
+        match negations_built () with
+        | 0, 0 -> true
+        | n, spans -> n = paths && spans = paths
+      in
+      negated_once ()
+      && List.for_all
+           (fun (domains, split_bits) ->
+             digest_at ~domains ?split_bits ~base client server = reference
+             && negated_once ())
+           [ (2, None); (4, None); (4, Some 4); (3, Some 1) ])
+
+(* The headline workload: every shard shares one negation table per run,
+   so FSP negates each of its 32 client paths exactly once at -j 1, 2 and
+   4 (each shard used to rebuild the whole table). *)
+let test_fsp_negations_once_per_run () =
+  List.iter
+    (fun domains ->
+      Solver.reset_all_for_tests ();
+      Term.reset_fresh_counter ();
+      let a =
+        Achilles.analyze
+          ~search_config:
+            {
+              Search.default_config with
+              Search.domains;
+              Search.mask = Some Fsp_model.analysis_mask;
+              Search.witnesses_per_path = 1;
+            }
+          ~layout:Fsp_model.layout ~clients:(Fsp_model.clients ())
+          ~server:Fsp_model.server ()
+      in
+      let paths = Predicate.client_path_count a.Achilles.client in
+      Alcotest.(check int) "FSP has 32 client paths" 32 paths;
+      let counted, spans = negations_built () in
+      let at what = Printf.sprintf "%s at -j %d" what domains in
+      Alcotest.(check int) (at "negate.paths_negated") paths counted;
+      Alcotest.(check int) (at "negate spans") paths spans)
+    [ 1; 2; 4 ]
 
 (* The empty-frontier degenerate case: a server that never forks gives every
    shard the same spine, exactly one shard owns it, and the merged report
@@ -363,6 +410,8 @@ let () =
         [
           QCheck_alcotest.to_alcotest ~verbose:false qcheck_parallel_determinism;
           Alcotest.test_case "no forks" `Quick test_parallel_no_forks;
+          Alcotest.test_case "FSP negates each client path once" `Quick
+            test_fsp_negations_once_per_run;
           Alcotest.test_case "differentFrom over a pool" `Quick
             test_different_from_pool;
         ] );

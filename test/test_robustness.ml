@@ -87,7 +87,7 @@ let test_pool_backoff_called () =
 (* --- solver budgets and the escalation ladder ------------------------------- *)
 
 (* A query the interval pre-check cannot settle, so it must reach the SAT
-   solver (fresh variables per call defeat the result cache). *)
+   solver; fresh variables per call keep every query distinct. *)
 let hard_query () =
   let x = Term.fresh_var ~name:"rb_x" (Term.Bitvec 8) in
   let y = Term.fresh_var ~name:"rb_y" (Term.Bitvec 8) in

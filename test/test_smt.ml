@@ -698,18 +698,16 @@ let test_solver_model_independent_of_history () =
       [ Term.eq (Term.udiv vy vz) (t8 5); Term.ugt vz (t8 1) ];
     ]
   in
-  Solver.set_cache_enabled false;
-  Fun.protect ~finally:(fun () -> Solver.set_cache_enabled true) (fun () ->
-      let model () =
-        match Solver.check key with
-        | Solver.Sat m -> Model.bindings m
-        | Solver.Unsat | Solver.Unknown -> Alcotest.fail "expected SAT"
-      in
-      let before = model () in
-      List.iter (fun q -> ignore (Solver.check q)) unrelated;
-      let after = model () in
-      Alcotest.(check bool) "identical model after unrelated queries" true
-        (before = after))
+  let model () =
+    match Solver.check key with
+    | Solver.Sat m -> Model.bindings m
+    | Solver.Unsat | Solver.Unknown -> Alcotest.fail "expected SAT"
+  in
+  let before = model () in
+  List.iter (fun q -> ignore (Solver.check q)) unrelated;
+  let after = model () in
+  Alcotest.(check bool) "identical model after unrelated queries" true
+    (before = after)
 
 (* --- incremental frames -------------------------------------------------------- *)
 
@@ -739,9 +737,7 @@ let qcheck_incremental_matches_oneshot =
         (fun (a, b) ->
           let extra = [ Term.uge vx (t8 a); Term.ule vx (t8 b) ] in
           let incremental = Solver.Frames.is_sat frames extra in
-          Solver.set_cache_enabled false;
           let oneshot = Solver.is_sat (extra @ permanent) in
-          Solver.set_cache_enabled true;
           incremental = oneshot)
         queries)
 
