@@ -215,44 +215,11 @@ let resume_arg =
   in
   Arg.(value & opt (some string) None & info [ "resume" ] ~docv:"DIR" ~doc)
 
-let workers_arg =
-  let doc =
-    "Distribute the search over $(docv) worker $(i,processes) (an \
-     `achilles worker` each), coordinated over $(b,--work-dir) with leases, \
-     heartbeats, and crash-proof shard reassignment. The report is \
-     byte-identical to an in-process run. 0 disables; negative picks one \
-     worker per spare core."
-  in
-  Arg.(value & opt int 0 & info [ "workers" ] ~docv:"N" ~doc)
-
-let work_dir_arg =
-  let doc =
-    "Work directory for the coordinator/worker protocol (manifest, \
-     mailboxes, leases, shard checkpoints). Survives crashes: re-running \
-     the same analysis against the same directory resumes from the \
-     completed shards."
-  in
-  Arg.(value & opt (some string) None & info [ "work-dir" ] ~docv:"DIR" ~doc)
-
-let lease_ttl_arg =
-  let doc =
-    "Shard-lease time-to-live in seconds: a worker whose heartbeats stop \
-     this long loses the shard, which is reassigned (distributed mode)."
-  in
-  Arg.(value & opt float 10.0 & info [ "lease-ttl" ] ~docv:"SECONDS" ~doc)
-
-let reassign_budget_arg =
-  let doc =
-    "Maximum assignments per shard before it is reported as uncovered \
-     instead of being retried forever (distributed mode)."
-  in
-  Arg.(value & opt int 5 & info [ "reassign-budget" ] ~docv:"N" ~doc)
-
 let digest_arg =
   let doc =
     "Print the deterministic report digest (stable across domain counts, \
-     worker counts, kills, and resume) — the handle CI uses to assert \
-     distributed == single-process."
+     shard retries and resume) — the handle CI uses to assert that every \
+     mode reports the same thing."
   in
   Arg.(value & flag & info [ "digest" ] ~doc)
 
@@ -327,101 +294,6 @@ let install_signal_handlers () =
 let exit_code_of (report : Search.report) =
   if Search.coverage_complete report.Search.coverage then 0 else 3
 
-(* --- distributed mode -------------------------------------------------------------
-
-   `analyze --workers N --work-dir DIR` runs the coordinator in this
-   process and spawns N `achilles worker` processes of this same binary.
-   Workers rebuild the search inputs from the manifest below; client
-   extraction and the differentFrom matrix are deterministic, so every
-   process derives the same terms, the same shard decomposition, and the
-   same run fingerprint — which the worker verifies before serving. *)
-
-module Dist = Achilles_dist
-
-type manifest = {
-  mf_target : string;
-  mf_mask : string option; (* raw --mask argument *)
-  mf_witnesses : int;
-  mf_no_drop : bool;
-  mf_no_df : bool;
-  mf_no_prune : bool;
-  mf_no_slice : bool;
-  mf_explain : bool;
-  mf_deadline : float option;
-  mf_conflicts : int option;
-  mf_workers : int; (* shard decomposition derives from this *)
-  mf_fingerprint : string; (* expected run fingerprint; drift check *)
-  mf_run_id : string; (* trace/status correlation id for the whole run *)
-  mf_trace : bool; (* workers mirror the coordinator's tracing choice *)
-}
-
-(* The search config a distributed run uses, identical on both sides.
-   [domains] is set to the worker count so the shard decomposition scales
-   with it (each worker explores its leased shard sequentially). *)
-let dist_search_config target ~mask ~witnesses ~no_drop ~no_df ~no_prune
-    ~no_slice ~explain ~workers ~deadline ~conflicts =
-  let solver_budget =
-    match (deadline, conflicts) with
-    | None, None -> None
-    | deadline, conflicts -> Some (Solver.budget ?deadline ?conflicts ())
-  in
-  {
-    Search.default_config with
-    Search.mask = parse_mask target mask;
-    Search.witnesses_per_path = witnesses;
-    Search.distinct_by = target.distinct_by;
-    Search.drop_alive = not no_drop;
-    Search.use_different_from = not no_df;
-    Search.prune_no_trojan = not no_prune;
-    Search.use_slice = Slice.enabled () && not no_slice;
-    Search.explain_drops = explain;
-    Search.interp = target.interp;
-    Search.domains = max 1 workers;
-    Search.solver_budget;
-    Search.cancel = (fun () -> Atomic.get interrupted);
-  }
-
-let search_config_of_manifest target mf =
-  dist_search_config target ~mask:mf.mf_mask ~witnesses:mf.mf_witnesses
-    ~no_drop:mf.mf_no_drop ~no_df:mf.mf_no_df ~no_prune:mf.mf_no_prune
-    ~no_slice:mf.mf_no_slice ~explain:mf.mf_explain ~workers:mf.mf_workers
-    ~deadline:mf.mf_deadline ~conflicts:mf.mf_conflicts
-
-(* The pre-search steps [Achilles.analyze] runs, then the job record every
-   process of the run must agree on. *)
-let dist_job target config =
-  let inputs =
-    Achilles.prepare ~search_config:config ?client_interp:target.client_interp
-      ~layout:target.layout ~clients:target.clients ~server:target.server ()
-  in
-  let job =
-    Dist.Worker.job_of ~config ?different_from:inputs.Achilles.different_from
-      ~client:inputs.Achilles.client ~server:target.server ()
-  in
-  (job, inputs)
-
-let run_coordinator target config ~workers ~workdir ~lease_ttl
-    ~reassign_budget ~manifest_flags =
-  let job, inputs = dist_job target config in
-  let mf = { manifest_flags with mf_fingerprint = job.Dist.Worker.j_fingerprint } in
-  let spawn =
-    Dist.Coordinator.process_spawner ~prog:Sys.executable_name
-      ~argv:[| Sys.executable_name; "worker"; "--work-dir"; workdir |]
-      ()
-  in
-  let ccfg =
-    {
-      Dist.Coordinator.default_config with
-      Dist.Coordinator.c_workers = workers;
-      Dist.Coordinator.c_lease_ttl = lease_ttl;
-      Dist.Coordinator.c_reassign_budget = reassign_budget;
-      Dist.Coordinator.c_cancel = (fun () -> Atomic.get interrupted);
-    }
-  in
-  Achilles.assemble inputs
-    (Dist.Coordinator.run ~config:ccfg ~workdir ~job ~spawn
-       ~manifest:(Marshal.to_string mf []) ())
-
 (* --- commands -------------------------------------------------------------------- *)
 
 let list_cmd =
@@ -436,28 +308,14 @@ let list_cmd =
 
 let analyze name mask witnesses no_drop no_df no_prune no_slice
     verbose explain domains deadline solver_budget checkpoint_dir resume trace
-    workers work_dir lease_ttl reassign_budget digest =
+    digest =
   match find_target name with
   | Error e ->
       Format.eprintf "%s@." e;
       1
-  | Ok target when workers <> 0 && work_dir = None ->
-      Format.eprintf "achilles analyze %s: --workers requires --work-dir@."
-        target.target_name;
-      1
   | Ok target ->
-      let workers =
-        if workers < 0 then Pool.recommended_domains () else workers
-      in
       if no_slice then Slice.set_enabled false;
       install_signal_handlers ();
-      (* name this process before any trace stream opens, so the
-         trace_start meta event (and status.json) carry the run id *)
-      Obs.set_identity
-        ~run_id:(Obs.fresh_run_id ())
-        ~proc:
-          (if workers > 0 && work_dir <> None then "coordinator"
-           else "analyze");
       setup_trace trace;
       if verbose then install_verbose_sink ();
       Fun.protect
@@ -469,72 +327,39 @@ let analyze name mask witnesses no_drop no_df no_prune no_slice
           Obs.Trace.disable ())
       @@ fun () ->
       Obs.emit ~kind:"meta" ~name:"analyze"
-        ~args:
-          [
-            ("target", Obs.S name);
-            ("domains", Obs.I domains);
-            ("workers", Obs.I workers);
-          ]
+        ~args:[ ("target", Obs.S name); ("domains", Obs.I domains) ]
         ();
+      let solver_budget =
+        match (deadline, solver_budget) with
+        | None, None -> None
+        | deadline, conflicts -> Some (Solver.budget ?deadline ?conflicts ())
+      in
+      let checkpoint_dir =
+        match resume with Some dir -> Some dir | None -> checkpoint_dir
+      in
+      let config =
+        {
+          Search.default_config with
+          Search.mask = parse_mask target mask;
+          Search.witnesses_per_path = witnesses;
+          Search.distinct_by = target.distinct_by;
+          Search.drop_alive = not no_drop;
+          Search.use_different_from = not no_df;
+          Search.prune_no_trojan = not no_prune;
+          Search.use_slice = Slice.enabled () && not no_slice;
+          Search.explain_drops = explain;
+          Search.interp = target.interp;
+          Search.domains = domains;
+          Search.solver_budget;
+          Search.checkpoint_dir;
+          Search.resume = resume <> None;
+          Search.cancel = (fun () -> Atomic.get interrupted);
+        }
+      in
       let analysis =
-        match work_dir with
-        | Some workdir when workers > 0 ->
-            let config =
-              dist_search_config target ~mask ~witnesses ~no_drop ~no_df
-                ~no_prune ~no_slice ~explain ~workers ~deadline
-                ~conflicts:solver_budget
-            in
-            run_coordinator target config ~workers ~workdir ~lease_ttl
-              ~reassign_budget
-              ~manifest_flags:
-                {
-                  mf_target = name;
-                  mf_mask = mask;
-                  mf_witnesses = witnesses;
-                  mf_no_drop = no_drop;
-                  mf_no_df = no_df;
-                  mf_no_prune = no_prune;
-                  mf_no_slice = no_slice;
-                  mf_explain = explain;
-                  mf_deadline = deadline;
-                  mf_conflicts = solver_budget;
-                  mf_workers = workers;
-                  mf_fingerprint = "";
-                  mf_run_id = fst (Obs.identity ());
-                  mf_trace = Obs.live ();
-                }
-        | _ ->
-            let solver_budget =
-              match (deadline, solver_budget) with
-              | None, None -> None
-              | deadline, conflicts ->
-                  Some (Solver.budget ?deadline ?conflicts ())
-            in
-            let checkpoint_dir =
-              match resume with Some dir -> Some dir | None -> checkpoint_dir
-            in
-            let config =
-              {
-                Search.default_config with
-                Search.mask = parse_mask target mask;
-                Search.witnesses_per_path = witnesses;
-                Search.distinct_by = target.distinct_by;
-                Search.drop_alive = not no_drop;
-                Search.use_different_from = not no_df;
-                Search.prune_no_trojan = not no_prune;
-                Search.use_slice = Slice.enabled () && not no_slice;
-                Search.explain_drops = explain;
-                Search.interp = target.interp;
-                Search.domains = domains;
-                Search.solver_budget;
-                Search.checkpoint_dir;
-                Search.resume = resume <> None;
-                Search.cancel = (fun () -> Atomic.get interrupted);
-              }
-            in
-            Achilles.analyze ~search_config:config
-              ?client_interp:target.client_interp ~layout:target.layout
-              ~clients:target.clients ~server:target.server ()
+        Achilles.analyze ~search_config:config
+          ?client_interp:target.client_interp ~layout:target.layout
+          ~clients:target.clients ~server:target.server ()
       in
       Obs.span Obs.Report (fun () ->
           Format.printf "%a@.@." Achilles.pp_summary analysis;
@@ -591,7 +416,6 @@ let analyze_cmd =
       $ no_df_arg $ no_prune_arg $ no_slice_arg
       $ verbose_arg $ explain_arg $ domains_arg $ deadline_arg
       $ solver_budget_arg $ checkpoint_dir_arg $ resume_arg $ trace_arg
-      $ workers_arg $ work_dir_arg $ lease_ttl_arg $ reassign_budget_arg
       $ digest_arg)
 
 let predicate name =
@@ -704,101 +528,6 @@ let replay_cmd =
          "Analyze, then replay every discovered witness against the \
           concretely executed server (fire-drill mode)")
     Term.(const replay $ target_arg $ witnesses_arg)
-
-(* --- worker mode ------------------------------------------------------------------ *)
-
-let worker workdir wid epoch =
-  install_signal_handlers ();
-  let manifest_path = Dist.Lease.manifest_file workdir in
-  (* the coordinator writes the manifest before spawning anyone, so a
-     short wait only covers slow filesystems *)
-  let rec wait_manifest tries =
-    match Dist.Lease.read_file manifest_path with
-    | Some content -> Some content
-    | None ->
-        if tries <= 0 then None
-        else begin
-          Unix.sleepf 0.05;
-          wait_manifest (tries - 1)
-        end
-  in
-  match wait_manifest 100 with
-  | None ->
-      Format.eprintf "achilles worker: no manifest in %s@." workdir;
-      2
-  | Some content -> (
-      match (Marshal.from_string content 0 : manifest) with
-      | exception _ ->
-          Format.eprintf "achilles worker: unreadable manifest in %s@." workdir;
-          2
-      | mf ->
-          Obs.set_identity ~run_id:mf.mf_run_id
-            ~proc:(Printf.sprintf "worker-%03d" wid);
-          if mf.mf_trace then
-            Obs.Trace.enable
-              (Filename.concat workdir
-                 (Printf.sprintf "trace-worker-%03d.e%d.jsonl" wid epoch));
-          (* every exit path below — drift exit 2, SIGTERM drain, clean
-             drain — funnels through this [finally], so the per-worker
-             trace stream is always flushed and closed. The fault-injected
-             death path bypasses it by design ([Unix._exit]); the default
-             [die] closes the trace itself first. *)
-          Fun.protect ~finally:(fun () -> Obs.Trace.disable ())
-          @@ fun () -> (
-          match find_target mf.mf_target with
-          | Error e ->
-              Format.eprintf "achilles worker: %s@." e;
-              2
-          | Ok target ->
-              if mf.mf_no_slice then Slice.set_enabled false;
-              let config = search_config_of_manifest target mf in
-              let job, _ = dist_job target config in
-              if job.Dist.Worker.j_fingerprint <> mf.mf_fingerprint then begin
-                (* binary or target drift: serving would poison the merge *)
-                Format.eprintf
-                  "achilles worker: run fingerprint mismatch for %s (got %s, \
-                   manifest %s)@."
-                  mf.mf_target job.Dist.Worker.j_fingerprint mf.mf_fingerprint;
-                2
-              end
-              else begin
-                Dist.Worker.run ~workdir ~wid ~epoch ~job ();
-                0
-              end))
-
-let worker_cmd =
-  let work_dir_req =
-    let doc = "Coordinator work directory to attach to." in
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "work-dir" ] ~docv:"DIR" ~doc)
-  in
-  let id_arg =
-    let doc = "Worker id assigned by the coordinator." in
-    Arg.(required & opt (some int) None & info [ "id" ] ~docv:"N" ~doc)
-  in
-  let epoch_arg =
-    let doc = "Respawn epoch (diversifies the fault-injection PRNG)." in
-    Arg.(value & opt int 0 & info [ "epoch" ] ~docv:"N" ~doc)
-  in
-  Cmd.v
-    (Cmd.info "worker"
-       ~doc:
-         "Serve shards for a distributed analyze run (spawned by \
-          $(b,analyze --workers); rarely invoked by hand). Rebuilds the \
-          search inputs from the coordinator's manifest, verifies the run \
-          fingerprint, then leases shards until drained. \
-          $(b,ACHILLES_WORKER_FAULT_RATE) injects deterministic \
-          mid-shard crashes for chaos testing."
-       ~man:
-         [
-           `S Cmdliner.Manpage.s_exit_status;
-           `P
-             "0 after a clean drain; 2 when the manifest is missing, \
-              unreadable, or names a different run fingerprint.";
-         ])
-    Term.(const worker $ work_dir_req $ id_arg $ epoch_arg)
 
 (* --- compiled filters and the serve daemon ---------------------------------------- *)
 
@@ -1285,87 +1014,10 @@ let trace_export_cmd =
           chrome://tracing")
     Term.(const trace_export $ trace_file_arg $ output_arg)
 
-let trace_merge srcs output =
-  match srcs with
-  | [] ->
-      Format.eprintf "trace merge: need at least one trace file@.";
-      1
-  | first :: _ -> (
-      let dst =
-        match output with Some o -> o | None -> first ^ ".merged.json"
-      in
-      match Obs.Chrome.merge ~srcs ~dst with
-      | Error e ->
-          Format.eprintf "trace merge: %s@." e;
-          1
-      | Ok (n, run_id) ->
-          Format.printf "merged %d streams%s into %s@." n
-            (match run_id with
-            | Some id -> Printf.sprintf " (run %s)" id
-            | None -> "")
-            dst;
-          0)
-
-let trace_merge_cmd =
-  let srcs_arg =
-    let doc =
-      "JSONL traces of one run: the coordinator's $(b,--trace) file plus \
-       the workers' $(i,trace-worker-*.jsonl) from the work directory."
-    in
-    Arg.(non_empty & pos_all file [] & info [] ~docv:"FILE" ~doc)
-  in
-  let output_arg =
-    let doc = "Output path (default: $(i,FIRST).merged.json)." in
-    Arg.(
-      value & opt (some string) None & info [ "o"; "output" ] ~docv:"OUT" ~doc)
-  in
-  Cmd.v
-    (Cmd.info "merge"
-       ~doc:
-         "Stitch the coordinator's and workers' JSONL traces into one \
-          Chrome/Perfetto timeline: one process track per stream, \
-          timestamps aligned on each stream's wall-clock origin, and a \
-          hard error if the streams carry different run ids")
-    Term.(const trace_merge $ srcs_arg $ output_arg)
-
 let trace_cmd =
   Cmd.group
     (Cmd.info "trace" ~doc:"Inspect JSONL traces written by analyze --trace")
-    [ trace_summarize_cmd; trace_export_cmd; trace_merge_cmd ]
-
-(* --- run status ------------------------------------------------------------------- *)
-
-let status workdir =
-  match Dist.Status.load ~workdir with
-  | Error e ->
-      Format.eprintf "achilles status: %s@." e;
-      1
-  | Ok st ->
-      Format.printf "%a@." (Dist.Status.pp ?now:None) st;
-      0
-
-let status_cmd =
-  let work_dir_req =
-    let doc = "Work directory of the distributed run to inspect." in
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "work-dir" ] ~docv:"DIR" ~doc)
-  in
-  Cmd.v
-    (Cmd.info "status"
-       ~doc:
-         "Render the status.json a distributed run's coordinator keeps \
-          beside its leases: shard progress, solver throughput and \
-          per-worker liveness. Works on a live run (the file is \
-          updated atomically every second) and on a crashed one (the last \
-          written picture survives)."
-       ~man:
-         [
-           `S Cmdliner.Manpage.s_exit_status;
-           `P "0 when status.json was read; 1 when missing or unreadable.";
-         ])
-    Term.(const status $ work_dir_req)
+    [ trace_summarize_cmd; trace_export_cmd ]
 
 let () =
   let doc = "find Trojan messages in distributed system implementations" in
@@ -1376,7 +1028,6 @@ let () =
           [
             list_cmd;
             analyze_cmd;
-            worker_cmd;
             predicate_cmd;
             replay_cmd;
             show_cmd;
@@ -1385,5 +1036,4 @@ let () =
             serve_cmd;
             filter_cmd;
             trace_cmd;
-            status_cmd;
           ]))

@@ -6,13 +6,6 @@ type timing = {
   server_analysis : float;
 }
 
-type inputs = {
-  client : Predicate.client_predicate;
-  client_stats : Client_extract.stats;
-  different_from : Different_from.t option;
-  different_from_stats : Different_from.stats option;
-}
-
 type analysis = {
   client : Predicate.client_predicate;
   client_stats : Client_extract.stats;
@@ -22,7 +15,7 @@ type analysis = {
   timing : timing;
 }
 
-let prepare ?(search_config = Search.default_config)
+let analyze ?(search_config = Search.default_config)
     ?(client_interp = Interp.default_config) ~layout ~clients ~server () =
   let client_interp =
     (* the slice oracle is verdict-preserving, so client extraction can use
@@ -53,34 +46,25 @@ let prepare ?(search_config = Search.default_config)
     end
     else (None, None)
   in
-  { client; client_stats; different_from; different_from_stats }
-
-let assemble (i : inputs) report =
+  let report =
+    Search.run ~config:search_config ?different_from ~client ~server ()
+  in
   {
-    client = i.client;
-    client_stats = i.client_stats;
-    different_from = i.different_from;
-    different_from_stats = i.different_from_stats;
+    client;
+    client_stats;
+    different_from;
+    different_from_stats;
     report;
     timing =
       {
-        client_extraction = i.client_stats.Client_extract.wall_time;
+        client_extraction = client_stats.Client_extract.wall_time;
         preprocessing =
-          (match i.different_from_stats with
+          (match different_from_stats with
           | Some s -> s.Different_from.wall_time
           | None -> 0.);
         server_analysis = report.Search.search_stats.Search.wall_time;
       };
   }
-
-let analyze ?(search_config = Search.default_config) ?client_interp ~layout
-    ~clients ~server () =
-  let i =
-    prepare ~search_config ?client_interp ~layout ~clients ~server ()
-  in
-  assemble i
-    (Search.run ~config:search_config ?different_from:i.different_from
-       ~client:i.client ~server ())
 
 let trojans analysis = analysis.report.Search.trojans
 

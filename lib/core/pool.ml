@@ -231,8 +231,3 @@ let shutdown p =
 let with_pool ~domains f =
   let p = create ~domains in
   Fun.protect ~finally:(fun () -> shutdown p) (fun () -> f p)
-
-(* One domain per core minus one for the caller (which the parallel search
-   also uses as a worker, but a coordinator process does not): the default
-   parallelism for anything that spawns sibling processes or domains. *)
-let recommended_domains () = max 1 (Domain.recommended_domain_count () - 1)

@@ -57,7 +57,3 @@ val shutdown : t -> unit
 
 val with_pool : domains:int -> (t -> 'a) -> 'a
 (** [create], run, and [shutdown] (also on exceptions). *)
-
-val recommended_domains : unit -> int
-(** [max 1 (recommended_domain_count - 1)]: the default width for sibling
-    worker processes/domains, leaving a core for the coordinating process. *)

@@ -121,8 +121,7 @@ type coverage = {
   injected_faults : int;
   abandoned_states : int; (* states cut off by cancellation *)
   (* slice-oracle effectiveness, process-wide since the last stats reset
-     (never digested, and multi-process workers' counters stay in their own
-     processes): branch decisions settled statically, and full-path
+     (never digested): branch decisions settled statically, and full-path
      feasibility queries replaced by cone-restricted ones *)
   slice_static_branches : int;
   slice_cone_queries : int;
@@ -228,9 +227,9 @@ let fresh_recorder () =
 (* --- client-path negations ---------------------------------------------------
 
    [negate(pathCi)] belongs to the client predicate, like the differentFrom
-   matrix, so one table serves every shard a run (or one worker process)
-   explores. The first shard to reach a message-constrained state builds
-   it, in path order, under the lock. The build allocates fresh (primed)
+   matrix, so one table serves every shard a run explores. The first shard
+   to reach a message-constrained state builds it, in path order, under
+   the lock. The build allocates fresh (primed)
    variables, so the table also records the fresh-variable counter after
    it; a later shard adopts the table and that counter, and its primed
    variables keep exactly the ids its own build would have given them.
@@ -778,24 +777,43 @@ let fsync_dir dir =
       Unix.close fd
   | exception Unix.Unix_error _ -> ()
 
+(* A write that fails (ENOSPC, EIO, an unwritable directory) costs only the
+   checkpoint, never the shard: the explored log still goes into this run's
+   report, the temp file is removed, and the shard file is simply missing —
+   so a later [--resume] re-explores it, just as after a torn write. *)
 let write_checkpoint_file ~file ~fingerprint ~idx (recorder, counter) =
   Obs.span Obs.Checkpoint_io @@ fun () ->
   if Obs.live () then
     Obs.emit ~kind:"checkpoint" ~name:"write" ~args:[ ("index", Obs.I idx) ] ();
-  (* pid-qualified temp name: two processes racing the same shard (a
-     presumed-dead worker and its replacement) must never interleave writes
-     into one temp file *)
+  (* pid-qualified temp name: two analyze runs sharing one checkpoint dir
+     must never interleave writes into one temp file *)
   let tmp = Printf.sprintf "%s.tmp.%d.%d" file (Unix.getpid ()) idx in
+  let failed reason =
+    Printf.eprintf
+      "achilles: warning: cannot write shard checkpoint %s (%s); a resume \
+       will re-explore shard %d\n\
+       %!"
+      file reason idx;
+    Obs.count "checkpoint.write_failed"
+  in
   let payload = Marshal.to_string (recorder, counter) [] in
-  let oc = open_out_bin tmp in
-  Marshal.to_channel oc
-    (ckpt_magic, fingerprint, idx, Digest.string payload, payload)
-    [];
-  flush oc;
-  fsync_noerr (Unix.descr_of_out_channel oc);
-  close_out oc;
-  Sys.rename tmp file;
-  fsync_dir (Filename.dirname file)
+  match open_out_bin tmp with
+  | exception Sys_error reason -> failed reason
+  | oc -> (
+      match
+        Marshal.to_channel oc
+          (ckpt_magic, fingerprint, idx, Digest.string payload, payload)
+          [];
+        flush oc;
+        fsync_noerr (Unix.descr_of_out_channel oc);
+        close_out oc;
+        Sys.rename tmp file
+      with
+      | () -> fsync_dir (Filename.dirname file)
+      | exception Sys_error reason ->
+          close_out_noerr oc;
+          (try Sys.remove tmp with Sys_error _ -> ());
+          failed reason)
 
 let write_shard_checkpoint ~dir ~fingerprint ~idx out =
   write_checkpoint_file ~file:(shard_file dir idx) ~fingerprint ~idx out
@@ -923,10 +941,9 @@ let split_bits_of config =
 
 (* Deterministic merge of disjoint shard event logs into a report:
    concatenate, sort by route (lexicographic route order = depth-first
-   creation order), and renumber state ids by route rank. The
-   in-process pool and the multi-process coordinator both end here — which
-   is what makes the final report digest independent of worker count,
-   kills, lease reassignments and resume history. [partial] logs (shards
+   creation order), and renumber state ids by route rank. Every run ends
+   here — which is what makes the final report digest independent of the
+   domain count, shard retries and resume history. [partial] logs (shards
    the cancel cut short) join the report but not the completed count. *)
 let merge_outs ~total ~base ~started ~outs_resumed ~partial ~failed_shards
     ~retry_attempts ~interrupted ~abandoned =
@@ -1075,8 +1092,7 @@ let merge_outs ~total ~base ~started ~outs_resumed ~partial ~failed_shards
    be reported, but never checkpointed or counted as a completed shard.
    The shard installs [config.solver_budget] for its own queries and gives
    the domain its previous budget back, because the domain may be the
-   caller's. This is the unit of work a distributed worker process
-   executes for one lease. *)
+   caller's. *)
 let explore_shard ~config ~different_from ~negations ~client ~server ~bits
     ~base ~started idx =
   let shard = { Interp.shard_index = idx; Interp.shard_bits = bits } in
@@ -1245,16 +1261,14 @@ let trojan_queries (r : report) =
       (sp, query))
     r.accepting
 
-(* The shard-level surface the multi-process coordinator/worker protocol
-   ([Achilles_dist]) is built on: explore one leased shard, persist or load
-   its event log as a durable checkpoint file, and merge disjoint logs into
-   the canonical report. Everything here is exactly what the in-process
-   driver uses, so the two cannot drift. *)
+(* The shard-level surface of [run_shards], exposed for tests: explore one
+   shard, persist or load its event log as a durable checkpoint file, and
+   merge disjoint logs into the canonical report. Everything here is
+   exactly what [run] uses, so the two cannot drift. *)
 module Shards = struct
   type out = recorder * int
 
   let split_bits = split_bits_of
-  let fingerprint = run_fingerprint
   let prepare_dir = ensure_checkpoint_dir
 
   type nonrec negations = negations

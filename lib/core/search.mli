@@ -208,16 +208,14 @@ val minimize_witness : trojan -> Bv.t array
     bytes as the expression allows — easier to read and to diff against
     valid traffic when preparing fire-drill payloads. *)
 
-(** {1 Distributed-search support}
+(** {1 Shard-level API}
 
-    The shard-level building blocks the multi-process coordinator/worker
-    protocol ([Achilles_dist]) runs on. A worker process calls {!Shards.explore}
-    for each shard it leases and persists the result with {!Shards.write};
-    the coordinator validates completed checkpoints with {!Shards.load} and
-    assembles the final report with {!Shards.merge} — the same merge the
-    in-process parallel mode uses, so a distributed run's report digest is
-    byte-identical to a single-process run regardless of worker count,
-    kills, or lease reassignments. *)
+    The building blocks {!run} is made of, exposed so tests can drive single
+    shards: {!Shards.explore} runs one route shard, {!Shards.write} and
+    {!Shards.load} persist and validate its checkpoint, and {!Shards.merge}
+    assembles the report from disjoint shard logs — the same merge every
+    run ends with, so any set of shards explored this way merges to the
+    report {!run} gives. *)
 module Shards : sig
   type out
   (** One completed shard's event log plus its final fresh-variable
@@ -227,24 +225,14 @@ module Shards : sig
   val split_bits : config -> int
   (** The shard decomposition the config implies ([2^bits] shards). *)
 
-  val fingerprint :
-    bits:int ->
-    config:config ->
-    client:Predicate.client_predicate ->
-    server:Ast.program ->
-    string
-  (** Identity of a run for checkpoint-reuse purposes (see the resume
-      caveats in the config docs): a checkpoint written under a different
-      fingerprint is never merged. *)
-
   val prepare_dir : string -> unit
   (** Create the directory if needed and delete stale [*.tmp.*] leftovers
-      from killed writers. Call once per run, before any worker writes. *)
+      from killed writers. Call once per run, before any shard writes. *)
 
   type negations
-  (** The [negate(pathCi)] table of one run. Create one per run (or per
-      worker process) and pass it to every {!explore} call: the first shard
-      to need it builds it, the others adopt it. Domain-safe. *)
+  (** The [negate(pathCi)] table of one run. Create one per run and pass
+      it to every {!explore} call: the first shard to need it builds it,
+      the others adopt it. Domain-safe. *)
 
   val negations : unit -> negations
 
@@ -262,11 +250,14 @@ module Shards : sig
   (** [explore ... idx] runs shard [idx] to completion in the calling
       domain, replaying the fresh-variable sequence from [base]. Returns
       [(None, abandoned)] when [config.cancel] fired mid-shard: the partial
-      log is dropped, as a leased shard either completes or fails. *)
+      log is dropped. *)
 
   val write : file:string -> fingerprint:string -> idx:int -> out -> unit
   (** Durable atomic checkpoint: marshal to a pid-qualified temp file,
-      fsync, rename into place, fsync the directory. *)
+      fsync, rename into place, fsync the directory. Never raises: a failed
+      write removes its temp file, warns on stderr and counts
+      ["checkpoint.write_failed"]; the file is then simply missing, so a
+      later resume re-explores the shard. *)
 
   val load : file:string -> fingerprint:string -> idx:int -> out option
   (** [None] if the file is missing, torn, corrupt (payload digest

@@ -11,7 +11,6 @@ type phase =
   | Bitblast
   | Checkpoint_io
   | Report
-  | Dist
   | Filter_eval
   | Slice
 
@@ -25,7 +24,6 @@ let all_phases =
     Bitblast;
     Checkpoint_io;
     Report;
-    Dist;
     Filter_eval;
     Slice;
   ]
@@ -39,7 +37,6 @@ let phase_name = function
   | Bitblast -> "bitblast"
   | Checkpoint_io -> "checkpoint_io"
   | Report -> "report"
-  | Dist -> "dist"
   | Filter_eval -> "filter_eval"
   | Slice -> "slice"
 
@@ -54,9 +51,8 @@ let phase_index = function
   | Bitblast -> 5
   | Checkpoint_io -> 6
   | Report -> 7
-  | Dist -> 8
-  | Filter_eval -> 9
-  | Slice -> 10
+  | Filter_eval -> 8
+  | Slice -> 9
 
 let n_phases = List.length all_phases
 
@@ -190,179 +186,6 @@ let reset_all () =
       Hashtbl.reset s.counters)
     slices
 
-(* --- snapshot codec --------------------------------------------------------- *)
-
-module Snapshot = struct
-  let version = 1
-
-  let zero_metrics () =
-    { spans = 0; seconds = 0.; histogram = Array.make histogram_buckets 0 }
-
-  let empty () =
-    { phases = List.map (fun p -> (p, zero_metrics ())) all_phases; counters = [] }
-
-  (* Counter names ride on a space-separated line: percent-escape anything
-     outside printable non-space ASCII (plus '%' itself). *)
-  let escape_name s =
-    let buf = Buffer.create (String.length s) in
-    String.iter
-      (fun c ->
-        let code = Char.code c in
-        if c = '%' || code <= 0x20 || code > 0x7e then
-          Buffer.add_string buf (Printf.sprintf "%%%02x" code)
-        else Buffer.add_char buf c)
-      s;
-    Buffer.contents buf
-
-  let unescape_name s =
-    let n = String.length s in
-    let buf = Buffer.create n in
-    let rec go i =
-      if i >= n then Some (Buffer.contents buf)
-      else if s.[i] = '%' then
-        if i + 2 >= n then None
-        else
-          match int_of_string_opt ("0x" ^ String.sub s (i + 1) 2) with
-          | Some code when code >= 0 && code < 256 ->
-              Buffer.add_char buf (Char.chr code);
-              go (i + 3)
-          | _ -> None
-      else begin
-        Buffer.add_char buf s.[i];
-        go (i + 1)
-      end
-    in
-    go 0
-
-  let encode snap =
-    let buf = Buffer.create 512 in
-    Buffer.add_string buf (Printf.sprintf "achsnap %d\n" version);
-    List.iter
-      (fun (p, m) ->
-        if m.spans <> 0 || m.seconds <> 0. then begin
-          (* %.17g: shortest always-round-trippable double rendering. *)
-          Buffer.add_string buf
-            (Printf.sprintf "phase %s %d %.17g " (phase_name p) m.spans m.seconds);
-          let cells = ref [] in
-          Array.iteri
-            (fun k v -> if v <> 0 then cells := Printf.sprintf "%d:%d" k v :: !cells)
-            m.histogram;
-          Buffer.add_string buf
-            (if !cells = [] then "-" else String.concat "," (List.rev !cells));
-          Buffer.add_char buf '\n'
-        end)
-      snap.phases;
-    List.iter
-      (fun (name, n) ->
-        Buffer.add_string buf (Printf.sprintf "counter %s %d\n" (escape_name name) n))
-      snap.counters;
-    Buffer.contents buf
-
-  let decode text =
-    let exception Fail of string in
-    let fail fmt = Printf.ksprintf (fun m -> raise (Fail m)) fmt in
-    try
-      let lines = String.split_on_char '\n' text in
-      let header, body =
-        match lines with
-        | h :: rest -> (String.trim h, rest)
-        | [] -> fail "empty snapshot"
-      in
-      (match String.split_on_char ' ' header with
-      | [ "achsnap"; v ] -> (
-          match int_of_string_opt v with
-          | Some v when v >= 1 && v <= version -> ()
-          | Some v -> fail "unsupported snapshot version %d" v
-          | None -> fail "bad snapshot version %S" v)
-      | _ -> fail "not a snapshot (bad header %S)" header);
-      let cells = Array.init n_phases (fun _ -> zero_metrics ()) in
-      let counters : (string, int) Hashtbl.t = Hashtbl.create 16 in
-      let parse_hist m field =
-        if field <> "-" then
-          List.iter
-            (fun cell ->
-              match String.split_on_char ':' cell with
-              | [ k; v ] -> (
-                  match (int_of_string_opt k, int_of_string_opt v) with
-                  | Some k, Some v when k >= 0 && k < histogram_buckets && v >= 0 ->
-                      m.histogram.(k) <- m.histogram.(k) + v
-                  | _ -> fail "bad histogram cell %S" cell)
-              | _ -> fail "bad histogram cell %S" cell)
-            (String.split_on_char ',' field)
-      in
-      List.iter
-        (fun line ->
-          let line = String.trim line in
-          if line <> "" then
-            match String.split_on_char ' ' line with
-            | "phase" :: name :: spans :: seconds :: rest -> (
-                match phase_of_name name with
-                | None -> () (* unknown phase from a newer build: skip *)
-                | Some p -> (
-                    let m = cells.(phase_index p) in
-                    (match (int_of_string_opt spans, float_of_string_opt seconds) with
-                    | Some sp, Some sec when sp >= 0 ->
-                        cells.(phase_index p) <-
-                          { m with spans = m.spans + sp; seconds = m.seconds +. sec }
-                    | _ -> fail "bad phase line %S" line);
-                    match rest with
-                    | [ hist ] -> parse_hist cells.(phase_index p) hist
-                    | _ -> fail "bad phase line %S" line))
-            | "counter" :: name :: [ n ] -> (
-                match (unescape_name name, int_of_string_opt n) with
-                | Some name, Some n ->
-                    let cur = try Hashtbl.find counters name with Not_found -> 0 in
-                    Hashtbl.replace counters name (cur + n)
-                | _ -> fail "bad counter line %S" line)
-            | tag :: _
-              when tag <> "phase" && tag <> "counter" && tag <> "achsnap" ->
-                () (* unknown record tag from a newer version: skip *)
-            | _ -> fail "bad line %S" line)
-        body;
-      Ok
-        {
-          phases = List.map (fun p -> (p, cells.(phase_index p))) all_phases;
-          counters =
-            Hashtbl.fold (fun k v acc -> (k, v) :: acc) counters []
-            |> List.sort (fun (a, _) (b, _) -> String.compare a b);
-        }
-    with Fail msg -> Error msg
-
-  let merge a b =
-    let metrics_of snap p =
-      match List.assoc_opt p snap.phases with
-      | Some m -> m
-      | None -> zero_metrics ()
-    in
-    let hget h k = if k < Array.length h then h.(k) else 0 in
-    let phases =
-      List.map
-        (fun p ->
-          let ma = metrics_of a p and mb = metrics_of b p in
-          ( p,
-            {
-              spans = ma.spans + mb.spans;
-              seconds = ma.seconds +. mb.seconds;
-              histogram =
-                Array.init histogram_buckets (fun k ->
-                    hget ma.histogram k + hget mb.histogram k);
-            } ))
-        all_phases
-    in
-    let counters : (string, int) Hashtbl.t = Hashtbl.create 16 in
-    List.iter
-      (fun (name, n) ->
-        let cur = try Hashtbl.find counters name with Not_found -> 0 in
-        Hashtbl.replace counters name (cur + n))
-      (a.counters @ b.counters);
-    {
-      phases;
-      counters =
-        Hashtbl.fold (fun k v acc -> (k, v) :: acc) counters []
-        |> List.sort (fun (a, _) (b, _) -> String.compare a b);
-    }
-end
-
 (* --- events and the JSONL trace writer ------------------------------------- *)
 
 type value = S of string | I of int | F of float | B of bool
@@ -388,33 +211,6 @@ let live_flag = Atomic.make false
 let process_t0 = Unix.gettimeofday ()
 
 let live () = Atomic.get live_flag
-
-(* --- process identity (for cross-process trace correlation) ---------------- *)
-
-(* (run_id, process name). Set once by the orchestrating entry point; read
-   whenever a trace stream opens. Guarded by [trace_mutex] alongside the
-   writer it stamps. *)
-let identity_ref = ref ("", "main")
-
-let set_identity ~run_id ~proc =
-  Mutex.lock trace_mutex;
-  identity_ref := (run_id, proc);
-  Mutex.unlock trace_mutex
-
-let identity () =
-  Mutex.lock trace_mutex;
-  let id = !identity_ref in
-  Mutex.unlock trace_mutex;
-  id
-
-let run_id_counter = Atomic.make 0
-
-let fresh_run_id () =
-  let seed =
-    Printf.sprintf "%d.%.6f.%d" (Unix.getpid ()) (Unix.gettimeofday ())
-      (Atomic.fetch_and_add run_id_counter 1)
-  in
-  String.sub (Digest.to_hex (Digest.string seed)) 0 12
 
 let update_live_locked () =
   Atomic.set live_flag (!writer <> None || !sink <> None)
@@ -449,7 +245,7 @@ let buf_add_float buf f =
     Buffer.add_string buf (Printf.sprintf "%.0f" f)
   else if Float.abs f >= 1e6 then
     (* Epoch-scale timestamps (wall0 in the trace meta event): keep
-       microsecond precision so cross-process alignment stays sharp. *)
+       microsecond precision. *)
     Buffer.add_string buf (Printf.sprintf "%.6f" f)
   else Buffer.add_string buf (Printf.sprintf "%.9g" f)
 
@@ -545,10 +341,8 @@ module Trace = struct
     | None -> ());
     let w = { oc = open_out path; w_t0 = Unix.gettimeofday () } in
     writer := Some w;
-    (* Stamp the stream with its identity so merged timelines can correlate
-       processes: run_id ties streams of one run together, wall0 aligns
-       their clocks. *)
-    let run_id, proc = !identity_ref in
+    (* Stamp the stream with the writing process and its wall-clock
+       origin. *)
     let meta =
       {
         ev_t = 0.;
@@ -557,8 +351,6 @@ module Trace = struct
         ev_name = "trace_start";
         ev_args =
           [
-            ("run_id", S run_id);
-            ("proc", S proc);
             ("pid", I (Unix.getpid ()));
             ("wall0", F w.w_t0);
           ];
@@ -731,8 +523,9 @@ module Json = struct
       Ok (List.rev !fields)
     with Bad msg -> Error msg
 
-  (* Full (nested) JSON values — used by status.json and trace merging.
-     [parse_line] above stays the fast path for flat trace lines. *)
+  (* Full (nested) JSON values — for JSON documents (the benchmark
+     declaration, exported Chrome traces). [parse_line] above stays the fast
+     path for flat trace lines. *)
   type v =
     | VNull
     | VBool of bool
@@ -1141,8 +934,8 @@ module Chrome = struct
   (* Chrome trace-event format: span_begin/span_end map to "B"/"E" duration
      events, everything else to instant events, all timestamps in µs. *)
 
-  let emit_event oc buf ~first ~pid ~toffset fields =
-    let t = Option.value ~default:0. (Summary.num fields "t") +. toffset in
+  let emit_event oc buf ~first fields =
+    let t = Option.value ~default:0. (Summary.num fields "t") in
     let tid =
       int_of_float (Option.value ~default:0. (Summary.num fields "tid"))
     in
@@ -1162,8 +955,8 @@ module Chrome = struct
     Buffer.add_string buf ",\"cat\":";
     buf_add_json_string buf kind;
     Buffer.add_string buf
-      (Printf.sprintf ",\"ph\":\"%s\",\"ts\":%.3f,\"pid\":%d,\"tid\":%d" ph
-         (t *. 1e6) pid tid);
+      (Printf.sprintf ",\"ph\":\"%s\",\"ts\":%.3f,\"pid\":0,\"tid\":%d" ph
+         (t *. 1e6) tid);
     if ph = "i" then Buffer.add_string buf ",\"s\":\"t\"";
     let extra =
       List.filter
@@ -1188,17 +981,6 @@ module Chrome = struct
     Buffer.add_char buf '}';
     output_string oc (Buffer.contents buf)
 
-  let emit_process_name oc buf ~first ~pid name =
-    Buffer.clear buf;
-    if not !first then Buffer.add_string buf ",\n";
-    first := false;
-    Buffer.add_string buf
-      (Printf.sprintf "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":0,\"args\":{\"name\":"
-         pid);
-    buf_add_json_string buf name;
-    Buffer.add_string buf "}}";
-    output_string oc (Buffer.contents buf)
-
   let export ~src ~dst =
     match open_in src with
     | exception Sys_error msg -> Error msg
@@ -1220,7 +1002,7 @@ module Chrome = struct
                  if String.trim line <> "" then
                    match Json.parse_line line with
                    | Ok fields ->
-                       emit_event oc buf ~first ~pid:0 ~toffset:0. fields
+                       emit_event oc buf ~first fields
                    | Error msg ->
                        err :=
                          Some (Printf.sprintf "%s:%d: %s" src !lineno msg)
@@ -1230,109 +1012,4 @@ module Chrome = struct
             close_in ic;
             close_out oc;
             (match !err with Some e -> Error e | None -> Ok ()))
-
-  (* One stream's meta identity as read back from its trace_start line. *)
-  type stream_meta = {
-    sm_run_id : string option;
-    sm_proc : string option;
-    sm_wall0 : float option;
-  }
-
-  let load_stream src =
-    match open_in src with
-    | exception Sys_error msg -> Error msg
-    | ic ->
-        let events = ref [] in
-        let lineno = ref 0 in
-        let err = ref None in
-        (try
-           while !err = None do
-             let line = input_line ic in
-             incr lineno;
-             if String.trim line <> "" then
-               match Json.parse_line line with
-               | Ok fields -> events := fields :: !events
-               | Error msg ->
-                   err := Some (Printf.sprintf "%s:%d: %s" src !lineno msg)
-           done
-         with End_of_file -> ());
-        close_in ic;
-        (match !err with
-        | Some e -> Error e
-        | None ->
-            let events = List.rev !events in
-            let meta =
-              List.find_opt
-                (fun fields ->
-                  Summary.str fields "kind" = Some "meta"
-                  && Summary.str fields "name" = Some "trace_start")
-                events
-            in
-            let get f k = Option.bind meta (fun m -> f m k) in
-            Ok
-              ( events,
-                {
-                  sm_run_id =
-                    (match get Summary.str "run_id" with
-                    | Some "" -> None
-                    | other -> other);
-                  sm_proc = get Summary.str "proc";
-                  sm_wall0 = get Summary.num "wall0";
-                } ))
-
-  (* Merge several JSONL trace streams (coordinator + workers) into one
-     Chrome timeline: one pid per stream, clocks aligned via each stream's
-     wall0, and an error if streams carry distinct run_ids. *)
-  let merge ~srcs ~dst =
-    let exception Fail of string in
-    try
-      let streams =
-        List.map
-          (fun src ->
-            match load_stream src with
-            | Ok (events, meta) -> (src, events, meta)
-            | Error msg -> raise (Fail msg))
-          srcs
-      in
-      if streams = [] then raise (Fail "no trace files to merge");
-      let run_ids =
-        List.filter_map (fun (_, _, m) -> m.sm_run_id) streams
-        |> List.sort_uniq String.compare
-      in
-      (match run_ids with
-      | [] | [ _ ] -> ()
-      | ids ->
-          raise
-            (Fail
-               (Printf.sprintf "traces belong to different runs: %s"
-                  (String.concat ", " ids))));
-      let base =
-        List.filter_map (fun (_, _, m) -> m.sm_wall0) streams
-        |> List.fold_left Float.min infinity
-      in
-      (match open_out dst with
-      | exception Sys_error msg -> raise (Fail msg)
-      | oc ->
-          let buf = Buffer.create 256 in
-          let first = ref true in
-          output_string oc "{\"traceEvents\":[\n";
-          List.iteri
-            (fun pid (src, events, meta) ->
-              let proc =
-                match meta.sm_proc with
-                | Some p -> p
-                | None -> Filename.remove_extension (Filename.basename src)
-              in
-              emit_process_name oc buf ~first ~pid proc;
-              let toffset =
-                match meta.sm_wall0 with
-                | Some w when base < infinity -> w -. base
-                | _ -> 0.
-              in
-              List.iter (emit_event oc buf ~first ~pid ~toffset) events)
-            streams;
-          output_string oc "\n]}\n";
-          close_out oc);
-      Ok (List.length streams, match run_ids with [ id ] -> Some id | _ -> None)
-    with Fail msg -> Error msg
 end

@@ -27,7 +27,6 @@ type phase =
   | Bitblast         (** term -> CNF translation inside a solver query *)
   | Checkpoint_io    (** shard checkpoint write/load *)
   | Report           (** report rendering *)
-  | Dist             (** coordinator/worker lease protocol and idle time *)
   | Filter_eval      (** one compiled-filter verdict ([Achilles_filter]) *)
   | Slice            (** static dependency slicing ([Achilles_slice]) *)
 
@@ -92,42 +91,6 @@ val reset_all : unit -> unit
     [q * total]. Returns 0 for an empty histogram. *)
 val estimate_quantile : int array -> float -> float
 
-(** {1 Snapshot codec}
-
-    A versioned, text-serializable rendering of {!snapshot} so any process
-    can export its metrics state over a wire or file and a peer can merge it
-    (worker heartbeats → coordinator status). The format is
-    line-based ([achsnap 1] header, [phase ...] and [counter ...] records)
-    and forward-compatible: unknown phases and record tags are skipped. *)
-module Snapshot : sig
-  val version : int
-
-  (** All-zero snapshot (every phase present, no counters). *)
-  val empty : unit -> snapshot
-
-  (** Deterministic text rendering; floats round-trip exactly. *)
-  val encode : snapshot -> string
-
-  (** Inverse of {!encode}; [Error] on malformed input, never raises. *)
-  val decode : string -> (snapshot, string) result
-
-  (** Pointwise sum: spans, seconds, histograms, and counters (union). *)
-  val merge : snapshot -> snapshot -> snapshot
-end
-
-(** {1 Process identity} *)
-
-(** [set_identity ~run_id ~proc] names this process for trace correlation;
-    every subsequently opened trace stream stamps both into its
-    [trace_start] meta event. Defaults to [("", "main")]. *)
-val set_identity : run_id:string -> proc:string -> unit
-
-(** Current [(run_id, proc)]. *)
-val identity : unit -> string * string
-
-(** A fresh 12-hex-char run id (pid + wall clock + counter digest). *)
-val fresh_run_id : unit -> string
-
 (** {1 Events} *)
 
 type value = S of string | I of int | F of float | B of bool
@@ -184,8 +147,9 @@ module Json : sig
       assoc list. *)
   val parse_line : string -> ((string * t) list, string) result
 
-  (** Full nested JSON values — status.json and merged-trace validation.
-      [parse_line] remains the fast path for flat trace lines. *)
+  (** Full nested JSON values — JSON documents such as the benchmark
+      declaration or an exported Chrome trace. [parse_line] remains the
+      fast path for flat trace lines. *)
   type v =
     | VNull
     | VBool of bool
@@ -246,11 +210,4 @@ module Chrome : sig
       ([{"traceEvents":[...]}]) loadable in Perfetto / about://tracing. *)
   val export : src:string -> dst:string -> (unit, string) result
 
-  (** [merge ~srcs ~dst] stitches several JSONL streams (coordinator +
-      workers) into one Chrome timeline: one pid + [process_name] metadata
-      per stream, timestamps aligned via each stream's [wall0] meta field,
-      and an error if streams carry distinct non-empty run_ids. Returns
-      [(streams_merged, run_id)]. *)
-  val merge :
-    srcs:string list -> dst:string -> (int * string option, string) result
 end

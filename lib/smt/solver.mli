@@ -71,8 +71,8 @@ val enumerate :
     {b Determinism contract.} The [k]-th model is a function of the
     canonical [base] and the first [k - 1] blocking terms only: not of the
     queries before the session or the domain it runs on. So
-    witnesses enumerated this way are identical at any domain count, in
-    any worker process and across a resume. They generally differ from
+    witnesses enumerated this way are identical at any domain count and
+    across a resume. They generally differ from
     the models {!check} would return for [base] plus the same blocks,
     except the first, which is {!check}'s model of [base] whenever neither
     needed a budget escalation. *)

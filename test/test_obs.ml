@@ -108,7 +108,7 @@ let test_aggregate_across_domains () =
     (List.assoc_opt "obs.test_counter" snap.Obs.counters)
 
 let test_phase_names_total () =
-  Alcotest.(check int) "eleven phases" 11 (List.length Obs.all_phases);
+  Alcotest.(check int) "ten phases" 10 (List.length Obs.all_phases);
   List.iter
     (fun p ->
       match Obs.phase_of_name (Obs.phase_name p) with
@@ -503,157 +503,6 @@ let test_estimate_quantile () =
     true
     (est >= 0.5e-3 && est <= 2e-3)
 
-(* --- snapshot codec ------------------------------------------------------------ *)
-
-let metrics_of ~spans ~seconds buckets =
-  let histogram = Array.make Obs.histogram_buckets 0 in
-  List.iter (fun (k, v) -> histogram.(k) <- v) buckets;
-  { Obs.spans; seconds; histogram }
-
-let snapshot_of cells counters =
-  {
-    Obs.phases =
-      List.map
-        (fun p ->
-          match List.assoc_opt p cells with
-          | Some m -> (p, m)
-          | None -> (p, metrics_of ~spans:0 ~seconds:0. []))
-        Obs.all_phases;
-    counters = List.sort (fun (a, _) (b, _) -> String.compare a b) counters;
-  }
-
-let check_snap_eq label a b =
-  List.iter2
-    (fun (p, m) (p', m') ->
-      let name = Obs.phase_name p in
-      Alcotest.(check bool) (label ^ ": phase order " ^ name) true (p = p');
-      Alcotest.(check int) (label ^ ": spans " ^ name) m.Obs.spans m'.Obs.spans;
-      Alcotest.(check (float 0.))
-        (label ^ ": seconds " ^ name)
-        m.Obs.seconds m'.Obs.seconds;
-      Alcotest.(check (array int))
-        (label ^ ": histogram " ^ name)
-        m.Obs.histogram m'.Obs.histogram)
-    a.Obs.phases b.Obs.phases;
-  Alcotest.(check (list (pair string int)))
-    (label ^ ": counters") a.Obs.counters b.Obs.counters
-
-let test_snapshot_codec () =
-  let snap =
-    snapshot_of
-      [
-        ( Obs.Solver_query,
-          metrics_of ~spans:3 ~seconds:0.125 [ (2, 2); (5, 1) ] );
-        (Obs.Server_se, metrics_of ~spans:1 ~seconds:1.5e-9 [ (0, 1) ]);
-        (* wall-clock is a float that does not render prettily: it must
-           still round-trip exactly through %.17g *)
-        (Obs.Dist, metrics_of ~spans:7 ~seconds:0.1 [ (27, 7) ]);
-      ]
-      [ ("solver.queries", 42); ("weird name %\n\xffend", 2); ("", 1) ]
-  in
-  let text = Obs.Snapshot.encode snap in
-  (match Obs.Snapshot.decode text with
-  | Error e -> Alcotest.fail ("decode failed: " ^ e)
-  | Ok snap' -> check_snap_eq "round-trip" snap snap');
-  (* all-zero phases are elided from the text but restored on decode *)
-  let empty = Obs.Snapshot.empty () in
-  Alcotest.(check int)
-    "empty snapshot is just the header" 1
-    (List.length
-       (List.filter
-          (fun l -> String.trim l <> "")
-          (String.split_on_char '\n' (Obs.Snapshot.encode empty))));
-  (match Obs.Snapshot.decode (Obs.Snapshot.encode empty) with
-  | Error e -> Alcotest.fail ("empty decode failed: " ^ e)
-  | Ok e' -> check_snap_eq "empty round-trip" empty e');
-  (* merge is a pointwise sum *)
-  let doubled = Obs.Snapshot.merge snap snap in
-  let solver = List.assoc Obs.Solver_query doubled.Obs.phases in
-  Alcotest.(check int) "merge sums spans" 6 solver.Obs.spans;
-  Alcotest.(check (float 1e-12)) "merge sums seconds" 0.25 solver.Obs.seconds;
-  Alcotest.(check int) "merge sums histogram cells" 4 solver.Obs.histogram.(2);
-  Alcotest.(check (option int)) "merge sums counters" (Some 84)
-    (List.assoc_opt "solver.queries" doubled.Obs.counters);
-  let merged_empty = Obs.Snapshot.merge snap (Obs.Snapshot.empty ()) in
-  check_snap_eq "merge with empty is identity" snap merged_empty
-
-let test_snapshot_decode_errors () =
-  let bad text =
-    match Obs.Snapshot.decode text with
-    | Error _ -> ()
-    | Ok _ -> Alcotest.fail (Printf.sprintf "expected decode error on %S" text)
-  in
-  bad "";
-  bad "not a snapshot";
-  bad "achsnap nine\n";
-  bad (Printf.sprintf "achsnap %d\n" (Obs.Snapshot.version + 1));
-  bad "achsnap 1\nphase solver_query nope 1.0 -\n";
-  bad "achsnap 1\nphase solver_query 1 1.0 0:x\n";
-  bad "achsnap 1\nphase solver_query 1 1.0 99:1\n";
-  bad "achsnap 1\ncounter foo bar\n";
-  (* forward compatibility: unknown phases and record tags are skipped,
-     known records on the same snapshot still land *)
-  match
-    Obs.Snapshot.decode
-      "achsnap 1\nphase warp_drive 3 1.0 -\nfrobnicate x y\ncounter foo 3\n"
-  with
-  | Error e -> Alcotest.fail ("forward-compat decode failed: " ^ e)
-  | Ok snap ->
-      Alcotest.(check (option int)) "known counter decoded" (Some 3)
-        (List.assoc_opt "foo" snap.Obs.counters);
-      List.iter
-        (fun (_, m) ->
-          Alcotest.(check int) "unknown phase contributes nothing" 0 m.Obs.spans)
-        snap.Obs.phases
-
-let snapshot_gen =
-  QCheck2.Gen.(
-    let cell_gen =
-      (* histogram mass forces spans > 0 so the phase is never elided while
-         carrying data *)
-      let* buckets =
-        list_size (int_range 0 4)
-          (pair (int_range 0 (Obs.histogram_buckets - 1)) (int_range 1 50))
-      in
-      let mass = List.fold_left (fun acc (_, v) -> acc + v) 0 buckets in
-      let* extra = int_range 0 5 in
-      let* seconds =
-        oneof
-          [
-            return 0.;
-            float_bound_inclusive 1000.;
-            map (fun x -> x *. 1e-9) (float_bound_inclusive 1000.);
-          ]
-      in
-      let spans = if mass = 0 && seconds = 0. then 0 else mass + extra in
-      return (metrics_of ~spans ~seconds buckets)
-    in
-    let* cells = list_repeat (List.length Obs.all_phases) cell_gen in
-    let* counters =
-      list_size (int_range 0 6)
-        (pair (string_size ~gen:printable (int_range 0 12))
-           (int_range 0 10000))
-    in
-    let counters =
-      List.sort_uniq (fun (a, _) (b, _) -> String.compare a b) counters
-    in
-    return (snapshot_of (List.combine Obs.all_phases cells) counters))
-
-let qcheck_snapshot_roundtrip =
-  QCheck2.Test.make ~name:"snapshot encode/decode round-trip" ~count:200
-    snapshot_gen (fun snap ->
-      match Obs.Snapshot.decode (Obs.Snapshot.encode snap) with
-      | Error _ -> false
-      | Ok snap' ->
-          List.for_all2
-            (fun (p, m) (p', m') ->
-              p = p'
-              && m.Obs.spans = m'.Obs.spans
-              && m.Obs.seconds = m'.Obs.seconds
-              && m.Obs.histogram = m'.Obs.histogram)
-            snap.Obs.phases snap'.Obs.phases
-          && snap.Obs.counters = snap'.Obs.counters)
-
 (* --- nested JSON values (Json.v) ----------------------------------------------- *)
 
 let test_json_value_roundtrip () =
@@ -703,28 +552,13 @@ let test_json_value_roundtrip () =
   Alcotest.(check bool) "mem on non-object" true
     (Obs.Json.mem "x" (Obs.Json.VNum 1.) = None)
 
-(* --- process identity and the trace_start meta event ---------------------------- *)
+(* --- the trace_start meta event --------------------------------------------------- *)
 
 let test_trace_meta_identity () =
-  let id1 = Obs.fresh_run_id () in
-  let id2 = Obs.fresh_run_id () in
-  Alcotest.(check int) "run ids are 12 hex chars" 12 (String.length id1);
-  String.iter
-    (fun c ->
-      Alcotest.(check bool) "run id is lowercase hex" true
-        ((c >= '0' && c <= '9') || (c >= 'a' && c <= 'f')))
-    id1;
-  Alcotest.(check bool) "run ids are fresh" true (id1 <> id2);
-  let saved_run, saved_proc = Obs.identity () in
-  Obs.set_identity ~run_id:"cafe01234567" ~proc:"unit-test";
-  Alcotest.(check (pair string string)) "identity readback"
-    ("cafe01234567", "unit-test")
-    (Obs.identity ());
   let file = Filename.temp_file "achilles-obs-meta" ".jsonl" in
   Obs.Trace.enable file;
   Obs.emit ~kind:"test" ~name:"x" ();
   Obs.Trace.disable ();
-  Obs.set_identity ~run_id:saved_run ~proc:saved_proc;
   let lines = read_lines file in
   Alcotest.(check int) "meta stamp plus one event" 2 (List.length lines);
   (match Obs.Json.parse_line (List.hd lines) with
@@ -732,8 +566,6 @@ let test_trace_meta_identity () =
   | Ok fields -> (
       check_str fields "kind" "meta";
       check_str fields "name" "trace_start";
-      check_str fields "run_id" "cafe01234567";
-      check_str fields "proc" "unit-test";
       check_num fields "pid" (float_of_int (Unix.getpid ()));
       match field fields "wall0" with
       | Obs.Json.Num w ->
@@ -742,7 +574,7 @@ let test_trace_meta_identity () =
       | _ -> Alcotest.fail "wall0 is not a number"));
   Sys.remove file
 
-(* --- merging multi-process traces ---------------------------------------------- *)
+(* --- traces with the older run_id/proc meta ------------------------------------- *)
 
 let write_stream path ~run_id ~proc ~wall0 events =
   let oc = open_out path in
@@ -766,78 +598,33 @@ let span_pair t name =
     };
   ]
 
-let test_chrome_merge () =
-  let dir = Filename.temp_file "achilles-obs-merge" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o755;
-  let coord = Filename.concat dir "coord.jsonl" in
-  let w0 = Filename.concat dir "trace-worker-000.e0.jsonl" in
-  write_stream coord ~run_id:"deadbeef0001" ~proc:"coordinator" ~wall0:1000.
-    (span_pair 1.0 "dist");
-  write_stream w0 ~run_id:"deadbeef0001" ~proc:"worker-000" ~wall0:1002.5
-    (span_pair 0.5 "server_se");
-  let dst = Filename.concat dir "merged.json" in
-  (match Obs.Chrome.merge ~srcs:[ coord; w0 ] ~dst with
-  | Error e -> Alcotest.fail ("merge failed: " ^ e)
-  | Ok (n, run_id) ->
-      Alcotest.(check int) "two streams merged" 2 n;
-      Alcotest.(check (option string)) "run id correlated"
-        (Some "deadbeef0001") run_id);
-  let ic = open_in_bin dst in
-  let out = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  let contains needle =
-    let nl = String.length needle and l = String.length out in
-    let rec go i = i + nl <= l && (String.sub out i nl = needle || go (i + 1)) in
-    Alcotest.(check bool) (Printf.sprintf "merged timeline contains %s" needle)
-      true (go 0)
-  in
-  contains "\"name\":\"process_name\"";
-  contains "\"coordinator\"";
-  contains "\"worker-000\"";
-  (* the coordinator stream has the earliest wall0, so its event keeps its
-     local offset; the worker's 0.5 s event lands at 2.5 + 0.5 = 3 s *)
-  contains "\"ts\":1000000.000";
-  contains "\"ts\":3000000.000";
-  contains "\"pid\":0";
-  contains "\"pid\":1";
-  (match Obs.Json.parse out with
-  | Error e -> Alcotest.fail ("merged output is not valid JSON: " ^ e)
+(* Traces once stamped their trace_start meta with a run id and a process
+   name; such files must still summarize and export. *)
+let test_old_meta_loads () =
+  let src = Filename.temp_file "achilles-obs-oldmeta" ".jsonl" in
+  let dst = src ^ ".chrome.json" in
+  write_stream src ~run_id:"deadbeef0001" ~proc:"analyze" ~wall0:1000.
+    (span_pair 1.0 "server_se");
+  (match Obs.Summary.load src with
+  | Error e -> Alcotest.fail ("summary failed: " ^ e)
+  | Ok s ->
+      Alcotest.(check int) "all three events read" 3 s.Obs.Summary.events;
+      Alcotest.(check int) "server_se span read" 1
+        (row_of s "server_se").Obs.Summary.row_spans);
+  (match Obs.Chrome.export ~src ~dst with
+  | Error e -> Alcotest.fail ("export failed: " ^ e)
+  | Ok () -> ());
+  (match
+     Obs.Json.parse (In_channel.with_open_bin dst In_channel.input_all)
+   with
+  | Error e -> Alcotest.fail ("exported trace is not valid JSON: " ^ e)
   | Ok v -> (
       match Obs.Json.mem "traceEvents" v with
       | Some (Obs.Json.VArr evs) ->
-          Alcotest.(check bool) "merged timeline has events" true
-            (List.length evs >= 6)
-      | _ -> Alcotest.fail "merged output lacks a traceEvents array"));
-  (* distinct run ids refuse to merge *)
-  let w1 = Filename.concat dir "trace-worker-001.e0.jsonl" in
-  write_stream w1 ~run_id:"0123456789ab" ~proc:"worker-001" ~wall0:1001.
-    (span_pair 0.1 "server_se");
-  (match Obs.Chrome.merge ~srcs:[ coord; w1 ] ~dst with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "merging different runs must fail");
-  (* a stream without a meta stamp falls back to its filename as proc *)
-  let bare = Filename.concat dir "bare-stream.jsonl" in
-  let oc = open_out bare in
-  List.iter
-    (fun ev -> output_string oc (Obs.json_of_event ev ^ "\n"))
-    (span_pair 0.2 "negate");
-  close_out oc;
-  (match Obs.Chrome.merge ~srcs:[ bare ] ~dst with
-  | Error e -> Alcotest.fail ("bare merge failed: " ^ e)
-  | Ok (n, run_id) ->
-      Alcotest.(check int) "single bare stream merges" 1 n;
-      Alcotest.(check (option string)) "no run id without meta" None run_id);
-  let ic = open_in_bin dst in
-  let out = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  let nl = String.length "\"bare-stream\"" and l = String.length out in
-  let rec go i =
-    i + nl <= l && (String.sub out i nl = "\"bare-stream\"" || go (i + 1))
-  in
-  Alcotest.(check bool) "proc falls back to filename" true (go 0);
-  List.iter Sys.remove [ coord; w0; w1; bare; dst ];
-  Unix.rmdir dir
+          Alcotest.(check int) "every event exported" 3 (List.length evs)
+      | _ -> Alcotest.fail "export lacks a traceEvents array"));
+  Sys.remove src;
+  Sys.remove dst
 
 (* --- tracing must never change search results ---------------------------------- *)
 
@@ -1019,13 +806,6 @@ let () =
           Alcotest.test_case "quantiles from log2 histograms" `Quick
             test_estimate_quantile;
         ] );
-      ( "snapshot-codec",
-        [
-          Alcotest.test_case "encode/decode/merge" `Quick test_snapshot_codec;
-          Alcotest.test_case "decode rejects malformed, skips unknown" `Quick
-            test_snapshot_decode_errors;
-          QCheck_alcotest.to_alcotest ~verbose:false qcheck_snapshot_roundtrip;
-        ] );
       ( "trace-writer",
         [
           Alcotest.test_case "concurrent emission stays line-atomic" `Quick
@@ -1046,8 +826,11 @@ let () =
         [
           Alcotest.test_case "identity and trace_start meta" `Quick
             test_trace_meta_identity;
-          Alcotest.test_case "chrome merge across processes" `Quick
-            test_chrome_merge;
+        ] );
+      ( "old-trace-meta",
+        [
+          Alcotest.test_case "run_id/proc fields still load" `Quick
+            test_old_meta_loads;
         ] );
       ( "determinism",
         [
