@@ -171,13 +171,19 @@ let no_slice_arg =
 
 let domains_arg =
   let doc =
-    "Worker domains for the server-path search (default: \
+    "Worker domains for the server-path search, 1 to 128 (default: \
      $(b,ACHILLES_DOMAINS) or 1). Any value produces the same report, \
      modulo wall-clock timings."
   in
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 && n <= Pool.max_domains -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "%S is not an integer in [1,128]" s))
+  in
   Arg.(
     value
-    & opt int Search.default_config.Search.domains
+    & opt (conv (parse, Format.pp_print_int))
+        Search.default_config.Search.domains
     & info [ "domains"; "j" ] ~docv:"N" ~doc)
 
 let deadline_arg =
@@ -217,9 +223,9 @@ let resume_arg =
 
 let digest_arg =
   let doc =
-    "Print the deterministic report digest (stable across domain counts, \
-     shard retries and resume) — the handle CI uses to assert that every \
-     mode reports the same thing."
+    "Print the deterministic report digest (stable across domain counts \
+     and resume) — the handle CI uses to assert that every mode reports \
+     the same thing."
   in
   Arg.(value & flag & info [ "digest" ] ~doc)
 
@@ -408,8 +414,9 @@ let analyze_cmd =
            `S Cmdliner.Manpage.s_exit_status;
            `P
              "0 on complete coverage; 3 when the report is partial \
-              (interrupted by SIGINT/SIGTERM, or shards failed after \
-              retries); 1 on usage or target errors.";
+              (interrupted by SIGINT/SIGTERM, or a shard failed; \
+              $(b,--resume) re-explores the missing shards); 1 on target \
+              errors; 124 on usage errors, such as $(b,-j) outside [1,128].";
          ])
     Term.(
       const analyze $ target_arg $ mask_arg $ witnesses_arg $ no_drop_arg

@@ -73,8 +73,8 @@ let static_verdict ~layout field_name (pi : Predicate.client_path)
 (* Number of fresh variables [check_pair ~layout field_name _ pj] allocates:
    the probe [x], plus — when [negate_field] reaches its renaming case —
    one copy of each distinct variable in [pj]'s field value and its related
-   constraints. Computed from the same inputs so the parallel path can pin
-   each check's fresh-counter slot without running it. *)
+   constraints. Computed from the same inputs so a statically decided check
+   can keep its fresh-counter slot without running. *)
 let check_allocs ~layout field_name (pj : Predicate.client_path) =
   let value = Layout.field_term layout pj.Predicate.message field_name in
   match Term.const_value value with
@@ -98,7 +98,7 @@ let field_signature ~layout field_name (p : Predicate.client_path) =
   let constraints = Negate.related_constraints p (Term.var_ids value) in
   Term.alpha_key (value :: constraints)
 
-let compute ?(memoize = true) ?mask ?pool ?use_slice ?server_slice
+let compute ?(memoize = true) ?mask ?use_slice ?server_slice
     (pc : Predicate.client_predicate) =
   Obs.span Obs.Different_from @@ fun () ->
   let t0 = Unix.gettimeofday () in
@@ -120,11 +120,9 @@ let compute ?(memoize = true) ?mask ?pool ?use_slice ?server_slice
   let n = Array.length paths in
   (* One pass in the (field, row-major cell) iteration order collects the
      representative pair of every distinct memo key; each representative
-     becomes one solver check. The sequential path below and the parallel
-     path agree on this order, and [check_allocs] predicts how many fresh
-     variables each check consumes, so pinning check [k]'s fresh counter to
-     [base] plus the allocations of checks [0..k-1] on whichever domain
-     runs it reproduces the sequential variable ids exactly. *)
+     becomes one solver check. [check_allocs] predicts how many fresh
+     variables each check consumes, so check [k] runs with its fresh
+     counter pinned to [base] plus the allocations of checks [0..k-1]. *)
   let checks = ref [] (* representatives, newest first *) in
   let n_checks = ref 0 in
   let plan =
@@ -163,8 +161,8 @@ let compute ?(memoize = true) ?mask ?pool ?use_slice ?server_slice
      slot: check [k] replays from [base + offsets.(k)] and the counter ends
      at [base + offsets.(total)] regardless of which checks actually ran,
      so every later fresh variable (and hence the report digest) is
-     independent of slicing and of the worker-domain schedule. Pinning is
-     the identity when nothing is skipped: [check_allocs] is exact. *)
+     independent of slicing. Pinning is the identity when nothing is
+     skipped: [check_allocs] is exact. *)
   let offsets = Array.make (Array.length checks + 1) 0 in
   Array.iteri
     (fun k (field_name, _i, j) ->
@@ -187,13 +185,7 @@ let compute ?(memoize = true) ?mask ?pool ?use_slice ?server_slice
           | r, true -> (r, `Query)
           | r, false -> (r, `Free))
   in
-  let outcomes =
-    match pool with
-    | None -> Array.init (Array.length checks) run_check
-    | Some pool ->
-        Pool.parallel_map pool run_check
-          (Array.init (Array.length checks) Fun.id)
-  in
+  let outcomes = Array.init (Array.length checks) run_check in
   Term.set_fresh_counter (base + offsets.(Array.length checks));
   let matrix =
     List.map

@@ -25,7 +25,6 @@ type stats = {
 val compute :
   ?memoize:bool ->
   ?mask:string list ->
-  ?pool:Pool.t ->
   ?use_slice:bool ->
   ?server_slice:Achilles_slice.Slice.summary ->
   Predicate.client_predicate ->
@@ -34,12 +33,6 @@ val compute :
     (value, constraints) signatures — structurally identical client paths
     from different utilities share one solver call. Disable it to measure
     the paper's raw quadratic precomputation cost.
-
-    [pool] distributes the (deduplicated) pair checks over worker domains.
-    The result — matrix, stats, and even the fresh-variable ids consumed —
-    is identical to the sequential computation: representatives are fixed
-    in the sequential iteration order and each check replays a pinned
-    fresh-counter slot on whichever domain runs it.
 
     [use_slice] (default {!Achilles_slice.Slice.enabled}) decides pairs
     whose field summaries are statically known (concrete vs concrete,

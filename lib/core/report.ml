@@ -48,8 +48,6 @@ let pp_coverage fmt (c : Search.coverage) =
   | failed ->
       Format.fprintf fmt "  uncovered shards %s@,"
         (String.concat ", " (List.map string_of_int failed)));
-  if c.Search.shard_retry_attempts > 0 then
-    Format.fprintf fmt "  shard retries   %d@," c.Search.shard_retry_attempts;
   if c.Search.interrupted then
     Format.fprintf fmt "  interrupted     yes (%d states abandoned)@,"
       c.Search.abandoned_states;

@@ -12,7 +12,7 @@ val pp_trojan : Layout.t -> Format.formatter -> Search.trojan -> unit
     such in the rendering. *)
 
 val pp_coverage : Format.formatter -> Search.coverage -> unit
-(** The honest-accounting block: shard completion/failures/retries/resumes,
+(** The honest-accounting block: shard completion/failures/resumes,
     interruption, solver Unknown counts by site, budget exhaustions and
     injected faults. Quiet counters are omitted; a fault-free complete run
     renders as a single "complete" line. *)

@@ -25,8 +25,7 @@ type config = {
   split_bits : int option;
   solver_budget : Solver.budget option;
       (* per-query budget installed for every shard's queries *)
-  shard_retries : int; (* extra attempts per raising shard task *)
-  shard_backoff : int -> float; (* seconds to sleep before retry [n+1] *)
+  shard_retries : int; (* unused; see search.mli *)
   checkpoint_dir : string option;
       (* flush each completed shard's event log here (atomically) *)
   resume : bool; (* reuse matching shard checkpoints already in the dir *)
@@ -34,16 +33,16 @@ type config = {
       (* polled cooperative interrupt: when it turns true, in-flight
          exploration stops; completed shards and the partial logs of the
          interrupted ones are reported *)
-  chaos : (shard_index:int -> attempt:int -> unit) option;
-      (* test hook run at each shard attempt start; may raise to simulate
-         a crashing worker *)
+  chaos : (int -> unit) option;
+      (* test hook run with the shard index as each shard starts; may
+         raise to simulate a crashing shard *)
 }
 
 let domains_from_env () =
   match Sys.getenv_opt "ACHILLES_DOMAINS" with
   | Some s -> (
       match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 -> n
+      | Some n when n >= 1 && n <= Pool.max_domains -> n
       | _ -> 1)
   | None -> 1
 
@@ -63,8 +62,7 @@ let default_config =
     domains = domains_from_env ();
     split_bits = None;
     solver_budget = None;
-    shard_retries = 2;
-    shard_backoff = (fun attempt -> 0.05 *. (2. ** float_of_int attempt));
+    shard_retries = 0;
     checkpoint_dir = None;
     resume = false;
     cancel = (fun () -> false);
@@ -110,9 +108,8 @@ type stats = {
 type coverage = {
   total_shards : int;
   completed_shards : int; (* shards whose event log made the report *)
-  failed_shards : int list; (* shard indices that exhausted their retries *)
+  failed_shards : int list; (* shard indices whose task raised *)
   resumed_shards : int; (* completed shards loaded from a checkpoint *)
-  shard_retry_attempts : int; (* extra shard attempts spent on retries *)
   interrupted : bool; (* the cooperative cancel fired *)
   unknown_alive : int; (* alive-check Unknowns: client path kept alive *)
   unknown_prune : int; (* prune-check Unknowns: state kept *)
@@ -943,10 +940,10 @@ let split_bits_of config =
    concatenate, sort by route (lexicographic route order = depth-first
    creation order), and renumber state ids by route rank. Every run ends
    here — which is what makes the final report digest independent of the
-   domain count, shard retries and resume history. [partial] logs (shards
-   the cancel cut short) join the report but not the completed count. *)
+   domain count and resume history. [partial] logs (shards the cancel cut
+   short) join the report but not the completed count. *)
 let merge_outs ~total ~base ~started ~outs_resumed ~partial ~failed_shards
-    ~retry_attempts ~interrupted ~abandoned =
+    ~interrupted ~abandoned =
   let outs = List.map fst outs_resumed @ partial in
   let sum f = List.fold_left (fun acc (r, _) -> acc + f r) 0 outs in
   let slice_static, slice_cone = slice_counters () in
@@ -956,7 +953,6 @@ let merge_outs ~total ~base ~started ~outs_resumed ~partial ~failed_shards
       completed_shards = List.length outs_resumed;
       failed_shards;
       resumed_shards = List.length (List.filter snd outs_resumed);
-      shard_retry_attempts = retry_attempts;
       interrupted;
       unknown_alive = sum (fun r -> r.rec_unknown_alive);
       unknown_prune = sum (fun r -> r.rec_unknown_prune);
@@ -1110,7 +1106,7 @@ let explore_shard ~config ~different_from ~negations ~client ~server ~bits
       config.interp with
       Interp.shard = Some shard;
       (* fresh oracle per shard task: the memo table must not cross
-         domains, and a retried task must not see a crashed attempt's *)
+         domains *)
       Interp.oracle =
         (if config.use_slice then Some (Slice.make_oracle ()) else None);
     }
@@ -1148,19 +1144,10 @@ let run_shards ~config ~different_from ~client ~server ~started ~bits =
         | _ -> None)
   in
   let abandoned = Atomic.make 0 in
-  let attempts_seen = Array.make n_tasks 0 in
   let task idx =
-    (* [attempts_seen.(idx)] is touched only by the worker currently running
-       shard [idx] — retries happen in place on that same worker. *)
-    let attempt = attempts_seen.(idx) in
-    attempts_seen.(idx) <- attempt + 1;
     if Obs.live () then
-      Obs.emit ~kind:"shard" ~name:(if attempt = 0 then "start" else "retry")
-        ~args:[ ("index", Obs.I idx); ("attempt", Obs.I attempt) ]
-        ();
-    (match config.chaos with
-    | Some hook -> hook ~shard_index:idx ~attempt
-    | None -> ());
+      Obs.emit ~kind:"shard" ~name:"start" ~args:[ ("index", Obs.I idx) ] ();
+    (match config.chaos with Some hook -> hook idx | None -> ());
     if config.cancel () then None
     else begin
       let out, complete, n_abandoned =
@@ -1173,9 +1160,7 @@ let run_shards ~config ~different_from ~client ~server ~started ~bits =
         | Some dir -> write_shard_checkpoint ~dir ~fingerprint ~idx out
         | None -> ());
         if Obs.live () then
-          Obs.emit ~kind:"shard" ~name:"done"
-            ~args:[ ("index", Obs.I idx); ("attempt", Obs.I attempt) ]
-            ()
+          Obs.emit ~kind:"shard" ~name:"done" ~args:[ ("index", Obs.I idx) ] ()
       end
       else if Obs.live () then
         Obs.emit ~kind:"shard" ~name:"cancelled"
@@ -1190,13 +1175,7 @@ let run_shards ~config ~different_from ~client ~server ~started ~bits =
          (fun idx -> loaded.(idx) = None)
          (List.init n_tasks Fun.id))
   in
-  let outcomes =
-    if Array.length missing = 0 then [||]
-    else
-      Pool.with_pool ~domains:config.domains (fun pool ->
-          Pool.map_with_retries ~retries:config.shard_retries
-            ~backoff:config.shard_backoff pool task missing)
-  in
+  let outcomes = Pool.map ~domains:config.domains task missing in
   let shard_results =
     Array.map
       (function Some out -> `Done (out, true) | None -> `Missing)
@@ -1204,7 +1183,7 @@ let run_shards ~config ~different_from ~client ~server ~started ~bits =
   in
   Array.iteri
     (fun k idx ->
-      match outcomes.(k).Pool.result with
+      match outcomes.(k) with
       | Ok (Some (out, true)) -> shard_results.(idx) <- `Done (out, false)
       | Ok (Some (out, false)) -> shard_results.(idx) <- `Partial out
       | Ok None -> () (* cancelled before it started: stays missing *)
@@ -1224,8 +1203,6 @@ let run_shards ~config ~different_from ~client ~server ~started ~bits =
     ~failed_shards:
       (List.concat
          (List.mapi (fun idx -> function `Failed -> [ idx ] | _ -> []) results))
-    ~retry_attempts:
-      (Array.fold_left (fun acc o -> acc + o.Pool.attempts - 1) 0 outcomes)
     ~interrupted:(config.cancel ()) ~abandoned:(Atomic.get abandoned)
 
 let run ?(config = default_config) ?different_from ~client ~server () =

@@ -66,8 +66,9 @@ type config = {
          distinct message classes; [None] blocks the exact witness bytes *)
   interp : Interp.config;
   domains : int;
-      (* pool workers for the search, the calling domain included; <= 1
-         runs one shard inline on the caller (unless checkpointing) *)
+      (* pool workers for the search, the calling domain included, in
+         [1,128]; 1 runs one shard inline on the caller (unless
+         checkpointing) *)
   split_bits : int option;
       (* route shards = 2^split_bits (in [0,16]); [None] picks
          ceil(log2 domains) + 2, capped at 8 *)
@@ -76,11 +77,11 @@ type config = {
          domain runs it (the caller's own budget is restored afterwards);
          [None] leaves queries unbounded *)
   shard_retries : int;
-      (* extra in-place attempts for a shard task that raises, before the
-         shard is recorded as failed *)
-  shard_backoff : int -> float;
-      (* seconds to sleep before retry [attempt + 1]; default exponential,
-         50 ms doubling *)
+      (* no effect: a shard task that raises is never retried, it is
+         recorded as failed. Kept only because the perfbench harness's
+         config literal names every other field, so without this one its
+         [default_config with] would be a warning-23 error; delete it once
+         that literal drops the [with] *)
   checkpoint_dir : string option;
       (* when set, every completed shard's event log is flushed to
          [dir/shard-NNNN.ckpt] via an atomic rename *)
@@ -92,16 +93,17 @@ type config = {
          true, in-flight shards abandon exploration and the report is
          assembled from the completed shards plus the partial logs of the
          shards cut short (never checkpointed, never counted complete) *)
-  chaos : (shard_index:int -> attempt:int -> unit) option;
-      (* test hook run at the top of every shard attempt (raise to simulate
-         a shard crash and exercise the retry path) *)
+  chaos : (int -> unit) option;
+      (* test hook run with the shard index at the top of every shard task
+         (raise to simulate a shard crash: the shard is recorded as failed,
+         and only [resume] recovers it) *)
 }
 
 val default_config : config
-(** [domains] defaults to [$ACHILLES_DOMAINS] when that is set to a positive
-    integer (read once at startup), else 1. Robustness defaults: no solver
-    budget, [shard_retries = 2] with exponential backoff, no checkpointing,
-    [cancel] constantly false, no chaos hook. *)
+(** [domains] defaults to [$ACHILLES_DOMAINS] when that is set to an integer
+    in [\[1, 128\]] (read once at startup), else 1. Robustness defaults: no
+    solver budget, no checkpointing, [cancel] constantly false, no chaos
+    hook. *)
 
 type trojan = {
   server_state_id : int;
@@ -157,9 +159,8 @@ type stats = {
 type coverage = {
   total_shards : int; (* 1 for a single-domain run *)
   completed_shards : int;
-  failed_shards : int list; (* shard indices exhausted of retries *)
+  failed_shards : int list; (* shard indices whose task raised *)
   resumed_shards : int; (* loaded from checkpoints instead of explored *)
-  shard_retry_attempts : int; (* extra attempts across all shards *)
   interrupted : bool; (* [cancel] fired during the run *)
   unknown_alive : int; (* alive checks degraded to keep-alive *)
   unknown_prune : int; (* prune checks degraded to keep-state *)
@@ -271,7 +272,6 @@ module Shards : sig
     outs_resumed:(out * bool) list ->
     partial:out list ->
     failed_shards:int list ->
-    retry_attempts:int ->
     interrupted:bool ->
     abandoned:int ->
     report

@@ -392,140 +392,8 @@ module Json = struct
 
   exception Bad of string
 
-  (* Minimal recursive-descent parser for the flat objects this module
-     writes: {"key": scalar, ...} with string/number/bool/null values. *)
-  let parse_line line =
-    let n = String.length line in
-    let pos = ref 0 in
-    let peek () = if !pos < n then Some line.[!pos] else None in
-    let advance () = incr pos in
-    let skip_ws () =
-      while
-        !pos < n
-        && (match line.[!pos] with ' ' | '\t' | '\r' | '\n' -> true | _ -> false)
-      do
-        advance ()
-      done
-    in
-    let expect c =
-      skip_ws ();
-      match peek () with
-      | Some c' when c' = c -> advance ()
-      | _ -> raise (Bad (Printf.sprintf "expected %c at %d" c !pos))
-    in
-    let parse_string () =
-      expect '"';
-      let buf = Buffer.create 16 in
-      let rec go () =
-        if !pos >= n then raise (Bad "unterminated string");
-        let c = line.[!pos] in
-        advance ();
-        match c with
-        | '"' -> Buffer.contents buf
-        | '\\' -> (
-            if !pos >= n then raise (Bad "unterminated escape");
-            let e = line.[!pos] in
-            advance ();
-            match e with
-            | '"' -> Buffer.add_char buf '"'; go ()
-            | '\\' -> Buffer.add_char buf '\\'; go ()
-            | '/' -> Buffer.add_char buf '/'; go ()
-            | 'n' -> Buffer.add_char buf '\n'; go ()
-            | 'r' -> Buffer.add_char buf '\r'; go ()
-            | 't' -> Buffer.add_char buf '\t'; go ()
-            | 'b' -> Buffer.add_char buf '\b'; go ()
-            | 'f' -> Buffer.add_char buf '\012'; go ()
-            | 'u' ->
-                if !pos + 4 > n then raise (Bad "short \\u escape");
-                let hex = String.sub line !pos 4 in
-                pos := !pos + 4;
-                let code =
-                  try int_of_string ("0x" ^ hex)
-                  with _ -> raise (Bad "bad \\u escape")
-                in
-                (* We only emit \u for control chars; decode the BMP point
-                   as UTF-8 so round-trips stay lossless. *)
-                if code < 0x80 then Buffer.add_char buf (Char.chr code)
-                else if code < 0x800 then begin
-                  Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-                  Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-                end
-                else begin
-                  Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-                  Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-                  Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-                end;
-                go ()
-            | _ -> raise (Bad "bad escape"))
-        | c -> Buffer.add_char buf c; go ()
-      in
-      go ()
-    in
-    let parse_scalar () =
-      skip_ws ();
-      match peek () with
-      | Some '"' -> Str (parse_string ())
-      | Some 't' ->
-          if !pos + 4 <= n && String.sub line !pos 4 = "true" then begin
-            pos := !pos + 4;
-            Bool true
-          end
-          else raise (Bad "bad literal")
-      | Some 'f' ->
-          if !pos + 5 <= n && String.sub line !pos 5 = "false" then begin
-            pos := !pos + 5;
-            Bool false
-          end
-          else raise (Bad "bad literal")
-      | Some 'n' ->
-          if !pos + 4 <= n && String.sub line !pos 4 = "null" then begin
-            pos := !pos + 4;
-            Null
-          end
-          else raise (Bad "bad literal")
-      | Some c when c = '-' || (c >= '0' && c <= '9') ->
-          let start = !pos in
-          while
-            !pos < n
-            && (match line.[!pos] with
-               | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-               | _ -> false)
-          do
-            advance ()
-          done;
-          let s = String.sub line start (!pos - start) in
-          (match float_of_string_opt s with
-          | Some f -> Num f
-          | None -> raise (Bad (Printf.sprintf "bad number %S" s)))
-      | _ -> raise (Bad (Printf.sprintf "unexpected input at %d" !pos))
-    in
-    try
-      expect '{';
-      skip_ws ();
-      let fields = ref [] in
-      (match peek () with
-      | Some '}' -> advance ()
-      | _ ->
-          let rec members () =
-            let key = (skip_ws (); parse_string ()) in
-            expect ':';
-            let v = parse_scalar () in
-            fields := (key, v) :: !fields;
-            skip_ws ();
-            match peek () with
-            | Some ',' -> advance (); members ()
-            | Some '}' -> advance ()
-            | _ -> raise (Bad "expected , or }")
-          in
-          members ());
-      skip_ws ();
-      if !pos <> n then raise (Bad "trailing garbage");
-      Ok (List.rev !fields)
-    with Bad msg -> Error msg
-
-  (* Full (nested) JSON values — for JSON documents (the benchmark
-     declaration, exported Chrome traces). [parse_line] above stays the fast
-     path for flat trace lines. *)
+  (* Full (nested) JSON values — trace lines, and JSON documents such as the
+     benchmark declaration and exported Chrome traces. *)
   type v =
     | VNull
     | VBool of bool
@@ -688,6 +556,23 @@ module Json = struct
       if !pos <> n then raise (Bad "trailing garbage");
       Ok v
     with Bad msg -> Error msg
+
+
+  (* A trace line: a flat object of scalars. *)
+  let parse_line line =
+    let scalar = function
+      | VNull -> Null
+      | VBool b -> Bool b
+      | VNum f -> Num f
+      | VStr s -> Str s
+      | VArr _ | VObj _ -> raise (Bad "nested value in a trace line")
+    in
+    match parse line with
+    | Ok (VObj fields) -> (
+        try Ok (List.map (fun (k, v) -> (k, scalar v)) fields)
+        with Bad msg -> Error msg)
+    | Ok _ -> Error "a trace line must be an object"
+    | Error msg -> Error msg
 
   let to_string v =
     let buf = Buffer.create 256 in

@@ -148,8 +148,7 @@ module Json : sig
   val parse_line : string -> ((string * t) list, string) result
 
   (** Full nested JSON values — JSON documents such as the benchmark
-      declaration or an exported Chrome trace. [parse_line] remains the
-      fast path for flat trace lines. *)
+      declaration or an exported Chrome trace. *)
   type v =
     | VNull
     | VBool of bool

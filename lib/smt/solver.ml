@@ -65,16 +65,13 @@ let budget ?deadline ?conflicts ?(escalations = 2) () =
 
 (* --- fault injection -------------------------------------------------------
 
-   Forces random [Unknown]s (and, when enabled, exceptions) at exactly the
-   sites where a real SAT search could blow past its budget, so every
-   degradation path of the callers (search policies, pool retries, partial
-   reports) can be exercised. The configuration is global; each domain draws
+   Forces random [Unknown]s at exactly the sites where a real SAT search
+   could blow past its budget, so every degradation path of the callers
+   (search policies, partial reports) can be exercised. The configuration is global; each domain draws
    from its own PRNG seeded by (seed, registration slot), so a run with a
    fixed domain count replays the same fault pattern. *)
 
-exception Injected_fault
-
-type fault_config = { f_rate : float; f_exceptions : bool; f_seed : int }
+type fault_config = { f_rate : float; f_seed : int }
 
 let env_float name =
   match Sys.getenv_opt name with
@@ -88,7 +85,6 @@ let fault_config =
         (match env_float "ACHILLES_SOLVER_FAULT_RATE" with
         | Some r when r > 0. -> Float.min r 1.
         | _ -> 0.);
-      f_exceptions = false;
       f_seed =
         (match Sys.getenv_opt "ACHILLES_SOLVER_FAULT_SEED" with
         | Some s -> ( match int_of_string_opt (String.trim s) with
@@ -100,10 +96,10 @@ let fault_config =
 (* Bumped on every reconfiguration so domains re-seed their cached PRNG. *)
 let fault_generation = Atomic.make 0
 
-let set_fault_injection ?(rate = 0.) ?(exceptions = false) ?(seed = 0x5eed) () =
+let set_fault_injection ?(rate = 0.) ?(seed = 0x5eed) () =
   if rate < 0. || rate > 1. then
     invalid_arg "Solver.set_fault_injection: rate outside [0,1]";
-  Atomic.set fault_config { f_rate = rate; f_exceptions = exceptions; f_seed = seed };
+  Atomic.set fault_config { f_rate = rate; f_seed = seed };
   Atomic.incr fault_generation
 
 let fault_rate () = (Atomic.get fault_config).f_rate
@@ -279,8 +275,8 @@ let canonicalize terms =
   in
   Option.map (List.sort_uniq Term.compare) (flatten [] terms)
 
-(* Does an injected fault hit this SAT call? Counts the fault and either
-   answers [Unknown] (returns [true]) or raises [Injected_fault]. *)
+(* Does an injected fault hit this SAT call? Counts the fault, which then
+   answers [Unknown]. *)
 let fault_fires d =
   let cfg = Atomic.get fault_config in
   if cfg.f_rate <= 0. then false
@@ -296,8 +292,6 @@ let fault_fires d =
     in
     if Random.State.float rng 1.0 < cfg.f_rate then begin
       d.dstats.injected_faults <- d.dstats.injected_faults + 1;
-      if cfg.f_exceptions && Random.State.int rng 4 = 0 then
-        raise Injected_fault;
       true
     end
     else false

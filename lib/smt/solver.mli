@@ -208,19 +208,15 @@ val get_budget : unit -> budget option
 (** {1 Fault injection}
 
     Deterministic chaos for exercising degradation paths: with probability
-    [rate], a SAT attempt is replaced by an [Unknown] answer (or, when
-    [exceptions] is set, occasionally a raised {!Injected_fault}). Faults
-    fire at exactly the points a real budget blow-up would, so the callers'
-    Unknown policies, retry ladders and shard-failure handling are tested by
-    the same machinery that degrades production runs. Configured globally
+    [rate], a SAT attempt is replaced by an [Unknown] answer. Faults fire at
+    exactly the points a real budget blow-up would, so the callers' Unknown
+    policies and escalation ladders are tested by the same machinery that
+    degrades production runs. Configured globally
     ([ACHILLES_SOLVER_FAULT_RATE] / [ACHILLES_SOLVER_FAULT_SEED] read at
-    startup, Unknown-only), each domain drawing from a PRNG seeded by
-    (seed, domain slot) so fixed-domain-count runs replay identically. *)
+    startup), each domain drawing from a PRNG seeded by (seed, domain slot)
+    so fixed-domain-count runs replay identically. *)
 
-exception Injected_fault
-
-val set_fault_injection :
-  ?rate:float -> ?exceptions:bool -> ?seed:int -> unit -> unit
+val set_fault_injection : ?rate:float -> ?seed:int -> unit -> unit
 (** Reconfigure fault injection (test API; overrides the environment).
     [rate = 0.] (the default) turns it off. Raises [Invalid_argument] when
     [rate] is outside [0, 1]. *)

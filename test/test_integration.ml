@@ -246,12 +246,13 @@ let test_layer_switches () =
   let digest, _, _ = run ~sharing:false ~domains:1 `Pbft in
   Alcotest.(check string) "pbft: sharing off, same digest" pbft digest
 
+let cli_binary =
+  Filename.concat (Filename.dirname Sys.executable_name) "../bin/achilles_cli.exe"
+
 (* The behaviour contract, pinned end to end through the CLI: see
    {!Goldens.cli_digests}. *)
 let cli_digest args =
-  let binary =
-    Filename.concat (Filename.dirname Sys.executable_name) "../bin/achilles_cli.exe"
-  in
+  let binary = cli_binary in
   let argv = Array.of_list ((binary :: "analyze" :: args) @ [ "--digest" ]) in
   let ic = Unix.open_process_args_in binary argv in
   let rec digest found =
@@ -275,6 +276,31 @@ let test_cli_golden_digests () =
         ("analyze " ^ String.concat " " args ^ " --digest")
         (Some golden) (cli_digest args))
     Goldens.cli_digests
+
+(* A domain count OCaml cannot run is refused while parsing the command
+   line, before any domain is spawned; from the environment it falls back
+   to one domain, like any other unusable value. *)
+let test_cli_domain_range () =
+  let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+  Fun.protect ~finally:(fun () -> Unix.close devnull) @@ fun () ->
+  let exit_code ?(env = Unix.environment ()) args =
+    let argv = Array.of_list (cli_binary :: "analyze" :: "rw" :: args) in
+    let pid =
+      Unix.create_process_env cli_binary argv env devnull devnull devnull
+    in
+    match Unix.waitpid [] pid with
+    | _, Unix.WEXITED code -> code
+    | _ -> Alcotest.failf "%s: CLI killed by a signal" (String.concat " " args)
+  in
+  List.iter
+    (fun j ->
+      Alcotest.(check int) ("-j " ^ j ^ " is a usage error") 124
+        (exit_code [ "-j"; j ]))
+    [ "0"; "129" ];
+  Alcotest.(check int) "ACHILLES_DOMAINS=500 runs on one domain" 0
+    (exit_code
+       ~env:(Array.append [| "ACHILLES_DOMAINS=500" |] (Unix.environment ()))
+       [])
 
 let test_wildcard_trojan_via_analysis () =
   (* with globbing-aware clients, the analysis must produce a witness with a
@@ -321,6 +347,8 @@ let () =
         [
           Alcotest.test_case "golden report digests" `Slow
             test_cli_golden_digests;
+          Alcotest.test_case "-j outside [1,128] rejected" `Quick
+            test_cli_domain_range;
         ] );
       ( "pbft",
         [ Alcotest.test_case "MAC attack end to end" `Slow test_pbft_end_to_end ] );

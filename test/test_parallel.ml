@@ -11,69 +11,69 @@ module Obs = Achilles_obs.Obs
 
 (* --- the domain pool --------------------------------------------------------- *)
 
+let ok_exn = function Ok v -> v | Error e -> raise e
+
 let test_pool_map () =
-  Pool.with_pool ~domains:3 (fun pool ->
-      let input = Array.init 20 (fun i -> i + 1) in
-      let squares = Pool.parallel_map pool (fun x -> x * x) input in
-      Alcotest.(check (array int))
-        "squares by index"
-        (Array.map (fun x -> x * x) input)
-        squares;
-      (* the pool survives several batches *)
-      let doubles = Pool.parallel_map pool (fun x -> 2 * x) input in
-      Alcotest.(check int) "second batch" 40 doubles.(19))
+  let input = Array.init 20 (fun i -> i + 1) in
+  Alcotest.(check (array int))
+    "squares by index"
+    (Array.map (fun x -> x * x) input)
+    (Array.map ok_exn (Pool.map ~domains:3 (fun x -> x * x) input))
 
 let test_pool_empty () =
-  Pool.with_pool ~domains:2 (fun pool ->
-      Alcotest.(check (array int))
-        "empty batch" [||]
-        (Pool.parallel_map pool (fun x -> x) [||]);
-      Pool.run_tasks pool [||];
-      Alcotest.(check int) "still two workers" 2 (Pool.size pool))
+  Alcotest.(check int) "empty batch" 0
+    (Array.length (Pool.map ~domains:2 Fun.id [||]))
 
 exception Task_failed of int
 
+(* A raising task fills its own slot with the exception; its siblings
+   still run and deliver. *)
 let test_pool_exception () =
-  Pool.with_pool ~domains:2 (fun pool ->
-      let ran = Array.make 6 false in
-      (* the failing task's exception must reach the submitter — and the
-         whole batch must still drain, not hang *)
-      (match
-         Pool.parallel_map pool
-           (fun i ->
-             ran.(i) <- true;
-             if i = 2 || i = 4 then raise (Task_failed i))
-           (Array.init 6 Fun.id)
-       with
-      | _ -> Alcotest.fail "expected the task exception to propagate"
-      | exception Task_failed i ->
-          Alcotest.(check int) "lowest failing index wins" 2 i);
-      Alcotest.(check bool) "batch drained" true (Array.for_all Fun.id ran);
-      (* and the pool remains usable afterwards *)
-      let r = Pool.parallel_map pool (fun x -> x + 1) [| 1; 2; 3 |] in
-      Alcotest.(check (array int)) "pool usable after failure" [| 2; 3; 4 |] r)
+  let ran = Array.make 6 false in
+  let results =
+    Pool.map ~domains:2
+      (fun i ->
+        ran.(i) <- true;
+        if i = 2 || i = 4 then raise (Task_failed i);
+        i * 10)
+      (Array.init 6 Fun.id)
+  in
+  Alcotest.(check bool) "every task ran" true (Array.for_all Fun.id ran);
+  Array.iteri
+    (fun i r ->
+      match r with
+      | Error (Task_failed j) when j = i && (i = 2 || i = 4) -> ()
+      | Ok v when v = i * 10 && i <> 2 && i <> 4 -> ()
+      | _ -> Alcotest.failf "slot %d holds the wrong outcome" i)
+    results
 
-let test_pool_shutdown () =
-  let pool = Pool.create ~domains:2 in
-  let r = Pool.parallel_map pool (fun x -> x * 10) [| 1; 2 |] in
-  Alcotest.(check (array int)) "ran" [| 10; 20 |] r;
-  Pool.shutdown pool;
-  Pool.shutdown pool (* idempotent *);
-  (match Pool.parallel_map pool (fun x -> x) [| 1 |] with
-  | _ -> Alcotest.fail "expected Invalid_argument after shutdown"
-  | exception Invalid_argument _ -> ());
-  match Pool.create ~domains:0 with
-  | _ -> Alcotest.fail "expected Invalid_argument for zero domains"
-  | exception Invalid_argument _ -> ()
+let test_pool_domain_bounds () =
+  List.iter
+    (fun domains ->
+      match Pool.map ~domains Fun.id [| 1 |] with
+      | _ -> Alcotest.failf "expected Invalid_argument for %d domains" domains
+      | exception Invalid_argument _ -> ())
+    [ 0; 129 ]
 
-(* A pool of size 1 spawns nothing: its one worker is the submitting
-   domain, so a single-domain search runs inline on the caller. *)
+(* [domains = 1] spawns nothing: every task runs inline on the caller. *)
 let test_pool_size_one_inline () =
   let caller = Domain.self () in
-  Pool.with_pool ~domains:1 (fun pool ->
-      let ran_on = Pool.parallel_map pool (fun _ -> Domain.self ()) [| 0; 1; 2 |] in
-      Alcotest.(check bool) "every task ran on the caller's domain" true
-        (Array.for_all (fun d -> d = caller) ran_on))
+  let ran_on = Pool.map ~domains:1 (fun _ -> Domain.self ()) [| 0; 1; 2 |] in
+  Alcotest.(check bool) "every task ran on the caller's domain" true
+    (Array.for_all (fun d -> ok_exn d = caller) ran_on)
+
+(* Domain ids are handed out in spawn order, so the ids of two probe domains
+   around the call bound the number of domains it spawned. *)
+let test_pool_spawn_count () =
+  let probe () = (Domain.join (Domain.spawn Domain.self) :> int) in
+  let spawned domains n =
+    let before = probe () in
+    ignore (Pool.map ~domains Fun.id (Array.make n ()));
+    probe () - before - 1
+  in
+  Alcotest.(check int) "2 tasks on 8 domains spawn 1" 1 (spawned 8 2);
+  Alcotest.(check int) "5 tasks on 3 domains spawn 2" 2 (spawned 3 5);
+  Alcotest.(check int) "1 task spawns none" 0 (spawned 4 1)
 
 (* --- solver thread-safety ----------------------------------------------------- *)
 
@@ -102,24 +102,23 @@ let test_solver_stress () =
   let tasks = 8 and rounds = 5 in
   let before = (Solver.aggregate_stats ()).Solver.queries in
   let results =
-    Pool.with_pool ~domains:4 (fun pool ->
-        Pool.parallel_map pool
-          (fun t ->
-            let ok = ref true in
-            for r = 0 to rounds - 1 do
-              let i = ((t + r) mod 6) + 1 in
-              (match Solver.check (sat_query i) with
-              | Solver.Sat model ->
-                  if not (Model.satisfies model (sat_query i)) then ok := false
-              | Solver.Unsat | Solver.Unknown -> ok := false);
-              if Solver.is_sat (unsat_query i) then ok := false
-            done;
-            !ok)
-          (Array.init tasks Fun.id))
+    Pool.map ~domains:4
+      (fun t ->
+        let ok = ref true in
+        for r = 0 to rounds - 1 do
+          let i = ((t + r) mod 6) + 1 in
+          (match Solver.check (sat_query i) with
+          | Solver.Sat model ->
+              if not (Model.satisfies model (sat_query i)) then ok := false
+          | Solver.Unsat | Solver.Unknown -> ok := false);
+          if Solver.is_sat (unsat_query i) then ok := false
+        done;
+        !ok)
+      (Array.init tasks Fun.id)
   in
   Alcotest.(check bool)
     "all answers correct, all models satisfy their query" true
-    (Array.for_all Fun.id results);
+    (Array.for_all (fun r -> r = Ok true) results);
   let after = (Solver.aggregate_stats ()).Solver.queries in
   Alcotest.(check int)
     "per-domain query counts sum to the aggregate" (tasks * rounds * 2)
@@ -348,47 +347,6 @@ let test_parallel_no_forks () =
   let d4 = digest_at ~domains:4 ~base client server in
   Alcotest.(check string) "fork-free server: domains 1 = domains 4" d1 d4
 
-(* The differentFrom precompute distributed over a pool must equal the
-   sequential one in every observable: matrix cells, the pair-check count,
-   and even the fresh-variable ids consumed. *)
-let test_different_from_pool () =
-  Solver.reset_all_for_tests ();
-  Term.reset_fresh_counter ();
-  let pc, _ =
-    Client_extract.extract ~layout:Fsp_model.layout (Fsp_model.clients ())
-  in
-  let base = Term.fresh_counter_value () in
-  let seq_t, seq_stats =
-    Different_from.compute ~mask:Fsp_model.analysis_mask pc
-  in
-  let seq_counter = Term.fresh_counter_value () in
-  Solver.reset_all_for_tests ();
-  Term.set_fresh_counter base;
-  let par_t, par_stats =
-    Pool.with_pool ~domains:4 (fun pool ->
-        Different_from.compute ~mask:Fsp_model.analysis_mask ~pool pc)
-  in
-  Alcotest.(check int) "same pair-check count"
-    seq_stats.Different_from.pairs_checked par_stats.Different_from.pairs_checked;
-  Alcotest.(check int) "same fresh variables consumed" seq_counter
-    (Term.fresh_counter_value ());
-  Alcotest.(check (list string)) "same fields covered"
-    seq_stats.Different_from.fields_covered
-    par_stats.Different_from.fields_covered;
-  let n = Predicate.client_path_count pc in
-  List.iter
-    (fun field ->
-      for i = 0 to n - 1 do
-        for j = 0 to n - 1 do
-          if
-            Different_from.different seq_t ~i ~j ~field
-            <> Different_from.different par_t ~i ~j ~field
-          then
-            Alcotest.failf "matrix mismatch at field %s cell (%d, %d)" field i j
-        done
-      done)
-    seq_stats.Different_from.fields_covered
-
 let () =
   Alcotest.run "parallel"
     [
@@ -397,9 +355,11 @@ let () =
           Alcotest.test_case "parallel_map" `Quick test_pool_map;
           Alcotest.test_case "empty batch" `Quick test_pool_empty;
           Alcotest.test_case "exception propagation" `Quick test_pool_exception;
-          Alcotest.test_case "shutdown" `Quick test_pool_shutdown;
+          Alcotest.test_case "domain bounds" `Quick test_pool_domain_bounds;
           Alcotest.test_case "size 1 runs inline" `Quick
             test_pool_size_one_inline;
+          Alcotest.test_case "spawns at most n - 1 domains" `Quick
+            test_pool_spawn_count;
         ] );
       ( "solver",
         [
@@ -412,7 +372,5 @@ let () =
           Alcotest.test_case "no forks" `Quick test_parallel_no_forks;
           Alcotest.test_case "FSP negates each client path once" `Quick
             test_fsp_negations_once_per_run;
-          Alcotest.test_case "differentFrom over a pool" `Quick
-            test_different_from_pool;
         ] );
     ]

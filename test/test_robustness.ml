@@ -1,88 +1,13 @@
 (* The resource-governance and fault-tolerance layer: solver budgets and
    their escalation ladder, deterministic fault injection, the sound
    degradation policies of the search (Unknown keeps things alive, never
-   drops a Trojan), shard-level retry/failure isolation, cooperative
+   drops a Trojan), shard-level failure isolation, cooperative
    cancellation, and checkpoint/resume. *)
 
 open Achilles_smt
 open Achilles_symvm
 open Achilles_core
 open Achilles_targets
-
-(* --- pool retry / failure isolation ---------------------------------------- *)
-
-exception Flaky of int
-
-let test_pool_retry_then_succeed () =
-  Pool.with_pool ~domains:2 (fun pool ->
-      let failures_left = Array.make 6 0 in
-      failures_left.(2) <- 2;
-      (* task 2 fails twice, then succeeds on its third attempt *)
-      let outcomes =
-        Pool.map_with_retries ~retries:2
-          ~backoff:(fun _ -> 0.)
-          pool
-          (fun i ->
-            if failures_left.(i) > 0 then begin
-              failures_left.(i) <- failures_left.(i) - 1;
-              raise (Flaky i)
-            end;
-            i * 10)
-          (Array.init 6 Fun.id)
-      in
-      Array.iteri
-        (fun i o ->
-          Alcotest.(check bool)
-            (Printf.sprintf "task %d succeeded" i)
-            true
-            (o.Pool.result = Ok (i * 10));
-          Alcotest.(check int)
-            (Printf.sprintf "task %d attempts" i)
-            (if i = 2 then 3 else 1)
-            o.Pool.attempts)
-        outcomes)
-
-let test_pool_retry_exhausted () =
-  Pool.with_pool ~domains:2 (fun pool ->
-      let outcomes =
-        Pool.map_with_retries ~retries:1
-          ~backoff:(fun _ -> 0.)
-          pool
-          (fun i -> if i = 1 then raise (Flaky 1) else i)
-          [| 0; 1; 2 |]
-      in
-      (* the batch never raises: the hopeless task is recorded as Error
-         after retries, its siblings are untouched *)
-      Alcotest.(check bool) "task 0 ok" true (outcomes.(0).Pool.result = Ok 0);
-      Alcotest.(check bool) "task 2 ok" true (outcomes.(2).Pool.result = Ok 2);
-      (match outcomes.(1).Pool.result with
-      | Error (Flaky 1) -> ()
-      | _ -> Alcotest.fail "expected Error (Flaky 1)");
-      Alcotest.(check int) "cap spent" 2 outcomes.(1).Pool.attempts;
-      (match
-         Pool.map_with_retries ~retries:(-1) pool Fun.id [| 0 |]
-       with
-      | _ -> Alcotest.fail "expected Invalid_argument for negative retries"
-      | exception Invalid_argument _ -> ());
-      (* the pool stays usable after a batch with failures *)
-      let r = Pool.parallel_map pool (fun x -> x + 1) [| 1 |] in
-      Alcotest.(check (array int)) "pool usable" [| 2 |] r)
-
-let test_pool_backoff_called () =
-  Pool.with_pool ~domains:1 (fun pool ->
-      let pauses = ref [] in
-      let outcomes =
-        Pool.map_with_retries ~retries:2
-          ~backoff:(fun attempt ->
-            pauses := attempt :: !pauses;
-            0.)
-          pool
-          (fun () -> raise (Flaky 0))
-          [| () |]
-      in
-      Alcotest.(check int) "three attempts" 3 outcomes.(0).Pool.attempts;
-      (* backoff is consulted before each retry, with the attempt number *)
-      Alcotest.(check (list int)) "backoff schedule" [ 0; 1 ] (List.rev !pauses))
 
 (* --- solver budgets and the escalation ladder ------------------------------- *)
 
@@ -446,7 +371,16 @@ let qcheck_budget_superset =
       in
       starved_ok true && starved_ok false)
 
-(* --- shard chaos: retry and failure isolation -------------------------------- *)
+(* --- shard chaos: failure isolation ------------------------------------------ *)
+
+let fresh_dir name =
+  let dir = Filename.concat (Filename.get_temp_dir_name ()) name in
+  if Sys.file_exists dir then
+    Array.iter
+      (fun f -> Sys.remove (Filename.concat dir f))
+      (Sys.readdir dir)
+  else Unix.mkdir dir 0o755;
+  dir
 
 exception Chaos_crash
 
@@ -462,33 +396,39 @@ let fixed_case =
     [ [ Fbounded 5; Fconst 2; Fbounded 3 ]; [ Fconst 1; Fbounded 6; Fconst 0 ] ]
   )
 
-let test_chaos_shard_retry () =
+(* A shard that crashes is recorded as failed on its first attempt, and a
+   resume from the run's checkpoints re-explores exactly that shard. *)
+let test_chaos_crash_then_resume () =
   let client, server, base = extract_case fixed_case in
   let clean = run_case ~base client server in
-  let crashes = Atomic.make 0 in
-  let config =
+  let dir = fresh_dir "achilles-rob-crash" in
+  let crashed = Atomic.make false in
+  let config ~resume =
     {
       Search.default_config with
       Search.domains = 4;
-      Search.shard_backoff = (fun _ -> 0.);
+      Search.checkpoint_dir = Some dir;
+      Search.resume = resume;
       Search.chaos =
         Some
-          (fun ~shard_index ~attempt ->
-            if shard_index = 0 && attempt < 2 then begin
-              Atomic.incr crashes;
-              raise Chaos_crash
-            end);
+          (fun idx ->
+            if idx = 0 && Atomic.compare_and_set crashed false true then
+              raise Chaos_crash);
     }
   in
-  let report = run_case ~config ~base client server in
-  Alcotest.(check int) "chaos fired twice" 2 (Atomic.get crashes);
-  Alcotest.(check bool) "coverage complete after retries" true
-    (Search.coverage_complete report.Search.coverage);
-  Alcotest.(check int) "retries accounted" 2
-    report.Search.coverage.Search.shard_retry_attempts;
-  Alcotest.(check string) "report identical to the undisturbed run"
+  let first = run_case ~config:(config ~resume:false) ~base client server in
+  let c = first.Search.coverage in
+  Alcotest.(check (list int)) "shard 0 failed" [ 0 ] c.Search.failed_shards;
+  Alcotest.(check bool) "coverage partial" false (Search.coverage_complete c);
+  let resumed = run_case ~config:(config ~resume:true) ~base client server in
+  let c' = resumed.Search.coverage in
+  Alcotest.(check int) "only shard 0 re-explored" (c'.Search.total_shards - 1)
+    c'.Search.resumed_shards;
+  Alcotest.(check bool) "resumed coverage complete" true
+    (Search.coverage_complete c');
+  Alcotest.(check string) "resumed report identical to the undisturbed run"
     (Report.report_digest clean)
-    (Report.report_digest report)
+    (Report.report_digest resumed)
 
 let test_chaos_shard_failure_isolated () =
   let client, server, base = extract_case fixed_case in
@@ -497,12 +437,7 @@ let test_chaos_shard_failure_isolated () =
     {
       Search.default_config with
       Search.domains = 4;
-      Search.shard_retries = 1;
-      Search.shard_backoff = (fun _ -> 0.);
-      Search.chaos =
-        Some
-          (fun ~shard_index ~attempt:_ ->
-            if shard_index = 1 then raise Chaos_crash);
+      Search.chaos = Some (fun idx -> if idx = 1 then raise Chaos_crash);
     }
   in
   (* the hopeless shard must not tear down the run: every other shard's
@@ -518,15 +453,6 @@ let test_chaos_shard_failure_isolated () =
     (Report.report_digest clean <> Report.report_digest report)
 
 (* --- cooperative cancellation and checkpoint/resume -------------------------- *)
-
-let fresh_dir name =
-  let dir = Filename.concat (Filename.get_temp_dir_name ()) name in
-  if Sys.file_exists dir then
-    Array.iter
-      (fun f -> Sys.remove (Filename.concat dir f))
-      (Sys.readdir dir)
-  else Unix.mkdir dir 0o755;
-  dir
 
 let test_checkpoint_resume_identical () =
   let client, server, base = extract_case fixed_case in
@@ -863,13 +789,6 @@ let test_cli_under_faults () =
 let () =
   Alcotest.run "robustness"
     [
-      ( "pool-retries",
-        [
-          Alcotest.test_case "retry then succeed" `Quick
-            test_pool_retry_then_succeed;
-          Alcotest.test_case "retries exhausted" `Quick test_pool_retry_exhausted;
-          Alcotest.test_case "backoff schedule" `Quick test_pool_backoff_called;
-        ] );
       ( "solver-budgets",
         [
           Alcotest.test_case "exhaustion ladder" `Quick test_budget_exhaustion;
@@ -891,7 +810,8 @@ let () =
         ] );
       ( "shard-isolation",
         [
-          Alcotest.test_case "chaos retry" `Quick test_chaos_shard_retry;
+          Alcotest.test_case "crash then resume" `Quick
+            test_chaos_crash_then_resume;
           Alcotest.test_case "failure isolated" `Quick
             test_chaos_shard_failure_isolated;
         ] );

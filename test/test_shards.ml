@@ -182,7 +182,7 @@ let test_stale_tmp_cleanup () =
   rm_rf dir
 
 (* A checkpoint write that fails keeps the explored shard: the run still
-   covers it with nothing retried, and only a later resume re-explores it.
+   covers it, and only a later resume re-explores it.
    A directory squatting on shard 0's temp name makes the write fail;
    [prepare_dir] sweeps only regular temp files, so it survives. *)
 let test_checkpoint_write_failure_keeps_shard () =
@@ -211,7 +211,6 @@ let test_checkpoint_write_failure_keeps_shard () =
   let c = report.Search.coverage in
   Alcotest.(check bool) "coverage complete" true (Search.coverage_complete c);
   Alcotest.(check (list int)) "no failed shards" [] c.Search.failed_shards;
-  Alcotest.(check int) "no retries" 0 c.Search.shard_retry_attempts;
   Alcotest.(check int) "one write failure counted" 1
     (write_failures () - failures0);
   Alcotest.(check string) "digest equals a run without checkpoints"
@@ -258,8 +257,8 @@ let test_negation_build_raises () =
           | None, _ -> Alcotest.fail "shard exploration was cancelled?")
     in
     Search.Shards.merge ~total:(1 lsl bits) ~base ~started:0.
-      ~outs_resumed:outs ~partial:[] ~failed_shards:[] ~retry_attempts:0
-      ~interrupted:false ~abandoned:0
+      ~outs_resumed:outs ~partial:[] ~failed_shards:[] ~interrupted:false
+      ~abandoned:0
   in
   Solver.reset_all_for_tests ();
   let clean = run (Search.Shards.negations ()) in
@@ -355,8 +354,7 @@ let test_negation_key_mismatch () =
     in
     let report =
       Search.Shards.merge ~total:2 ~base ~started:0. ~outs_resumed:outs
-        ~partial:[] ~failed_shards:[] ~retry_attempts:0 ~interrupted:false
-        ~abandoned:0
+        ~partial:[] ~failed_shards:[] ~interrupted:false ~abandoned:0
     in
     ( Report.report_digest report,
       List.assoc_opt "negate.paths_negated"
