@@ -648,7 +648,8 @@ let layer_rows =
 (* the shared record, in print and CSV order *)
 let layer_columns =
   [
-    "wall_s"; "digest"; "queries"; "sat_calls"; "bitblast_memo_misses";
+    "wall_s"; "digest"; "queries"; "settled"; "sat_calls";
+    "bitblast_memo_misses";
     "terms_created"; "feasibility_queries"; "pairs_checked"; "trojans";
     "unconfirmed"; "trojan_states"; "bitblast_share"; "solver_query_share";
   ]
@@ -699,11 +700,11 @@ let measure_layer_row (l : layer_row) analyze =
   let agg = Solver.aggregate_stats () in
   let _, blast_misses = Bitblast.aggregate_memo_stats () in
   let _, terms_created = Term.aggregate_intern_stats () in
-  let full_path_queries =
-    Option.value ~default:0
-      (List.assoc_opt "interp.feasibility_queries"
-         (Obs.aggregate ()).Obs.counters)
+  let counter =
+    let counters = (Obs.aggregate ()).Obs.counters in
+    fun name -> Option.value ~default:0 (List.assoc_opt name counters)
   in
+  let full_path_queries = counter "interp.feasibility_queries" in
   let pairs_checked =
     match analysis.Achilles.different_from_stats with
     | Some s -> s.Different_from.pairs_checked
@@ -721,6 +722,9 @@ let measure_layer_row (l : layer_row) analyze =
     [
       ("wall_s", Printf.sprintf "%.3f" wall);
       ("queries", int agg.Solver.queries);
+      (* alive and prune checks decided by a carried model, no query *)
+      ( "settled",
+        int (counter "search.alive_settled" + counter "search.prune_settled") );
       ("sat_calls", int agg.Solver.sat_calls);
       ("bitblast_memo_misses", int blast_misses);
       ("terms_created", int terms_created);

@@ -279,10 +279,7 @@ let parse_mask target = function
 (* SIGINT/SIGTERM flip a flag the search polls at every branch constraint:
    in-flight shards wind down, completed shards are kept (and checkpointed
    when --checkpoint-dir is set), and a partial report is still printed —
-   with its coverage block flagging the interruption — before exiting 3.
-   SIGPIPE is ignored: a peer that hangs up surfaces as an EPIPE error on
-   that one socket (the daemon then closes the connection) instead of
-   killing the process. *)
+   with its coverage block flagging the interruption — before exiting 3. *)
 let interrupted = Atomic.make false
 
 let install_signal_handlers () =
@@ -293,8 +290,7 @@ let install_signal_handlers () =
     with Invalid_argument _ | Sys_error _ -> ()
   in
   handle Sys.sigint;
-  handle Sys.sigterm;
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore
+  handle Sys.sigterm
 
 (* 0 = complete coverage, 3 = partial (interrupted or uncovered shards) *)
 let exit_code_of (report : Search.report) =
@@ -695,6 +691,10 @@ let serve filter_file socket tcp trace =
           1
       | Ok address ->
           install_signal_handlers ();
+          (* a peer that hangs up surfaces as an EPIPE error on that one
+             socket (the daemon then closes the connection) instead of
+             killing the daemon *)
+          Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
           setup_trace trace;
           Format.printf "serving %a@." Filter.pp_summary filter;
           (match address with
@@ -1027,6 +1027,11 @@ let trace_cmd =
     [ trace_summarize_cmd; trace_export_cmd ]
 
 let () =
+  (* Every command but [serve] writes to stdout like a Unix filter: a
+     reader that goes away early ([achilles analyze fsp | head -1]) ends
+     it quietly through SIGPIPE's default action, whatever disposition the
+     parent process left behind. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_default;
   let doc = "find Trojan messages in distributed system implementations" in
   let info = Cmd.info "achilles" ~version:"1.0.0" ~doc in
   exit

@@ -248,25 +248,40 @@ type negations = {
 
 let negations () = { neg_lock = Mutex.create (); neg_table = None }
 
+(* What a state carries down the tree: its alive client paths, each with
+   the model of its last satisfiable alive check, and the model of the
+   last satisfiable prune query. Models come from the solver restricted to
+   the message variables; [None] means no model (none taken yet, or the
+   last answer was Unknown). [on_constraint] explains how they settle
+   checks. *)
+type alive_entry = {
+  ae_paths : (int * Model.t option) list; (* alive client idx, its model *)
+  ae_prune : Model.t option;
+}
+
 (* Mutable search context shared by the interpreter hooks. *)
 type search_ctx = {
   cfg : config;
   client : Predicate.client_predicate;
   paths : Predicate.client_path array;
   different_from : Different_from.t option;
-  alive : (int, int list) Hashtbl.t; (* state id -> alive client indices *)
+  alive : (int, alive_entry) Hashtbl.t; (* state id -> its alive entry *)
   bindings : (int, Term.t list) Hashtbl.t; (* client idx -> msgS=msgC binding *)
   negations : negations; (* the run's table, shared between shards *)
   mutable negated : Term.t array; (* client idx -> negate(pathCi) *)
   shard : Interp.shard; (* the route shard this worker explores *)
   recorder : recorder; (* the shard's event log *)
   mutable server_vars : Term.var array option;
+  msg_var_ids : (int, unit) Hashtbl.t; (* ids of [server_vars] *)
   mutable field_var_ids : (string * int list) list; (* server var ids per field *)
   mutable n_abandoned : int; (* states cut off by cancellation *)
   started : float;
 }
 
 let all_indices ctx = List.init (Array.length ctx.paths) Fun.id
+
+let fresh_entry ctx =
+  { ae_paths = List.map (fun i -> (i, None)) (all_indices ctx); ae_prune = None }
 
 (* Does this worker record observations for this state? Only the shard
    that owns it does (with a single shard, that is every state). *)
@@ -312,6 +327,9 @@ let setup_server_vars ctx vars =
       invalid_arg "Search: server received more than one symbolic message"
   | None ->
       ctx.server_vars <- Some vars;
+      Array.iter
+        (fun (v : Term.var) -> Hashtbl.replace ctx.msg_var_ids v.Term.id ())
+        vars;
       let layout = ctx.client.Predicate.layout in
       ctx.field_var_ids <-
         List.map
@@ -348,11 +366,11 @@ let binding_check ctx idx (st : State.t) =
      terms ride as per-call assumptions (scratch while incremental solving
      is off) *)
   match
-    Solver.check_assuming ~site:"alive" ~path:st.State.path
-      (binding_for ctx idx)
+    Solver.check_assuming ~site:"alive" ?model_vars:ctx.server_vars
+      ~path:st.State.path (binding_for ctx idx)
   with
   | Solver.Unsat -> `Incompatible
-  | Solver.Sat _ -> `Compatible
+  | Solver.Sat m -> `Compatible m
   | Solver.Unknown -> `Unknown
 
 (* Explanation for the drop just reported by [binding_check]: the server
@@ -366,11 +384,16 @@ let drop_core (st : State.t) =
 
 let alive_for ctx (st : State.t) =
   match Hashtbl.find_opt ctx.alive st.State.id with
-  | Some l -> l
+  | Some e -> e
   | None -> (
       match st.State.parent with
       | Some p when Hashtbl.mem ctx.alive p -> Hashtbl.find ctx.alive p
-      | _ -> all_indices ctx)
+      | _ -> fresh_entry ctx)
+
+(* Does [cond] mention only message variables, so that a carried model
+   (which binds exactly those) decides it? *)
+let over_message_vars ctx cond =
+  List.for_all (Hashtbl.mem ctx.msg_var_ids) (Term.var_ids cond)
 
 (* Which single field, if any, does this constraint depend on? The
    constraint must mention only server message variables, all within one
@@ -389,6 +412,21 @@ let trojan_query ctx (st : State.t) alive =
     (List.map (negation_for ctx) alive)
     (List.rev st.State.path)
 
+(* Does the model carried from the parent state settle this check as
+   satisfiable, so that no query runs? [m] is the restriction, to the
+   message variables, of a full satisfying assignment A of the parent's
+   query: its path with one client binding (alive check), or with the
+   negations of its alive set (prune query). The child's query adds [cond],
+   and for the prune query keeps only a subset of those negations, since
+   alive sets only shrink. When every variable of [cond] is a message
+   variable, A agrees with [m] on all of them (a variable [m] leaves
+   unbound is absent from the parent's query, so A may take the default
+   [Model.eval] reads for it). So if [cond] holds under [m], A satisfies
+   the child's query: the check is SAT, and [m] stays a valid restriction
+   for the next constraint down the tree. *)
+let settles ~over_msg m cond =
+  match m with Some m -> over_msg && Model.eval_bool m cond | None -> false
+
 (* The incremental step: update the alive set for the new constraint, then
    decide whether any Trojan message can still trigger this state. *)
 let on_constraint ctx (st : State.t) cond =
@@ -405,9 +443,10 @@ let on_constraint ctx (st : State.t) cond =
       setup_server_vars ctx vars;
       let recording = records ctx st in
       let checks_here = ref 0 and transitive_here = ref 0 and drop_ord = ref 0 in
-      let alive = alive_for ctx st in
+      let entry = alive_for ctx st in
+      let over_msg = over_message_vars ctx cond in
       let alive =
-        if not ctx.cfg.drop_alive then alive
+        if not ctx.cfg.drop_alive then entry.ae_paths
         else begin
           let field =
             if ctx.cfg.use_different_from && ctx.different_from <> None then
@@ -439,79 +478,100 @@ let on_constraint ctx (st : State.t) cond =
                   (all_indices ctx)
             | _ -> ()
           in
-          List.iter
-            (fun i ->
-              if not (Hashtbl.mem dropped i) then begin
-                incr checks_here;
-                match binding_check ctx i st with
-                | `Compatible -> ()
-                | `Unknown ->
-                    (* sound degradation: an undecided compatibility keeps
-                       the client path alive (its negation stays in the
-                       Trojan query, over- rather than under-constraining) *)
-                    if recording then
-                      let r = ctx.recorder in
-                      r.rec_unknown_alive <- r.rec_unknown_alive + 1
-                | `Incompatible ->
-                  if recording && ctx.cfg.explain_drops then begin
-                    match drop_core st with
-                    | Some conflicting ->
-                        ctx.recorder.rec_drops <-
-                          {
-                            wd_route = st.State.route;
-                            wd_plen = List.length st.State.path;
-                            wd_ord = !drop_ord;
-                            wd_path = i;
-                            wd_conflicting = conflicting;
-                          }
-                          :: ctx.recorder.rec_drops;
-                        incr drop_ord
-                    | None -> ()
-                  end;
-                  Obs.count "search.client_path_drops";
-                  if Obs.live () then
-                    Obs.emit ~kind:"drop" ~name:"client_path"
-                      ~args:
-                        [
-                          ("route", Obs.S st.State.route);
-                          ("path", Obs.I i);
-                        ]
-                      ();
-                  Hashtbl.replace dropped i ();
-                  maybe_transitive_drop i
-              end)
-            alive;
-          List.filter (fun i -> not (Hashtbl.mem dropped i)) alive
+          let checked =
+            List.filter_map
+              (fun (i, m) ->
+                if Hashtbl.mem dropped i then None
+                else begin
+                  incr checks_here;
+                  if settles ~over_msg m cond then begin
+                    Obs.count "search.alive_settled";
+                    Some (i, m)
+                  end
+                  else
+                    match binding_check ctx i st with
+                    | `Compatible m -> Some (i, Some m)
+                    | `Unknown ->
+                        (* sound degradation: an undecided compatibility
+                           keeps the client path alive (its negation stays
+                           in the Trojan query, over- rather than
+                           under-constraining) *)
+                        (if recording then
+                           let r = ctx.recorder in
+                           r.rec_unknown_alive <- r.rec_unknown_alive + 1);
+                        Some (i, None)
+                    | `Incompatible ->
+                        if recording && ctx.cfg.explain_drops then begin
+                          match drop_core st with
+                          | Some conflicting ->
+                              ctx.recorder.rec_drops <-
+                                {
+                                  wd_route = st.State.route;
+                                  wd_plen = List.length st.State.path;
+                                  wd_ord = !drop_ord;
+                                  wd_path = i;
+                                  wd_conflicting = conflicting;
+                                }
+                                :: ctx.recorder.rec_drops;
+                              incr drop_ord
+                          | None -> ()
+                        end;
+                        Obs.count "search.client_path_drops";
+                        if Obs.live () then
+                          Obs.emit ~kind:"drop" ~name:"client_path"
+                            ~args:
+                              [
+                                ("route", Obs.S st.State.route);
+                                ("path", Obs.I i);
+                              ]
+                            ();
+                        Hashtbl.replace dropped i ();
+                        maybe_transitive_drop i;
+                        None
+                end)
+              entry.ae_paths
+          in
+          (* a transitive drop may also hit a path checked before it *)
+          List.filter (fun (i, _) -> not (Hashtbl.mem dropped i)) checked
         end
       in
-      Hashtbl.replace ctx.alive st.State.id alive;
-      let pruned =
-        ctx.cfg.prune_no_trojan
-        &&
+      let indices = List.map fst alive in
+      let pruned, prune_model =
+        if not ctx.cfg.prune_no_trojan then (false, None)
+        else if settles ~over_msg entry.ae_prune cond then begin
+          Obs.count "search.prune_settled";
+          (false, entry.ae_prune)
+        end
+        else
         (* dedup the sibling constraints (shared client negations reappear
            across alive sets) before the query; the reported term lists are
-           left verbatim. Verdict-only, so with incrementality on it rides
-           the frame context whose stack already holds this state's path;
-           witness extraction below runs in its own enumeration session
-           on a freshly reset instance (models from the shared persistent
-           one would depend on its history and perturb report digests). *)
+           left verbatim. With incrementality on it rides the frame context
+           whose stack already holds this state's path; its model only
+           settles later prune checks, while witness extraction below runs
+           in its own enumeration session on a freshly reset instance
+           (models from the shared persistent one would depend on its
+           history and perturb report digests). *)
         match
           (if Solver.incremental_enabled () then
-             Solver.check_assuming ~site:"prune" ~path:st.State.path
-               (List.map (negation_for ctx) alive)
+             Solver.check_assuming ~site:"prune" ~model_vars:vars
+               ~path:st.State.path
+               (List.map (negation_for ctx) indices)
            else
-             Solver.check ~site:"prune" (Term.dedup (trojan_query ctx st alive)))
+             Solver.check ~site:"prune"
+               (Term.dedup (trojan_query ctx st indices)))
         with
-        | Solver.Unsat -> true
-        | Solver.Sat _ -> false
+        | Solver.Unsat -> (true, None)
+        | Solver.Sat m -> (false, Some m)
         | Solver.Unknown ->
             (* sound degradation: only a proven-Trojan-free state may be
                pruned; an undecided query keeps the state alive *)
             (if recording then
                let r = ctx.recorder in
                r.rec_unknown_prune <- r.rec_unknown_prune + 1);
-            false
+            (false, None)
       in
+      Hashtbl.replace ctx.alive st.State.id
+        { ae_paths = alive; ae_prune = prune_model };
       if pruned then begin
         Obs.count "search.pruned_states";
         if Obs.live () then
@@ -533,8 +593,7 @@ let on_constraint ctx (st : State.t) cond =
       not pruned
 
 let on_fork ctx ~parent ~child =
-  let alive = alive_for ctx parent in
-  Hashtbl.replace ctx.alive child.State.id alive;
+  Hashtbl.replace ctx.alive child.State.id (alive_for ctx parent);
   let r = ctx.recorder and croute = child.State.route in
   if Interp.shard_owns ctx.shard croute then r.rec_routes <- croute :: r.rec_routes;
   (* count each two-sided fork once: at its '0' child, by the parent's
@@ -560,7 +619,7 @@ let emit_trojans ctx (st : State.t) label =
   | None -> ()
   | Some vars ->
       setup_server_vars ctx vars;
-      let alive = alive_for ctx st in
+      let alive = List.map fst (alive_for ctx st).ae_paths in
       let base_query = trojan_query ctx st alive in
       let r = ctx.recorder in
       r.rec_accepting <-
@@ -671,6 +730,7 @@ let make_ctx ~config ~client ~different_from ~negations ~shard ~recorder
     shard;
     recorder;
     server_vars = None;
+    msg_var_ids = Hashtbl.create 64;
     field_var_ids = [];
     n_abandoned = 0;
     started;
@@ -840,21 +900,21 @@ let rebuild_recorder r =
    fingerprint or index, short read, payload digest mismatch, Marshal
    failure — is treated as missing: the shard is recomputed. A killed or
    corrupted writer must degrade [--resume] to extra work, never crash it
-   or poison the merge. *)
+   or poison the merge. A wrong fingerprint is no damage: the file is
+   intact but was written by a run with another split (domain count) or
+   other options, so it is reported as stale rather than corrupt. *)
 let load_checkpoint_file ~file ~fingerprint ~idx : (recorder * int) option =
   Obs.span Obs.Checkpoint_io @@ fun () ->
   if Obs.live () then
     Obs.emit ~kind:"checkpoint" ~name:"load" ~args:[ ("index", Obs.I idx) ] ();
   if not (Sys.file_exists file) then None
   else begin
-    let corrupt reason =
+    let ignored ~kind what reason =
       Printf.eprintf
-        "achilles: warning: ignoring corrupt shard checkpoint %s (%s); \
-         re-exploring shard %d\n\
-         %!"
-        file reason idx;
-      Obs.count "checkpoint.corrupt";
-      Obs.emit ~kind:"checkpoint" ~name:"corrupt"
+        "achilles: warning: ignoring %s %s (%s); re-exploring shard %d\n%!"
+        what file reason idx;
+      Obs.count ("checkpoint." ^ kind);
+      Obs.emit ~kind:"checkpoint" ~name:kind
         ~args:
           [
             ("index", Obs.I idx);
@@ -864,6 +924,7 @@ let load_checkpoint_file ~file ~fingerprint ~idx : (recorder * int) option =
         ();
       None
     in
+    let corrupt = ignored ~kind:"corrupt" "corrupt shard checkpoint" in
     match
       let ic = open_in_bin file in
       Fun.protect
@@ -874,7 +935,9 @@ let load_checkpoint_file ~file ~fingerprint ~idx : (recorder * int) option =
     with
     | exception _ -> corrupt "unreadable header (torn or foreign file)"
     | magic, _, _, _, _ when magic <> ckpt_magic -> corrupt "bad magic"
-    | _, fp, _, _, _ when fp <> fingerprint -> corrupt "fingerprint mismatch"
+    | _, fp, _, _, _ when fp <> fingerprint ->
+        ignored ~kind:"stale" "shard checkpoint"
+          "written by a run with a different split or options"
     | _, _, i, _, _ when i <> idx -> corrupt "shard index mismatch"
     | _, _, _, digest, payload when not (Digest.equal digest (Digest.string payload))
       ->

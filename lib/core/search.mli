@@ -13,6 +13,13 @@
     - the state is pruned as soon as [pathS /\ AND_i negate(pathCi)] becomes
       unsatisfiable — no Trojan message can reach it anymore.
 
+    Both checks carry the model of their last satisfiable answer down the
+    tree (restricted to the message variables). A constraint over message
+    variables alone that the carried model satisfies keeps the check
+    satisfiable, so it is settled without a solver query; the
+    ["search.alive_settled"] and ["search.prune_settled"] counters count
+    those.
+
     Accepting states therefore have Trojan messages by construction; the
     search emits a symbolic Trojan expression and one or more concrete
     witnesses per accepting path, each timestamped for the discovery curve
@@ -139,7 +146,9 @@ type stats = {
   other_paths : int;
   pruned_states : int; (* states killed by the no-Trojan check *)
   forks : int;
-  alive_checks : int; (* pathS /\ pathCi solver checks issued *)
+  alive_checks : int;
+      (* pathS /\ pathCi checks decided, by a solver query or by the model
+         the client path carries from its last satisfiable check *)
   transitive_drops : int; (* drops decided by differentFrom alone *)
   alive_samples : alive_sample list;
   wall_time : float;
@@ -263,7 +272,10 @@ module Shards : sig
   val load : file:string -> fingerprint:string -> idx:int -> out option
   (** [None] if the file is missing, torn, corrupt (payload digest
       mismatch), or belongs to a different run or shard — with a warning
-      and a ["checkpoint.corrupt"] count for everything but absence. *)
+      for everything but absence. A file written by a run with another
+      fingerprint (another split or other options) counts as
+      ["checkpoint.stale"]; every other rejection counts as
+      ["checkpoint.corrupt"]. *)
 
   val merge :
     total:int ->

@@ -473,19 +473,26 @@ let assert_true t term =
   | Term.False -> clause t []
   | _ -> clause t [ blit t term ]
 
+let add_value t var r model =
+  match r with
+  | Rlit l -> Model.add_bool var (Sat.lit_value t.sat l) model
+  | Rvec bits ->
+      let w = Array.length bits in
+      let value = ref 0L in
+      for i = w - 1 downto 0 do
+        value := Int64.shift_left !value 1;
+        if Sat.lit_value t.sat bits.(i) then value := Int64.logor !value 1L
+      done;
+      Model.add_bv var (Bv.make ~width:w !value) model
+
 let extract_model t =
-  Hashtbl.fold
-    (fun _ (var, r) model ->
-      match r with
-      | Rlit l ->
-          Model.add_bool var (Sat.lit_value t.sat l) model
-      | Rvec bits ->
-          let w = Array.length bits in
-          let value = ref 0L in
-          for i = w - 1 downto 0 do
-            value := Int64.shift_left !value 1;
-            if Sat.lit_value t.sat bits.(i) then
-              value := Int64.logor !value 1L
-          done;
-          Model.add_bv var (Bv.make ~width:w !value) model)
+  Hashtbl.fold (fun _ (var, r) model -> add_value t var r model)
     t.term_vars Model.empty
+
+let extract_vars t vars =
+  Array.fold_left
+    (fun model (v : Term.var) ->
+      match Hashtbl.find_opt t.term_vars v.Term.id with
+      | Some (var, r) -> add_value t var r model
+      | None -> model)
+    Model.empty vars

@@ -29,6 +29,14 @@ val extract_model : t -> Model.t
 (** Read back values for every term variable mentioned so far. Only valid
     after [Sat.solve] returned [Sat]. *)
 
+val extract_vars : t -> Term.var array -> Model.t
+(** [extract_model] restricted to the given variables: values for those
+    this context has bitblasted; the rest are absent from the model. On a
+    long-lived context solved with a restricted [decide_vars], a variable
+    outside the query's cone reads whatever the instance holds for it —
+    harmless, since the query does not mention it. Only valid after
+    [Sat.solve] returned [Sat]. *)
+
 val clauses_added : t -> int
 val aux_vars : t -> int
 

@@ -487,14 +487,18 @@ let enumerate ?site ~limit base on_model =
    term later (the interpreter pushes [cond] for the true child after
    checking [not cond] for the false child) costs a table hit.
 
-   Checks through a frame context are verdict-oriented: [Sat] carries an
-   empty model. Model extraction stays on instances reset to the fresh
-   state — scratch [check] and the enumeration sessions above — because a
-   persistent instance's phase saving and learnt clauses steer it to
-   models that depend on every earlier query, and report digests include
-   witness bytes. Complete solvers agree on verdicts, which is why routing
-   only verdict queries through here keeps report digests byte-identical
-   with incrementality on or off. *)
+   A [Sat] answer through a frame context carries the values of the
+   caller's [model_vars] (those the instance has bitblasted), read from
+   the SAT assignment, and is otherwise empty. Such a model is a sound
+   restriction of a satisfying assignment, but it depends on the
+   instance's history: phase saving and learnt clauses steer a persistent
+   instance to models shaped by every earlier query. So it may decide
+   later verdicts (the search settles satisfiable alive and prune checks
+   with it) but never reaches a report: witness bytes come only from
+   instances reset to the fresh state — scratch [check] and the
+   enumeration sessions above. Complete solvers agree on verdicts, which
+   is why report digests are byte-identical with incrementality on or
+   off. *)
 
 (* Contexts are recycled once the SAT instance accumulates this many
    variables: every CDCL answer assigns all variables, so an instance that
@@ -592,7 +596,7 @@ module Frames = struct
 
   let learnts c = Sat.num_learnts c.fc_sat
 
-  let check ?site ?conflict_limit c extras =
+  let check ?site ?conflict_limit ?model_vars c extras =
     let d = domain_state () in
     let st = d.dstats in
     st.queries <- st.queries + 1;
@@ -657,7 +661,10 @@ module Frames = struct
                   match answer with
                   | Some Sat.Sat ->
                       st.sat_results <- st.sat_results + 1;
-                      Sat Model.empty
+                      Sat
+                        (match model_vars with
+                        | None -> Model.empty
+                        | Some vars -> Bitblast.extract_vars c.fc_bb vars)
                   | Some Sat.Unsat ->
                       st.unsat_results <- st.unsat_results + 1;
                       c.fc_last_core <-
@@ -684,12 +691,12 @@ module Frames = struct
   let unsat_core c = c.fc_last_core
 end
 
-let check_assuming ?site ?conflict_limit ?(path = []) extras =
+let check_assuming ?site ?conflict_limit ?model_vars ?(path = []) extras =
   if not (incremental_enabled ()) then check ?site ?conflict_limit (extras @ path)
   else begin
     let c = Frames.for_domain () in
     Frames.set_path c path;
-    Frames.check ?site ?conflict_limit c extras
+    Frames.check ?site ?conflict_limit ?model_vars c extras
   end
 
 let is_sat_assuming ?site ?path terms =

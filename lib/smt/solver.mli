@@ -87,10 +87,13 @@ val enumerate :
     along the path tree only bitblast their delta constraint and learnt
     clauses persist across queries and across escalation rungs.
 
-    Incremental checks are {e verdict-oriented}: [Sat] answers carry an
-    empty model. Model extraction keeps to instances reset to the fresh
-    state ({!check} and {!enumerate}) — a persistent instance finds models
-    that depend on its history, and report digests include witness bytes.
+    An incremental [Sat] answer carries a model only for the variables
+    the caller names ([model_vars]), read from the SAT assignment through
+    the bitblaster's variable map; without [model_vars] it is empty. Such
+    a model is a restriction of a full satisfying assignment of the query,
+    but it depends on the instance's history, so it may settle later
+    verdicts and must not reach a report: witness bytes come only from
+    instances reset to the fresh state ({!check} and {!enumerate}).
     Complete solvers agree on verdicts, so report digests are
     byte-identical whether incrementality is on or off. *)
 
@@ -105,15 +108,24 @@ val set_incremental : bool -> unit
     bypassed while disabled. *)
 
 val check_assuming :
-  ?site:string -> ?conflict_limit:int -> ?path:Term.t list -> Term.t list -> result
+  ?site:string ->
+  ?conflict_limit:int ->
+  ?model_vars:Term.var array ->
+  ?path:Term.t list ->
+  Term.t list ->
+  result
 (** [check_assuming ~path extras]: satisfiability of the conjunction of
     [path] (newest-first, as [State.path]) and [extras]. With incremental
     solving enabled this syncs the calling domain's frame stack to [path]
     (popping what the search backtracked past, pushing the delta) and solves
     under assumptions on the shared instance; disabled, it is exactly
-    [check (extras @ path)]. Treat the answer as a verdict only: the
-    incremental path returns [Sat] with an empty model, while the scratch
-    fallback happens to carry a real one. *)
+    [check (extras @ path)]. A [Sat] model agrees with some satisfying
+    assignment of the query on every variable of [model_vars] it binds
+    (the incremental route binds at most those; the scratch fallback binds
+    every variable of the query), and variables it leaves unbound may be
+    read as false / zero ({!Model.eval}'s default) without breaking that
+    agreement. It depends on the instance's history: use it to decide,
+    never to report. *)
 
 val is_sat_assuming : ?site:string -> ?path:Term.t list -> Term.t list -> bool
 (** {!check_assuming} specialized to a boolean; [Unknown] maps to [false]
@@ -165,12 +177,19 @@ module Frames : sig
   (** Align the stack with a DFS path (newest first): pop frames past the
       common prefix, push the delta. *)
 
-  val check : ?site:string -> ?conflict_limit:int -> t -> Term.t list -> result
+  val check :
+    ?site:string ->
+    ?conflict_limit:int ->
+    ?model_vars:Term.var array ->
+    t ->
+    Term.t list ->
+    result
   (** Satisfiability of (every frame on the stack /\ the given terms); the
       given terms hold for this call only. Honors the ambient {!budget}
       (with learnt clauses retained between escalation rungs) and fault
-      injection exactly like the top-level {!check}. [Sat] carries an
-      empty model. *)
+      injection exactly like the top-level {!check}. [Sat] carries the
+      values of the [model_vars] the context has bitblasted
+      ({!Bitblast.extract_vars}); empty without [model_vars]. *)
 
   val is_sat : ?conflict_limit:int -> t -> Term.t list -> bool
 

@@ -156,6 +156,52 @@ let qcheck_pop_restores_verdicts =
           let after = List.map (fun p -> verdict (Solver.Frames.check c p)) probes in
           before = after))
 
+(* A [Sat] model from a frame context binds only the requested variables
+   and satisfies every conjunct of the query that mentions no others: the
+   guarantee the search relies on to settle later checks by evaluation.
+   A warm-up query first leaves the context holding CNF and an assignment
+   from another query, so the property also covers variables the current
+   query does not reach. *)
+let qcheck_frames_model_restriction =
+  QCheck2.Test.make ~name:"Frames.check ~model_vars models satisfy their conjuncts"
+    ~count:150
+    QCheck2.Gen.(
+      quad gen_atom
+        (list_size (int_bound 4) gen_atom)
+        (list_size (int_range 1 3) gen_atom)
+        (int_bound ((1 lsl n_vars) - 1)))
+    (fun (warm_atom, frame_atoms, extra_atoms, mask) ->
+      with_sharing true (fun () ->
+          let raw =
+            Array.init n_vars (fun i ->
+                Term.fresh_var ~name:(Printf.sprintf "mv%d" i) (Term.Bitvec 8))
+          in
+          let vars = Array.map Term.var raw in
+          let model_vars =
+            Array.of_list
+              (List.filteri (fun i _ -> mask land (1 lsl i) <> 0)
+                 (Array.to_list raw))
+          in
+          let in_model id =
+            Array.exists (fun (v : Term.var) -> v.Term.id = id) model_vars
+          in
+          let c = Solver.Frames.create () in
+          ignore (Solver.Frames.check c [ build_atom vars warm_atom ]);
+          let frames = List.map (build_atom vars) frame_atoms in
+          List.iter (Solver.Frames.push c) frames;
+          let extras = List.map (build_atom vars) extra_atoms in
+          match Solver.Frames.check ~model_vars c extras with
+          | Solver.Sat m ->
+              List.for_all
+                (fun ((v : Term.var), _) -> in_model v.Term.id)
+                (Model.bindings m)
+              && List.for_all
+                   (fun t ->
+                     (not (List.for_all in_model (Term.var_ids t)))
+                     || Model.satisfies m [ t ])
+                   (frames @ extras)
+          | Solver.Unsat | Solver.Unknown -> true))
+
 let test_set_path_mirrors_stack () =
   let vars = make_vars () in
   let a = Term.ult vars.(0) vars.(1) in
@@ -297,6 +343,65 @@ let test_incremental_toggle () =
         (Solver.last_assumption_core () = None);
       Solver.reset_all_for_tests ())
 
+(* On FSP at one domain, most alive checks are satisfiable and settled by
+   the model the client path carries down the tree, with no query: the
+   alive site issues at most 350 solver queries (794 before models were
+   carried) and the prune site at most 25 (40 before). *)
+let test_fsp_settles_by_models () =
+  let open Achilles_core in
+  let module Obs = Achilles_obs.Obs in
+  Solver.reset_all_for_tests ();
+  Term.reset_fresh_counter ();
+  let spans = Hashtbl.create 8 in
+  Obs.set_sink
+    (Some
+       (fun (ev : Obs.event) ->
+         if ev.Obs.ev_kind = "span_begin" && ev.Obs.ev_name = "solver_query"
+         then
+           match List.assoc_opt "site" ev.Obs.ev_args with
+           | Some (Obs.S site) ->
+               Hashtbl.replace spans site
+                 (1 + Option.value ~default:0 (Hashtbl.find_opt spans site))
+           | _ -> ()));
+  let analysis =
+    Fun.protect
+      ~finally:(fun () -> Obs.set_sink None)
+      (fun () ->
+        with_incremental true (fun () ->
+            Achilles.analyze
+              ~search_config:
+                {
+                  Search.default_config with
+                  Search.domains = 1;
+                  Search.mask = Some Achilles_targets.Fsp_model.analysis_mask;
+                }
+              ~layout:Achilles_targets.Fsp_model.layout
+              ~clients:(Achilles_targets.Fsp_model.clients ())
+              ~server:Achilles_targets.Fsp_model.server ()))
+  in
+  let counter name =
+    Option.value ~default:0
+      (List.assoc_opt name (Obs.aggregate ()).Obs.counters)
+  in
+  let site name = Option.value ~default:0 (Hashtbl.find_opt spans name) in
+  Alcotest.(check int) "alive checks counted, settled or queried" 794
+    analysis.Achilles.report.Search.search_stats.Search.alive_checks;
+  Alcotest.(check bool)
+    (Printf.sprintf "search.alive_settled >= 400 (%d)"
+       (counter "search.alive_settled"))
+    true
+    (counter "search.alive_settled" >= 400);
+  Alcotest.(check bool)
+    (Printf.sprintf "alive queries <= 350 (%d)" (site "alive"))
+    true
+    (site "alive" <= 350);
+  Alcotest.(check bool)
+    (Printf.sprintf "prune queries <= 25 (%d)" (site "prune"))
+    true
+    (site "prune" <= 25);
+  Alcotest.(check int) "every alive check settled or queried" 794
+    (counter "search.alive_settled" + site "alive")
+
 let () =
   let qsuite name tests =
     (name, List.map (QCheck_alcotest.to_alcotest ~verbose:false) tests)
@@ -310,7 +415,8 @@ let () =
           Alcotest.test_case "agreement across 4 domains" `Quick
             test_differential_parallel;
         ] );
-      qsuite "frames" [ qcheck_pop_restores_verdicts ];
+      qsuite "frames"
+        [ qcheck_pop_restores_verdicts; qcheck_frames_model_restriction ];
       ( "frame-stack",
         [
           Alcotest.test_case "set_path mirrors the DFS path" `Quick
@@ -329,5 +435,10 @@ let () =
             test_reset_contexts_all_domains;
           Alcotest.test_case "incremental off = scratch route" `Quick
             test_incremental_toggle;
+        ] );
+      ( "models",
+        [
+          Alcotest.test_case "FSP settles alive and prune checks" `Quick
+            test_fsp_settles_by_models;
         ] );
     ]

@@ -302,6 +302,41 @@ let test_cli_domain_range () =
        ~env:(Array.append [| "ACHILLES_DOMAINS=500" |] (Unix.environment ()))
        [])
 
+(* A reader that goes away early ([analyze fsp | head -1]) ends the CLI
+   quietly, not with an internal error. The read end is closed before the
+   child writes anything, so its first write meets a pipe with no reader
+   whatever the pipe buffer could hold. *)
+let test_cli_closed_pipe () =
+  let rd, wr = Unix.pipe ~cloexec:true () in
+  Unix.close rd;
+  let err = Filename.temp_file "achilles-cli-pipe" ".err" in
+  Fun.protect ~finally:(fun () -> Sys.remove err) @@ fun () ->
+  let errfd = Unix.openfile err [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  let pid =
+    Fun.protect
+      ~finally:(fun () ->
+        Unix.close wr;
+        Unix.close errfd)
+      (fun () ->
+        Unix.create_process cli_binary
+          [| cli_binary; "analyze"; "fsp"; "-w"; "16" |]
+          Unix.stdin wr errfd)
+  in
+  let _, status = Unix.waitpid [] pid in
+  let stderr = In_channel.with_open_bin err In_channel.input_all in
+  let mentions needle =
+    let n = String.length needle in
+    let rec go i =
+      i + n <= String.length stderr
+      && (String.sub stderr i n = needle || go (i + 1))
+    in
+    go 0
+  in
+  Alcotest.(check bool) "no internal error on stderr" false
+    (mentions "internal error" || mentions "exception");
+  Alcotest.(check bool) "ended by SIGPIPE or a clean exit" true
+    (status = Unix.WSIGNALED Sys.sigpipe || status = Unix.WEXITED 0)
+
 let test_wildcard_trojan_via_analysis () =
   (* with globbing-aware clients, the analysis must produce a witness with a
      literal '*' in the path — the wildcard bug found by Achilles *)
@@ -349,6 +384,8 @@ let () =
             test_cli_golden_digests;
           Alcotest.test_case "-j outside [1,128] rejected" `Quick
             test_cli_domain_range;
+          Alcotest.test_case "closed stdout pipe ends quietly" `Quick
+            test_cli_closed_pipe;
         ] );
       ( "pbft",
         [ Alcotest.test_case "MAC attack end to end" `Slow test_pbft_end_to_end ] );

@@ -234,6 +234,76 @@ let test_checkpoint_write_failure_keeps_shard () =
     (Report.report_digest resumed);
   rm_rf dir
 
+(* Run [f] with file descriptor 2 redirected to a temp file; return its
+   result and what it wrote there. *)
+let capture_stderr f =
+  let file = Filename.temp_file "achilles-shards" ".err" in
+  Fun.protect ~finally:(fun () -> Sys.remove file) @@ fun () ->
+  let fd = Unix.openfile file [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  let saved = Unix.dup Unix.stderr in
+  flush stderr;
+  Unix.dup2 fd Unix.stderr;
+  Unix.close fd;
+  let result =
+    Fun.protect
+      ~finally:(fun () ->
+        flush stderr;
+        Unix.dup2 saved Unix.stderr;
+        Unix.close saved)
+      f
+  in
+  (result, In_channel.with_open_bin file In_channel.input_all)
+
+let contains haystack needle =
+  let n = String.length needle in
+  let rec go i =
+    i + n <= String.length haystack
+    && (String.sub haystack i n = needle || go (i + 1))
+  in
+  go 0
+
+(* Checkpoints written at another domain count belong to another split:
+   resuming from them re-explores every shard and reports the files as
+   stale, not corrupt. *)
+let test_resume_other_split_is_stale () =
+  let client, server, base = extract_case fixed_case in
+  let clean = run_case ~base client server in
+  let dir = fresh_workdir "achilles-shards-split" in
+  let config ~domains ~resume =
+    {
+      Search.default_config with
+      Search.domains;
+      Search.checkpoint_dir = Some dir;
+      Search.resume = resume;
+    }
+  in
+  let written =
+    run_case ~config:(config ~domains:2 ~resume:false) ~base client server
+  in
+  let counter name =
+    Option.value ~default:0
+      (List.assoc_opt name
+         (Achilles_obs.Obs.aggregate ()).Achilles_obs.Obs.counters)
+  in
+  let resumed, stderr =
+    capture_stderr (fun () ->
+        run_case ~config:(config ~domains:4 ~resume:true) ~base client server)
+  in
+  Alcotest.(check string) "resumed digest unchanged"
+    (Report.report_digest clean)
+    (Report.report_digest resumed);
+  Alcotest.(check int) "nothing resumed from another split" 0
+    resumed.Search.coverage.Search.resumed_shards;
+  Alcotest.(check int) "every file of the other split counted stale"
+    written.Search.coverage.Search.total_shards
+    (counter "checkpoint.stale");
+  Alcotest.(check int) "none counted corrupt" 0 (counter "checkpoint.corrupt");
+  Alcotest.(check bool) "stderr names the other split" true
+    (contains stderr "different split");
+  Alcotest.(check bool) "stderr never says corrupt" false
+    (contains stderr "corrupt");
+  rm_rf dir
+
 (* --- the run's negation table ------------------------------------------- *)
 
 (* A shard that raises while building the run's negation table leaves the
@@ -381,6 +451,8 @@ let () =
           Alcotest.test_case "stale tmp cleanup" `Quick test_stale_tmp_cleanup;
           Alcotest.test_case "failed write keeps the shard" `Quick
             test_checkpoint_write_failure_keeps_shard;
+          Alcotest.test_case "another split's checkpoints are stale" `Quick
+            test_resume_other_split_is_stale;
         ] );
       ( "negation-table",
         [
