@@ -602,7 +602,6 @@ let experiment_local_state () =
 type layer_row = {
   row : string;
   preserving : bool;
-  domains : int;
   sharing : bool;
   incremental : bool;
   slice : bool;
@@ -614,7 +613,6 @@ let all_on =
   {
     row = "all-on";
     preserving = true;
-    domains = 1;
     sharing = true;
     incremental = true;
     slice = true;
@@ -625,18 +623,10 @@ let all_on =
 let layer_rows =
   [
     all_on;
-    { all_on with row = "j2"; domains = 2 };
-    { all_on with row = "j4"; domains = 4 };
     { all_on with row = "sharing-off"; sharing = false };
     { all_on with row = "incremental-off"; incremental = false };
     { all_on with row = "slice-off"; slice = false };
-    {
-      all_on with
-      row = "faults-5%-j4";
-      preserving = false;
-      domains = 4;
-      fault_rate = 0.05;
-    };
+    { all_on with row = "faults-5%"; preserving = false; fault_rate = 0.05 };
     {
       all_on with
       row = "starved-budget";
@@ -748,7 +738,6 @@ let experiment_layers () =
   let config base (l : layer_row) =
     {
       base with
-      Search.domains = l.domains;
       Search.use_slice = l.slice;
       Search.solver_budget = l.budget;
     }

@@ -169,23 +169,6 @@ let no_slice_arg =
   in
   Arg.(value & flag & info [ "no-slice" ] ~doc)
 
-let domains_arg =
-  let doc =
-    "Worker domains for the server-path search, 1 to 128 (default: \
-     $(b,ACHILLES_DOMAINS) or 1). Any value produces the same report, \
-     modulo wall-clock timings."
-  in
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n >= 1 && n <= Pool.max_domains -> Ok n
-    | _ -> Error (`Msg (Printf.sprintf "%S is not an integer in [1,128]" s))
-  in
-  Arg.(
-    value
-    & opt (conv (parse, Format.pp_print_int))
-        Search.default_config.Search.domains
-    & info [ "domains"; "j" ] ~docv:"N" ~doc)
-
 let deadline_arg =
   let doc =
     "Per-solver-query wall-clock deadline in seconds (escalated x4 on \
@@ -223,8 +206,8 @@ let resume_arg =
 
 let digest_arg =
   let doc =
-    "Print the deterministic report digest (stable across domain counts \
-     and resume) — the handle CI uses to assert that every mode reports \
+    "Print the deterministic report digest (stable across checkpoint \
+     splits and resume) — the handle CI uses to assert that every mode reports \
      the same thing."
   in
   Arg.(value & flag & info [ "digest" ] ~doc)
@@ -277,7 +260,7 @@ let parse_mask target = function
   | Some s -> Some (String.split_on_char ',' s |> List.map String.trim)
 
 (* SIGINT/SIGTERM flip a flag the search polls at every branch constraint:
-   in-flight shards wind down, completed shards are kept (and checkpointed
+   the in-flight shard winds down, completed shards are kept (and checkpointed
    when --checkpoint-dir is set), and a partial report is still printed —
    with its coverage block flagging the interruption — before exiting 3. *)
 let interrupted = Atomic.make false
@@ -309,7 +292,7 @@ let list_cmd =
     Term.(const run $ const ())
 
 let analyze name mask witnesses no_drop no_df no_prune no_slice
-    verbose explain domains deadline solver_budget checkpoint_dir resume trace
+    verbose explain deadline solver_budget checkpoint_dir resume trace
     digest =
   match find_target name with
   | Error e ->
@@ -329,7 +312,7 @@ let analyze name mask witnesses no_drop no_df no_prune no_slice
           Obs.Trace.disable ())
       @@ fun () ->
       Obs.emit ~kind:"meta" ~name:"analyze"
-        ~args:[ ("target", Obs.S name); ("domains", Obs.I domains) ]
+        ~args:[ ("target", Obs.S name) ]
         ();
       let solver_budget =
         match (deadline, solver_budget) with
@@ -351,7 +334,6 @@ let analyze name mask witnesses no_drop no_df no_prune no_slice
           Search.use_slice = Slice.enabled () && not no_slice;
           Search.explain_drops = explain;
           Search.interp = target.interp;
-          Search.domains = domains;
           Search.solver_budget;
           Search.checkpoint_dir;
           Search.resume = resume <> None;
@@ -412,12 +394,12 @@ let analyze_cmd =
              "0 on complete coverage; 3 when the report is partial \
               (interrupted by SIGINT/SIGTERM, or a shard failed; \
               $(b,--resume) re-explores the missing shards); 1 on target \
-              errors; 124 on usage errors, such as $(b,-j) outside [1,128].";
+              errors; 124 on usage errors, such as an unknown option.";
          ])
     Term.(
       const analyze $ target_arg $ mask_arg $ witnesses_arg $ no_drop_arg
       $ no_df_arg $ no_prune_arg $ no_slice_arg
-      $ verbose_arg $ explain_arg $ domains_arg $ deadline_arg
+      $ verbose_arg $ explain_arg $ deadline_arg
       $ solver_budget_arg $ checkpoint_dir_arg $ resume_arg $ trace_arg
       $ digest_arg)
 

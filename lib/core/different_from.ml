@@ -36,7 +36,7 @@ let check_pair ~layout field_name (pi : Predicate.client_path)
       let constraints_i =
         Negate.related_constraints pi (Term.var_ids value_i)
       in
-      (* verdict-only: rides the per-domain incremental context so the
+      (* verdict-only: rides the shared incremental context so the
          O(paths^2 x fields) matrix reuses translations across probes *)
       ( Solver.is_sat_assuming ~site:"different_from"
           (Term.eq x value_i :: negation :: constraints_i),

@@ -63,7 +63,7 @@ let negate_path ?(check_overlap = true) ?mask ~layout ~server_vars
         | Some disjunct ->
             if
               check_overlap
-              (* verdict-only, so the overlap probe shares the per-domain
+              (* verdict-only, so the overlap probe shares the
                  incremental context (and its bitblasted binding) across
                  all fields and paths; scratch when incrementality is off *)
               && Solver.is_sat_assuming ~site:"negate"

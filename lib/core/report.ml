@@ -194,7 +194,7 @@ let report_digest (r : Search.report) =
       Buffer.add_char buf '\n')
     r.Search.accepting;
   (* drop events are part of the digest; their unsat-core contents are not
-     (cores depend on solver history, see Search's multicore notes) *)
+     (cores depend on solver history, see Search's shard notes) *)
   List.iter
     (fun (d : Search.drop_explanation) ->
       Buffer.add_string buf

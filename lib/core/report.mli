@@ -43,8 +43,8 @@ val render_ascii_curve :
     field ([found_at], [wall_time]) and the history-dependent unsat-core
     contents of drop explanations. Two searches of the same client/server
     pair produce equal digests exactly when their reports agree on all
-    deterministic content — the equality the multicore search guarantees
-    across any [domains] setting, and what the golden tests and the CI
+    deterministic content — the equality the search guarantees across any
+    shard split and across a resume, and what the golden tests and the CI
     matrix pin. *)
 
 val report_digest : Search.report -> string

@@ -21,7 +21,7 @@ type config = {
   witnesses_per_path : int;
   distinct_by : (Bv.t array -> Term.var array -> Term.t) option;
   interp : Interp.config;
-  domains : int;
+  domains : int; (* must be 1; see search.mli *)
   split_bits : int option;
   solver_budget : Solver.budget option;
       (* per-query budget installed for every shard's queries *)
@@ -38,14 +38,6 @@ type config = {
          raise to simulate a crashing shard *)
 }
 
-let domains_from_env () =
-  match Sys.getenv_opt "ACHILLES_DOMAINS" with
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 && n <= Pool.max_domains -> n
-      | _ -> 1)
-  | None -> 1
-
 let default_config =
   {
     drop_alive = true;
@@ -59,7 +51,7 @@ let default_config =
     witnesses_per_path = 1;
     distinct_by = None;
     interp = Interp.default_config;
-    domains = domains_from_env ();
+    domains = 1;
     split_bits = None;
     solver_budget = None;
     shard_retries = 0;
@@ -124,7 +116,7 @@ type coverage = {
   slice_cone_queries : int;
 }
 
-(* Cumulative Obs counter reads, mirroring [Solver.aggregate_stats]. *)
+(* Cumulative Obs counter reads. *)
 let slice_counters () =
   let counters = (Obs.aggregate ()).Obs.counters in
   let get name = Option.value ~default:0 (List.assoc_opt name counters) in
@@ -144,7 +136,7 @@ type report = {
 
 (* --- shard event log ---------------------------------------------------------
 
-   A shard worker cannot use global state ids (each task numbers its own
+   A shard cannot use global state ids (each shard numbers its own
    states), so instead of filling the report directly it logs every
    observation keyed by the state's route. Only the shard that *owns* a
    state records it, so the merge is a concatenation — no deduplication —
@@ -225,8 +217,8 @@ let fresh_recorder () =
 
    [negate(pathCi)] belongs to the client predicate, like the differentFrom
    matrix, so one table serves every shard a run explores. The first shard
-   to reach a message-constrained state builds it, in path order, under
-   the lock. The build allocates fresh (primed)
+   to reach a message-constrained state builds it, in path order. The build
+   allocates fresh (primed)
    variables, so the table also records the fresh-variable counter after
    it; a later shard adopts the table and that counter, and its primed
    variables keep exactly the ids its own build would have given them.
@@ -241,12 +233,9 @@ type negation_table = {
   nt_after : int; (* counter after the build *)
 }
 
-type negations = {
-  neg_lock : Mutex.t;
-  mutable neg_table : negation_table option;
-}
+type negations = negation_table option ref
 
-let negations () = { neg_lock = Mutex.create (); neg_table = None }
+let negations () : negations = ref None
 
 (* What a state carries down the tree: its alive client paths, each with
    the model of its last satisfiable alive check, and the model of the
@@ -269,7 +258,7 @@ type search_ctx = {
   bindings : (int, Term.t list) Hashtbl.t; (* client idx -> msgS=msgC binding *)
   negations : negations; (* the run's table, shared between shards *)
   mutable negated : Term.t array; (* client idx -> negate(pathCi) *)
-  shard : Interp.shard; (* the route shard this worker explores *)
+  shard : Interp.shard; (* the route shard being explored *)
   recorder : recorder; (* the shard's event log *)
   mutable server_vars : Term.var array option;
   msg_var_ids : (int, unit) Hashtbl.t; (* ids of [server_vars] *)
@@ -283,7 +272,7 @@ let all_indices ctx = List.init (Array.length ctx.paths) Fun.id
 let fresh_entry ctx =
   { ae_paths = List.map (fun i -> (i, None)) (all_indices ctx); ae_prune = None }
 
-(* Does this worker record observations for this state? Only the shard
+(* Does this shard record observations for this state? Only the shard
    that owns it does (with a single shard, that is every state). *)
 let records ctx (st : State.t) = Interp.shard_owns ctx.shard st.State.route
 
@@ -301,22 +290,17 @@ let negations_for ctx vars =
     ( Term.fresh_counter_value (),
       Array.map (fun (v : Term.var) -> v.Term.id) vars )
   in
-  Mutex.protect ctx.negations.neg_lock (fun () ->
-      match ctx.negations.neg_table with
-      | Some t when t.nt_key = key ->
-          Term.set_fresh_counter t.nt_after;
-          t.nt_negs
-      | Some _ -> build ()
-      | None ->
-          let negs = build () in
-          ctx.negations.neg_table <-
-            Some
-              {
-                nt_key = key;
-                nt_negs = negs;
-                nt_after = Term.fresh_counter_value ();
-              };
-          negs)
+  match !(ctx.negations) with
+  | Some t when t.nt_key = key ->
+      Term.set_fresh_counter t.nt_after;
+      t.nt_negs
+  | Some _ -> build ()
+  | None ->
+      let negs = build () in
+      ctx.negations :=
+        Some
+          { nt_key = key; nt_negs = negs; nt_after = Term.fresh_counter_value () };
+      negs
 
 let setup_server_vars ctx vars =
   match ctx.server_vars with
@@ -360,7 +344,7 @@ let binding_for ctx idx =
    Trojan query, whereas a wrong drop would delete a conjunct and admit
    spurious Trojans. Degrading towards "alive" is the sound direction. *)
 let binding_check ctx idx (st : State.t) =
-  (* on the per-domain frame context the path prefix is asserted once and
+  (* on the frame context the path prefix is asserted once and
      shared with the prune query, the interpreter's feasibility checks and
      every other client's binding check at this state; only the binding
      terms ride as per-call assumptions (scratch while incremental solving
@@ -543,22 +527,16 @@ let on_constraint ctx (st : State.t) cond =
           (false, entry.ae_prune)
         end
         else
-        (* dedup the sibling constraints (shared client negations reappear
-           across alive sets) before the query; the reported term lists are
-           left verbatim. With incrementality on it rides the frame context
-           whose stack already holds this state's path; its model only
+        (* rides the frame context whose stack already holds this state's
+           path (scratch [check] while incrementality is off); its model only
            settles later prune checks, while witness extraction below runs
            in its own enumeration session on a freshly reset instance
            (models from the shared persistent one would depend on its
-           history and perturb report digests). *)
+           history and perturb report digests) *)
         match
-          (if Solver.incremental_enabled () then
-             Solver.check_assuming ~site:"prune" ~model_vars:vars
-               ~path:st.State.path
-               (List.map (negation_for ctx) indices)
-           else
-             Solver.check ~site:"prune"
-               (Term.dedup (trojan_query ctx st indices)))
+          Solver.check_assuming ~site:"prune" ~model_vars:vars
+            ~path:st.State.path
+            (List.map (negation_for ctx) indices)
         with
         | Solver.Unsat -> (true, None)
         | Solver.Sat m -> (false, Some m)
@@ -746,20 +724,19 @@ let hooks_of ctx =
 
 (* --- shard driver -----------------------------------------------------------
 
-   The exploration tree is split into 2^split_bits route shards; each shard
-   is one task on a pool of [domains] workers (the calling domain is worker
-   0). A task replays the shared spine (routes shorter than split_bits) and
-   exclusively explores — and records — the subtrees matching its bit
-   pattern, with its domain-local solver state and its fresh-variable
-   counter reset to the pre-search base, so every variable (message bytes,
-   negation primes) gets the same id whatever the decomposition. The
-   client-path negations are built once per run, by the first shard that
-   needs them, and shared by the rest (see [negations]). The merge
-   concatenates the disjoint event logs, sorts them by route (lexicographic
-   route order = depth-first creation order), and renumbers state ids by
-   route rank; everything except wall-clock timestamps is bit-identical
-   across domain counts. A single-domain run without checkpoints is one
-   shard (0 split bits): no spine replay, run inline on the caller. *)
+   The exploration tree is split into 2^split_bits route shards, the units
+   of checkpoint and resume, explored one after another. A shard replays
+   the shared spine (routes shorter than split_bits) and exclusively
+   explores — and records — the subtrees matching its bit pattern, with its
+   fresh-variable counter reset to the pre-search base, so every variable
+   (message bytes, negation primes) gets the same id whatever the
+   decomposition. The client-path negations are built once per run, by the
+   first shard that needs them, and shared by the rest (see [negations]).
+   The merge concatenates the disjoint event logs, sorts them by route
+   (lexicographic route order = depth-first creation order), and renumbers
+   state ids by route rank; everything except wall-clock timestamps is
+   bit-identical across splits. A run without checkpoints is one shard (0
+   split bits): no spine replay. *)
 
 module String_set = Set.Make (String)
 
@@ -811,6 +788,7 @@ let run_fingerprint ~bits ~config ~client ~server =
             config.explain_drops,
             config.mask,
             config.witnesses_per_path,
+            config.solver_budget,
             Layout.name client.Predicate.layout,
             Layout.total_size client.Predicate.layout,
             client_rendering client,
@@ -901,8 +879,8 @@ let rebuild_recorder r =
    failure — is treated as missing: the shard is recomputed. A killed or
    corrupted writer must degrade [--resume] to extra work, never crash it
    or poison the merge. A wrong fingerprint is no damage: the file is
-   intact but was written by a run with another split (domain count) or
-   other options, so it is reported as stale rather than corrupt. *)
+   intact but was written by a run with another split or other options, so
+   it is reported as stale rather than corrupt. *)
 let load_checkpoint_file ~file ~fingerprint ~idx : (recorder * int) option =
   Obs.span Obs.Checkpoint_io @@ fun () ->
   if Obs.live () then
@@ -988,22 +966,18 @@ let ensure_checkpoint_dir dir =
       (Printf.sprintf "Search: checkpoint dir %S is not a directory" dir)
   else clean_stale_tmp_files dir
 
-let ceil_log2 n =
-  let rec go b = if 1 lsl b >= n then b else go (b + 1) in
-  go 0
-
 let split_bits_of config =
   match config.split_bits with
   | Some b ->
       if b < 0 || b > 16 then invalid_arg "Search: split_bits out of [0,16]";
       b
-  | None -> min 8 (ceil_log2 config.domains + 2)
+  | None -> if config.checkpoint_dir <> None || config.resume then 2 else 0
 
 (* Deterministic merge of disjoint shard event logs into a report:
    concatenate, sort by route (lexicographic route order = depth-first
    creation order), and renumber state ids by route rank. Every run ends
    here — which is what makes the final report digest independent of the
-   domain count and resume history. [partial] logs (shards the cancel cut
+   split and resume history. [partial] logs (shards the cancel cut
    short) join the report but not the completed count. *)
 let merge_outs ~total ~base ~started ~outs_resumed ~partial ~failed_shards
     ~interrupted ~abandoned =
@@ -1027,8 +1001,8 @@ let merge_outs ~total ~base ~started ~outs_resumed ~partial ~failed_shards
       slice_cone_queries = slice_cone;
     }
   in
-  (* keep the coordinating domain's counter ahead of every id any worker
-     allocated, so later analyses cannot reuse ids live in this report *)
+  (* keep the counter ahead of every id any shard allocated, so later
+     analyses cannot reuse ids live in this report *)
   let top = List.fold_left (fun acc (_, c) -> max acc c) base outs in
   Term.set_fresh_counter (max top (Term.fresh_counter_value ()));
   (* A whole-tree run assigns ids in depth-first creation order, and the
@@ -1068,8 +1042,8 @@ let merge_outs ~total ~base ~started ~outs_resumed ~partial ~failed_shards
             (fun t -> t.wt_route))
   in
   (* found_at is wall clock — the one field outside the determinism claim.
-     Tasks finish out of order, so restore monotonicity along the merged
-     (depth-first) order for the Figure-10 discovery curve. *)
+     Shards do not run in route order, so restore monotonicity along the
+     merged (depth-first) order for the Figure-10 discovery curve. *)
   let _, trojans =
     List.fold_left_map
       (fun floor w ->
@@ -1144,14 +1118,13 @@ let merge_outs ~total ~base ~started ~outs_resumed ~partial ~failed_shards
   in
   { trojans; accepting; drops; search_stats = stats; coverage }
 
-(* Run one route shard in the calling domain: replay the fresh-variable id
-   sequence from [base], explore the shard's subtrees, and return its event
-   log, whether it ran to completion, and the states abandoned to
-   cancellation. A log the cooperative cancel cut short is partial: it may
-   be reported, but never checkpointed or counted as a completed shard.
-   The shard installs [config.solver_budget] for its own queries and gives
-   the domain its previous budget back, because the domain may be the
-   caller's. *)
+(* Run one route shard: replay the fresh-variable id sequence from [base],
+   explore the shard's subtrees, and return its event log, whether it ran
+   to completion, and the states abandoned to cancellation. A log the
+   cooperative cancel cut short is partial: it may be reported, but never
+   checkpointed or counted as a completed shard. The shard installs
+   [config.solver_budget] for its own queries and gives the caller its
+   previous budget back. *)
 let explore_shard ~config ~different_from ~negations ~client ~server ~bits
     ~base ~started idx =
   let shard = { Interp.shard_index = idx; Interp.shard_bits = bits } in
@@ -1168,8 +1141,8 @@ let explore_shard ~config ~different_from ~negations ~client ~server ~bits
     {
       config.interp with
       Interp.shard = Some shard;
-      (* fresh oracle per shard task: the memo table must not cross
-         domains *)
+      (* fresh oracle per shard, as a resumed run that explores only this
+         shard would have *)
       Interp.oracle =
         (if config.use_slice then Some (Slice.make_oracle ()) else None);
     }
@@ -1206,58 +1179,54 @@ let run_shards ~config ~different_from ~client ~server ~started ~bits =
             load_shard_checkpoint ~dir ~fingerprint ~idx
         | _ -> None)
   in
-  let abandoned = Atomic.make 0 in
-  let task idx =
+  let abandoned = ref 0 in
+  (* A shard that raises (the [chaos] hook included) is recorded as failed
+     and the others still run; only a resume recovers it. *)
+  let explore idx =
     if Obs.live () then
       Obs.emit ~kind:"shard" ~name:"start" ~args:[ ("index", Obs.I idx) ] ();
-    (match config.chaos with Some hook -> hook idx | None -> ());
-    if config.cancel () then None
-    else begin
-      let out, complete, n_abandoned =
-        explore_shard ~config ~different_from ~negations ~client ~server
-          ~bits ~base ~started idx
-      in
-      ignore (Atomic.fetch_and_add abandoned n_abandoned);
-      if complete then begin
-        (match config.checkpoint_dir with
-        | Some dir -> write_shard_checkpoint ~dir ~fingerprint ~idx out
-        | None -> ());
-        if Obs.live () then
-          Obs.emit ~kind:"shard" ~name:"done" ~args:[ ("index", Obs.I idx) ] ()
-      end
-      else if Obs.live () then
-        Obs.emit ~kind:"shard" ~name:"cancelled"
-          ~args:[ ("index", Obs.I idx) ]
-          ();
-      Some (out, complete)
-    end
-  in
-  let missing =
-    Array.of_list
-      (List.filter
-         (fun idx -> loaded.(idx) = None)
-         (List.init n_tasks Fun.id))
-  in
-  let outcomes = Pool.map ~domains:config.domains task missing in
-  let shard_results =
-    Array.map
-      (function Some out -> `Done (out, true) | None -> `Missing)
-      loaded
-  in
-  Array.iteri
-    (fun k idx ->
-      match outcomes.(k) with
-      | Ok (Some (out, true)) -> shard_results.(idx) <- `Done (out, false)
-      | Ok (Some (out, false)) -> shard_results.(idx) <- `Partial out
-      | Ok None -> () (* cancelled before it started: stays missing *)
-      | Error _ ->
+    match
+      (match config.chaos with Some hook -> hook idx | None -> ());
+      if config.cancel () then `Missing
+      else begin
+        let out, complete, n_abandoned =
+          explore_shard ~config ~different_from ~negations ~client ~server
+            ~bits ~base ~started idx
+        in
+        abandoned := !abandoned + n_abandoned;
+        if complete then begin
+          (match config.checkpoint_dir with
+          | Some dir -> write_shard_checkpoint ~dir ~fingerprint ~idx out
+          | None -> ());
           if Obs.live () then
-            Obs.emit ~kind:"shard" ~name:"failed"
+            Obs.emit ~kind:"shard" ~name:"done" ~args:[ ("index", Obs.I idx) ] ();
+          `Done (out, false)
+        end
+        else begin
+          if Obs.live () then
+            Obs.emit ~kind:"shard" ~name:"cancelled"
               ~args:[ ("index", Obs.I idx) ]
               ();
-          shard_results.(idx) <- `Failed)
-    missing;
-  let results = Array.to_list shard_results in
+          `Partial out
+        end
+      end
+    with
+    | result -> result
+    | exception _ ->
+        if Obs.live () then
+          Obs.emit ~kind:"shard" ~name:"failed" ~args:[ ("index", Obs.I idx) ] ();
+        `Failed
+  in
+  (* highest index first: a seeded fault-injected run replays its fault
+     pattern only in a fixed shard order *)
+  let results = Array.make n_tasks `Missing in
+  for idx = n_tasks - 1 downto 0 do
+    results.(idx) <-
+      (match loaded.(idx) with
+      | Some out -> `Done (out, true)
+      | None -> explore idx)
+  done;
+  let results = Array.to_list results in
   merge_outs ~total:n_tasks ~base ~started
     ~outs_resumed:
       (List.filter_map (function `Done d -> Some d | _ -> None) results)
@@ -1266,20 +1235,20 @@ let run_shards ~config ~different_from ~client ~server ~started ~bits =
     ~failed_shards:
       (List.concat
          (List.mapi (fun idx -> function `Failed -> [ idx ] | _ -> []) results))
-    ~interrupted:(config.cancel ()) ~abandoned:(Atomic.get abandoned)
+    ~interrupted:(config.cancel ()) ~abandoned:!abandoned
 
 let run ?(config = default_config) ?different_from ~client ~server () =
+  if config.domains <> 1 then invalid_arg "Search: domains must be 1";
   let started = Unix.gettimeofday () in
-  if config.domains <= 1 && config.checkpoint_dir = None && not config.resume
-  then
-    (* one shard, whose own span covers the whole exploration *)
-    run_shards ~config ~different_from ~client ~server ~started ~bits:0
-  else
-    (* one calling-domain span around sharding, the pool and the merge;
-       every shard task opens its own nested span *)
-    Obs.span Obs.Server_se (fun () ->
-        run_shards ~config ~different_from ~client ~server ~started
-          ~bits:(split_bits_of config))
+  match split_bits_of config with
+  | 0 ->
+      (* one shard, whose own span covers the whole exploration *)
+      run_shards ~config ~different_from ~client ~server ~started ~bits:0
+  | bits ->
+      (* one span around sharding and the merge; every shard opens its own
+         nested span *)
+      Obs.span Obs.Server_se (fun () ->
+          run_shards ~config ~different_from ~client ~server ~started ~bits)
 
 (* Accepting states paired with the Trojan query the search decided them
    with — the predicate export consumed by the filter compiler

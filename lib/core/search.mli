@@ -25,17 +25,16 @@
     witnesses per accepting path, each timestamped for the discovery curve
     of Figure 10.
 
-    {b Multicore.} Every run splits the exploration tree into
-    [2^split_bits] route shards run as tasks on a {!Pool} of [domains]
-    workers (the calling domain is worker 0), each with its domain-local
-    solver contexts and stats and a fresh-variable counter replaying the
-    pre-search id sequence; the client-path negations are built once per
-    run and shared by every shard. A single-domain run without checkpointing
-    uses 0 split bits: one shard, run inline on the caller. Exactly one
-    shard owns (records) each state, and the merge sorts the disjoint event
-    logs by route — lexicographic route order equals depth-first creation
-    order — and renumbers state ids by route rank, so the report is
-    identical at every domain count except for wall-clock fields
+    {b Shards.} A run splits the exploration tree into [2^split_bits]
+    route shards, the units of checkpoint and resume, and explores them one
+    after another on the caller, each with its fresh-variable counter
+    replaying the pre-search id sequence; the client-path negations are
+    built once per run and shared by every shard. A run without
+    checkpointing uses 0 split bits: one shard. Exactly one shard owns
+    (records) each state, and the merge sorts the disjoint event logs by
+    route — lexicographic route order equals depth-first creation order —
+    and renumbers state ids by route rank, so the report is identical at
+    every split and across a resume except for wall-clock fields
     ([wall_time], and [found_at], which is re-monotonized in merge order).
     Caveats: determinism assumes the server allocates no fresh symbolic
     variables after its first fork (all bundled models receive the analyzed
@@ -73,16 +72,15 @@ type config = {
          distinct message classes; [None] blocks the exact witness bytes *)
   interp : Interp.config;
   domains : int;
-      (* pool workers for the search, the calling domain included, in
-         [1,128]; 1 runs one shard inline on the caller (unless
-         checkpointing) *)
+      (* must be 1: {!run} raises [Invalid_argument] otherwise. Kept only
+         because the perfbench harness's config literal names it; delete it
+         together with that line *)
   split_bits : int option;
-      (* route shards = 2^split_bits (in [0,16]); [None] picks
-         ceil(log2 domains) + 2, capped at 8 *)
+      (* route shards = 2^split_bits (in [0,16]); [None] picks 2 when
+         checkpointing ([checkpoint_dir] or [resume] set), else 0 *)
   solver_budget : Solver.budget option;
-      (* solver budget installed for each shard's queries on whichever
-         domain runs it (the caller's own budget is restored afterwards);
-         [None] leaves queries unbounded *)
+      (* solver budget installed for each shard's queries (the caller's own
+         budget is restored afterwards); [None] leaves queries unbounded *)
   shard_retries : int;
       (* no effect: a shard task that raises is never retried, it is
          recorded as failed. Kept only because the perfbench harness's
@@ -107,10 +105,8 @@ type config = {
 }
 
 val default_config : config
-(** [domains] defaults to [$ACHILLES_DOMAINS] when that is set to an integer
-    in [\[1, 128\]] (read once at startup), else 1. Robustness defaults: no
-    solver budget, no checkpointing, [cancel] constantly false, no chaos
-    hook. *)
+(** Robustness defaults: no solver budget, no checkpointing, [cancel]
+    constantly false, no chaos hook. *)
 
 type trojan = {
   server_state_id : int;
@@ -166,7 +162,7 @@ type stats = {
     coverage, which is why they are reported here instead of being folded
     into a seemingly complete report. *)
 type coverage = {
-  total_shards : int; (* 1 for a single-domain run *)
+  total_shards : int; (* 1 without checkpointing *)
   completed_shards : int;
   failed_shards : int list; (* shard indices whose task raised *)
   resumed_shards : int; (* loaded from checkpoints instead of explored *)
@@ -242,7 +238,7 @@ module Shards : sig
   type negations
   (** The [negate(pathCi)] table of one run. Create one per run and pass
       it to every {!explore} call: the first shard to need it builds it,
-      the others adopt it. Domain-safe. *)
+      the others adopt it. *)
 
   val negations : unit -> negations
 
@@ -257,8 +253,7 @@ module Shards : sig
     started:float ->
     int ->
     out option * int
-  (** [explore ... idx] runs shard [idx] to completion in the calling
-      domain, replaying the fresh-variable sequence from [base]. Returns
+  (** [explore ... idx] runs shard [idx] to completion, replaying the fresh-variable sequence from [base]. Returns
       [(None, abandoned)] when [config.cancel] fired mid-shard: the partial
       log is dropped. *)
 

@@ -1,6 +1,6 @@
 (* Domain-safe observability: phase timers, counters, latency histograms in
-   Domain.DLS (registry + aggregate, the same shape as Solver's per-domain
-   stats), plus an optional lock-protected JSONL event trace. *)
+   Domain.DLS (a registry of per-domain slices, merged by [aggregate]), plus
+   an optional lock-protected JSONL event trace. *)
 
 type phase =
   | Client_se

@@ -3,9 +3,10 @@
 
     Design rules (see DESIGN.md §9):
 
-    - All in-memory metrics live in [Domain.DLS], mirroring
-      [Solver.aggregate_stats]: each domain mutates its own state without
-      locks and {!aggregate} merges every domain's slice on demand.
+    - All in-memory metrics live in [Domain.DLS]: each domain mutates its
+      own state without locks and {!aggregate} merges every domain's slice
+      on demand. The search runs on one domain; the filter daemon may run
+      on another.
     - Counts (span counts, counters) are safe to print in reports; elapsed
       times are wall-clock and must only ever reach the trace file, never
       digested report text.
@@ -79,7 +80,7 @@ type snapshot = {
   counters : (string * int) list;         (** sorted by name *)
 }
 
-(** Merge every domain's slice, mirroring [Solver.aggregate_stats]. *)
+(** Merge every domain's slice. *)
 val aggregate : unit -> snapshot
 
 (** Zero all per-domain metrics (every registered domain). Tests/bench only. *)

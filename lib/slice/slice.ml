@@ -580,7 +580,7 @@ let verdict_of_result = function
 
 let make_oracle () : Interp.oracle =
   (* per-oracle memo on the alpha-canonical cone key; one oracle per run or
-     per shard task, never shared across domains *)
+     per shard *)
   let memo : (string, Interp.feasibility) Hashtbl.t = Hashtbl.create 512 in
   fun ~path cond ->
     Obs.span Obs.Slice @@ fun () ->

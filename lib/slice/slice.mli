@@ -23,7 +23,7 @@
     {b Soundness bar.} Slicing is a pure decision optimization: on clean
     (unbudgeted, fault-free) runs every verdict it produces coincides with
     the verdict of the full query it replaces, so report digests are
-    byte-identical slice on or off, at any domain count. The taint analysis
+    byte-identical slice on or off, at any shard split. The taint analysis
     only over-approximates (joins, no strong updates, symbolic offsets
     spill to whole buffers), so "field reaches no branch" is a proof, never
     a guess. *)
@@ -113,8 +113,7 @@ val injective_image_bits : Term.t -> int option
 (** {1 The feasibility oracle} *)
 
 val make_oracle : unit -> Interp.oracle
-(** A fresh oracle (per run or per shard task — the memo table is not
-    thread-safe and must not cross domains). Given a known-satisfiable
+(** A fresh oracle (per run or per shard). Given a known-satisfiable
     [path] and a branch condition [cond], it:
 
     + restricts the path to the {e cone} — the transitive var-sharing

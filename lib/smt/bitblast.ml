@@ -18,43 +18,19 @@ type t = {
   mutable mark_stamp : int;
 }
 
-(* Per-domain memo counters, aggregated across contexts: every scratch
-   solver query starts from a [reset] context (model determinism forbids
-   reusing CNF between model-extracting queries), so per-context hit counts
-   would vanish with each reset. Long-lived incremental contexts accumulate
-   into the same per-domain counters. *)
+(* Memo counters, accumulated across contexts: every scratch solver query
+   starts from a [reset] context (model determinism forbids reusing CNF
+   between model-extracting queries), so per-context hit counts would vanish
+   with each reset. Long-lived incremental contexts accumulate into the
+   same counters. *)
 type memo_state = { mutable m_hits : int; mutable m_misses : int }
 
-let memo_registry : memo_state list ref = ref []
-let memo_mutex = Mutex.create ()
-
-let memo_key =
-  Domain.DLS.new_key (fun () ->
-      Mutex.lock memo_mutex;
-      let st = { m_hits = 0; m_misses = 0 } in
-      memo_registry := st :: !memo_registry;
-      Mutex.unlock memo_mutex;
-      st)
-
-let memo_stats () =
-  let st = Domain.DLS.get memo_key in
-  (st.m_hits, st.m_misses)
-
-let aggregate_memo_stats () =
-  Mutex.lock memo_mutex;
-  let states = !memo_registry in
-  Mutex.unlock memo_mutex;
-  List.fold_left (fun (h, m) st -> (h + st.m_hits, m + st.m_misses)) (0, 0) states
+let memo = { m_hits = 0; m_misses = 0 }
+let aggregate_memo_stats () = (memo.m_hits, memo.m_misses)
 
 let reset_memo_stats () =
-  Mutex.lock memo_mutex;
-  let states = !memo_registry in
-  Mutex.unlock memo_mutex;
-  List.iter
-    (fun st ->
-      st.m_hits <- 0;
-      st.m_misses <- 0)
-    states
+  memo.m_hits <- 0;
+  memo.m_misses <- 0
 
 let sat t = t.sat
 let clauses_added t = t.n_clauses
@@ -282,13 +258,12 @@ let shifter t ~kind av amount =
 (* --- term translation ------------------------------------------------------ *)
 
 let rec translate t (term : Term.t) : repr =
-  let ms = Domain.DLS.get memo_key in
   match Term.Tbl.find_opt t.cache term with
   | Some r ->
-      ms.m_hits <- ms.m_hits + 1;
+      memo.m_hits <- memo.m_hits + 1;
       r
   | None ->
-      ms.m_misses <- ms.m_misses + 1;
+      memo.m_misses <- memo.m_misses + 1;
       let lo = Sat.num_vars t.sat in
       let r = translate_uncached t term in
       Term.Tbl.replace t.ranges term (lo, Sat.num_vars t.sat);

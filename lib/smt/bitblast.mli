@@ -54,15 +54,12 @@ val cone_vars : t -> Term.t list -> int array
 
 (** {1 Memo statistics}
 
-    Translation-cache hits and misses, accumulated per domain across every
-    context the domain creates (contexts are per-query, so the counters
-    must outlive them). *)
-
-val memo_stats : unit -> int * int
-(** [(hits, misses)] for the calling domain. *)
+    Translation-cache hits and misses, accumulated across every context
+    (scratch contexts are reset per query, so the counters must outlive
+    them). *)
 
 val aggregate_memo_stats : unit -> int * int
-(** Totals over all domains that have bitblasted anything. *)
+(** [(hits, misses)] since the last {!reset_memo_stats}. *)
 
 val reset_memo_stats : unit -> unit
-(** Zero every domain's counters. *)
+(** Zero the counters. *)

@@ -67,9 +67,9 @@ let budget ?deadline ?conflicts ?(escalations = 2) () =
 
    Forces random [Unknown]s at exactly the sites where a real SAT search
    could blow past its budget, so every degradation path of the callers
-   (search policies, partial reports) can be exercised. The configuration is global; each domain draws
-   from its own PRNG seeded by (seed, registration slot), so a run with a
-   fixed domain count replays the same fault pattern. *)
+   (search policies, partial reports) can be exercised. Draws come from one
+   PRNG seeded by the configured seed, so a run replays the same fault
+   pattern. *)
 
 type fault_config = { f_rate : float; f_seed : int }
 
@@ -79,7 +79,7 @@ let env_float name =
   | Some s -> float_of_string_opt (String.trim s)
 
 let fault_config =
-  Atomic.make
+  ref
     {
       f_rate =
         (match env_float "ACHILLES_SOLVER_FAULT_RATE" with
@@ -93,24 +93,12 @@ let fault_config =
         | None -> 0x5eed);
     }
 
-(* Bumped on every reconfiguration so domains re-seed their cached PRNG. *)
-let fault_generation = Atomic.make 0
+let fault_rate () = !fault_config.f_rate
 
-let set_fault_injection ?(rate = 0.) ?(seed = 0x5eed) () =
-  if rate < 0. || rate > 1. then
-    invalid_arg "Solver.set_fault_injection: rate outside [0,1]";
-  Atomic.set fault_config { f_rate = rate; f_seed = seed };
-  Atomic.incr fault_generation
-
-let fault_rate () = (Atomic.get fault_config).f_rate
-
-(* Every domain gets its own stats record, budget and solver contexts, so
-   parallel search workers never contend on (or corrupt) shared tables. A
-   registry of all per-domain states backs the aggregate/reset APIs. *)
-(* The per-domain incremental solver context: one long-lived SAT instance
-   plus bitblast cache, a stack of activation-literal frames mirroring the
-   DFS path prefix, and the guard tables mapping terms to their activation
-   variables. Lives in [domain_state]; see the [Frames] module below for the
+(* The incremental solver context: one long-lived SAT instance plus
+   bitblast cache, a stack of activation-literal frames mirroring the DFS
+   path prefix, and the guard tables mapping terms to their activation
+   variables. Lives in [state]; see the [Frames] module below for the
    operations. *)
 type frames_ctx = {
   mutable fc_sat : Sat.t;
@@ -121,41 +109,36 @@ type frames_ctx = {
   mutable fc_last_core : Term.t list option; (* terms behind the last Unsat *)
 }
 
-type domain_state = {
-  dstats : stats;
-  mutable dbudget : budget option;
-  dslot : int; (* registration order; seeds the fault PRNG *)
-  mutable dfault : (int * Random.State.t) option; (* generation, PRNG *)
-  mutable dframes : frames_ctx option; (* lazily-built incremental context *)
-  mutable dscratch : Bitblast.t option; (* scratch-route instance, reset per query *)
-  mutable dscratch_busy : bool;
+(* The solver's one mutable state: statistics, ambient budget, fault PRNG
+   and the two SAT instances. *)
+type solver_state = {
+  sstats : stats;
+  mutable sbudget : budget option;
+  mutable sfault : Random.State.t option; (* seeded on the first draw *)
+  mutable sframes : frames_ctx option; (* lazily-built incremental context *)
+  mutable sscratch : Bitblast.t option; (* scratch-route instance, reset per query *)
+  mutable sscratch_busy : bool;
 }
 
-let registry : domain_state list ref = ref []
-let registry_mutex = Mutex.create ()
+let state =
+  {
+    sstats = fresh_stats ();
+    sbudget = None;
+    sfault = None;
+    sframes = None;
+    sscratch = None;
+    sscratch_busy = false;
+  }
 
-let domain_key =
-  Domain.DLS.new_key (fun () ->
-      Mutex.lock registry_mutex;
-      let st =
-        {
-          dstats = fresh_stats ();
-          dbudget = None;
-          dslot = List.length !registry;
-          dfault = None;
-          dframes = None;
-          dscratch = None;
-          dscratch_busy = false;
-        }
-      in
-      registry := st :: !registry;
-      Mutex.unlock registry_mutex;
-      st)
+let stats () = state.sstats
+let set_budget b = state.sbudget <- b
+let get_budget () = state.sbudget
 
-let domain_state () = Domain.DLS.get domain_key
-let stats () = (domain_state ()).dstats
-let set_budget b = (domain_state ()).dbudget <- b
-let get_budget () = (domain_state ()).dbudget
+let set_fault_injection ?(rate = 0.) ?(seed = 0x5eed) () =
+  if rate < 0. || rate > 1. then
+    invalid_arg "Solver.set_fault_injection: rate outside [0,1]";
+  fault_config := { f_rate = rate; f_seed = seed };
+  state.sfault <- None
 
 let reset_one st =
   st.queries <- 0;
@@ -177,76 +160,29 @@ let reset_one st =
 
 let reset_stats () = reset_one (stats ())
 
-let aggregate_stats () =
-  Mutex.lock registry_mutex;
-  let states = !registry in
-  Mutex.unlock registry_mutex;
-  let acc = fresh_stats () in
-  List.iter
-    (fun d ->
-      let s = d.dstats in
-      acc.queries <- acc.queries + s.queries;
-      acc.interval_prunes <- acc.interval_prunes + s.interval_prunes;
-      acc.sat_calls <- acc.sat_calls + s.sat_calls;
-      acc.sat_results <- acc.sat_results + s.sat_results;
-      acc.unsat_results <- acc.unsat_results + s.unsat_results;
-      acc.unknown_results <- acc.unknown_results + s.unknown_results;
-      acc.budget_escalations <- acc.budget_escalations + s.budget_escalations;
-      acc.budget_exhaustions <- acc.budget_exhaustions + s.budget_exhaustions;
-      acc.injected_faults <- acc.injected_faults + s.injected_faults;
-      acc.incremental_checks <- acc.incremental_checks + s.incremental_checks;
-      acc.frame_pushes <- acc.frame_pushes + s.frame_pushes;
-      acc.frame_pops <- acc.frame_pops + s.frame_pops;
-      acc.learnts_retained <- acc.learnts_retained + s.learnts_retained;
-      acc.rung_retained <- acc.rung_retained + s.rung_retained;
-      acc.context_resets <- acc.context_resets + s.context_resets;
-      acc.solve_time <- acc.solve_time +. s.solve_time)
-    states;
-  acc
+let aggregate_stats () = { state.sstats with queries = state.sstats.queries }
 
-let reset_one_context d =
-  (* The incremental context caches CNF, guard variables and learnt clauses
-     keyed by term structure: kept, it would leave a domain's long-lived SAT
-     instance holding guards for terms from the configuration being
-     abandoned — and after a [Term.clear_interning] those structural keys
-     can collide with fresh terms. The next incremental check lazily
-     rebuilds a fresh context. *)
-  d.dframes <- None;
-  (* The scratch instance holds no results, only buffers sized to the
-     largest query so far; dropping it lets a dead worker domain's memory
-     go. A query running on it keeps its own reference, and the next query
-     builds a fresh instance. *)
-  d.dscratch <- None
-
-(* Resetting is registry-wide: a per-domain reset left the other domains'
-   contexts holding guards built under the configuration being abandoned,
-   which is exactly the desynchronization the reconfigure paths hit. *)
+(* The incremental context caches CNF, guard variables and learnt clauses
+   keyed by term structure: kept, it would leave the long-lived SAT instance
+   holding guards for terms from the configuration being abandoned — and
+   after a [Term.clear_interning] those structural keys can collide with
+   fresh terms. The next incremental check lazily rebuilds a fresh context.
+   The scratch instance holds no results, only buffers sized to the largest
+   query so far; a query running on it keeps its own reference, and the
+   next query builds a fresh instance. *)
 let reset_contexts () =
-  Mutex.lock registry_mutex;
-  let states = !registry in
-  Mutex.unlock registry_mutex;
-  List.iter reset_one_context states
+  state.sframes <- None;
+  state.sscratch <- None
 
 let reset_all_for_tests () =
-  Mutex.lock registry_mutex;
-  let states = !registry in
-  Mutex.unlock registry_mutex;
-  List.iter
-    (fun d ->
-      reset_one d.dstats;
-      reset_one_context d)
-    states;
+  reset_one state.sstats;
+  reset_contexts ();
   Term.clear_interning ();
   Bitblast.reset_memo_stats ();
   Obs.reset_all ()
 
 let aggregate_incremental_contexts () =
-  Mutex.lock registry_mutex;
-  let states = !registry in
-  Mutex.unlock registry_mutex;
-  List.fold_left
-    (fun n d -> match d.dframes with Some _ -> n + 1 | None -> n)
-    0 states
+  match state.sframes with Some _ -> 1 | None -> 0
 
 (* --- incremental-solving switch --------------------------------------------
 
@@ -255,10 +191,10 @@ let aggregate_incremental_contexts () =
    query on a reset instance), which the frame-stack route must agree
    with. *)
 
-let incremental_flag = Atomic.make true
+let incremental_flag = ref true
 
-let incremental_enabled () = Atomic.get incremental_flag
-let set_incremental b = Atomic.set incremental_flag b
+let incremental_enabled () = !incremental_flag
+let set_incremental b = incremental_flag := b
 
 (* Flatten nested conjunctions, drop [True], dedupe and sort into the
    canonical conjunct list every query is decided on. Returns [None] when a
@@ -277,34 +213,33 @@ let canonicalize terms =
 
 (* Does an injected fault hit this SAT call? Counts the fault, which then
    answers [Unknown]. *)
-let fault_fires d =
-  let cfg = Atomic.get fault_config in
+let fault_fires () =
+  let cfg = !fault_config in
   if cfg.f_rate <= 0. then false
   else begin
-    let gen = Atomic.get fault_generation in
     let rng =
-      match d.dfault with
-      | Some (g, rng) when g = gen -> rng
-      | _ ->
-          let rng = Random.State.make [| cfg.f_seed; d.dslot |] in
-          d.dfault <- Some (gen, rng);
+      match state.sfault with
+      | Some rng -> rng
+      | None ->
+          let rng = Random.State.make [| cfg.f_seed; 0 |] in
+          state.sfault <- Some rng;
           rng
     in
     if Random.State.float rng 1.0 < cfg.f_rate then begin
-      d.dstats.injected_faults <- d.dstats.injected_faults + 1;
+      state.sstats.injected_faults <- state.sstats.injected_faults + 1;
       true
     end
     else false
   end
 
-(* The escalation ladder. Run one solving attempt under the domain's ambient
+(* The escalation ladder. Run one solving attempt under the ambient
    budget; every [Unknown] answer (exhausted limit or injected fault) is
    retried at x4 the previous budget, up to [b_escalations] extra attempts,
    after which [Unknown] stands and counts as a budget exhaustion. With no
    ambient budget the single attempt is unbounded (modulo a per-call
    [conflict_limit]), preserving the historical semantics. *)
-let with_budget ~conflict_limit d attempt =
-  let st = d.dstats in
+let with_budget ~conflict_limit attempt =
+  let st = state.sstats in
   (* [rung] is how many escalations the answer needed (0 = first attempt);
      it reaches the trace so budget tuning can see which queries struggled. *)
   let finish ~rung r =
@@ -326,7 +261,7 @@ let with_budget ~conflict_limit d attempt =
         ();
     r
   in
-  match d.dbudget with
+  match state.sbudget with
   | None -> finish ~rung:0 (attempt ~conflict_limit ~deadline:None)
   | Some b ->
       let base_conflicts =
@@ -355,31 +290,31 @@ let with_budget ~conflict_limit d attempt =
       end
 
 (* The scratch route builds the query's whole CNF from nothing, on this
-   domain's instance reset to the state a fresh one has: models depend only
+   scratch instance reset to the state a fresh one has: models depend only
    on the query, and the instance's buffers are reused rather than
    reallocated per query. A re-entrant call, which would reset the instance
    under its caller, gets a fresh instance instead. *)
-let with_scratch d f =
-  if d.dscratch_busy then f (Bitblast.create (Sat.create ()))
+let with_scratch f =
+  if state.sscratch_busy then f (Bitblast.create (Sat.create ()))
   else begin
     let bb =
-      match d.dscratch with
+      match state.sscratch with
       | Some bb ->
           Bitblast.reset bb;
           bb
       | None ->
           let bb = Bitblast.create (Sat.create ()) in
-          d.dscratch <- Some bb;
+          state.sscratch <- Some bb;
           bb
     in
-    d.dscratch_busy <- true;
-    Fun.protect ~finally:(fun () -> d.dscratch_busy <- false) (fun () -> f bb)
+    state.sscratch_busy <- true;
+    Fun.protect ~finally:(fun () -> state.sscratch_busy <- false) (fun () -> f bb)
   end
 
 (* One SAT attempt on the CNF already loaded into [bb], with the model read
    back on [Sat]. *)
-let run_sat d bb ~conflict_limit ~deadline =
-  let st = d.dstats in
+let run_sat bb ~conflict_limit ~deadline =
+  let st = state.sstats in
   st.sat_calls <- st.sat_calls + 1;
   let t0 = Unix.gettimeofday () in
   let answer = Sat.solve ?conflict_limit ?deadline (Bitblast.sat bb) in
@@ -393,16 +328,15 @@ let run_sat d bb ~conflict_limit ~deadline =
       Unsat
   | None -> Unknown
 
-let solve_with_sat d terms ~conflict_limit ~deadline =
-  if fault_fires d then Unknown
+let solve_with_sat terms ~conflict_limit ~deadline =
+  if fault_fires () then Unknown
   else
-    with_scratch d (fun bb ->
+    with_scratch (fun bb ->
         Obs.span Obs.Bitblast (fun () -> List.iter (Bitblast.assert_true bb) terms);
-        run_sat d bb ~conflict_limit ~deadline)
+        run_sat bb ~conflict_limit ~deadline)
 
 let check ?site ?conflict_limit terms =
-  let d = domain_state () in
-  let st = d.dstats in
+  let st = state.sstats in
   st.queries <- st.queries + 1;
   Obs.span ?site Obs.Solver_query (fun () ->
       match canonicalize terms with
@@ -413,7 +347,7 @@ let check ?site ?conflict_limit terms =
       | Some key when Interval.definitely_unsat key ->
           st.interval_prunes <- st.interval_prunes + 1;
           Unsat
-      | Some key -> with_budget ~conflict_limit d (solve_with_sat d key))
+      | Some key -> with_budget ~conflict_limit (solve_with_sat key))
 
 let is_sat ?site terms =
   match check ?site terms with Sat _ -> true | Unsat | Unknown -> false
@@ -427,24 +361,23 @@ let implied assumptions t = is_unsat (Term.not_ t :: assumptions)
 
 (* --- enumeration sessions --------------------------------------------------
 
-   The contract is in the interface. A session holds the domain's scratch
+   The contract is in the interface. A session holds the scratch
    instance from its first solve to its last, so a solver query issued
    from [on_model] gets a fresh instance from [with_scratch] rather than
    resetting the session's. *)
 let enumerate ?site ~limit base on_model =
-  let d = domain_state () in
-  let st = d.dstats in
+  let st = state.sstats in
   let query f =
     st.queries <- st.queries + 1;
     Obs.span ?site Obs.Solver_query f
   in
   if limit <= 0 then `Limit
   else
-    with_scratch d (fun bb ->
+    with_scratch (fun bb ->
         let solve () =
-          with_budget ~conflict_limit:None d (fun ~conflict_limit ~deadline ->
-              if fault_fires d then Unknown
-              else run_sat d bb ~conflict_limit ~deadline)
+          with_budget ~conflict_limit:None (fun ~conflict_limit ~deadline ->
+              if fault_fires () then Unknown
+              else run_sat bb ~conflict_limit ~deadline)
         in
         (* [n]: models delivered before this answer *)
         let rec next n = function
@@ -505,11 +438,11 @@ let enumerate ?site ~limit base on_model =
    grew unboundedly across an entire run would make even trivial checks pay
    for every query that came before. Recycling re-asserts only the current
    stack (the bitblast cache is rebuilt on demand). *)
-let context_var_cap = Atomic.make 200_000
+let context_var_cap = ref 200_000
 
 let set_context_var_cap n =
   if n < 1 then invalid_arg "Solver.set_context_var_cap";
-  Atomic.set context_var_cap n
+  context_var_cap := n
 
 module Frames = struct
   type t = frames_ctx
@@ -525,13 +458,12 @@ module Frames = struct
       fc_last_core = None;
     }
 
-  let for_domain () =
-    let d = domain_state () in
-    match d.dframes with
+  let current () =
+    match state.sframes with
     | Some c -> c
     | None ->
         let c = create () in
-        d.dframes <- Some c;
+        state.sframes <- Some c;
         c
 
   (* Activation variable implying the term; allocated (and the implication
@@ -549,7 +481,7 @@ module Frames = struct
         g
 
   let recycle c =
-    let st = (domain_state ()).dstats in
+    let st = state.sstats in
     st.context_resets <- st.context_resets + 1;
     Obs.count "solver.context_resets";
     let sat = Sat.create () in
@@ -561,7 +493,7 @@ module Frames = struct
     List.iter (fun t -> ignore (guard c t)) (List.rev c.fc_stack)
 
   let push c term =
-    let st = (domain_state ()).dstats in
+    let st = state.sstats in
     st.frame_pushes <- st.frame_pushes + 1;
     Obs.count "solver.push";
     ignore (guard c term);
@@ -571,7 +503,7 @@ module Frames = struct
     match c.fc_stack with
     | [] -> invalid_arg "Solver.Frames.pop: empty frame stack"
     | _ :: rest ->
-        let st = (domain_state ()).dstats in
+        let st = state.sstats in
         st.frame_pops <- st.frame_pops + 1;
         Obs.count "solver.pop";
         c.fc_stack <- rest
@@ -597,8 +529,7 @@ module Frames = struct
   let learnts c = Sat.num_learnts c.fc_sat
 
   let check ?site ?conflict_limit ?model_vars c extras =
-    let d = domain_state () in
-    let st = d.dstats in
+    let st = state.sstats in
     st.queries <- st.queries + 1;
     st.incremental_checks <- st.incremental_checks + 1;
     c.fc_last_core <- None;
@@ -616,7 +547,7 @@ module Frames = struct
             c.fc_last_core <- Some key;
             Unsat
         | Some _ ->
-            if Sat.num_vars c.fc_sat > Atomic.get context_var_cap then
+            if Sat.num_vars c.fc_sat > !context_var_cap then
               recycle c;
             let assumptions, decide_vars =
               Obs.span Obs.Bitblast (fun () ->
@@ -639,7 +570,7 @@ module Frames = struct
                   (assumptions, decide_vars))
             in
             let rung = ref (-1) in
-            with_budget ~conflict_limit d (fun ~conflict_limit ~deadline ->
+            with_budget ~conflict_limit (fun ~conflict_limit ~deadline ->
                 incr rung;
                 let retained = Sat.num_learnts c.fc_sat in
                 st.learnts_retained <- st.learnts_retained + retained;
@@ -649,7 +580,7 @@ module Frames = struct
                   st.rung_retained <- st.rung_retained + retained;
                   Obs.count ~n:retained "solver.rung_retained_learnts"
                 end;
-                if fault_fires d then Unknown
+                if fault_fires () then Unknown
                 else begin
                   st.sat_calls <- st.sat_calls + 1;
                   let t0 = Unix.gettimeofday () in
@@ -694,7 +625,7 @@ end
 let check_assuming ?site ?conflict_limit ?model_vars ?(path = []) extras =
   if not (incremental_enabled ()) then check ?site ?conflict_limit (extras @ path)
   else begin
-    let c = Frames.for_domain () in
+    let c = Frames.current () in
     Frames.set_path c path;
     Frames.check ?site ?conflict_limit ?model_vars c extras
   end
@@ -707,6 +638,6 @@ let is_sat_assuming ?site ?path terms =
 let last_assumption_core () =
   if not (incremental_enabled ()) then None
   else
-    match (domain_state ()).dframes with
+    match state.sframes with
     | None -> None
     | Some c -> Frames.unsat_core c

@@ -6,13 +6,10 @@
     bitblasting -> CDCL SAT search -> model extraction. No answer is
     cached between queries.
 
-    The solver contexts and the statistics are per-domain ([Domain.DLS]):
-    every domain running solver queries gets its own, so parallel search
-    workers never contend on shared tables. {!aggregate_stats} merges
-    across domains. Because each query is decided on a CNF built from
-    nothing from its canonical conjunct list — on the domain's SAT instance
-    reset to the state of a fresh one — answers (including models) do not
-    depend on the domain that ran them or on the queries before them.
+    Because each query is decided on a CNF built from nothing from its
+    canonical conjunct list — on a SAT instance reset to the state of a
+    fresh one — answers (including models) do not depend on the queries
+    before them.
     {!enumerate} extends the same discipline from one query to one
     enumeration session. *)
 
@@ -56,7 +53,7 @@ val enumerate :
   [ `Exhausted | `Limit | `Unknown ]
 (** [enumerate ~limit base on_model]: block-and-resolve model enumeration
     in one solver session. [base] is canonicalized, interval-checked and
-    bitblasted once, on the calling domain's scratch instance reset to the
+    bitblasted once, on the scratch instance reset to the
     state of a fresh one. Each model is handed to [on_model] as soon as it
     is found; the blocking term it returns is asserted as a permanent
     clause and the same instance is solved again, keeping its learnt
@@ -70,9 +67,8 @@ val enumerate :
 
     {b Determinism contract.} The [k]-th model is a function of the
     canonical [base] and the first [k - 1] blocking terms only: not of the
-    queries before the session or the domain it runs on. So
-    witnesses enumerated this way are identical at any domain count and
-    across a resume. They generally differ from
+    queries before the session. So witnesses enumerated this way are
+    identical at any shard split and across a resume. They generally differ from
     the models {!check} would return for [base] plus the same blocks,
     except the first, which is {!check}'s model of [base] whenever neither
     needed a budget escalation. *)
@@ -81,7 +77,7 @@ val enumerate :
 
     When incremental solving is enabled (the default; see
     {!incremental_enabled}), verdict-only queries can be decided on a
-    long-lived per-domain SAT instance instead of a scratch instance per
+    long-lived SAT instance instead of a scratch instance per
     query. Constraints are activated through per-term guard literals and a
     push/pop frame stack mirrors the DFS path prefix, so sibling queries
     along the path tree only bitblast their delta constraint and learnt
@@ -98,7 +94,7 @@ val enumerate :
     byte-identical whether incrementality is on or off. *)
 
 val incremental_enabled : unit -> bool
-(** Whether {!check_assuming} uses the per-domain incremental context.
+(** Whether {!check_assuming} uses the incremental context.
     Starts [true]; only {!set_incremental} turns it off. *)
 
 val set_incremental : bool -> unit
@@ -116,7 +112,7 @@ val check_assuming :
   result
 (** [check_assuming ~path extras]: satisfiability of the conjunction of
     [path] (newest-first, as [State.path]) and [extras]. With incremental
-    solving enabled this syncs the calling domain's frame stack to [path]
+    solving enabled this syncs the shared frame stack to [path]
     (popping what the search backtracked past, pushing the delta) and solves
     under assumptions on the shared instance; disabled, it is exactly
     [check (extras @ path)]. A [Sat] model agrees with some satisfying
@@ -132,21 +128,20 @@ val is_sat_assuming : ?site:string -> ?path:Term.t list -> Term.t list -> bool
     like {!is_sat}. *)
 
 val last_assumption_core : unit -> Term.t list option
-(** After an [Unsat] from {!check_assuming} on this domain: the subset of
+(** After an [Unsat] from {!check_assuming}: the subset of
     that query's terms (path and extras alike) responsible for the
     conflict. [None] with incrementality disabled, after Sat/Unknown, or
     when the conflict was found before reaching the SAT core machinery. *)
 
 val set_context_var_cap : int -> unit
-(** Variable count at which a domain's incremental context is recycled
+(** Variable count at which the incremental context is recycled
     (rebuilt fresh, re-asserting only the live frames) — bounds the cost
     unrelated accumulated CNF imposes on every later check. Default
     200_000. Raises [Invalid_argument] on a non-positive cap. Test API. *)
 
 val aggregate_incremental_contexts : unit -> int
-(** Live incremental contexts across every registered domain — 0 right
-    after {!reset_contexts} / {!reset_all_for_tests}, which drop them
-    registry-wide. *)
+(** 1 while the shared incremental context exists, 0 right after
+    {!reset_contexts} / {!reset_all_for_tests}, which drop it. *)
 
 (** Explicit handle on the frame-stack machinery backing {!check_assuming}
     — the differential test harness drives it directly. *)
@@ -155,10 +150,6 @@ module Frames : sig
 
   val create : unit -> t
   (** A fresh, empty context (its own SAT instance and bitblast cache). *)
-
-  val for_domain : unit -> t
-  (** The calling domain's shared context, created on first use; the one
-      {!check_assuming} syncs to. *)
 
   val push : t -> Term.t -> unit
   (** Enter a frame asserting one term (guarded by an activation literal;
@@ -206,9 +197,8 @@ end
     seconds) and/or a CDCL conflict count, with an escalation ladder: an
     attempt answering [Unknown] is retried at x4 the previous budget, up to
     [escalations] extra attempts, after which [Unknown] is returned and
-    counted as a budget exhaustion. Budgets are ambient and per-domain
-    (like the solver contexts and statistics): parallel search workers
-    install their own copy. *)
+    counted as a budget exhaustion. The budget is ambient: it bounds every
+    query until it is replaced. *)
 
 type budget
 
@@ -220,7 +210,7 @@ val budget :
     neither [deadline] nor [conflicts] leaves queries unbounded. *)
 
 val set_budget : budget option -> unit
-(** Install (or clear, with [None]) the calling domain's ambient budget. *)
+(** Install (or clear, with [None]) the ambient budget. *)
 
 val get_budget : unit -> budget option
 
@@ -232,8 +222,8 @@ val get_budget : unit -> budget option
     policies and escalation ladders are tested by the same machinery that
     degrades production runs. Configured globally
     ([ACHILLES_SOLVER_FAULT_RATE] / [ACHILLES_SOLVER_FAULT_SEED] read at
-    startup), each domain drawing from a PRNG seeded by (seed, domain slot)
-    so fixed-domain-count runs replay identically. *)
+    startup), drawing from one PRNG seeded by [seed] (re-seeded by every
+    {!set_fault_injection}), so runs replay identically. *)
 
 val set_fault_injection : ?rate:float -> ?seed:int -> unit -> unit
 (** Reconfigure fault injection (test API; overrides the environment).
@@ -274,28 +264,20 @@ type stats = {
 }
 
 val stats : unit -> stats
-(** The calling domain's live statistics record (mutated in place by the
-    solver as it runs in that domain). *)
+(** The live statistics record (mutated in place by the solver). *)
 
 val aggregate_stats : unit -> stats
-(** A snapshot summing the statistics of every domain that has ever used the
-    solver (including finished ones). Only a consistent total when no other
-    domain is solving concurrently. *)
+(** A snapshot copy of {!stats}. *)
 
 val reset_stats : unit -> unit
-(** Zero the calling domain's statistics only. *)
+(** Zero the statistics. *)
 
 val reset_all_for_tests : unit -> unit
-(** Zero every domain's statistics, drop every domain's solver contexts
-    (as {!reset_contexts}) and term-interning tables and zero the bitblast
-    memo counters, so test suites are order-independent regardless of
-    which domains earlier cases ran solver work on. Not safe while another
-    domain is solving. *)
+(** Zero the statistics, drop the solver contexts (as {!reset_contexts})
+    and the term-interning tables and zero the bitblast memo counters, so
+    test suites are order-independent. *)
 
 val reset_contexts : unit -> unit
-(** Drop the incremental frame context and the scratch instance of
-    {e every} registered domain (including finished ones); each is rebuilt
-    fresh on its next use. Dropping must be registry-wide: reconfiguration
-    paths that reset only the calling domain left other domains holding
-    guards built under the abandoned configuration. Not safe while another
-    domain is solving. *)
+(** Drop the incremental frame context and the scratch instance; each is
+    rebuilt fresh on its next use, so no guard built under an abandoned
+    configuration survives. *)

@@ -47,37 +47,35 @@ let pp_sort fmt = function
   | Bool -> Format.pp_print_string fmt "Bool"
   | Bitvec w -> Format.fprintf fmt "Bv%d" w
 
-(* One counter per domain: parallel search workers seed their counter from
-   the sequential base (Search sets it per task), so ids never depend on
-   which domain ran which shard. *)
-let fresh_counter = Domain.DLS.new_key (fun () -> ref 0)
+(* Every variable id comes from this counter. Search resets it to the
+   pre-search base at each shard, so ids never depend on how the tree was
+   split. *)
+let fresh_counter = ref 0
 
 let fresh_var ?(name = "v") sort =
-  let c = Domain.DLS.get fresh_counter in
-  incr c;
-  { id = !c; name; sort }
+  incr fresh_counter;
+  { id = !fresh_counter; name; sort }
 
-let reset_fresh_counter () = Domain.DLS.get fresh_counter := 0
-let set_fresh_counter n = Domain.DLS.get fresh_counter := n
-let fresh_counter_value () = !(Domain.DLS.get fresh_counter)
+let reset_fresh_counter () = fresh_counter := 0
+let set_fresh_counter n = fresh_counter := n
+let fresh_counter_value () = !fresh_counter
 
 (* --- interning ------------------------------------------------------------
 
-   Node ids ([tid]) come from one process-wide counter that is never reset:
-   terms flow between domains (client predicates are built on the main
-   domain and queried from workers), so per-domain ids would collide in
-   tid-keyed memo tables. The intern tables themselves are per-domain
-   ([Domain.DLS], like the fresh-variable counter) so construction never
-   contends on a lock; a term built on another domain simply isn't shared
-   with this domain's structurally equal copy, which costs speed, never
-   correctness. *)
+   Node ids ([tid]) come from one process-wide counter that is never reset,
+   so terms revived from a checkpoint ([rebuild]) or built before a
+   [clear_interning] never share a tid with a live node. *)
 
-let sharing = Atomic.make true
-let set_sharing b = Atomic.set sharing b
-let sharing_enabled () = Atomic.get sharing
+let sharing = ref true
+let set_sharing b = sharing := b
+let sharing_enabled () = !sharing
 
-let tid_counter = Atomic.make 0
-let next_tid () = Atomic.fetch_and_add tid_counter 1
+let tid_counter = ref 0
+
+let next_tid () =
+  let t = !tid_counter in
+  incr tid_counter;
+  t
 
 type intern_state = {
   buckets : (int, t list ref) Hashtbl.t; (* hkey -> interned nodes *)
@@ -89,55 +87,24 @@ type intern_state = {
          traversal — the walks sharing short-circuits or memoizes away *)
 }
 
-let intern_registry : intern_state list ref = ref []
-let intern_mutex = Mutex.create ()
+let interning =
+  {
+    buckets = Hashtbl.create 4096;
+    var_ids_memo = Hashtbl.create 1024;
+    s_hits = 0;
+    s_created = 0;
+    s_work = 0;
+  }
 
-let intern_key =
-  Domain.DLS.new_key (fun () ->
-      Mutex.lock intern_mutex;
-      let st =
-        {
-          buckets = Hashtbl.create 4096;
-          var_ids_memo = Hashtbl.create 1024;
-          s_hits = 0;
-          s_created = 0;
-          s_work = 0;
-        }
-      in
-      intern_registry := st :: !intern_registry;
-      Mutex.unlock intern_mutex;
-      st)
-
-let intern_state () = Domain.DLS.get intern_key
-
-let intern_stats () =
-  let st = intern_state () in
-  (st.s_hits, st.s_created)
-
-let registered_intern_states () =
-  Mutex.lock intern_mutex;
-  let states = !intern_registry in
-  Mutex.unlock intern_mutex;
-  states
-
-let aggregate_intern_stats () =
-  List.fold_left
-    (fun (h, c) st -> (h + st.s_hits, c + st.s_created))
-    (0, 0)
-    (registered_intern_states ())
-
-let structural_work () =
-  List.fold_left (fun w st -> w + st.s_work) 0 (registered_intern_states ())
+let aggregate_intern_stats () = (interning.s_hits, interning.s_created)
+let structural_work () = interning.s_work
 
 let clear_interning () =
-  List.iter
-    (fun st ->
-      Hashtbl.reset st.buckets;
-      Hashtbl.reset st.var_ids_memo;
-      st.s_hits <- 0;
-      st.s_created <- 0;
-      st.s_work <- 0)
-    (registered_intern_states ())
+  Hashtbl.reset interning.buckets;
+  Hashtbl.reset interning.var_ids_memo;
+  interning.s_hits <- 0;
+  interning.s_created <- 0;
+  interning.s_work <- 0
 
 (* --- structural hash ------------------------------------------------------ *)
 
@@ -187,7 +154,7 @@ let hash_node = function
    Both ignore [tid] and [hkey] (beyond the hkey fast-reject), so their
    answers match what [Stdlib.compare]/[(=)] gave on the old plain ADT:
    canonical orders, cache keys and digests are byte-identical whether
-   sharing is on or off, and whichever domain built the operands. *)
+   sharing is on or off. *)
 
 let var_equal v w =
   v == w || (v.id = w.id && String.equal v.name w.name && sort_equal v.sort w.sort)
@@ -230,7 +197,7 @@ and node_equal st n1 n2 =
       h1 = h2 && l1 = l2 && equal_rec st a b
   | _ -> false
 
-let equal a b = a == b || equal_rec (intern_state ()) a b
+let equal a b = a == b || equal_rec interning a b
 
 (* Constructor rank replicating [Stdlib.compare] on the old ADT: the
    constant constructors ([True], [False]) sort below every block, blocks
@@ -335,14 +302,15 @@ let rec compare_rec st a b =
       | _ -> 0 (* unreachable: ranks are equal only on matching heads *)
   end
 
-let compare a b = if a == b then 0 else compare_rec (intern_state ()) a b
+let compare a b = if a == b then 0 else compare_rec interning a b
 
 let hash t = t.hkey
 
 (* Shallow structural match used by the intern probe: children are compared
-   physically (they are themselves interned when built locally), variables
-   and constants by value. A miss on foreign-built children just allocates
-   an unshared node, which everything tolerates. *)
+   physically (they are themselves interned), variables and constants by
+   value. A miss on uninterned children (built with sharing off or before a
+   [clear_interning]) just allocates an unshared node, which everything
+   tolerates. *)
 let shallow_equal n1 n2 =
   match n1, n2 with
   | True, True | False, False -> true
@@ -375,8 +343,8 @@ let shallow_equal n1 n2 =
 
 let mk node =
   let hkey = hash_node node in
-  let st = intern_state () in
-  if not (Atomic.get sharing) then begin
+  let st = interning in
+  if not !sharing then begin
     st.s_created <- st.s_created + 1;
     { tid = next_tid (); node; hkey }
   end
@@ -771,7 +739,7 @@ let vars t =
    queries without walking, so the visits counted here are exactly the work
    interning removes from the predicate/negate/differentFrom layers. *)
 let compute_var_ids t =
-  let st = intern_state () in
+  let st = interning in
   let rec go t acc =
     st.s_work <- st.s_work + 1;
     match t.node with
@@ -788,8 +756,8 @@ let compute_var_ids t =
   Int_set.elements (go t Int_set.empty)
 
 let var_ids t =
-  if Atomic.get sharing then begin
-    let st = intern_state () in
+  if !sharing then begin
+    let st = interning in
     match Hashtbl.find_opt st.var_ids_memo t.tid with
     | Some ids -> ids
     | None ->

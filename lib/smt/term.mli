@@ -4,15 +4,14 @@
     perform constant folding and light algebraic simplification. Every term
     is a hash-consed record: [node] is the structure, [hkey] a structural
     hash computed at construction, and [tid] a process-unique id assigned
-    when the node is first built. With sharing enabled (the default), each
-    domain interns the nodes it constructs, so structurally equal terms
-    built on one domain are physically equal and {!equal}/{!compare}/{!hash}
-    are (amortized) O(1).
+    when the node is first built. With sharing enabled (the default), every
+    node is interned, so structurally equal terms are physically equal and
+    {!equal}/{!compare}/{!hash} are (amortized) O(1).
 
     The [tid] is an identity for memo tables only: it never participates in
     {!equal}, {!compare} or {!pp}, so printed output — and everything
-    digested from it — is independent of construction order, domain count
-    and sharing mode. *)
+    digested from it — is independent of construction order and sharing
+    mode. *)
 
 type sort = Bool | Bitvec of int
 
@@ -59,17 +58,14 @@ val fresh_var : ?name:string -> sort -> var
 
 val reset_fresh_counter : unit -> unit
 (** Reset the fresh-variable counter. Only for reproducible experiments and
-    tests that compare printed output; never call while terms are live. The
-    counter is per-domain ([Domain.DLS]); this resets the calling domain's. *)
+    tests that compare printed output; never call while terms are live. *)
 
 val set_fresh_counter : int -> unit
-(** Set the calling domain's fresh-variable counter; the next variable gets
-    id [n + 1]. Parallel search workers use this to replay the sequential id
-    sequence inside their shard. *)
+(** Set the fresh-variable counter; the next variable gets id [n + 1]. The
+    search uses this to replay the same id sequence in every shard. *)
 
 val fresh_counter_value : unit -> int
-(** The calling domain's current counter (the id of the last variable it
-    allocated). *)
+(** The current counter (the id of the last variable allocated). *)
 
 val sort_of : t -> sort
 (** Raises {!Sort_error} on ill-sorted terms (cannot happen for terms built
@@ -137,8 +133,8 @@ val vars : t -> var list
 (** Distinct variables occurring in the term, in ascending id order. *)
 
 val var_ids : t -> int list
-(** Distinct variable ids, ascending. Memoized per [tid] on the calling
-    domain while sharing is enabled (the closure computations in [Negate]
+(** Distinct variable ids, ascending. Memoized per [tid] while sharing is
+    enabled (the closure computations in [Negate]
     and [Predicate] re-ask for the same terms constantly). *)
 
 val mentions : t -> var -> bool
@@ -157,8 +153,8 @@ val alpha_key : t list -> string
 
 val equal : t -> t -> bool
 (** Structural equality (ignoring [tid]), with a physical-equality fast
-    path. On interned same-domain terms this is O(1); across domains or
-    with sharing off it falls back to an [hkey]-filtered structural walk. *)
+    path. On interned terms this is O(1); with sharing off it falls back to
+    an [hkey]-filtered structural walk. *)
 
 val compare : t -> t -> int
 (** A total order with exactly the semantics the previous plain-ADT
@@ -181,24 +177,19 @@ val set_sharing : bool -> unit
 
 val sharing_enabled : unit -> bool
 
-val intern_stats : unit -> int * int
-(** [(hits, created)] for the calling domain: constructions answered from
-    the intern table vs nodes physically allocated. *)
-
 val aggregate_intern_stats : unit -> int * int
-(** Totals over every domain that has built terms (including finished
-    ones). *)
+(** [(hits, created)]: constructions answered from the intern table vs
+    nodes physically allocated since the last {!clear_interning}. *)
 
 val structural_work : unit -> int
 (** Total number of term nodes visited by the structural fallbacks of
-    {!equal} and {!compare} and by the traversal behind {!var_ids}, across
-    all domains — the work that sharing exists to avoid.  Physical-equality
+    {!equal} and {!compare} and by the traversal behind {!var_ids} — the
+    work that sharing exists to avoid.  Physical-equality
     hits and per-tid memo hits cost (and count) nothing. *)
 
 val clear_interning : unit -> unit
-(** Drop every domain's intern table and per-tid memo and zero the sharing
-    counters. Safe only while no other domain is constructing terms; live
-    terms stay valid (subsequent constructions simply re-intern). *)
+(** Drop the intern table and per-tid memo and zero the sharing counters.
+    Live terms stay valid (subsequent constructions simply re-intern). *)
 
 val rebuild : t -> t
 (** Re-intern a term that bypassed the smart constructors — e.g. one
@@ -208,8 +199,7 @@ val rebuild : t -> t
     forms) with a per-call memo, so DAG-shaped sharing is preserved. *)
 
 val dedup : t list -> t list
-(** Order-preserving removal of duplicate terms (by {!equal}); used to
-    dedup sibling constraints before they are sent to the solver. *)
+(** Order-preserving removal of duplicate terms (by {!equal}). *)
 
 (** Hash table keyed by terms, hashing with the stored [hkey] and comparing
     with {!equal}. The semantics are exactly those of a polymorphic

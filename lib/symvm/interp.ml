@@ -25,7 +25,7 @@ let shard_compatible sh route =
 
 (* Exactly one compatible shard "owns" each state: the one whose index bits
    beyond the route are all zero. Owners do the per-state recording (and the
-   witness enumeration) so a parallel merge is pure concatenation. *)
+   witness enumeration) so the shard merge is pure concatenation. *)
 let shard_owns sh route =
   shard_compatible sh route
   && sh.shard_index lsr min (String.length route) sh.shard_bits = 0
@@ -153,7 +153,7 @@ type exit = Fall | Ret of Term.t option | End
    whole subtree are forced (and numbered) before the false child is even
    created. That makes state creation order exactly the depth-first
    pre-order of the exploration tree — i.e. the lexicographic order of
-   routes — which is what the parallel search's deterministic merge
+   routes — which is what the sharded search's deterministic merge
    renumbers by. It also keeps only one path's frontier live at a time
    instead of materializing every pending sibling eagerly. *)
 type outcomes = (State.t * locals * exit) Seq.t
@@ -263,7 +263,7 @@ let rec eval ctx st (locals : locals) (e : Ast.expr) : Term.t =
 (* --- state helpers ----------------------------------------------------------- *)
 
 (* Is [cond] consistent with the state's path? Verdict-only, so it rides
-   the per-domain incremental context: the frame stack is synced to the
+   the shared incremental context: the frame stack is synced to the
    state's path prefix (shared with the sibling branch and every ancestor
    check) and only [cond] itself is new. With incremental solving off
    ([Solver.set_incremental false]) it is the scratch query

@@ -27,8 +27,8 @@ type t = {
   parent : int option;
   route : string;
       (* branch decisions ('0' = true-branch, '1' = false-branch) taken at
-         two-sided forks on the way here; stable across runs and domain
-         counts, unlike [id] which numbers states in creation order *)
+         two-sided forks on the way here; stable across runs and shard
+         splits, unlike [id] which numbers states in creation order *)
   globals : Term.t String_map.t;
   buffers : Term.t array String_map.t;
   path : Term.t list; (* newest constraint first *)

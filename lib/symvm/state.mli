@@ -34,7 +34,7 @@ type t = {
       (** branch decisions ('0' = true-branch, '1' = false-branch) taken at
           two-sided forks on the way here. The route names a state's position
           in the exploration tree independently of execution order, which is
-          what the parallel search merges and renumbers by. *)
+          what the sharded search merges and renumbers by. *)
   globals : Term.t String_map.t;
   buffers : Term.t array String_map.t;
   path : Term.t list;  (** path constraints, newest first *)

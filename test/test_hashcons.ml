@@ -340,9 +340,9 @@ let test_intern_stats_move () =
       let vars = make_vars () in
       let x = Term.var vars.(0) and y = Term.var vars.(1) in
       let _t1 = Term.add x y in
-      let hits0, created0 = Term.intern_stats () in
+      let hits0, created0 = Term.aggregate_intern_stats () in
       let _t2 = Term.add x y in
-      let hits1, created1 = Term.intern_stats () in
+      let hits1, created1 = Term.aggregate_intern_stats () in
       Alcotest.(check bool) "duplicate construction hits" true (hits1 > hits0);
       Alcotest.(check int) "duplicate construction allocates nothing" created0
         created1;

@@ -1,9 +1,8 @@
 (* Differential harness for assumption-based incremental solving: the
    frame-stack contexts ([Solver.Frames] / [Solver.check_assuming]) must
    agree verdict-for-verdict with the scratch solver on arbitrary query
-   sequences — Unknown may only widen — across sharing modes and domain
-   counts; plus regression coverage for escalation-rung clause retention and
-   the registry-wide context clear. *)
+   sequences — Unknown may only widen — across sharing modes; plus
+   regression coverage for escalation-rung clause retention. *)
 
 open Achilles_smt
 
@@ -81,7 +80,7 @@ let verdicts_agree a b =
 (* --- differential property: check_assuming vs scratch ---------------------- *)
 
 (* One random case: a path (innermost-first, as [State.path]) and one extra
-   conjunct. The incremental route answers through the per-domain frame
+   conjunct. The incremental route answers through the shared frame
    stack; the oracle is the always-scratch [Solver.check] on the same
    conjunction. *)
 let run_differential (path_atoms, extra_atom) =
@@ -107,30 +106,6 @@ let qcheck_differential_sharing_off =
   QCheck2.Test.make ~name:"check_assuming = scratch check (sharing off)"
     ~count:100 gen_case
     (fun case -> with_sharing false (fun () -> run_differential case))
-
-(* The same property exercised from several domains at once: each worker
-   owns a private frame context (Domain.DLS), so agreement must hold under
-   parallel query streams too. *)
-let test_differential_parallel () =
-  Solver.reset_all_for_tests ();
-  let cases =
-    QCheck2.Gen.generate ~n:120 ~rand:(Random.State.make [| 0x1ac4e |]) gen_case
-  in
-  let shards = 4 in
-  let results =
-    (* the outer wrap keeps the global toggle stable while workers run *)
-    with_incremental true (fun () ->
-        List.init shards (fun s ->
-            Domain.spawn (fun () ->
-                List.filteri (fun i _ -> i mod shards = s) cases
-                |> List.for_all run_differential))
-        |> List.map Domain.join)
-  in
-  Alcotest.(check (list bool))
-    "every shard agrees with scratch"
-    (List.map (fun _ -> true) results)
-    results;
-  Solver.reset_all_for_tests ()
 
 (* --- frame-stack behaviour -------------------------------------------------- *)
 
@@ -284,44 +259,6 @@ let test_unsat_core_localizes () =
         "core contains the conflicting bounds" true
         (List.exists (Term.equal lo) core && List.exists (Term.equal hi) core)
 
-(* --- registry-wide context clear -------------------------------------------- *)
-
-(* reset_contexts must retire every domain's incremental context, not just
-   the caller's: worker domains allocate contexts lazily via check_assuming,
-   and a reconfiguration reset from the main domain must reach them all (the
-   next check then lazily rebuilds a fresh, correct context). *)
-let test_reset_contexts_all_domains () =
-  Solver.reset_all_for_tests ();
-  with_incremental true (fun () ->
-      let vars = make_vars () in
-      let probe d =
-        [ Term.eq vars.(0) (Term.int ~width:8 d) ]
-      in
-      let workers =
-        List.init 2 (fun d ->
-            Domain.spawn (fun () ->
-                match Solver.check_assuming ~path:(probe d) [ Term.ult vars.(1) vars.(2) ] with
-                | Solver.Sat _ -> true
-                | _ -> false))
-      in
-      let worker_ok = List.map Domain.join workers in
-      Alcotest.(check (list bool)) "workers answered" [ true; true ] worker_ok;
-      Alcotest.(check bool)
-        "workers allocated incremental contexts" true
-        (Solver.aggregate_incremental_contexts () >= 2);
-      Solver.reset_contexts ();
-      Alcotest.(check int)
-        "reset_contexts retires every context" 0
-        (Solver.aggregate_incremental_contexts ());
-      (* and the lazily-rebuilt context still answers correctly *)
-      match
-        Solver.check_assuming ~path:(probe 7)
-          [ Term.eq vars.(0) (Term.int ~width:8 9) ]
-      with
-      | Solver.Unsat -> ()
-      | _ -> Alcotest.fail "rebuilt context must still refute x=7 /\\ x=9");
-  Solver.reset_all_for_tests ()
-
 (* --- escape hatch ------------------------------------------------------------ *)
 
 let test_incremental_toggle () =
@@ -343,7 +280,7 @@ let test_incremental_toggle () =
         (Solver.last_assumption_core () = None);
       Solver.reset_all_for_tests ())
 
-(* On FSP at one domain, most alive checks are satisfiable and settled by
+(* On FSP, most alive checks are satisfiable and settled by
    the model the client path carries down the tree, with no query: the
    alive site issues at most 350 solver queries (794 before models were
    carried) and the prune site at most 25 (40 before). *)
@@ -372,7 +309,6 @@ let test_fsp_settles_by_models () =
               ~search_config:
                 {
                   Search.default_config with
-                  Search.domains = 1;
                   Search.mask = Some Achilles_targets.Fsp_model.analysis_mask;
                 }
               ~layout:Achilles_targets.Fsp_model.layout
@@ -410,11 +346,6 @@ let () =
     [
       qsuite "differential"
         [ qcheck_differential_sharing_on; qcheck_differential_sharing_off ];
-      ( "parallel",
-        [
-          Alcotest.test_case "agreement across 4 domains" `Quick
-            test_differential_parallel;
-        ] );
       qsuite "frames"
         [ qcheck_pop_restores_verdicts; qcheck_frames_model_restriction ];
       ( "frame-stack",
@@ -431,8 +362,6 @@ let () =
         ] );
       ( "lifecycle",
         [
-          Alcotest.test_case "reset_contexts resets all contexts" `Quick
-            test_reset_contexts_all_domains;
           Alcotest.test_case "incremental off = scratch route" `Quick
             test_incremental_toggle;
         ] );

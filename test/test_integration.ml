@@ -148,27 +148,27 @@ let test_pbft_end_to_end () =
   Alcotest.(check bool) "live replica accepts and recovery fires" true
     r.Pbft_deploy.recovery
 
-(* The multicore determinism guarantee on the headline workload: a 4-domain
+(* The shard determinism guarantee on the headline workload: a 16-shard
    FSP analysis produces byte-identical Figure 10 / Figure 11 data to the
-   sequential one, and both match the pinned golden digests (reproducible
+   one-shard one, and both match the pinned golden digests (reproducible
    because the runs start from a reset solver and fresh-variable counter). *)
-let test_multicore_golden_digests () =
-  let run domains =
+let test_sharded_golden_digests () =
+  let run split_bits =
     Solver.reset_all_for_tests ();
     Term.reset_fresh_counter ();
     Achilles.analyze
-      ~search_config:{ fsp_config with Search.domains }
+      ~search_config:{ fsp_config with Search.split_bits = Some split_bits }
       ~layout:Fsp_model.layout ~clients:(Fsp_model.clients ())
       ~server:Fsp_model.server ()
   in
-  let a1 = run 1 and a4 = run 4 in
+  let a1 = run 0 and a4 = run 4 in
   let fig10 (a : Achilles.analysis) = Report.discovery_digest a.Achilles.report in
   let fig11 (a : Achilles.analysis) =
     Report.alive_digest a.Achilles.report.Search.search_stats
   in
-  Alcotest.(check string) "Fig 10 series: 4 domains = sequential" (fig10 a1)
+  Alcotest.(check string) "Fig 10 series: 16 shards = 1 shard" (fig10 a1)
     (fig10 a4);
-  Alcotest.(check string) "Fig 11 samples: 4 domains = sequential" (fig11 a1)
+  Alcotest.(check string) "Fig 11 samples: 16 shards = 1 shard" (fig11 a1)
     (fig11 a4);
   Alcotest.(check string) "Fig 10 golden digest" Goldens.fig10_digest (fig10 a4);
   Alcotest.(check string) "Fig 11 golden digest" Goldens.fig11_digest (fig11 a4);
@@ -193,7 +193,7 @@ let test_layer_switches () =
       Search.witnesses_per_path = 2;
     }
   in
-  let run ?(sharing = true) ?(incremental = true) ~domains target =
+  let run ?(sharing = true) ?(incremental = true) ?(split_bits = 0) target =
     Solver.reset_all_for_tests ();
     Term.reset_fresh_counter ();
     Term.set_sharing sharing;
@@ -207,12 +207,13 @@ let test_layer_switches () =
           match target with
           | `Fsp ->
               Achilles.analyze
-                ~search_config:{ fsp_config with Search.domains }
+                ~search_config:
+                  { fsp_config with Search.split_bits = Some split_bits }
                 ~layout:Fsp_model.layout ~clients:(Fsp_model.clients ())
                 ~server:Fsp_model.server ()
           | `Pbft ->
               Achilles.analyze
-                ~search_config:{ pbft_config with Search.domains }
+                ~search_config:pbft_config
                 ~layout:Pbft_model.layout ~clients:[ Pbft_model.client ]
                 ~server:Pbft_model.replica ())
     in
@@ -220,15 +221,15 @@ let test_layer_switches () =
     let _, memo_misses = Bitblast.aggregate_memo_stats () in
     (Report.report_digest analysis.Achilles.report, terms_created, memo_misses)
   in
-  let fsp, created_on, misses_on = run ~domains:1 `Fsp in
-  let digest, created_off, _ = run ~sharing:false ~domains:1 `Fsp in
+  let fsp, created_on, misses_on = run `Fsp in
+  let digest, created_off, _ = run ~sharing:false `Fsp in
   Alcotest.(check string) "fsp: sharing off, same digest" fsp digest;
   Alcotest.(check bool)
     (Printf.sprintf "fsp: sharing allocates >= 2x fewer terms (%d -> %d)"
        created_off created_on)
     true
     (created_off >= 2 * created_on);
-  let digest, _, misses_off = run ~incremental:false ~domains:1 `Fsp in
+  let digest, _, misses_off = run ~incremental:false `Fsp in
   Alcotest.(check string) "fsp: incremental off, same digest" fsp digest;
   Alcotest.(check bool)
     (Printf.sprintf "fsp: incremental bitblasts less (%d -> %d memo misses)"
@@ -236,14 +237,14 @@ let test_layer_switches () =
     true (misses_on < misses_off);
   List.iter
     (fun incremental ->
-      let digest, _, _ = run ~incremental ~domains:4 `Fsp in
+      let digest, _, _ = run ~incremental ~split_bits:4 `Fsp in
       Alcotest.(check string)
-        (Printf.sprintf "fsp: incremental %b at 4 domains, same digest"
+        (Printf.sprintf "fsp: incremental %b at 16 shards, same digest"
            incremental)
         fsp digest)
     [ true; false ];
-  let pbft, _, _ = run ~domains:1 `Pbft in
-  let digest, _, _ = run ~sharing:false ~domains:1 `Pbft in
+  let pbft, _, _ = run `Pbft in
+  let digest, _, _ = run ~sharing:false `Pbft in
   Alcotest.(check string) "pbft: sharing off, same digest" pbft digest
 
 let cli_binary =
@@ -277,30 +278,23 @@ let test_cli_golden_digests () =
         (Some golden) (cli_digest args))
     Goldens.cli_digests
 
-(* A domain count OCaml cannot run is refused while parsing the command
-   line, before any domain is spawned; from the environment it falls back
-   to one domain, like any other unusable value. *)
-let test_cli_domain_range () =
+(* The search runs on one domain: [-j] and [--domains] are unknown
+   options, refused while parsing the command line. *)
+let test_cli_no_domains_option () =
   let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
   Fun.protect ~finally:(fun () -> Unix.close devnull) @@ fun () ->
-  let exit_code ?(env = Unix.environment ()) args =
+  let exit_code args =
     let argv = Array.of_list (cli_binary :: "analyze" :: "rw" :: args) in
-    let pid =
-      Unix.create_process_env cli_binary argv env devnull devnull devnull
-    in
+    let pid = Unix.create_process cli_binary argv devnull devnull devnull in
     match Unix.waitpid [] pid with
     | _, Unix.WEXITED code -> code
     | _ -> Alcotest.failf "%s: CLI killed by a signal" (String.concat " " args)
   in
   List.iter
-    (fun j ->
-      Alcotest.(check int) ("-j " ^ j ^ " is a usage error") 124
-        (exit_code [ "-j"; j ]))
-    [ "0"; "129" ];
-  Alcotest.(check int) "ACHILLES_DOMAINS=500 runs on one domain" 0
-    (exit_code
-       ~env:(Array.append [| "ACHILLES_DOMAINS=500" |] (Unix.environment ()))
-       [])
+    (fun args ->
+      Alcotest.(check int) (String.concat " " args ^ " is a usage error") 124
+        (exit_code args))
+    [ [ "-j"; "2" ]; [ "--domains"; "1" ] ]
 
 (* A reader that goes away early ([analyze fsp | head -1]) ends the CLI
    quietly, not with an internal error. The read end is closed before the
@@ -373,8 +367,8 @@ let () =
           Alcotest.test_case "Figure 11 decay" `Slow test_figure11_alive_decay;
           Alcotest.test_case "timing shape" `Slow test_timing_shape;
           Alcotest.test_case "wildcard bug" `Slow test_wildcard_trojan_via_analysis;
-          Alcotest.test_case "multicore golden digests" `Slow
-            test_multicore_golden_digests;
+          Alcotest.test_case "sharded golden digests" `Slow
+            test_sharded_golden_digests;
           Alcotest.test_case "layer switches keep digests" `Slow
             test_layer_switches;
         ] );
@@ -382,8 +376,8 @@ let () =
         [
           Alcotest.test_case "golden report digests" `Slow
             test_cli_golden_digests;
-          Alcotest.test_case "-j outside [1,128] rejected" `Quick
-            test_cli_domain_range;
+          Alcotest.test_case "-j is not an option" `Quick
+            test_cli_no_domains_option;
           Alcotest.test_case "closed stdout pipe ends quietly" `Quick
             test_cli_closed_pipe;
         ] );

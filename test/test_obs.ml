@@ -303,7 +303,7 @@ let test_interrupted_trace_parseable () =
   let config =
     {
       Search.default_config with
-      Search.domains = 4;
+      Search.split_bits = Some 4;
       (* trips partway through the run, like a SIGINT/SIGTERM would: the
          flag is polled at every branch constraint and shard boundary *)
       Search.cancel = (fun () -> Atomic.fetch_and_add calls 1 >= 10);
@@ -630,12 +630,15 @@ let test_old_meta_loads () =
 
 let qcheck_trace_invisible =
   QCheck2.Test.make
-    ~name:"trace on/off and domains 1/4 all agree on report digests" ~count:10
+    ~name:"trace on/off and split bits 0/4 all agree on report digests"
+    ~count:10
     case_gen
     (fun case ->
       let client, server, base = extract_case case in
-      let digest ~domains ~traced =
-        let config = { Search.default_config with Search.domains } in
+      let digest ~split_bits ~traced =
+        let config =
+          { Search.default_config with Search.split_bits = Some split_bits }
+        in
         if not traced then
           Report.report_digest (run_case ~config ~base client server)
         else begin
@@ -649,16 +652,16 @@ let qcheck_trace_invisible =
               Report.report_digest (run_case ~config ~base client server))
         end
       in
-      let d = digest ~domains:1 ~traced:false in
-      d = digest ~domains:1 ~traced:true
-      && d = digest ~domains:4 ~traced:false
-      && d = digest ~domains:4 ~traced:true)
+      let d = digest ~split_bits:0 ~traced:false in
+      d = digest ~split_bits:0 ~traced:true
+      && d = digest ~split_bits:4 ~traced:false
+      && d = digest ~split_bits:4 ~traced:true)
 
 (* The pinned FSP digests ({!Goldens}): the instrumented search, traced or
    not, must still reproduce them byte for byte. *)
 
 let test_fsp_golden_traced () =
-  let run domains =
+  let run split_bits =
     Solver.reset_all_for_tests ();
     Term.reset_fresh_counter ();
     let file = Filename.temp_file "achilles-obs-fsp" ".jsonl" in
@@ -673,7 +676,7 @@ let test_fsp_golden_traced () =
               Search.mask = Some Fsp_model.analysis_mask;
               Search.witnesses_per_path = 16;
               Search.distinct_by = Some Fsp_model.block_class;
-              Search.domains;
+              Search.split_bits = Some split_bits;
             }
           in
           Achilles.analyze ~search_config:config ~layout:Fsp_model.layout
@@ -681,18 +684,18 @@ let test_fsp_golden_traced () =
     in
     (analysis, file)
   in
-  let a1, f1 = run 1 in
+  let a1, f1 = run 0 in
   let a4, f4 = run 4 in
   let report (a : Achilles.analysis) = a.Achilles.report in
-  Alcotest.(check string) "Fig 10 golden, traced, domains 1" Goldens.fig10_digest
+  Alcotest.(check string) "Fig 10 golden, traced, 1 shard" Goldens.fig10_digest
     (Report.discovery_digest (report a1));
-  Alcotest.(check string) "Fig 10 golden, traced, domains 4" Goldens.fig10_digest
+  Alcotest.(check string) "Fig 10 golden, traced, 16 shards" Goldens.fig10_digest
     (Report.discovery_digest (report a4));
-  Alcotest.(check string) "Fig 11 golden, traced, domains 1" Goldens.fig11_digest
+  Alcotest.(check string) "Fig 11 golden, traced, 1 shard" Goldens.fig11_digest
     (Report.alive_digest (report a1).Search.search_stats);
-  Alcotest.(check string) "Fig 11 golden, traced, domains 4" Goldens.fig11_digest
+  Alcotest.(check string) "Fig 11 golden, traced, 16 shards" Goldens.fig11_digest
     (Report.alive_digest (report a4).Search.search_stats);
-  Alcotest.(check string) "full reports agree across domains"
+  Alcotest.(check string) "full reports agree across splits"
     (Report.report_digest (report a1))
     (Report.report_digest (report a4));
   (* the acceptance bar: summarize attributes >= 95% of wall-clock to the

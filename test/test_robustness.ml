@@ -301,7 +301,7 @@ let qcheck_fault_superset =
            assumption-based frame contexts and the scratch-instance fallback
            ([Solver.set_incremental false]); degraded answers must
            over-approximate on either one *)
-        let faulty_ok (domains, seed, incremental) =
+        let faulty_ok (split_bits, seed, incremental) =
           let prev = Solver.incremental_enabled () in
           Solver.set_fault_injection ~rate:0.3 ~seed ();
           Solver.set_incremental incremental;
@@ -312,7 +312,11 @@ let qcheck_fault_superset =
                 Solver.set_incremental prev)
               (fun () ->
                 run_case
-                  ~config:{ Search.default_config with Search.domains }
+                  ~config:
+                    {
+                      Search.default_config with
+                      Search.split_bits = Some split_bits;
+                    }
                   ~base client server)
           in
           let inc = (Solver.aggregate_stats ()).Solver.incremental_checks in
@@ -335,7 +339,7 @@ let qcheck_fault_superset =
                faulty.Search.trojans
         in
         List.for_all faulty_ok
-          [ (1, 7, true); (4, 42, true); (1, 7, false); (4, 42, false) ]
+          [ (0, 7, true); (4, 42, true); (0, 7, false); (4, 42, false) ]
       end)
 
 let qcheck_budget_superset =
@@ -406,7 +410,7 @@ let test_chaos_crash_then_resume () =
   let config ~resume =
     {
       Search.default_config with
-      Search.domains = 4;
+      Search.split_bits = Some 4;
       Search.checkpoint_dir = Some dir;
       Search.resume = resume;
       Search.chaos =
@@ -436,7 +440,7 @@ let test_chaos_shard_failure_isolated () =
   let config =
     {
       Search.default_config with
-      Search.domains = 4;
+      Search.split_bits = Some 4;
       Search.chaos = Some (fun idx -> if idx = 1 then raise Chaos_crash);
     }
   in
@@ -460,7 +464,7 @@ let test_checkpoint_resume_identical () =
   let config ~resume =
     {
       Search.default_config with
-      Search.domains = 4;
+      Search.split_bits = Some 4;
       Search.checkpoint_dir = Some dir;
       Search.resume = resume;
     }
@@ -485,21 +489,33 @@ let test_checkpoint_resume_identical () =
 let test_checkpoint_fingerprint_guard () =
   let client, server, base = extract_case fixed_case in
   let dir = fresh_dir "achilles-rob-fpr" in
-  let config ~witnesses ~resume =
+  let config ?solver_budget ~witnesses ~resume () =
     {
       Search.default_config with
-      Search.domains = 2;
       Search.witnesses_per_path = witnesses;
+      Search.solver_budget;
       Search.checkpoint_dir = Some dir;
       Search.resume = resume;
     }
   in
-  ignore (run_case ~config:(config ~witnesses:1 ~resume:false) ~base client server);
   (* a config change invalidates every checkpoint: nothing may be resumed
-     into a run it no longer matches *)
-  let r = run_case ~config:(config ~witnesses:2 ~resume:true) ~base client server in
-  Alcotest.(check int) "stale checkpoints ignored" 0
-    r.Search.coverage.Search.resumed_shards
+     into a run it no longer matches — a budget included, since a starved
+     run's shards hold unconfirmed trojans *)
+  List.iter
+    (fun (what, changed) ->
+      ignore
+        (run_case ~config:(config ~witnesses:1 ~resume:false ()) ~base client
+           server);
+      let r = run_case ~config:changed ~base client server in
+      Alcotest.(check int) (what ^ ": stale checkpoints ignored") 0
+        r.Search.coverage.Search.resumed_shards)
+    [
+      ("witnesses", config ~witnesses:2 ~resume:true ());
+      ( "solver budget",
+        config
+          ~solver_budget:(Solver.budget ~conflicts:1 ())
+          ~witnesses:1 ~resume:true () );
+    ]
 
 (* Shard files of an older format must be re-explored, never loaded, even
    when everything else about them checks out: a format change may move the
@@ -513,7 +529,6 @@ let test_checkpoint_old_magic_reexplored () =
   let config ~dir ~witnesses ~resume =
     {
       Search.default_config with
-      Search.domains = 2;
       Search.witnesses_per_path = witnesses;
       Search.checkpoint_dir = Some dir;
       Search.resume = resume;
@@ -559,7 +574,7 @@ let test_cancel_partial_then_resume () =
   let interrupted_config =
     {
       Search.default_config with
-      Search.domains = 4;
+      Search.split_bits = Some 4;
       Search.checkpoint_dir = Some dir;
       (* trips partway through the run, like a SIGINT would: the flag is
          polled at every branch constraint and at shard boundaries *)
@@ -580,7 +595,7 @@ let test_cancel_partial_then_resume () =
       ~config:
         {
           Search.default_config with
-          Search.domains = 4;
+          Search.split_bits = Some 4;
           Search.checkpoint_dir = Some dir;
           Search.resume = true;
         }
@@ -592,12 +607,11 @@ let test_cancel_partial_then_resume () =
   Alcotest.(check bool) "resumed coverage complete" true
     (Search.coverage_complete resumed.Search.coverage)
 
-(* --- single-domain runs --------------------------------------------------------- *)
+(* --- one-shard runs (no checkpointing) ------------------------------------------ *)
 
-(* A cancel at one domain still reports the Trojans found before it: the
-   one shard's partial log joins the report, but the shard is not counted
-   complete. *)
-let test_interrupted_single_domain_keeps_trojans () =
+(* A cancel still reports the Trojans found before it: the one shard's
+   partial log joins the report, but the shard is not counted complete. *)
+let test_interrupted_keeps_trojans () =
   let client, server, base = extract_case fixed_case in
   let polls = Atomic.make 0 in
   let clean =
@@ -605,7 +619,6 @@ let test_interrupted_single_domain_keeps_trojans () =
       ~config:
         {
           Search.default_config with
-          Search.domains = 1;
           Search.cancel = (fun () -> Atomic.incr polls; false);
         }
       ~base client server
@@ -617,7 +630,6 @@ let test_interrupted_single_domain_keeps_trojans () =
       ~config:
         {
           Search.default_config with
-          Search.domains = 1;
           Search.cancel = (fun () -> Atomic.fetch_and_add calls 1 >= total / 2);
         }
       ~base client server
@@ -633,9 +645,8 @@ let test_interrupted_single_domain_keeps_trojans () =
        (fun l -> List.mem l (trojan_labels clean))
        (trojan_labels partial))
 
-(* The search installs [solver_budget] for its own queries only: at one
-   domain those run on the caller's domain, whose ambient budget must be
-   back in place afterwards. *)
+(* The search installs [solver_budget] for its own queries only: the
+   caller's ambient budget must be back in place afterwards. *)
 let test_caller_budget_restored () =
   let client, server, base = extract_case fixed_case in
   let ambient = Some (Solver.budget ~conflicts:1_000_000 ()) in
@@ -646,7 +657,6 @@ let test_caller_budget_restored () =
       ~config:
         {
           Search.default_config with
-          Search.domains = 1;
           Search.solver_budget = Some (Solver.budget ~conflicts:0 ~escalations:1 ());
         }
       ~base client server
@@ -659,13 +669,12 @@ let test_caller_budget_restored () =
 (* One shard run on the caller opens one [Server_se] span, not a covering
    span plus the shard's own: the Metrics block counts what a single
    exploration cost. *)
-let test_single_domain_one_span () =
+let test_one_shard_one_span () =
   let client, server, base = extract_case fixed_case in
   (* [run_case] resets the Obs counters before the search *)
   ignore
     (run_case
-       ~config:{ Search.default_config with Search.domains = 1 }
-       ~base client server);
+       ~config:Search.default_config ~base client server);
   let module Obs = Achilles_obs.Obs in
   let spans = (List.assoc Obs.Server_se (Obs.aggregate ()).Obs.phases).Obs.spans in
   Alcotest.(check int) "one server_se span" 1 spans
@@ -683,20 +692,20 @@ let server_fsp = Fsp_model.server
 let test_fsp_under_faults () =
   Solver.reset_all_for_tests ();
   Term.reset_fresh_counter ();
-  let fsp_config ~domains =
+  let fsp_config =
     {
       Search.default_config with
       Search.mask = Some Fsp_model.analysis_mask;
       Search.witnesses_per_path = 2;
       Search.distinct_by = Some Fsp_model.block_class;
-      Search.domains;
+      Search.split_bits = Some 4;
     }
   in
   let client, _ =
     Client_extract.extract ~layout:Fsp_model.layout (Fsp_model.clients ())
   in
   let base = Term.fresh_counter_value () in
-  let clean = run_case ~config:(fsp_config ~domains:4) ~base client server_fsp in
+  let clean = run_case ~config:fsp_config ~base client server_fsp in
   let clean_states = distinct_trojan_states clean in
   Solver.set_fault_injection ~rate:0.05 ~seed:0xf5b ();
   (* pin the frame-context route for the chaos run, so the drill stays
@@ -709,7 +718,7 @@ let test_fsp_under_faults () =
         Solver.set_fault_injection ();
         Solver.set_incremental prev_incremental)
       (fun () ->
-        run_case ~config:(fsp_config ~domains:4) ~base client server_fsp)
+        run_case ~config:fsp_config ~base client server_fsp)
   in
   (* the chaos run really went down the route under test: frame contexts
      decided queries while faults were being injected into them *)
@@ -731,7 +740,7 @@ let test_fsp_under_faults () =
     confirmation.Achilles_runtime.Inject.rejected
 
 (* The same drill through the built CLI, in a child process whose
-   environment alone carries the fault rate and the domain count: the run
+   environment alone carries the fault rate: the run
    must terminate with complete coverage (exit 0, not 3), account for the
    injected faults and still report Trojans; the working example must also
    finish under a one-second deadline. *)
@@ -768,7 +777,7 @@ let run_cli ~env args =
   (status, In_channel.with_open_bin out In_channel.input_all)
 
 let test_cli_under_faults () =
-  let env = [ "ACHILLES_SOLVER_FAULT_RATE=0.05"; "ACHILLES_DOMAINS=4" ] in
+  let env = [ "ACHILLES_SOLVER_FAULT_RATE=0.05" ] in
   let expect what args needles =
     let code, output = run_cli ~env args in
     Alcotest.(check int) (what ^ ": exit code") 0 code;
@@ -779,8 +788,7 @@ let test_cli_under_faults () =
           true (contains output needle))
       needles
   in
-  expect "analyze fsp -j 4"
-    [ "analyze"; "fsp"; "-j"; "4" ]
+  expect "analyze fsp" [ "analyze"; "fsp" ]
     [ "Coverage: complete"; "injected faults"; "Trojan message" ];
   expect "analyze rw --deadline 1"
     [ "analyze"; "rw"; "--deadline"; "1" ]
@@ -828,12 +836,12 @@ let () =
         ] );
       ( "single-domain",
         [
-          Alcotest.test_case "interrupted -j 1 keeps its trojans" `Quick
-            test_interrupted_single_domain_keeps_trojans;
+          Alcotest.test_case "interrupted run keeps its trojans" `Quick
+            test_interrupted_keeps_trojans;
           Alcotest.test_case "caller budget restored" `Quick
             test_caller_budget_restored;
           Alcotest.test_case "one server_se span" `Quick
-            test_single_domain_one_span;
+            test_one_shard_one_span;
         ] );
       ( "fsp-drill",
         [

@@ -126,7 +126,7 @@ let explore_one_shard ~config ~base client server =
 
 let test_checkpoint_corruption_guards () =
   let client, server, base = extract_case fixed_case in
-  let config = { Search.default_config with Search.domains = 4 } in
+  let config = { Search.default_config with Search.split_bits = Some 4 } in
   let _, out = explore_one_shard ~config ~base client server in
   let dir = fresh_workdir "achilles-shards-ckpt" in
   let file = Filename.concat dir "shard-0000.ckpt" in
@@ -196,7 +196,6 @@ let test_checkpoint_write_failure_keeps_shard () =
   let config ~resume =
     {
       Search.default_config with
-      Search.domains = 2;
       Search.checkpoint_dir = Some dir;
       Search.resume = resume;
     }
@@ -262,23 +261,23 @@ let contains haystack needle =
   in
   go 0
 
-(* Checkpoints written at another domain count belong to another split:
+(* Checkpoints written with other split bits belong to another split:
    resuming from them re-explores every shard and reports the files as
    stale, not corrupt. *)
 let test_resume_other_split_is_stale () =
   let client, server, base = extract_case fixed_case in
   let clean = run_case ~base client server in
   let dir = fresh_workdir "achilles-shards-split" in
-  let config ~domains ~resume =
+  let config ~split_bits ~resume =
     {
       Search.default_config with
-      Search.domains;
+      Search.split_bits = Some split_bits;
       Search.checkpoint_dir = Some dir;
       Search.resume = resume;
     }
   in
   let written =
-    run_case ~config:(config ~domains:2 ~resume:false) ~base client server
+    run_case ~config:(config ~split_bits:1 ~resume:false) ~base client server
   in
   let counter name =
     Option.value ~default:0
@@ -287,7 +286,7 @@ let test_resume_other_split_is_stale () =
   in
   let resumed, stderr =
     capture_stderr (fun () ->
-        run_case ~config:(config ~domains:4 ~resume:true) ~base client server)
+        run_case ~config:(config ~split_bits:2 ~resume:true) ~base client server)
   in
   Alcotest.(check string) "resumed digest unchanged"
     (Report.report_digest clean)
@@ -313,7 +312,7 @@ let test_resume_other_split_is_stale () =
    [negate] span, i.e. inside the build. *)
 let test_negation_build_raises () =
   let client, server, base = extract_case fixed_case in
-  let config = { Search.default_config with Search.domains = 4 } in
+  let config = { Search.default_config with Search.split_bits = Some 4 } in
   let bits = Search.Shards.split_bits config in
   let explore negations idx =
     Search.Shards.explore ~config ~different_from:None ~negations ~client
@@ -367,7 +366,7 @@ let test_negation_build_raises () =
    own build would have left. *)
 let test_negation_adoption_counter () =
   let client, server, base = extract_case fixed_case in
-  let config = { Search.default_config with Search.domains = 4 } in
+  let config = { Search.default_config with Search.split_bits = Some 4 } in
   let bits = Search.Shards.split_bits config in
   let end_counter negations idx =
     ignore
@@ -406,7 +405,6 @@ let test_negation_key_mismatch () =
   let config =
     {
       Search.default_config with
-      Search.domains = 2;
       Search.split_bits = Some 1;
     }
   in

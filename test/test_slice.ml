@@ -6,7 +6,7 @@
    - slice-aware differentFrom: identical matrices, identical fresh-variable
      consumption, fewer solver queries;
    - the soundness bar itself: report digests byte-identical slice on/off,
-     at domains 1 and 4, on the bundled targets and on random server trees,
+     at 1 and 16 shards, on the bundled targets and on random server trees,
      and the FSP branch-query and differentFrom-pair work the oracle saves;
    - the taint-aware depth bound: message-independent branches stop
      consuming [max_depth] when the oracle is installed. *)
@@ -386,7 +386,7 @@ let test_server_slice_skips_branchless_fields () =
       done)
     stats.Different_from.fields_covered
 
-(* --- the digest bar: bundled targets, slice on/off x domains ------------------- *)
+(* --- the digest bar: bundled targets, slice on/off x splits -------------------- *)
 
 type setup = {
   sname : string;
@@ -463,7 +463,7 @@ let setups =
    two work counters the oracle exists to shrink — branch-feasibility solver
    queries (full-path, plus cone-restricted with the oracle on) and the
    differentFrom pairs that reach the solver. *)
-let run_setup s ~use_slice ~domains =
+let run_setup s ~use_slice ~split_bits =
   Solver.reset_all_for_tests ();
   Term.reset_fresh_counter ();
   let config =
@@ -473,7 +473,7 @@ let run_setup s ~use_slice ~domains =
       Search.witnesses_per_path = 2;
       Search.interp = s.interp;
       Search.use_slice = use_slice;
-      Search.domains;
+      Search.split_bits = Some split_bits;
     }
   in
   let analysis =
@@ -499,18 +499,18 @@ let test_digests_slice_invariant () =
   List.iter
     (fun s ->
       let reference, feas_off, pairs_off =
-        run_setup s ~use_slice:false ~domains:1
+        run_setup s ~use_slice:false ~split_bits:0
       in
       List.iter
-        (fun (use_slice, domains) ->
-          let digest, feas, pairs = run_setup s ~use_slice ~domains in
+        (fun (use_slice, split_bits) ->
+          let digest, feas, pairs = run_setup s ~use_slice ~split_bits in
           Alcotest.(check string)
-            (Printf.sprintf "%s: slice %b, domains %d" s.sname use_slice
-               domains)
+            (Printf.sprintf "%s: slice %b, split bits %d" s.sname use_slice
+               split_bits)
             reference digest;
           (* the oracle pays for itself on FSP (200 -> 32 branch queries and
              96 -> 16 pairs when last measured) *)
-          if s.sname = "fsp" && use_slice && domains = 1 then begin
+          if s.sname = "fsp" && use_slice && split_bits = 0 then begin
             Alcotest.(check bool)
               (Printf.sprintf
                  "fsp: >= 2x fewer branch-feasibility queries (%d -> %d)"
@@ -524,7 +524,7 @@ let test_digests_slice_invariant () =
               true
               (pairs_off >= 3 * pairs)
           end)
-        [ (true, 1); (false, 4); (true, 4) ])
+        [ (true, 0); (false, 4); (true, 4) ])
     setups
 
 (* --- the digest bar on random server trees -------------------------------------- *)
@@ -708,7 +708,7 @@ let () =
         ] );
       ( "digests",
         [
-          Alcotest.test_case "bundled targets, slice x domains" `Slow
+          Alcotest.test_case "bundled targets, slice x splits" `Slow
             test_digests_slice_invariant;
           QCheck_alcotest.to_alcotest qcheck_random_digest_invariance;
         ] );
