@@ -138,13 +138,31 @@ let target_arg =
 let mask_arg =
   let doc =
     "Comma-separated message fields to analyze (defaults to the target's \
-     recommended mask)."
+     recommended mask). A name that is not a field of the target's \
+     message layout is a usage error."
   in
   Arg.(value & opt (some string) None & info [ "mask" ] ~docv:"FIELDS" ~doc)
 
+(* [base] restricted to the values [ok] accepts: anything else is a usage
+   error naming [what] is expected. *)
+let checked base ok what =
+  let parse s =
+    match Arg.conv_parser base s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "expected %s, got %s" what s))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer base)
+
+let positive_int = checked Arg.int (fun n -> n >= 1) "a positive integer"
+let non_negative_int = checked Arg.int (fun n -> n >= 0) "a non-negative integer"
+
+let non_negative_float =
+  checked Arg.float (fun x -> x >= 0.) "a non-negative number"
+
 let witnesses_arg =
-  let doc = "Concrete witnesses to enumerate per accepting path." in
-  Arg.(value & opt int 4 & info [ "witnesses"; "w" ] ~docv:"N" ~doc)
+  let doc = "Concrete witnesses to enumerate per accepting path (at least 1)." in
+  Arg.(value & opt positive_int 4 & info [ "witnesses"; "w" ] ~docv:"N" ~doc)
 
 let no_drop_arg =
   let doc = "Disable alive-set tracking (optimization 1 of §3.3)." in
@@ -174,7 +192,10 @@ let deadline_arg =
     "Per-solver-query wall-clock deadline in seconds (escalated x4 on \
      Unknown, twice, before the query degrades for good)."
   in
-  Arg.(value & opt (some float) None & info [ "deadline" ] ~docv:"SECONDS" ~doc)
+  Arg.(
+    value
+    & opt (some non_negative_float) None
+    & info [ "deadline" ] ~docv:"SECONDS" ~doc)
 
 let solver_budget_arg =
   let doc =
@@ -183,13 +204,14 @@ let solver_budget_arg =
   in
   Arg.(
     value
-    & opt (some int) None
+    & opt (some non_negative_int) None
     & info [ "solver-budget" ] ~docv:"CONFLICTS" ~doc)
 
 let checkpoint_dir_arg =
   let doc =
     "Flush every completed search shard to $(docv) (atomic per-shard files), \
-     so an interrupted or killed run can be picked up with $(b,--resume)."
+     so an interrupted or killed run can be picked up with $(b,--resume). \
+     $(docv) is created if its parent directory exists."
   in
   Arg.(
     value
@@ -255,9 +277,22 @@ let explain_arg =
   in
   Arg.(value & flag & info [ "explain" ] ~doc)
 
+(* The --mask fields, each checked against the target's message layout. *)
 let parse_mask target = function
-  | None -> target.default_mask
-  | Some s -> Some (String.split_on_char ',' s |> List.map String.trim)
+  | None -> Ok target.default_mask
+  | Some s -> (
+      let names =
+        List.map (fun f -> f.Layout.field_name) (Layout.fields target.layout)
+      in
+      let fields = String.split_on_char ',' s |> List.map String.trim in
+      match List.filter (fun f -> not (List.mem f names)) fields with
+      | [] -> Ok (Some fields)
+      | unknown ->
+          Error
+            (Printf.sprintf "unknown --mask field%s %s for target %s; valid: %s"
+               (if List.length unknown > 1 then "s" else "")
+               (String.concat ", " (List.map (Printf.sprintf "%S") unknown))
+               target.target_name (String.concat ", " names)))
 
 (* SIGINT/SIGTERM flip a flag the search polls at every branch constraint:
    the in-flight shard winds down, completed shards are kept (and checkpointed
@@ -291,98 +326,117 @@ let list_cmd =
   Cmd.v (Cmd.info "list" ~doc:"List the bundled target systems")
     Term.(const run $ const ())
 
-let analyze name mask witnesses no_drop no_df no_prune no_slice
-    verbose explain deadline solver_budget checkpoint_dir resume trace
-    digest =
+let run_analysis ~name target ~mask ~witnesses ~no_drop ~no_df ~no_prune
+    ~no_slice ~verbose ~explain ~deadline ~solver_budget ~checkpoint_dir
+    ~resume ~trace ~digest =
+  if no_slice then Slice.set_enabled false;
+  install_signal_handlers ();
+  setup_trace trace;
+  if verbose then install_verbose_sink ();
+  Fun.protect
+    ~finally:(fun () ->
+      (* also the SIGINT/SIGTERM partial-flush path: the search winds
+         down cooperatively and control always comes back through here,
+         closing (and thereby flushing) the trace before exit *)
+      Obs.set_sink None;
+      Obs.Trace.disable ())
+  @@ fun () ->
+  Obs.emit ~kind:"meta" ~name:"analyze"
+    ~args:[ ("target", Obs.S name) ]
+    ();
+  let solver_budget =
+    match (deadline, solver_budget) with
+    | None, None -> None
+    | deadline, conflicts -> Some (Solver.budget ?deadline ?conflicts ())
+  in
+  let config =
+    {
+      Search.default_config with
+      Search.mask;
+      Search.witnesses_per_path = witnesses;
+      Search.distinct_by = target.distinct_by;
+      Search.drop_alive = not no_drop;
+      Search.use_different_from = not no_df;
+      Search.prune_no_trojan = not no_prune;
+      Search.use_slice = Slice.enabled () && not no_slice;
+      Search.explain_drops = explain;
+      Search.interp = target.interp;
+      Search.solver_budget;
+      Search.checkpoint_dir;
+      Search.resume = resume <> None;
+      Search.cancel = (fun () -> Atomic.get interrupted);
+    }
+  in
+  let analysis =
+    Achilles.analyze ~search_config:config
+      ?client_interp:target.client_interp ~layout:target.layout
+      ~clients:target.clients ~server:target.server ()
+  in
+  Obs.span Obs.Report (fun () ->
+      Format.printf "%a@.@." Achilles.pp_summary analysis;
+      List.iter
+        (fun (t : Search.trojan) ->
+          Format.printf "%a@." (Report.pp_trojan target.layout) t;
+          if verbose || Obs.live () then
+            let rendered =
+              String.concat "\n"
+                (List.map
+                   (fun c -> Format.asprintf "%a" Smt_term.pp c)
+                   t.Search.symbolic)
+            in
+            Obs.emit ~kind:"report" ~name:"trojan_symbolic"
+              ~args:
+                [
+                  ("state", Obs.I t.Search.server_state_id);
+                  ("label", Obs.S t.Search.accept_label);
+                  ("symbolic", Obs.S rendered);
+                ]
+              ())
+        (Achilles.trojans analysis);
+      if explain then begin
+        Format.printf "@.-- why client paths were dropped --@.";
+        List.iter
+          (fun (d : Search.drop_explanation) ->
+            Format.printf
+              "  client path %d died at server state %d because:@."
+              d.Search.dropped_path d.Search.at_state;
+            List.iter
+              (fun c -> Format.printf "    %a@." Smt_term.pp c)
+              d.Search.conflicting)
+          analysis.Achilles.report.Search.drops
+      end);
+  Format.printf "@.%a@." Report.pp_metrics (Obs.aggregate ());
+  if digest then
+    Format.printf "@.report digest: %s@."
+      (Report.report_digest analysis.Achilles.report);
+  exit_code_of analysis.Achilles.report
+
+(* --mask needs the target's layout and --checkpoint-dir / --resume the
+   filesystem, so they are checked here, before any analysis runs; a bad
+   one is a usage error. *)
+let analyze name mask witnesses no_drop no_df no_prune no_slice verbose explain
+    deadline solver_budget checkpoint_dir resume trace digest =
   match find_target name with
   | Error e ->
       Format.eprintf "%s@." e;
-      1
-  | Ok target ->
-      if no_slice then Slice.set_enabled false;
-      install_signal_handlers ();
-      setup_trace trace;
-      if verbose then install_verbose_sink ();
-      Fun.protect
-        ~finally:(fun () ->
-          (* also the SIGINT/SIGTERM partial-flush path: the search winds
-             down cooperatively and control always comes back through here,
-             closing (and thereby flushing) the trace before exit *)
-          Obs.set_sink None;
-          Obs.Trace.disable ())
-      @@ fun () ->
-      Obs.emit ~kind:"meta" ~name:"analyze"
-        ~args:[ ("target", Obs.S name) ]
-        ();
-      let solver_budget =
-        match (deadline, solver_budget) with
-        | None, None -> None
-        | deadline, conflicts -> Some (Solver.budget ?deadline ?conflicts ())
-      in
+      `Ok 1
+  | Ok target -> (
       let checkpoint_dir =
         match resume with Some dir -> Some dir | None -> checkpoint_dir
       in
-      let config =
-        {
-          Search.default_config with
-          Search.mask = parse_mask target mask;
-          Search.witnesses_per_path = witnesses;
-          Search.distinct_by = target.distinct_by;
-          Search.drop_alive = not no_drop;
-          Search.use_different_from = not no_df;
-          Search.prune_no_trojan = not no_prune;
-          Search.use_slice = Slice.enabled () && not no_slice;
-          Search.explain_drops = explain;
-          Search.interp = target.interp;
-          Search.solver_budget;
-          Search.checkpoint_dir;
-          Search.resume = resume <> None;
-          Search.cancel = (fun () -> Atomic.get interrupted);
-        }
+      let checks =
+        Result.bind (parse_mask target mask) (fun mask ->
+            Option.fold ~none:(Ok ()) ~some:Search.Shards.prepare_dir
+              checkpoint_dir
+            |> Result.map (fun () -> mask))
       in
-      let analysis =
-        Achilles.analyze ~search_config:config
-          ?client_interp:target.client_interp ~layout:target.layout
-          ~clients:target.clients ~server:target.server ()
-      in
-      Obs.span Obs.Report (fun () ->
-          Format.printf "%a@.@." Achilles.pp_summary analysis;
-          List.iter
-            (fun (t : Search.trojan) ->
-              Format.printf "%a@." (Report.pp_trojan target.layout) t;
-              if verbose || Obs.live () then
-                let rendered =
-                  String.concat "\n"
-                    (List.map
-                       (fun c -> Format.asprintf "%a" Smt_term.pp c)
-                       t.Search.symbolic)
-                in
-                Obs.emit ~kind:"report" ~name:"trojan_symbolic"
-                  ~args:
-                    [
-                      ("state", Obs.I t.Search.server_state_id);
-                      ("label", Obs.S t.Search.accept_label);
-                      ("symbolic", Obs.S rendered);
-                    ]
-                  ())
-            (Achilles.trojans analysis);
-          if explain then begin
-            Format.printf "@.-- why client paths were dropped --@.";
-            List.iter
-              (fun (d : Search.drop_explanation) ->
-                Format.printf
-                  "  client path %d died at server state %d because:@."
-                  d.Search.dropped_path d.Search.at_state;
-                List.iter
-                  (fun c -> Format.printf "    %a@." Smt_term.pp c)
-                  d.Search.conflicting)
-              analysis.Achilles.report.Search.drops
-          end);
-      Format.printf "@.%a@." Report.pp_metrics (Obs.aggregate ());
-      if digest then
-        Format.printf "@.report digest: %s@."
-          (Report.report_digest analysis.Achilles.report);
-      exit_code_of analysis.Achilles.report
+      match checks with
+      | Error msg -> `Error (false, msg)
+      | Ok mask ->
+          `Ok
+            (run_analysis ~name target ~mask ~witnesses ~no_drop ~no_df
+               ~no_prune ~no_slice ~verbose ~explain ~deadline ~solver_budget
+               ~checkpoint_dir ~resume ~trace ~digest))
 
 let analyze_cmd =
   Cmd.v
@@ -394,14 +448,16 @@ let analyze_cmd =
              "0 on complete coverage; 3 when the report is partial \
               (interrupted by SIGINT/SIGTERM, or a shard failed; \
               $(b,--resume) re-explores the missing shards); 1 on target \
-              errors; 124 on usage errors, such as an unknown option.";
+              errors; 124 on usage errors, such as an unknown option or \
+              $(b,--mask) field, or a checkpoint directory that cannot \
+              be used.";
          ])
     Term.(
-      const analyze $ target_arg $ mask_arg $ witnesses_arg $ no_drop_arg
-      $ no_df_arg $ no_prune_arg $ no_slice_arg
-      $ verbose_arg $ explain_arg $ deadline_arg
-      $ solver_budget_arg $ checkpoint_dir_arg $ resume_arg $ trace_arg
-      $ digest_arg)
+      ret
+        (const analyze $ target_arg $ mask_arg $ witnesses_arg $ no_drop_arg
+       $ no_df_arg $ no_prune_arg $ no_slice_arg $ verbose_arg $ explain_arg
+       $ deadline_arg $ solver_budget_arg $ checkpoint_dir_arg $ resume_arg
+       $ trace_arg $ digest_arg))
 
 let predicate name =
   match find_target name with
@@ -575,53 +631,60 @@ let print_witness_arg =
   in
   Arg.(value & flag & info [ "print-witnesses" ] ~doc)
 
+let write_filter ~name target ~mask ~witnesses ~enum_values ~output
+    ~print_witnesses =
+  let config =
+    {
+      Search.default_config with
+      Search.mask;
+      Search.witnesses_per_path = witnesses;
+      Search.distinct_by = target.distinct_by;
+      Search.interp = target.interp;
+    }
+  in
+  let analysis =
+    Achilles.analyze ~search_config:config
+      ?client_interp:target.client_interp ~layout:target.layout
+      ~clients:target.clients ~server:target.server ()
+  in
+  let filter =
+    Obs.span Obs.Filter_eval (fun () ->
+        Filter.compile ~enum_values ~target:name ~layout:target.layout
+          ~report:analysis.Achilles.report ())
+  in
+  let file = match output with Some f -> f | None -> name ^ ".achfilter" in
+  match Filter.save filter ~file with
+  | Error e ->
+      Format.eprintf "compile-filter: cannot write %s: %s@." file e;
+      1
+  | Ok () ->
+      Format.printf "%a@." Filter.pp_summary filter;
+      Format.printf "wrote %s@." file;
+      if print_witnesses then
+        List.iter
+          (fun (t : Search.trojan) ->
+            Format.printf "witness state=%d %s@." t.Search.server_state_id
+              (hex_of_witness t.Search.witness))
+          (Achilles.trojans analysis);
+      if Filter.unknown_leaves filter > 0 then
+        Format.printf
+          "note: %d unknown leaves — some messages will answer \
+           unknown-state@."
+          (Filter.unknown_leaves filter);
+      0
+
 let compile_filter name mask witnesses enum_values output print_witnesses =
   match find_target name with
   | Error e ->
       Format.eprintf "%s@." e;
-      1
+      `Ok 1
   | Ok target -> (
-      let config =
-        {
-          Search.default_config with
-          Search.mask = parse_mask target mask;
-          Search.witnesses_per_path = witnesses;
-          Search.distinct_by = target.distinct_by;
-          Search.interp = target.interp;
-        }
-      in
-      let analysis =
-        Achilles.analyze ~search_config:config
-          ?client_interp:target.client_interp ~layout:target.layout
-          ~clients:target.clients ~server:target.server ()
-      in
-      let filter =
-        Obs.span Obs.Filter_eval (fun () ->
-            Filter.compile ~enum_values ~target:name ~layout:target.layout
-              ~report:analysis.Achilles.report ())
-      in
-      let file =
-        match output with Some f -> f | None -> name ^ ".achfilter"
-      in
-      match Filter.save filter ~file with
-      | Error e ->
-          Format.eprintf "compile-filter: cannot write %s: %s@." file e;
-          1
-      | Ok () ->
-          Format.printf "%a@." Filter.pp_summary filter;
-          Format.printf "wrote %s@." file;
-          if print_witnesses then
-            List.iter
-              (fun (t : Search.trojan) ->
-                Format.printf "witness state=%d %s@." t.Search.server_state_id
-                  (hex_of_witness t.Search.witness))
-              (Achilles.trojans analysis);
-          if Filter.unknown_leaves filter > 0 then
-            Format.printf
-              "note: %d unknown leaves — some messages will answer \
-               unknown-state@."
-              (Filter.unknown_leaves filter);
-          0)
+      match parse_mask target mask with
+      | Error msg -> `Error (false, msg)
+      | Ok mask ->
+          `Ok
+            (write_filter ~name target ~mask ~witnesses ~enum_values ~output
+               ~print_witnesses))
 
 let compile_filter_cmd =
   Cmd.v
@@ -631,8 +694,9 @@ let compile_filter_cmd =
           ($(i,not) PC restricted to accepting server paths) into a \
           self-contained runtime filter")
     Term.(
-      const compile_filter $ target_arg $ mask_arg $ witnesses_arg
-      $ enum_values_arg $ output_filter_arg $ print_witness_arg)
+      ret
+        (const compile_filter $ target_arg $ mask_arg $ witnesses_arg
+       $ enum_values_arg $ output_filter_arg $ print_witness_arg))
 
 let filter_file_arg =
   let doc = "Compiled filter written by $(b,compile-filter)." in

@@ -24,18 +24,18 @@ type config = {
   domains : int; (* must be 1; see search.mli *)
   split_bits : int option;
   solver_budget : Solver.budget option;
-      (* per-query budget installed for every shard's queries *)
+      (* per-query budget installed for the search's queries *)
   shard_retries : int; (* unused; see search.mli *)
   checkpoint_dir : string option;
       (* flush each completed shard's event log here (atomically) *)
   resume : bool; (* reuse matching shard checkpoints already in the dir *)
   cancel : unit -> bool;
-      (* polled cooperative interrupt: when it turns true, in-flight
-         exploration stops; completed shards and the partial logs of the
-         interrupted ones are reported *)
+      (* polled cooperative interrupt: when it turns true, exploration
+         stops; completed shards and the partial log of the shard the pass
+         was in are reported *)
   chaos : (int -> unit) option;
-      (* test hook run with the shard index as each shard starts; may
-         raise to simulate a crashing shard *)
+      (* test hook run with the shard index as a pass starts recording
+         it; may raise to simulate a crashing shard *)
 }
 
 let default_config =
@@ -100,7 +100,7 @@ type stats = {
 type coverage = {
   total_shards : int;
   completed_shards : int; (* shards whose event log made the report *)
-  failed_shards : int list; (* shard indices whose task raised *)
+  failed_shards : int list; (* shard indices a pass raised in *)
   resumed_shards : int; (* completed shards loaded from a checkpoint *)
   interrupted : bool; (* the cooperative cancel fired *)
   unknown_alive : int; (* alive-check Unknowns: client path kept alive *)
@@ -136,13 +136,14 @@ type report = {
 
 (* --- shard event log ---------------------------------------------------------
 
-   A shard cannot use global state ids (each shard numbers its own
-   states), so instead of filling the report directly it logs every
-   observation keyed by the state's route. Only the shard that *owns* a
-   state records it, so the merge is a concatenation — no deduplication —
-   sorted by route, with ids rewritten to the lexicographic rank of the
-   route, which equals the id a single depth-first run over the whole tree
-   assigns. *)
+   A shard's log may be written by another process (a checkpoint resumed
+   later) and a pass that skips resumed subtrees numbers its states
+   differently, so instead of filling the report directly the search logs
+   every observation keyed by the state's route. Each state's events go to
+   the log of the one shard it belongs to, so the merge is a concatenation
+   — no deduplication — sorted by route, with ids rewritten to the
+   lexicographic rank of the route, which equals the id a single
+   depth-first run over the whole tree assigns. *)
 
 type cevent = {
   (* one per recorded constraint on a message-constrained state *)
@@ -188,12 +189,12 @@ type recorder = {
   mutable rec_accepting : waccept list;
   mutable rec_drops : wdrop list;
   mutable rec_forks : int;
-  (* degradation accounting (coverage block), owner-deduplicated like the
-     other events *)
+  (* degradation accounting (coverage block), per shard like the other
+     events *)
   mutable rec_unknown_alive : int;
   mutable rec_unknown_prune : int;
   mutable rec_unknown_witness : int;
-  mutable rec_exhaustions : int; (* solver-stat delta over the task *)
+  mutable rec_exhaustions : int; (* solver-stat delta while it was recorded *)
   mutable rec_faults : int;
 }
 
@@ -213,29 +214,60 @@ let fresh_recorder () =
     rec_faults = 0;
   }
 
-(* --- client-path negations ---------------------------------------------------
+(* One shard's finished log and the fresh-variable counter at its end. *)
+type out = recorder * int
 
-   [negate(pathCi)] belongs to the client predicate, like the differentFrom
-   matrix, so one table serves every shard a run explores. The first shard
-   to reach a message-constrained state builds it, in path order. The build
-   allocates fresh (primed)
-   variables, so the table also records the fresh-variable counter after
-   it; a later shard adopts the table and that counter, and its primed
-   variables keep exactly the ids its own build would have given them.
-   Shards reach that point with the same counter and message variables
-   unless the server allocates variables after its first fork (the
-   determinism caveat in the interface); the key records both, and a shard
-   arriving with others builds a private table, as if none were shared. A
-   build that raises stores nothing, so the next shard builds afresh. *)
-type negation_table = {
-  nt_key : int * int array; (* counter before the build, message var ids *)
-  nt_negs : Term.t array; (* client idx -> negate(pathCi) *)
-  nt_after : int; (* counter after the build *)
+(* --- checkpoint shards -------------------------------------------------------
+
+   A run splits the exploration tree into 2^bits route shards, the units
+   of checkpoint and resume. A state belongs to the shard named by the
+   first [bits] decisions of its route, padded with '0' (the true side)
+   when the route is shorter. Depth-first pre-order visits routes in
+   lexicographic order, so it reaches those shards in the order of their
+   padded prefixes read as binary numbers — their *positions* — and never
+   comes back to one it has left. One pass over the tree therefore
+   finishes a shard, and checkpoints it, as soon as it reaches a state of a
+   later one. Shard files and [failed_shards] name a shard by its *index*:
+   the same prefix read with the first decision as the lowest bit. *)
+
+type slot =
+  | Todo (* no log yet: the next pass records it *)
+  | Loaded of out (* resumed from a checkpoint *)
+  | Done of out (* finished by a pass *)
+  | Failed (* a pass raised while recording it *)
+
+let is_todo = function Todo -> true | Loaded _ | Done _ | Failed -> false
+
+(* Where one pass is, and the run's shard slots it fills. *)
+type cursor = {
+  bits : int;
+  slots : slot array; (* by position *)
+  mutable cur : int; (* position of the shard the pass is in; -1 before *)
+  mutable log : recorder option; (* [cur]'s log, while this pass records it *)
+  mutable stopped : bool;
+      (* a cancel was seen at a shard boundary: [cur] stays partial and no
+         other shard starts or finishes *)
+  mutable exhaustions0 : int; (* solver counters when [log] started *)
+  mutable faults0 : int;
+  mutable abandoned : int; (* states cut off by cancellation, every pass *)
+  checkpoint : int -> out -> unit; (* index, finished log *)
 }
 
-type negations = negation_table option ref
+(* The position of the shard a route belongs to. *)
+let position bits route =
+  let p = ref 0 in
+  for k = 0 to bits - 1 do
+    p := (2 * !p) + if k < String.length route && route.[k] = '1' then 1 else 0
+  done;
+  !p
 
-let negations () : negations = ref None
+(* Index <-> position: the same [bits] decisions in reverse bit order. *)
+let index_of bits pos =
+  let idx = ref 0 in
+  for k = 0 to bits - 1 do
+    if pos land (1 lsl k) <> 0 then idx := !idx lor (1 lsl (bits - 1 - k))
+  done;
+  !idx
 
 (* What a state carries down the tree: its alive client paths, each with
    the model of its last satisfiable alive check, and the model of the
@@ -256,14 +288,11 @@ type search_ctx = {
   different_from : Different_from.t option;
   alive : (int, alive_entry) Hashtbl.t; (* state id -> its alive entry *)
   bindings : (int, Term.t list) Hashtbl.t; (* client idx -> msgS=msgC binding *)
-  negations : negations; (* the run's table, shared between shards *)
   mutable negated : Term.t array; (* client idx -> negate(pathCi) *)
-  shard : Interp.shard; (* the route shard being explored *)
-  recorder : recorder; (* the shard's event log *)
+  shards : cursor;
   mutable server_vars : Term.var array option;
   msg_var_ids : (int, unit) Hashtbl.t; (* ids of [server_vars] *)
   mutable field_var_ids : (string * int list) list; (* server var ids per field *)
-  mutable n_abandoned : int; (* states cut off by cancellation *)
   started : float;
 }
 
@@ -272,35 +301,68 @@ let all_indices ctx = List.init (Array.length ctx.paths) Fun.id
 let fresh_entry ctx =
   { ae_paths = List.map (fun i -> (i, None)) (all_indices ctx); ae_prune = None }
 
-(* Does this shard record observations for this state? Only the shard
-   that owns it does (with a single shard, that is every state). *)
-let records ctx (st : State.t) = Interp.shard_owns ctx.shard st.State.route
+(* Start the shard at [cur]: a [Todo] shard gets a fresh log, and the
+   [chaos] hook runs with its index (a raise fails that shard). *)
+let start_shard cfg sh =
+  if is_todo sh.slots.(sh.cur) then begin
+    let s = Solver.stats () in
+    sh.exhaustions0 <- s.Solver.budget_exhaustions;
+    sh.faults0 <- s.Solver.injected_faults;
+    sh.log <- Some (fresh_recorder ());
+    let idx = index_of sh.bits sh.cur in
+    if Obs.live () then
+      Obs.emit ~kind:"shard" ~name:"start" ~args:[ ("index", Obs.I idx) ] ();
+    Option.iter (fun hook -> hook idx) cfg.chaos
+  end
+
+(* The log of the shard at [cur] as it stands, with the solver's
+   degradation counters since it started. *)
+let close_log sh r =
+  let s = Solver.stats () in
+  r.rec_exhaustions <- s.Solver.budget_exhaustions - sh.exhaustions0;
+  r.rec_faults <- s.Solver.injected_faults - sh.faults0;
+  (r, Term.fresh_counter_value ())
+
+(* The pass has left the shard at [cur]: its log is complete, so it is
+   checkpointed. *)
+let finish_shard sh =
+  match sh.log with
+  | None -> ()
+  | Some r ->
+      let out = close_log sh r in
+      sh.slots.(sh.cur) <- Done out;
+      sh.log <- None;
+      let idx = index_of sh.bits sh.cur in
+      sh.checkpoint idx out;
+      if Obs.live () then
+        Obs.emit ~kind:"shard" ~name:"done" ~args:[ ("index", Obs.I idx) ] ()
+
+(* Move the pass forward to position [p] ([Array.length slots]: past the
+   last shard), one shard boundary at a time: each finishes the current
+   shard and starts the next, so a shard the pass crosses without
+   exploring a state of it is finished empty. A cancel seen at a boundary
+   stops the cursor there. *)
+let advance cfg sh p =
+  while sh.cur < p && not sh.stopped do
+    if cfg.cancel () then sh.stopped <- true
+    else begin
+      finish_shard sh;
+      sh.cur <- sh.cur + 1;
+      if sh.cur < Array.length sh.slots then start_shard cfg sh
+    end
+  done
+
+(* The log this state's events go to: its shard's, if this pass records
+   it. Pre-order never goes back to an earlier shard; the one event that
+   can arrive late, a crash reported on a statement's starting state after
+   part of its subtree ran, joins the current log. *)
+let log_for ctx (st : State.t) =
+  let sh = ctx.shards in
+  let p = position sh.bits st.State.route in
+  advance ctx.cfg sh p;
+  if p > sh.cur then None (* stopped by a cancel *) else sh.log
 
 let negation_for ctx idx = ctx.negated.(idx)
-
-let negations_for ctx vars =
-  let build () =
-    Array.map
-      (Negate.negate_path ~check_overlap:ctx.cfg.check_overlap
-         ?mask:ctx.cfg.mask ~layout:ctx.client.Predicate.layout
-         ~server_vars:vars)
-      ctx.paths
-  in
-  let key =
-    ( Term.fresh_counter_value (),
-      Array.map (fun (v : Term.var) -> v.Term.id) vars )
-  in
-  match !(ctx.negations) with
-  | Some t when t.nt_key = key ->
-      Term.set_fresh_counter t.nt_after;
-      t.nt_negs
-  | Some _ -> build ()
-  | None ->
-      let negs = build () in
-      ctx.negations :=
-        Some
-          { nt_key = key; nt_negs = negs; nt_after = Term.fresh_counter_value () };
-      negs
 
 let setup_server_vars ctx vars =
   match ctx.server_vars with
@@ -327,7 +389,11 @@ let setup_server_vars ctx vars =
       (* every negation at once, at the first message-constrained state:
          the primed variables get the same ids whichever state first needs
          one *)
-      ctx.negated <- negations_for ctx vars
+      ctx.negated <-
+        Array.map
+          (Negate.negate_path ~check_overlap:ctx.cfg.check_overlap
+             ?mask:ctx.cfg.mask ~layout ~server_vars:vars)
+          ctx.paths
 
 let binding_for ctx idx =
   match Hashtbl.find_opt ctx.bindings idx with
@@ -417,7 +483,7 @@ let on_constraint ctx (st : State.t) cond =
   if ctx.cfg.cancel () then begin
     (* cooperative interrupt: stop growing this subtree; the state ends
        [Dropped] and the surrounding shard is reported incomplete *)
-    ctx.n_abandoned <- ctx.n_abandoned + 1;
+    ctx.shards.abandoned <- ctx.shards.abandoned + 1;
     false
   end
   else
@@ -425,7 +491,7 @@ let on_constraint ctx (st : State.t) cond =
   | None -> true (* constraints before the message arrives: nothing to do *)
   | Some vars ->
       setup_server_vars ctx vars;
-      let recording = records ctx st in
+      let log = log_for ctx st in
       let checks_here = ref 0 and transitive_here = ref 0 and drop_ord = ref 0 in
       let entry = alive_for ctx st in
       let over_msg = over_message_vars ctx cond in
@@ -480,26 +546,27 @@ let on_constraint ctx (st : State.t) cond =
                            keeps the client path alive (its negation stays
                            in the Trojan query, over- rather than
                            under-constraining) *)
-                        (if recording then
-                           let r = ctx.recorder in
-                           r.rec_unknown_alive <- r.rec_unknown_alive + 1);
+                        Option.iter
+                          (fun r -> r.rec_unknown_alive <- r.rec_unknown_alive + 1)
+                          log;
                         Some (i, None)
                     | `Incompatible ->
-                        if recording && ctx.cfg.explain_drops then begin
-                          match drop_core st with
-                          | Some conflicting ->
-                              ctx.recorder.rec_drops <-
-                                {
-                                  wd_route = st.State.route;
-                                  wd_plen = List.length st.State.path;
-                                  wd_ord = !drop_ord;
-                                  wd_path = i;
-                                  wd_conflicting = conflicting;
-                                }
-                                :: ctx.recorder.rec_drops;
-                              incr drop_ord
-                          | None -> ()
-                        end;
+                        (match log with
+                        | Some r when ctx.cfg.explain_drops -> (
+                            match drop_core st with
+                            | Some conflicting ->
+                                r.rec_drops <-
+                                  {
+                                    wd_route = st.State.route;
+                                    wd_plen = List.length st.State.path;
+                                    wd_ord = !drop_ord;
+                                    wd_path = i;
+                                    wd_conflicting = conflicting;
+                                  }
+                                  :: r.rec_drops;
+                                incr drop_ord
+                            | None -> ())
+                        | _ -> ());
                         Obs.count "search.client_path_drops";
                         if Obs.live () then
                           Obs.emit ~kind:"drop" ~name:"client_path"
@@ -543,9 +610,9 @@ let on_constraint ctx (st : State.t) cond =
         | Solver.Unknown ->
             (* sound degradation: only a proven-Trojan-free state may be
                pruned; an undecided query keeps the state alive *)
-            (if recording then
-               let r = ctx.recorder in
-               r.rec_unknown_prune <- r.rec_unknown_prune + 1);
+            Option.iter
+              (fun r -> r.rec_unknown_prune <- r.rec_unknown_prune + 1)
+              log;
             (false, None)
       in
       Hashtbl.replace ctx.alive st.State.id
@@ -557,28 +624,32 @@ let on_constraint ctx (st : State.t) cond =
             ~args:[ ("route", Obs.S st.State.route) ]
             ()
       end;
-      if recording then
-        ctx.recorder.rec_cevents <-
-          {
-            ce_route = st.State.route;
-            ce_plen = List.length st.State.path;
-            ce_alive = List.length alive;
-            ce_checks = !checks_here;
-            ce_transitive = !transitive_here;
-            ce_pruned = pruned;
-          }
-          :: ctx.recorder.rec_cevents;
+      Option.iter
+        (fun r ->
+          r.rec_cevents <-
+            {
+              ce_route = st.State.route;
+              ce_plen = List.length st.State.path;
+              ce_alive = List.length alive;
+              ce_checks = !checks_here;
+              ce_transitive = !transitive_here;
+              ce_pruned = pruned;
+            }
+            :: r.rec_cevents)
+        log;
       not pruned
 
 let on_fork ctx ~parent ~child =
   Hashtbl.replace ctx.alive child.State.id (alive_for ctx parent);
-  let r = ctx.recorder and croute = child.State.route in
-  if Interp.shard_owns ctx.shard croute then r.rec_routes <- croute :: r.rec_routes;
-  (* count each two-sided fork once: at its '0' child, by the parent's
-     owner (who always explores that child) *)
-  let clen = String.length croute in
-  if clen > 0 && croute.[clen - 1] = '0' && records ctx parent then
-    r.rec_forks <- r.rec_forks + 1
+  match log_for ctx child with
+  | None -> ()
+  | Some r ->
+      let croute = child.State.route in
+      r.rec_routes <- croute :: r.rec_routes;
+      (* count each two-sided fork once: at its '0' child, which belongs to
+         the parent's shard *)
+      if croute.[String.length croute - 1] = '0' then
+        r.rec_forks <- r.rec_forks + 1
 
 let witness_of_model vars model =
   Array.map
@@ -592,14 +663,13 @@ let witness_of_model vars model =
 (* Enumerate concrete Trojan witnesses on an accepting path in one solver
    session, blocking each discovered message (or message class) before
    re-solving. *)
-let emit_trojans ctx (st : State.t) label =
+let emit_trojans ctx r (st : State.t) label =
   match st.State.msg_vars with
   | None -> ()
   | Some vars ->
       setup_server_vars ctx vars;
       let alive = List.map fst (alive_for ctx st).ae_paths in
       let base_query = trojan_query ctx st alive in
-      let r = ctx.recorder in
       r.rec_accepting <-
         {
           wa_route = st.State.route;
@@ -686,16 +756,15 @@ let minimize_witness (t : trojan) =
   current
 
 let on_terminal ctx (st : State.t) =
-  if records ctx st && st.State.status <> State.Running then begin
-    let r = ctx.recorder in
-    r.rec_terminals <- (st.State.route, st.State.status) :: r.rec_terminals;
-    match st.State.status with
-    | State.Accepted label -> emit_trojans ctx st label
-    | _ -> ()
-  end
+  match log_for ctx st with
+  | Some r when st.State.status <> State.Running -> (
+      r.rec_terminals <- (st.State.route, st.State.status) :: r.rec_terminals;
+      match st.State.status with
+      | State.Accepted label -> emit_trojans ctx r st label
+      | _ -> ())
+  | _ -> ()
 
-let make_ctx ~config ~client ~different_from ~negations ~shard ~recorder
-    ~started =
+let make_ctx ~config ~client ~different_from ~shards ~started =
   {
     cfg = config;
     client;
@@ -703,14 +772,11 @@ let make_ctx ~config ~client ~different_from ~negations ~shard ~recorder
     different_from;
     alive = Hashtbl.create 256;
     bindings = Hashtbl.create 64;
-    negations;
     negated = [||];
-    shard;
-    recorder;
+    shards;
     server_vars = None;
     msg_var_ids = Hashtbl.create 64;
     field_var_ids = [];
-    n_abandoned = 0;
     started;
   }
 
@@ -721,22 +787,6 @@ let hooks_of ctx =
     Interp.on_send = (fun _ _ -> ());
     Interp.on_terminal = (fun st -> on_terminal ctx st);
   }
-
-(* --- shard driver -----------------------------------------------------------
-
-   The exploration tree is split into 2^split_bits route shards, the units
-   of checkpoint and resume, explored one after another. A shard replays
-   the shared spine (routes shorter than split_bits) and exclusively
-   explores — and records — the subtrees matching its bit pattern, with its
-   fresh-variable counter reset to the pre-search base, so every variable
-   (message bytes, negation primes) gets the same id whatever the
-   decomposition. The client-path negations are built once per run, by the
-   first shard that needs them, and shared by the rest (see [negations]).
-   The merge concatenates the disjoint event logs, sorts them by route
-   (lexicographic route order = depth-first creation order), and renumbers
-   state ids by route rank; everything except wall-clock timestamps is
-   bit-identical across splits. A run without checkpoints is one shard (0
-   split bits): no spine replay. *)
 
 module String_set = Set.Make (String)
 
@@ -749,9 +799,9 @@ module String_set = Set.Make (String)
    shard files behind. The payload carries its own digest: a torn or
    bit-rotted file is detected on load and treated as missing (the shard is
    re-explored with a warning), never trusted and never fatal. [resume]
-   then re-explores exactly the missing shards: because every shard task
-   replays the same fresh-variable base and owns disjoint routes, a merge
-   of loaded and re-explored shards is indistinguishable from an
+   then re-explores exactly the missing shards: every pass starts from the
+   same fresh-variable base and shards hold disjoint routes, so a merge of
+   loaded and re-explored shards is indistinguishable from an
    uninterrupted run (the determinism guarantee extends across process
    boundaries). *)
 
@@ -850,9 +900,6 @@ let write_checkpoint_file ~file ~fingerprint ~idx (recorder, counter) =
           (try Sys.remove tmp with Sys_error _ -> ());
           failed reason)
 
-let write_shard_checkpoint ~dir ~fingerprint ~idx out =
-  write_checkpoint_file ~file:(shard_file dir idx) ~fingerprint ~idx out
-
 (* Terms revived by [Marshal] bypassed the smart constructors: their node
    ids belong to the (dead) process that wrote the checkpoint and may
    collide with ids of live terms, which would poison id-keyed memo tables
@@ -881,7 +928,7 @@ let rebuild_recorder r =
    or poison the merge. A wrong fingerprint is no damage: the file is
    intact but was written by a run with another split or other options, so
    it is reported as stale rather than corrupt. *)
-let load_checkpoint_file ~file ~fingerprint ~idx : (recorder * int) option =
+let load_checkpoint_file ~file ~fingerprint ~idx : out option =
   Obs.span Obs.Checkpoint_io @@ fun () ->
   if Obs.live () then
     Obs.emit ~kind:"checkpoint" ~name:"load" ~args:[ ("index", Obs.I idx) ] ();
@@ -921,13 +968,10 @@ let load_checkpoint_file ~file ~fingerprint ~idx : (recorder * int) option =
       ->
         corrupt "payload digest mismatch"
     | _, _, _, _, payload -> (
-        match (Marshal.from_string payload 0 : recorder * int) with
+        match (Marshal.from_string payload 0 : out) with
         | r, c -> Some (rebuild_recorder r, c)
         | exception _ -> corrupt "payload unmarshal failure")
   end
-
-let load_shard_checkpoint ~dir ~fingerprint ~idx =
-  load_checkpoint_file ~file:(shard_file dir idx) ~fingerprint ~idx
 
 (* A writer killed between creating its temp file and the rename leaves the
    temp behind; left alone, those accumulate and (worse) a matching-name
@@ -959,12 +1003,22 @@ let clean_stale_tmp_files dir =
       end)
     (try Sys.readdir dir with Sys_error _ -> [||])
 
-let ensure_checkpoint_dir dir =
-  if not (Sys.file_exists dir) then Unix.mkdir dir 0o755
-  else if not (Sys.is_directory dir) then
-    invalid_arg
-      (Printf.sprintf "Search: checkpoint dir %S is not a directory" dir)
-  else clean_stale_tmp_files dir
+(* Create [dir] if needed (its parent must exist) and sweep stale temp
+   files, or say why it cannot hold checkpoints. *)
+let prepare_checkpoint_dir dir =
+  match Sys.is_directory dir with
+  | true ->
+      clean_stale_tmp_files dir;
+      Ok ()
+  | false ->
+      Error (Printf.sprintf "checkpoint directory %s is not a directory" dir)
+  | exception Sys_error _ -> (
+      match Unix.mkdir dir 0o755 with
+      | () -> Ok ()
+      | exception Unix.Unix_error (e, _, _) ->
+          Error
+            (Printf.sprintf "cannot create checkpoint directory %s: %s" dir
+               (Unix.error_message e)))
 
 let split_bits_of config =
   match config.split_bits with
@@ -973,30 +1027,44 @@ let split_bits_of config =
       b
   | None -> if config.checkpoint_dir <> None || config.resume then 2 else 0
 
-(* Deterministic merge of disjoint shard event logs into a report:
-   concatenate, sort by route (lexicographic route order = depth-first
-   creation order), and renumber state ids by route rank. Every run ends
-   here — which is what makes the final report digest independent of the
-   split and resume history. [partial] logs (shards the cancel cut
-   short) join the report but not the completed count. *)
-let merge_outs ~total ~base ~started ~outs_resumed ~partial ~failed_shards
-    ~interrupted ~abandoned =
-  let outs = List.map fst outs_resumed @ partial in
+(* Deterministic merge of the run's disjoint shard event logs into a
+   report: concatenate, sort by route (lexicographic route order =
+   depth-first creation order), and renumber state ids by route rank.
+   Every run ends here — which is what makes the final report digest
+   independent of the split and resume history. A [partial] log (the shard
+   a cancel cut short) joins the report but not the completed count. *)
+let merge_outs ~base ~started ~partial ~interrupted sh =
+  let slots = Array.to_list sh.slots in
+  let completed =
+    List.filter_map
+      (function
+        | Loaded out -> Some (out, true)
+        | Done out -> Some (out, false)
+        | Todo | Failed -> None)
+      slots
+  in
+  let outs = List.map fst completed @ partial in
   let sum f = List.fold_left (fun acc (r, _) -> acc + f r) 0 outs in
   let slice_static, slice_cone = slice_counters () in
   let coverage =
     {
-      total_shards = total;
-      completed_shards = List.length outs_resumed;
-      failed_shards;
-      resumed_shards = List.length (List.filter snd outs_resumed);
+      total_shards = Array.length sh.slots;
+      completed_shards = List.length completed;
+      failed_shards =
+        List.sort compare
+          (List.concat
+             (List.mapi
+                (fun pos -> function
+                  | Failed -> [ index_of sh.bits pos ] | _ -> [])
+                slots));
+      resumed_shards = List.length (List.filter snd completed);
       interrupted;
       unknown_alive = sum (fun r -> r.rec_unknown_alive);
       unknown_prune = sum (fun r -> r.rec_unknown_prune);
       unknown_witness = sum (fun r -> r.rec_unknown_witness);
       budget_exhaustions = sum (fun r -> r.rec_exhaustions);
       injected_faults = sum (fun r -> r.rec_faults);
-      abandoned_states = abandoned;
+      abandoned_states = sh.abandoned;
       slice_static_branches = slice_static;
       slice_cone_queries = slice_cone;
     }
@@ -1042,8 +1110,9 @@ let merge_outs ~total ~base ~started ~outs_resumed ~partial ~failed_shards
             (fun t -> t.wt_route))
   in
   (* found_at is wall clock — the one field outside the determinism claim.
-     Shards do not run in route order, so restore monotonicity along the
-     merged (depth-first) order for the Figure-10 discovery curve. *)
+     Resumed shards were found by another run, so restore monotonicity
+     along the merged (depth-first) order for the Figure-10 discovery
+     curve. *)
   let _, trojans =
     List.fold_left_map
       (fun floor w ->
@@ -1118,31 +1187,31 @@ let merge_outs ~total ~base ~started ~outs_resumed ~partial ~failed_shards
   in
   { trojans; accepting; drops; search_stats = stats; coverage }
 
-(* Run one route shard: replay the fresh-variable id sequence from [base],
-   explore the shard's subtrees, and return its event log, whether it ran
-   to completion, and the states abandoned to cancellation. A log the
-   cooperative cancel cut short is partial: it may be reported, but never
-   checkpointed or counted as a completed shard. The shard installs
-   [config.solver_budget] for its own queries and gives the caller its
-   previous budget back. *)
-let explore_shard ~config ~different_from ~negations ~client ~server ~bits
-    ~base ~started idx =
-  let shard = { Interp.shard_index = idx; Interp.shard_bits = bits } in
+(* One depth-first pass over the tree, from the fresh-variable base: it
+   records every [Todo] shard it reaches and skips the subtrees that hold
+   only shards already logged, so the search work is that of an unsharded
+   run. Raises what the pass raised, with the cursor left at the shard it
+   was in. The pass installs [config.solver_budget] for its own queries and
+   gives the caller its previous budget back. *)
+let explore_pass ~config ~different_from ~client ~server ~started ~base sh =
   Term.set_fresh_counter base;
-  let solver_stats = Solver.stats () in
-  let exhaustions0 = solver_stats.Solver.budget_exhaustions in
-  let faults0 = solver_stats.Solver.injected_faults in
-  let recorder = fresh_recorder () in
-  let ctx =
-    make_ctx ~config ~client ~different_from ~negations ~shard ~recorder
-      ~started
+  sh.cur <- -1;
+  sh.log <- None;
+  let ctx = make_ctx ~config ~client ~different_from ~shards:sh ~started in
+  (* a route's subtree belongs to the shards at positions [lo, hi) *)
+  let logged route =
+    let lo = position sh.bits route in
+    let hi = lo + (1 lsl (sh.bits - min (String.length route) sh.bits)) in
+    let rec from p = p = hi || ((not (is_todo sh.slots.(p))) && from (p + 1)) in
+    from lo
   in
   let iconfig =
     {
       config.interp with
-      Interp.shard = Some shard;
-      (* fresh oracle per shard, as a resumed run that explores only this
-         shard would have *)
+      (* a pass that starts with every shard [Todo] never returns to one
+         it finished *)
+      Interp.skip_route =
+        (if Array.for_all is_todo sh.slots then None else Some logged);
       Interp.oracle =
         (if config.use_slice then Some (Slice.make_oracle ()) else None);
     }
@@ -1152,103 +1221,98 @@ let explore_shard ~config ~different_from ~negations ~client ~server ~bits
   Fun.protect
     ~finally:(fun () -> Solver.set_budget saved_budget)
     (fun () ->
-      Obs.span Obs.Server_se (fun () ->
-          ignore (Interp.run ~config:iconfig ~hooks:(hooks_of ctx) server)));
-  recorder.rec_exhaustions <-
-    solver_stats.Solver.budget_exhaustions - exhaustions0;
-  recorder.rec_faults <- solver_stats.Solver.injected_faults - faults0;
-  ( (recorder, Term.fresh_counter_value ()),
-    not (config.cancel ()),
-    ctx.n_abandoned )
+      advance config sh 0;
+      if not sh.stopped then begin
+        Obs.span Obs.Server_se (fun () ->
+            ignore (Interp.run ~config:iconfig ~hooks:(hooks_of ctx) server));
+        advance config sh (Array.length sh.slots)
+      end)
 
-let run_shards ~config ~different_from ~client ~server ~started ~bits =
-  let n_tasks = 1 lsl bits in
-  let base = Term.fresh_counter_value () in
-  let negations = negations () in
-  let fingerprint =
-    match config.checkpoint_dir with
-    | Some dir ->
-        ensure_checkpoint_dir dir;
-        run_fingerprint ~bits ~config ~client ~server
-    | None -> ""
-  in
-  let loaded =
-    Array.init n_tasks (fun idx ->
-        match config.checkpoint_dir with
-        | Some dir when config.resume ->
-            load_shard_checkpoint ~dir ~fingerprint ~idx
-        | _ -> None)
-  in
-  let abandoned = ref 0 in
-  (* A shard that raises (the [chaos] hook included) is recorded as failed
-     and the others still run; only a resume recovers it. *)
-  let explore idx =
-    if Obs.live () then
-      Obs.emit ~kind:"shard" ~name:"start" ~args:[ ("index", Obs.I idx) ] ();
-    match
-      (match config.chaos with Some hook -> hook idx | None -> ());
-      if config.cancel () then `Missing
-      else begin
-        let out, complete, n_abandoned =
-          explore_shard ~config ~different_from ~negations ~client ~server
-            ~bits ~base ~started idx
-        in
-        abandoned := !abandoned + n_abandoned;
-        if complete then begin
-          (match config.checkpoint_dir with
-          | Some dir -> write_shard_checkpoint ~dir ~fingerprint ~idx out
-          | None -> ());
-          if Obs.live () then
-            Obs.emit ~kind:"shard" ~name:"done" ~args:[ ("index", Obs.I idx) ] ();
-          `Done (out, false)
-        end
-        else begin
-          if Obs.live () then
-            Obs.emit ~kind:"shard" ~name:"cancelled"
-              ~args:[ ("index", Obs.I idx) ]
-              ();
-          `Partial out
-        end
-      end
-    with
-    | result -> result
-    | exception _ ->
-        if Obs.live () then
-          Obs.emit ~kind:"shard" ~name:"failed" ~args:[ ("index", Obs.I idx) ] ();
-        `Failed
-  in
-  (* highest index first: a seeded fault-injected run replays its fault
-     pattern only in a fixed shard order *)
-  let results = Array.make n_tasks `Missing in
-  for idx = n_tasks - 1 downto 0 do
-    results.(idx) <-
-      (match loaded.(idx) with
-      | Some out -> `Done (out, true)
-      | None -> explore idx)
-  done;
-  let results = Array.to_list results in
-  merge_outs ~total:n_tasks ~base ~started
-    ~outs_resumed:
-      (List.filter_map (function `Done d -> Some d | _ -> None) results)
-    ~partial:
-      (List.filter_map (function `Partial out -> Some out | _ -> None) results)
-    ~failed_shards:
-      (List.concat
-         (List.mapi (fun idx -> function `Failed -> [ idx ] | _ -> []) results))
-    ~interrupted:(config.cancel ()) ~abandoned:!abandoned
-
+(* A pass that raises fails the shard it was recording, and the next pass
+   skips it along with every finished one, so a run takes at most
+   [2^bits] extra passes. A pass that raises while it records nothing (in
+   a loaded or failed shard) would raise again: every unfinished shard
+   fails and the run ends. *)
 let run ?(config = default_config) ?different_from ~client ~server () =
   if config.domains <> 1 then invalid_arg "Search: domains must be 1";
   let started = Unix.gettimeofday () in
-  match split_bits_of config with
-  | 0 ->
-      (* one shard, whose own span covers the whole exploration *)
-      run_shards ~config ~different_from ~client ~server ~started ~bits:0
-  | bits ->
-      (* one span around sharding and the merge; every shard opens its own
-         nested span *)
-      Obs.span Obs.Server_se (fun () ->
-          run_shards ~config ~different_from ~client ~server ~started ~bits)
+  let bits = split_bits_of config in
+  let n = 1 lsl bits in
+  let base = Term.fresh_counter_value () in
+  let fingerprint =
+    match config.checkpoint_dir with
+    | Some dir -> (
+        match prepare_checkpoint_dir dir with
+        | Ok () -> run_fingerprint ~bits ~config ~client ~server
+        | Error msg -> invalid_arg ("Search: " ^ msg))
+    | None -> ""
+  in
+  let loaded =
+    Array.init n (fun idx ->
+        match config.checkpoint_dir with
+        | Some dir when config.resume ->
+            load_checkpoint_file ~file:(shard_file dir idx) ~fingerprint ~idx
+        | _ -> None)
+  in
+  let sh =
+    {
+      bits;
+      slots =
+        Array.init n (fun pos ->
+            match loaded.(index_of bits pos) with
+            | Some out -> Loaded out
+            | None -> Todo);
+      cur = -1;
+      log = None;
+      stopped = false;
+      exhaustions0 = 0;
+      faults0 = 0;
+      abandoned = 0;
+      checkpoint =
+        (match config.checkpoint_dir with
+        | Some dir ->
+            fun idx ->
+              write_checkpoint_file ~file:(shard_file dir idx) ~fingerprint ~idx
+        | None -> fun _ _ -> ());
+    }
+  in
+  let fail pos =
+    sh.slots.(pos) <- Failed;
+    if Obs.live () then
+      Obs.emit ~kind:"shard" ~name:"failed"
+        ~args:[ ("index", Obs.I (index_of bits pos)) ]
+        ()
+  in
+  let rec passes () =
+    if
+      (not sh.stopped)
+      && Array.exists is_todo sh.slots
+      && not (config.cancel ())
+    then
+      match
+        explore_pass ~config ~different_from ~client ~server ~started ~base sh
+      with
+      | () -> ()
+      | exception _ -> (
+          match sh.log with
+          | Some _ ->
+              sh.log <- None;
+              fail sh.cur;
+              passes ()
+          | None -> Array.iteri (fun pos s -> if is_todo s then fail pos) sh.slots)
+  in
+  passes ();
+  let partial =
+    match sh.log with
+    | Some r ->
+        if Obs.live () then
+          Obs.emit ~kind:"shard" ~name:"cancelled"
+            ~args:[ ("index", Obs.I (index_of bits sh.cur)) ]
+            ();
+        [ close_log sh r ]
+    | None -> []
+  in
+  merge_outs ~base ~started ~partial ~interrupted:(config.cancel ()) sh
 
 (* Accepting states paired with the Trojan query the search decided them
    with — the predicate export consumed by the filter compiler
@@ -1270,29 +1334,16 @@ let trojan_queries (r : report) =
       (sp, query))
     r.accepting
 
-(* The shard-level surface of [run_shards], exposed for tests: explore one
-   shard, persist or load its event log as a durable checkpoint file, and
-   merge disjoint logs into the canonical report. Everything here is
-   exactly what [run] uses, so the two cannot drift. *)
+(* The checkpoint files of [run], exposed for tests and for the
+   CLI's up-front directory check. *)
 module Shards = struct
-  type out = recorder * int
+  type nonrec out = out
 
-  let split_bits = split_bits_of
-  let prepare_dir = ensure_checkpoint_dir
+  let prepare_dir = prepare_checkpoint_dir
 
-  type nonrec negations = negations
-
-  let negations = negations
-
-  let explore ~config ~different_from ~negations ~client ~server ~bits ~base
-      ~started idx =
-    let out, complete, abandoned =
-      explore_shard ~config ~different_from ~negations ~client ~server ~bits
-        ~base ~started idx
-    in
-    ((if complete then Some out else None), abandoned)
+  let fingerprint ~config ~client ~server =
+    run_fingerprint ~bits:(split_bits_of config) ~config ~client ~server
 
   let write = write_checkpoint_file
   let load = load_checkpoint_file
-  let merge = merge_outs
 end

@@ -25,22 +25,27 @@
     witnesses per accepting path, each timestamped for the discovery curve
     of Figure 10.
 
-    {b Shards.} A run splits the exploration tree into [2^split_bits]
-    route shards, the units of checkpoint and resume, and explores them one
-    after another on the caller, each with its fresh-variable counter
-    replaying the pre-search id sequence; the client-path negations are
-    built once per run and shared by every shard. A run without
-    checkpointing uses 0 split bits: one shard. Exactly one shard owns
-    (records) each state, and the merge sorts the disjoint event logs by
-    route — lexicographic route order equals depth-first creation order —
-    and renumbers state ids by route rank, so the report is identical at
-    every split and across a resume except for wall-clock fields
-    ([wall_time], and [found_at], which is re-monotonized in merge order).
-    Caveats: determinism assumes the server allocates no fresh symbolic
-    variables after its first fork (all bundled models receive the analyzed
-    message up front), that [max_states] (a per-shard bound) is not hit,
-    and [explain_drops] unsat-core {e contents} may differ (cores depend on
-    solver history; the set of drop events does not). *)
+    {b Shards.} A run explores the tree in one depth-first pass and splits
+    it into [2^split_bits] route shards, the units of checkpoint and
+    resume: a state belongs to the shard named by the first [split_bits]
+    decisions of its route (padded with the true side), and each shard
+    keeps its own event log. Pre-order reaches the shards one after another
+    and never returns to one it has left, so a shard is finished, and
+    checkpointed, as soon as the pass reaches the next; a checkpointed run
+    does exactly the search work of one without. A run without
+    checkpointing has 0 split bits: one shard. A resumed run skips the
+    subtrees its loaded shards hold. The merge sorts the disjoint event
+    logs by route — lexicographic route order equals depth-first creation
+    order — and renumbers state ids by route rank, so the report is
+    identical at every split and across a resume except for wall-clock
+    fields ([wall_time], and [found_at], which is re-monotonized in merge
+    order). Caveats: determinism across a resume assumes the server
+    allocates no fresh symbolic variables after its first fork (all bundled
+    models receive the analyzed message up front), and that [max_states]
+    (a bound on the states one pass creates, which a resumed pass spends
+    only outside the skipped subtrees) is not hit; [explain_drops]
+    unsat-core {e contents} may differ (cores depend on solver history; the
+    set of drop events does not). *)
 
 open Achilles_smt
 open Achilles_symvm
@@ -76,10 +81,12 @@ type config = {
          because the perfbench harness's config literal names it; delete it
          together with that line *)
   split_bits : int option;
-      (* route shards = 2^split_bits (in [0,16]); [None] picks 2 when
-         checkpointing ([checkpoint_dir] or [resume] set), else 0 *)
+      (* route shards = 2^split_bits (in [0,16]), the units of checkpoint
+         and resume; [None] picks 2 when checkpointing ([checkpoint_dir] or
+         [resume] set), else 0. The split changes no report and no search
+         work *)
   solver_budget : Solver.budget option;
-      (* solver budget installed for each shard's queries (the caller's own
+      (* solver budget installed for the search's queries (the caller's own
          budget is restored afterwards); [None] leaves queries unbounded *)
   shard_retries : int;
       (* no effect: a shard task that raises is never retried, it is
@@ -89,19 +96,23 @@ type config = {
          that literal drops the [with] *)
   checkpoint_dir : string option;
       (* when set, every completed shard's event log is flushed to
-         [dir/shard-NNNN.ckpt] via an atomic rename *)
+         [dir/shard-NNNN.ckpt] via an atomic rename, empty shards included;
+         the directory must exist or have an existing parent
+         ([Invalid_argument] otherwise, see {!Shards.prepare_dir}) *)
   resume : bool;
-      (* with [checkpoint_dir]: load valid shard checkpoints and re-explore
-         only the missing shards *)
+      (* with [checkpoint_dir]: load valid shard checkpoints and explore
+         only the rest of the tree; with every shard loaded, nothing is
+         explored *)
   cancel : unit -> bool;
-      (* cooperative cancellation, polled at every branch constraint; once
-         true, in-flight shards abandon exploration and the report is
-         assembled from the completed shards plus the partial logs of the
-         shards cut short (never checkpointed, never counted complete) *)
+      (* cooperative cancellation, polled at every branch constraint and
+         shard boundary; once true, exploration stops, the shard the pass
+         was in stays partial (reported, never checkpointed, never counted
+         complete) and no other shard is finished *)
   chaos : (int -> unit) option;
-      (* test hook run with the shard index at the top of every shard task
-         (raise to simulate a shard crash: the shard is recorded as failed,
-         and only [resume] recovers it) *)
+      (* test hook run with the shard index when a pass starts recording a
+         shard (raise to simulate a crash: the shard is recorded as failed,
+         a new pass explores the shards after it, and only [resume]
+         recovers it) *)
 }
 
 val default_config : config
@@ -164,7 +175,7 @@ type stats = {
 type coverage = {
   total_shards : int; (* 1 without checkpointing *)
   completed_shards : int;
-  failed_shards : int list; (* shard indices whose task raised *)
+  failed_shards : int list; (* shard indices a pass raised in *)
   resumed_shards : int; (* loaded from checkpoints instead of explored *)
   interrupted : bool; (* [cancel] fired during the run *)
   unknown_alive : int; (* alive checks degraded to keep-alive *)
@@ -214,48 +225,28 @@ val minimize_witness : trojan -> Bv.t array
     bytes as the expression allows — easier to read and to diff against
     valid traffic when preparing fire-drill payloads. *)
 
-(** {1 Shard-level API}
+(** {1 Shard checkpoint files}
 
-    The building blocks {!run} is made of, exposed so tests can drive single
-    shards: {!Shards.explore} runs one route shard, {!Shards.write} and
-    {!Shards.load} persist and validate its checkpoint, and {!Shards.merge}
-    assembles the report from disjoint shard logs — the same merge every
-    run ends with, so any set of shards explored this way merges to the
-    report {!run} gives. *)
+    The files {!run} writes under [checkpoint_dir], exposed so tests can
+    damage and reload them and the CLI can check a directory before any
+    analysis runs. *)
 module Shards : sig
   type out
-  (** One completed shard's event log plus its final fresh-variable
-      counter. Opaque: produced by {!explore} or {!load}, consumed by
-      {!write} and {!merge}. *)
+  (** One completed shard's event log plus the fresh-variable counter at
+      its end. Opaque: produced by {!load}, consumed by {!write}. *)
 
-  val split_bits : config -> int
-  (** The shard decomposition the config implies ([2^bits] shards). *)
+  val prepare_dir : string -> (unit, string) result
+  (** Create the directory if needed (its parent must exist) and delete
+      stale [*.tmp.*] leftovers from killed writers; [Error] says why the
+      path cannot hold checkpoints (not a directory, or not creatable).
+      {!run} calls it once per checkpointing run. *)
 
-  val prepare_dir : string -> unit
-  (** Create the directory if needed and delete stale [*.tmp.*] leftovers
-      from killed writers. Call once per run, before any shard writes. *)
-
-  type negations
-  (** The [negate(pathCi)] table of one run. Create one per run and pass
-      it to every {!explore} call: the first shard to need it builds it,
-      the others adopt it. *)
-
-  val negations : unit -> negations
-
-  val explore :
+  val fingerprint :
     config:config ->
-    different_from:Different_from.t option ->
-    negations:negations ->
     client:Predicate.client_predicate ->
     server:Ast.program ->
-    bits:int ->
-    base:int ->
-    started:float ->
-    int ->
-    out option * int
-  (** [explore ... idx] runs shard [idx] to completion, replaying the fresh-variable sequence from [base]. Returns
-      [(None, abandoned)] when [config.cancel] fired mid-shard: the partial
-      log is dropped. *)
+    string
+  (** The run identity {!run} stamps into its checkpoint files. *)
 
   val write : file:string -> fingerprint:string -> idx:int -> out -> unit
   (** Durable atomic checkpoint: marshal to a pid-qualified temp file,
@@ -271,20 +262,4 @@ module Shards : sig
       fingerprint (another split or other options) counts as
       ["checkpoint.stale"]; every other rejection counts as
       ["checkpoint.corrupt"]. *)
-
-  val merge :
-    total:int ->
-    base:int ->
-    started:float ->
-    outs_resumed:(out * bool) list ->
-    partial:out list ->
-    failed_shards:int list ->
-    interrupted:bool ->
-    abandoned:int ->
-    report
-  (** Deterministic merge of disjoint shard logs ([resumed] flags feed the
-      coverage block). [partial] logs of shards the cancel cut short join
-      the report's results but not its completed-shard count.
-      [failed_shards] are reported as uncovered — never silently
-      dropped. *)
 end

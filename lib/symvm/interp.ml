@@ -6,30 +6,6 @@ exception Runtime_error of string
 
 let runtime_error fmt = Format.kasprintf (fun s -> raise (Runtime_error s)) fmt
 
-(* A shard restricts a run to the subtree(s) whose routes agree with the
-   shard index on the first [shard_bits] fork decisions. 2^shard_bits shards
-   together cover the whole exploration tree: each shard replays the shared
-   spine (states whose route is shorter than [shard_bits]) and exclusively
-   explores the subtrees below its own bit pattern. *)
-type shard = { shard_index : int; shard_bits : int }
-
-let shard_bit sh k = (sh.shard_index lsr k) land 1
-
-let shard_compatible sh route =
-  let n = min (String.length route) sh.shard_bits in
-  let ok = ref true in
-  for k = 0 to n - 1 do
-    if Char.code route.[k] - Char.code '0' <> shard_bit sh k then ok := false
-  done;
-  !ok
-
-(* Exactly one compatible shard "owns" each state: the one whose index bits
-   beyond the route are all zero. Owners do the per-state recording (and the
-   witness enumeration) so the shard merge is pure concatenation. *)
-let shard_owns sh route =
-  shard_compatible sh route
-  && sh.shard_index lsr min (String.length route) sh.shard_bits = 0
-
 (* Three-way feasibility verdict. [Feasible_exact] is a real [Sat]: the
    extended path is known satisfiable, preserving the invariant behind
    [State.path_exact]. [Feasible_unknown] keeps the path (conservative) but
@@ -56,9 +32,9 @@ type config = {
       (* reclassify paths that end back at the event loop without an
          explicit marker (status [Finished]) — §5.1's automatic
          accept/reject detection *)
-  shard : shard option;
-      (* when set, forks creating a route incompatible with the shard are
-         not explored (the sibling shard explores them) *)
+  skip_route : (string -> bool) option;
+      (* when set, fork children whose route it accepts are not explored
+         (a resumed search skips subtrees its checkpoints already hold) *)
   oracle : oracle option;
       (* feasibility oracle for branch/assume checks on exact paths; when
          set, [max_depth] also counts only message-tainted decisions *)
@@ -74,7 +50,7 @@ let default_config =
     initial_globals = [];
     initial_path = [];
     auto_classify = None;
-    shard = None;
+    skip_route = None;
     oracle = None;
   }
 
@@ -153,8 +129,9 @@ type exit = Fall | Ret of Term.t option | End
    whole subtree are forced (and numbered) before the false child is even
    created. That makes state creation order exactly the depth-first
    pre-order of the exploration tree — i.e. the lexicographic order of
-   routes — which is what the sharded search's deterministic merge
-   renumbers by. It also keeps only one path's frontier live at a time
+   routes — which is what the search's deterministic merge renumbers by,
+   and what lets it finish a checkpoint shard as soon as the walk leaves
+   its route prefix. It also keeps only one path's frontier live at a time
    instead of materializing every pending sibling eagerly. *)
 type outcomes = (State.t * locals * exit) Seq.t
 
@@ -431,19 +408,15 @@ let branch ctx (st : State.t) cond ift iff : outcomes =
               (* deferred to forcing time: the true subtree is explored
                  (and numbered) in full before this child even exists *)
               let route = st.State.route ^ bit in
-              let skip =
-                match ctx.config.shard with
-                | Some sh -> not (shard_compatible sh route)
-                | None -> false
-              in
-              if skip then Seq.Nil
-              else
+              match ctx.config.skip_route with
+              | Some skip when skip route -> Seq.Nil
+              | _ -> (
                 let child = fork_child ctx st route in
                 let child = { child with State.depth = next_depth } in
                 let child = mark_exactness child verdict in
                 match add_constraint ctx child cond with
                 | Some child -> side child ()
-                | None -> Seq.Nil
+                | None -> Seq.Nil)
             in
             Seq.append
               (continue ift t_verdict cond "0")

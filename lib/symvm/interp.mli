@@ -21,24 +21,6 @@
 
 open Achilles_smt
 
-type shard = { shard_index : int; shard_bits : int }
-(** A route-prefix shard of the exploration tree: the run only explores
-    states whose route agrees with the low [shard_bits] bits of
-    [shard_index] (bit [k] of the index = decision at fork depth [k]). The
-    [2^shard_bits] shards cover the tree: each replays the shared spine
-    (routes shorter than [shard_bits]) and exclusively owns the subtrees
-    matching its own bit pattern. Requires [0 <= shard_index < 2^shard_bits]
-    and [shard_bits <= 30]. *)
-
-val shard_compatible : shard -> string -> bool
-(** Does this shard explore the state with the given route? *)
-
-val shard_owns : shard -> string -> bool
-(** Among the shards compatible with a route, exactly one — the one whose
-    index bits beyond the route are all zero — owns it; owners do the
-    per-state work (recording, witness enumeration) so that merging shard
-    results needs no deduplication. *)
-
 (** Verdict of a branch/assume feasibility check. [Feasible_exact] is a real
     [Sat] — the extended path is known satisfiable, which is what keeps
     {!State.t.path_exact} true down that side. [Feasible_unknown] is the
@@ -76,10 +58,10 @@ type config = {
       (* reclassify paths ending with status [Finished] (back at the event
          loop with no explicit marker) — §5.1's automatic accept/reject
          detection; [None] from the classifier keeps [Finished] *)
-  shard : shard option;
-      (* when set, forks whose child route is incompatible with the shard
-         are skipped (a sibling shard explores them); [None] explores
-         everything *)
+  skip_route : (string -> bool) option;
+      (* when set, a fork child whose route (its fork decisions, ['0'] for
+         the true side) the predicate accepts is not created, and its
+         subtree is not explored; [None] explores everything *)
   oracle : oracle option;
       (* when set, branch/assume feasibility on exact paths goes through the
          oracle instead of a full-path solver query, and [max_depth] counts

@@ -250,25 +250,79 @@ let test_layer_switches () =
 let cli_binary =
   Filename.concat (Filename.dirname Sys.executable_name) "../bin/achilles_cli.exe"
 
-(* The behaviour contract, pinned end to end through the CLI: see
-   {!Goldens.cli_digests}. *)
-let cli_digest args =
-  let binary = cli_binary in
-  let argv = Array.of_list ((binary :: "analyze" :: args) @ [ "--digest" ]) in
-  let ic = Unix.open_process_args_in binary argv in
-  let rec digest found =
-    match input_line ic with
-    | line ->
-        let prefix = "report digest: " in
-        let n = String.length prefix in
-        if String.length line > n && String.sub line 0 n = prefix then
-          digest (Some (String.sub line n (String.length line - n)))
-        else digest found
-    | exception End_of_file -> found
+(* Run the CLI with [env] on top of the test's environment (the
+   variables named there replace inherited ones): exit code, stdout and
+   stderr. *)
+let run_cli ?(env = []) args =
+  let names = List.map (fun kv -> String.sub kv 0 (String.index kv '=')) env in
+  let inherited =
+    List.filter
+      (fun kv ->
+        match String.index_opt kv '=' with
+        | Some i -> not (List.mem (String.sub kv 0 i) names)
+        | None -> true)
+      (Array.to_list (Unix.environment ()))
   in
-  let found = digest None in
-  ignore (Unix.close_process_in ic);
-  found
+  let out = Filename.temp_file "achilles-cli" ".out" in
+  let err = Filename.temp_file "achilles-cli" ".err" in
+  Fun.protect ~finally:(fun () -> Sys.remove out; Sys.remove err) @@ fun () ->
+  let outfd = Unix.openfile out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  let errfd = Unix.openfile err [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  let pid =
+    Fun.protect
+      ~finally:(fun () ->
+        Unix.close outfd;
+        Unix.close errfd)
+      (fun () ->
+        Unix.create_process_env cli_binary
+          (Array.of_list (cli_binary :: args))
+          (Array.of_list (env @ inherited))
+          Unix.stdin outfd errfd)
+  in
+  let code =
+    match snd (Unix.waitpid [] pid) with
+    | Unix.WEXITED code -> code
+    | _ -> Alcotest.failf "%s: CLI killed by a signal" (String.concat " " args)
+  in
+  let read file = In_channel.with_open_bin file In_channel.input_all in
+  (code, read out, read err)
+
+let contains haystack needle =
+  let n = String.length needle in
+  let rec go i =
+    i + n <= String.length haystack
+    && (String.sub haystack i n = needle || go (i + 1))
+  in
+  go 0
+
+let rec rm_rf path =
+  match Sys.is_directory path with
+  | true ->
+      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+      Unix.rmdir path
+  | false -> Sys.remove path
+  | exception Sys_error _ -> ()
+
+let scratch_path name =
+  let path =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "%s-%d" name (Unix.getpid ()))
+  in
+  rm_rf path;
+  path
+
+(* The report digest [analyze ARGS --digest] prints. The behaviour
+   contract, pinned end to end through the CLI: see {!Goldens.cli_digests}. *)
+let cli_digest ?env args =
+  let _, out, _ = run_cli ?env (("analyze" :: args) @ [ "--digest" ]) in
+  let prefix = "report digest: " in
+  let n = String.length prefix in
+  List.find_map
+    (fun line ->
+      if String.length line > n && String.sub line 0 n = prefix then
+        Some (String.sub line n (String.length line - n))
+      else None)
+    (String.split_on_char '\n' out)
 
 let test_cli_golden_digests () =
   List.iter
@@ -281,19 +335,11 @@ let test_cli_golden_digests () =
 (* The search runs on one domain: [-j] and [--domains] are unknown
    options, refused while parsing the command line. *)
 let test_cli_no_domains_option () =
-  let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
-  Fun.protect ~finally:(fun () -> Unix.close devnull) @@ fun () ->
-  let exit_code args =
-    let argv = Array.of_list (cli_binary :: "analyze" :: "rw" :: args) in
-    let pid = Unix.create_process cli_binary argv devnull devnull devnull in
-    match Unix.waitpid [] pid with
-    | _, Unix.WEXITED code -> code
-    | _ -> Alcotest.failf "%s: CLI killed by a signal" (String.concat " " args)
-  in
   List.iter
     (fun args ->
+      let code, _, _ = run_cli ("analyze" :: "rw" :: args) in
       Alcotest.(check int) (String.concat " " args ^ " is a usage error") 124
-        (exit_code args))
+        code)
     [ [ "-j"; "2" ]; [ "--domains"; "1" ] ]
 
 (* A reader that goes away early ([analyze fsp | head -1]) ends the CLI
@@ -318,18 +364,102 @@ let test_cli_closed_pipe () =
   in
   let _, status = Unix.waitpid [] pid in
   let stderr = In_channel.with_open_bin err In_channel.input_all in
-  let mentions needle =
-    let n = String.length needle in
-    let rec go i =
-      i + n <= String.length stderr
-      && (String.sub stderr i n = needle || go (i + 1))
-    in
-    go 0
-  in
   Alcotest.(check bool) "no internal error on stderr" false
-    (mentions "internal error" || mentions "exception");
+    (contains stderr "internal error" || contains stderr "exception");
   Alcotest.(check bool) "ended by SIGPIPE or a clean exit" true
     (status = Unix.WSIGNALED Sys.sigpipe || status = Unix.WEXITED 0)
+
+(* Checkpointing splits the one depth-first pass into shards; it adds no
+   search work. The checkpointed FSP run issues exactly the unsharded
+   run's solver queries, and under injected faults (seeded by the query
+   sequence) it reports the unsharded run's digest. Slicing is pinned on:
+   these are the sliced run's numbers. *)
+let test_cli_checkpoint_no_extra_work () =
+  let dir = scratch_path "achilles-cli-work" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let queries args =
+    let trace = scratch_path "achilles-cli-work.jsonl" in
+    let code, _, _ =
+      run_cli
+        ~env:[ "ACHILLES_SLICE=1"; "ACHILLES_SOLVER_FAULT_RATE=0" ]
+        ([ "analyze"; "fsp"; "-w"; "16"; "--trace"; trace ] @ args)
+    in
+    Alcotest.(check int) "analyze fsp exits 0" 0 code;
+    let lines = In_channel.with_open_bin trace In_channel.input_lines in
+    Sys.remove trace;
+    List.length
+      (List.filter
+         (fun l -> contains l {|"kind":"span_begin","name":"solver_query"|})
+         lines)
+  in
+  Alcotest.(check int) "unsharded solver queries" 551 (queries []);
+  Alcotest.(check int) "checkpointed solver queries" 551
+    (queries [ "--checkpoint-dir"; dir ]);
+  rm_rf dir;
+  let env = [ "ACHILLES_SLICE=1"; "ACHILLES_SOLVER_FAULT_RATE=0.05" ] in
+  let expected = Some "632e746ad574ecbca1dbd089f3e47f5e" in
+  Alcotest.(check (option string)) "5% faults, unsharded" expected
+    (cli_digest ~env [ "fsp"; "-w"; "16" ]);
+  Alcotest.(check (option string)) "5% faults, checkpointed" expected
+    (cli_digest ~env [ "fsp"; "-w"; "16"; "--checkpoint-dir"; dir ])
+
+(* A usage error: exit 124, and stderr carries every needle. *)
+let check_usage_error args needles =
+  let what = String.concat " " args in
+  let code, _, err = run_cli args in
+  Alcotest.(check int) (what ^ ": exit 124") 124 code;
+  List.iter
+    (fun needle ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: stderr mentions %S" what needle)
+        true (contains err needle))
+    needles
+
+(* --mask names a target's fields: an unknown one would analyze nothing
+   and report a false all-clear. *)
+let test_cli_mask_checked () =
+  let valid = "sender, request, address, value, crc" in
+  check_usage_error [ "analyze"; "rw"; "--mask=nosuchfield" ]
+    [ "nosuchfield"; valid ];
+  check_usage_error [ "analyze"; "rw"; "--mask=address,bogus" ] [ "bogus"; valid ];
+  let output = scratch_path "achilles-cli-mask.achfilter" in
+  check_usage_error
+    [ "compile-filter"; "rw"; "--mask=bogus"; "-o"; output ]
+    [ "bogus"; valid ];
+  Alcotest.(check bool) "no filter written" false (Sys.file_exists output)
+
+let test_cli_numeric_options_checked () =
+  List.iter
+    (fun args -> check_usage_error ("analyze" :: "rw" :: args) [ "achilles:" ])
+    [
+      [ "-w"; "0" ];
+      [ "--witnesses=-2" ];
+      [ "--deadline=-1" ];
+      [ "--solver-budget=-1" ];
+    ]
+
+(* A checkpoint directory that cannot be made or used is refused with one
+   [achilles:] line before any analysis runs. *)
+let test_cli_unusable_checkpoint_dir () =
+  let file = Filename.temp_file "achilles-cli-ckpt" ".file" in
+  Fun.protect ~finally:(fun () -> Sys.remove file) @@ fun () ->
+  let missing_parent = Filename.concat (scratch_path "achilles-cli-gone") "dir" in
+  List.iter
+    (fun args ->
+      let what = String.concat " " args in
+      let code, out, err = run_cli ("analyze" :: "rw" :: args) in
+      Alcotest.(check int) (what ^ ": exit 124") 124 code;
+      Alcotest.(check string) (what ^ ": nothing analyzed") "" out;
+      Alcotest.(check bool) (what ^ ": one achilles: line") true
+        (match String.split_on_char '\n' (String.trim err) with
+        | [ line ] -> String.starts_with ~prefix:"achilles: " line
+        | _ -> false))
+    [
+      [ "--checkpoint-dir"; missing_parent ];
+      [ "--checkpoint-dir"; file ];
+      [ "--resume"; missing_parent ];
+      [ "--resume"; file ];
+    ]
 
 let test_wildcard_trojan_via_analysis () =
   (* with globbing-aware clients, the analysis must produce a witness with a
@@ -380,6 +510,14 @@ let () =
             test_cli_no_domains_option;
           Alcotest.test_case "closed stdout pipe ends quietly" `Quick
             test_cli_closed_pipe;
+          Alcotest.test_case "checkpointing adds no search work" `Slow
+            test_cli_checkpoint_no_extra_work;
+          Alcotest.test_case "--mask names are checked" `Quick
+            test_cli_mask_checked;
+          Alcotest.test_case "numeric options are checked" `Quick
+            test_cli_numeric_options_checked;
+          Alcotest.test_case "unusable checkpoint dirs are usage errors" `Quick
+            test_cli_unusable_checkpoint_dir;
         ] );
       ( "pbft",
         [ Alcotest.test_case "MAC attack end to end" `Slow test_pbft_end_to_end ] );

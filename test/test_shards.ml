@@ -1,6 +1,6 @@
-(* Shard-level search machinery below [Search.run]: checkpoint durability
-   (corrupt loads, stale temp files, failed writes) and the run's shared
-   negation table, driven shard by shard through [Search.Shards]. *)
+(* Shard checkpoint files below [Search.run]: checkpoint durability
+   (corrupt loads, stale temp files, failed writes, another split's
+   files), driven through [Search.Shards]. *)
 
 open Achilles_smt
 open Achilles_symvm
@@ -111,24 +111,27 @@ let fresh_workdir name =
 
 (* --- checkpoint durability guards ------------------------------------------ *)
 
-let explore_one_shard ~config ~base client server =
-  Solver.reset_all_for_tests ();
-  Term.set_fresh_counter base;
-  let bits = Search.Shards.split_bits config in
-  let out, _ =
-    Search.Shards.explore ~config ~different_from:None
-      ~negations:(Search.Shards.negations ()) ~client ~server ~bits ~base
-      ~started:(Unix.gettimeofday ()) 0
+(* Shard 0's event log, as a checkpointing run at 4 split bits writes it
+   into [dir]. *)
+let checkpointed_shard ~dir ~base client server =
+  let config =
+    {
+      Search.default_config with
+      Search.split_bits = Some 4;
+      Search.checkpoint_dir = Some dir;
+    }
   in
-  match out with
-  | Some out -> (bits, out)
-  | None -> Alcotest.fail "shard exploration was cancelled?"
+  ignore (run_case ~config ~base client server);
+  let file = Filename.concat dir "shard-0000.ckpt" in
+  let fingerprint = Search.Shards.fingerprint ~config ~client ~server in
+  match Search.Shards.load ~file ~fingerprint ~idx:0 with
+  | Some out -> out
+  | None -> Alcotest.fail "the run left no loadable checkpoint for shard 0"
 
 let test_checkpoint_corruption_guards () =
   let client, server, base = extract_case fixed_case in
-  let config = { Search.default_config with Search.split_bits = Some 4 } in
-  let _, out = explore_one_shard ~config ~base client server in
   let dir = fresh_workdir "achilles-shards-ckpt" in
+  let out = checkpointed_shard ~dir ~base client server in
   let file = Filename.concat dir "shard-0000.ckpt" in
   let fingerprint = "test-fingerprint" in
   Search.Shards.write ~file ~fingerprint ~idx:0 out;
@@ -176,7 +179,8 @@ let test_stale_tmp_cleanup () =
   let oc = open_out_bin keep in
   output_string oc "not actually loadable, but not tmp either";
   close_out oc;
-  Search.Shards.prepare_dir dir;
+  Alcotest.(check bool) "directory usable" true
+    (Search.Shards.prepare_dir dir = Ok ());
   Alcotest.(check bool) "stale tmp swept" false (Sys.file_exists junk);
   Alcotest.(check bool) "real files kept" true (Sys.file_exists keep);
   rm_rf dir
@@ -303,142 +307,6 @@ let test_resume_other_split_is_stale () =
     (contains stderr "corrupt");
   rm_rf dir
 
-(* --- the run's negation table ------------------------------------------- *)
-
-(* A shard that raises while building the run's negation table leaves the
-   table empty: the next shard builds it afresh, every later shard adopts
-   it, and the merged report equals a run whose table was never
-   disturbed. The raise comes from a trace sink refusing the first
-   [negate] span, i.e. inside the build. *)
-let test_negation_build_raises () =
-  let client, server, base = extract_case fixed_case in
-  let config = { Search.default_config with Search.split_bits = Some 4 } in
-  let bits = Search.Shards.split_bits config in
-  let explore negations idx =
-    Search.Shards.explore ~config ~different_from:None ~negations ~client
-      ~server ~bits ~base ~started:0. idx
-  in
-  let run negations =
-    let outs =
-      List.init (1 lsl bits) (fun idx ->
-          match explore negations idx with
-          | Some out, _ -> (out, false)
-          | None, _ -> Alcotest.fail "shard exploration was cancelled?")
-    in
-    Search.Shards.merge ~total:(1 lsl bits) ~base ~started:0.
-      ~outs_resumed:outs ~partial:[] ~failed_shards:[] ~interrupted:false
-      ~abandoned:0
-  in
-  Solver.reset_all_for_tests ();
-  let clean = run (Search.Shards.negations ()) in
-  Solver.reset_all_for_tests ();
-  let shared = Search.Shards.negations () in
-  let fired = ref false in
-  Achilles_obs.Obs.set_sink
-    (Some
-       (fun ev ->
-         if
-           (not !fired)
-           && ev.Achilles_obs.Obs.ev_kind = "span_begin"
-           && ev.Achilles_obs.Obs.ev_name = "negate"
-         then begin
-           fired := true;
-           raise Exit
-         end));
-  let raised =
-    Fun.protect
-      ~finally:(fun () -> Achilles_obs.Obs.set_sink None)
-      (fun () ->
-        match explore shared 0 with _ -> false | exception Exit -> true)
-  in
-  Alcotest.(check bool) "the first build raised" true raised;
-  let healed = run shared in
-  Alcotest.(check string) "digest identical to an undisturbed run"
-    (Report.report_digest clean)
-    (Report.report_digest healed);
-  Alcotest.(check (option int)) "rebuilt once, then adopted by every shard"
-    (Some (Predicate.client_path_count client))
-    (List.assoc_opt "negate.paths_negated"
-       (Achilles_obs.Obs.aggregate ()).Achilles_obs.Obs.counters)
-
-(* A shard that adopts the table also adopts the fresh-variable counter
-   after the build, so it ends — and checkpoints — exactly the counter its
-   own build would have left. *)
-let test_negation_adoption_counter () =
-  let client, server, base = extract_case fixed_case in
-  let config = { Search.default_config with Search.split_bits = Some 4 } in
-  let bits = Search.Shards.split_bits config in
-  let end_counter negations idx =
-    ignore
-      (Search.Shards.explore ~config ~different_from:None ~negations ~client
-         ~server ~bits ~base ~started:0. idx);
-    Term.fresh_counter_value ()
-  in
-  Solver.reset_all_for_tests ();
-  let own = end_counter (Search.Shards.negations ()) 1 in
-  let shared = Search.Shards.negations () in
-  ignore (end_counter shared 0);
-  Alcotest.(check int) "adopting shard ends at its own build's counter" own
-    (end_counter shared 1)
-
-(* A server that allocates a symbolic variable on one side of a fork before
-   the message arrives reaches its first message-constrained state at a
-   different fresh-variable counter in each shard (the determinism caveat
-   of [Search]). A shard arriving that way must not adopt another shard's
-   table: it builds its own, exactly as when every shard built one. *)
-let test_negation_key_mismatch () =
-  let server =
-    let open Builder in
-    prog "late-symbolic"
-      ~buffers:[ ("msg", message_size) ]
-      [
-        make_symbolic "x" ~width:8;
-        if_ (v "x" >: i8 3) [ make_symbolic "y" ~width:8 ] [];
-        receive "msg";
-        if_
-          (load "msg" (i8 0) =: i8 1)
-          [ mark_accept "one" ]
-          [ mark_reject "other" ];
-      ]
-  in
-  let client, _, base = extract_case fixed_case in
-  let config =
-    {
-      Search.default_config with
-      Search.split_bits = Some 1;
-    }
-  in
-  let run table_of =
-    Solver.reset_all_for_tests ();
-    let outs =
-      List.init 2 (fun idx ->
-          match
-            Search.Shards.explore ~config ~different_from:None
-              ~negations:(table_of ()) ~client ~server ~bits:1 ~base
-              ~started:0. idx
-          with
-          | Some out, _ -> (out, false)
-          | None, _ -> Alcotest.fail "shard exploration was cancelled?")
-    in
-    let report =
-      Search.Shards.merge ~total:2 ~base ~started:0. ~outs_resumed:outs
-        ~partial:[] ~failed_shards:[] ~interrupted:false ~abandoned:0
-    in
-    ( Report.report_digest report,
-      List.assoc_opt "negate.paths_negated"
-        (Achilles_obs.Obs.aggregate ()).Achilles_obs.Obs.counters )
-  in
-  let shared = Search.Shards.negations () in
-  let digest_shared, negated_shared = run (fun () -> shared) in
-  let digest_own, negated_own = run Search.Shards.negations in
-  let paths = Predicate.client_path_count client in
-  Alcotest.(check (option int)) "each shard built its own table"
-    (Some (2 * paths)) negated_shared;
-  Alcotest.(check (option int)) "as with a table per shard" negated_own
-    negated_shared;
-  Alcotest.(check string) "same report as with a table per shard" digest_own
-    digest_shared
-
 let () =
   Alcotest.run "shards"
     [
@@ -451,14 +319,5 @@ let () =
             test_checkpoint_write_failure_keeps_shard;
           Alcotest.test_case "another split's checkpoints are stale" `Quick
             test_resume_other_split_is_stale;
-        ] );
-      ( "negation-table",
-        [
-          Alcotest.test_case "a raising build leaves the table empty" `Quick
-            test_negation_build_raises;
-          Alcotest.test_case "adopting shards take the counter too" `Quick
-            test_negation_adoption_counter;
-          Alcotest.test_case "a shard arriving elsewhere builds its own" `Quick
-            test_negation_key_mismatch;
         ] );
     ]

@@ -147,9 +147,72 @@ let qcheck_split_determinism =
              && negated_once ())
            [ 1; 2; 4 ])
 
-(* The headline workload: every shard shares one negation table per run,
-   so FSP negates each of its 32 client paths exactly once at 1, 4 and 16
-   shards (each shard used to rebuild the whole table). *)
+let rec rm_rf path =
+  match Sys.is_directory path with
+  | true ->
+      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+      Unix.rmdir path
+  | false -> Sys.remove path
+  | exception Sys_error _ -> ()
+
+exception Crash
+
+(* Resume from any subset of a run's shard files, after a run in which one
+   shard crashed: the resumed pass skips the loaded shards' subtrees and
+   still reproduces the uninterrupted report. *)
+let qcheck_resume_any_subset =
+  QCheck2.Test.make ~name:"crash, then resume from any subset of shard files"
+    ~count:15
+    QCheck2.Gen.(triple case_gen (int_range 0 15) (int_range 0 0xffff))
+    (fun ((tree, client_specs), crash, keep) ->
+      let server = server_of_tree tree in
+      let clients = List.mapi client_of_spec client_specs in
+      Solver.reset_all_for_tests ();
+      Term.reset_fresh_counter ();
+      let client, _ = Client_extract.extract ~layout clients in
+      let base = Term.fresh_counter_value () in
+      let reference = digest_at ~split_bits:0 ~base client server in
+      let dir =
+        Filename.concat (Filename.get_temp_dir_name ())
+          (Printf.sprintf "achilles-split-resume-%d" (Unix.getpid ()))
+      in
+      rm_rf dir;
+      Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+      let run ?chaos ~resume () =
+        Solver.reset_all_for_tests ();
+        Term.set_fresh_counter base;
+        Search.run
+          ~config:
+            {
+              Search.default_config with
+              Search.split_bits = Some 4;
+              Search.witnesses_per_path = 2;
+              Search.checkpoint_dir = Some dir;
+              Search.resume;
+              Search.chaos;
+            }
+          ~client ~server ()
+      in
+      let crashed =
+        run ~resume:false
+          ~chaos:(fun idx -> if idx = crash then raise Crash)
+          ()
+      in
+      let files = Sys.readdir dir in
+      Array.iter
+        (fun f ->
+          let idx = Scanf.sscanf f "shard-%04d.ckpt" Fun.id in
+          if keep land (1 lsl idx) = 0 then Sys.remove (Filename.concat dir f))
+        files;
+      let resumed = run ~resume:true () in
+      crashed.Search.coverage.Search.failed_shards = [ crash ]
+      && Array.length files = 15
+      && Search.coverage_complete resumed.Search.coverage
+      && Report.report_digest resumed = reference)
+
+(* The headline workload: one search pass builds the negations once, so
+   FSP negates each of its 32 client paths exactly once at 1, 4 and 16
+   shards. *)
 let test_fsp_negations_once_per_run () =
   List.iter
     (fun split_bits ->
@@ -175,9 +238,9 @@ let test_fsp_negations_once_per_run () =
       Alcotest.(check int) (at "negate spans") paths spans)
     [ 0; 2; 4 ]
 
-(* The empty-frontier degenerate case: a server that never forks gives every
-   shard the same spine, exactly one shard owns it, and the merged report
-   still matches the one-shard one. *)
+(* The empty-frontier degenerate case: a server that never forks puts
+   every state in shard 0, the other shards are finished empty, and the
+   merged report still matches the one-shard one. *)
 let test_no_forks () =
   let open Builder in
   let server =
@@ -204,5 +267,6 @@ let () =
           Alcotest.test_case "no forks" `Quick test_no_forks;
           Alcotest.test_case "FSP negates each client path once" `Quick
             test_fsp_negations_once_per_run;
+          QCheck_alcotest.to_alcotest ~verbose:false qcheck_resume_any_subset;
         ] );
     ]
