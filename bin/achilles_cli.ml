@@ -247,10 +247,15 @@ let trace_arg =
   in
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
 
-(* --trace flag, else the ACHILLES_TRACE environment variable. *)
+(* --trace flag, else the ACHILLES_TRACE environment variable. A trace file
+   that cannot be opened is a usage error (exit 124), before any work runs. *)
 let setup_trace trace =
   match (match trace with Some _ -> trace | None -> Obs.Trace.file_of_env ()) with
-  | Some file -> Obs.Trace.enable file
+  | Some file -> (
+      try Obs.Trace.enable file
+      with Sys_error msg ->
+        Format.eprintf "achilles: cannot write the trace file: %s@." msg;
+        exit 124)
   | None -> ()
 
 (* --verbose goes through the event layer: the same "report"/"trojan_symbolic"
@@ -449,8 +454,8 @@ let analyze_cmd =
               (interrupted by SIGINT/SIGTERM, or a shard failed; \
               $(b,--resume) re-explores the missing shards); 1 on target \
               errors; 124 on usage errors, such as an unknown option or \
-              $(b,--mask) field, or a checkpoint directory that cannot \
-              be used.";
+              $(b,--mask) field, a checkpoint directory that cannot be \
+              used, or a trace file that cannot be written.";
          ])
     Term.(
       ret

@@ -78,8 +78,8 @@ val state_label : t -> int -> string option
 (** {1 Evaluation}
 
     An evaluator owns the per-message scratch arrays (value cache and
-    stamps), so the hot path allocates nothing but the verdict. One
-    evaluator per thread/domain; an evaluator is not domain-safe. *)
+    stamps), so the hot path allocates nothing but the verdict. An
+    evaluator serves one message at a time: it is not reentrant. *)
 
 type evaluator
 
@@ -108,7 +108,8 @@ val to_string : t -> string
 val of_string : string -> (t, string) result
 
 val save : t -> file:string -> (unit, string) result
-(** Atomic write: temp file in the destination directory, then rename. *)
+(** Writes a temp file in the destination directory, then renames it over
+    [file], so readers never see a partial filter. *)
 
 val load : file:string -> (t, string) result
 

@@ -1,6 +1,6 @@
-(* Domain-safe observability: phase timers, counters, latency histograms in
-   Domain.DLS (a registry of per-domain slices, merged by [aggregate]), plus
-   an optional lock-protected JSONL event trace. *)
+(* Observability: phase timers, counters and latency histograms in plain
+   module state, plus an optional JSONL event trace. The search and the
+   daemon each run on one domain, so nothing here is locked. *)
 
 type phase =
   | Client_se
@@ -56,7 +56,7 @@ let phase_index = function
 
 let n_phases = List.length all_phases
 
-(* --- per-domain metrics ---------------------------------------------------- *)
+(* --- metrics ---------------------------------------------------------------- *)
 
 let histogram_buckets = 28
 
@@ -99,36 +99,27 @@ type cell = {
   c_histogram : int array;
 }
 
-type domain_slice = {
-  cells : cell array; (* indexed by phase_index *)
-  counters : (string, int) Hashtbl.t;
-}
+let cells =
+  Array.init n_phases (fun _ ->
+      {
+        c_spans = 0;
+        c_seconds = 0.;
+        c_histogram = Array.make histogram_buckets 0;
+      })
 
-let registry : domain_slice list ref = ref []
-let registry_mutex = Mutex.create ()
-
-let fresh_slice () =
-  {
-    cells =
-      Array.init n_phases (fun _ ->
-          { c_spans = 0; c_seconds = 0.; c_histogram = Array.make histogram_buckets 0 });
-    counters = Hashtbl.create 32;
-  }
-
-let slice_key =
-  Domain.DLS.new_key (fun () ->
-      Mutex.lock registry_mutex;
-      let s = fresh_slice () in
-      registry := s :: !registry;
-      Mutex.unlock registry_mutex;
-      s)
-
-let slice () = Domain.DLS.get slice_key
+let counters : (string, int) Hashtbl.t = Hashtbl.create 32
 
 let count ?(n = 1) name =
-  let s = slice () in
-  let cur = try Hashtbl.find s.counters name with Not_found -> 0 in
-  Hashtbl.replace s.counters name (cur + n)
+  let cur = try Hashtbl.find counters name with Not_found -> 0 in
+  Hashtbl.replace counters name (cur + n)
+
+(* Charge one finished span of [dt] seconds to phase [p]. *)
+let charge p dt =
+  let c = cells.(phase_index p) in
+  c.c_spans <- c.c_spans + 1;
+  c.c_seconds <- c.c_seconds +. dt;
+  let b = bucket_of_seconds dt in
+  c.c_histogram.(b) <- c.c_histogram.(b) + 1
 
 type phase_metrics = { spans : int; seconds : float; histogram : int array }
 
@@ -138,53 +129,31 @@ type snapshot = {
 }
 
 let aggregate () =
-  Mutex.lock registry_mutex;
-  let slices = !registry in
-  Mutex.unlock registry_mutex;
-  let cells =
-    Array.init n_phases (fun _ ->
-        { spans = 0; seconds = 0.; histogram = Array.make histogram_buckets 0 })
-  in
-  let counters : (string, int) Hashtbl.t = Hashtbl.create 32 in
-  List.iter
-    (fun s ->
-      Array.iteri
-        (fun i c ->
-          let acc = cells.(i) in
-          cells.(i) <-
-            {
-              spans = acc.spans + c.c_spans;
-              seconds = acc.seconds +. c.c_seconds;
-              histogram = Array.map2 ( + ) acc.histogram c.c_histogram;
-            })
-        s.cells;
-      Hashtbl.iter
-        (fun name n ->
-          let cur = try Hashtbl.find counters name with Not_found -> 0 in
-          Hashtbl.replace counters name (cur + n))
-        s.counters)
-    slices;
   {
-    phases = List.map (fun p -> (p, cells.(phase_index p))) all_phases;
+    phases =
+      List.map
+        (fun p ->
+          let c = cells.(phase_index p) in
+          ( p,
+            {
+              spans = c.c_spans;
+              seconds = c.c_seconds;
+              histogram = Array.copy c.c_histogram;
+            } ))
+        all_phases;
     counters =
       Hashtbl.fold (fun k v acc -> (k, v) :: acc) counters []
       |> List.sort (fun (a, _) (b, _) -> String.compare a b);
   }
 
 let reset_all () =
-  Mutex.lock registry_mutex;
-  let slices = !registry in
-  Mutex.unlock registry_mutex;
-  List.iter
-    (fun s ->
-      Array.iter
-        (fun c ->
-          c.c_spans <- 0;
-          c.c_seconds <- 0.;
-          Array.fill c.c_histogram 0 histogram_buckets 0)
-        s.cells;
-      Hashtbl.reset s.counters)
-    slices
+  Array.iter
+    (fun c ->
+      c.c_spans <- 0;
+      c.c_seconds <- 0.;
+      Array.fill c.c_histogram 0 histogram_buckets 0)
+    cells;
+  Hashtbl.reset counters
 
 (* --- events and the JSONL trace writer ------------------------------------- *)
 
@@ -192,7 +161,6 @@ type value = S of string | I of int | F of float | B of bool
 
 type event = {
   ev_t : float;
-  ev_tid : int;
   ev_kind : string;
   ev_name : string;
   ev_args : (string * value) list;
@@ -200,26 +168,21 @@ type event = {
 
 type writer = { oc : out_channel; w_t0 : float }
 
-(* Both the writer and the sink are mutated only from the orchestrating
-   domain (CLI/bench/test setup), but events arrive from every worker, so
-   all access to either goes through [trace_mutex]. [live_flag] keeps the
-   disabled fast path to a single atomic load. *)
-let trace_mutex = Mutex.create ()
 let writer : writer option ref = ref None
 let sink : (event -> unit) option ref = ref None
-let live_flag = Atomic.make false
+
+(* Kept equal to [!writer <> None || !sink <> None], so the disabled fast
+   path is a single load. *)
+let live_flag = ref false
 let process_t0 = Unix.gettimeofday ()
 
-let live () = Atomic.get live_flag
+let live () = !live_flag
 
-let update_live_locked () =
-  Atomic.set live_flag (!writer <> None || !sink <> None)
+let update_live () = live_flag := !writer <> None || !sink <> None
 
 let set_sink f =
-  Mutex.lock trace_mutex;
   sink := f;
-  update_live_locked ();
-  Mutex.unlock trace_mutex
+  update_live ()
 
 (* Hand-rolled JSON: the subsystem is zero-dependency by design. *)
 let buf_add_json_string buf s =
@@ -259,8 +222,6 @@ let json_of_event ev =
   let buf = Buffer.create 96 in
   Buffer.add_string buf "{\"t\":";
   buf_add_float buf ev.ev_t;
-  Buffer.add_string buf ",\"tid\":";
-  Buffer.add_string buf (string_of_int ev.ev_tid);
   Buffer.add_string buf ",\"kind\":";
   buf_add_json_string buf ev.ev_kind;
   Buffer.add_string buf ",\"name\":";
@@ -275,36 +236,30 @@ let json_of_event ev =
   Buffer.add_char buf '}';
   Buffer.contents buf
 
+let write_line w ev =
+  output_string w.oc (json_of_event ev);
+  output_char w.oc '\n';
+  (* Flush per line: a killed process still leaves whole lines. *)
+  flush w.oc
+
 let emit ?(args = []) ~kind ~name () =
-  if Atomic.get live_flag then begin
-    Mutex.lock trace_mutex;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock trace_mutex)
-      (fun () ->
-        let t0 = match !writer with Some w -> w.w_t0 | None -> process_t0 in
-        let ev =
-          {
-            ev_t = Unix.gettimeofday () -. t0;
-            ev_tid = (Domain.self () :> int);
-            ev_kind = kind;
-            ev_name = name;
-            ev_args = args;
-          }
-        in
-        (match !writer with
-        | Some w ->
-            output_string w.oc (json_of_event ev);
-            output_char w.oc '\n';
-            (* Flush per line: a killed process still leaves whole lines. *)
-            flush w.oc
-        | None -> ());
-        match !sink with Some f -> f ev | None -> ())
+  if !live_flag then begin
+    let t0 = match !writer with Some w -> w.w_t0 | None -> process_t0 in
+    let ev =
+      {
+        ev_t = Unix.gettimeofday () -. t0;
+        ev_kind = kind;
+        ev_name = name;
+        ev_args = args;
+      }
+    in
+    Option.iter (fun w -> write_line w ev) !writer;
+    Option.iter (fun f -> f ev) !sink
   end
 
 let span ?site p f =
-  let c = (slice ()).cells.(phase_index p) in
   let name = phase_name p in
-  if Atomic.get live_flag then begin
+  if !live_flag then begin
     let args = match site with Some s -> [ ("site", S s) ] | None -> [] in
     emit ~args ~kind:"span_begin" ~name ()
   end;
@@ -312,12 +267,8 @@ let span ?site p f =
   Fun.protect
     ~finally:(fun () ->
       let dt = Unix.gettimeofday () -. t0 in
-      c.c_spans <- c.c_spans + 1;
-      c.c_seconds <- c.c_seconds +. dt;
-      let b = bucket_of_seconds dt in
-      c.c_histogram.(b) <- c.c_histogram.(b) + 1;
-      if Atomic.get live_flag then
-        emit ~args:[ ("dur", F dt) ] ~kind:"span_end" ~name ())
+      charge p dt;
+      if !live_flag then emit ~args:[ ("dur", F dt) ] ~kind:"span_end" ~name ())
     f
 
 (* [record_span p dt] charges an externally-timed duration to phase [p]
@@ -325,62 +276,30 @@ let span ?site p f =
    already hold [dt]. Emits a lone [span_end] carrying [dur]; the summary's
    orphan-end path attributes it correctly. *)
 let record_span p dt =
-  let c = (slice ()).cells.(phase_index p) in
-  c.c_spans <- c.c_spans + 1;
-  c.c_seconds <- c.c_seconds +. dt;
-  let b = bucket_of_seconds dt in
-  c.c_histogram.(b) <- c.c_histogram.(b) + 1;
-  if Atomic.get live_flag then
+  charge p dt;
+  if !live_flag then
     emit ~args:[ ("dur", F dt) ] ~kind:"span_end" ~name:(phase_name p) ()
 
 module Trace = struct
+  let disable () =
+    Option.iter (fun w -> try close_out w.oc with Sys_error _ -> ()) !writer;
+    writer := None;
+    update_live ()
+
   let enable path =
-    Mutex.lock trace_mutex;
-    (match !writer with
-    | Some w -> ( try close_out w.oc with Sys_error _ -> ())
-    | None -> ());
+    disable ();
     let w = { oc = open_out path; w_t0 = Unix.gettimeofday () } in
     writer := Some w;
     (* Stamp the stream with the writing process and its wall-clock
        origin. *)
-    let meta =
+    write_line w
       {
         ev_t = 0.;
-        ev_tid = (Domain.self () :> int);
         ev_kind = "meta";
         ev_name = "trace_start";
-        ev_args =
-          [
-            ("pid", I (Unix.getpid ()));
-            ("wall0", F w.w_t0);
-          ];
-      }
-    in
-    output_string w.oc (json_of_event meta);
-    output_char w.oc '\n';
-    flush w.oc;
-    update_live_locked ();
-    Mutex.unlock trace_mutex
-
-  let enabled () =
-    Mutex.lock trace_mutex;
-    let b = !writer <> None in
-    Mutex.unlock trace_mutex;
-    b
-
-  let flush () =
-    Mutex.lock trace_mutex;
-    (match !writer with Some w -> ( try flush w.oc with Sys_error _ -> ()) | None -> ());
-    Mutex.unlock trace_mutex
-
-  let disable () =
-    Mutex.lock trace_mutex;
-    (match !writer with
-    | Some w -> ( try close_out w.oc with Sys_error _ -> ())
-    | None -> ());
-    writer := None;
-    update_live_locked ();
-    Mutex.unlock trace_mutex
+        ev_args = [ ("pid", I (Unix.getpid ())); ("wall0", F w.w_t0) ];
+      };
+    update_live ()
 
   let file_of_env () = Sys.getenv_opt "ACHILLES_TRACE"
 end
@@ -652,26 +571,17 @@ module Summary = struct
     let kinds : (string, int) Hashtbl.t = Hashtbl.create 8 in
     let sites : (string * string, row) Hashtbl.t = Hashtbl.create 8 in
     let site_order = ref [] in
-    let stacks : (int, open_span list ref) Hashtbl.t = Hashtbl.create 8 in
+    let stack : open_span list ref = ref [] in
     let bump tbl k n =
       let cur = try Hashtbl.find tbl k with Not_found -> 0 in
       Hashtbl.replace tbl k (cur + n)
     in
     let n_events = ref 0 in
     let min_t = ref infinity and max_t = ref neg_infinity in
-    let main_tid = ref None in
-    (* Wall-clock attributed to phases on the main domain = total duration
-       of its root (unnested) spans. Nested spans only shift time between
-       phases via self-time; they never add to coverage. *)
-    let main_root = ref 0. in
-    let stack_of tid =
-      match Hashtbl.find_opt stacks tid with
-      | Some s -> s
-      | None ->
-          let s = ref [] in
-          Hashtbl.add stacks tid s;
-          s
-    in
+    (* Wall-clock attributed to phases = total duration of the root spans
+       (those begun on an empty stack). Nested spans only shift time
+       between phases via self-time; they never add to coverage. *)
+    let root = ref 0. in
     let bump_row tbl order key phase ~dur ~self =
       let r =
         match Hashtbl.find_opt tbl key with
@@ -698,38 +608,31 @@ module Summary = struct
           max_seconds = Float.max r.max_seconds dur;
         }
     in
-    let add_span ?site tid name ~dur ~self =
+    let add_span ?site name ~dur ~self =
       let self = Float.max 0. self in
       bump_row rows row_order name name ~dur ~self;
       Option.iter
         (fun site -> bump_row sites site_order (name, site) name ~dur ~self)
         site;
-      let stack = stack_of tid in
       match !stack with
       | parent :: _ -> parent.os_child <- parent.os_child +. dur
-      | [] -> if Some tid = !main_tid then main_root := !main_root +. dur
+      | [] -> root := !root +. dur
     in
     List.iter
       (fun fields ->
         let t = Option.value ~default:0. (num fields "t") in
-        let tid =
-          int_of_float (Option.value ~default:0. (num fields "tid"))
-        in
         let kind = Option.value ~default:"" (str fields "kind") in
         let name = Option.value ~default:"" (str fields "name") in
         incr n_events;
         if t < !min_t then min_t := t;
         if t > !max_t then max_t := t;
-        if !main_tid = None then main_tid := Some tid;
         bump kinds kind 1;
         match kind with
         | "span_begin" ->
-            let stack = stack_of tid in
             let os_site = str fields "site" in
             stack :=
               { os_name = name; os_site; os_start = t; os_child = 0. } :: !stack
         | "span_end" -> (
-            let stack = stack_of tid in
             match !stack with
             | top :: rest when top.os_name = name ->
                 stack := rest;
@@ -738,13 +641,13 @@ module Summary = struct
                   | Some d -> d
                   | None -> t -. top.os_start
                 in
-                add_span ?site:top.os_site tid name ~dur
+                add_span ?site:top.os_site name ~dur
                   ~self:(dur -. top.os_child)
             | _ ->
                 (* Orphaned end (trace truncated at the front): count the
                    span from its own dur field when present. *)
                 let dur = Option.value ~default:0. (num fields "dur") in
-                add_span tid name ~dur ~self:dur)
+                add_span name ~dur ~self:dur)
         | "counter" ->
             let n =
               int_of_float (Option.value ~default:1. (num fields "n"))
@@ -758,19 +661,16 @@ module Summary = struct
     (* Close spans the run never finished (killed mid-run) at the last
        timestamp, innermost first so child time propagates outward. *)
     let last = if !max_t = neg_infinity then 0. else !max_t in
-    Hashtbl.iter
-      (fun tid stack ->
-        List.iter
-          (fun os ->
-            let stack' = stack_of tid in
-            (match !stack' with
-            | top :: rest when top == os -> stack' := rest
-            | _ -> ());
-            let dur = Float.max 0. (last -. os.os_start) in
-            add_span ?site:os.os_site tid os.os_name ~dur
-              ~self:(dur -. os.os_child))
-          !stack)
-      stacks;
+    let rec close_open () =
+      match !stack with
+      | [] -> ()
+      | os :: rest ->
+          stack := rest;
+          let dur = Float.max 0. (last -. os.os_start) in
+          add_span ?site:os.os_site os.os_name ~dur ~self:(dur -. os.os_child);
+          close_open ()
+    in
+    close_open ();
     let wall =
       if !max_t = neg_infinity || !min_t = infinity then 0.
       else !max_t -. !min_t
@@ -781,7 +681,7 @@ module Summary = struct
     in
     {
       wall;
-      attributed = (if wall > 0. then Float.min 1. (!main_root /. wall) else 1.);
+      attributed = (if wall > 0. then Float.min 1. (!root /. wall) else 1.);
       rows = List.rev_map (Hashtbl.find rows) !row_order;
       counters = sorted counters;
       verdicts = sorted verdicts;
@@ -821,6 +721,7 @@ module Chrome = struct
 
   let emit_event oc buf ~first fields =
     let t = Option.value ~default:0. (Summary.num fields "t") in
+    (* only traces written before the one-domain cut carry a tid *)
     let tid =
       int_of_float (Option.value ~default:0. (Summary.num fields "tid"))
     in

@@ -1,18 +1,17 @@
-(** Domain-safe observability: scoped phase timers, counters, latency
-    histograms, and an optional JSONL event trace.
+(** Observability: scoped phase timers, counters, latency histograms, and
+    an optional JSONL event trace.
 
     Design rules (see DESIGN.md §9):
 
-    - All in-memory metrics live in [Domain.DLS]: each domain mutates its
-      own state without locks and {!aggregate} merges every domain's slice
-      on demand. The search runs on one domain; the filter daemon may run
-      on another.
+    - All in-memory metrics are plain module state of the one domain that
+      runs the search (or the filter daemon); nothing is locked, and
+      {!aggregate} copies them into a snapshot.
     - Counts (span counts, counters) are safe to print in reports; elapsed
       times are wall-clock and must only ever reach the trace file, never
       digested report text.
-    - The trace writer is lock-protected and flushes after every line, so a
-      SIGINT/SIGTERM that kills the process mid-run still leaves a valid
-      one-object-per-line JSONL file behind. *)
+    - The trace writer flushes after every line, so a SIGINT/SIGTERM that
+      kills the process mid-run still leaves a valid one-object-per-line
+      JSONL file behind. *)
 
 (** {1 Phase taxonomy} *)
 
@@ -39,18 +38,17 @@ val phase_of_name : string -> phase option
 
 (** {1 Scoped timers and counters} *)
 
-(** [span p f] runs [f ()], charging its duration to phase [p] in this
-    domain's metrics slice (count, total seconds, latency histogram) and —
-    when a trace or sink is live — emitting [span_begin]/[span_end] events.
+(** [span p f] runs [f ()], charging its duration to phase [p] (count,
+    total seconds, latency histogram) and — when a trace or sink is live —
+    emitting [span_begin]/[span_end] events.
     [site] names the caller on whose behalf the span runs (a solver query's
     [witness], [alive], ...); it rides on [span_begin] only while a trace
     or sink is live, and {!Summary} splits the phase's time by it.
     Exceptions close the span before propagating. *)
 val span : ?site:string -> phase -> (unit -> 'a) -> 'a
 
-(** [count ?n name] bumps the named counter by [n] (default 1) in this
-    domain's slice. Counter values are deterministic counts and may be
-    printed in reports. *)
+(** [count ?n name] bumps the named counter by [n] (default 1). Counter
+    values are deterministic counts and may be printed in reports. *)
 val count : ?n:int -> string -> unit
 
 (** [record_span p dt] charges an externally-measured duration [dt] (seconds)
@@ -80,10 +78,10 @@ type snapshot = {
   counters : (string * int) list;         (** sorted by name *)
 }
 
-(** Merge every domain's slice. *)
+(** A copy of the current metrics. *)
 val aggregate : unit -> snapshot
 
-(** Zero all per-domain metrics (every registered domain). Tests/bench only. *)
+(** Zero every phase metric and counter. Tests/bench only. *)
 val reset_all : unit -> unit
 
 (** [estimate_quantile hist q] estimates the [q]-quantile (0..1) of the
@@ -98,7 +96,6 @@ type value = S of string | I of int | F of float | B of bool
 
 type event = {
   ev_t : float;    (** seconds since trace start *)
-  ev_tid : int;    (** emitting domain id *)
   ev_kind : string;
   ev_name : string;
   ev_args : (string * value) list;
@@ -109,14 +106,13 @@ type event = {
 val live : unit -> bool
 
 (** [emit ?args ~kind ~name ()] records one event. A no-op unless {!live}.
-    The writer lock serialises emission across domains; each event is one
-    flushed JSONL line. *)
+    Each event is one flushed JSONL line. *)
 val emit : ?args:(string * value) list -> kind:string -> name:string -> unit -> unit
 
-(** [set_sink (Some f)] mirrors every emitted event to [f] (under the writer
-    lock), independently of whether a trace file is open. The CLI routes
-    [--verbose] output through this so verbose text and trace events are two
-    renderings of the same event stream. *)
+(** [set_sink (Some f)] mirrors every emitted event to [f], independently
+    of whether a trace file is open. The CLI routes [--verbose] output
+    through this so verbose text and trace events are two renderings of the
+    same event stream. *)
 val set_sink : (event -> unit) option -> unit
 
 (** One-line JSON rendering of an event (the JSONL trace line, no newline). *)
@@ -125,15 +121,13 @@ val json_of_event : event -> string
 (** {1 Trace file} *)
 
 module Trace : sig
-  (** Open [file] (truncating) and start writing JSONL events to it. *)
+  (** Open [file] (truncating) and start writing JSONL events to it,
+      closing any trace already open. Raises [Sys_error] when [file] cannot
+      be opened, leaving tracing disabled. *)
   val enable : string -> unit
-
-  val enabled : unit -> bool
 
   (** Flush and close the trace file. Safe to call when disabled. *)
   val disable : unit -> unit
-
-  val flush : unit -> unit
 
   (** [Sys.getenv_opt "ACHILLES_TRACE"] *)
   val file_of_env : unit -> string option
@@ -175,7 +169,7 @@ end
 module Summary : sig
   type row = {
     row_phase : string;
-    self_seconds : float;   (** duration minus same-tid child spans *)
+    self_seconds : float;   (** duration minus nested child spans *)
     total_seconds : float;  (** inclusive duration *)
     row_spans : int;
     max_seconds : float;    (** longest single span *)
@@ -185,8 +179,8 @@ module Summary : sig
 
   type t = {
     wall : float;              (** last event t - first event t *)
-    attributed : float;        (** fraction of wall covered by root spans on
-                                   the main (first-event) domain *)
+    attributed : float;        (** fraction of wall covered by root spans
+                                   (begun on an empty span stack) *)
     rows : row list;           (** phases in first-seen order *)
     counters : (string * int) list;
     verdicts : (string * int) list;  (** solver verdict -> count *)
@@ -197,8 +191,10 @@ module Summary : sig
             spans of phase [row_phase]), in first-seen order *)
   }
 
-  (** Compute per-phase self-time from parsed events (file order). Spans
-      left open (e.g. the run was killed) are closed at the last timestamp. *)
+  (** Compute per-phase self-time from parsed events (file order), nesting
+      every span on one stack; a ["tid"] field, which older traces carry,
+      is ignored. Spans left open (e.g. the run was killed) are closed at
+      the last timestamp. *)
   val of_events : (string * Json.t) list list -> t
 
   (** Read and summarize a JSONL trace file. *)

@@ -13,7 +13,7 @@ module Obs = Achilles_obs.Obs
 (* --- escape hatch ---------------------------------------------------------- *)
 
 let slice_flag =
-  Atomic.make
+  ref
     (match Sys.getenv_opt "ACHILLES_SLICE" with
     | Some s -> (
         match String.lowercase_ascii (String.trim s) with
@@ -21,8 +21,8 @@ let slice_flag =
         | _ -> true)
     | None -> true)
 
-let enabled () = Atomic.get slice_flag
-let set_enabled b = Atomic.set slice_flag b
+let enabled () = !slice_flag
+let set_enabled b = slice_flag := b
 
 (* --- taint lattice ---------------------------------------------------------- *)
 

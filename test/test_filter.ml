@@ -7,7 +7,8 @@
    (quantifier elimination included) changed nothing. Plus: every
    search-reported witness is flagged, serialization round-trips, every
    corruption is rejected rather than mis-answered, and the serve daemon
-   speaks its protocol end to end (in-process and as a real subprocess). *)
+   speaks its protocol end to end (as a forked child running [Daemon.run]
+   and as a real [achilles serve] subprocess). *)
 
 open Achilles_smt
 open Achilles_symvm
@@ -355,7 +356,7 @@ let test_save_load () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "loading a missing file succeeded")
 
-(* --- the daemon: in-process protocol check ------------------------------------ *)
+(* --- the daemon: [Daemon.run] in a forked child ------------------------------- *)
 
 let temp_socket_path () =
   let file = Filename.temp_file "achilles-serve" ".sock" in
@@ -402,19 +403,56 @@ let send_message fd payload =
 let bytes_of_witness w =
   Bytes.init (Array.length w) (fun i -> Char.chr (Bv.to_int w.(i)))
 
+(* Run [Daemon.run] on [sock] in a forked child for the life of [k stop].
+   The child serves until SIGTERM and then sends the [Daemon.stats] that
+   [run] returned back over a pipe; [stop ()] delivers that SIGTERM, reaps
+   the child and returns the stats. A child still running when [k] fails
+   is killed. *)
+let with_forked_daemon filter sock k =
+  let rd, wr = Unix.pipe ~cloexec:true () in
+  match Unix.fork () with
+  | 0 ->
+      (* the child never returns into the test runner *)
+      Fun.protect ~finally:(fun () -> Unix._exit 2) @@ fun () ->
+      let stopping = ref false in
+      Sys.set_signal Sys.sigterm (Sys.Signal_handle (fun _ -> stopping := true));
+      let stats =
+        Daemon.run ~filter ~address:(Daemon.Unix_socket sock)
+          ~stop:(fun () -> !stopping)
+          ()
+      in
+      let oc = Unix.out_channel_of_descr wr in
+      Marshal.to_channel oc (stats : Daemon.stats) [];
+      close_out oc;
+      Unix._exit 0
+  | pid ->
+      Unix.close wr;
+      let reaped = ref false in
+      let stop () =
+        Unix.kill pid Sys.sigterm;
+        let stats : Daemon.stats =
+          Marshal.from_channel (Unix.in_channel_of_descr rd)
+        in
+        let _, status = Unix.waitpid [] pid in
+        reaped := true;
+        Alcotest.(check bool) "daemon child exits cleanly" true
+          (status = Unix.WEXITED 0);
+        stats
+      in
+      Fun.protect ~finally:(fun () ->
+          if not !reaped then begin
+            (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+            (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ());
+            try Sys.remove sock with Sys_error _ -> ()
+          end;
+          Unix.close rd)
+      @@ fun () -> k stop
+
 let test_daemon_in_process () =
   let _, report, filter = force "gossip" in
   let ev = Filter.evaluator filter in
   let sock = temp_socket_path () in
-  let stop = Atomic.make false in
-  let daemon =
-    Domain.spawn (fun () ->
-        Daemon.run ~filter ~address:(Daemon.Unix_socket sock)
-          ~stop:(fun () -> Atomic.get stop)
-          ())
-  in
-  Fun.protect ~finally:(fun () -> Atomic.set stop true)
-  @@ fun () ->
+  with_forked_daemon filter sock @@ fun stop ->
   let fd = connect_unix sock in
   (* every confirmed witness comes back 'T' with the id the filter gives *)
   let confirmed =
@@ -460,8 +498,7 @@ let test_daemon_in_process () =
   let r3 = read_exactly fd 5 in
   Alcotest.(check char) "split frame" 'T' (Bytes.get r3 0);
   Unix.close fd;
-  Atomic.set stop true;
-  let stats = Domain.join daemon in
+  let stats = stop () in
   Alcotest.(check int) "daemon counted every message"
     (List.length confirmed + 5)
     stats.Daemon.messages;
@@ -502,15 +539,7 @@ let stat_float kv key =
 let test_daemon_telemetry () =
   let _, report, filter = force "gossip" in
   let sock = temp_socket_path () in
-  let stop = Atomic.make false in
-  let daemon =
-    Domain.spawn (fun () ->
-        Daemon.run ~filter ~address:(Daemon.Unix_socket sock)
-          ~stop:(fun () -> Atomic.get stop)
-          ())
-  in
-  Fun.protect ~finally:(fun () -> Atomic.set stop true)
-  @@ fun () ->
+  with_forked_daemon filter sock @@ fun stop ->
   let witness =
     match
       List.find_opt (fun (t : Search.trojan) -> t.Search.confirmed)
@@ -597,8 +626,7 @@ let test_daemon_telemetry () =
     counters;
   Unix.close fd;
   Unix.close fd_b;
-  Atomic.set stop true;
-  let stats = Domain.join daemon in
+  let stats = stop () in
   (* the returned record and the STATS replies told the same story *)
   let record =
     [

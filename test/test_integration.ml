@@ -461,6 +461,38 @@ let test_cli_unusable_checkpoint_dir () =
       [ "--resume"; file ];
     ]
 
+(* A --trace or ACHILLES_TRACE file that cannot be opened is a usage error
+   for analyze and serve alike: one achilles: line and exit 124, not an
+   uncaught exception. *)
+let test_cli_unwritable_trace () =
+  let filter = scratch_path "achilles-cli-trace.achfilter" in
+  let code, _, _ = run_cli [ "compile-filter"; "rw"; "-o"; filter ] in
+  Alcotest.(check int) "compile-filter rw" 0 code;
+  let sock = scratch_path "achilles-cli-trace.sock" in
+  let bad = Filename.concat (scratch_path "achilles-cli-gone") "t.jsonl" in
+  List.iter
+    (fun (env, args) ->
+      let what = String.concat " " (env @ args) in
+      let code, out, err = run_cli ~env args in
+      Alcotest.(check int) (what ^ ": exit 124") 124 code;
+      Alcotest.(check string) (what ^ ": nothing run") "" out;
+      Alcotest.(check bool) (what ^ ": no internal error") false
+        (contains err "internal error");
+      Alcotest.(check bool) (what ^ ": one achilles: line naming the file") true
+        (match String.split_on_char '\n' (String.trim err) with
+        | [ line ] ->
+            String.starts_with ~prefix:"achilles: " line && contains line bad
+        | _ -> false))
+    [
+      ([], [ "analyze"; "rw"; "--trace"; bad ]);
+      ([ "ACHILLES_TRACE=" ^ bad ], [ "analyze"; "rw" ]);
+      ([], [ "serve"; filter; "--socket"; sock; "--trace"; bad ]);
+      ([ "ACHILLES_TRACE=" ^ bad ], [ "serve"; filter; "--socket"; sock ]);
+    ];
+  Alcotest.(check bool) "serve never bound its socket" false
+    (Sys.file_exists sock);
+  Sys.remove filter
+
 let test_wildcard_trojan_via_analysis () =
   (* with globbing-aware clients, the analysis must produce a witness with a
      literal '*' in the path — the wildcard bug found by Achilles *)
@@ -518,6 +550,8 @@ let () =
             test_cli_numeric_options_checked;
           Alcotest.test_case "unusable checkpoint dirs are usage errors" `Quick
             test_cli_unusable_checkpoint_dir;
+          Alcotest.test_case "unwritable trace files are usage errors" `Quick
+            test_cli_unwritable_trace;
         ] );
       ( "pbft",
         [ Alcotest.test_case "MAC attack end to end" `Slow test_pbft_end_to_end ] );

@@ -1,8 +1,9 @@
-(* The observability layer: JSON round-trips, domain-safe metric
-   aggregation, the lock-protected JSONL writer under concurrent emission
-   and mid-run interruption, self-time attribution in trace summaries, the
-   Chrome exporter, and the guarantee that tracing never perturbs search
-   results (digest equality on random cases, golden FSP digests). *)
+(* The observability layer: JSON round-trips, metric aggregation and
+   reset, the JSONL writer's one-line-per-event output and mid-run
+   interruption, self-time attribution in trace summaries, the Chrome
+   exporter, a committed trace whose summary and export are pinned byte for
+   byte, and the guarantee that tracing never perturbs search results
+   (digest equality on random cases, golden FSP digests). *)
 
 open Achilles_smt
 open Achilles_symvm
@@ -33,7 +34,6 @@ let test_json_roundtrip () =
   let ev =
     {
       Obs.ev_t = 1.25;
-      ev_tid = 3;
       ev_kind = "te\"st";
       ev_name = tricky_string;
       ev_args =
@@ -50,7 +50,6 @@ let test_json_roundtrip () =
   | Error msg -> Alcotest.fail ("round-trip parse failed: " ^ msg)
   | Ok fields ->
       check_num fields "t" 1.25;
-      check_num fields "tid" 3.;
       check_str fields "kind" "te\"st";
       check_str fields "name" tricky_string;
       check_str fields "s" tricky_string;
@@ -80,30 +79,28 @@ let test_json_parse_errors () =
       Alcotest.(check (float 0.)) "number with exponent" (-150.) f
   | _ -> Alcotest.fail "whitespace/null/exponent object misparsed"
 
-(* --- DLS metrics and cross-domain aggregation --------------------------------- *)
+(* --- metrics: aggregate and reset ---------------------------------------------- *)
 
-let test_aggregate_across_domains () =
+let test_aggregate_and_reset () =
   Obs.reset_all ();
-  let work () =
+  for _ = 1 to 5 do
     Obs.span Obs.Negate (fun () -> ());
     Obs.count ~n:2 "obs.test_counter"
-  in
-  let domains = Array.init 4 (fun _ -> Domain.spawn work) in
-  Array.iter Domain.join domains;
-  work ();
-  (* the current domain as well *)
+  done;
   let snap = Obs.aggregate () in
   let negate = List.assoc Obs.Negate snap.Obs.phases in
-  Alcotest.(check int) "spans summed over 5 domains" 5 negate.Obs.spans;
+  Alcotest.(check int) "spans summed" 5 negate.Obs.spans;
   Alcotest.(check bool) "elapsed non-negative" true (negate.Obs.seconds >= 0.);
   Alcotest.(check int) "histogram mass equals span count" 5
     (Array.fold_left ( + ) 0 negate.Obs.histogram);
-  Alcotest.(check (option int)) "counter summed over 5 domains" (Some 10)
+  Alcotest.(check (option int)) "counter summed" (Some 10)
     (List.assoc_opt "obs.test_counter" snap.Obs.counters);
   Obs.reset_all ();
+  Alcotest.(check int) "an earlier snapshot survives the reset" 5
+    (Array.fold_left ( + ) 0 negate.Obs.histogram);
   let snap = Obs.aggregate () in
   let negate = List.assoc Obs.Negate snap.Obs.phases in
-  Alcotest.(check int) "reset zeroes every registered slice" 0 negate.Obs.spans;
+  Alcotest.(check int) "reset zeroes the spans" 0 negate.Obs.spans;
   Alcotest.(check (option int)) "reset clears counters" None
     (List.assoc_opt "obs.test_counter" snap.Obs.counters)
 
@@ -118,7 +115,7 @@ let test_phase_names_total () =
   Alcotest.(check (option reject)) "unknown phase name rejected" None
     (Obs.phase_of_name "no_such_phase")
 
-(* --- the JSONL writer under concurrency --------------------------------------- *)
+(* --- the JSONL writer ---------------------------------------------------------- *)
 
 let read_lines path =
   let ic = open_in path in
@@ -140,27 +137,21 @@ let check_all_lines_parse path lines =
           Alcotest.fail (Printf.sprintf "%s:%d: invalid JSON (%s)" path (i + 1) msg))
     lines
 
-let test_concurrent_writer () =
-  let file = Filename.temp_file "achilles-obs-conc" ".jsonl" in
+let test_one_line_per_event () =
+  let file = Filename.temp_file "achilles-obs-lines" ".jsonl" in
   Obs.Trace.enable file;
-  let per_domain = 50 in
-  let domains =
-    Array.init 4 (fun d ->
-        Domain.spawn (fun () ->
-            for i = 0 to per_domain - 1 do
-              Obs.emit
-                ~args:[ ("domain", Obs.I d); ("i", Obs.I i); ("s", Obs.S "x\"y\nz") ]
-                ~kind:"test" ~name:"tick" ();
-              Obs.span Obs.Checkpoint_io (fun () -> ())
-            done))
-  in
-  Array.iter Domain.join domains;
+  let n = 200 in
+  for i = 0 to n - 1 do
+    Obs.emit
+      ~args:[ ("i", Obs.I i); ("s", Obs.S "x\"y\nz") ]
+      ~kind:"test" ~name:"tick" ();
+    Obs.span Obs.Checkpoint_io (fun () -> ())
+  done;
   Obs.Trace.disable ();
   let lines = read_lines file in
   (* the trace_start meta stamp, then one tick + span_begin/span_end per
      iteration, no torn or merged lines *)
-  Alcotest.(check int) "every event is exactly one line"
-    ((4 * per_domain * 3) + 1)
+  Alcotest.(check int) "every event is exactly one line" ((n * 3) + 1)
     (List.length lines);
   (match Obs.Json.parse_line (List.hd lines) with
   | Ok fields ->
@@ -168,15 +159,19 @@ let test_concurrent_writer () =
       check_str fields "name" "trace_start"
   | Error msg -> Alcotest.fail ("meta line unparseable: " ^ msg));
   check_all_lines_parse file lines;
+  let parsed =
+    List.filter_map (fun l -> Result.to_option (Obs.Json.parse_line l)) lines
+  in
+  Alcotest.(check bool) "no line carries a tid" false
+    (List.exists (List.mem_assoc "tid") parsed);
   let ticks =
     List.filter
-      (fun l ->
-        match Obs.Json.parse_line l with
-        | Ok fields -> List.assoc_opt "kind" fields = Some (Obs.Json.Str "test")
-        | Error _ -> false)
-      lines
+      (fun fields -> List.assoc_opt "kind" fields = Some (Obs.Json.Str "test"))
+      parsed
   in
-  Alcotest.(check int) "all ticks accounted" (4 * per_domain) (List.length ticks);
+  Alcotest.(check int) "all ticks accounted" n (List.length ticks);
+  List.iteri (fun i fields -> check_num fields "i" (float_of_int i)) ticks;
+  check_str (List.hd ticks) "s" "x\"y\nz";
   Sys.remove file
 
 (* --- random client/server pairs (same harness as the robustness suite) --------- *)
@@ -329,10 +324,9 @@ let test_interrupted_trace_parseable () =
 
 (* --- self-time attribution on a hand-written trace ----------------------------- *)
 
-let evt ?(args = []) t tid kind name =
+let evt ?(args = []) t kind name =
   [
     ("t", Obs.Json.Num t);
-    ("tid", Obs.Json.Num (float_of_int tid));
     ("kind", Obs.Json.Str kind);
     ("name", Obs.Json.Str name);
   ]
@@ -350,15 +344,15 @@ let row_of s name =
 let test_summary_self_time () =
   let events =
     [
-      evt 0. 0 "span_begin" "server_se";
-      evt 2. 0 "span_begin" "solver_query";
-      evt 1. 1 "span_begin" "negate" (* left open: the run was killed *);
-      evt 5. 0 "span_end" "solver_query" ~args:[ ("dur", Obs.Json.Num 3.) ];
-      evt 6. 0 "counter" "foo" ~args:[ ("n", Obs.Json.Num 4.) ];
-      evt 7. 0 "solver" "verdict" ~args:[ ("result", Obs.Json.Str "sat") ];
-      evt 7.5 0 "cache" "hit";
-      evt 7.6 0 "cache" "miss";
-      evt 10. 0 "span_end" "server_se" (* no dur: derived from t - start *);
+      evt 0. "span_begin" "server_se";
+      evt 2. "span_begin" "solver_query";
+      evt 5. "span_end" "solver_query" ~args:[ ("dur", Obs.Json.Num 3.) ];
+      evt 6. "counter" "foo" ~args:[ ("n", Obs.Json.Num 4.) ];
+      evt 7. "solver" "verdict" ~args:[ ("result", Obs.Json.Str "sat") ];
+      evt 7.5 "cache" "hit";
+      evt 7.6 "cache" "miss";
+      evt 10. "span_end" "server_se" (* no dur: derived from t - start *);
+      evt 1. "span_begin" "negate" (* left open: the run was killed *);
     ]
   in
   let s = Obs.Summary.of_events events in
@@ -372,12 +366,12 @@ let test_summary_self_time () =
   Alcotest.(check (float 1e-9)) "solver_query self = dur (leaf span)" 3.
     solver.Obs.Summary.self_seconds;
   Alcotest.(check int) "solver_query span count" 1 solver.Obs.Summary.row_spans;
-  (* the unclosed span on tid 1 is closed at the last timestamp *)
+  (* the unclosed span is closed at the last timestamp *)
   let negate = row_of s "negate" in
   Alcotest.(check (float 1e-9)) "unclosed span closed at max t" 9.
     negate.Obs.Summary.total_seconds;
-  (* tid 0 emitted first, so it is the main domain: its root span covers
-     the whole window, and tid 1's orphan does not inflate coverage *)
+  (* server_se, a root span, covers the whole window; the negate root
+     closed at the end cannot push coverage past 1 *)
   Alcotest.(check (float 1e-9)) "fully attributed" 1. s.Obs.Summary.attributed;
   Alcotest.(check (option int)) "counter event tallied" (Some 4)
     (List.assoc_opt "foo" s.Obs.Summary.counters);
@@ -428,21 +422,18 @@ let test_chrome_export () =
     [
       {
         Obs.ev_t = 0.001;
-        ev_tid = 0;
         ev_kind = "span_begin";
         ev_name = "solver_query";
         ev_args = [];
       };
       {
         Obs.ev_t = 0.004;
-        ev_tid = 0;
         ev_kind = "span_end";
         ev_name = "solver_query";
         ev_args = [ ("dur", Obs.F 0.003) ];
       };
       {
         Obs.ev_t = 0.005;
-        ev_tid = 1;
         ev_kind = "drop";
         ev_name = "subsumed";
         ev_args = [ ("route", Obs.S "r\"1") ];
@@ -588,10 +579,9 @@ let write_stream path ~run_id ~proc ~wall0 events =
 
 let span_pair t name =
   [
-    { Obs.ev_t = t; ev_tid = 0; ev_kind = "span_begin"; ev_name = name; ev_args = [] };
+    { Obs.ev_t = t; ev_kind = "span_begin"; ev_name = name; ev_args = [] };
     {
       Obs.ev_t = t +. 0.5;
-      ev_tid = 0;
       ev_kind = "span_end";
       ev_name = name;
       ev_args = [ ("dur", Obs.F 0.5) ];
@@ -789,6 +779,30 @@ let test_cli_trace_smoke () =
       | _ -> Alcotest.failf "export %s has no traceEvents%s" chrome where));
   List.iter Sys.remove [ trace; chrome ]
 
+(* A trace the CLI wrote while trace lines still carried a "tid" field
+   ([analyze gossip -w 1 --trace]), committed with that CLI's [trace
+   summarize] and [trace export] output: both must come out byte for byte
+   the same today. *)
+let fixture name =
+  Filename.concat (Filename.dirname Sys.executable_name) ("fixtures/" ^ name)
+
+let test_committed_trace_fixture () =
+  let read file = In_channel.with_open_bin file In_channel.input_all in
+  let trace = fixture "gossip_trace.jsonl" in
+  Alcotest.(check string) "trace summarize output"
+    (read (fixture "gossip_trace.summary.txt"))
+    (run_cli ~where:"" [ "trace"; "summarize"; trace ]);
+  let chrome =
+    Filename.temp_file ~temp_dir:(Sys.getcwd ()) "achilles-fixture"
+      ".chrome.json"
+  in
+  ignore (run_cli ~where:"" [ "trace"; "export"; trace; "-o"; chrome ]);
+  let exported = read chrome in
+  Sys.remove chrome;
+  Alcotest.(check string) "trace export output"
+    (read (fixture "gossip_trace.chrome.json"))
+    exported
+
 let () =
   Alcotest.run "obs"
     [
@@ -802,8 +816,8 @@ let () =
         ] );
       ( "metrics",
         [
-          Alcotest.test_case "aggregate across domains" `Quick
-            test_aggregate_across_domains;
+          Alcotest.test_case "aggregate sums and reset zeroes" `Quick
+            test_aggregate_and_reset;
           Alcotest.test_case "phase taxonomy round-trips" `Quick
             test_phase_names_total;
           Alcotest.test_case "quantiles from log2 histograms" `Quick
@@ -811,8 +825,8 @@ let () =
         ] );
       ( "trace-writer",
         [
-          Alcotest.test_case "concurrent emission stays line-atomic" `Quick
-            test_concurrent_writer;
+          Alcotest.test_case "every event is one line" `Quick
+            test_one_line_per_event;
           Alcotest.test_case "cancelled run leaves a parseable trace" `Quick
             test_interrupted_trace_parseable;
         ] );
@@ -824,6 +838,8 @@ let () =
             test_summary_loads_old_cache_events;
           Alcotest.test_case "chrome export" `Quick test_chrome_export;
           Alcotest.test_case "CLI trace smoke" `Slow test_cli_trace_smoke;
+          Alcotest.test_case "committed trace summarizes and exports unchanged"
+            `Quick test_committed_trace_fixture;
         ] );
       ( "correlation",
         [

@@ -685,7 +685,7 @@ let test_solver_unknown_on_budget () =
   | Solver.Unknown | Solver.Sat _ -> ()
   | Solver.Unsat -> Alcotest.fail "factoring 0x6E0F is satisfiable"
 
-(* Scratch queries share one per-domain instance, reset between queries:
+(* Scratch queries share one instance, reset between queries:
    a model must not depend on which queries came before it. *)
 let test_solver_model_independent_of_history () =
   let x = fresh8 "hx" and y = fresh8 "hy" and z = fresh8 "hz" in
