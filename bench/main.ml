@@ -639,7 +639,7 @@ let layer_rows =
 let layer_columns =
   [
     "wall_s"; "digest"; "queries"; "settled"; "sat_calls";
-    "bitblast_memo_misses";
+    "bitblast_memo_misses"; "cnf_vars"; "cnf_clauses";
     "terms_created"; "feasibility_queries"; "pairs_checked"; "trojans";
     "unconfirmed"; "trojan_states"; "bitblast_share"; "solver_query_share";
   ]
@@ -689,6 +689,7 @@ let measure_layer_row (l : layer_row) analyze =
   let report = analysis.Achilles.report in
   let agg = Solver.aggregate_stats () in
   let _, blast_misses = Bitblast.aggregate_memo_stats () in
+  let cnf_vars, cnf_clauses = Bitblast.aggregate_cnf_stats () in
   let _, terms_created = Term.aggregate_intern_stats () in
   let counter =
     let counters = (Obs.aggregate ()).Obs.counters in
@@ -717,6 +718,8 @@ let measure_layer_row (l : layer_row) analyze =
         int (counter "search.alive_settled" + counter "search.prune_settled") );
       ("sat_calls", int agg.Solver.sat_calls);
       ("bitblast_memo_misses", int blast_misses);
+      ("cnf_vars", int cnf_vars);
+      ("cnf_clauses", int cnf_clauses);
       ("terms_created", int terms_created);
       ( "feasibility_queries",
         int

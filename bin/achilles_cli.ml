@@ -230,7 +230,8 @@ let digest_arg =
   let doc =
     "Print the deterministic report digest (stable across checkpoint \
      splits and resume) — the handle CI uses to assert that every mode reports \
-     the same thing."
+     the same thing — and the verdict digest, the same digest with every \
+     witness zeroed (stable across changes that only move SAT models)."
   in
   Arg.(value & flag & info [ "digest" ] ~doc)
 
@@ -412,8 +413,9 @@ let run_analysis ~name target ~mask ~witnesses ~no_drop ~no_df ~no_prune
       end);
   Format.printf "@.%a@." Report.pp_metrics (Obs.aggregate ());
   if digest then
-    Format.printf "@.report digest: %s@."
-      (Report.report_digest analysis.Achilles.report);
+    Format.printf "@.report digest: %s@.verdict digest: %s@."
+      (Report.report_digest analysis.Achilles.report)
+      (Report.verdict_digest analysis.Achilles.report);
   exit_code_of analysis.Achilles.report
 
 (* --mask needs the target's layout and --checkpoint-dir / --resume the
@@ -998,7 +1000,11 @@ let trace_summarize file =
       in
       List.iter
         (fun r ->
-          let q p = 1000. *. Obs.estimate_quantile r.row_hist p in
+          (* a bucket's midpoint can lie above every span in it *)
+          let q p =
+            1000.
+            *. Float.min r.max_seconds (Obs.estimate_quantile r.row_hist p)
+          in
           Format.printf
             "%-16s %10.3f %7.1f%% %10.3f %8d %9.2f %9.2f %9.2f %10.2f@."
             r.row_phase r.self_seconds

@@ -226,6 +226,13 @@ let report_digest (r : Search.report) =
          c.Search.interrupted);
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
+let verdict_digest (r : Search.report) =
+  let zero (t : Search.trojan) =
+    let witness = Array.map (fun b -> Bv.zero (Bv.width b)) t.Search.witness in
+    { t with Search.witness }
+  in
+  report_digest { r with Search.trojans = List.map zero r.Search.trojans }
+
 (* --- grammar summaries ---------------------------------------------------- *)
 
 type field_summary =

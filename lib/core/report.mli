@@ -57,6 +57,12 @@ val report_digest : Search.report -> string
     digest — so fault-free goldens stay pinned and a resumed run that
     completes reproduces the uninterrupted digest byte-for-byte. *)
 
+val verdict_digest : Search.report -> string
+(** {!report_digest} of the report with every trojan's witness bytes
+    zeroed: everything the search decided, but not which model the SAT
+    solver happened to return. A change to the CNF the bitblaster emits
+    may move witness bytes; it must not move this digest. *)
+
 val discovery_digest : Search.report -> string
 (** Only the discovery series of Figure 10: the ordered trojan list. *)
 

@@ -11,44 +11,49 @@ type t = {
   cone_cache : int array Term.Tbl.t;
   (* memoized full translation cones of top-level (asserted/guarded) terms *)
   mutable true_lit : int;
-  mutable n_clauses : int;
-  mutable n_aux : int;
   mutable marks : int array;
   (* by SAT variable: the stamp of the last [cone_vars] call that listed it *)
   mutable mark_stamp : int;
 }
 
-(* Memo counters, accumulated across contexts: every scratch solver query
-   starts from a [reset] context (model determinism forbids reusing CNF
-   between model-extracting queries), so per-context hit counts would vanish
-   with each reset. Long-lived incremental contexts accumulate into the
-   same counters. *)
-type memo_state = { mutable m_hits : int; mutable m_misses : int }
+(* Memo and CNF-size counters, accumulated across contexts: every scratch
+   solver query starts from a [reset] context (model determinism forbids
+   reusing CNF between model-extracting queries), so per-context counts
+   would vanish with each reset. Long-lived incremental contexts accumulate
+   into the same counters. *)
+type memo_state = {
+  mutable m_hits : int;
+  mutable m_misses : int;
+  mutable m_vars : int;
+  mutable m_clauses : int;
+}
 
-let memo = { m_hits = 0; m_misses = 0 }
+let memo = { m_hits = 0; m_misses = 0; m_vars = 0; m_clauses = 0 }
 let aggregate_memo_stats () = (memo.m_hits, memo.m_misses)
+let aggregate_cnf_stats () = (memo.m_vars, memo.m_clauses)
 
 let reset_memo_stats () =
   memo.m_hits <- 0;
-  memo.m_misses <- 0
+  memo.m_misses <- 0;
+  memo.m_vars <- 0;
+  memo.m_clauses <- 0
 
 let sat t = t.sat
-let clauses_added t = t.n_clauses
-let aux_vars t = t.n_aux
+let true_lit t = t.true_lit
 let cached_terms t = Term.Tbl.length t.cache
 
 let clause t lits =
-  t.n_clauses <- t.n_clauses + 1;
+  memo.m_clauses <- memo.m_clauses + 1;
   Sat.add_clause t.sat lits
 
 (* The gates' clauses, entered without building a list; a binary clause
    repeats its last literal, which the duplicate removal drops. *)
 let clause3 t a b c =
-  t.n_clauses <- t.n_clauses + 1;
+  memo.m_clauses <- memo.m_clauses + 1;
   Sat.add_clause3 t.sat a b c
 
 let fresh t =
-  t.n_aux <- t.n_aux + 1;
+  memo.m_vars <- memo.m_vars + 1;
   Sat.new_var t.sat
 
 (* The true literal is the context's first variable, asserted by a unit
@@ -67,8 +72,6 @@ let create sat =
       ranges = Term.Tbl.create 256;
       cone_cache = Term.Tbl.create 64;
       true_lit = 0;
-      n_clauses = 0;
-      n_aux = 0;
       marks = [||];
       mark_stamp = 0;
     }
@@ -85,13 +88,19 @@ let reset t =
   Hashtbl.reset t.term_vars;
   Term.Tbl.reset t.ranges;
   Term.Tbl.reset t.cone_cache;
-  t.n_clauses <- 0;
-  t.n_aux <- 0;
   (* [marks] is kept as is: stamps only ever increase, so no old mark can
      match a later call's stamp *)
   init_true_lit t
 
 (* --- boolean gates -------------------------------------------------------- *)
+
+(* Each gate either folds to an existing literal or makes one fresh output
+   variable whose clauses admit exactly one output value under every
+   assignment of its inputs (a total definition). So whatever values a
+   query's cone takes, every gate outside it can still satisfy its own
+   clauses by its output alone, in allocation order — the closure a
+   long-lived context relies on when it solves with [decide_vars] limited
+   to the cone ([cone_vars]). *)
 
 let lnot l = -l
 
@@ -143,13 +152,59 @@ let mux t c a b =
     x
   end
 
-let and_many t = function
-  | [] -> t.true_lit
-  | l :: ls -> List.fold_left (and2 t) l ls
+(* The inputs of an n-ary AND in ascending variable order (a variable's
+   positive literal first), each once and without the true literal; [None]
+   when the AND is false: a false input, or a complementary pair, which the
+   sort makes adjacent. *)
+let and_inputs t lits =
+  let key l = (2 * abs l) + if l < 0 then 1 else 0 in
+  let rec scan acc = function
+    | [] -> Some (List.rev acc)
+    | l :: _ when l = -t.true_lit -> None
+    | l :: rest when l = t.true_lit -> scan acc rest
+    | a :: b :: _ when a = -b -> None
+    | l :: rest -> scan (l :: acc) rest
+  in
+  scan [] (List.sort_uniq (fun a b -> Int.compare (key a) (key b)) lits)
 
-let or_many t = function
-  | [] -> -t.true_lit
-  | l :: ls -> List.fold_left (or2 t) l ls
+(* For k = 2 inputs these are [and2]'s clauses; for k inputs a chain of
+   binary gates would spend k - 1 variables and 3(k - 1) clauses where
+   this gate spends 1 and k + 1. *)
+let and_many t lits =
+  match and_inputs t lits with
+  | None -> -t.true_lit
+  | Some [] -> t.true_lit
+  | Some [ l ] -> l
+  | Some ls ->
+      let x = fresh t in
+      List.iter (fun l -> clause3 t (-x) l l) ls;
+      clause t (List.map lnot ls @ [ x ]);
+      x
+
+let or_many t lits = lnot (and_many t (List.map lnot lits))
+
+let maj t a b c =
+  let tl = t.true_lit in
+  let is_const l = l = tl || l = -tl in
+  let fold k y z = if k = tl then or2 t y z else and2 t y z in
+  if is_const a then fold a b c
+  else if is_const b then fold b a c
+  else if is_const c then fold c a b
+  else if a = b || a = c then a
+  else if b = c then b
+  else if a = -b then c
+  else if a = -c then b
+  else if b = -c then a
+  else begin
+    let x = fresh t in
+    clause3 t (-x) a b;
+    clause3 t (-x) a c;
+    clause3 t (-x) b c;
+    clause3 t x (-a) (-b);
+    clause3 t x (-a) (-c);
+    clause3 t x (-b) (-c);
+    x
+  end
 
 (* --- arithmetic circuits --------------------------------------------------- *)
 
@@ -174,9 +229,13 @@ let subtract t av bv =
   (* a + ~b + 1; carry-out = 1 iff a >= b (unsigned) *)
   adder t av (Array.map lnot bv) t.true_lit
 
+(* a < b (unsigned) iff a + ~b + 1 carries nothing out of the top bit.
+   Only that carry is read, so the chain is built alone, one majority gate
+   per bit (carry(i+1) = maj(a_i, ~b_i, carry_i)); no sum bit exists. *)
 let ult_lit t av bv =
-  let _, carry = subtract t av bv in
-  lnot carry
+  let carry = ref t.true_lit in
+  Array.iteri (fun i a -> carry := maj t a (lnot bv.(i)) !carry) av;
+  lnot !carry
 
 let slt_lit t av bv =
   let w = Array.length av in
@@ -294,8 +353,8 @@ and translate_uncached t (term : Term.t) : repr =
       | None ->
           let r =
             match v.sort with
-            | Term.Bool -> Rlit (Sat.new_var t.sat)
-            | Term.Bitvec w -> Rvec (Array.init w (fun _ -> Sat.new_var t.sat))
+            | Term.Bool -> Rlit (fresh t)
+            | Term.Bitvec w -> Rvec (Array.init w (fun _ -> fresh t))
           in
           Hashtbl.replace t.term_vars v.id (v, r);
           r)

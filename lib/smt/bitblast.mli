@@ -6,7 +6,25 @@
 
     Division and remainder follow SMT-LIB semantics ([udiv x 0 = ones],
     [urem x 0 = x]); shifts by amounts [>= width] produce zero (or the sign
-    fill for arithmetic shifts). *)
+    fill for arithmetic shifts).
+
+    {b Encoding.} Every gate is a fresh variable defined by Tseitin clauses
+    over its inputs, folded first when an input is constant, repeated or
+    the complement of another (then no variable is made). Beside the binary
+    AND, XOR and multiplexer there are two wider gates: {!and_many} (and
+    its dual {!or_many}), one variable for a whole conjunction — vector
+    equality, the zero test and a shifter's overflow are one gate each —
+    and {!maj}, the majority of three, which carries the unsigned and
+    signed comparisons: [a < b] is the inverted carry out of [a + ~b + 1],
+    built as a chain of majority gates with no sum bits. Addition,
+    subtraction, multiplication and division keep full adders.
+
+    Each gate's clauses define its output for {e every} assignment of its
+    inputs: exactly one output value satisfies them. That is what lets a
+    long-lived context decide only a query's cone ([Sat.solve]'s
+    [decide_vars] from {!cone_vars}): a clause outside the cone belongs to
+    a gate whose output the search leaves free, and a free output can
+    always take the value its inputs define. *)
 
 type t
 
@@ -37,9 +55,6 @@ val extract_vars : t -> Term.var array -> Model.t
     harmless, since the query does not mention it. Only valid after
     [Sat.solve] returned [Sat]. *)
 
-val clauses_added : t -> int
-val aux_vars : t -> int
-
 val cached_terms : t -> int
 (** Distinct terms translated so far in this context — the reuse a
     long-lived (incremental) context has accumulated. *)
@@ -52,14 +67,45 @@ val cone_vars : t -> Term.t list -> int array
     this as [Sat.solve]'s [decide_vars] so a query only decides its own
     cone instead of everything the context has accumulated. *)
 
-(** {1 Memo statistics}
+(** {1 Gates}
 
-    Translation-cache hits and misses, accumulated across every context
-    (scratch contexts are reset per query, so the counters must outlive
-    them). *)
+    The wide gates, on DIMACS literals of this context's instance. *)
+
+val true_lit : t -> int
+(** The literal the context asserts true (its first variable). *)
+
+val and_many : t -> int list -> int
+(** The conjunction of the literals. Duplicates and the true literal are
+    dropped (found by sorting); a false input or a complementary pair gives
+    the false literal, no input the true literal, one input that literal.
+    Otherwise one fresh [x] with [(-x \/ li)] for each input and
+    [(x \/ -l1 \/ ... \/ -lk)]. *)
+
+val or_many : t -> int list -> int
+(** The disjunction: [-(and_many (map (~-) lits))]. *)
+
+val maj : t -> int -> int -> int -> int
+(** The majority of three literals, by six clauses
+    [(-x \/ a \/ b)], [(-x \/ a \/ c)], [(-x \/ b \/ c)],
+    [(x \/ -a \/ -b)], [(x \/ -a \/ -c)], [(x \/ -b \/ -c)]. It
+    folds first: a constant input leaves the OR (true) or the AND (false)
+    of the other two, two equal inputs are the answer, and a complementary
+    pair leaves the third input. *)
+
+(** {1 Memo and CNF statistics}
+
+    Translation-cache hits and misses, and the CNF the translations
+    emitted, accumulated across every context (scratch contexts are reset
+    per query, so the counters must outlive them). *)
 
 val aggregate_memo_stats : unit -> int * int
 (** [(hits, misses)] since the last {!reset_memo_stats}. *)
+
+val aggregate_cnf_stats : unit -> int * int
+(** [(variables, clauses)] allocated since the last {!reset_memo_stats}:
+    every SAT variable a context created (term-variable bits, gate outputs
+    and its true literal) and every clause it entered, including ones the
+    SAT instance then simplified away. *)
 
 val reset_memo_stats : unit -> unit
 (** Zero the counters. *)

@@ -311,11 +311,11 @@ let scratch_path name =
   rm_rf path;
   path
 
-(* The report digest [analyze ARGS --digest] prints. The behaviour
-   contract, pinned end to end through the CLI: see {!Goldens.cli_digests}. *)
-let cli_digest ?env args =
+(* The report digest [analyze ARGS --digest] prints (or, with [~prefix],
+   another of its digest lines). The behaviour contract, pinned end to end
+   through the CLI: see {!Goldens.cli_digests}. *)
+let cli_digest ?env ?(prefix = "report digest: ") args =
   let _, out, _ = run_cli ?env (("analyze" :: args) @ [ "--digest" ]) in
-  let prefix = "report digest: " in
   let n = String.length prefix in
   List.find_map
     (fun line ->
@@ -331,6 +331,17 @@ let test_cli_golden_digests () =
         ("analyze " ^ String.concat " " args ^ " --digest")
         (Some golden) (cli_digest args))
     Goldens.cli_digests
+
+(* Witness bytes aside, the reports are pinned apart from the models the
+   SAT solver returns: see {!Goldens.verdict_digests}. *)
+let test_cli_verdict_digests () =
+  List.iter
+    (fun (args, golden) ->
+      Alcotest.(check (option string))
+        ("analyze " ^ String.concat " " args ^ " --digest, verdicts")
+        (Some golden)
+        (cli_digest ~prefix:"verdict digest: " args))
+    Goldens.verdict_digests
 
 (* The search runs on one domain: [-j] and [--domains] are unknown
    options, refused while parsing the command line. *)
@@ -397,7 +408,7 @@ let test_cli_checkpoint_no_extra_work () =
     (queries [ "--checkpoint-dir"; dir ]);
   rm_rf dir;
   let env = [ "ACHILLES_SLICE=1"; "ACHILLES_SOLVER_FAULT_RATE=0.05" ] in
-  let expected = Some "632e746ad574ecbca1dbd089f3e47f5e" in
+  let expected = Some "b17017d73a81d8dd9aa5c7becec76ef8" in
   Alcotest.(check (option string)) "5% faults, unsharded" expected
     (cli_digest ~env [ "fsp"; "-w"; "16" ]);
   Alcotest.(check (option string)) "5% faults, checkpointed" expected
@@ -538,6 +549,8 @@ let () =
         [
           Alcotest.test_case "golden report digests" `Slow
             test_cli_golden_digests;
+          Alcotest.test_case "golden verdict digests" `Slow
+            test_cli_verdict_digests;
           Alcotest.test_case "-j is not an option" `Quick
             test_cli_no_domains_option;
           Alcotest.test_case "closed stdout pipe ends quietly" `Quick

@@ -803,6 +803,41 @@ let test_committed_trace_fixture () =
     (read (fixture "gossip_trace.chrome.json"))
     exported
 
+(* The quantile columns of the pinned summary are ordered and never exceed
+   the row's max: p50 <= p95 <= p99 <= max on every phase row. *)
+let test_summary_quantiles_ordered () =
+  let lines =
+    In_channel.with_open_bin (fixture "gossip_trace.summary.txt")
+      In_channel.input_lines
+  in
+  let words l = List.filter (( <> ) "") (String.split_on_char ' ' l) in
+  let rec phase_rows = function
+    | l :: rest when List.mem "p50(ms)" (words l) ->
+        let rec take = function
+          | l :: rest when l <> "" -> words l :: take rest
+          | _ -> []
+        in
+        take rest
+    | _ :: rest -> phase_rows rest
+    | [] -> []
+  in
+  let rows = phase_rows lines in
+  Alcotest.(check bool) "the summary has phase rows" true (rows <> []);
+  List.iter
+    (function
+      | [ phase; _; _; _; _; p50; p95; p99; max ] ->
+          let p50, p95, p99, max =
+            (float_of_string p50, float_of_string p95, float_of_string p99,
+             float_of_string max)
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: p50 %.2f <= p95 %.2f <= p99 %.2f <= max %.2f"
+               phase p50 p95 p99 max)
+            true
+            (p50 <= p95 && p95 <= p99 && p99 <= max)
+      | row -> Alcotest.failf "unexpected summary row: %s" (String.concat " " row))
+    rows
+
 let () =
   Alcotest.run "obs"
     [
@@ -840,6 +875,8 @@ let () =
           Alcotest.test_case "CLI trace smoke" `Slow test_cli_trace_smoke;
           Alcotest.test_case "committed trace summarizes and exports unchanged"
             `Quick test_committed_trace_fixture;
+          Alcotest.test_case "summary quantiles stay below the max" `Quick
+            test_summary_quantiles_ordered;
         ] );
       ( "correlation",
         [

@@ -974,6 +974,244 @@ let qcheck_model_satisfies =
       | `Sat m -> Model.satisfies m terms
       | `Unsat | `Unknown -> true)
 
+(* --- bitblaster gates and circuits ------------------------------------------- *)
+
+(* A fresh context with [n] input variables. *)
+let gate_context n =
+  let bb = Bitblast.create (Sat.create ()) in
+  let inputs = Array.init n (fun _ -> Sat.new_var (Bitblast.sat bb)) in
+  (bb, inputs)
+
+(* [out] is defined by [f] over [inputs]: under every assignment of the
+   inputs, [out] can take [f]'s value and cannot take the other one. *)
+let check_defines what bb inputs out f =
+  let n = Array.length inputs in
+  for m = 0 to (1 lsl n) - 1 do
+    let values = Array.init n (fun i -> m land (1 lsl i) <> 0) in
+    let assumptions =
+      Array.to_list (Array.mapi (fun i v -> if values.(i) then v else -v) inputs)
+    in
+    let expected = if f values then out else -out in
+    let answer lit =
+      Sat.solve ~assumptions:(lit :: assumptions) (Bitblast.sat bb)
+    in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s, inputs %d: output can be right" what m)
+      true
+      (answer expected = Some Sat.Sat);
+    Alcotest.(check bool)
+      (Printf.sprintf "%s, inputs %d: output cannot be wrong" what m)
+      true
+      (answer (-expected) = Some Sat.Unsat)
+  done
+
+let test_and_many_folds () =
+  let bb, v = gate_context 3 in
+  let tl = Bitblast.true_lit bb in
+  let a = v.(0) and b = v.(1) and c = v.(2) in
+  let vars0 = Sat.num_vars (Bitblast.sat bb) in
+  let lit = Alcotest.int in
+  Alcotest.(check lit) "empty is true" tl (Bitblast.and_many bb []);
+  Alcotest.(check lit) "only true inputs is true" tl
+    (Bitblast.and_many bb [ tl; tl ]);
+  Alcotest.(check lit) "single input" (-b) (Bitblast.and_many bb [ -b ]);
+  Alcotest.(check lit) "duplicates collapse" a
+    (Bitblast.and_many bb [ a; tl; a; a ]);
+  Alcotest.(check lit) "complementary pair is false" (-tl)
+    (Bitblast.and_many bb [ a; b; -a ]);
+  Alcotest.(check lit) "false input is false" (-tl)
+    (Bitblast.and_many bb [ a; -tl; b ]);
+  Alcotest.(check lit) "or: empty is false" (-tl) (Bitblast.or_many bb []);
+  Alcotest.(check lit) "or: complementary pair is true" tl
+    (Bitblast.or_many bb [ c; b; -c ]);
+  Alcotest.(check lit) "or: true input is true" tl
+    (Bitblast.or_many bb [ a; tl ]);
+  Alcotest.(check lit) "or: duplicates and false collapse" b
+    (Bitblast.or_many bb [ b; -tl; b ]);
+  Alcotest.(check int) "no fold allocates" vars0 (Sat.num_vars (Bitblast.sat bb));
+  let x = Bitblast.and_many bb [ c; a; -b; a; tl ] in
+  Alcotest.(check int) "one gate for three inputs" (vars0 + 1)
+    (Sat.num_vars (Bitblast.sat bb));
+  check_defines "and(a, -b, c)" bb v x (fun m -> m.(0) && (not m.(1)) && m.(2));
+  let o = Bitblast.or_many bb [ a; b; -c ] in
+  check_defines "or(a, b, -c)" bb v o (fun m -> m.(0) || m.(1) || not m.(2))
+
+let test_maj_folds () =
+  let bb, v = gate_context 3 in
+  let tl = Bitblast.true_lit bb in
+  let a = v.(0) and b = v.(1) and c = v.(2) in
+  let lit = Alcotest.int in
+  let vars0 = Sat.num_vars (Bitblast.sat bb) in
+  Alcotest.(check lit) "equal inputs decide" a (Bitblast.maj bb a c a);
+  Alcotest.(check lit) "equal inputs decide (last two)" (-c)
+    (Bitblast.maj bb b (-c) (-c));
+  Alcotest.(check lit) "complementary pair passes the third" b
+    (Bitblast.maj bb a b (-a));
+  Alcotest.(check lit) "complementary pair passes the third (first)" (-c)
+    (Bitblast.maj bb (-c) b (-b));
+  Alcotest.(check lit) "two constants: true and false pass the third" a
+    (Bitblast.maj bb tl a (-tl));
+  Alcotest.(check lit) "two true constants are true" tl
+    (Bitblast.maj bb a tl tl);
+  Alcotest.(check int) "no fold allocates" vars0 (Sat.num_vars (Bitblast.sat bb));
+  let o = Bitblast.maj bb a tl b in
+  Alcotest.(check int) "true input: one OR gate" (vars0 + 1)
+    (Sat.num_vars (Bitblast.sat bb));
+  check_defines "maj(a, true, b)" bb v o (fun m -> m.(0) || m.(1));
+  let n = Bitblast.maj bb (-tl) b c in
+  check_defines "maj(false, b, c)" bb v n (fun m -> m.(1) && m.(2));
+  let x = Bitblast.maj bb a (-b) c in
+  check_defines "maj(a, -b, c)" bb v x (fun m ->
+      let count = List.length (List.filter Fun.id [ m.(0); not m.(1); m.(2) ]) in
+      count >= 2)
+
+(* Three variables per width 1..8, shared by every case. *)
+let circuit_vars =
+  Array.init 8 (fun i ->
+      Array.init 3 (fun j ->
+          Term.fresh_var ~name:(Printf.sprintf "c%d_%d" j (i + 1))
+            (Term.Bitvec (i + 1))))
+
+(* A case: three variables whose widths (each 1..8) add up to at most 12,
+   so brute force enumerates at most 4,096 assignments, and a conjunction
+   of boolean terms over them at the first variable's width. The terms
+   reach the folding edges of every gate: constants on either side of a
+   comparison, concatenations that repeat or complement bits under an
+   equality, and/or chains over repeated and negated atoms, division by
+   zero and shifts at or past the width. *)
+let gen_circuit_case =
+  let open QCheck2.Gen in
+  let* wx = int_range 1 8 in
+  let* wy = int_range 1 (min 8 (11 - wx)) in
+  let* wz = int_range 1 (min 8 (12 - wx - wy)) in
+  let vars =
+    Array.mapi (fun j w -> circuit_vars.(w - 1).(j)) [| wx; wy; wz |]
+  in
+  let w = wx in
+  let top = (1 lsl w) - 1 in
+  let const =
+    map (Term.int ~width:w)
+      (oneof [ return 0; return 1; return top; int_range 0 top ])
+  in
+  let leaf =
+    oneof
+      [
+        map
+          (fun i -> Term.resize_unsigned ~width:w (Term.var vars.(i)))
+          (int_range 0 2);
+        const;
+      ]
+  in
+  let bv_term =
+    sized_size (int_range 0 3) @@ fix (fun self n ->
+        if n <= 0 then leaf
+        else
+          let sub = self (n - 1) in
+          let divisor = oneof [ sub; return (Term.int ~width:w 0) ] in
+          (* amounts 0 .. w + 2 (mod 2^w): at and past the width *)
+          let amount =
+            map (fun k -> Term.int ~width:w (k land top)) (int_range 0 (w + 2))
+          in
+          oneof
+            [
+              leaf;
+              map2 Term.add sub sub;
+              map2 Term.sub sub sub;
+              map2 Term.mul sub sub;
+              map2 Term.udiv sub divisor;
+              map2 Term.urem sub divisor;
+              map Term.bnot sub;
+              map2 Term.band sub sub;
+              map2 Term.bor sub sub;
+              map2 Term.bxor sub sub;
+              map2 Term.shl sub (oneof [ sub; amount ]);
+              map2 Term.lshr sub (oneof [ sub; amount ]);
+              map2 Term.ashr sub (oneof [ sub; amount ]);
+              map3 (fun c a b -> Term.ite (Term.ult c a) a b) sub sub sub;
+            ])
+  in
+  let cmp = oneofl [ Term.ult; Term.ule; Term.slt; Term.sle ] in
+  let eq_or_neq = oneofl [ Term.eq; Term.neq ] in
+  let atom =
+    oneof
+      [
+        oneofl [ Term.tru; Term.fls ];
+        (let* f = cmp and* a = bv_term and* b = bv_term in
+         return (f a b));
+        (let* f = cmp and* a = bv_term and* c = const and* left = bool in
+         return (if left then f c a else f a c));
+        (let* e = eq_or_neq and* a = bv_term and* b = bv_term in
+         return (e a b));
+        (* repeated and complemented halves make duplicate and
+           complementary inputs of the equality's n-ary gate *)
+        (let* e = eq_or_neq and* a = bv_term and* b = bv_term
+         and* c = oneof [ bv_term; const ] and* d = bv_term
+         and* twist = int_range 0 2 in
+         let b = match twist with 0 -> a | 1 -> Term.bnot a | _ -> b in
+         return (e (Term.concat a b) (Term.concat c d)));
+      ]
+  in
+  let* atoms = list_size (int_range 1 3) atom in
+  let pool = Array.of_list atoms in
+  let literal =
+    map2
+      (fun i negate ->
+        let a = pool.(i mod Array.length pool) in
+        if negate then Term.not_ a else a)
+      (int_range 0 2) bool
+  in
+  let chain =
+    let* join = oneofl [ Term.and_l; Term.or_l ] in
+    map join (list_size (int_range 2 5) literal)
+  in
+  let* chains = list_size (int_range 0 2) chain in
+  return (vars, atoms @ chains)
+
+let print_circuit_case (_, terms) =
+  String.concat "; " (List.map Term.to_string terms)
+
+(* Does any assignment of the case's variables satisfy the terms? *)
+let circuit_brute_force vars terms =
+  let widths = Array.map (fun v -> Term.width_of (Term.var v)) vars in
+  let total = Array.fold_left ( + ) 0 widths in
+  let model n =
+    let shift = ref 0 in
+    Model.of_list
+      (Array.to_list
+         (Array.mapi
+            (fun i v ->
+              let w = widths.(i) in
+              let value = (n lsr !shift) land ((1 lsl w) - 1) in
+              shift := !shift + w;
+              (v, Model.Vbv (Bv.of_int ~width:w value)))
+            vars))
+  in
+  let rec go n =
+    n < 1 lsl total && (Model.satisfies (model n) terms || go (n + 1))
+  in
+  go 0
+
+(* The bare circuit: the terms on a fresh bitblast context, with no solver
+   front end (canonicalization, interval pre-check) in between. *)
+let bitblast_check terms =
+  let bb = Bitblast.create (Sat.create ()) in
+  List.iter (Bitblast.assert_true bb) terms;
+  match Sat.solve (Bitblast.sat bb) with
+  | Some Sat.Sat -> `Sat (Bitblast.extract_model bb)
+  | Some Sat.Unsat -> `Unsat
+  | None -> `Unknown
+
+let qcheck_circuits_match_brute_force =
+  QCheck2.Test.make ~name:"circuits agree with brute force (3 vars, 1-8 bits)"
+    ~count:300 ~print:print_circuit_case gen_circuit_case (fun (vars, terms) ->
+      let expected = circuit_brute_force vars terms in
+      let agrees = function
+        | `Sat m -> expected && Model.satisfies m terms
+        | `Unsat -> not expected
+        | `Unknown -> false
+      in
+      agrees (bitblast_check terms) && agrees (check_sat terms))
+
 let () =
   let qsuite name tests = (name, List.map (QCheck_alcotest.to_alcotest ~verbose:false) tests) in
   Alcotest.run "smt"
@@ -1035,6 +1273,12 @@ let () =
           Alcotest.test_case "sound on satisfiable" `Quick
             test_interval_never_wrong;
         ] );
+      ( "bitblast",
+        [
+          Alcotest.test_case "n-ary and/or folding" `Quick test_and_many_folds;
+          Alcotest.test_case "majority folding" `Quick test_maj_folds;
+        ] );
+      qsuite "bitblast-properties" [ qcheck_circuits_match_brute_force ];
       qsuite "solver-properties"
         [
           qcheck_solver_matches_enumeration;
