@@ -259,23 +259,6 @@ let setup_trace trace =
         exit 124)
   | None -> ()
 
-(* --verbose goes through the event layer: the same "report"/"trojan_symbolic"
-   events land in the trace file (when enabled) and in this sink, so verbose
-   output can never drift from what the trace records. *)
-let install_verbose_sink () =
-  Obs.set_sink
-    (Some
-       (fun ev ->
-         if ev.Obs.ev_kind = "report" && ev.Obs.ev_name = "trojan_symbolic"
-         then
-           match List.assoc_opt "symbolic" ev.Obs.ev_args with
-           | Some (Obs.S text) ->
-               Format.printf "  symbolic expression:@.";
-               List.iter
-                 (fun line -> Format.printf "    %s@." line)
-                 (String.split_on_char '\n' text)
-           | _ -> ()))
-
 let explain_arg =
   let doc =
     "Print, for each dropped client path, the unsat core of server \
@@ -338,13 +321,11 @@ let run_analysis ~name target ~mask ~witnesses ~no_drop ~no_df ~no_prune
   if no_slice then Slice.set_enabled false;
   install_signal_handlers ();
   setup_trace trace;
-  if verbose then install_verbose_sink ();
   Fun.protect
     ~finally:(fun () ->
       (* also the SIGINT/SIGTERM partial-flush path: the search winds
          down cooperatively and control always comes back through here,
          closing (and thereby flushing) the trace before exit *)
-      Obs.set_sink None;
       Obs.Trace.disable ())
   @@ fun () ->
   Obs.emit ~kind:"meta" ~name:"analyze"
@@ -383,21 +364,15 @@ let run_analysis ~name target ~mask ~witnesses ~no_drop ~no_df ~no_prune
       List.iter
         (fun (t : Search.trojan) ->
           Format.printf "%a@." (Report.pp_trojan target.layout) t;
-          if verbose || Obs.live () then
-            let rendered =
-              String.concat "\n"
-                (List.map
-                   (fun c -> Format.asprintf "%a" Smt_term.pp c)
-                   t.Search.symbolic)
-            in
-            Obs.emit ~kind:"report" ~name:"trojan_symbolic"
-              ~args:
-                [
-                  ("state", Obs.I t.Search.server_state_id);
-                  ("label", Obs.S t.Search.accept_label);
-                  ("symbolic", Obs.S rendered);
-                ]
-              ())
+          if verbose then begin
+            Format.printf "  symbolic expression:@.";
+            List.iter
+              (fun line -> Format.printf "    %s@." line)
+              (String.split_on_char '\n'
+                 (String.concat "\n"
+                    (List.map (Format.asprintf "%a" Smt_term.pp)
+                       t.Search.symbolic)))
+          end)
         (Achilles.trojans analysis);
       if explain then begin
         Format.printf "@.-- why client paths were dropped --@.";

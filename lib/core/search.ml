@@ -34,7 +34,7 @@ type config = {
          stops; completed shards and the partial log of the shard the pass
          was in are reported *)
   chaos : (int -> unit) option;
-      (* test hook run with the shard index as a pass starts recording
+      (* test hook run with the shard position as a pass starts recording
          it; may raise to simulate a crashing shard *)
 }
 
@@ -136,18 +136,19 @@ type report = {
 
 (* --- shard event log ---------------------------------------------------------
 
-   A shard's log may be written by another process (a checkpoint resumed
-   later) and a pass that skips resumed subtrees numbers its states
-   differently, so instead of filling the report directly the search logs
-   every observation keyed by the state's route. Each state's events go to
-   the log of the one shard it belongs to, so the merge is a concatenation
-   — no deduplication — sorted by route, with ids rewritten to the
-   lexicographic rank of the route, which equals the id a single
-   depth-first run over the whole tree assigns. *)
+   Instead of filling the report directly, the search logs every
+   observation in the log of the shard its state belongs to (a shard's log
+   may also come from a checkpoint another process wrote). A log names a
+   state by its local id: its interpreter id minus that of the shard's
+   first state. Pre-order creates a shard's states one after another and a
+   pass never skips inside a shard it records, so local ids are 0, 1, ...
+   in creation order whichever pass logged the shard, and the merge only
+   has to concatenate the logs in position order and shift each one's ids
+   by the states of the logs before it. *)
 
 type cevent = {
   (* one per recorded constraint on a message-constrained state *)
-  ce_route : string;
+  ce_id : int;
   ce_plen : int;
   ce_alive : int;
   ce_checks : int;
@@ -156,8 +157,7 @@ type cevent = {
 }
 
 type wtrojan = {
-  wt_route : string;
-  wt_idx : int; (* enumeration index within the accepting state *)
+  wt_id : int;
   wt_label : string;
   wt_witness : Bv.t array;
   wt_symbolic : Term.t list;
@@ -167,24 +167,20 @@ type wtrojan = {
 }
 
 type waccept = {
-  wa_route : string;
+  wa_id : int;
   wa_label : string;
   wa_msg_vars : Term.var array;
   wa_constraints : Term.t list;
 }
 
-type wdrop = {
-  wd_route : string;
-  wd_plen : int;
-  wd_ord : int; (* position within the constraint event *)
-  wd_path : int;
-  wd_conflicting : Term.t list;
-}
+type wdrop = { wd_id : int; wd_path : int; wd_conflicting : Term.t list }
 
+(* Every event list is newest first. *)
 type recorder = {
-  mutable rec_routes : string list; (* owned fork children *)
+  mutable rec_states : int;
+      (* states of the shard: its fork children, plus the root at position 0 *)
   mutable rec_cevents : cevent list;
-  mutable rec_terminals : (string * State.status) list;
+  mutable rec_terminals : State.status list;
   mutable rec_trojans : wtrojan list;
   mutable rec_accepting : waccept list;
   mutable rec_drops : wdrop list;
@@ -198,9 +194,9 @@ type recorder = {
   mutable rec_faults : int;
 }
 
-let fresh_recorder () =
+let fresh_recorder ~states =
   {
-    rec_routes = [];
+    rec_states = states;
     rec_cevents = [];
     rec_terminals = [];
     rec_trojans = [];
@@ -224,19 +220,20 @@ type out = recorder * int
    first [bits] decisions of its route, padded with '0' (the true side)
    when the route is shorter. Depth-first pre-order visits routes in
    lexicographic order, so it reaches those shards in the order of their
-   padded prefixes read as binary numbers — their *positions* — and never
-   comes back to one it has left. One pass over the tree therefore
+   padded prefixes read as binary numbers — their positions, which name
+   them everywhere (shard files, [failed_shards], the [chaos] hook) — and
+   never comes back to one it has left. One pass over the tree therefore
    finishes a shard, and checkpoints it, as soon as it reaches a state of a
-   later one. Shard files and [failed_shards] name a shard by its *index*:
-   the same prefix read with the first decision as the lowest bit. *)
+   later one. *)
 
 type slot =
   | Todo (* no log yet: the next pass records it *)
   | Loaded of out (* resumed from a checkpoint *)
   | Done of out (* finished by a pass *)
+  | Partial of out (* cut short by a cancel: reported, never completed *)
   | Failed (* a pass raised while recording it *)
 
-let is_todo = function Todo -> true | Loaded _ | Done _ | Failed -> false
+let is_todo = function Todo -> true | _ -> false
 
 (* Where one pass is, and the run's shard slots it fills. *)
 type cursor = {
@@ -244,13 +241,14 @@ type cursor = {
   slots : slot array; (* by position *)
   mutable cur : int; (* position of the shard the pass is in; -1 before *)
   mutable log : recorder option; (* [cur]'s log, while this pass records it *)
+  mutable first : int; (* interpreter id of [cur]'s first state *)
   mutable stopped : bool;
       (* a cancel was seen at a shard boundary: [cur] stays partial and no
          other shard starts or finishes *)
   mutable exhaustions0 : int; (* solver counters when [log] started *)
   mutable faults0 : int;
   mutable abandoned : int; (* states cut off by cancellation, every pass *)
-  checkpoint : int -> out -> unit; (* index, finished log *)
+  checkpoint : int -> out -> unit; (* position, finished log *)
 }
 
 (* The position of the shard a route belongs to. *)
@@ -260,14 +258,6 @@ let position bits route =
     p := (2 * !p) + if k < String.length route && route.[k] = '1' then 1 else 0
   done;
   !p
-
-(* Index <-> position: the same [bits] decisions in reverse bit order. *)
-let index_of bits pos =
-  let idx = ref 0 in
-  for k = 0 to bits - 1 do
-    if pos land (1 lsl k) <> 0 then idx := !idx lor (1 lsl (bits - 1 - k))
-  done;
-  !idx
 
 (* What a state carries down the tree: its alive client paths, each with
    the model of its last satisfiable alive check, and the model of the
@@ -301,18 +291,18 @@ let all_indices ctx = List.init (Array.length ctx.paths) Fun.id
 let fresh_entry ctx =
   { ae_paths = List.map (fun i -> (i, None)) (all_indices ctx); ae_prune = None }
 
-(* Start the shard at [cur]: a [Todo] shard gets a fresh log, and the
-   [chaos] hook runs with its index (a raise fails that shard). *)
+(* Start the shard at [cur]: a [Todo] shard gets a fresh log (holding the
+   root at position 0), and the [chaos] hook runs with its position (a
+   raise fails that shard). *)
 let start_shard cfg sh =
   if is_todo sh.slots.(sh.cur) then begin
     let s = Solver.stats () in
     sh.exhaustions0 <- s.Solver.budget_exhaustions;
     sh.faults0 <- s.Solver.injected_faults;
-    sh.log <- Some (fresh_recorder ());
-    let idx = index_of sh.bits sh.cur in
+    sh.log <- Some (fresh_recorder ~states:(if sh.cur = 0 then 1 else 0));
     if Obs.live () then
-      Obs.emit ~kind:"shard" ~name:"start" ~args:[ ("index", Obs.I idx) ] ();
-    Option.iter (fun hook -> hook idx) cfg.chaos
+      Obs.emit ~kind:"shard" ~name:"start" ~args:[ ("index", Obs.I sh.cur) ] ();
+    Option.iter (fun hook -> hook sh.cur) cfg.chaos
   end
 
 (* The log of the shard at [cur] as it stands, with the solver's
@@ -332,10 +322,9 @@ let finish_shard sh =
       let out = close_log sh r in
       sh.slots.(sh.cur) <- Done out;
       sh.log <- None;
-      let idx = index_of sh.bits sh.cur in
-      sh.checkpoint idx out;
+      sh.checkpoint sh.cur out;
       if Obs.live () then
-        Obs.emit ~kind:"shard" ~name:"done" ~args:[ ("index", Obs.I idx) ] ()
+        Obs.emit ~kind:"shard" ~name:"done" ~args:[ ("index", Obs.I sh.cur) ] ()
 
 (* Move the pass forward to position [p] ([Array.length slots]: past the
    last shard), one shard boundary at a time: each finishes the current
@@ -353,14 +342,23 @@ let advance cfg sh p =
   done
 
 (* The log this state's events go to: its shard's, if this pass records
-   it. Pre-order never goes back to an earlier shard; the one event that
-   can arrive late, a crash reported on a statement's starting state after
-   part of its subtree ran, joins the current log. *)
+   it. The first state the pass reaches in a later shard is that shard's
+   first (a fork child, reported by [on_fork] as soon as it exists), so it
+   fixes the shard's local ids. Pre-order never goes back to an earlier
+   shard; the one event that can arrive late, a crash reported on a
+   statement's starting state after part of its subtree ran, joins the
+   current log as a terminal, which carries no id. *)
 let log_for ctx (st : State.t) =
   let sh = ctx.shards in
   let p = position sh.bits st.State.route in
-  advance ctx.cfg sh p;
+  if p > sh.cur then begin
+    advance ctx.cfg sh p;
+    sh.first <- st.State.id
+  end;
   if p > sh.cur then None (* stopped by a cancel *) else sh.log
+
+(* A logged state's id within its shard's log. *)
+let local_id ctx (st : State.t) = st.State.id - ctx.shards.first
 
 let negation_for ctx idx = ctx.negated.(idx)
 
@@ -492,7 +490,7 @@ let on_constraint ctx (st : State.t) cond =
   | Some vars ->
       setup_server_vars ctx vars;
       let log = log_for ctx st in
-      let checks_here = ref 0 and transitive_here = ref 0 and drop_ord = ref 0 in
+      let checks_here = ref 0 and transitive_here = ref 0 in
       let entry = alive_for ctx st in
       let over_msg = over_message_vars ctx cond in
       let alive =
@@ -557,14 +555,11 @@ let on_constraint ctx (st : State.t) cond =
                             | Some conflicting ->
                                 r.rec_drops <-
                                   {
-                                    wd_route = st.State.route;
-                                    wd_plen = List.length st.State.path;
-                                    wd_ord = !drop_ord;
+                                    wd_id = local_id ctx st;
                                     wd_path = i;
                                     wd_conflicting = conflicting;
                                   }
-                                  :: r.rec_drops;
-                                incr drop_ord
+                                  :: r.rec_drops
                             | None -> ())
                         | _ -> ());
                         Obs.count "search.client_path_drops";
@@ -628,7 +623,7 @@ let on_constraint ctx (st : State.t) cond =
         (fun r ->
           r.rec_cevents <-
             {
-              ce_route = st.State.route;
+              ce_id = local_id ctx st;
               ce_plen = List.length st.State.path;
               ce_alive = List.length alive;
               ce_checks = !checks_here;
@@ -645,7 +640,7 @@ let on_fork ctx ~parent ~child =
   | None -> ()
   | Some r ->
       let croute = child.State.route in
-      r.rec_routes <- croute :: r.rec_routes;
+      r.rec_states <- r.rec_states + 1;
       (* count each two-sided fork once: at its '0' child, which belongs to
          the parent's shard *)
       if croute.[String.length croute - 1] = '0' then
@@ -672,7 +667,7 @@ let emit_trojans ctx r (st : State.t) label =
       let base_query = trojan_query ctx st alive in
       r.rec_accepting <-
         {
-          wa_route = st.State.route;
+          wa_id = local_id ctx st;
           wa_label = label;
           wa_msg_vars = vars;
           wa_constraints = List.rev st.State.path;
@@ -703,8 +698,7 @@ let emit_trojans ctx r (st : State.t) label =
             ();
         r.rec_trojans <-
           {
-            wt_route = st.State.route;
-            wt_idx = n;
+            wt_id = local_id ctx st;
             wt_label = label;
             wt_witness = witness;
             wt_symbolic = base_query;
@@ -758,7 +752,7 @@ let minimize_witness (t : trojan) =
 let on_terminal ctx (st : State.t) =
   match log_for ctx st with
   | Some r when st.State.status <> State.Running -> (
-      r.rec_terminals <- (st.State.route, st.State.status) :: r.rec_terminals;
+      r.rec_terminals <- st.State.status :: r.rec_terminals;
       match st.State.status with
       | State.Accepted label -> emit_trojans ctx r st label
       | _ -> ())
@@ -788,8 +782,6 @@ let hooks_of ctx =
     Interp.on_terminal = (fun st -> on_terminal ctx st);
   }
 
-module String_set = Set.Make (String)
-
 (* --- shard checkpoints ------------------------------------------------------
 
    Each completed shard's event log is flushed to its own file, written to a
@@ -800,12 +792,12 @@ module String_set = Set.Make (String)
    bit-rotted file is detected on load and treated as missing (the shard is
    re-explored with a warning), never trusted and never fatal. [resume]
    then re-explores exactly the missing shards: every pass starts from the
-   same fresh-variable base and shards hold disjoint routes, so a merge of
-   loaded and re-explored shards is indistinguishable from an
-   uninterrupted run (the determinism guarantee extends across process
-   boundaries). *)
+   same fresh-variable base, and a shard's log names its states by local
+   ids, which no pass changes, so a merge of loaded and re-explored shards
+   is indistinguishable from an uninterrupted run (the determinism
+   guarantee extends across process boundaries). *)
 
-let ckpt_magic = "ACHILLES-CKPT-3"
+let ckpt_magic = "ACHILLES-CKPT-4"
 
 (* Identity of a run for resume purposes: everything that changes the shard
    decomposition or per-shard event logs. Closure-valued config fields
@@ -845,8 +837,8 @@ let run_fingerprint ~bits ~config ~client ~server =
             server )
           []))
 
-let shard_file dir idx =
-  Filename.concat dir (Printf.sprintf "shard-%04d.ckpt" idx)
+let shard_file dir pos =
+  Filename.concat dir (Printf.sprintf "shard-%04d.ckpt" pos)
 
 (* Flush [fd], then its durability: an atomic rename only orders the
    *names*; the bytes (and the new directory entry) still have to reach the
@@ -866,19 +858,19 @@ let fsync_dir dir =
    checkpoint, never the shard: the explored log still goes into this run's
    report, the temp file is removed, and the shard file is simply missing —
    so a later [--resume] re-explores it, just as after a torn write. *)
-let write_checkpoint_file ~file ~fingerprint ~idx (recorder, counter) =
+let write_checkpoint_file ~file ~fingerprint ~pos (recorder, counter) =
   Obs.span Obs.Checkpoint_io @@ fun () ->
   if Obs.live () then
-    Obs.emit ~kind:"checkpoint" ~name:"write" ~args:[ ("index", Obs.I idx) ] ();
+    Obs.emit ~kind:"checkpoint" ~name:"write" ~args:[ ("index", Obs.I pos) ] ();
   (* pid-qualified temp name: two analyze runs sharing one checkpoint dir
      must never interleave writes into one temp file *)
-  let tmp = Printf.sprintf "%s.tmp.%d.%d" file (Unix.getpid ()) idx in
+  let tmp = Printf.sprintf "%s.tmp.%d.%d" file (Unix.getpid ()) pos in
   let failed reason =
     Printf.eprintf
       "achilles: warning: cannot write shard checkpoint %s (%s); a resume \
        will re-explore shard %d\n\
        %!"
-      file reason idx;
+      file reason pos;
     Obs.count "checkpoint.write_failed"
   in
   let payload = Marshal.to_string (recorder, counter) [] in
@@ -887,7 +879,7 @@ let write_checkpoint_file ~file ~fingerprint ~idx (recorder, counter) =
   | oc -> (
       match
         Marshal.to_channel oc
-          (ckpt_magic, fingerprint, idx, Digest.string payload, payload)
+          (ckpt_magic, fingerprint, pos, Digest.string payload, payload)
           [];
         flush oc;
         fsync_noerr (Unix.descr_of_out_channel oc);
@@ -922,27 +914,27 @@ let rebuild_recorder r =
   r
 
 (* A checkpoint that fails any validation step — bad magic, wrong
-   fingerprint or index, short read, payload digest mismatch, Marshal
+   fingerprint or position, short read, payload digest mismatch, Marshal
    failure — is treated as missing: the shard is recomputed. A killed or
    corrupted writer must degrade [--resume] to extra work, never crash it
    or poison the merge. A wrong fingerprint is no damage: the file is
    intact but was written by a run with another split or other options, so
    it is reported as stale rather than corrupt. *)
-let load_checkpoint_file ~file ~fingerprint ~idx : out option =
+let load_checkpoint_file ~file ~fingerprint ~pos : out option =
   Obs.span Obs.Checkpoint_io @@ fun () ->
   if Obs.live () then
-    Obs.emit ~kind:"checkpoint" ~name:"load" ~args:[ ("index", Obs.I idx) ] ();
+    Obs.emit ~kind:"checkpoint" ~name:"load" ~args:[ ("index", Obs.I pos) ] ();
   if not (Sys.file_exists file) then None
   else begin
     let ignored ~kind what reason =
       Printf.eprintf
         "achilles: warning: ignoring %s %s (%s); re-exploring shard %d\n%!"
-        what file reason idx;
+        what file reason pos;
       Obs.count ("checkpoint." ^ kind);
       Obs.emit ~kind:"checkpoint" ~name:kind
         ~args:
           [
-            ("index", Obs.I idx);
+            ("index", Obs.I pos);
             ("file", Obs.S file);
             ("reason", Obs.S reason);
           ]
@@ -963,7 +955,7 @@ let load_checkpoint_file ~file ~fingerprint ~idx : out option =
     | _, fp, _, _, _ when fp <> fingerprint ->
         ignored ~kind:"stale" "shard checkpoint"
           "written by a run with a different split or options"
-    | _, _, i, _, _ when i <> idx -> corrupt "shard index mismatch"
+    | _, _, p, _, _ when p <> pos -> corrupt "shard position mismatch"
     | _, _, _, digest, payload when not (Digest.equal digest (Digest.string payload))
       ->
         corrupt "payload digest mismatch"
@@ -977,26 +969,19 @@ let load_checkpoint_file ~file ~fingerprint ~idx : out option =
    temp behind; left alone, those accumulate and (worse) a matching-name
    temp from a dead pid could be confused for live work. Startup owns the
    directory (single run per dir), so any [*.tmp.*] is garbage by
-   definition. *)
+   definition: shard-NNNN.ckpt.tmp.<pid>.<pos>, and the pre-durability
+   shard-NNNN.ckpt.tmp.<pos> form. *)
 let clean_stale_tmp_files dir =
   Array.iter
     (fun name ->
       let full = Filename.concat dir name in
-      let is_tmp =
-        (* shard-NNNN.ckpt.tmp.<pid>.<idx> (and the pre-durability
-           shard-NNNN.ckpt.tmp.<idx> form) *)
-        match String.index_opt name '.' with
-        | None -> false
-        | Some _ ->
-            String.length name > 4
-            &&
-            let rec find_sub i =
-              if i + 5 > String.length name then false
-              else if String.sub name i 5 = ".tmp." then true
-              else find_sub (i + 1)
-            in
-            find_sub 0
+      (* a "tmp" component with one before it and one after it *)
+      let rec inner_tmp = function
+        | _ :: "tmp" :: _ :: _ -> true
+        | _ :: rest -> inner_tmp rest
+        | [] -> false
       in
+      let is_tmp = inner_tmp (String.split_on_char '.' name) in
       if is_tmp && not (Sys.is_directory full) then begin
         Obs.count "checkpoint.stale_tmp_removed";
         (try Sys.remove full with Sys_error _ -> ())
@@ -1027,37 +1012,36 @@ let split_bits_of config =
       b
   | None -> if config.checkpoint_dir <> None || config.resume then 2 else 0
 
-(* Deterministic merge of the run's disjoint shard event logs into a
-   report: concatenate, sort by route (lexicographic route order =
-   depth-first creation order), and renumber state ids by route rank.
-   Every run ends here — which is what makes the final report digest
-   independent of the split and resume history. A [partial] log (the shard
-   a cancel cut short) joins the report but not the completed count. *)
-let merge_outs ~base ~started ~partial ~interrupted sh =
+(* Deterministic merge of the run's shard event logs into a report: the
+   logs in position order are the depth-first pass in order, so their
+   events are concatenated, and a log's local ids are shifted by the states
+   of the logs before it — in a complete run, the ids one pass over the
+   whole tree assigns. Every run ends here, which is what makes the final
+   report digest independent of the split and resume history. A failed or
+   unreached shard has no log and shifts nothing. A [Partial] log (the
+   shard a cancel cut short) joins the report but not the completed
+   count. *)
+let merge_outs ~base ~started ~interrupted sh =
   let slots = Array.to_list sh.slots in
-  let completed =
+  let count p = List.length (List.filter p slots) in
+  let outs =
     List.filter_map
       (function
-        | Loaded out -> Some (out, true)
-        | Done out -> Some (out, false)
+        | Loaded out | Done out | Partial out -> Some out
         | Todo | Failed -> None)
       slots
   in
-  let outs = List.map fst completed @ partial in
   let sum f = List.fold_left (fun acc (r, _) -> acc + f r) 0 outs in
   let slice_static, slice_cone = slice_counters () in
   let coverage =
     {
       total_shards = Array.length sh.slots;
-      completed_shards = List.length completed;
+      completed_shards =
+        count (function Loaded _ | Done _ -> true | _ -> false);
       failed_shards =
-        List.sort compare
-          (List.concat
-             (List.mapi
-                (fun pos -> function
-                  | Failed -> [ index_of sh.bits pos ] | _ -> [])
-                slots));
-      resumed_shards = List.length (List.filter snd completed);
+        List.concat
+          (List.mapi (fun pos -> function Failed -> [ pos ] | _ -> []) slots);
+      resumed_shards = count (function Loaded _ -> true | _ -> false);
       interrupted;
       unknown_alive = sum (fun r -> r.rec_unknown_alive);
       unknown_prune = sum (fun r -> r.rec_unknown_prune);
@@ -1073,41 +1057,16 @@ let merge_outs ~base ~started ~partial ~interrupted sh =
      analyses cannot reuse ids live in this report *)
   let top = List.fold_left (fun acc (_, c) -> max acc c) base outs in
   Term.set_fresh_counter (max top (Term.fresh_counter_value ()));
-  (* A whole-tree run assigns ids in depth-first creation order, and the
-     interpreter forks true-branch first, so creation order is exactly the
-     lexicographic order of routes. Rank = whole-tree id. *)
-  let routes =
-    List.fold_left
-      (fun acc (r, _) ->
-        List.fold_left (fun a rt -> String_set.add rt a) acc r.rec_routes)
-      (String_set.singleton "") outs
+  let _, shifted =
+    List.fold_left_map
+      (fun offset (r, _) -> (offset + r.rec_states, (offset, r)))
+      0 outs
   in
-  let rank_of = Hashtbl.create (String_set.cardinal routes) in
-  let next = ref 0 in
-  String_set.iter
-    (fun r ->
-      Hashtbl.replace rank_of r !next;
-      incr next)
-    routes;
-  let rank r = Hashtbl.find rank_of r in
-  let by_route_then key_cmp get_route a b =
-    match String.compare (get_route a) (get_route b) with
-    | 0 -> key_cmp a b
-    | c -> c
-  in
-  let cevents =
-    List.concat_map (fun (r, _) -> r.rec_cevents) outs
-    |> List.sort
-         (by_route_then
-            (fun a b -> compare a.ce_plen b.ce_plen)
-            (fun e -> e.ce_route))
-  in
-  let trojans_sorted =
-    List.concat_map (fun (r, _) -> r.rec_trojans) outs
-    |> List.sort
-         (by_route_then
-            (fun a b -> compare a.wt_idx b.wt_idx)
-            (fun t -> t.wt_route))
+  (* one event list of every log, oldest first, with whole-run ids *)
+  let merged events make =
+    List.concat_map
+      (fun (offset, r) -> List.rev_map (make offset) (events r))
+      shifted
   in
   (* found_at is wall clock — the one field outside the determinism claim.
      Resumed shards were found by another run, so restore monotonicity
@@ -1115,73 +1074,73 @@ let merge_outs ~base ~started ~partial ~interrupted sh =
      curve. *)
   let _, trojans =
     List.fold_left_map
-      (fun floor w ->
-        let found_at = Float.max floor w.wt_found_at in
-        ( found_at,
-          {
-            server_state_id = rank w.wt_route;
-            accept_label = w.wt_label;
-            witness = w.wt_witness;
-            symbolic = w.wt_symbolic;
-            msg_vars = w.wt_msg_vars;
-            confirmed = w.wt_confirmed;
-            found_at;
-          } ))
-      0. trojans_sorted
+      (fun floor t ->
+        let found_at = Float.max floor t.found_at in
+        (found_at, { t with found_at }))
+      0.
+      (merged
+         (fun r -> r.rec_trojans)
+         (fun offset w ->
+           {
+             server_state_id = offset + w.wt_id;
+             accept_label = w.wt_label;
+             witness = w.wt_witness;
+             symbolic = w.wt_symbolic;
+             msg_vars = w.wt_msg_vars;
+             confirmed = w.wt_confirmed;
+             found_at = w.wt_found_at;
+           }))
   in
   let accepting =
-    List.concat_map (fun (r, _) -> r.rec_accepting) outs
-    |> List.sort (by_route_then (fun _ _ -> 0) (fun a -> a.wa_route))
-    |> List.map (fun a ->
-           {
-             Predicate.sp_state_id = rank a.wa_route;
-             label = a.wa_label;
-             msg_vars = a.wa_msg_vars;
-             sp_constraints = a.wa_constraints;
-           })
+    merged
+      (fun r -> r.rec_accepting)
+      (fun offset a ->
+        {
+          Predicate.sp_state_id = offset + a.wa_id;
+          label = a.wa_label;
+          msg_vars = a.wa_msg_vars;
+          sp_constraints = a.wa_constraints;
+        })
   in
   let drops =
-    List.concat_map (fun (r, _) -> r.rec_drops) outs
-    |> List.sort
-         (by_route_then
-            (fun a b -> compare (a.wd_plen, a.wd_ord) (b.wd_plen, b.wd_ord))
-            (fun d -> d.wd_route))
-    |> List.map (fun d ->
-           {
-             at_state = rank d.wd_route;
-             dropped_path = d.wd_path;
-             conflicting = d.wd_conflicting;
-           })
+    merged
+      (fun r -> r.rec_drops)
+      (fun offset d ->
+        {
+          at_state = offset + d.wd_id;
+          dropped_path = d.wd_path;
+          conflicting = d.wd_conflicting;
+        })
   in
+  let cevents = List.concat_map (fun (r, _) -> r.rec_cevents) outs in
   let terminals = List.concat_map (fun (r, _) -> r.rec_terminals) outs in
-  let count p = List.length (List.filter p terminals) in
+  let terminal p = List.length (List.filter p terminals) in
   (* per §5.1, a server path that returns to the event loop without
      accepting rejected its message *)
   let stats =
     {
       accepting_paths =
-        count (fun (_, s) -> match s with State.Accepted _ -> true | _ -> false);
+        terminal (function State.Accepted _ -> true | _ -> false);
       rejecting_paths =
-        count (fun (_, s) ->
-            match s with State.Rejected _ | State.Finished -> true | _ -> false);
+        terminal (function
+          | State.Rejected _ | State.Finished -> true | _ -> false);
       other_paths =
-        count (fun (_, s) ->
-            match s with State.Dropped | State.Crashed _ -> true | _ -> false);
-      pruned_states =
-        List.length (List.filter (fun e -> e.ce_pruned) cevents);
-      forks = List.fold_left (fun acc (r, _) -> acc + r.rec_forks) 0 outs;
+        terminal (function
+          | State.Dropped | State.Crashed _ -> true | _ -> false);
+      pruned_states = List.length (List.filter (fun e -> e.ce_pruned) cevents);
+      forks = sum (fun r -> r.rec_forks);
       alive_checks = List.fold_left (fun acc e -> acc + e.ce_checks) 0 cevents;
       transitive_drops =
         List.fold_left (fun acc e -> acc + e.ce_transitive) 0 cevents;
       alive_samples =
-        List.map
-          (fun e ->
+        merged
+          (fun r -> r.rec_cevents)
+          (fun offset e ->
             {
-              state_id = rank e.ce_route;
+              state_id = offset + e.ce_id;
               path_length = e.ce_plen;
               alive = e.ce_alive;
-            })
-          cevents;
+            });
       wall_time = Unix.gettimeofday () -. started;
     }
   in
@@ -1197,6 +1156,8 @@ let explore_pass ~config ~different_from ~client ~server ~started ~base sh =
   Term.set_fresh_counter base;
   sh.cur <- -1;
   sh.log <- None;
+  (* position 0 starts at the root, id 0 *)
+  sh.first <- 0;
   let ctx = make_ctx ~config ~client ~different_from ~shards:sh ~started in
   (* a route's subtree belongs to the shards at positions [lo, hi) *)
   let logged route =
@@ -1247,23 +1208,23 @@ let run ?(config = default_config) ?different_from ~client ~server () =
         | Error msg -> invalid_arg ("Search: " ^ msg))
     | None -> ""
   in
-  let loaded =
-    Array.init n (fun idx ->
-        match config.checkpoint_dir with
-        | Some dir when config.resume ->
-            load_checkpoint_file ~file:(shard_file dir idx) ~fingerprint ~idx
-        | _ -> None)
-  in
   let sh =
     {
       bits;
       slots =
         Array.init n (fun pos ->
-            match loaded.(index_of bits pos) with
-            | Some out -> Loaded out
-            | None -> Todo);
+            match config.checkpoint_dir with
+            | Some dir when config.resume -> (
+                match
+                  load_checkpoint_file ~file:(shard_file dir pos) ~fingerprint
+                    ~pos
+                with
+                | Some out -> Loaded out
+                | None -> Todo)
+            | _ -> Todo);
       cur = -1;
       log = None;
+      first = 0;
       stopped = false;
       exhaustions0 = 0;
       faults0 = 0;
@@ -1271,17 +1232,15 @@ let run ?(config = default_config) ?different_from ~client ~server () =
       checkpoint =
         (match config.checkpoint_dir with
         | Some dir ->
-            fun idx ->
-              write_checkpoint_file ~file:(shard_file dir idx) ~fingerprint ~idx
+            fun pos ->
+              write_checkpoint_file ~file:(shard_file dir pos) ~fingerprint ~pos
         | None -> fun _ _ -> ());
     }
   in
   let fail pos =
     sh.slots.(pos) <- Failed;
     if Obs.live () then
-      Obs.emit ~kind:"shard" ~name:"failed"
-        ~args:[ ("index", Obs.I (index_of bits pos)) ]
-        ()
+      Obs.emit ~kind:"shard" ~name:"failed" ~args:[ ("index", Obs.I pos) ] ()
   in
   let rec passes () =
     if
@@ -1302,17 +1261,15 @@ let run ?(config = default_config) ?different_from ~client ~server () =
           | None -> Array.iteri (fun pos s -> if is_todo s then fail pos) sh.slots)
   in
   passes ();
-  let partial =
-    match sh.log with
-    | Some r ->
-        if Obs.live () then
-          Obs.emit ~kind:"shard" ~name:"cancelled"
-            ~args:[ ("index", Obs.I (index_of bits sh.cur)) ]
-            ();
-        [ close_log sh r ]
-    | None -> []
-  in
-  merge_outs ~base ~started ~partial ~interrupted:(config.cancel ()) sh
+  Option.iter
+    (fun r ->
+      if Obs.live () then
+        Obs.emit ~kind:"shard" ~name:"cancelled"
+          ~args:[ ("index", Obs.I sh.cur) ]
+          ();
+      sh.slots.(sh.cur) <- Partial (close_log sh r))
+    sh.log;
+  merge_outs ~base ~started ~interrupted:(config.cancel ()) sh
 
 (* Accepting states paired with the Trojan query the search decided them
    with — the predicate export consumed by the filter compiler

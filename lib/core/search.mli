@@ -29,23 +29,26 @@
     it into [2^split_bits] route shards, the units of checkpoint and
     resume: a state belongs to the shard named by the first [split_bits]
     decisions of its route (padded with the true side), and each shard
-    keeps its own event log. Pre-order reaches the shards one after another
-    and never returns to one it has left, so a shard is finished, and
-    checkpointed, as soon as the pass reaches the next; a checkpointed run
-    does exactly the search work of one without. A run without
-    checkpointing has 0 split bits: one shard. A resumed run skips the
-    subtrees its loaded shards hold. The merge sorts the disjoint event
-    logs by route — lexicographic route order equals depth-first creation
-    order — and renumbers state ids by route rank, so the report is
-    identical at every split and across a resume except for wall-clock
-    fields ([wall_time], and [found_at], which is re-monotonized in merge
-    order). Caveats: determinism across a resume assumes the server
-    allocates no fresh symbolic variables after its first fork (all bundled
-    models receive the analyzed message up front), and that [max_states]
-    (a bound on the states one pass creates, which a resumed pass spends
-    only outside the skipped subtrees) is not hit; [explain_drops]
-    unsat-core {e contents} may differ (cores depend on solver history; the
-    set of drop events does not). *)
+    keeps its own event log. Pre-order reaches the shards one after another,
+    in the order of their {e positions} (those decisions read as a binary
+    number, the name of a shard everywhere), and never returns to one it
+    has left, so a shard is finished, and checkpointed, as soon as the pass
+    reaches the next; a checkpointed run does exactly the search work of
+    one without. A run without checkpointing has 0 split bits: one shard.
+    A resumed run skips the subtrees its loaded shards hold. A log names
+    its states by ids local to the shard, which do not depend on the pass
+    that logged it; the merge concatenates the logs in position order and
+    shifts each one's ids by the states of the logs before it. So the
+    report is identical at every split and across a resume except for
+    wall-clock fields ([wall_time], and [found_at], which is re-monotonized
+    in merge order); a partial report (failed shards) numbers only the
+    states of the shards it holds. Caveats: determinism across a resume
+    assumes the server allocates no fresh symbolic variables after its
+    first fork (all bundled models receive the analyzed message up front),
+    and that [max_states] (a bound on the states one pass creates, which a
+    resumed pass spends only outside the skipped subtrees) is not hit;
+    [explain_drops] unsat-core {e contents} may differ (cores depend on
+    solver history; the set of drop events does not). *)
 
 open Achilles_smt
 open Achilles_symvm
@@ -96,9 +99,10 @@ type config = {
          that literal drops the [with] *)
   checkpoint_dir : string option;
       (* when set, every completed shard's event log is flushed to
-         [dir/shard-NNNN.ckpt] via an atomic rename, empty shards included;
-         the directory must exist or have an existing parent
-         ([Invalid_argument] otherwise, see {!Shards.prepare_dir}) *)
+         [dir/shard-NNNN.ckpt] (NNNN its position) via an atomic rename,
+         empty shards included; the directory must exist or have an
+         existing parent ([Invalid_argument] otherwise, see
+         {!Shards.prepare_dir}) *)
   resume : bool;
       (* with [checkpoint_dir]: load valid shard checkpoints and explore
          only the rest of the tree; with every shard loaded, nothing is
@@ -109,8 +113,8 @@ type config = {
          was in stays partial (reported, never checkpointed, never counted
          complete) and no other shard is finished *)
   chaos : (int -> unit) option;
-      (* test hook run with the shard index when a pass starts recording a
-         shard (raise to simulate a crash: the shard is recorded as failed,
+      (* test hook run with the shard position when a pass starts recording
+         a shard (raise to simulate a crash: the shard is recorded as failed,
          a new pass explores the shards after it, and only [resume]
          recovers it) *)
 }
@@ -175,7 +179,7 @@ type stats = {
 type coverage = {
   total_shards : int; (* 1 without checkpointing *)
   completed_shards : int;
-  failed_shards : int list; (* shard indices a pass raised in *)
+  failed_shards : int list; (* positions of the shards a pass raised in *)
   resumed_shards : int; (* loaded from checkpoints instead of explored *)
   interrupted : bool; (* [cancel] fired during the run *)
   unknown_alive : int; (* alive checks degraded to keep-alive *)
@@ -248,14 +252,14 @@ module Shards : sig
     string
   (** The run identity {!run} stamps into its checkpoint files. *)
 
-  val write : file:string -> fingerprint:string -> idx:int -> out -> unit
+  val write : file:string -> fingerprint:string -> pos:int -> out -> unit
   (** Durable atomic checkpoint: marshal to a pid-qualified temp file,
       fsync, rename into place, fsync the directory. Never raises: a failed
       write removes its temp file, warns on stderr and counts
       ["checkpoint.write_failed"]; the file is then simply missing, so a
       later resume re-explores the shard. *)
 
-  val load : file:string -> fingerprint:string -> idx:int -> out option
+  val load : file:string -> fingerprint:string -> pos:int -> out option
   (** [None] if the file is missing, torn, corrupt (payload digest
       mismatch), or belongs to a different run or shard — with a warning
       for everything but absence. A file written by a run with another

@@ -129,10 +129,11 @@ type exit = Fall | Ret of Term.t option | End
    whole subtree are forced (and numbered) before the false child is even
    created. That makes state creation order exactly the depth-first
    pre-order of the exploration tree — i.e. the lexicographic order of
-   routes — which is what the search's deterministic merge renumbers by,
-   and what lets it finish a checkpoint shard as soon as the walk leaves
-   its route prefix. It also keeps only one path's frontier live at a time
-   instead of materializing every pending sibling eagerly. *)
+   routes. That lets the search finish a checkpoint shard as soon as the
+   walk leaves its route prefix, and number a shard's states by creation
+   order whichever walk reached them, so its merge is a concatenation. It
+   also keeps only one path's frontier live at a time instead of
+   materializing every pending sibling eagerly. *)
 type outcomes = (State.t * locals * exit) Seq.t
 
 (* --- value coercion -------------------------------------------------------- *)

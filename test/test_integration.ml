@@ -504,6 +504,27 @@ let test_cli_unwritable_trace () =
     (Sys.file_exists sock);
   Sys.remove filter
 
+(* --verbose prints every trojan's symbolic expression straight to stdout,
+   one block under each trojan; a trace holds no rendering of them. *)
+let test_cli_verbose_prints_directly () =
+  let trace = scratch_path "achilles-cli-verbose.jsonl" in
+  Fun.protect ~finally:(fun () -> rm_rf trace) @@ fun () ->
+  let code, out, _ =
+    run_cli [ "analyze"; "gossip"; "-w"; "1"; "--verbose"; "--trace"; trace ]
+  in
+  Alcotest.(check int) "analyze gossip exits 0" 0 code;
+  let lines prefix =
+    List.length
+      (List.filter (String.starts_with ~prefix) (String.split_on_char '\n' out))
+  in
+  let trojans = lines "Trojan message (" in
+  Alcotest.(check bool) "gossip has trojans" true (trojans > 0);
+  Alcotest.(check int) "one symbolic block per trojan" trojans
+    (lines "  symbolic expression:");
+  Alcotest.(check bool) "no trojan_symbolic event in the trace" false
+    (contains (In_channel.with_open_bin trace In_channel.input_all)
+       "trojan_symbolic")
+
 let test_wildcard_trojan_via_analysis () =
   (* with globbing-aware clients, the analysis must produce a witness with a
      literal '*' in the path — the wildcard bug found by Achilles *)
@@ -565,6 +586,8 @@ let () =
             test_cli_unusable_checkpoint_dir;
           Alcotest.test_case "unwritable trace files are usage errors" `Quick
             test_cli_unwritable_trace;
+          Alcotest.test_case "--verbose prints symbolic expressions" `Quick
+            test_cli_verbose_prints_directly;
         ] );
       ( "pbft",
         [ Alcotest.test_case "MAC attack end to end" `Slow test_pbft_end_to_end ] );

@@ -281,8 +281,8 @@ let run_case ?(config = Search.default_config) ~base client server =
 
 (* Trojan identity across degraded runs: the accept label, which the
    generated servers make unique per accepting path. (State ids cannot be
-   compared — they are allocation/route ranks, and a degraded run that
-   keeps extra states alive shifts everyone's rank.) *)
+   compared — they number states in creation order, and a degraded run
+   that keeps extra states alive shifts everyone's id.) *)
 let trojan_labels (r : Search.report) =
   List.sort_uniq compare
     (List.map (fun (t : Search.trojan) -> t.Search.accept_label) r.Search.trojans)
@@ -519,9 +519,10 @@ let test_checkpoint_fingerprint_guard () =
 
 (* Shard files of an older format must be re-explored, never loaded, even
    when everything else about them checks out: a format change may move the
-   event logs (new witness bytes) while the run fingerprint stays the same.
-   The stale files here carry the previous magic, this run's fingerprint
-   and indices, and the payload of another run with a matching digest. *)
+   event logs (new witness bytes, other state names) while the run
+   fingerprint stays the same. The stale files here carry a previous
+   magic, this run's fingerprint and positions, and the payload of another
+   run with a matching digest. *)
 let test_checkpoint_old_magic_reexplored () =
   let client, server, base = extract_case fixed_case in
   let stale = fresh_dir "achilles-rob-stale" in
@@ -537,9 +538,6 @@ let test_checkpoint_old_magic_reexplored () =
   ignore
     (run_case ~config:(config ~dir:stale ~witnesses:1 ~resume:false) ~base client
        server);
-  let full =
-    run_case ~config:(config ~dir ~witnesses:2 ~resume:false) ~base client server
-  in
   let read file =
     let ic = open_in_bin file in
     Fun.protect
@@ -547,24 +545,32 @@ let test_checkpoint_old_magic_reexplored () =
       (fun () ->
         (Marshal.from_channel ic : string * string * int * Digest.t * string))
   in
-  Array.iter
-    (fun f ->
-      let _, fingerprint, idx, _, _ = read (Filename.concat dir f) in
-      let _, _, _, digest, payload = read (Filename.concat stale f) in
-      let oc = open_out_bin (Filename.concat dir f) in
-      Marshal.to_channel oc
-        ("ACHILLES-CKPT-2", fingerprint, idx, digest, payload)
-        [];
-      close_out oc)
-    (Sys.readdir dir);
-  let resumed =
-    run_case ~config:(config ~dir ~witnesses:2 ~resume:true) ~base client server
-  in
-  Alcotest.(check int) "no old-format shard loaded" 0
-    resumed.Search.coverage.Search.resumed_shards;
-  Alcotest.(check string) "resumed report = uninterrupted run"
-    (Report.report_digest full)
-    (Report.report_digest resumed)
+  List.iter
+    (fun magic ->
+      let full =
+        run_case ~config:(config ~dir ~witnesses:2 ~resume:false) ~base client
+          server
+      in
+      Array.iter
+        (fun f ->
+          let _, fingerprint, pos, _, _ = read (Filename.concat dir f) in
+          let _, _, _, digest, payload = read (Filename.concat stale f) in
+          let oc = open_out_bin (Filename.concat dir f) in
+          Marshal.to_channel oc (magic, fingerprint, pos, digest, payload) [];
+          close_out oc)
+        (Sys.readdir dir);
+      let resumed =
+        run_case ~config:(config ~dir ~witnesses:2 ~resume:true) ~base client
+          server
+      in
+      Alcotest.(check int)
+        (magic ^ ": no old-format shard loaded")
+        0 resumed.Search.coverage.Search.resumed_shards;
+      Alcotest.(check string)
+        (magic ^ ": resumed report = uninterrupted run")
+        (Report.report_digest full)
+        (Report.report_digest resumed))
+    [ "ACHILLES-CKPT-2"; "ACHILLES-CKPT-3" ]
 
 let test_cancel_partial_then_resume () =
   let client, server, base = extract_case fixed_case in

@@ -124,7 +124,7 @@ let checkpointed_shard ~dir ~base client server =
   ignore (run_case ~config ~base client server);
   let file = Filename.concat dir "shard-0000.ckpt" in
   let fingerprint = Search.Shards.fingerprint ~config ~client ~server in
-  match Search.Shards.load ~file ~fingerprint ~idx:0 with
+  match Search.Shards.load ~file ~fingerprint ~pos:0 with
   | Some out -> out
   | None -> Alcotest.fail "the run left no loadable checkpoint for shard 0"
 
@@ -134,55 +134,103 @@ let test_checkpoint_corruption_guards () =
   let out = checkpointed_shard ~dir ~base client server in
   let file = Filename.concat dir "shard-0000.ckpt" in
   let fingerprint = "test-fingerprint" in
-  Search.Shards.write ~file ~fingerprint ~idx:0 out;
+  Search.Shards.write ~file ~fingerprint ~pos:0 out;
   Alcotest.(check bool) "pristine checkpoint loads" true
-    (Search.Shards.load ~file ~fingerprint ~idx:0 <> None);
+    (Search.Shards.load ~file ~fingerprint ~pos:0 <> None);
   Alcotest.(check bool) "wrong fingerprint rejected" true
-    (Search.Shards.load ~file ~fingerprint:"other" ~idx:0 = None);
-  Alcotest.(check bool) "wrong shard index rejected" true
-    (Search.Shards.load ~file ~fingerprint ~idx:1 = None);
+    (Search.Shards.load ~file ~fingerprint:"other" ~pos:0 = None);
+  Alcotest.(check bool) "wrong shard position rejected" true
+    (Search.Shards.load ~file ~fingerprint ~pos:1 = None);
   let size = (Unix.stat file).Unix.st_size in
   (* truncation (a torn write surviving a crash) *)
   let fd = Unix.openfile file [ Unix.O_WRONLY ] 0o644 in
   Unix.ftruncate fd (size / 2);
   Unix.close fd;
   Alcotest.(check bool) "truncated checkpoint treated as missing" true
-    (Search.Shards.load ~file ~fingerprint ~idx:0 = None);
+    (Search.Shards.load ~file ~fingerprint ~pos:0 = None);
   (* bad magic / junk header *)
   let oc = open_out_bin file in
   output_string oc "NOT-A-CHECKPOINT-AT-ALL";
   close_out oc;
   Alcotest.(check bool) "bad magic treated as missing" true
-    (Search.Shards.load ~file ~fingerprint ~idx:0 = None);
+    (Search.Shards.load ~file ~fingerprint ~pos:0 = None);
   (* empty file *)
   let oc = open_out_bin file in
   close_out oc;
   Alcotest.(check bool) "empty file treated as missing" true
-    (Search.Shards.load ~file ~fingerprint ~idx:0 = None);
+    (Search.Shards.load ~file ~fingerprint ~pos:0 = None);
   (* flipped payload byte: caught by the payload digest *)
-  Search.Shards.write ~file ~fingerprint ~idx:0 out;
+  Search.Shards.write ~file ~fingerprint ~pos:0 out;
   let fd = Unix.openfile file [ Unix.O_WRONLY ] 0o644 in
   ignore (Unix.lseek fd (size - 3) Unix.SEEK_SET);
   ignore (Unix.write fd (Bytes.of_string "\xff") 0 1);
   Unix.close fd;
   Alcotest.(check bool) "corrupted payload treated as missing" true
-    (Search.Shards.load ~file ~fingerprint ~idx:0 = None);
+    (Search.Shards.load ~file ~fingerprint ~pos:0 = None);
   rm_rf dir
 
 let test_stale_tmp_cleanup () =
   let dir = fresh_workdir "achilles-shards-tmp" in
-  let junk = Filename.concat dir "shard-0000.ckpt.tmp.12345.0" in
-  let oc = open_out_bin junk in
-  output_string oc "half-written by a killed run";
-  close_out oc;
-  let keep = Filename.concat dir "shard-0001.ckpt" in
-  let oc = open_out_bin keep in
-  output_string oc "not actually loadable, but not tmp either";
-  close_out oc;
+  let file name contents =
+    let path = Filename.concat dir name in
+    Out_channel.with_open_bin path (fun oc -> output_string oc contents);
+    path
+  in
+  (* a killed writer's temp file, and the pre-durability temp form *)
+  let junk =
+    [
+      file "shard-0000.ckpt.tmp.12345.0" "half-written by a killed run";
+      file "shard-0002.ckpt.tmp.2" "half-written by an older writer";
+    ]
+  in
+  (* "tmp" as the last or only component names no temp file *)
+  let keep =
+    [
+      file "shard-0001.ckpt" "not actually loadable, but not tmp either";
+      file "notes.tmp" "a user's file";
+    ]
+  in
   Alcotest.(check bool) "directory usable" true
     (Search.Shards.prepare_dir dir = Ok ());
-  Alcotest.(check bool) "stale tmp swept" false (Sys.file_exists junk);
-  Alcotest.(check bool) "real files kept" true (Sys.file_exists keep);
+  List.iter
+    (fun f ->
+      Alcotest.(check bool) ("stale tmp swept: " ^ f) false (Sys.file_exists f))
+    junk;
+  List.iter
+    (fun f ->
+      Alcotest.(check bool) ("real file kept: " ^ f) true (Sys.file_exists f))
+    keep;
+  rm_rf dir
+
+(* Shards are named by position, the order one pass reaches them in: the
+   [chaos] hook sees positions 0, 1, ..., 15 in turn, and a resume after
+   losing shard-0005.ckpt re-explores exactly position 5. *)
+let test_shards_named_by_position () =
+  let client, server, base = extract_case fixed_case in
+  let clean = run_case ~base client server in
+  let dir = fresh_workdir "achilles-shards-pos" in
+  let seen = ref [] in
+  let config ~resume =
+    {
+      Search.default_config with
+      Search.split_bits = Some 4;
+      Search.checkpoint_dir = Some dir;
+      Search.resume = resume;
+      Search.chaos = Some (fun pos -> seen := pos :: !seen);
+    }
+  in
+  ignore (run_case ~config:(config ~resume:false) ~base client server);
+  Alcotest.(check (list int)) "chaos hook sees positions in order"
+    (List.init 16 Fun.id) (List.rev !seen);
+  Sys.remove (Filename.concat dir "shard-0005.ckpt");
+  seen := [];
+  let resumed = run_case ~config:(config ~resume:true) ~base client server in
+  Alcotest.(check (list int)) "resume records only position 5" [ 5 ] !seen;
+  Alcotest.(check int) "15 shards resumed" 15
+    resumed.Search.coverage.Search.resumed_shards;
+  Alcotest.(check string) "resumed digest unchanged"
+    (Report.report_digest clean)
+    (Report.report_digest resumed);
   rm_rf dir
 
 (* A checkpoint write that fails keeps the explored shard: the run still
@@ -319,5 +367,7 @@ let () =
             test_checkpoint_write_failure_keeps_shard;
           Alcotest.test_case "another split's checkpoints are stale" `Quick
             test_resume_other_split_is_stale;
+          Alcotest.test_case "shards are named by position" `Quick
+            test_shards_named_by_position;
         ] );
     ]
