@@ -30,33 +30,44 @@ module Obs = Achilles_obs.Obs
 
 (* --- IR -------------------------------------------------------------------- *)
 
+(* The operators applied to op operands, in wire order: an [Oapp] is
+   written as the tag [5 + position in prims], then its [arity] operands. *)
+type prim =
+  | Not
+  | And
+  | Or
+  | Ite
+  | Eq
+  | Ult
+  | Slt
+  | Ule
+  | Sle
+  | Add
+  | Sub
+  | Mul
+  | Udiv
+  | Urem
+  | Bnot
+  | Band
+  | Bor
+  | Bxor
+  | Shl
+  | Lshr
+  | Ashr
+  | Concat (* first operand holds the high bits *)
+
+let prims =
+  [| Not; And; Or; Ite; Eq; Ult; Slt; Ule; Sle; Add; Sub; Mul; Udiv; Urem;
+     Bnot; Band; Bor; Bxor; Shl; Lshr; Ashr; Concat |]
+
+let arity = function Not | Bnot -> 1 | Ite -> 3 | _ -> 2
+
 type op =
   | Obyte of int (* message byte, 8-bit value *)
   | Oconst of Bv.t
   | Obool of bool
   | Ounknown (* three-valued bottom: verdict depends on untracked state *)
-  | Onot of int
-  | Oand of int * int
-  | Oor of int * int
-  | Oite of int * int * int
-  | Oeq of int * int
-  | Oult of int * int
-  | Oslt of int * int
-  | Oule of int * int
-  | Osle of int * int
-  | Oadd of int * int
-  | Osub of int * int
-  | Omul of int * int
-  | Oudiv of int * int
-  | Ourem of int * int
-  | Obnot of int
-  | Oband of int * int
-  | Obor of int * int
-  | Obxor of int * int
-  | Oshl of int * int
-  | Olshr of int * int
-  | Oashr of int * int
-  | Oconcat of int * int (* first operand holds the high bits *)
+  | Oapp of prim * int array (* [arity prim] operand op indices *)
   | Oextract of int * int * int (* hi, lo, operand *)
   | Oinset of int * (int64 * int64) array
       (* unsigned membership of the operand in a union of inclusive ranges *)
@@ -116,32 +127,33 @@ let op_sort ops sorts i =
   | Obyte _ -> SBv 8
   | Oconst c -> SBv (Bv.width c)
   | Obool _ | Ounknown -> SBool
-  | Onot a ->
-      boolean a;
-      SBool
-  | Oand (a, b) | Oor (a, b) ->
-      boolean a;
-      boolean b;
-      SBool
-  | Oite (c, a, b) ->
-      boolean c;
-      if s a <> s b then raise (Invalid_program "ite branch sort mismatch");
-      s a
-  | Oeq (a, b) ->
-      if s a <> s b then raise (Invalid_program "eq sort mismatch");
-      SBool
-  | Oult (a, b) | Oslt (a, b) | Oule (a, b) | Osle (a, b) ->
-      ignore (same_bv a b);
-      SBool
-  | Oadd (a, b) | Osub (a, b) | Omul (a, b) | Oudiv (a, b) | Ourem (a, b)
-  | Oband (a, b) | Obor (a, b) | Obxor (a, b) | Oshl (a, b) | Olshr (a, b)
-  | Oashr (a, b) ->
-      SBv (same_bv a b)
-  | Obnot a -> SBv (bv a)
-  | Oconcat (a, b) ->
-      let w = bv a + bv b in
-      if w > 64 then raise (Invalid_program "concat wider than 64 bits");
-      SBv w
+  | Oapp (p, a) -> (
+      match p with
+      | Not ->
+          boolean a.(0);
+          SBool
+      | And | Or ->
+          boolean a.(0);
+          boolean a.(1);
+          SBool
+      | Ite ->
+          boolean a.(0);
+          if s a.(1) <> s a.(2) then
+            raise (Invalid_program "ite branch sort mismatch");
+          s a.(1)
+      | Eq ->
+          if s a.(0) <> s a.(1) then raise (Invalid_program "eq sort mismatch");
+          SBool
+      | Ult | Slt | Ule | Sle ->
+          ignore (same_bv a.(0) a.(1));
+          SBool
+      | Add | Sub | Mul | Udiv | Urem | Band | Bor | Bxor | Shl | Lshr | Ashr ->
+          SBv (same_bv a.(0) a.(1))
+      | Bnot -> SBv (bv a.(0))
+      | Concat ->
+          let w = bv a.(0) + bv a.(1) in
+          if w > 64 then raise (Invalid_program "concat wider than 64 bits");
+          SBv w)
   | Oextract (hi, lo, a) ->
       let w = bv a in
       if not (0 <= lo && lo <= hi && hi < w) then
@@ -166,16 +178,15 @@ let validate ft =
   let n = Array.length ft.f_ops in
   if ft.f_message_size < 1 || ft.f_message_size > 0x10000 then
     raise (Invalid_program "implausible message size");
-  Array.iteri
-    (fun i o ->
-      match o with
+  Array.iter
+    (function
       | Obyte b ->
           if b < 0 || b >= ft.f_message_size then
             raise (Invalid_program "byte index out of range")
       | Oconst c ->
           if Bv.width c < 1 || Bv.width c > 64 then
             raise (Invalid_program "constant width out of range")
-      | _ -> ignore i)
+      | _ -> ())
     ft.f_ops;
   let sorts = sorts_of ft.f_ops in
   Array.iter
@@ -203,32 +214,8 @@ let reachable ops root =
       seen.(i) <- true;
       match ops.(i) with
       | Obyte _ | Oconst _ | Obool _ | Ounknown -> ()
-      | Onot a | Obnot a | Oextract (_, _, a) | Oinset (a, _) -> visit a
-      | Oand (a, b)
-      | Oor (a, b)
-      | Oeq (a, b)
-      | Oult (a, b)
-      | Oslt (a, b)
-      | Oule (a, b)
-      | Osle (a, b)
-      | Oadd (a, b)
-      | Osub (a, b)
-      | Omul (a, b)
-      | Oudiv (a, b)
-      | Ourem (a, b)
-      | Oband (a, b)
-      | Obor (a, b)
-      | Obxor (a, b)
-      | Oshl (a, b)
-      | Olshr (a, b)
-      | Oashr (a, b)
-      | Oconcat (a, b) ->
-          visit a;
-          visit b
-      | Oite (c, a, b) ->
-          visit c;
-          visit a;
-          visit b
+      | Oapp (_, args) -> Array.iter visit args
+      | Oextract (_, _, a) | Oinset (a, _) -> visit a
     end
   in
   visit root;
@@ -487,7 +474,12 @@ let push_unknown b =
   b.unknowns <- b.unknowns + 1;
   push b Ounknown
 
-let rec lower b t =
+(* Operands are lowered last first, so the last operand's ops get the
+   lowest indices: the op numbering, so the image bytes, depend on it. *)
+let rec app b p args =
+  push b (Oapp (p, Array.of_list (List.rev_map (lower b) (List.rev args))))
+
+and lower b t =
   match T.Tbl.find_opt b.memo t with
   | Some idx -> idx
   | None ->
@@ -500,31 +492,31 @@ let rec lower b t =
             match Hashtbl.find_opt b.byte_of v.T.id with
             | Some i -> push b (Obyte i)
             | None -> raise (Unlowerable "auxiliary variable survived"))
-        | T.Not a -> push b (Onot (lower b a))
-        | T.And (x, y) -> push b (Oand (lower b x, lower b y))
-        | T.Or (x, y) -> push b (Oor (lower b x, lower b y))
-        | T.Ite (c, x, y) -> push b (Oite (lower b c, lower b x, lower b y))
-        | T.Eq (x, y) -> push b (Oeq (lower b x, lower b y))
-        | T.Ult (x, y) -> push b (Oult (lower b x, lower b y))
-        | T.Slt (x, y) -> push b (Oslt (lower b x, lower b y))
-        | T.Ule (x, y) -> push b (Oule (lower b x, lower b y))
-        | T.Sle (x, y) -> push b (Osle (lower b x, lower b y))
-        | T.Add (x, y) -> push b (Oadd (lower b x, lower b y))
-        | T.Sub (x, y) -> push b (Osub (lower b x, lower b y))
-        | T.Mul (x, y) -> push b (Omul (lower b x, lower b y))
-        | T.Udiv (x, y) -> push b (Oudiv (lower b x, lower b y))
-        | T.Urem (x, y) -> push b (Ourem (lower b x, lower b y))
-        | T.Bnot a -> push b (Obnot (lower b a))
-        | T.Band (x, y) -> push b (Oband (lower b x, lower b y))
-        | T.Bor (x, y) -> push b (Obor (lower b x, lower b y))
-        | T.Bxor (x, y) -> push b (Obxor (lower b x, lower b y))
-        | T.Shl (x, y) -> push b (Oshl (lower b x, lower b y))
-        | T.Lshr (x, y) -> push b (Olshr (lower b x, lower b y))
-        | T.Ashr (x, y) -> push b (Oashr (lower b x, lower b y))
+        | T.Not a -> app b Not [ a ]
+        | T.And (x, y) -> app b And [ x; y ]
+        | T.Or (x, y) -> app b Or [ x; y ]
+        | T.Ite (c, x, y) -> app b Ite [ c; x; y ]
+        | T.Eq (x, y) -> app b Eq [ x; y ]
+        | T.Ult (x, y) -> app b Ult [ x; y ]
+        | T.Slt (x, y) -> app b Slt [ x; y ]
+        | T.Ule (x, y) -> app b Ule [ x; y ]
+        | T.Sle (x, y) -> app b Sle [ x; y ]
+        | T.Add (x, y) -> app b Add [ x; y ]
+        | T.Sub (x, y) -> app b Sub [ x; y ]
+        | T.Mul (x, y) -> app b Mul [ x; y ]
+        | T.Udiv (x, y) -> app b Udiv [ x; y ]
+        | T.Urem (x, y) -> app b Urem [ x; y ]
+        | T.Bnot a -> app b Bnot [ a ]
+        | T.Band (x, y) -> app b Band [ x; y ]
+        | T.Bor (x, y) -> app b Bor [ x; y ]
+        | T.Bxor (x, y) -> app b Bxor [ x; y ]
+        | T.Shl (x, y) -> app b Shl [ x; y ]
+        | T.Lshr (x, y) -> app b Lshr [ x; y ]
+        | T.Ashr (x, y) -> app b Ashr [ x; y ]
         | T.Concat (x, y) ->
             if T.width_of t > 64 then
               raise (Unlowerable "concatenation wider than 64 bits")
-            else push b (Oconcat (lower b x, lower b y))
+            else app b Concat [ x; y ]
         | T.Extract (hi, lo, a) -> push b (Oextract (hi, lo, lower b a))
       in
       T.Tbl.replace b.memo t idx;
@@ -581,7 +573,8 @@ let enumerate_residue ~budget b msg_vars t =
           | [] -> assert false
           | first :: rest ->
               List.fold_left
-                (fun acc i -> push b (Oconcat (acc, push b (Obyte i))))
+                (fun acc i ->
+                  push b (Oapp (Concat, [| acc; push b (Obyte i) |])))
                 (push b (Obyte first))
                 rest
         in
@@ -696,7 +689,7 @@ let compile ?(enum_values = 512) ~target ~layout ~report () =
                 | roots ->
                     let root =
                       List.fold_left
-                        (fun acc r -> push b (Oand (acc, r)))
+                        (fun acc r -> push b (Oapp (And, [| acc; r |])))
                         (List.hd roots) (List.tl roots)
                     in
                     Some
@@ -750,53 +743,54 @@ let eval_op ev i =
   let ops = ev.ft.f_ops in
   let v j = ev.vals.(j) in
   let bv j = match v j with Vv x -> Some x | _ -> None in
-  let bin f a b =
-    match (bv a, bv b) with Some x, Some y -> Vv (f x y) | _ -> Vu
+  let bin f a =
+    match (bv a.(0), bv a.(1)) with Some x, Some y -> Vv (f x y) | _ -> Vu
   in
-  let cmp f a b =
-    match (bv a, bv b) with Some x, Some y -> Vb (f x y) | _ -> Vu
+  let cmp f a =
+    match (bv a.(0), bv a.(1)) with Some x, Some y -> Vb (f x y) | _ -> Vu
   in
   match ops.(i) with
   | Obyte k -> Vv (Bv.of_int ~width:8 ev.msg.(k))
   | Oconst c -> Vv c
   | Obool x -> Vb x
   | Ounknown -> Vu
-  | Onot a -> (
-      match v a with Vb x -> Vb (not x) | _ -> Vu)
-  | Oand (a, b) -> (
-      match (v a, v b) with
-      | Vb false, _ | _, Vb false -> Vb false
-      | Vb true, Vb true -> Vb true
-      | _ -> Vu)
-  | Oor (a, b) -> (
-      match (v a, v b) with
-      | Vb true, _ | _, Vb true -> Vb true
-      | Vb false, Vb false -> Vb false
-      | _ -> Vu)
-  | Oite (c, a, b) -> (
-      match v c with Vb true -> v a | Vb false -> v b | _ -> Vu)
-  | Oeq (a, b) -> (
-      match (v a, v b) with
-      | Vv x, Vv y -> Vb (Bv.equal x y)
-      | Vb x, Vb y -> Vb (x = y)
-      | _ -> Vu)
-  | Oult (a, b) -> cmp Bv.ult a b
-  | Oslt (a, b) -> cmp Bv.slt a b
-  | Oule (a, b) -> cmp Bv.ule a b
-  | Osle (a, b) -> cmp Bv.sle a b
-  | Oadd (a, b) -> bin Bv.add a b
-  | Osub (a, b) -> bin Bv.sub a b
-  | Omul (a, b) -> bin Bv.mul a b
-  | Oudiv (a, b) -> bin Bv.udiv a b
-  | Ourem (a, b) -> bin Bv.urem a b
-  | Obnot a -> ( match bv a with Some x -> Vv (Bv.lognot x) | None -> Vu)
-  | Oband (a, b) -> bin Bv.logand a b
-  | Obor (a, b) -> bin Bv.logor a b
-  | Obxor (a, b) -> bin Bv.logxor a b
-  | Oshl (a, b) -> bin Bv.shl a b
-  | Olshr (a, b) -> bin Bv.lshr a b
-  | Oashr (a, b) -> bin Bv.ashr a b
-  | Oconcat (a, b) -> bin Bv.concat a b
+  | Oapp (p, a) -> (
+      match p with
+      | Not -> ( match v a.(0) with Vb x -> Vb (not x) | _ -> Vu)
+      | And -> (
+          match (v a.(0), v a.(1)) with
+          | Vb false, _ | _, Vb false -> Vb false
+          | Vb true, Vb true -> Vb true
+          | _ -> Vu)
+      | Or -> (
+          match (v a.(0), v a.(1)) with
+          | Vb true, _ | _, Vb true -> Vb true
+          | Vb false, Vb false -> Vb false
+          | _ -> Vu)
+      | Ite -> (
+          match v a.(0) with Vb true -> v a.(1) | Vb false -> v a.(2) | _ -> Vu)
+      | Eq -> (
+          match (v a.(0), v a.(1)) with
+          | Vv x, Vv y -> Vb (Bv.equal x y)
+          | Vb x, Vb y -> Vb (x = y)
+          | _ -> Vu)
+      | Ult -> cmp Bv.ult a
+      | Slt -> cmp Bv.slt a
+      | Ule -> cmp Bv.ule a
+      | Sle -> cmp Bv.sle a
+      | Add -> bin Bv.add a
+      | Sub -> bin Bv.sub a
+      | Mul -> bin Bv.mul a
+      | Udiv -> bin Bv.udiv a
+      | Urem -> bin Bv.urem a
+      | Bnot -> ( match bv a.(0) with Some x -> Vv (Bv.lognot x) | None -> Vu)
+      | Band -> bin Bv.logand a
+      | Bor -> bin Bv.logor a
+      | Bxor -> bin Bv.logxor a
+      | Shl -> bin Bv.shl a
+      | Lshr -> bin Bv.lshr a
+      | Ashr -> bin Bv.ashr a
+      | Concat -> bin Bv.concat a)
   | Oextract (hi, lo, a) -> (
       match bv a with Some x -> Vv (Bv.extract ~hi ~lo x) | None -> Vu)
   | Oinset (a, ranges) -> (
@@ -912,93 +906,10 @@ let encode_payload ft =
       | Obool false -> u8 2
       | Obool true -> u8 3
       | Ounknown -> u8 4
-      | Onot a ->
-          u8 5;
-          u32 a
-      | Oand (a, b) ->
-          u8 6;
-          u32 a;
-          u32 b
-      | Oor (a, b) ->
-          u8 7;
-          u32 a;
-          u32 b
-      | Oite (c, a, b) ->
-          u8 8;
-          u32 c;
-          u32 a;
-          u32 b
-      | Oeq (a, b) ->
-          u8 9;
-          u32 a;
-          u32 b
-      | Oult (a, b) ->
-          u8 10;
-          u32 a;
-          u32 b
-      | Oslt (a, b) ->
-          u8 11;
-          u32 a;
-          u32 b
-      | Oule (a, b) ->
-          u8 12;
-          u32 a;
-          u32 b
-      | Osle (a, b) ->
-          u8 13;
-          u32 a;
-          u32 b
-      | Oadd (a, b) ->
-          u8 14;
-          u32 a;
-          u32 b
-      | Osub (a, b) ->
-          u8 15;
-          u32 a;
-          u32 b
-      | Omul (a, b) ->
-          u8 16;
-          u32 a;
-          u32 b
-      | Oudiv (a, b) ->
-          u8 17;
-          u32 a;
-          u32 b
-      | Ourem (a, b) ->
-          u8 18;
-          u32 a;
-          u32 b
-      | Obnot a ->
-          u8 19;
-          u32 a
-      | Oband (a, b) ->
-          u8 20;
-          u32 a;
-          u32 b
-      | Obor (a, b) ->
-          u8 21;
-          u32 a;
-          u32 b
-      | Obxor (a, b) ->
-          u8 22;
-          u32 a;
-          u32 b
-      | Oshl (a, b) ->
-          u8 23;
-          u32 a;
-          u32 b
-      | Olshr (a, b) ->
-          u8 24;
-          u32 a;
-          u32 b
-      | Oashr (a, b) ->
-          u8 25;
-          u32 a;
-          u32 b
-      | Oconcat (a, b) ->
-          u8 26;
-          u32 a;
-          u32 b
+      | Oapp (p, args) ->
+          let rec tag i = if prims.(i) = p then 5 + i else tag (i + 1) in
+          u8 (tag 0);
+          Array.iter u32 args
       | Oextract (hi, lo, a) ->
           u8 27;
           u8 hi;
@@ -1094,11 +1005,6 @@ let of_string s =
     let n_ops = u32 () in
     if n_ops > payload_len then fail "implausible op count";
     let decode_op () =
-      let pair mk =
-        let a = u32 () in
-        let b = u32 () in
-        mk a b
-      in
       match u8 () with
       | 0 -> Obyte (u32 ())
       | 1 ->
@@ -1108,30 +1014,9 @@ let of_string s =
       | 2 -> Obool false
       | 3 -> Obool true
       | 4 -> Ounknown
-      | 5 -> Onot (u32 ())
-      | 6 -> pair (fun a b -> Oand (a, b))
-      | 7 -> pair (fun a b -> Oor (a, b))
-      | 8 ->
-          let c = u32 () in
-          pair (fun a b -> Oite (c, a, b))
-      | 9 -> pair (fun a b -> Oeq (a, b))
-      | 10 -> pair (fun a b -> Oult (a, b))
-      | 11 -> pair (fun a b -> Oslt (a, b))
-      | 12 -> pair (fun a b -> Oule (a, b))
-      | 13 -> pair (fun a b -> Osle (a, b))
-      | 14 -> pair (fun a b -> Oadd (a, b))
-      | 15 -> pair (fun a b -> Osub (a, b))
-      | 16 -> pair (fun a b -> Omul (a, b))
-      | 17 -> pair (fun a b -> Oudiv (a, b))
-      | 18 -> pair (fun a b -> Ourem (a, b))
-      | 19 -> Obnot (u32 ())
-      | 20 -> pair (fun a b -> Oband (a, b))
-      | 21 -> pair (fun a b -> Obor (a, b))
-      | 22 -> pair (fun a b -> Obxor (a, b))
-      | 23 -> pair (fun a b -> Oshl (a, b))
-      | 24 -> pair (fun a b -> Olshr (a, b))
-      | 25 -> pair (fun a b -> Oashr (a, b))
-      | 26 -> pair (fun a b -> Oconcat (a, b))
+      | tag when tag - 5 < Array.length prims ->
+          let p = prims.(tag - 5) in
+          Oapp (p, Array.init (arity p) (fun _ -> u32 ()))
       | 27 ->
           let hi = u8 () in
           let lo = u8 () in
@@ -1211,19 +1096,15 @@ let save ft ~file =
       Error msg
 
 let load ~file =
-  match
-    let ic = open_in_bin file in
-    let len = in_channel_length ic in
-    let content = really_input_string ic len in
-    close_in ic;
-    content
-  with
-  | content -> (
-      match of_string content with
-      | Ok ft -> Ok ft
-      | Error msg -> Error (Printf.sprintf "%s: %s" file msg))
+  let read ic =
+    match (Unix.fstat (Unix.descr_of_in_channel ic)).Unix.st_kind with
+    | Unix.S_REG -> Ok (In_channel.input_all ic)
+    | _ -> Error "not a regular file"
+  in
+  match Result.bind (In_channel.with_open_bin file read) of_string with
+  | Ok ft -> Ok ft
+  | Error msg -> Error (Printf.sprintf "%s: %s" file msg)
   | exception Sys_error msg -> Error msg
-  | exception End_of_file -> Error (Printf.sprintf "%s: truncated image" file)
 
 let pp_summary ppf ft =
   Format.fprintf ppf

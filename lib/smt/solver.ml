@@ -6,20 +6,13 @@ type stats = {
   mutable queries : int;
   mutable cache_hits : int;
   mutable cache_misses : int;
-  mutable interval_prunes : int;
   mutable sat_calls : int;
-  mutable sat_results : int;
-  mutable unsat_results : int;
   mutable unknown_results : int;
   mutable budget_escalations : int;
   mutable budget_exhaustions : int;
   mutable injected_faults : int;
   mutable incremental_checks : int;
-  mutable frame_pushes : int;
-  mutable frame_pops : int;
-  mutable learnts_retained : int;
   mutable rung_retained : int;
-  mutable context_resets : int;
   mutable solve_time : float;
 }
 
@@ -28,20 +21,13 @@ let fresh_stats () =
     queries = 0;
     cache_hits = 0;
     cache_misses = 0;
-    interval_prunes = 0;
     sat_calls = 0;
-    sat_results = 0;
-    unsat_results = 0;
     unknown_results = 0;
     budget_escalations = 0;
     budget_exhaustions = 0;
     injected_faults = 0;
     incremental_checks = 0;
-    frame_pushes = 0;
-    frame_pops = 0;
-    learnts_retained = 0;
     rung_retained = 0;
-    context_resets = 0;
     solve_time = 0.;
   }
 
@@ -142,20 +128,13 @@ let set_fault_injection ?(rate = 0.) ?(seed = 0x5eed) () =
 
 let reset_one st =
   st.queries <- 0;
-  st.interval_prunes <- 0;
   st.sat_calls <- 0;
-  st.sat_results <- 0;
-  st.unsat_results <- 0;
   st.unknown_results <- 0;
   st.budget_escalations <- 0;
   st.budget_exhaustions <- 0;
   st.injected_faults <- 0;
   st.incremental_checks <- 0;
-  st.frame_pushes <- 0;
-  st.frame_pops <- 0;
-  st.learnts_retained <- 0;
   st.rung_retained <- 0;
-  st.context_resets <- 0;
   st.solve_time <- 0.
 
 let reset_stats () = reset_one (stats ())
@@ -320,12 +299,8 @@ let run_sat bb ~conflict_limit ~deadline =
   let answer = Sat.solve ?conflict_limit ?deadline (Bitblast.sat bb) in
   st.solve_time <- st.solve_time +. (Unix.gettimeofday () -. t0);
   match answer with
-  | Some Sat.Sat ->
-      st.sat_results <- st.sat_results + 1;
-      Sat (Bitblast.extract_model bb)
-  | Some Sat.Unsat ->
-      st.unsat_results <- st.unsat_results + 1;
-      Unsat
+  | Some Sat.Sat -> Sat (Bitblast.extract_model bb)
+  | Some Sat.Unsat -> Unsat
   | None -> Unknown
 
 let solve_with_sat terms ~conflict_limit ~deadline =
@@ -340,13 +315,9 @@ let check ?site ?conflict_limit terms =
   st.queries <- st.queries + 1;
   Obs.span ?site Obs.Solver_query (fun () ->
       match canonicalize terms with
-      | None ->
-          st.unsat_results <- st.unsat_results + 1;
-          Unsat
+      | None -> Unsat
       | Some [] -> Sat Model.empty
-      | Some key when Interval.definitely_unsat key ->
-          st.interval_prunes <- st.interval_prunes + 1;
-          Unsat
+      | Some key when Interval.definitely_unsat key -> Unsat
       | Some key -> with_budget ~conflict_limit (solve_with_sat key))
 
 let is_sat ?site terms =
@@ -396,12 +367,8 @@ let enumerate ?site ~limit base on_model =
         next 0
           (query (fun () ->
                match canonicalize base with
-               | None ->
-                   st.unsat_results <- st.unsat_results + 1;
-                   Unsat
-               | Some key when Interval.definitely_unsat key ->
-                   st.interval_prunes <- st.interval_prunes + 1;
-                   Unsat
+               | None -> Unsat
+               | Some key when Interval.definitely_unsat key -> Unsat
                | Some key ->
                    Obs.span Obs.Bitblast (fun () ->
                        List.iter (Bitblast.assert_true bb) key);
@@ -481,8 +448,6 @@ module Frames = struct
         g
 
   let recycle c =
-    let st = state.sstats in
-    st.context_resets <- st.context_resets + 1;
     Obs.count "solver.context_resets";
     let sat = Sat.create () in
     c.fc_sat <- sat;
@@ -493,8 +458,6 @@ module Frames = struct
     List.iter (fun t -> ignore (guard c t)) (List.rev c.fc_stack)
 
   let push c term =
-    let st = state.sstats in
-    st.frame_pushes <- st.frame_pushes + 1;
     Obs.count "solver.push";
     ignore (guard c term);
     c.fc_stack <- term :: c.fc_stack
@@ -503,8 +466,6 @@ module Frames = struct
     match c.fc_stack with
     | [] -> invalid_arg "Solver.Frames.pop: empty frame stack"
     | _ :: rest ->
-        let st = state.sstats in
-        st.frame_pops <- st.frame_pops + 1;
         Obs.count "solver.pop";
         c.fc_stack <- rest
 
@@ -535,15 +496,12 @@ module Frames = struct
     c.fc_last_core <- None;
     Obs.span ?site Obs.Solver_query (fun () ->
         match canonicalize (List.rev_append c.fc_stack extras) with
-        | None ->
-            st.unsat_results <- st.unsat_results + 1;
-            Unsat
+        | None -> Unsat
         | Some [] -> Sat Model.empty
         | Some key when Interval.definitely_unsat key ->
             (* same sound pre-check the scratch path runs; the whole
                canonical conjunction stands in for a core (the analysis
                does not localize the conflict) *)
-            st.interval_prunes <- st.interval_prunes + 1;
             c.fc_last_core <- Some key;
             Unsat
         | Some _ ->
@@ -572,9 +530,8 @@ module Frames = struct
             let rung = ref (-1) in
             with_budget ~conflict_limit (fun ~conflict_limit ~deadline ->
                 incr rung;
-                let retained = Sat.num_learnts c.fc_sat in
-                st.learnts_retained <- st.learnts_retained + retained;
                 if !rung > 0 then begin
+                  let retained = Sat.num_learnts c.fc_sat in
                   (* learning carried into an escalation retry: the rung
                      restarts with a bigger budget but not from scratch *)
                   st.rung_retained <- st.rung_retained + retained;
@@ -591,13 +548,11 @@ module Frames = struct
                   st.solve_time <- st.solve_time +. (Unix.gettimeofday () -. t0);
                   match answer with
                   | Some Sat.Sat ->
-                      st.sat_results <- st.sat_results + 1;
                       Sat
                         (match model_vars with
                         | None -> Model.empty
                         | Some vars -> Bitblast.extract_vars c.fc_bb vars)
                   | Some Sat.Unsat ->
-                      st.unsat_results <- st.unsat_results + 1;
                       c.fc_last_core <-
                         (match Sat.unsat_core c.fc_sat with
                         | [] -> None

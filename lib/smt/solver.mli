@@ -242,24 +242,16 @@ type stats = {
   (* always 0: the solver keeps no result cache. Both fields stay only
      because the benchmark harness still reads them; they go with its next
      change. *)
-  mutable interval_prunes : int; (* queries settled by the interval check *)
   mutable sat_calls : int;
-  mutable sat_results : int;
-  mutable unsat_results : int;
   mutable unknown_results : int; (* final Unknown answers (post-ladder) *)
   mutable budget_escalations : int; (* x4 retries taken *)
   mutable budget_exhaustions : int; (* ladders that ended in Unknown *)
   mutable injected_faults : int; (* faults fired by {!set_fault_injection} *)
   mutable incremental_checks : int; (* queries decided on a frame context *)
-  mutable frame_pushes : int; (* frames entered ({!Frames.push}) *)
-  mutable frame_pops : int; (* frames left ({!Frames.pop}) *)
-  mutable learnts_retained : int;
-  (* learnt clauses already present at the start of each incremental SAT
-     attempt — the learning carried over from earlier queries *)
   mutable rung_retained : int;
-  (* the subset of [learnts_retained] carried into escalation retries
-     (rung >= 1): scratch solving re-learns these from nothing *)
-  mutable context_resets : int; (* incremental contexts recycled at the cap *)
+  (* learnt clauses already present at the start of each escalation retry
+     (rung >= 1) on a frame context: scratch solving re-learns these from
+     nothing *)
   mutable solve_time : float; (* seconds spent inside the SAT solver *)
 }
 

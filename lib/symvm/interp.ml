@@ -353,30 +353,8 @@ let branch ctx (st : State.t) cond ift iff : outcomes =
   | Some true -> ift st
   | Some false -> iff st
   | None -> (
-      (* Syntactic subsumption before touching the solver: a side whose
-         constraint contradicts a conjunct already on the path literally
-         (cond vs (not cond)) is infeasible — the solver query would contain
-         both and come back Unsat. On complete (unbudgeted) runs this is
-         exactly the answer the solver gave; under budgets it additionally
-         prunes branches an injected/exhausted Unknown would have left
-         conservatively explored, which loses only infeasible states. *)
-      let subsumed side =
-        Obs.count "interp.subsumed_branches";
-        if Obs.live () then
-          Obs.emit ~kind:"drop" ~name:"subsumed"
-            ~args:[ ("route", Obs.S st.State.route); ("side", Obs.S side) ]
-            ();
-        true
-      in
-      let t_verdict =
-        if State.has_conjunct st (Term.not_ cond) && subsumed "true" then
-          Infeasible
-        else feasible ctx st cond
-      in
-      let f_verdict =
-        if State.has_conjunct st cond && subsumed "false" then Infeasible
-        else feasible ctx st (Term.not_ cond)
-      in
+      let t_verdict = feasible ctx st cond in
+      let f_verdict = feasible ctx st (Term.not_ cond) in
       let one_sided verdict cond side =
         match add_constraint ctx (mark_exactness st verdict) cond with
         | Some st -> side st

@@ -57,10 +57,6 @@ let is_terminal s = s.status <> Running
 
 let constraints s = List.rev s.path
 
-(* On interned terms this is a physical-equality scan (hkey filters the
-   rest), so callers can afford it on every branch. *)
-let has_conjunct s c = List.exists (Term.equal c) s.path
-
 let pp fmt s =
   Format.fprintf fmt "@[<v>state %d (%s), depth %d@," s.id
     (status_string s.status) s.depth;

@@ -61,10 +61,5 @@ val is_terminal : t -> bool
 val constraints : t -> Term.t list
 (** Path constraints in the order they were added. *)
 
-val has_conjunct : t -> Term.t -> bool
-(** Is this exact (structurally equal) constraint already on the path?
-    Cheap on interned terms — a physical-equality scan in the common case —
-    which lets the interpreter settle one side of a branch syntactically
-    instead of asking the solver. *)
 
 val pp : Format.formatter -> t -> unit

@@ -39,3 +39,18 @@ let verdict_digests =
     ([ "paxos" ], "c98a3d1f649236463c7b159267d1a6d3");
     ([ "fsp"; "-w"; "16" ], "82c17cc27e593b39923a87e802ba8f2a");
   ]
+
+(* The compiled filter images: the MD5 of the file
+   `achilles compile-filter T -o F` writes, for every bundled target.
+   Round trips only check that an image decodes to itself; these pin the
+   op numbering and the wire format byte for byte. *)
+let filter_digests =
+  [
+    ("rw", "fd9a07a8329a50eaf3ab3fc1addd4e88");
+    ("fsp", "b6aa5cc6324b7141bf97bca3352e07aa");
+    ("fsp-glob", "ebe148d20b4127e4f21229bed6adb744");
+    ("pbft", "e210182f498b537b0336b1a8bbdf8df3");
+    ("kv", "af72630df463592088cd4c52eed4fb5c");
+    ("gossip", "8bed2699cbcca7836021e68408f4e819");
+    ("paxos", "f0b7d05d234b541c1bfa170116ab92dd");
+  ]

@@ -5,8 +5,10 @@
    compiled filter's verdict equals the solver's decision of the same
    per-state Trojan queries the search reported — i.e. compilation
    (quantifier elimination included) changed nothing. Plus: every
-   search-reported witness is flagged, serialization round-trips, every
-   corruption is rejected rather than mis-answered, and the serve daemon
+   search-reported witness is flagged, every filter operator agrees with
+   [Model.eval_bool] on random terms, serialization round-trips, the
+   bundled targets' images are pinned byte for byte, every corruption is
+   rejected rather than mis-answered, and the serve daemon
    speaks its protocol end to end (as a forked child running [Daemon.run]
    and as a real [achilles serve] subprocess). *)
 
@@ -354,7 +356,261 @@ let test_save_load () =
   Sys.remove file;
   (match Filter.load ~file with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "loading a missing file succeeded")
+  | Ok _ -> Alcotest.fail "loading a missing file succeeded");
+  let dir = Filename.temp_dir "achilles-filter" ".d" in
+  Fun.protect ~finally:(fun () -> Sys.rmdir dir) @@ fun () ->
+  Alcotest.(check (result reject string)) "loading a directory"
+    (Error (dir ^ ": not a regular file"))
+    (Result.map ignore (Filter.load ~file:dir))
+
+(* --- every operator, against [Model.eval_bool] ------------------------------- *)
+
+(* One accepting state whose Trojan query is [term] over [msg_vars], as the
+   search would report it. *)
+let report_of msg_vars term =
+  let sp =
+    {
+      Predicate.sp_state_id = 1;
+      label = "op";
+      msg_vars;
+      sp_constraints = [ term ];
+    }
+  in
+  let trojan =
+    {
+      Search.server_state_id = 1;
+      accept_label = "op";
+      witness = Array.map (fun _ -> Bv.zero 8) msg_vars;
+      symbolic = [ term ];
+      msg_vars;
+      confirmed = true;
+      found_at = 0.;
+    }
+  in
+  {
+    Search.trojans = [ trojan ];
+    accepting = [ sp ];
+    drops = [];
+    search_stats =
+      {
+        Search.accepting_paths = 1;
+        rejecting_paths = 0;
+        other_paths = 0;
+        pruned_states = 0;
+        forks = 0;
+        alive_checks = 0;
+        transitive_drops = 0;
+        alive_samples = [];
+        wall_time = 0.;
+      };
+    coverage =
+      {
+        Search.total_shards = 1;
+        completed_shards = 1;
+        failed_shards = [];
+        resumed_shards = 0;
+        interrupted = false;
+        unknown_alive = 0;
+        unknown_prune = 0;
+        unknown_witness = 0;
+        budget_exhaustions = 0;
+        injected_faults = 0;
+        abandoned_states = 0;
+        slice_static_branches = 0;
+        slice_cone_queries = 0;
+      };
+  }
+
+(* Random terms over the message bytes [m]. Constants lean on the edge
+   values (0, 1, the width, the sign bit, all ones), so division by zero
+   and shifts at or past the width come up often. *)
+type gens = {
+  byte : Term.t QCheck2.Gen.t; (* one of [m] *)
+  konst : int -> Term.t QCheck2.Gen.t; (* a constant of the given width *)
+  bv8 : Term.t QCheck2.Gen.t; (* a byte, a constant or one operator on them *)
+  boolean : Term.t QCheck2.Gen.t;
+  against : Term.t -> Term.t QCheck2.Gen.t;
+      (* a comparison of a term with a random one of its width *)
+}
+
+let gens_over (m : Term.t array) =
+  let open QCheck2.Gen in
+  let konst w =
+    map
+      (fun k -> Term.int ~width:w k)
+      (frequency
+         [
+           (2, oneofl [ 0; 1; 7; 8; 9; 127; 128; 255 ]);
+           (1, int_range 0 ((1 lsl w) - 1));
+         ])
+  in
+  let byte = oneofl (Array.to_list m) in
+  let leaf = frequency [ (4, byte); (1, konst 8) ] in
+  let binops =
+    Term.[ add; sub; mul; udiv; urem; band; bor; bxor; shl; lshr; ashr ]
+  in
+  let bv8 =
+    frequency
+      [
+        (2, leaf);
+        (2, map3 (fun f a b -> f a b) (oneofl binops) leaf leaf);
+        (1, map Term.bnot leaf);
+      ]
+  in
+  let against x =
+    let other = if Term.width_of x = 8 then bv8 else konst (Term.width_of x) in
+    map2 (fun f y -> f x y) (oneofl Term.[ eq; ult; slt; ule; sle ]) other
+  in
+  { byte; konst; bv8; boolean = bv8 >>= against; against }
+
+(* Each operator of the compiled filter: the prims in wire order, then
+   extract and inset, each with a test that a term node applies it and a
+   generator of boolean terms that do. The inset case quantifies an
+   auxiliary byte [x] the compiler can only eliminate by enumeration, so
+   its meaning is "some [x] satisfies it". *)
+let op_cases =
+  let open QCheck2.Gen in
+  let binop f g = map2 f g.bv8 g.bv8 >>= g.against in
+  let cmp f g = map2 f g.bv8 g.bv8 in
+  Term.
+    [
+      ( "Not",
+        (function Not _ -> true | _ -> false),
+        fun g -> map not_ g.boolean );
+      ( "And",
+        (function And _ -> true | _ -> false),
+        fun g -> map2 and_ g.boolean g.boolean );
+      ( "Or",
+        (function Or _ -> true | _ -> false),
+        fun g -> map2 or_ g.boolean g.boolean );
+      ( "Ite",
+        (function Ite _ -> true | _ -> false),
+        fun g ->
+          oneof
+            [
+              map3 ite g.boolean g.boolean g.boolean;
+              map3 ite g.boolean g.bv8 g.bv8 >>= g.against;
+            ] );
+      ( "Eq",
+        (function Eq _ -> true | _ -> false),
+        fun g -> oneof [ cmp eq g; map2 eq g.boolean g.boolean ] );
+      ("Ult", (function Ult _ -> true | _ -> false), cmp ult);
+      ("Slt", (function Slt _ -> true | _ -> false), cmp slt);
+      ("Ule", (function Ule _ -> true | _ -> false), cmp ule);
+      ("Sle", (function Sle _ -> true | _ -> false), cmp sle);
+      ("Add", (function Add _ -> true | _ -> false), binop add);
+      ("Sub", (function Sub _ -> true | _ -> false), binop sub);
+      ("Mul", (function Mul _ -> true | _ -> false), binop mul);
+      ("Udiv", (function Udiv _ -> true | _ -> false), binop udiv);
+      ("Urem", (function Urem _ -> true | _ -> false), binop urem);
+      ( "Bnot",
+        (function Bnot _ -> true | _ -> false),
+        fun g -> map bnot g.bv8 >>= g.against );
+      ("Band", (function Band _ -> true | _ -> false), binop band);
+      ("Bor", (function Bor _ -> true | _ -> false), binop bor);
+      ("Bxor", (function Bxor _ -> true | _ -> false), binop bxor);
+      ("Shl", (function Shl _ -> true | _ -> false), binop shl);
+      ("Lshr", (function Lshr _ -> true | _ -> false), binop lshr);
+      ("Ashr", (function Ashr _ -> true | _ -> false), binop ashr);
+      ("Concat", (function Concat _ -> true | _ -> false), binop concat);
+      ( "Extract",
+        (function Extract _ -> true | _ -> false),
+        fun g ->
+          let* x = map2 concat g.bv8 g.bv8 in
+          let* lo = int_range 0 15 in
+          let* hi = int_range lo 15 in
+          g.against (extract ~hi ~lo x) );
+      ( "Inset",
+        (fun _ -> true),
+        fun g ->
+          let x = var (fresh_var ~name:"x" (Bitvec 8)) in
+          let* f = oneofl [ mul; band; bor; add ] in
+          let* k = g.konst 8 in
+          let* byte = g.byte in
+          let* rel = oneofl [ eq; ult; ule ] in
+          let+ rest = g.boolean in
+          and_ rest (rel (f x (f x k)) byte) );
+    ]
+
+(* Compile [term] as the one accepting state of a report over the message
+   bytes [msg_vars], then check the verdict on [messages] against
+   [Model.eval_bool] (an auxiliary byte quantified by enumeration), and
+   that the image decodes back to itself. *)
+let check_op_term msg_vars term messages =
+  let fields =
+    Array.to_list (Array.mapi (fun i _ -> (string_of_int i, 1)) msg_vars)
+  in
+  let filter =
+    Filter.compile ~target:"ops"
+      ~layout:(Layout.make ~name:"ops" fields)
+      ~report:(report_of msg_vars term) ()
+  in
+  let image = Filter.to_string filter in
+  (match Filter.of_string image with
+  | Ok filter' when String.equal image (Filter.to_string filter') -> ()
+  | Ok _ -> QCheck2.Test.fail_report "image does not decode to itself"
+  | Error e -> QCheck2.Test.fail_reportf "image rejected: %s" e);
+  let byte_value b = Model.Vbv (Bv.of_int ~width:8 b) in
+  let aux_bindings =
+    match
+      List.filter
+        (fun (v : Term.var) -> not (Array.exists (( == ) v) msg_vars))
+        (Term.vars term)
+    with
+    | [] -> [ [] ]
+    | [ x ] -> List.init 256 (fun k -> [ (x, byte_value k) ])
+    | _ -> assert false
+  in
+  let ev = Filter.evaluator filter in
+  List.for_all
+    (fun bytes ->
+      let base =
+        List.combine (Array.to_list msg_vars) (List.map byte_value bytes)
+      in
+      let holds =
+        List.exists
+          (fun aux -> Model.eval_bool (Model.of_list (aux @ base)) term)
+          aux_bindings
+      in
+      let expected = if holds then Filter.Trojan_suspect 1 else Filter.Accept in
+      let got =
+        Filter.verdict ev (Array.of_list (List.map (Bv.of_int ~width:8) bytes))
+      in
+      got = expected
+      || QCheck2.Test.fail_reportf "%s on [%s]: filter says %s, model says %s"
+           (Term.to_string term)
+           (String.concat " " (List.map string_of_int bytes))
+           (pp_verdict got) (pp_verdict expected))
+    messages
+
+let op_test (name, applies, gen) =
+  let open QCheck2.Gen in
+  QCheck2.Test.make
+    ~name:(Printf.sprintf "%s: filter verdict == Model.eval_bool" name)
+    ~count:40
+    (let* n = int_range 2 3 in
+     let msg_vars =
+       Array.init n (fun i ->
+           Term.fresh_var ~name:(Printf.sprintf "m%d" i) (Term.Bitvec 8))
+     in
+     let* term = gen (gens_over (Array.map Term.var msg_vars)) in
+     let byte =
+       frequency
+         [ (1, oneofl [ 0; 1; 7; 8; 9; 127; 128; 255 ]); (2, int_range 0 255) ]
+     in
+     let+ messages = list_size (return 24) (list_size (return n) byte) in
+     (msg_vars, term, messages))
+    (fun (msg_vars, term, messages) ->
+      (* the operator is the root or a compared operand, unless the smart
+         constructors folded it away *)
+      QCheck2.assume
+        (applies term.Term.node
+        ||
+        match term.Term.node with
+        | Term.Eq (x, _) | Ult (x, _) | Slt (x, _) | Ule (x, _) | Sle (x, _) ->
+            applies x.Term.node
+        | _ -> false);
+      check_op_term msg_vars term messages)
 
 (* --- the daemon: [Daemon.run] in a forked child ------------------------------- *)
 
@@ -892,6 +1148,30 @@ let test_cli_fsp_filter () =
       Alcotest.(check int) "stats: unknowns" 1 (stat_int kv "unknowns");
       check_drain_output (sigterm_drain pid out)
 
+(* The image bytes of every bundled target, through the built CLI: the op
+   numbering and the wire format are pinned, not just self-consistent. *)
+let test_image_digests () =
+  match cli_binary () with
+  | None -> print_endline "achilles_cli.exe not built here; skipping"
+  | Some binary ->
+      let file = Filename.temp_file "achilles-golden" ".achfilter" in
+      Fun.protect ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ())
+      @@ fun () ->
+      List.iter
+        (fun (target, digest) ->
+          let ic =
+            Unix.open_process_args_in binary
+              [| binary; "compile-filter"; target; "-o"; file |]
+          in
+          ignore (In_channel.input_all ic);
+          if Unix.close_process_in ic <> Unix.WEXITED 0 then
+            Alcotest.failf "compile-filter %s failed" target;
+          Alcotest.(check string)
+            (target ^ ": image digest")
+            digest
+            (Digest.to_hex (Digest.file file)))
+        Goldens.filter_digests
+
 let () =
   let qsuite name tests =
     (name, List.map (QCheck_alcotest.to_alcotest ~verbose:false) tests)
@@ -913,8 +1193,10 @@ let () =
           Alcotest.test_case "round trip" `Quick test_round_trip;
           Alcotest.test_case "corruption guards" `Quick test_corruption_guards;
           Alcotest.test_case "save/load" `Quick test_save_load;
+          Alcotest.test_case "image digests" `Quick test_image_digests;
         ] );
       qsuite "serialization-properties" [ qcheck_bit_flips_rejected ];
+      qsuite "operators" (List.map op_test op_cases);
       ( "daemon",
         [
           Alcotest.test_case "in-process protocol" `Quick test_daemon_in_process;

@@ -435,7 +435,7 @@ let test_chrome_export () =
       {
         Obs.ev_t = 0.005;
         ev_kind = "drop";
-        ev_name = "subsumed";
+        ev_name = "transitive";
         ev_args = [ ("route", Obs.S "r\"1") ];
       };
     ];
@@ -462,7 +462,7 @@ let test_chrome_export () =
   contains "\"ts\":4000.000";
   (* args carried over, with JSON escapes intact *)
   contains "\"route\":\"r\\\"1\"";
-  contains "\"name\":\"drop:subsumed\"";
+  contains "\"name\":\"drop:transitive\"";
   Sys.remove src;
   Sys.remove dst
 
