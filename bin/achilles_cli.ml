@@ -231,7 +231,10 @@ let digest_arg =
     "Print the deterministic report digest (stable across checkpoint \
      splits and resume) — the handle CI uses to assert that every mode reports \
      the same thing — and the verdict digest, the same digest with every \
-     witness zeroed (stable across changes that only move SAT models)."
+     witness zeroed (stable across changes that only move SAT models). A \
+     third line counts the SAT search's conflicts, decisions and \
+     propagations over every solve this process ran (resumed shards run \
+     none)."
   in
   Arg.(value & flag & info [ "digest" ] ~doc)
 
@@ -387,10 +390,15 @@ let run_analysis ~name target ~mask ~witnesses ~no_drop ~no_df ~no_prune
           analysis.Achilles.report.Search.drops
       end);
   Format.printf "@.%a@." Report.pp_metrics (Obs.aggregate ());
-  if digest then
-    Format.printf "@.report digest: %s@.verdict digest: %s@."
+  if digest then begin
+    let s = Solver.stats () in
+    Format.printf
+      "@.report digest: %s@.verdict digest: %s@.sat counters: conflicts=%d \
+       decisions=%d propagations=%d@."
       (Report.report_digest analysis.Achilles.report)
-      (Report.verdict_digest analysis.Achilles.report);
+      (Report.verdict_digest analysis.Achilles.report)
+      s.Solver.sat_conflicts s.Solver.sat_decisions s.Solver.sat_propagations
+  end;
   exit_code_of analysis.Achilles.report
 
 (* --mask needs the target's layout and --checkpoint-dir / --resume the

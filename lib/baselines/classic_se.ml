@@ -80,7 +80,8 @@ let enumerate ?restrict ?distinct_by ~max_per_path accepting =
                        witness)))
       in
       match
-        Solver.enumerate ~site:"classic_se" ~limit:max_per_path base
+        Solver.enumerate ~site:"classic_se" ~model_vars:vars
+          ~limit:max_per_path base
           (fun model ->
             let witness = witness_of_model vars model in
             messages := (witness, Unix.gettimeofday () -. t0) :: !messages;

@@ -61,7 +61,8 @@ let run ?interp ?(max_per_path = 1) ~client ~server () =
         (fun (path : Predicate.client_path) ->
           let binding = Predicate.bind_to_server ~server_vars path in
           match
-            Solver.enumerate ~site:"conformance" ~limit:max_per_path
+            Solver.enumerate ~site:"conformance" ~model_vars:server_vars
+              ~limit:max_per_path
               (rejected_by_all @ binding) (fun model ->
                 let witness = witness_of_model server_vars model in
                 lost := { client_path = path.Predicate.cp_id; witness } :: !lost;

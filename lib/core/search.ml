@@ -710,8 +710,8 @@ let emit_trojans ctx r (st : State.t) label =
       in
       let n = ref 0 in
       match
-        Solver.enumerate ~site:"witness" ~limit:ctx.cfg.witnesses_per_path
-          base_query (fun model ->
+        Solver.enumerate ~site:"witness" ~model_vars:vars
+          ~limit:ctx.cfg.witnesses_per_path base_query (fun model ->
             let witness = witness_of_model vars model in
             emit ~n:!n ~confirmed:true witness;
             incr n;

@@ -543,7 +543,8 @@ let enumerate_residue ~budget b msg_vars t =
     in
     let values = ref [] in
     match
-      Solver.enumerate ~site:"filter_compile" ~limit:(budget + 1) [ t ]
+      Solver.enumerate ~site:"filter_compile" ~model_vars:(Array.of_list vars)
+        ~limit:(budget + 1) [ t ]
         (fun model ->
           let bytes = List.map (byte_value model) vars in
           values :=

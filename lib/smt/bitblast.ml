@@ -1,19 +1,23 @@
 type repr = Rlit of int | Rvec of int array (* lsb first, DIMACS literals *)
 
+(* A translated term: its bits, and the SAT variables its own (cache-miss)
+   translation allocated, as the half-open range (lo, hi] — shared
+   subterms hit the cache and record their vars under their own entry. *)
+type entry = { repr : repr; lo : int; hi : int }
+
 type t = {
   sat : Sat.t;
-  cache : repr Term.Tbl.t;
+  cache : entry Term.Tbl.t;
   term_vars : (int, Term.var * repr) Hashtbl.t; (* term var id -> bits *)
-  ranges : (int * int) Term.Tbl.t;
-  (* per translated term, the SAT variables allocated by its own (cache-miss)
-     translation as the half-open range (lo, hi] — shared subterms hit the
-     cache and record their vars under their own entry *)
   cone_cache : int array Term.Tbl.t;
   (* memoized full translation cones of top-level (asserted/guarded) terms *)
   mutable true_lit : int;
   mutable marks : int array;
   (* by SAT variable: the stamp of the last [cone_vars] call that listed it *)
   mutable mark_stamp : int;
+  mutable listed : int array;
+  (* [cone_vars]'s output buffer, as long as [marks]: no call lists a
+     variable twice, so it never overflows *)
 }
 
 (* Memo and CNF-size counters, accumulated across contexts: every scratch
@@ -69,11 +73,11 @@ let create sat =
       sat;
       cache = Term.Tbl.create 256;
       term_vars = Hashtbl.create 64;
-      ranges = Term.Tbl.create 256;
       cone_cache = Term.Tbl.create 64;
       true_lit = 0;
       marks = [||];
       mark_stamp = 0;
+      listed = [||];
     }
   in
   init_true_lit t;
@@ -86,10 +90,9 @@ let reset t =
   Sat.reset t.sat;
   Term.Tbl.reset t.cache;
   Hashtbl.reset t.term_vars;
-  Term.Tbl.reset t.ranges;
   Term.Tbl.reset t.cone_cache;
   (* [marks] is kept as is: stamps only ever increase, so no old mark can
-     match a later call's stamp *)
+     match a later call's stamp; [listed] is scratch *)
   init_true_lit t
 
 (* --- boolean gates -------------------------------------------------------- *)
@@ -152,36 +155,63 @@ let mux t c a b =
     x
   end
 
-(* The inputs of an n-ary AND in ascending variable order (a variable's
-   positive literal first), each once and without the true literal; [None]
-   when the AND is false: a false input, or a complementary pair, which the
-   sort makes adjacent. *)
-let and_inputs t lits =
-  let key l = (2 * abs l) + if l < 0 then 1 else 0 in
-  let rec scan acc = function
-    | [] -> Some (List.rev acc)
-    | l :: _ when l = -t.true_lit -> None
-    | l :: rest when l = t.true_lit -> scan acc rest
-    | a :: b :: _ when a = -b -> None
-    | l :: rest -> scan (l :: acc) rest
-  in
-  scan [] (List.sort_uniq (fun a b -> Int.compare (key a) (key b)) lits)
+(* Put the inputs of an n-ary AND, in place, in ascending variable order
+   (a variable's positive literal first), each once and without the true
+   literal; returns how many there are, or -1 when the AND is false: a
+   false input, or a complementary pair, which the order makes adjacent.
+   Inputs arrive nearly sorted (the bits of a vector, allocated in order),
+   so an insertion sort does little work. *)
+let and_inputs t a =
+  let key l = if l < 0 then 1 - (2 * l) else 2 * l in
+  let n = Array.length a in
+  for i = 1 to n - 1 do
+    let x = a.(i) in
+    let kx = key x in
+    let j = ref (i - 1) in
+    while !j >= 0 && key a.(!j) > kx do
+      a.(!j + 1) <- a.(!j);
+      decr j
+    done;
+    a.(!j + 1) <- x
+  done;
+  let kept = ref 0 and prev = ref 0 and i = ref 0 in
+  while !i < n do
+    let l = a.(!i) in
+    if l = -t.true_lit || l = - !prev then begin
+      kept := -1;
+      i := n
+    end
+    else begin
+      if l <> !prev && l <> t.true_lit then begin
+        a.(!kept) <- l;
+        incr kept
+      end;
+      prev := l;
+      incr i
+    end
+  done;
+  !kept
 
 (* For k = 2 inputs these are [and2]'s clauses; for k inputs a chain of
    binary gates would spend k - 1 variables and 3(k - 1) clauses where
-   this gate spends 1 and k + 1. *)
+   this gate spends 1 and k + 1. Reorders [lits]. *)
 let and_many t lits =
   match and_inputs t lits with
-  | None -> -t.true_lit
-  | Some [] -> t.true_lit
-  | Some [ l ] -> l
-  | Some ls ->
+  | -1 -> -t.true_lit
+  | 0 -> t.true_lit
+  | 1 -> lits.(0)
+  | k ->
       let x = fresh t in
-      List.iter (fun l -> clause3 t (-x) l l) ls;
-      clause t (List.map lnot ls @ [ x ]);
+      let long = ref [ x ] in
+      for i = 0 to k - 1 do
+        let l = lits.(i) in
+        clause3 t (-x) l l;
+        long := lnot l :: !long
+      done;
+      clause t !long;
       x
 
-let or_many t lits = lnot (and_many t (List.map lnot lits))
+let or_many t lits = lnot (and_many t (Array.map lnot lits))
 
 let maj t a b c =
   let tl = t.true_lit in
@@ -245,7 +275,7 @@ let slt_lit t av bv =
   ult_lit t av' bv'
 
 let eq_vec_lit t av bv =
-  and_many t (Array.to_list (Array.map2 (xnor2 t) av bv))
+  and_many t (Array.map2 (xnor2 t) av bv)
 
 let multiplier t av bv =
   let w = Array.length av in
@@ -259,7 +289,7 @@ let multiplier t av bv =
   done;
   !acc
 
-let is_zero_lit t av = lnot (or_many t (Array.to_list av))
+let is_zero_lit t av = lnot (or_many t av)
 
 (* Restoring long division. Returns (quotient, remainder) with the SMT-LIB
    division-by-zero convention applied. *)
@@ -309,7 +339,8 @@ let shifter t ~kind av amount =
   done;
   (* if any amount bit at position >= s is set, the shift overflows *)
   let high_bits =
-    Array.to_list amount |> List.filteri (fun i _ -> i >= s)
+    let n = Array.length amount in
+    if n > s then Array.sub amount s (n - s) else [||]
   in
   let overflow = or_many t high_bits in
   Array.map (fun bit -> mux t overflow fill bit) !result
@@ -318,16 +349,15 @@ let shifter t ~kind av amount =
 
 let rec translate t (term : Term.t) : repr =
   match Term.Tbl.find_opt t.cache term with
-  | Some r ->
+  | Some e ->
       memo.m_hits <- memo.m_hits + 1;
-      r
+      e.repr
   | None ->
       memo.m_misses <- memo.m_misses + 1;
       let lo = Sat.num_vars t.sat in
-      let r = translate_uncached t term in
-      Term.Tbl.replace t.ranges term (lo, Sat.num_vars t.sat);
-      Term.Tbl.replace t.cache term r;
-      r
+      let repr = translate_uncached t term in
+      Term.Tbl.replace t.cache term { repr; lo; hi = Sat.num_vars t.sat };
+      repr
 
 and bvec t term =
   match translate t term with
@@ -436,8 +466,8 @@ let cone_of t term =
       let rec walk tm =
         if not (Term.Tbl.mem visited tm) then begin
           Term.Tbl.replace visited tm ();
-          (match Term.Tbl.find_opt t.ranges tm with
-          | Some (lo, hi) when hi > lo -> spans := (lo, hi) :: !spans
+          (match Term.Tbl.find_opt t.cache tm with
+          | Some { lo; hi; _ } when hi > lo -> spans := (lo, hi) :: !spans
           | _ -> ());
           List.iter walk (children tm)
         end
@@ -474,32 +504,25 @@ let cone_vars t terms =
   if nv >= Array.length t.marks then begin
     let marks = Array.make (max (nv + 1) (2 * Array.length t.marks)) 0 in
     Array.blit t.marks 0 marks 0 (Array.length t.marks);
-    t.marks <- marks
+    t.marks <- marks;
+    t.listed <- Array.make (Array.length marks) 0
   end;
   t.mark_stamp <- t.mark_stamp + 1;
-  let stamp = t.mark_stamp and marks = t.marks in
-  let buf = ref (Array.make 256 0) in
+  let stamp = t.mark_stamp and marks = t.marks and listed = t.listed in
   let n = ref 0 in
-  let push v =
-    if !n = Array.length !buf then begin
-      let b = Array.make (2 * !n) 0 in
-      Array.blit !buf 0 b 0 !n;
-      buf := b
-    end;
-    !buf.(!n) <- v;
-    incr n
-  in
   List.iter
     (fun tm ->
-      Array.iter
-        (fun v ->
-          if marks.(v) <> stamp then begin
-            marks.(v) <- stamp;
-            push v
-          end)
-        (cone_of t tm))
+      let cone = cone_of t tm in
+      for i = 0 to Array.length cone - 1 do
+        let v = cone.(i) in
+        if marks.(v) <> stamp then begin
+          marks.(v) <- stamp;
+          listed.(!n) <- v;
+          incr n
+        end
+      done)
     terms;
-  Array.sub !buf 0 !n
+  Array.sub listed 0 !n
 
 let assert_true t term =
   match term.Term.node with

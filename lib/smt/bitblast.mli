@@ -74,14 +74,15 @@ val cone_vars : t -> Term.t list -> int array
 val true_lit : t -> int
 (** The literal the context asserts true (its first variable). *)
 
-val and_many : t -> int list -> int
+val and_many : t -> int array -> int
 (** The conjunction of the literals. Duplicates and the true literal are
-    dropped (found by sorting); a false input or a complementary pair gives
-    the false literal, no input the true literal, one input that literal.
-    Otherwise one fresh [x] with [(-x \/ li)] for each input and
+    dropped (found by sorting the array in place, by variable); a false
+    input or a complementary pair gives the false literal, no input the
+    true literal, one input that literal. Otherwise one fresh [x] with
+    [(-x \/ li)] for each input, in that order, and
     [(x \/ -l1 \/ ... \/ -lk)]. *)
 
-val or_many : t -> int list -> int
+val or_many : t -> int array -> int
 (** The disjunction: [-(and_many (map (~-) lits))]. *)
 
 val maj : t -> int -> int -> int -> int

@@ -5,7 +5,9 @@ let umin a b = if ucmp a b <= 0 then a else b
 let umax a b = if ucmp a b >= 0 then a else b
 
 type acc = {
-  mutable ivals : (Term.var * bounds) list; (* keyed by var id *)
+  ivals : (int, Term.var * bounds * int) Hashtbl.t;
+  (* var id -> the var, its bounds, and when they were last refined *)
+  mutable refinements : int;
   mutable neqs : (int * int64) list; (* var id, excluded value *)
   mutable empty : bool;
 }
@@ -18,13 +20,16 @@ let full_bounds (v : Term.var) =
 let refine acc (v : Term.var) ~lo ~hi =
   if not acc.empty then begin
     let current =
-      match List.assq_opt v acc.ivals with
-      | Some b -> b
+      match Hashtbl.find_opt acc.ivals v.id with
+      | Some (_, b, _) -> b
       | None -> full_bounds v
     in
     let lo = umax current.lo lo and hi = umin current.hi hi in
     if ucmp lo hi > 0 then acc.empty <- true
-    else acc.ivals <- (v, { lo; hi }) :: List.remove_assq v acc.ivals
+    else begin
+      acc.refinements <- acc.refinements + 1;
+      Hashtbl.replace acc.ivals v.id (v, { lo; hi }, acc.refinements)
+    end
   end
 
 let exclude acc (v : Term.var) value = acc.neqs <- (v.id, value) :: acc.neqs
@@ -68,35 +73,47 @@ let rec scan acc ~positive (atom : Term.t) =
   | Term.False, true | Term.True, false -> acc.empty <- true
   | _ -> ()
 
-let analyze terms =
-  let acc = { ivals = []; neqs = []; empty = false } in
-  List.iter (scan acc ~positive:true) terms;
-  if acc.empty then None
-  else begin
-    (* tighten interval edges against disequalities *)
-    let tightened =
-      List.map
-        (fun ((v : Term.var), b) ->
-          let excluded x = List.mem (v.id, x) acc.neqs in
-          let rec tighten b =
-            if ucmp b.lo b.hi > 0 then None
-            else if excluded b.lo then
-              if Int64.equal b.lo b.hi then None
-              else tighten { b with lo = Int64.add b.lo 1L }
-            else if excluded b.hi then
-              if Int64.equal b.lo b.hi then None
-              else tighten { b with hi = Int64.sub b.hi 1L }
-            else Some b
-          in
-          (v, tighten b))
-        acc.ivals
-    in
-    if List.exists (fun (_, b) -> b = None) tightened then None
-    else
-      Some
-        (List.filter_map
-           (fun (v, b) -> Option.map (fun b -> (v, b)) b)
-           tightened)
-  end
+(* Narrow [b] past the excluded values at its edges; [None] once empty. *)
+let rec tighten acc (v : Term.var) b =
+  let excluded x =
+    List.exists (fun (id, y) -> id = v.id && Int64.equal y x) acc.neqs
+  in
+  if ucmp b.lo b.hi > 0 then None
+  else if excluded b.lo then
+    if Int64.equal b.lo b.hi then None
+    else tighten acc v { b with lo = Int64.add b.lo 1L }
+  else if excluded b.hi then
+    if Int64.equal b.lo b.hi then None
+    else tighten acc v { b with hi = Int64.sub b.hi 1L }
+  else Some b
 
-let definitely_unsat terms = Option.is_none (analyze terms)
+let scan_all terms =
+  let acc =
+    { ivals = Hashtbl.create 8; refinements = 0; neqs = []; empty = false }
+  in
+  List.iter (scan acc ~positive:true) terms;
+  acc
+
+(* The bounds come out most recently refined first. *)
+let analyze terms =
+  let acc = scan_all terms in
+  if acc.empty then None
+  else
+    let rec tighten_all out = function
+      | [] -> Some out
+      | (v, b, _) :: rest -> (
+          match tighten acc v b with
+          | None -> None
+          | Some b -> tighten_all ((v, b) :: out) rest)
+    in
+    (* oldest refinement first, so the output is newest first *)
+    Hashtbl.fold (fun _ e l -> e :: l) acc.ivals []
+    |> List.sort (fun (_, _, a) (_, _, b) -> Int.compare a b)
+    |> tighten_all []
+
+let definitely_unsat terms =
+  let acc = scan_all terms in
+  acc.empty
+  || Hashtbl.fold
+       (fun _ (v, b, _) empty -> empty || tighten acc v b = None)
+       acc.ivals false

@@ -14,8 +14,8 @@ type bounds = { lo : int64; hi : int64 }
 (** Unsigned inclusive bounds. *)
 
 val analyze : Term.t list -> (Term.var * bounds) list option
-(** Per-variable refined bounds, or [None] if some interval is empty (the
-    conjunction is unsatisfiable). Variables without recognized atomic
-    constraints are omitted. *)
+(** Per-variable refined bounds, most recently refined variable first, or
+    [None] if some interval is empty (the conjunction is unsatisfiable).
+    Variables without recognized atomic constraints are omitted. *)
 
 val definitely_unsat : Term.t list -> bool

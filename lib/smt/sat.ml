@@ -17,6 +17,9 @@
 let learnt_bit = 1
 let deleted_bit = 2
 
+(* An unassigned variable's byte in [assigns]. *)
+let unset = '\002'
+
 (* Growable int vectors. *)
 module Vec = struct
   type t = { mutable data : int array; mutable size : int }
@@ -31,7 +34,7 @@ module Vec = struct
       Array.blit v.data 0 data 0 v.size;
       v.data <- data
     end;
-    Array.unsafe_set v.data v.size x;
+    v.data.(v.size) <- x;
     v.size <- v.size + 1
 
   let get v i = v.data.(i)
@@ -39,7 +42,6 @@ module Vec = struct
   let size v = v.size
   let shrink v n = v.size <- n
   let clear v = v.size <- 0
-  let pop v = v.size <- v.size - 1; v.data.(v.size)
 
   let map_inplace f v =
     for i = 0 to v.size - 1 do
@@ -58,7 +60,7 @@ type t = {
   clauses : Vec.t;
   learnts : Vec.t;
   mutable watches : Vec.t array; (* indexed by internal literal *)
-  mutable assigns : int array; (* -1 unassigned / 0 false / 1 true, by var *)
+  mutable assigns : Bytes.t; (* by var: 0 false / 1 true / [unset] *)
   mutable level : int array;
   mutable reason : int array; (* clause offset, -1 for none *)
   mutable activity : float array;
@@ -91,7 +93,7 @@ let create () =
     clauses = Vec.create ();
     learnts = Vec.create ();
     watches = Array.init 8 (fun _ -> Vec.create ());
-    assigns = Array.make 4 (-1);
+    assigns = Bytes.make 4 unset;
     level = Array.make 4 0;
     reason = Array.make 4 (-1);
     activity = Array.make 4 0.;
@@ -118,7 +120,7 @@ let create () =
    restores the whole arrays. *)
 let reset s =
   let n = s.nvars + 1 in
-  Array.fill s.assigns 0 n (-1);
+  Bytes.fill s.assigns 0 n unset;
   Array.fill s.level 0 n 0;
   Array.fill s.reason 0 n (-1);
   Array.fill s.activity 0 n 0.;
@@ -154,55 +156,75 @@ let grow_array make a n =
 
 (* --- activity order heap ------------------------------------------------ *)
 
-let heap_lt s v w = s.activity.(v) > s.activity.(w)
-
-let rec heap_sift_up s i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    let v = Vec.get s.heap i and p = Vec.get s.heap parent in
-    if heap_lt s v p then begin
-      Vec.set s.heap i p;
-      Vec.set s.heap parent v;
-      s.heap_index.(p) <- i;
-      s.heap_index.(v) <- parent;
-      heap_sift_up s parent
+(* Both sifts move a hole instead of swapping: the variable being placed
+   is written once, where the hole stops. A variable rises past its parent
+   only on strictly greater activity. Going down, the hole's variable stays
+   unless a child is strictly more active; the left child is taken over it
+   on strictly greater activity, and the right child over the better of
+   the two on strictly greater activity again. *)
+let heap_sift_up s i =
+  let h = s.heap.Vec.data and act = s.activity and index = s.heap_index in
+  let v = h.(i) in
+  let a = act.(v) in
+  let i = ref i and rising = ref true in
+  while !rising && !i > 0 do
+    let parent = (!i - 1) / 2 in
+    let p = h.(parent) in
+    if a > act.(p) then begin
+      h.(!i) <- p;
+      index.(p) <- !i;
+      i := parent
     end
-  end
+    else rising := false
+  done;
+  h.(!i) <- v;
+  index.(v) <- !i
 
-let rec heap_sift_down s i =
-  let n = Vec.size s.heap in
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let best = i in
-  let best = if l < n && heap_lt s (Vec.get s.heap l) (Vec.get s.heap best) then l else best in
-  let best = if r < n && heap_lt s (Vec.get s.heap r) (Vec.get s.heap best) then r else best in
-  if best <> i then begin
-    let a = Vec.get s.heap i and b = Vec.get s.heap best in
-    Vec.set s.heap i b;
-    Vec.set s.heap best a;
-    s.heap_index.(b) <- i;
-    s.heap_index.(a) <- best;
-    heap_sift_down s best
-  end
+let heap_sift_down s i =
+  let h = s.heap.Vec.data and n = s.heap.Vec.size in
+  let act = s.activity and index = s.heap_index in
+  let v = h.(i) in
+  let a = act.(v) in
+  let i = ref i and moving = ref true in
+  while !moving do
+    let l = (2 * !i) + 1 in
+    if l >= n then moving := false
+    else begin
+      let r = l + 1 in
+      let la = act.(h.(l)) in
+      let best = if la > a then l else !i in
+      let best_act = if la > a then la else a in
+      let best = if r < n && act.(h.(r)) > best_act then r else best in
+      if best = !i then moving := false
+      else begin
+        let b = h.(best) in
+        h.(!i) <- b;
+        index.(b) <- !i;
+        i := best
+      end
+    end
+  done;
+  h.(!i) <- v;
+  index.(v) <- !i
 
 let heap_insert s v =
   if s.heap_index.(v) = -1 then begin
     Vec.push s.heap v;
-    s.heap_index.(v) <- Vec.size s.heap - 1;
     heap_sift_up s (Vec.size s.heap - 1)
   end
 
 let heap_remove_max s =
-  let top = Vec.get s.heap 0 in
-  let last = Vec.pop s.heap in
+  let heap = s.heap in
+  let h = heap.Vec.data in
+  let top = h.(0) in
+  let n = heap.Vec.size - 1 in
+  heap.Vec.size <- n;
   s.heap_index.(top) <- -1;
-  if Vec.size s.heap > 0 then begin
-    Vec.set s.heap 0 last;
-    s.heap_index.(last) <- 0;
+  if n > 0 then begin
+    h.(0) <- h.(n);
     heap_sift_down s 0
   end;
   top
-
-let heap_decrease s v = if s.heap_index.(v) >= 0 then heap_sift_up s s.heap_index.(v)
 
 (* --- variables and values ----------------------------------------------- *)
 
@@ -211,10 +233,12 @@ let heap_decrease s v = if s.heap_index.(v) >= 0 then heap_sift_up s s.heap_inde
 let new_var s =
   s.nvars <- s.nvars + 1;
   let v = s.nvars in
-  let cap = Array.length s.assigns in
+  let cap = Bytes.length s.assigns in
   if v >= cap then begin
     let n = max (v + 1) (2 * cap) in
-    s.assigns <- grow_array (fun n -> Array.make n (-1)) s.assigns n;
+    let assigns = Bytes.make n unset in
+    Bytes.blit s.assigns 0 assigns 0 cap;
+    s.assigns <- assigns;
     s.level <- grow_array (fun n -> Array.make n 0) s.level n;
     s.reason <- grow_array (fun n -> Array.make n (-1)) s.reason n;
     s.activity <- grow_array (fun n -> Array.make n 0.) s.activity n;
@@ -238,8 +262,8 @@ let lit_of_dimacs s l =
 
 (* value of an internal literal: -1 unassigned, 0 false, 1 true *)
 let lit_val s l =
-  let a = s.assigns.(l lsr 1) in
-  if a < 0 then -1 else a lxor (l land 1)
+  let a = Bytes.get_uint8 s.assigns (l lsr 1) in
+  if a = 2 then -1 else a lxor (l land 1)
 
 let decision_level s = Vec.size s.trail_lim
 
@@ -247,7 +271,7 @@ let decision_level s = Vec.size s.trail_lim
 
 let enqueue s l reason =
   let v = l lsr 1 in
-  s.assigns.(v) <- 1 lxor (l land 1);
+  Bytes.set_uint8 s.assigns v (1 lxor (l land 1));
   s.level.(v) <- decision_level s;
   s.reason.(v) <- reason;
   Vec.push s.trail l
@@ -255,12 +279,13 @@ let enqueue s l reason =
 let cancel_until s lvl =
   if decision_level s > lvl then begin
     let bound = Vec.get s.trail_lim lvl in
+    let trail = s.trail.Vec.data in
+    let assigns = s.assigns and polarity = s.polarity and reason = s.reason in
     for i = Vec.size s.trail - 1 downto bound do
-      let l = Vec.get s.trail i in
-      let v = l lsr 1 in
-      s.polarity.(v) <- s.assigns.(v) = 1;
-      s.assigns.(v) <- -1;
-      s.reason.(v) <- -1;
+      let v = trail.(i) lsr 1 in
+      polarity.(v) <- Bytes.get_uint8 assigns v = 1;
+      Bytes.set assigns v unset;
+      reason.(v) <- -1;
       heap_insert s v
     done;
     Vec.shrink s.trail bound;
@@ -300,14 +325,17 @@ let attach_clause s c =
   Vec.push s.watches.(s.arena.(c + 3) lxor 1) c
 
 let var_bump s v =
-  s.activity.(v) <- s.activity.(v) +. s.var_inc;
-  if s.activity.(v) > 1e100 then begin
+  let act = s.activity in
+  let a = act.(v) +. s.var_inc in
+  act.(v) <- a;
+  if a > 1e100 then begin
     for i = 1 to s.nvars do
-      s.activity.(i) <- s.activity.(i) *. 1e-100
+      act.(i) <- act.(i) *. 1e-100
     done;
     s.var_inc <- s.var_inc *. 1e-100
   end;
-  heap_decrease s v
+  let i = s.heap_index.(v) in
+  if i >= 0 then heap_sift_up s i
 
 let var_decay s = s.var_inc <- s.var_inc /. 0.95
 
@@ -369,7 +397,7 @@ let add_lits s =
 (* Clauses may only be simplified against root-level facts; a model left
    by a previous [solve] must not satisfy-away or shrink a new clause. *)
 let add_clause s lits =
-  cancel_until s 0;
+  if decision_level s > 0 then cancel_until s 0;
   if s.ok then begin
     Vec.clear s.lits;
     List.iter (fun l -> Vec.push s.lits (lit_of_dimacs s l)) lits;
@@ -377,7 +405,7 @@ let add_clause s lits =
   end
 
 let add_clause3 s a b c =
-  cancel_until s 0;
+  if decision_level s > 0 then cancel_until s 0;
   if s.ok then begin
     Vec.clear s.lits;
     Vec.push s.lits (lit_of_dimacs s a);
@@ -388,34 +416,47 @@ let add_clause3 s a b c =
 
 (* --- propagation --------------------------------------------------------- *)
 
-(* Returns the conflicting clause, or -1. The arena does not grow while
-   propagating, and no watch list receives a clause while it is the one
-   being scanned, so both buffers can be held across the loop. *)
+(* Returns the conflicting clause, or -1. The arena, the per-variable
+   arrays and the watch table do not grow while propagating, and no watch
+   list receives a clause while it is the one being scanned, so all of them
+   can be held across the loop; only the trail's buffer can grow. A literal
+   [l] is false when its variable's byte in [assigns] is [l land 1], and
+   true when it is [l land 1 lxor 1]. *)
 let propagate s =
   let confl = ref (-1) in
-  let a = s.arena in
-  while !confl < 0 && s.qhead < Vec.size s.trail do
-    let l = Vec.get s.trail s.qhead in
-    s.qhead <- s.qhead + 1;
-    s.n_propagations <- s.n_propagations + 1;
+  let a = s.arena and assigns = s.assigns and watches = s.watches in
+  let level = s.level and reason = s.reason in
+  let trail = s.trail in
+  let dl = decision_level s in
+  let qhead = ref s.qhead and props = ref 0 in
+  while !confl < 0 && !qhead < trail.Vec.size do
+    let l = trail.Vec.data.(!qhead) in
+    incr qhead;
+    incr props;
     (* [l] became true, so literal [l lxor 1] became false; the clauses
        watching it are registered under [watches.(l)]. *)
-    let ws = s.watches.(l) in
+    let ws = watches.(l) in
     let wd = ws.Vec.data in
     let falsified = l lxor 1 in
-    let n = Vec.size ws in
+    let n = ws.Vec.size in
     let kept = ref 0 and i = ref 0 in
     while !i < n do
       let c = wd.(!i) in
       incr i;
       let l0 = c + 2 in
       (* ensure the false literal is the second one *)
-      if a.(l0) = falsified then begin
-        a.(l0) <- a.(l0 + 1);
-        a.(l0 + 1) <- falsified
-      end;
-      let first = a.(l0) in
-      if lit_val s first = 1 then begin
+      let first =
+        let x = a.(l0) in
+        if x = falsified then begin
+          let y = a.(l0 + 1) in
+          a.(l0) <- y;
+          a.(l0 + 1) <- falsified;
+          y
+        end
+        else x
+      in
+      let fa = Bytes.get_uint8 assigns (first lsr 1) and fbit = first land 1 in
+      if fa = fbit lxor 1 then begin
         (* clause satisfied; keep the watch *)
         wd.(!kept) <- c;
         incr kept
@@ -426,10 +467,10 @@ let propagate s =
         let j = ref (l0 + 2) in
         while !j < last do
           let lj = a.(!j) in
-          if lit_val s lj <> 0 then begin
+          if Bytes.get_uint8 assigns (lj lsr 1) <> lj land 1 then begin
             a.(l0 + 1) <- lj;
             a.(!j) <- falsified;
-            Vec.push s.watches.(lj lxor 1) c;
+            Vec.push watches.(lj lxor 1) c;
             j := max_int
           end
           else incr j
@@ -438,22 +479,30 @@ let propagate s =
           (* unit or conflicting *)
           wd.(!kept) <- c;
           incr kept;
-          if lit_val s first = 0 then begin
+          if fa = fbit then begin
             (* conflict: keep the remaining watches *)
             while !i < n do
               wd.(!kept) <- wd.(!i);
               incr kept;
               incr i
             done;
-            s.qhead <- Vec.size s.trail;
+            qhead := trail.Vec.size;
             confl := c
           end
-          else enqueue s first c
+          else begin
+            let v = first lsr 1 in
+            Bytes.set_uint8 assigns v (fbit lxor 1);
+            level.(v) <- dl;
+            reason.(v) <- c;
+            Vec.push trail first
+          end
         end
       end
     done;
-    Vec.shrink ws !kept
+    ws.Vec.size <- !kept
   done;
+  s.qhead <- !qhead;
+  s.n_propagations <- s.n_propagations + !props;
   !confl
 
 (* --- conflict analysis (first UIP) --------------------------------------- *)
@@ -464,6 +513,9 @@ let analyze s confl =
   let out = s.lits in
   Vec.clear out;
   Vec.push out 0 (* the asserting literal's slot *);
+  let a = s.arena and seen = s.seen and level = s.level in
+  let trail = s.trail.Vec.data in
+  let dl = decision_level s in
   let path_count = ref 0 in
   let p = ref (-1) in (* -1 encodes "start with the whole conflict clause" *)
   let index = ref (Vec.size s.trail - 1) in
@@ -471,32 +523,32 @@ let analyze s confl =
   let c = ref confl in
   let continue = ref true in
   while !continue do
-    if is_learnt s !c then cla_bump s !c;
-    let base = !c + 2 in
+    let c' = !c in
+    if is_learnt s c' then cla_bump s c';
+    let base = c' + 2 in
     let start = if !p = -1 then 0 else 1 in
-    for j = start to clause_len s !c - 1 do
-      let q = s.arena.(base + j) in
+    for j = base + start to base + (a.(c') lsr 2) - 1 do
+      let q = a.(j) in
       let v = q lsr 1 in
-      if (not s.seen.(v)) && s.level.(v) > 0 then begin
+      let lv = level.(v) in
+      if (not seen.(v)) && lv > 0 then begin
         var_bump s v;
-        s.seen.(v) <- true;
-        if s.level.(v) >= decision_level s then incr path_count
+        seen.(v) <- true;
+        if lv >= dl then incr path_count
         else begin
           Vec.push out q;
-          if s.level.(v) > !backtrack_level then backtrack_level := s.level.(v)
+          if lv > !backtrack_level then backtrack_level := lv
         end
       end
     done;
     (* select next literal to expand from the trail *)
-    let rec next_seen i =
-      let l = Vec.get s.trail i in
-      if s.seen.(l lsr 1) then i else next_seen (i - 1)
-    in
-    index := next_seen !index;
-    let l = Vec.get s.trail !index in
+    while not seen.(trail.(!index) lsr 1) do
+      decr index
+    done;
+    let l = trail.(!index) in
     decr index;
     p := l;
-    s.seen.(l lsr 1) <- false;
+    seen.(l lsr 1) <- false;
     decr path_count;
     if !path_count > 0 then begin
       c := s.reason.(l lsr 1);
@@ -507,7 +559,7 @@ let analyze s confl =
   let d = out.data and n = Vec.size out in
   d.(0) <- !p lxor 1;
   for i = 1 to n - 1 do
-    s.seen.(d.(i) lsr 1) <- false
+    seen.(d.(i) lsr 1) <- false
   done;
   (* reverse the found-order tail *)
   let i = ref 1 and j = ref (n - 1) in
@@ -612,13 +664,12 @@ let reduce_db s =
 (* --- search --------------------------------------------------------------- *)
 
 let pick_branch_var s =
-  let rec go () =
-    if Vec.size s.heap = 0 then 0
-    else
-      let v = heap_remove_max s in
-      if s.assigns.(v) = -1 then v else go ()
-  in
-  go ()
+  let assigns = s.assigns and v = ref 0 in
+  while !v = 0 && Vec.size s.heap > 0 do
+    let w = heap_remove_max s in
+    if Bytes.get assigns w = unset then v := w
+  done;
+  !v
 
 (* Restricted decision order: an ordered array of candidate vars and a
    monotone scan pointer. The pointer only ever moves right between
@@ -631,7 +682,7 @@ let pick_branch_restricted s (arr : int array) ptr =
     if i >= n then 0
     else
       let v = arr.(i) in
-      if s.assigns.(v) = -1 then begin
+      if Bytes.get s.assigns v = unset then begin
         ptr := i;
         v
       end
@@ -838,7 +889,7 @@ let solve ?conflict_limit ?deadline ?(assumptions = []) ?decide_vars s =
 
 let value s v =
   if v < 1 || v > s.nvars then invalid_arg "Sat.value: out of range";
-  s.assigns.(v) = 1
+  Bytes.get_uint8 s.assigns v = 1
 
 let lit_value s l =
   let b = value s (abs l) in

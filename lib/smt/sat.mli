@@ -26,7 +26,28 @@
     tie-breaks and the reduction sort are part of the search, and fix
     every decision, propagation, learnt clause and model. A change to them
     moves models, and so report digests; [test_smt] pins the trajectory of
-    a deterministic corpus. *)
+    a deterministic corpus, and [Solver.stats] sums the counters of every
+    solve of a whole run. The rules a rewrite of the loops must keep:
+    - Propagation takes trail literals first in, first out. For each, the
+      clauses watching the literal it falsified are visited in watch-list
+      order. A clause whose first literal is the false one swaps its first
+      two. A true first literal keeps the watch. Otherwise the first
+      literal from the third on that is not false, in clause order, takes
+      the false one's place and its watch list gets the clause at the end.
+      Failing that the clause is unit (its first literal is enqueued) or a
+      conflict, which stops propagation and keeps the rest of the list in
+      order.
+    - The decision heap is a binary max-heap on activity. A variable rises
+      past its parent only on strictly greater activity. Going down, the
+      variable being placed stays unless a child is strictly more active:
+      the left child is preferred to it on strictly greater activity, and
+      the right child to the better of the two on strictly greater
+      activity again. A decision pops the top until an unassigned variable
+      comes out; backtracking unassigns the trail from its end, saving
+      each phase and reinserting each absent variable in that order.
+    - Conflict analysis visits the conflict clause whole, then each
+      reason without its first literal, in clause order, bumping each
+      newly seen variable above level 0 as it is met. *)
 
 type t
 

@@ -14,6 +14,9 @@ type stats = {
   mutable incremental_checks : int;
   mutable rung_retained : int;
   mutable solve_time : float;
+  mutable sat_conflicts : int;
+  mutable sat_decisions : int;
+  mutable sat_propagations : int;
 }
 
 let fresh_stats () =
@@ -29,6 +32,9 @@ let fresh_stats () =
     incremental_checks = 0;
     rung_retained = 0;
     solve_time = 0.;
+    sat_conflicts = 0;
+    sat_decisions = 0;
+    sat_propagations = 0;
   }
 
 (* --- per-query resource budgets ------------------------------------------- *)
@@ -135,7 +141,10 @@ let reset_one st =
   st.injected_faults <- 0;
   st.incremental_checks <- 0;
   st.rung_retained <- 0;
-  st.solve_time <- 0.
+  st.solve_time <- 0.;
+  st.sat_conflicts <- 0;
+  st.sat_decisions <- 0;
+  st.sat_propagations <- 0
 
 let reset_stats () = reset_one (stats ())
 
@@ -290,16 +299,34 @@ let with_scratch f =
     Fun.protect ~finally:(fun () -> state.sscratch_busy <- false) (fun () -> f bb)
   end
 
-(* One SAT attempt on the CNF already loaded into [bb], with the model read
-   back on [Sat]. *)
-let run_sat bb ~conflict_limit ~deadline =
+(* One [Sat.solve] call, counted: its wall time and the conflicts,
+   decisions and propagations it added to the instance's counters. *)
+let counted_solve sat solve =
   let st = state.sstats in
   st.sat_calls <- st.sat_calls + 1;
+  let c0 = Sat.conflicts sat
+  and d0 = Sat.decisions sat
+  and p0 = Sat.propagations sat in
   let t0 = Unix.gettimeofday () in
-  let answer = Sat.solve ?conflict_limit ?deadline (Bitblast.sat bb) in
+  let answer = solve sat in
   st.solve_time <- st.solve_time +. (Unix.gettimeofday () -. t0);
+  st.sat_conflicts <- st.sat_conflicts + Sat.conflicts sat - c0;
+  st.sat_decisions <- st.sat_decisions + Sat.decisions sat - d0;
+  st.sat_propagations <- st.sat_propagations + Sat.propagations sat - p0;
+  answer
+
+(* One SAT attempt on the CNF already loaded into [bb], with the model read
+   back on [Sat]: of [model_vars] when given, else of every term variable. *)
+let run_sat ?model_vars bb ~conflict_limit ~deadline =
+  let answer =
+    counted_solve (Bitblast.sat bb) (Sat.solve ?conflict_limit ?deadline)
+  in
   match answer with
-  | Some Sat.Sat -> Sat (Bitblast.extract_model bb)
+  | Some Sat.Sat ->
+      Sat
+        (match model_vars with
+        | None -> Bitblast.extract_model bb
+        | Some vars -> Bitblast.extract_vars bb vars)
   | Some Sat.Unsat -> Unsat
   | None -> Unknown
 
@@ -336,7 +363,7 @@ let implied assumptions t = is_unsat (Term.not_ t :: assumptions)
    instance from its first solve to its last, so a solver query issued
    from [on_model] gets a fresh instance from [with_scratch] rather than
    resetting the session's. *)
-let enumerate ?site ~limit base on_model =
+let enumerate ?site ?model_vars ~limit base on_model =
   let st = state.sstats in
   let query f =
     st.queries <- st.queries + 1;
@@ -348,7 +375,7 @@ let enumerate ?site ~limit base on_model =
         let solve () =
           with_budget ~conflict_limit:None (fun ~conflict_limit ~deadline ->
               if fault_fires () then Unknown
-              else run_sat bb ~conflict_limit ~deadline)
+              else run_sat ?model_vars bb ~conflict_limit ~deadline)
         in
         (* [n]: models delivered before this answer *)
         let rec next n = function
@@ -539,13 +566,11 @@ module Frames = struct
                 end;
                 if fault_fires () then Unknown
                 else begin
-                  st.sat_calls <- st.sat_calls + 1;
-                  let t0 = Unix.gettimeofday () in
                   let answer =
-                    Sat.solve ?conflict_limit ?deadline ~assumptions
-                      ~decide_vars c.fc_sat
+                    counted_solve c.fc_sat
+                      (Sat.solve ?conflict_limit ?deadline ~assumptions
+                         ~decide_vars)
                   in
-                  st.solve_time <- st.solve_time +. (Unix.gettimeofday () -. t0);
                   match answer with
                   | Some Sat.Sat ->
                       Sat

@@ -47,6 +47,7 @@ val implied : Term.t list -> Term.t -> bool
 
 val enumerate :
   ?site:string ->
+  ?model_vars:Term.var array ->
   limit:int ->
   Term.t list ->
   (Model.t -> Term.t) ->
@@ -63,7 +64,9 @@ val enumerate :
     rung of the {!budget} ladder or met an injected fault.
 
     Every solve counts as one query and carries a [solver_query] span with
-    [site].
+    [site]. With [model_vars], each model holds only those variables (the
+    ones the session has bitblasted), the same values a full model gives
+    them; a caller that reads only its message bytes passes them here.
 
     {b Determinism contract.} The [k]-th model is a function of the
     canonical [base] and the first [k - 1] blocking terms only: not of the
@@ -253,6 +256,12 @@ type stats = {
      (rung >= 1) on a frame context: scratch solving re-learns these from
      nothing *)
   mutable solve_time : float; (* seconds spent inside the SAT solver *)
+  mutable sat_conflicts : int;
+  mutable sat_decisions : int;
+  mutable sat_propagations : int;
+  (* the SAT search's own counters, summed as each solve's delta on the
+     scratch and frame instances alike: the whole run's trajectory, which
+     a change that claims to keep every decision must leave as it is *)
 }
 
 val stats : unit -> stats

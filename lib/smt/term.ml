@@ -821,53 +821,95 @@ let rec subst f t =
 
 (* --- printing ------------------------------------------------------------- *)
 
-let rec pp fmt t =
-  let bin op a b = Format.fprintf fmt "(%s %a %a)" op pp a pp b in
+(* Render [t] into [b], each variable through [var]. *)
+let rec print var b t =
+  let str = Buffer.add_string b in
+  let un op a = str op; print var b a; str ")" in
+  let bin op x y =
+    str op;
+    print var b x;
+    Buffer.add_char b ' ';
+    print var b y;
+    str ")"
+  in
   match t.node with
-  | True -> Format.pp_print_string fmt "true"
-  | False -> Format.pp_print_string fmt "false"
-  | Const bv -> Bv.pp fmt bv
-  | Var v -> Format.fprintf fmt "%s#%d" v.name v.id
-  | Not a -> Format.fprintf fmt "(not %a)" pp a
-  | And (a, b) -> bin "and" a b
-  | Or (a, b) -> bin "or" a b
-  | Ite (c, a, b) -> Format.fprintf fmt "(ite %a %a %a)" pp c pp a pp b
-  | Eq (a, b) -> bin "=" a b
-  | Ult (a, b) -> bin "u<" a b
-  | Slt (a, b) -> bin "s<" a b
-  | Ule (a, b) -> bin "u<=" a b
-  | Sle (a, b) -> bin "s<=" a b
-  | Add (a, b) -> bin "+" a b
-  | Sub (a, b) -> bin "-" a b
-  | Mul (a, b) -> bin "*" a b
-  | Udiv (a, b) -> bin "udiv" a b
-  | Urem (a, b) -> bin "urem" a b
-  | Bnot a -> Format.fprintf fmt "(bnot %a)" pp a
-  | Band (a, b) -> bin "&" a b
-  | Bor (a, b) -> bin "|" a b
-  | Bxor (a, b) -> bin "^" a b
-  | Shl (a, b) -> bin "<<" a b
-  | Lshr (a, b) -> bin ">>u" a b
-  | Ashr (a, b) -> bin ">>s" a b
-  | Concat (a, b) -> bin "++" a b
-  | Extract (hi, lo, a) -> Format.fprintf fmt "%a[%d:%d]" pp a hi lo
+  | True -> str "true"
+  | False -> str "false"
+  | Const bv -> str (Bv.to_string bv)
+  | Var v -> var b v
+  | Not a -> un "(not " a
+  | And (x, y) -> bin "(and " x y
+  | Or (x, y) -> bin "(or " x y
+  | Ite (c, x, y) ->
+      str "(ite ";
+      print var b c;
+      Buffer.add_char b ' ';
+      bin "" x y
+  | Eq (x, y) -> bin "(= " x y
+  | Ult (x, y) -> bin "(u< " x y
+  | Slt (x, y) -> bin "(s< " x y
+  | Ule (x, y) -> bin "(u<= " x y
+  | Sle (x, y) -> bin "(s<= " x y
+  | Add (x, y) -> bin "(+ " x y
+  | Sub (x, y) -> bin "(- " x y
+  | Mul (x, y) -> bin "(* " x y
+  | Udiv (x, y) -> bin "(udiv " x y
+  | Urem (x, y) -> bin "(urem " x y
+  | Bnot a -> un "(bnot " a
+  | Band (x, y) -> bin "(& " x y
+  | Bor (x, y) -> bin "(| " x y
+  | Bxor (x, y) -> bin "(^ " x y
+  | Shl (x, y) -> bin "(<< " x y
+  | Lshr (x, y) -> bin "(>>u " x y
+  | Ashr (x, y) -> bin "(>>s " x y
+  | Concat (x, y) -> bin "(++ " x y
+  | Extract (hi, lo, a) ->
+      print var b a;
+      Buffer.add_char b '[';
+      str (string_of_int hi);
+      Buffer.add_char b ':';
+      str (string_of_int lo);
+      Buffer.add_char b ']'
 
-let to_string t = Format.asprintf "%a" pp t
+let print_var b name id =
+  Buffer.add_string b name;
+  Buffer.add_char b '#';
+  Buffer.add_string b (string_of_int id)
 
+let to_string t =
+  let b = Buffer.create 64 in
+  print (fun b v -> print_var b v.name v.id) b t;
+  Buffer.contents b
+
+let pp fmt t = Format.pp_print_string fmt (to_string t)
+
+(* Variables print as [c#k:S]: [k] numbers them in order of first
+   occurrence, [S] is the sort, so cones alike but for widths differ. *)
 let alpha_key terms =
   let table : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  let canon v =
-    let id =
+  let var b v =
+    let k =
       match Hashtbl.find_opt table v.id with
-      | Some id -> id
+      | Some k -> k
       | None ->
-          let id = Hashtbl.length table in
-          Hashtbl.replace table v.id id;
-          id
+          let k = Hashtbl.length table in
+          Hashtbl.replace table v.id k;
+          k
     in
-    Some (var { id; name = "c"; sort = v.sort })
+    print_var b "c" k;
+    match v.sort with
+    | Bool -> Buffer.add_string b ":Bool"
+    | Bitvec w ->
+        Buffer.add_string b ":Bv";
+        Buffer.add_string b (string_of_int w)
   in
-  String.concat ";" (List.map (fun t -> to_string (subst canon t)) terms)
+  let b = Buffer.create 256 in
+  List.iteri
+    (fun i t ->
+      if i > 0 then Buffer.add_char b ';';
+      print var b t)
+    terms;
+  Buffer.contents b
 
 (* --- term-keyed tables, re-interning, dedup ------------------------------- *)
 

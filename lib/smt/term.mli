@@ -147,9 +147,11 @@ val subst : (var -> t option) -> t -> t
 
 val alpha_key : t list -> string
 (** A canonical rendering of the terms with variables renamed to their order
-    of first occurrence: two term lists that differ only in the identity of
-    their (fresh) variables get equal keys. Used to memoize per-path solver
-    work across structurally identical client paths. *)
+    of first occurrence, each printed with its sort: two term lists that
+    differ only in the identity of their (fresh) variables get equal keys,
+    and lists whose variables differ in sort get different ones. Used to
+    memoize per-path solver work across structurally identical client
+    paths. *)
 
 val equal : t -> t -> bool
 (** Structural equality (ignoring [tid]), with a physical-equality fast

@@ -54,3 +54,13 @@ let filter_digests =
     ("gossip", "8bed2699cbcca7836021e68408f4e819");
     ("paxos", "f0b7d05d234b541c1bfa170116ab92dd");
   ]
+
+(* The whole run's SAT trajectory: [Solver.stats]' conflicts, decisions and
+   propagations after `achilles analyze T -w 16`, summed over every solve on
+   the scratch and frame instances. A solver change that claims to keep
+   every decision keeps these; one that moves them moves models too. *)
+let sat_counters =
+  [
+    ([ "fsp"; "-w"; "16" ], (1348, 32323, 273448));
+    ([ "pbft"; "-w"; "16" ], (38, 8202, 32023));
+  ]

@@ -551,6 +551,19 @@ let test_wildcard_trojan_via_analysis () =
   in
   Alcotest.(check bool) "found a wildcard witness" true (wildcarded <> [])
 
+(* The whole run's SAT trajectory: the conflicts, decisions and
+   propagations [analyze T -w 16 --digest] prints, summed over every solve
+   on the scratch and frame instances (see {!Goldens.sat_counters}). *)
+let test_sat_counters_pinned () =
+  List.iter
+    (fun (args, (c, d, p)) ->
+      Alcotest.(check (option string))
+        ("analyze " ^ String.concat " " args ^ " --digest, SAT counters")
+        (Some
+           (Printf.sprintf "conflicts=%d decisions=%d propagations=%d" c d p))
+        (cli_digest ~prefix:"sat counters: " args))
+    Goldens.sat_counters
+
 let () =
   Alcotest.run "integration"
     [
@@ -572,6 +585,8 @@ let () =
             test_cli_golden_digests;
           Alcotest.test_case "golden verdict digests" `Slow
             test_cli_verdict_digests;
+          Alcotest.test_case "whole-run SAT counters" `Slow
+            test_sat_counters_pinned;
           Alcotest.test_case "-j is not an option" `Quick
             test_cli_no_domains_option;
           Alcotest.test_case "closed stdout pipe ends quietly" `Quick

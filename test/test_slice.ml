@@ -680,6 +680,20 @@ let test_taint_aware_depth () =
   Alcotest.(check bool) "and explores more of the clean chain" true
     (with_slice.Interp.stats.Interp.forks > without.Interp.stats.Interp.forks)
 
+(* The memo key names each variable's sort: [x <u y /\ y <u z] is UNSAT
+   over 1-bit variables and SAT over 8-bit ones, so the two cones share a
+   shape but must not share a verdict. *)
+let test_oracle_memo_keeps_sorts () =
+  Solver.reset_all_for_tests ();
+  let oracle = Slice.make_oracle () in
+  let chain w =
+    let v name = Term.var (Term.fresh_var ~name (Term.Bitvec w)) in
+    let x = v "x" and y = v "y" and z = v "z" in
+    oracle ~path:[ Term.ult x y ] (Term.ult y z)
+  in
+  Alcotest.check feas "1-bit chain" Interp.Infeasible (chain 1);
+  Alcotest.check feas "8-bit chain" Interp.Feasible_exact (chain 8)
+
 let () =
   Alcotest.run "slice"
     [
@@ -698,6 +712,8 @@ let () =
         [
           Alcotest.test_case "static decisions" `Quick
             test_oracle_static_decide;
+          Alcotest.test_case "memo keys keep sorts" `Quick
+            test_oracle_memo_keeps_sorts;
         ] );
       ( "different-from",
         [

@@ -296,8 +296,10 @@ let qcheck_sat_reset_is_create =
    retained learnts, model bits and unsat core — is pinned, so a change to
    the solver's internals that moves one decision, one propagation or one
    learnt literal fails here before it can move a report digest. Instances
-   are generated by a local LCG (independent of the stdlib's [Random]) and
-   stay below [max_learnts], where learnt-clause reduction never runs. *)
+   are generated by a local LCG (independent of the stdlib's [Random]). The
+   first fourteen stay below [max_learnts], where learnt-clause reduction
+   never runs; the later ones reach it, restart a restricted decision
+   order and take assumption cores on a reused instance. *)
 
 let lcg seed =
   let st = ref seed in
@@ -406,6 +408,53 @@ let trajectory_corpus () =
     let r7 = step () in
     [ r1; r2; r3; r4; r5; r6; r7 ]
   in
+  let reducing () =
+    (* past the 1,000-learnt floor of [max_learnts]: reduction sorts the
+       learnts by activity, deletes half and compacts the arena *)
+    let s = Sat.create () in
+    let vars = Array.init 300 (fun _ -> Sat.new_var s) in
+    List.iter (Sat.add_clause s) (planted_3sat (lcg 11) vars ~clauses:1278);
+    observe_solve s (Sat.solve s)
+  in
+  let restarting () =
+    (* restricted decisions that outlast the first restart segment (100
+       conflicts), so later segments re-sort the order by activity *)
+    let rand = lcg 12 in
+    let s = Sat.create () in
+    let vars = Array.init 200 (fun _ -> Sat.new_var s) in
+    List.iter (Sat.add_clause s) (planted_3sat rand vars ~clauses:840);
+    let order = Array.init 200 (fun i -> vars.((i * 67) mod 200)) in
+    observe_solve s (Sat.solve ~decide_vars:order s)
+  in
+  let reused_core () =
+    (* an assumption core on an instance carrying learnts, saved phases and
+       activities from an earlier solve, then again after a reset *)
+    let rand = lcg 13 in
+    let s = Sat.create () in
+    let load () =
+      let sel = Sat.new_var s in
+      let p = Array.init 6 (fun _ -> Array.init 5 (fun _ -> Sat.new_var s)) in
+      Array.iter (fun row -> Sat.add_clause s (-sel :: Array.to_list row)) p;
+      for h = 0 to 4 do
+        for a = 0 to 5 do
+          for b = a + 1 to 5 do
+            Sat.add_clause s [ -p.(a).(h); -p.(b).(h) ]
+          done
+        done
+      done;
+      let vars = Array.init 60 (fun _ -> Sat.new_var s) in
+      List.iter (Sat.add_clause s) (planted_3sat rand vars ~clauses:240);
+      (sel, vars)
+    in
+    let sel, vars = load () in
+    let first = observe_solve s (Sat.solve s) in
+    let assumptions = [ vars.(3); -vars.(17); sel; vars.(40) ] in
+    let core = observe_solve s (Sat.solve ~assumptions s) in
+    Sat.reset s;
+    let sel, vars = load () in
+    let assumptions = [ -vars.(8); sel ] in
+    [ first; core; observe_solve s (Sat.solve ~assumptions s) ]
+  in
   [
     planted 50 4.2 1;
     planted 100 4.2 2;
@@ -415,6 +464,8 @@ let trajectory_corpus () =
   ]
   @ pigeonhole ()
   @ incremental ()
+  @ [ reducing (); restarting () ]
+  @ reused_core ()
 
 (* Recorded on the record-and-option clause representation the flat arena
    replaced; the arena must reproduce every line. *)
@@ -434,6 +485,15 @@ let pinned_trajectory =
     "unsat c=252 d=400 p=5249 l=251 m=fd162f31aa22 core=[-6,84]";
     "unsat c=282 d=432 p=5679 l=280 m=fd162f31aa22 core=[81,82,83,84]";
     "sat c=314 d=484 p=6570 l=312 m=591521159eea core=[]";
+    (* recorded on the recursive swap-based heap sifts, before the
+       hole-based ones and the hoisted propagation loop: reduction, a
+       restarted restricted order, and cores on a reused and a reset
+       instance *)
+    "sat c=2236 d=3123 p=105331 l=749 m=4a352a81f2ac core=[]";
+    "sat c=343 d=691 p=12051 l=343 m=b355d25970b6 core=[]";
+    "sat c=25 d=83 p=536 l=25 m=e6622afa23b4 core=[]";
+    "unsat c=180 d=286 p=2515 l=179 m=3cdaef82cf54 core=[1]";
+    "unsat c=179 d=223 p=2257 l=178 m=3cdaef82cf54 core=[1]";
   ]
 
 let test_sat_trajectory_pinned () =
@@ -1011,29 +1071,29 @@ let test_and_many_folds () =
   let a = v.(0) and b = v.(1) and c = v.(2) in
   let vars0 = Sat.num_vars (Bitblast.sat bb) in
   let lit = Alcotest.int in
-  Alcotest.(check lit) "empty is true" tl (Bitblast.and_many bb []);
+  Alcotest.(check lit) "empty is true" tl (Bitblast.and_many bb [||]);
   Alcotest.(check lit) "only true inputs is true" tl
-    (Bitblast.and_many bb [ tl; tl ]);
-  Alcotest.(check lit) "single input" (-b) (Bitblast.and_many bb [ -b ]);
+    (Bitblast.and_many bb [| tl; tl |]);
+  Alcotest.(check lit) "single input" (-b) (Bitblast.and_many bb [| -b |]);
   Alcotest.(check lit) "duplicates collapse" a
-    (Bitblast.and_many bb [ a; tl; a; a ]);
+    (Bitblast.and_many bb [| a; tl; a; a |]);
   Alcotest.(check lit) "complementary pair is false" (-tl)
-    (Bitblast.and_many bb [ a; b; -a ]);
+    (Bitblast.and_many bb [| a; b; -a |]);
   Alcotest.(check lit) "false input is false" (-tl)
-    (Bitblast.and_many bb [ a; -tl; b ]);
-  Alcotest.(check lit) "or: empty is false" (-tl) (Bitblast.or_many bb []);
+    (Bitblast.and_many bb [| a; -tl; b |]);
+  Alcotest.(check lit) "or: empty is false" (-tl) (Bitblast.or_many bb [||]);
   Alcotest.(check lit) "or: complementary pair is true" tl
-    (Bitblast.or_many bb [ c; b; -c ]);
+    (Bitblast.or_many bb [| c; b; -c |]);
   Alcotest.(check lit) "or: true input is true" tl
-    (Bitblast.or_many bb [ a; tl ]);
+    (Bitblast.or_many bb [| a; tl |]);
   Alcotest.(check lit) "or: duplicates and false collapse" b
-    (Bitblast.or_many bb [ b; -tl; b ]);
+    (Bitblast.or_many bb [| b; -tl; b |]);
   Alcotest.(check int) "no fold allocates" vars0 (Sat.num_vars (Bitblast.sat bb));
-  let x = Bitblast.and_many bb [ c; a; -b; a; tl ] in
+  let x = Bitblast.and_many bb [| c; a; -b; a; tl |] in
   Alcotest.(check int) "one gate for three inputs" (vars0 + 1)
     (Sat.num_vars (Bitblast.sat bb));
   check_defines "and(a, -b, c)" bb v x (fun m -> m.(0) && (not m.(1)) && m.(2));
-  let o = Bitblast.or_many bb [ a; b; -c ] in
+  let o = Bitblast.or_many bb [| a; b; -c |] in
   check_defines "or(a, b, -c)" bb v o (fun m -> m.(0) || m.(1) || not m.(2))
 
 let test_maj_folds () =
