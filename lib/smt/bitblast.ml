@@ -194,8 +194,9 @@ let and_inputs t a =
 
 (* For k = 2 inputs these are [and2]'s clauses; for k inputs a chain of
    binary gates would spend k - 1 variables and 3(k - 1) clauses where
-   this gate spends 1 and k + 1. Reorders [lits]. *)
-let and_many t lits =
+   this gate spends 1 and k + 1. Reorders [lits], so every caller passes
+   an array of its own making. *)
+let and_gate t lits =
   match and_inputs t lits with
   | -1 -> -t.true_lit
   | 0 -> t.true_lit
@@ -211,7 +212,8 @@ let and_many t lits =
       clause t !long;
       x
 
-let or_many t lits = lnot (and_many t (Array.map lnot lits))
+let and_many t lits = and_gate t (Array.copy lits)
+let or_many t lits = lnot (and_gate t (Array.map lnot lits))
 
 let maj t a b c =
   let tl = t.true_lit in
@@ -275,7 +277,7 @@ let slt_lit t av bv =
   ult_lit t av' bv'
 
 let eq_vec_lit t av bv =
-  and_many t (Array.map2 (xnor2 t) av bv)
+  and_gate t (Array.map2 (xnor2 t) av bv)
 
 let multiplier t av bv =
   let w = Array.length av in

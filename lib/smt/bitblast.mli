@@ -76,9 +76,10 @@ val true_lit : t -> int
 
 val and_many : t -> int array -> int
 (** The conjunction of the literals. Duplicates and the true literal are
-    dropped (found by sorting the array in place, by variable); a false
-    input or a complementary pair gives the false literal, no input the
-    true literal, one input that literal. Otherwise one fresh [x] with
+    dropped (found by sorting a copy of the array by variable; the
+    caller's array is left as it is); a false input or a complementary
+    pair gives the false literal, no input the true literal, one input
+    that literal. Otherwise one fresh [x] with
     [(-x \/ li)] for each input, in that order, and
     [(x \/ -l1 \/ ... \/ -lk)]. *)
 

@@ -6,7 +6,10 @@ let umax a b = if ucmp a b >= 0 then a else b
 
 type acc = {
   ivals : (int, Term.var * bounds * int) Hashtbl.t;
-  (* var id -> the var, its bounds, and when they were last refined *)
+  (* var id -> the var, its bounds, and when they were last refined: the
+     stamp only orders [analyze]'s output, newest first, the order the
+     compiled filter writes its byte gates in, and so keeps filter images
+     byte-identical (test_filter "image digests") *)
   mutable refinements : int;
   mutable neqs : (int * int64) list; (* var id, excluded value *)
   mutable empty : bool;
@@ -87,33 +90,33 @@ let rec tighten acc (v : Term.var) b =
     else tighten acc v { b with hi = Int64.sub b.hi 1L }
   else Some b
 
+(* Scan [terms], then tighten every refined variable's bounds past its
+   excluded values; [empty] is set once some interval is empty. *)
 let scan_all terms =
   let acc =
     { ivals = Hashtbl.create 8; refinements = 0; neqs = []; empty = false }
   in
   List.iter (scan acc ~positive:true) terms;
+  (* [refine] keeps every interval non-empty, so only exclusions can empty
+     one here *)
+  if (not acc.empty) && acc.neqs <> [] then
+    Hashtbl.filter_map_inplace
+      (fun _ (v, b, k) ->
+        match tighten acc v b with
+        | Some b -> Some (v, b, k)
+        | None ->
+            acc.empty <- true;
+            None)
+      acc.ivals;
   acc
 
-(* The bounds come out most recently refined first. *)
 let analyze terms =
   let acc = scan_all terms in
   if acc.empty then None
   else
-    let rec tighten_all out = function
-      | [] -> Some out
-      | (v, b, _) :: rest -> (
-          match tighten acc v b with
-          | None -> None
-          | Some b -> tighten_all ((v, b) :: out) rest)
-    in
-    (* oldest refinement first, so the output is newest first *)
-    Hashtbl.fold (fun _ e l -> e :: l) acc.ivals []
-    |> List.sort (fun (_, _, a) (_, _, b) -> Int.compare a b)
-    |> tighten_all []
+    Some
+      (Hashtbl.fold (fun _ e l -> e :: l) acc.ivals []
+      |> List.sort (fun (_, _, a) (_, _, b) -> Int.compare b a)
+      |> List.map (fun (v, b, _) -> (v, b)))
 
-let definitely_unsat terms =
-  let acc = scan_all terms in
-  acc.empty
-  || Hashtbl.fold
-       (fun _ (v, b, _) empty -> empty || tighten acc v b = None)
-       acc.ivals false
+let definitely_unsat terms = (scan_all terms).empty

@@ -315,18 +315,14 @@ let counted_solve sat solve =
   st.sat_propagations <- st.sat_propagations + Sat.propagations sat - p0;
   answer
 
-(* One SAT attempt on the CNF already loaded into [bb], with the model read
-   back on [Sat]: of [model_vars] when given, else of every term variable. *)
-let run_sat ?model_vars bb ~conflict_limit ~deadline =
+(* One SAT attempt on the CNF already loaded into [bb], with the model
+   [read] back on [Sat]. *)
+let run_sat bb ~read ~conflict_limit ~deadline =
   let answer =
     counted_solve (Bitblast.sat bb) (Sat.solve ?conflict_limit ?deadline)
   in
   match answer with
-  | Some Sat.Sat ->
-      Sat
-        (match model_vars with
-        | None -> Bitblast.extract_model bb
-        | Some vars -> Bitblast.extract_vars bb vars)
+  | Some Sat.Sat -> Sat (read bb)
   | Some Sat.Unsat -> Unsat
   | None -> Unknown
 
@@ -335,7 +331,7 @@ let solve_with_sat terms ~conflict_limit ~deadline =
   else
     with_scratch (fun bb ->
         Obs.span Obs.Bitblast (fun () -> List.iter (Bitblast.assert_true bb) terms);
-        run_sat bb ~conflict_limit ~deadline)
+        run_sat bb ~read:Bitblast.extract_model ~conflict_limit ~deadline)
 
 let check ?site ?conflict_limit terms =
   let st = state.sstats in
@@ -363,7 +359,7 @@ let implied assumptions t = is_unsat (Term.not_ t :: assumptions)
    instance from its first solve to its last, so a solver query issued
    from [on_model] gets a fresh instance from [with_scratch] rather than
    resetting the session's. *)
-let enumerate ?site ?model_vars ~limit base on_model =
+let enumerate ?site ~model_vars ~limit base on_model =
   let st = state.sstats in
   let query f =
     st.queries <- st.queries + 1;
@@ -372,10 +368,11 @@ let enumerate ?site ?model_vars ~limit base on_model =
   if limit <= 0 then `Limit
   else
     with_scratch (fun bb ->
+        let read bb = Bitblast.extract_vars bb model_vars in
         let solve () =
           with_budget ~conflict_limit:None (fun ~conflict_limit ~deadline ->
               if fault_fires () then Unknown
-              else run_sat ?model_vars bb ~conflict_limit ~deadline)
+              else run_sat bb ~read ~conflict_limit ~deadline)
         in
         (* [n]: models delivered before this answer *)
         let rec next n = function

@@ -47,15 +47,15 @@ val implied : Term.t list -> Term.t -> bool
 
 val enumerate :
   ?site:string ->
-  ?model_vars:Term.var array ->
+  model_vars:Term.var array ->
   limit:int ->
   Term.t list ->
   (Model.t -> Term.t) ->
   [ `Exhausted | `Limit | `Unknown ]
-(** [enumerate ~limit base on_model]: block-and-resolve model enumeration
-    in one solver session. [base] is canonicalized, interval-checked and
-    bitblasted once, on the scratch instance reset to the
-    state of a fresh one. Each model is handed to [on_model] as soon as it
+(** [enumerate ~model_vars ~limit base on_model]: block-and-resolve model
+    enumeration in one solver session. [base] is canonicalized,
+    interval-checked and bitblasted once, on the scratch instance reset to
+    the state of a fresh one. Each model is handed to [on_model] as soon as it
     is found; the blocking term it returns is asserted as a permanent
     clause and the same instance is solved again, keeping its learnt
     clauses. Ends with [`Exhausted] when no further model exists,
@@ -64,9 +64,10 @@ val enumerate :
     rung of the {!budget} ladder or met an injected fault.
 
     Every solve counts as one query and carries a [solver_query] span with
-    [site]. With [model_vars], each model holds only those variables (the
-    ones the session has bitblasted), the same values a full model gives
-    them; a caller that reads only its message bytes passes them here.
+    [site]. Each model holds only [model_vars] (those the session has
+    bitblasted; the rest are absent), with the values a model of every
+    variable would give them: a caller passes the variables it reads,
+    typically its message bytes.
 
     {b Determinism contract.} The [k]-th model is a function of the
     canonical [base] and the first [k - 1] blocking terms only: not of the

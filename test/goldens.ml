@@ -57,7 +57,9 @@ let filter_digests =
 
 (* The whole run's SAT trajectory: [Solver.stats]' conflicts, decisions and
    propagations after `achilles analyze T -w 16`, summed over every solve on
-   the scratch and frame instances. A solver change that claims to keep
+   the scratch and frame instances, with the slice oracle on and no
+   injected faults (ACHILLES_SLICE=1, ACHILLES_SOLVER_FAULT_RATE=0; either
+   switch changes which solves run). A solver change that claims to keep
    every decision keeps these; one that moves them moves models too. *)
 let sat_counters =
   [

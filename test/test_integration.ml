@@ -553,15 +553,18 @@ let test_wildcard_trojan_via_analysis () =
 
 (* The whole run's SAT trajectory: the conflicts, decisions and
    propagations [analyze T -w 16 --digest] prints, summed over every solve
-   on the scratch and frame instances (see {!Goldens.sat_counters}). *)
+   on the scratch and frame instances (see {!Goldens.sat_counters}). The
+   pins are of a sliced, fault-free run, so both are set here: without the
+   slice oracle, or with injected faults, the run issues other solves. *)
 let test_sat_counters_pinned () =
+  let env = [ "ACHILLES_SLICE=1"; "ACHILLES_SOLVER_FAULT_RATE=0" ] in
   List.iter
     (fun (args, (c, d, p)) ->
       Alcotest.(check (option string))
         ("analyze " ^ String.concat " " args ^ " --digest, SAT counters")
         (Some
            (Printf.sprintf "conflicts=%d decisions=%d propagations=%d" c d p))
-        (cli_digest ~prefix:"sat counters: " args))
+        (cli_digest ~env ~prefix:"sat counters: " args))
     Goldens.sat_counters
 
 let () =

@@ -926,7 +926,7 @@ let session_2x4 ?(limit = 257) ?(after = fun _ -> ()) atoms =
     match Model.find m v with Some (Model.Vbv b) -> Bv.to_int b | _ -> 0
   in
   let outcome =
-    Solver.enumerate ~limit atoms (fun m ->
+    Solver.enumerate ~model_vars:[| qx; qy |] ~limit atoms (fun m ->
         let vx = value m qx and vy = value m qy in
         found := (vx, vy) :: !found;
         after (List.length !found);
@@ -1089,9 +1089,12 @@ let test_and_many_folds () =
   Alcotest.(check lit) "or: duplicates and false collapse" b
     (Bitblast.or_many bb [| b; -tl; b |]);
   Alcotest.(check int) "no fold allocates" vars0 (Sat.num_vars (Bitblast.sat bb));
-  let x = Bitblast.and_many bb [| c; a; -b; a; tl |] in
+  let inputs = [| c; a; -b; a; tl |] in
+  let x = Bitblast.and_many bb inputs in
   Alcotest.(check int) "one gate for three inputs" (vars0 + 1)
     (Sat.num_vars (Bitblast.sat bb));
+  Alcotest.(check (array lit)) "inputs left as passed" [| c; a; -b; a; tl |]
+    inputs;
   check_defines "and(a, -b, c)" bb v x (fun m -> m.(0) && (not m.(1)) && m.(2));
   let o = Bitblast.or_many bb [| a; b; -c |] in
   check_defines "or(a, b, -c)" bb v o (fun m -> m.(0) || m.(1) || not m.(2))
