@@ -12,12 +12,6 @@ type t = {
   cone_cache : int array Term.Tbl.t;
   (* memoized full translation cones of top-level (asserted/guarded) terms *)
   mutable true_lit : int;
-  mutable marks : int array;
-  (* by SAT variable: the stamp of the last [cone_vars] call that listed it *)
-  mutable mark_stamp : int;
-  mutable listed : int array;
-  (* [cone_vars]'s output buffer, as long as [marks]: no call lists a
-     variable twice, so it never overflows *)
 }
 
 (* Memo and CNF-size counters, accumulated across contexts: every scratch
@@ -75,9 +69,6 @@ let create sat =
       term_vars = Hashtbl.create 64;
       cone_cache = Term.Tbl.create 64;
       true_lit = 0;
-      marks = [||];
-      mark_stamp = 0;
-      listed = [||];
     }
   in
   init_true_lit t;
@@ -91,8 +82,6 @@ let reset t =
   Term.Tbl.reset t.cache;
   Hashtbl.reset t.term_vars;
   Term.Tbl.reset t.cone_cache;
-  (* [marks] is kept as is: stamps only ever increase, so no old mark can
-     match a later call's stamp; [listed] is scratch *)
   init_true_lit t
 
 (* --- boolean gates -------------------------------------------------------- *)
@@ -103,7 +92,7 @@ let reset t =
    query's cone takes, every gate outside it can still satisfy its own
    clauses by its output alone, in allocation order — the closure a
    long-lived context relies on when it solves with [decide_vars] limited
-   to the cone ([cone_vars]). *)
+   to the cone ([cone_of]). *)
 
 let lnot l = -l
 
@@ -500,31 +489,6 @@ let cone_of t term =
         merged;
       Term.Tbl.replace t.cone_cache term arr;
       arr
-
-let cone_vars t terms =
-  let nv = Sat.num_vars t.sat in
-  if nv >= Array.length t.marks then begin
-    let marks = Array.make (max (nv + 1) (2 * Array.length t.marks)) 0 in
-    Array.blit t.marks 0 marks 0 (Array.length t.marks);
-    t.marks <- marks;
-    t.listed <- Array.make (Array.length marks) 0
-  end;
-  t.mark_stamp <- t.mark_stamp + 1;
-  let stamp = t.mark_stamp and marks = t.marks and listed = t.listed in
-  let n = ref 0 in
-  List.iter
-    (fun tm ->
-      let cone = cone_of t tm in
-      for i = 0 to Array.length cone - 1 do
-        let v = cone.(i) in
-        if marks.(v) <> stamp then begin
-          marks.(v) <- stamp;
-          listed.(!n) <- v;
-          incr n
-        end
-      done)
-    terms;
-  Array.sub listed 0 !n
 
 let assert_true t term =
   match term.Term.node with

@@ -22,7 +22,7 @@
     Each gate's clauses define its output for {e every} assignment of its
     inputs: exactly one output value satisfies them. That is what lets a
     long-lived context decide only a query's cone ([Sat.solve]'s
-    [decide_vars] from {!cone_vars}): a clause outside the cone belongs to
+    [decide_vars] from {!cone_of}): a clause outside the cone belongs to
     a gate whose output the search leaves free, and a free output can
     always take the value its inputs define. *)
 
@@ -59,13 +59,15 @@ val cached_terms : t -> int
 (** Distinct terms translated so far in this context — the reuse a
     long-lived (incremental) context has accumulated. *)
 
-val cone_vars : t -> Term.t list -> int array
-(** The SAT variables mentioned by the translations of the given terms
-    (each variable once, in no particular order). Every term must already
-    have been translated in this context ({!lit_of}/{!assert_true});
-    untranslated subterms are silently absent. A long-lived context passes
-    this as [Sat.solve]'s [decide_vars] so a query only decides its own
-    cone instead of everything the context has accumulated. *)
+val cone_of : t -> Term.t -> int array
+(** The SAT variables the translation of the term mentions, each once, in
+    ascending (allocation) order; memoized per term, and shared with the
+    caller, which must not write into it. The term must already have been
+    translated in this context ({!lit_of}/{!assert_true}); untranslated
+    subterms are silently absent. A long-lived context concatenates the
+    cones of a query's conjuncts, first occurrence kept, into [Sat.solve]'s
+    [decide_vars], so a query only decides its own cone instead of
+    everything the context has accumulated. *)
 
 (** {1 Gates}
 

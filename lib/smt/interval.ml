@@ -4,38 +4,53 @@ let ucmp = Int64.unsigned_compare
 let umin a b = if ucmp a b <= 0 then a else b
 let umax a b = if ucmp a b >= 0 then a else b
 
-type acc = {
-  ivals : (int, Term.var * bounds * int) Hashtbl.t;
+module Imap = Map.Make (Int)
+
+(* Persistent, so a frame stack keeps one per frame and a query extends its
+   innermost frame's without copying or undoing anything. *)
+type carry = {
+  ivals : (Term.var * bounds * int) Imap.t;
   (* var id -> the var, its bounds, and when they were last refined: the
      stamp only orders [analyze]'s output, newest first, the order the
      compiled filter writes its byte gates in, and so keeps filter images
      byte-identical (test_filter "image digests") *)
-  mutable refinements : int;
-  mutable neqs : (int * int64) list; (* var id, excluded value *)
-  mutable empty : bool;
+  refinements : int;
+  neqs : int64 list Imap.t; (* var id -> excluded values *)
+  empty : bool;
 }
+
+let top =
+  { ivals = Imap.empty; refinements = 0; neqs = Imap.empty; empty = false }
 
 let full_bounds (v : Term.var) =
   match v.sort with
   | Term.Bitvec w -> { lo = 0L; hi = Bv.value (Bv.ones w) }
   | Term.Bool -> { lo = 0L; hi = 1L }
 
+let emptied acc = if acc.empty then acc else { acc with empty = true }
+
 let refine acc (v : Term.var) ~lo ~hi =
-  if not acc.empty then begin
+  if acc.empty then acc
+  else begin
     let current =
-      match Hashtbl.find_opt acc.ivals v.id with
+      match Imap.find_opt v.id acc.ivals with
       | Some (_, b, _) -> b
       | None -> full_bounds v
     in
     let lo = umax current.lo lo and hi = umin current.hi hi in
-    if ucmp lo hi > 0 then acc.empty <- true
-    else begin
-      acc.refinements <- acc.refinements + 1;
-      Hashtbl.replace acc.ivals v.id (v, { lo; hi }, acc.refinements)
-    end
+    if ucmp lo hi > 0 then emptied acc
+    else
+      let refinements = acc.refinements + 1 in
+      {
+        acc with
+        refinements;
+        ivals = Imap.add v.id (v, { lo; hi }, refinements) acc.ivals;
+      }
   end
 
-let exclude acc (v : Term.var) value = acc.neqs <- (v.id, value) :: acc.neqs
+let exclude acc (v : Term.var) value =
+  let values = Option.value ~default:[] (Imap.find_opt v.id acc.neqs) in
+  { acc with neqs = Imap.add v.id (value :: values) acc.neqs }
 
 (* Recognize [atom] (positively or negatively) as a bound on a single
    variable. Anything unrecognized is ignored, which is sound. *)
@@ -44,8 +59,7 @@ let rec scan acc ~positive (atom : Term.t) =
   match atom.Term.node, positive with
   | Term.Not t, _ -> scan acc ~positive:(not positive) t
   | Term.And (a, b), true ->
-      scan acc ~positive:true a;
-      scan acc ~positive:true b
+      scan (scan acc ~positive:true a) ~positive:true b
   | Term.Eq ({ node = Var v; _ }, { node = Const c; _ }), true
   | Term.Eq ({ node = Const c; _ }, { node = Var v; _ }), true ->
       refine acc v ~lo:(Bv.value c) ~hi:(Bv.value c)
@@ -54,69 +68,65 @@ let rec scan acc ~positive (atom : Term.t) =
       exclude acc v (Bv.value c)
   | Term.Ult ({ node = Var v; _ }, { node = Const c; _ }), true ->
       (* x < c; c = 0 cannot be produced by the smart constructors *)
-      if Bv.value c = 0L then acc.empty <- true
+      if Bv.value c = 0L then emptied acc
       else refine acc v ~lo:0L ~hi:(Int64.sub (Bv.value c) 1L)
   | Term.Ult ({ node = Var v; _ }, { node = Const c; _ }), false ->
       refine acc v ~lo:(Bv.value c) ~hi:(max_of v)
   | Term.Ult ({ node = Const c; _ }, { node = Var v; _ }), true ->
-      if ucmp (Bv.value c) (max_of v) >= 0 then acc.empty <- true
+      if ucmp (Bv.value c) (max_of v) >= 0 then emptied acc
       else refine acc v ~lo:(Int64.add (Bv.value c) 1L) ~hi:(max_of v)
   | Term.Ult ({ node = Const c; _ }, { node = Var v; _ }), false ->
       refine acc v ~lo:0L ~hi:(Bv.value c)
   | Term.Ule ({ node = Var v; _ }, { node = Const c; _ }), true ->
       refine acc v ~lo:0L ~hi:(Bv.value c)
   | Term.Ule ({ node = Var v; _ }, { node = Const c; _ }), false ->
-      if ucmp (Bv.value c) (max_of v) >= 0 then acc.empty <- true
+      if ucmp (Bv.value c) (max_of v) >= 0 then emptied acc
       else refine acc v ~lo:(Int64.add (Bv.value c) 1L) ~hi:(max_of v)
   | Term.Ule ({ node = Const c; _ }, { node = Var v; _ }), true ->
       refine acc v ~lo:(Bv.value c) ~hi:(max_of v)
   | Term.Ule ({ node = Const c; _ }, { node = Var v; _ }), false ->
-      if Bv.value c = 0L then acc.empty <- true
+      if Bv.value c = 0L then emptied acc
       else refine acc v ~lo:0L ~hi:(Int64.sub (Bv.value c) 1L)
-  | Term.False, true | Term.True, false -> acc.empty <- true
-  | _ -> ()
+  | Term.False, true | Term.True, false -> emptied acc
+  | _ -> acc
 
-(* Narrow [b] past the excluded values at its edges; [None] once empty. *)
-let rec tighten acc (v : Term.var) b =
-  let excluded x =
-    List.exists (fun (id, y) -> id = v.id && Int64.equal y x) acc.neqs
-  in
+let extend acc term = scan acc ~positive:true term
+
+(* Narrow [b] past the [excluded] values at its edges; [None] once empty. *)
+let rec tighten excluded b =
   if ucmp b.lo b.hi > 0 then None
-  else if excluded b.lo then
+  else if List.exists (Int64.equal b.lo) excluded then
     if Int64.equal b.lo b.hi then None
-    else tighten acc v { b with lo = Int64.add b.lo 1L }
-  else if excluded b.hi then
+    else tighten excluded { b with lo = Int64.add b.lo 1L }
+  else if List.exists (Int64.equal b.hi) excluded then
     if Int64.equal b.lo b.hi then None
-    else tighten acc v { b with hi = Int64.sub b.hi 1L }
+    else tighten excluded { b with hi = Int64.sub b.hi 1L }
   else Some b
 
-(* Scan [terms], then tighten every refined variable's bounds past its
-   excluded values; [empty] is set once some interval is empty. *)
-let scan_all terms =
-  let acc =
-    { ivals = Hashtbl.create 8; refinements = 0; neqs = []; empty = false }
-  in
-  List.iter (scan acc ~positive:true) terms;
-  (* [refine] keeps every interval non-empty, so only exclusions can empty
-     one here *)
-  if (not acc.empty) && acc.neqs <> [] then
-    Hashtbl.filter_map_inplace
-      (fun _ (v, b, k) ->
-        match tighten acc v b with
-        | Some b -> Some (v, b, k)
-        | None ->
-            acc.empty <- true;
-            None)
-      acc.ivals;
-  acc
+(* [refine] keeps every interval non-empty, so only exclusions can empty
+   one here, and only a variable with both bounds and exclusions needs
+   tightening. *)
+let unsat acc =
+  acc.empty
+  || Imap.exists
+       (fun id excluded ->
+         match Imap.find_opt id acc.ivals with
+         | Some (_, b, _) -> Option.is_none (tighten excluded b)
+         | None -> false)
+       acc.neqs
 
 let analyze terms =
-  let acc = scan_all terms in
-  if acc.empty then None
+  let acc = List.fold_left extend top terms in
+  if unsat acc then None
   else
     Some
-      (Hashtbl.fold (fun _ e l -> e :: l) acc.ivals []
+      (Imap.fold
+         (fun id (v, b, k) l ->
+           match Imap.find_opt id acc.neqs with
+           | Some excluded -> (v, Option.get (tighten excluded b), k) :: l
+           | None -> (v, b, k) :: l)
+         acc.ivals []
       |> List.sort (fun (_, _, a) (_, _, b) -> Int.compare b a)
       |> List.map (fun (v, b, _) -> (v, b)))
 
-let definitely_unsat terms = (scan_all terms).empty
+let definitely_unsat terms = unsat (List.fold_left extend top terms)

@@ -8,7 +8,9 @@
     this filters out many queries before the SAT solver runs.
 
     The check is sound: [definitely_unsat ts = true] implies the conjunction
-    of [ts] has no model. [false] means "don't know". *)
+    of [ts] has no model. [false] means "don't know". The verdict depends
+    only on the set of conjuncts: not on their order, their repetition or
+    how they nest in conjunctions. *)
 
 type bounds = { lo : int64; hi : int64 }
 (** Unsigned inclusive bounds. *)
@@ -19,3 +21,22 @@ val analyze : Term.t list -> (Term.var * bounds) list option
     Variables without recognized atomic constraints are omitted. *)
 
 val definitely_unsat : Term.t list -> bool
+(** [unsat (List.fold_left extend top ts)]. *)
+
+(** {1 Carried accumulators}
+
+    The scan of a conjunction, kept as a persistent value: a frame stack
+    keeps one per frame, and a query extends its innermost frame's by its
+    own conjuncts, leaving the frame's as it was. *)
+
+type carry
+
+val top : carry
+(** The scan of the empty conjunction. *)
+
+val extend : carry -> Term.t -> carry
+(** The scan with one more conjunct. *)
+
+val unsat : carry -> bool
+(** The verdict: [unsat (List.fold_left extend top ts)] is
+    [definitely_unsat ts]. *)

@@ -671,24 +671,33 @@ let pick_branch_var s =
   done;
   !v
 
-(* Restricted decision order: an ordered array of candidate vars and a
+(* Restricted decision order: the first [len] vars of [vars], and a
    monotone scan pointer. The pointer only ever moves right between
    conflicts; a backtrack unassigns variables to its left, so conflicts (and
-   fresh [search] calls after a restart) reset it to 0. Returns 0 when every
+   fresh [search] calls after a restart) reset it to 0. [vars] is the
+   caller's buffer until the first re-sort ([owned] false), which first
+   swaps in a private copy of exactly [len] vars. *)
+type order = {
+  mutable vars : int array;
+  len : int;
+  mutable next : int;
+  mutable owned : bool;
+}
+
+(* The first unassigned candidate at or after the pointer; 0 when every
    candidate is assigned. *)
-let pick_branch_restricted s (arr : int array) ptr =
-  let n = Array.length arr in
+let pick_branch_restricted s o =
   let rec go i =
-    if i >= n then 0
+    if i >= o.len then 0
     else
-      let v = arr.(i) in
+      let v = o.vars.(i) in
       if Bytes.get s.assigns v = unset then begin
-        ptr := i;
+        o.next <- i;
         v
       end
       else go (i + 1)
   in
-  go !ptr
+  go o.next
 
 let luby y x =
   (* Finite subsequences of the Luby sequence *)
@@ -742,7 +751,7 @@ exception Assumption_conflict
 
 let search s ~assumptions ~order ~max_conflicts =
   let conflicts = ref 0 in
-  (match order with Some (_, ptr) -> ptr := 0 | None -> ());
+  (match order with Some o -> o.next <- 0 | None -> ());
   let rec loop () =
     let confl = propagate s in
     if confl >= 0 then begin
@@ -764,7 +773,7 @@ let search s ~assumptions ~order ~max_conflicts =
       else begin
         let back_level = analyze s confl in
         cancel_until s back_level;
-        (match order with Some (_, ptr) -> ptr := 0 | None -> ());
+        (match order with Some o -> o.next <- 0 | None -> ());
         let k = Vec.size s.lits in
         let asserting = Vec.get s.lits 0 in
         if k = 1 then enqueue s asserting (-1)
@@ -812,7 +821,7 @@ let search s ~assumptions ~order ~max_conflicts =
       let v =
         match order with
         | None -> pick_branch_var s
-        | Some (arr, ptr) -> pick_branch_restricted s arr ptr
+        | Some o -> pick_branch_restricted s o
       in
       if v = 0 then Some Sat
       else begin
@@ -835,18 +844,20 @@ let solve ?conflict_limit ?deadline ?(assumptions = []) ?decide_vars s =
     let order =
       match decide_vars with
       | None -> None
-      | Some vars ->
-          Array.iter
-            (fun v ->
-              if v < 1 || v > s.nvars then
-                invalid_arg "Sat.solve: decide variable out of range")
-            vars;
+      | Some (vars, len) ->
+          if len < 0 || len > Array.length vars then
+            invalid_arg "Sat.solve: decide count out of range";
+          for i = 0 to len - 1 do
+            let v = vars.(i) in
+            if v < 1 || v > s.nvars then
+              invalid_arg "Sat.solve: decide variable out of range"
+          done;
           (* the first restart segment decides in the order given — for
              circuit CNF, allocation order is roughly topological (inputs
              first, outputs propagated), and easy queries never pay for a
              sort — later segments re-sort by activity (below), giving
              conflict-heavy queries a periodically-refreshed VSIDS order *)
-          Some (vars, ref 0)
+          Some { vars; len; next = 0; owned = false }
     in
     s.max_learnts <- max 1000. (float_of_int (Vec.size s.clauses) /. 3.);
     let budget_left =
@@ -861,12 +872,17 @@ let solve ?conflict_limit ?deadline ?(assumptions = []) ?decide_vars s =
       if !budget_left <= 0 || past_deadline () then None
       else begin
         (match order with
-        | Some (arr, _) when i > 0 ->
+        | Some o when i > 0 ->
             (* the query survived a whole restart segment: refresh the static
-               decision order from the activities the conflicts built up *)
+               decision order from the activities the conflicts built up, on
+               a copy the caller's buffer never sees *)
+            if not o.owned then begin
+              o.vars <- Array.sub o.vars 0 o.len;
+              o.owned <- true
+            end;
             Array.sort
               (fun a b -> compare s.activity.(b) s.activity.(a))
-              arr
+              o.vars
         | _ -> ());
         let inner = int_of_float (100. *. luby 2. i) in
         let inner = min inner !budget_left in

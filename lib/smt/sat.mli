@@ -82,7 +82,7 @@ val solve :
   ?conflict_limit:int ->
   ?deadline:float ->
   ?assumptions:int list ->
-  ?decide_vars:int array ->
+  ?decide_vars:int array * int ->
   t ->
   result option
 (** Run the search, optionally under assumption literals that hold for this
@@ -92,7 +92,8 @@ val solve :
     checked between restarts — the overshoot is bounded by one restart
     segment, ~100-1000 conflicts).
 
-    [decide_vars] restricts decisions to the given variables; the search
+    [decide_vars = (buf, len)] restricts decisions to the variables
+    [buf.(0) .. buf.(len - 1)], tried in that order first; the search
     claims [Sat] once all of them are assigned without conflict, leaving the
     rest of the instance undecided. This is only sound when every clause not
     fully covered by [decide_vars] is satisfiable under {e any} assignment
@@ -103,7 +104,11 @@ val solve :
     shared incremental contexts in {!Solver.Frames} maintain it by passing
     the full bitblast cone of the queried terms. After such a call the
     assignment is partial, so {!value} must not be used for model
-    extraction. The array may be reordered in place. *)
+    extraction. The call never writes into [buf], so a caller may keep one
+    buffer across calls (it is read before {!solve} returns, and later
+    restart segments re-sort a private copy of the [len] variables). Raises
+    [Invalid_argument] if [len] is outside [0, Array.length buf] or one of
+    those variables is not one of the instance's. *)
 
 val value : t -> int -> bool
 (** Value of a variable in the satisfying assignment; only valid after

@@ -87,6 +87,16 @@ let fault_config =
 
 let fault_rate () = !fault_config.f_rate
 
+(* One frame of the incremental context, with the query state of the
+   stack up to and including it, so a check pays only for its extras. *)
+type frame = {
+  fr_term : Term.t;
+  fr_guard : int; (* activation var *)
+  fr_cone_start : int; (* [fc_cone] prefix length below this frame *)
+  fr_ivals : Interval.carry; (* the interval scan of the frames so far *)
+  fr_nontrue : bool; (* some frame so far is more than [True]s *)
+}
+
 (* The incremental solver context: one long-lived SAT instance plus
    bitblast cache, a stack of activation-literal frames mirroring the DFS
    path prefix, and the guard tables mapping terms to their activation
@@ -97,7 +107,16 @@ type frames_ctx = {
   mutable fc_bb : Bitblast.t;
   fc_guards : int Term.Tbl.t; (* term -> activation var *)
   fc_guard_terms : (int, Term.t) Hashtbl.t; (* reverse, for unsat cores *)
-  mutable fc_stack : Term.t list; (* frames, innermost first (as State.path) *)
+  mutable fc_frames : frame list; (* innermost first (as State.path) *)
+  mutable fc_depth : int;
+  mutable fc_cone : int array;
+  (* the frames' cone vars, oldest frame first, each once, in
+     [0 .. fc_cone_len); a check appends its extras' past that *)
+  mutable fc_cone_len : int;
+  mutable fc_listed : int array;
+  (* by SAT var: [in_prefix] while [fc_cone]'s prefix holds it, else the
+     stamp of the last check that appended it *)
+  mutable fc_stamp : int;
   mutable fc_last_core : Term.t list option; (* terms behind the last Unsat *)
 }
 
@@ -198,6 +217,14 @@ let canonicalize terms =
         | _ -> flatten (t :: acc) rest)
   in
   Option.map (List.sort_uniq Term.compare) (flatten [] terms)
+
+(* Does [canonicalize] flatten the conjunct to nothing, it being only
+   [True]s? *)
+let rec only_true (t : Term.t) =
+  match t.Term.node with
+  | Term.True -> true
+  | Term.And (a, b) -> only_true a && only_true b
+  | _ -> false
 
 (* Does an injected fault hit this SAT call? Counts the fault, which then
    answers [Unknown]. *)
@@ -438,6 +465,10 @@ let set_context_var_cap n =
 module Frames = struct
   type t = frames_ctx
 
+  (* [fc_listed]'s mark for the vars of the cone prefix; check stamps are
+     positive, and 0 is never a stamp *)
+  let in_prefix = -1
+
   let create () =
     let sat = Sat.create () in
     {
@@ -445,7 +476,12 @@ module Frames = struct
       fc_bb = Bitblast.create sat;
       fc_guards = Term.Tbl.create 256;
       fc_guard_terms = Hashtbl.create 256;
-      fc_stack = [];
+      fc_frames = [];
+      fc_depth = 0;
+      fc_cone = [||];
+      fc_cone_len = 0;
+      fc_listed = [||];
+      fc_stamp = 0;
       fc_last_core = None;
     }
 
@@ -471,6 +507,64 @@ module Frames = struct
         Hashtbl.replace c.fc_guard_terms g term;
         g
 
+  (* Append to [fc_cone], from [len] on, the vars of the (translated)
+     term's cone that are neither in the prefix nor marked [mark] yet,
+     marking them; returns the new length. *)
+  let append_cone c len mark term =
+    let cone = Bitblast.cone_of c.fc_bb term in
+    if len + Array.length cone > Array.length c.fc_cone then begin
+      let buf =
+        Array.make
+          (max (len + Array.length cone) (2 * Array.length c.fc_cone))
+          0
+      in
+      Array.blit c.fc_cone 0 buf 0 len;
+      c.fc_cone <- buf
+    end;
+    let nv = Sat.num_vars c.fc_sat in
+    if nv >= Array.length c.fc_listed then begin
+      let listed = Array.make (max (nv + 1) (2 * Array.length c.fc_listed)) 0 in
+      Array.blit c.fc_listed 0 listed 0 (Array.length c.fc_listed);
+      c.fc_listed <- listed
+    end;
+    let buf = c.fc_cone and listed = c.fc_listed in
+    let n = ref len in
+    for i = 0 to Array.length cone - 1 do
+      let v = cone.(i) in
+      let l = listed.(v) in
+      if l <> in_prefix && l <> mark then begin
+        listed.(v) <- mark;
+        buf.(!n) <- v;
+        incr n
+      end
+    done;
+    !n
+
+  (* The carried state of the whole stack: the innermost frame's. *)
+  let carried c =
+    match c.fc_frames with
+    | [] -> (Interval.top, false)
+    | f :: _ -> (f.fr_ivals, f.fr_nontrue)
+
+  (* [push] without the count, shared with [recycle]. *)
+  let enter c term =
+    let g = guard c term in
+    let start = c.fc_cone_len in
+    c.fc_cone_len <- append_cone c start in_prefix term;
+    let ivals, nontrue = carried c in
+    c.fc_frames <-
+      {
+        fr_term = term;
+        fr_guard = g;
+        fr_cone_start = start;
+        fr_ivals = Interval.extend ivals term;
+        fr_nontrue = nontrue || not (only_true term);
+      }
+      :: c.fc_frames;
+    c.fc_depth <- c.fc_depth + 1
+
+  (* A fresh instance, with the live frames re-entered oldest first: their
+     guards, and so the carried cone prefix, are renumbered. *)
   let recycle c =
     Obs.count "solver.context_resets";
     let sat = Sat.create () in
@@ -479,39 +573,83 @@ module Frames = struct
     Term.Tbl.reset c.fc_guards;
     Hashtbl.reset c.fc_guard_terms;
     c.fc_last_core <- None;
-    List.iter (fun t -> ignore (guard c t)) (List.rev c.fc_stack)
+    let frames = c.fc_frames in
+    c.fc_frames <- [];
+    c.fc_depth <- 0;
+    c.fc_cone_len <- 0;
+    Array.fill c.fc_listed 0 (Array.length c.fc_listed) 0;
+    List.iter (fun f -> enter c f.fr_term) (List.rev frames)
 
   let push c term =
     Obs.count "solver.push";
-    ignore (guard c term);
-    c.fc_stack <- term :: c.fc_stack
+    enter c term
 
   let pop c =
-    match c.fc_stack with
+    match c.fc_frames with
     | [] -> invalid_arg "Solver.Frames.pop: empty frame stack"
-    | _ :: rest ->
+    | f :: rest ->
         Obs.count "solver.pop";
-        c.fc_stack <- rest
+        for i = f.fr_cone_start to c.fc_cone_len - 1 do
+          c.fc_listed.(c.fc_cone.(i)) <- 0
+        done;
+        c.fc_cone_len <- f.fr_cone_start;
+        c.fc_frames <- rest;
+        c.fc_depth <- c.fc_depth - 1
 
-  let depth c = List.length c.fc_stack
-  let path c = c.fc_stack
+  let depth c = c.fc_depth
+  let path c = List.map (fun f -> f.fr_term) c.fc_frames
 
   (* Align the frame stack with a DFS path (newest first, as [State.path]):
-     keep the common oldest-first prefix, pop what the search backtracked
-     past, push the delta. Sibling queries share everything but their last
-     few conjuncts, so this is O(path length) list walking and usually one
-     push. *)
+     keep the longest common oldest-first prefix, pop what the search
+     backtracked past, push the delta oldest first. Both lists are cut to
+     the shorter one's length and walked newest first together, so the
+     oldest mismatch bounds the prefix; no list is reversed. *)
   let set_path c target =
-    let rec strip cur tgt =
-      match (cur, tgt) with
-      | c0 :: cr, t0 :: tr when Term.equal c0 t0 -> strip cr tr
-      | _ -> (cur, tgt)
+    let rec drop k l = if k = 0 then l else drop (k - 1) (List.tl l) in
+    let m = List.length target in
+    let len = min c.fc_depth m in
+    (* [i]: the oldest-first index of the pair at hand; [keep]: the common
+       prefix length, bounded by every mismatch seen *)
+    let rec common i keep frames tgt =
+      match (frames, tgt) with
+      | f :: fr, t :: tr ->
+          common (i - 1) (if Term.equal f.fr_term t then keep else i) fr tr
+      | _ -> keep
     in
-    let to_pop, to_push = strip (List.rev c.fc_stack) (List.rev target) in
-    List.iter (fun _ -> pop c) to_pop;
-    List.iter (push c) to_push
+    let keep =
+      common (len - 1) len (drop (c.fc_depth - len) c.fc_frames)
+        (drop (m - len) target)
+    in
+    for _ = keep + 1 to c.fc_depth do
+      pop c
+    done;
+    (* the newest [k] terms of [l], pushed oldest first *)
+    let rec push_newest k l =
+      if k > 0 then
+        match l with
+        | t :: rest ->
+            push_newest (k - 1) rest;
+            push c t
+        | [] -> ()
+    in
+    push_newest (m - keep) target
 
   let learnts c = Sat.num_learnts c.fc_sat
+
+  (* The decide vars of a check on the (guarded) [extras]: the frames'
+     cone prefix, then each extra's cone vars not listed yet, first
+     occurrence kept. They fill [fc_cone]; returns how many there are. *)
+  let load_decide_vars c extras =
+    c.fc_stamp <- c.fc_stamp + 1;
+    List.fold_left
+      (fun n e -> append_cone c n c.fc_stamp e)
+      c.fc_cone_len extras
+
+  let decide_vars c extras =
+    List.iter (fun e -> ignore (guard c e)) extras;
+    Array.sub c.fc_cone 0 (load_decide_vars c extras)
+
+  let bitblast c = c.fc_bb
 
   let check ?site ?conflict_limit ?model_vars c extras =
     let st = state.sstats in
@@ -519,74 +657,81 @@ module Frames = struct
     st.incremental_checks <- st.incremental_checks + 1;
     c.fc_last_core <- None;
     Obs.span ?site Obs.Solver_query (fun () ->
-        match canonicalize (List.rev_append c.fc_stack extras) with
-        | None -> Unsat
-        | Some [] -> Sat Model.empty
-        | Some key when Interval.definitely_unsat key ->
-            (* same sound pre-check the scratch path runs; the whole
-               canonical conjunction stands in for a core (the analysis
-               does not localize the conflict) *)
-            c.fc_last_core <- Some key;
-            Unsat
-        | Some _ ->
-            if Sat.num_vars c.fc_sat > !context_var_cap then
-              recycle c;
-            let assumptions, decide_vars =
-              Obs.span Obs.Bitblast (fun () ->
-                  (* frame guards oldest-first, then the per-call extras:
-                     assumptions become the leading decision levels, so this
-                     keeps the shared path prefix at the same levels across
-                     sibling queries *)
-                  let path_guards = List.rev_map (guard c) c.fc_stack in
-                  let assumptions = path_guards @ List.map (guard c) extras in
-                  (* decisions restricted to the query's own translation
-                     cone: everything else in the shared instance is either
-                     an unassumed activation implication or a total circuit
-                     definition, so a cone-complete partial assignment always
-                     extends — the query must not pay for what its siblings
-                     accumulated *)
-                  let decide_vars =
-                    Bitblast.cone_vars c.fc_bb
-                      (List.rev_append c.fc_stack extras)
-                  in
-                  (assumptions, decide_vars))
-            in
-            let rung = ref (-1) in
-            with_budget ~conflict_limit (fun ~conflict_limit ~deadline ->
-                incr rung;
-                if !rung > 0 then begin
-                  let retained = Sat.num_learnts c.fc_sat in
-                  (* learning carried into an escalation retry: the rung
-                     restarts with a bigger budget but not from scratch *)
-                  st.rung_retained <- st.rung_retained + retained;
-                  Obs.count ~n:retained "solver.rung_retained_learnts"
-                end;
-                if fault_fires () then Unknown
-                else begin
-                  let answer =
-                    counted_solve c.fc_sat
-                      (Sat.solve ?conflict_limit ?deadline ~assumptions
-                         ~decide_vars)
-                  in
-                  match answer with
-                  | Some Sat.Sat ->
-                      Sat
-                        (match model_vars with
-                        | None -> Model.empty
-                        | Some vars -> Bitblast.extract_vars c.fc_bb vars)
-                  | Some Sat.Unsat ->
-                      c.fc_last_core <-
-                        (match Sat.unsat_core c.fc_sat with
-                        | [] -> None
-                        | lits ->
-                            Some
-                              (List.filter_map
-                                 (fun l ->
-                                   Hashtbl.find_opt c.fc_guard_terms (abs l))
-                                 lits));
-                      Unsat
-                  | None -> Unknown
-                end))
+        (* the scratch route's trivial answers and interval pre-check, on
+           the frames' carried state plus the extras: the answers
+           [canonicalize] and [Interval.definitely_unsat] give on the
+           whole conjunction, which depend on its set of conjuncts only.
+           A literal [False] needs no test of its own: the interval scan
+           refutes it, and [canonicalize] then leaves no core *)
+        let ivals, nontrue = carried c in
+        if not (nontrue || List.exists (fun e -> not (only_true e)) extras)
+        then Sat Model.empty
+        else if Interval.unsat (List.fold_left Interval.extend ivals extras)
+        then begin
+          (* the analysis does not localize the conflict: the whole
+             canonical conjunction stands in for a core *)
+          c.fc_last_core <-
+            canonicalize
+              (List.fold_left (fun l f -> f.fr_term :: l) extras c.fc_frames);
+          Unsat
+        end
+        else begin
+          if Sat.num_vars c.fc_sat > !context_var_cap then recycle c;
+          let assumptions, n_decide =
+            Obs.span Obs.Bitblast (fun () ->
+                (* frame guards oldest-first, then the per-call extras:
+                   assumptions become the leading decision levels, so this
+                   keeps the shared path prefix at the same levels across
+                   sibling queries *)
+                let path_guards =
+                  List.fold_left (fun l f -> f.fr_guard :: l) [] c.fc_frames
+                in
+                let assumptions = path_guards @ List.map (guard c) extras in
+                (* decisions restricted to the query's own translation
+                   cone: everything else in the shared instance is either
+                   an unassumed activation implication or a total circuit
+                   definition, so a cone-complete partial assignment always
+                   extends — the query must not pay for what its siblings
+                   accumulated *)
+                (assumptions, load_decide_vars c extras))
+          in
+          let rung = ref (-1) in
+          with_budget ~conflict_limit (fun ~conflict_limit ~deadline ->
+              incr rung;
+              if !rung > 0 then begin
+                let retained = Sat.num_learnts c.fc_sat in
+                (* learning carried into an escalation retry: the rung
+                   restarts with a bigger budget but not from scratch *)
+                st.rung_retained <- st.rung_retained + retained;
+                Obs.count ~n:retained "solver.rung_retained_learnts"
+              end;
+              if fault_fires () then Unknown
+              else begin
+                let answer =
+                  counted_solve c.fc_sat
+                    (Sat.solve ?conflict_limit ?deadline ~assumptions
+                       ~decide_vars:(c.fc_cone, n_decide))
+                in
+                match answer with
+                | Some Sat.Sat ->
+                    Sat
+                      (match model_vars with
+                      | None -> Model.empty
+                      | Some vars -> Bitblast.extract_vars c.fc_bb vars)
+                | Some Sat.Unsat ->
+                    c.fc_last_core <-
+                      (match Sat.unsat_core c.fc_sat with
+                      | [] -> None
+                      | lits ->
+                          Some
+                            (List.filter_map
+                               (fun l ->
+                                 Hashtbl.find_opt c.fc_guard_terms (abs l))
+                               lits));
+                    Unsat
+                | None -> Unknown
+              end)
+        end)
 
   let is_sat ?conflict_limit c extras =
     match check ?conflict_limit c extras with

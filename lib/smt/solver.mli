@@ -148,7 +148,28 @@ val aggregate_incremental_contexts : unit -> int
     {!reset_contexts} / {!reset_all_for_tests}, which drop it. *)
 
 (** Explicit handle on the frame-stack machinery backing {!check_assuming}
-    — the differential test harness drives it directly. *)
+    — the differential test harness drives it directly.
+
+    {b What a frame carries.} Each frame holds, beside its term and guard,
+    the query state of the stack up to and including it: the cone prefix
+    (the SAT variables of the frames' translations, oldest frame first,
+    each at its first occurrence), the interval scan
+    ({!Interval.carry}) of the frames' conjuncts, which refutes any stack
+    holding a literal [False], and whether some frame is more than
+    [True]s. A {!push} extends the
+    innermost frame's state by the new term once it is guarded; a {!pop}
+    drops it and truncates the cone prefix. So a {!check} scans, and
+    cones, only its own extras: its trivial answers, its interval
+    pre-check and its [decide_vars] (the prefix plus the extras' new cone
+    variables, in one buffer the context keeps) cost what the extras
+    cost, not what the path does.
+
+    {b No sorted key.} The scratch route sorts and dedupes its conjuncts
+    into a canonical list because the order it asserts them in numbers its
+    CNF, and so fixes its models. Here the CNF is numbered by the order
+    terms were first guarded, and every pre-check answer depends only on
+    the set of conjuncts, so the sorted key is built only to stand as the
+    {!unsat_core} of an interval refutation. *)
 module Frames : sig
   type t
 
@@ -165,6 +186,8 @@ module Frames : sig
       [Invalid_argument] on an empty stack. *)
 
   val depth : t -> int
+  (** The number of frames. *)
+
   val path : t -> Term.t list
   (** Current frames, innermost first (the [State.path] orientation). *)
 
@@ -189,7 +212,20 @@ module Frames : sig
   val is_sat : ?conflict_limit:int -> t -> Term.t list -> bool
 
   val unsat_core : t -> Term.t list option
-  (** Terms behind the last [Unsat] answer of {!check}. *)
+  (** Terms behind the last [Unsat] answer of {!check}: the SAT core's
+      guarded terms, or, when the interval pre-check refuted the query,
+      every conjunct of the stack and the extras, flattened, deduped and
+      sorted ([List.sort_uniq Term.compare]). [None] after [Sat] or
+      [Unknown], and when some conjunct was literally [False]. *)
+
+  val decide_vars : t -> Term.t list -> int array
+  (** The variables a {!check} on these extras would restrict decisions
+      to, in order: guards (so translates) the extras, then returns a copy
+      of the frames' cone prefix followed by the extras' cone variables
+      ({!Bitblast.cone_of}) not yet listed. Test API. *)
+
+  val bitblast : t -> Bitblast.t
+  (** The context's bitblaster, for reading cones. Test API. *)
 
   val learnts : t -> int
   (** Learnt clauses currently retained by the context's SAT instance. *)

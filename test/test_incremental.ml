@@ -177,6 +177,141 @@ let qcheck_frames_model_restriction =
                    (frames @ extras)
           | Solver.Unsat | Solver.Unknown -> true))
 
+(* The state a frame carries is the state a check would rebuild from the
+   whole stack. Random push/pop/set_path sequences over bound atoms (and
+   some circuits), each check compared with a test-side recomputation:
+   - the decide variables are the cones ({!Bitblast.cone_of}) of the
+     frames, oldest first, then of the extras, each variable once, first
+     occurrence kept;
+   - the check answers Unsat without a SAT call exactly when
+     [Interval.definitely_unsat] holds on the frames plus extras;
+   - the core of such an answer is the flattened, deduped, sorted
+     conjunction ([None] when a conjunct is literally False). *)
+type bound_atom =
+  | BLt of int * int
+  | BEq of int * int
+  | BNe of int * int
+  | BTrue
+  | BFalse
+  | BAnd of bound_atom * bound_atom
+  | BOther of atom
+
+let rec build_bound vars = function
+  | BLt (i, k) -> Term.ult vars.(i) (Term.int ~width:8 k)
+  | BEq (i, k) -> Term.eq vars.(i) (Term.int ~width:8 k)
+  | BNe (i, k) -> Term.neq vars.(i) (Term.int ~width:8 k)
+  | BTrue -> Term.tru
+  | BFalse -> Term.fls
+  | BAnd (a, b) -> Term.and_ (build_bound vars a) (build_bound vars b)
+  | BOther a -> build_atom vars a
+
+let gen_bound_atom =
+  let open QCheck2.Gen in
+  let var = int_bound (n_vars - 1) and const = int_bound 6 in
+  let base =
+    frequency
+      [
+        (3, map2 (fun i k -> BLt (i, k)) var const);
+        (3, map2 (fun i k -> BEq (i, k)) var const);
+        (3, map2 (fun i k -> BNe (i, k)) var const);
+        (1, pure BTrue);
+        (1, pure BFalse);
+        (2, map (fun a -> BOther a) gen_atom);
+      ]
+  in
+  frequency [ (6, base); (1, map2 (fun a b -> BAnd (a, b)) base base) ]
+
+type frame_op =
+  | OPush of bound_atom
+  | OPop
+  | OSetPath of bound_atom list
+  | OCheck of bound_atom list
+
+let gen_frame_ops =
+  let open QCheck2.Gen in
+  let atoms n = list_size (int_bound n) gen_bound_atom in
+  list_size (int_range 1 14)
+    (frequency
+       [
+         (4, map (fun a -> OPush a) gen_bound_atom);
+         (2, pure OPop);
+         (1, map (fun l -> OSetPath l) (atoms 5));
+         (4, map (fun l -> OCheck l) (atoms 2));
+       ])
+
+(* [canonicalize], recomputed: [None] on a literal False. *)
+let flatten_conjuncts terms =
+  let rec go acc = function
+    | [] -> Some acc
+    | (t : Term.t) :: rest -> (
+        match t.Term.node with
+        | Term.True -> go acc rest
+        | Term.False -> None
+        | Term.And (a, b) -> go acc (a :: b :: rest)
+        | _ -> go (t :: acc) rest)
+  in
+  go [] terms
+
+let check_carried_state c extras =
+  let conjuncts = List.rev_append (Solver.Frames.path c) extras in
+  let decide = Solver.Frames.decide_vars c extras in
+  let expected =
+    let seen = Hashtbl.create 64 and out = ref [] in
+    List.iter
+      (fun t ->
+        Array.iter
+          (fun v ->
+            if not (Hashtbl.mem seen v) then begin
+              Hashtbl.replace seen v ();
+              out := v :: !out
+            end)
+          (Bitblast.cone_of (Solver.Frames.bitblast c) t))
+      conjuncts;
+    Array.of_list (List.rev !out)
+  in
+  let calls = (Solver.stats ()).Solver.sat_calls in
+  let answer = Solver.Frames.check c extras in
+  let no_sat_call = (Solver.stats ()).Solver.sat_calls = calls in
+  let refuted = Interval.definitely_unsat conjuncts in
+  let core_ok =
+    (not refuted)
+    ||
+    match (flatten_conjuncts conjuncts, Solver.Frames.unsat_core c) with
+    | None, None -> true
+    | Some flat, Some core ->
+        List.equal Term.equal (List.sort_uniq Term.compare flat) core
+    | _ -> false
+  in
+  decide = expected
+  && (answer = Solver.Unsat && no_sat_call) = refuted
+  && core_ok
+
+let qcheck_frames_carry_state =
+  QCheck2.Test.make ~name:"frames carry what a check would recompute"
+    ~count:150 gen_frame_ops (fun ops ->
+      with_sharing true (fun () ->
+          let vars = make_vars () in
+          let c = Solver.Frames.create () in
+          List.for_all
+            (fun op ->
+              let ok =
+                match op with
+                | OPush a ->
+                    Solver.Frames.push c (build_bound vars a);
+                    true
+                | OPop ->
+                    if Solver.Frames.depth c > 0 then Solver.Frames.pop c;
+                    true
+                | OSetPath l ->
+                    let path = List.map (build_bound vars) l in
+                    Solver.Frames.set_path c path;
+                    List.equal Term.equal (Solver.Frames.path c) path
+                | OCheck l -> check_carried_state c (List.map (build_bound vars) l)
+              in
+              ok
+              && Solver.Frames.depth c = List.length (Solver.Frames.path c))
+            ops))
+
 let test_set_path_mirrors_stack () =
   let vars = make_vars () in
   let a = Term.ult vars.(0) vars.(1) in
@@ -347,7 +482,11 @@ let () =
       qsuite "differential"
         [ qcheck_differential_sharing_on; qcheck_differential_sharing_off ];
       qsuite "frames"
-        [ qcheck_pop_restores_verdicts; qcheck_frames_model_restriction ];
+        [
+          qcheck_pop_restores_verdicts;
+          qcheck_frames_model_restriction;
+          qcheck_frames_carry_state;
+        ];
       ( "frame-stack",
         [
           Alcotest.test_case "set_path mirrors the DFS path" `Quick

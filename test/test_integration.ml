@@ -247,6 +247,76 @@ let test_layer_switches () =
   let digest, _, _ = run ~sharing:false `Pbft in
   Alcotest.(check string) "pbft: sharing off, same digest" pbft digest
 
+(* Forced context recycling: with the frame context's variable cap at 600,
+   the shared SAT instance is rebuilt many times per run, and each rebuild
+   re-pushes the live frames. Verdicts cannot move: each report equals the
+   default cap's run in this process (in-process runs name their fresh
+   variables differently from the CLI's, so the digests are compared, not
+   pinned). The SAT trajectory does move, and is pinned, from sliced,
+   fault-free runs like {!Goldens.sat_counters}. *)
+let test_context_recycling () =
+  let run ~cap target =
+    Solver.reset_all_for_tests ();
+    Term.reset_fresh_counter ();
+    Solver.set_fault_injection ();
+    Solver.set_context_var_cap cap;
+    let analysis =
+      match target with
+      | `Fsp ->
+          Achilles.analyze
+            ~search_config:{ fsp_config with Search.use_slice = true }
+            ~layout:Fsp_model.layout ~clients:(Fsp_model.clients ())
+            ~server:Fsp_model.server ()
+      | `Pbft ->
+          (* the local-state variable is made after the counter reset, so
+             no message variable shares its id *)
+          let interp =
+            Local_state.over_approximate ~vars:[ ("last_rid", 16) ]
+              Interp.default_config
+          in
+          Achilles.analyze
+            ~search_config:
+              {
+                Search.default_config with
+                Search.mask = Some Pbft_model.analysis_mask;
+                Search.interp = interp;
+                Search.witnesses_per_path = 16;
+                Search.use_slice = true;
+              }
+            ~layout:Pbft_model.layout ~clients:[ Pbft_model.client ]
+            ~server:Pbft_model.replica ()
+    in
+    let module Obs = Achilles_obs.Obs in
+    let resets =
+      Option.value ~default:0
+        (List.assoc_opt "solver.context_resets" (Obs.aggregate ()).Obs.counters)
+    in
+    let s = Solver.stats () in
+    ( analysis.Achilles.report,
+      resets,
+      (s.Solver.sat_conflicts, s.Solver.sat_decisions, s.Solver.sat_propagations)
+    )
+  in
+  let check_target name target ~resets:expected ~sat:expected_sat =
+    (* 200_000 is the documented default cap *)
+    let default, _, _ = run ~cap:200_000 target in
+    let report, resets, sat = run ~cap:600 target in
+    Alcotest.(check int) (name ^ ": context resets") expected resets;
+    Alcotest.(check string) (name ^ ": report digest as at the default cap")
+      (Report.report_digest default) (Report.report_digest report);
+    Alcotest.(check string) (name ^ ": verdict digest as at the default cap")
+      (Report.verdict_digest default) (Report.verdict_digest report);
+    Alcotest.(check (triple int int int)) (name ^ ": SAT counters")
+      expected_sat sat
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Solver.set_context_var_cap 200_000;
+      Solver.reset_all_for_tests ())
+  @@ fun () ->
+  check_target "fsp" `Fsp ~resets:78 ~sat:(1296, 35707, 259885);
+  check_target "pbft" `Pbft ~resets:13 ~sat:(37, 8353, 31466)
+
 let cli_binary =
   Filename.concat (Filename.dirname Sys.executable_name) "../bin/achilles_cli.exe"
 
@@ -581,6 +651,8 @@ let () =
             test_sharded_golden_digests;
           Alcotest.test_case "layer switches keep digests" `Slow
             test_layer_switches;
+          Alcotest.test_case "forced context recycling" `Slow
+            test_context_recycling;
         ] );
       ( "cli",
         [

@@ -386,7 +386,7 @@ let trajectory_corpus () =
         a.(i) <- a.(j);
         a.(j) <- x
       done;
-      a
+      (a, Array.length a)
     in
     let step ?assumptions ?decide_vars () =
       observe_solve s (Sat.solve ?assumptions ?decide_vars s)
@@ -424,7 +424,15 @@ let trajectory_corpus () =
     let vars = Array.init 200 (fun _ -> Sat.new_var s) in
     List.iter (Sat.add_clause s) (planted_3sat rand vars ~clauses:840);
     let order = Array.init 200 (fun i -> vars.((i * 67) mod 200)) in
-    observe_solve s (Sat.solve ~decide_vars:order s)
+    (* the variables sit in a longer buffer whose tail is not variables:
+       the solve reads the first 200 only, and writes into none *)
+    let buf = Array.append order [| 0; -1 |] in
+    let seen = observe_solve s (Sat.solve ~decide_vars:(buf, 200) s) in
+    Alcotest.(check (array int))
+      "restarted solve leaves the decide buffer as passed"
+      (Array.append order [| 0; -1 |])
+      buf;
+    seen
   in
   let reused_core () =
     (* an assumption core on an instance carrying learnts, saved phases and
