@@ -8,7 +8,9 @@ type entry = { repr : repr; lo : int; hi : int }
 type t = {
   sat : Sat.t;
   cache : entry Term.Tbl.t;
-  term_vars : (int, Term.var * repr) Hashtbl.t; (* term var id -> bits *)
+  term_vars : (int, Term.var * repr) Hashtbl.t;
+  (* term var id -> the var and its bits; two variables may not share an
+     id in one context *)
   cone_cache : int array Term.Tbl.t;
   (* memoized full translation cones of top-level (asserted/guarded) terms *)
   mutable true_lit : int;
@@ -370,7 +372,14 @@ and translate_uncached t (term : Term.t) : repr =
              if Bv.bit bv i then t.true_lit else -t.true_lit))
   | Var v -> (
       match Hashtbl.find_opt t.term_vars v.id with
-      | Some (_, r) -> r
+      | Some (v', r) ->
+          if not (String.equal v.name v'.name && Term.sort_equal v.sort v'.sort)
+          then
+            invalid_arg
+              (Printf.sprintf
+                 "Bitblast: variables %s and %s share id %d in one context"
+                 v'.name v.name v.id);
+          r
       | None ->
           let r =
             match v.sort with

@@ -1,24 +1,49 @@
 (* A MiniSat-style CDCL solver. Internal literals are encoded as
    [2*var + sign] with sign = 1 for negated, so [lit lxor 1] negates and
-   [lit lsr 1] recovers the variable. Variables are 1-based; index 0 of the
-   per-variable arrays is unused.
+   [lit lsr 1] recovers the variable. Variables are 1-based; slot 0 of the
+   per-variable stores is unused.
 
-   Clauses live in one flat [int array] arena and are named by the offset
-   of their header word:
+   Clauses live in one arena of packed 32-bit words, a [Bytes.t] read and
+   written with the bounds-checked [Bytes.get_int32_le]/[set_int32_le], and
+   are named by the word offset of their header:
 
-     arena.(c)        length lsl 2, lor [learnt_bit], lor [deleted_bit]
-     arena.(c + 1)    learnt id, indexing [cla_act] (unused by problem clauses)
-     arena.(c + 2..)  the literals; the first two are watched
+     word c          length lsl 2, lor [learnt_bit], lor [deleted_bit]
+     word c + 1      learnt id, indexing [cla_act] (0 for problem clauses)
+     words c + 2..   the literals; the first two are watched
 
    Watch lists, the clause and learnt vectors and [reason] hold offsets, so
    neither loading a clause nor propagating allocates a heap block per
-   clause. *)
+   clause. The per-variable state is packed the same way: [level], [reason]
+   and [heap_index] as 32-bit words, [activity] as a [Float.Array.t],
+   [assigns], [polarity] and [seen] as one byte each.
+
+   Every store is allocated uninitialised ([Bytes.create],
+   [Float.Array.create]) at the capacity [create] is given; a slot is
+   written when its variable or clause is made, and [reset] rewinds the
+   counts without touching a slot. None of these blocks is scanned by the
+   GC, and capacity never written is never faulted in, so a long-lived
+   instance can reserve far more than a run uses. Past its capacity a store
+   doubles, copying only the slots in use. Literals and offsets must fit a
+   signed 32-bit word: [new_var] and [alloc_clause] raise
+   [Invalid_argument] past [max_var] variables and [max_words] arena
+   words. *)
 
 let learnt_bit = 1
 let deleted_bit = 2
 
 (* An unassigned variable's byte in [assigns]. *)
 let unset = '\002'
+
+(* The largest variable whose negative literal [2v + 1] fits in a signed
+   32-bit word; the arena's offsets stay below [max_words], and a clause's
+   length must leave room for the header's two flag bits. *)
+let max_var = (1 lsl 30) - 1
+let max_words = (1 lsl 31) - 1
+let max_clause_len = (1 lsl 29) - 1
+
+(* Word [i] of a packed store. *)
+let[@inline] word b i = Int32.to_int (Bytes.get_int32_le b (i lsl 2))
+let[@inline] set_word b i x = Bytes.set_int32_le b (i lsl 2) (Int32.of_int x)
 
 (* Growable int vectors. *)
 module Vec = struct
@@ -52,7 +77,7 @@ end
 type t = {
   mutable ok : bool; (* false once a top-level conflict is found *)
   mutable nvars : int;
-  mutable arena : int array;
+  mutable arena : Bytes.t; (* packed 32-bit words *)
   mutable arena_size : int; (* words in use, live and deleted *)
   mutable garbage : int; (* words of deleted clauses not yet compacted *)
   mutable cla_act : float array; (* learnt clause activity, by learnt id *)
@@ -60,13 +85,14 @@ type t = {
   clauses : Vec.t;
   learnts : Vec.t;
   mutable watches : Vec.t array; (* indexed by internal literal *)
-  mutable assigns : Bytes.t; (* by var: 0 false / 1 true / [unset] *)
-  mutable level : int array;
-  mutable reason : int array; (* clause offset, -1 for none *)
-  mutable activity : float array;
-  mutable polarity : bool array; (* saved phase, by var *)
-  mutable seen : bool array; (* scratch for conflict analysis *)
-  mutable heap_index : int array; (* position in [heap], -1 if absent *)
+  (* by var, each with room for the same number of slots: *)
+  mutable assigns : Bytes.t; (* 0 false / 1 true / [unset] *)
+  mutable level : Bytes.t; (* 32-bit words *)
+  mutable reason : Bytes.t; (* 32-bit clause offsets, -1 for none *)
+  mutable activity : Float.Array.t;
+  mutable polarity : Bytes.t; (* saved phase, 1 for true *)
+  mutable seen : Bytes.t; (* scratch for conflict analysis, 1 when seen *)
+  mutable heap_index : Bytes.t; (* 32-bit positions in [heap], -1 if absent *)
   heap : Vec.t; (* binary max-heap of vars ordered by activity *)
   trail : Vec.t; (* assigned literals in order *)
   trail_lim : Vec.t; (* trail size at each decision level *)
@@ -81,55 +107,61 @@ type t = {
   mutable last_core : int list; (* internal lits; valid after assumption-UNSAT *)
 }
 
-let create () =
-  {
-    ok = true;
-    nvars = 0;
-    arena = [||];
-    arena_size = 0;
-    garbage = 0;
-    cla_act = [||];
-    n_learnt_ids = 0;
-    clauses = Vec.create ();
-    learnts = Vec.create ();
-    watches = Array.init 8 (fun _ -> Vec.create ());
-    assigns = Bytes.make 4 unset;
-    level = Array.make 4 0;
-    reason = Array.make 4 (-1);
-    activity = Array.make 4 0.;
-    polarity = Array.make 4 false;
-    seen = Array.make 4 false;
-    heap_index = Array.make 4 (-1);
-    heap = Vec.create ();
-    trail = Vec.create ();
-    trail_lim = Vec.create ();
-    lits = Vec.create ();
-    qhead = 0;
-    var_inc = 1.0;
-    cla_inc = 1.0;
-    n_conflicts = 0;
-    n_decisions = 0;
-    n_propagations = 0;
-    max_learnts = 0.;
-    last_core = [];
-  }
+(* The state [create] gives a variable. *)
+let init_var s v =
+  Bytes.set s.assigns v unset;
+  set_word s.level v 0;
+  set_word s.reason v (-1);
+  Float.Array.set s.activity v 0.;
+  Bytes.set_uint8 s.polarity v 0;
+  Bytes.set_uint8 s.seen v 0;
+  set_word s.heap_index v (-1)
+
+let create ?(vars = 3) ?(words = 0) () =
+  if vars < 0 || vars > max_var || words < 0 || words > max_words then
+    invalid_arg "Sat.create: capacity out of range";
+  let n = vars + 1 in
+  let s =
+    {
+      ok = true;
+      nvars = 0;
+      arena = Bytes.create (4 * words);
+      arena_size = 0;
+      garbage = 0;
+      cla_act = [||];
+      n_learnt_ids = 0;
+      clauses = Vec.create ();
+      learnts = Vec.create ();
+      watches = Array.init 8 (fun _ -> Vec.create ());
+      assigns = Bytes.create n;
+      level = Bytes.create (4 * n);
+      reason = Bytes.create (4 * n);
+      activity = Float.Array.create n;
+      polarity = Bytes.create n;
+      seen = Bytes.create n;
+      heap_index = Bytes.create (4 * n);
+      heap = Vec.create ();
+      trail = Vec.create ();
+      trail_lim = Vec.create ();
+      lits = Vec.create ();
+      qhead = 0;
+      var_inc = 1.0;
+      cla_inc = 1.0;
+      n_conflicts = 0;
+      n_decisions = 0;
+      n_propagations = 0;
+      max_learnts = 0.;
+      last_core = [];
+    }
+  in
+  init_var s 0;
+  s
 
 (* Back to the state [create] builds, keeping every buffer: the arena is
-   truncated, not freed. Only variables [0..nvars] and literals below
-   [2 * (nvars + 1)] were ever written, so restoring those prefixes
-   restores the whole arrays. *)
+   truncated, not freed. Each variable's slots, and the watch lists of its
+   two literals, are rewritten by [new_var] when it is made again, so
+   nothing indexed by variable is touched here. *)
 let reset s =
-  let n = s.nvars + 1 in
-  Bytes.fill s.assigns 0 n unset;
-  Array.fill s.level 0 n 0;
-  Array.fill s.reason 0 n (-1);
-  Array.fill s.activity 0 n 0.;
-  Array.fill s.polarity 0 n false;
-  Array.fill s.seen 0 n false;
-  Array.fill s.heap_index 0 n (-1);
-  for l = 0 to (2 * n) - 1 do
-    Vec.clear s.watches.(l)
-  done;
   s.arena_size <- 0;
   s.garbage <- 0;
   s.n_learnt_ids <- 0;
@@ -149,10 +181,12 @@ let reset s =
   s.max_learnts <- 0.;
   s.last_core <- []
 
-let grow_array make a n =
-  let a' = make n in
-  Array.blit a 0 a' 0 (Array.length a);
-  a'
+(* A copy of [b] with room for [n] bytes, of which the first [used] are
+   [b]'s; the rest is left uninitialised. *)
+let grow_bytes b n ~used =
+  let b' = Bytes.create n in
+  Bytes.blit b 0 b' 0 used;
+  b'
 
 (* --- activity order heap ------------------------------------------------ *)
 
@@ -165,50 +199,52 @@ let grow_array make a n =
 let heap_sift_up s i =
   let h = s.heap.Vec.data and act = s.activity and index = s.heap_index in
   let v = h.(i) in
-  let a = act.(v) in
+  let a = Float.Array.get act v in
   let i = ref i and rising = ref true in
   while !rising && !i > 0 do
     let parent = (!i - 1) / 2 in
     let p = h.(parent) in
-    if a > act.(p) then begin
+    if a > Float.Array.get act p then begin
       h.(!i) <- p;
-      index.(p) <- !i;
+      set_word index p !i;
       i := parent
     end
     else rising := false
   done;
   h.(!i) <- v;
-  index.(v) <- !i
+  set_word index v !i
 
 let heap_sift_down s i =
   let h = s.heap.Vec.data and n = s.heap.Vec.size in
   let act = s.activity and index = s.heap_index in
   let v = h.(i) in
-  let a = act.(v) in
+  let a = Float.Array.get act v in
   let i = ref i and moving = ref true in
   while !moving do
     let l = (2 * !i) + 1 in
     if l >= n then moving := false
     else begin
       let r = l + 1 in
-      let la = act.(h.(l)) in
+      let la = Float.Array.get act h.(l) in
       let best = if la > a then l else !i in
       let best_act = if la > a then la else a in
-      let best = if r < n && act.(h.(r)) > best_act then r else best in
+      let best =
+        if r < n && Float.Array.get act h.(r) > best_act then r else best
+      in
       if best = !i then moving := false
       else begin
         let b = h.(best) in
         h.(!i) <- b;
-        index.(b) <- !i;
+        set_word index b !i;
         i := best
       end
     end
   done;
   h.(!i) <- v;
-  index.(v) <- !i
+  set_word index v !i
 
 let heap_insert s v =
-  if s.heap_index.(v) = -1 then begin
+  if word s.heap_index v = -1 then begin
     Vec.push s.heap v;
     heap_sift_up s (Vec.size s.heap - 1)
   end
@@ -219,7 +255,7 @@ let heap_remove_max s =
   let top = h.(0) in
   let n = heap.Vec.size - 1 in
   heap.Vec.size <- n;
-  s.heap_index.(top) <- -1;
+  set_word s.heap_index top (-1);
   if n > 0 then begin
     h.(0) <- h.(n);
     heap_sift_down s 0
@@ -228,28 +264,40 @@ let heap_remove_max s =
 
 (* --- variables and values ----------------------------------------------- *)
 
-(* The per-variable arrays always share one length, the variable capacity,
-   and [watches] holds two literals per variable slot. *)
+(* Past the capacity, every per-variable store doubles together, copying
+   the slots of variables [0 .. nvars]. *)
+let grow_vars s n =
+  let used = s.nvars + 1 in
+  s.assigns <- grow_bytes s.assigns n ~used;
+  s.level <- grow_bytes s.level (4 * n) ~used:(4 * used);
+  s.reason <- grow_bytes s.reason (4 * n) ~used:(4 * used);
+  let activity = Float.Array.create n in
+  Float.Array.blit s.activity 0 activity 0 used;
+  s.activity <- activity;
+  s.polarity <- grow_bytes s.polarity n ~used;
+  s.seen <- grow_bytes s.seen n ~used;
+  s.heap_index <- grow_bytes s.heap_index (4 * n) ~used:(4 * used)
+
+(* The watch table is not reserved (each list is a block of its own); it
+   doubles as variables arrive, and a new variable's two lists, which may
+   hold entries from before a [reset], are emptied. *)
 let new_var s =
-  s.nvars <- s.nvars + 1;
-  let v = s.nvars in
-  let cap = Bytes.length s.assigns in
-  if v >= cap then begin
-    let n = max (v + 1) (2 * cap) in
-    let assigns = Bytes.make n unset in
-    Bytes.blit s.assigns 0 assigns 0 cap;
-    s.assigns <- assigns;
-    s.level <- grow_array (fun n -> Array.make n 0) s.level n;
-    s.reason <- grow_array (fun n -> Array.make n (-1)) s.reason n;
-    s.activity <- grow_array (fun n -> Array.make n 0.) s.activity n;
-    s.polarity <- grow_array (fun n -> Array.make n false) s.polarity n;
-    s.seen <- grow_array (fun n -> Array.make n false) s.seen n;
-    s.heap_index <- grow_array (fun n -> Array.make n (-1)) s.heap_index n;
+  let v = s.nvars + 1 in
+  if v > max_var then invalid_arg "Sat.new_var: past the 32-bit literal range";
+  let slots = Bytes.length s.assigns in
+  if v >= slots then grow_vars s (max (v + 1) (2 * slots));
+  let w = Array.length s.watches in
+  if (2 * v) + 1 >= w then begin
     let old = s.watches in
     s.watches <-
-      Array.init (2 * n) (fun i ->
-          if i < Array.length old then old.(i) else Vec.create ())
+      Array.init
+        (max ((2 * v) + 2) (2 * w))
+        (fun i -> if i < w then old.(i) else Vec.create ())
   end;
+  s.nvars <- v;
+  init_var s v;
+  Vec.clear s.watches.(2 * v);
+  Vec.clear s.watches.((2 * v) + 1);
   heap_insert s v;
   v
 
@@ -272,8 +320,8 @@ let decision_level s = Vec.size s.trail_lim
 let enqueue s l reason =
   let v = l lsr 1 in
   Bytes.set_uint8 s.assigns v (1 lxor (l land 1));
-  s.level.(v) <- decision_level s;
-  s.reason.(v) <- reason;
+  set_word s.level v (decision_level s);
+  set_word s.reason v reason;
   Vec.push s.trail l
 
 let cancel_until s lvl =
@@ -283,9 +331,9 @@ let cancel_until s lvl =
     let assigns = s.assigns and polarity = s.polarity and reason = s.reason in
     for i = Vec.size s.trail - 1 downto bound do
       let v = trail.(i) lsr 1 in
-      polarity.(v) <- Bytes.get_uint8 assigns v = 1;
+      Bytes.set_uint8 polarity v (Bytes.get_uint8 assigns v);
       Bytes.set assigns v unset;
-      reason.(v) <- -1;
+      set_word reason v (-1);
       heap_insert s v
     done;
     Vec.shrink s.trail bound;
@@ -295,46 +343,58 @@ let cancel_until s lvl =
 
 (* --- clause arena --------------------------------------------------------- *)
 
-let clause_len s c = s.arena.(c) lsr 2
-let is_learnt s c = s.arena.(c) land learnt_bit <> 0
+let clause_len s c = word s.arena c lsr 2
+let is_learnt s c = word s.arena c land learnt_bit <> 0
 
 (* Copy the first [k] literals of [s.lits] into the arena as a new clause;
-   a learnt clause also gets the next learnt id, with zero activity. *)
+   a learnt clause also gets the next learnt id, with zero activity. Past
+   the arena's capacity it doubles, copying the words in use. *)
 let alloc_clause s ~learnt k =
   let c = s.arena_size in
   let need = c + 2 + k in
-  if need > Array.length s.arena then
-    s.arena <- grow_array (fun n -> Array.make n 0) s.arena (max need (max 1024 (2 * c)));
-  s.arena.(c) <- (k lsl 2) lor (if learnt then learnt_bit else 0);
-  Array.blit s.lits.data 0 s.arena (c + 2) k;
+  if k > max_clause_len || need > max_words then
+    invalid_arg "Sat: clause past the 32-bit offset range";
+  if 4 * need > Bytes.length s.arena then begin
+    let n = min max_words (max need (max 1024 (2 * c))) in
+    s.arena <- grow_bytes s.arena (4 * n) ~used:(4 * c)
+  end;
+  let a = s.arena and lits = s.lits.data in
+  set_word a c ((k lsl 2) lor if learnt then learnt_bit else 0);
+  for i = 0 to k - 1 do
+    set_word a (c + 2 + i) lits.(i)
+  done;
   s.arena_size <- need;
   if learnt then begin
     let id = s.n_learnt_ids in
-    if id = Array.length s.cla_act then
-      s.cla_act <- grow_array (fun n -> Array.make n 0.) s.cla_act (max 64 (2 * id));
+    if id = Array.length s.cla_act then begin
+      let act = Array.make (max 64 (2 * id)) 0. in
+      Array.blit s.cla_act 0 act 0 id;
+      s.cla_act <- act
+    end;
     s.cla_act.(id) <- 0.;
-    s.arena.(c + 1) <- id;
+    set_word a (c + 1) id;
     s.n_learnt_ids <- id + 1
-  end;
+  end
+  else set_word a (c + 1) 0;
   c
 
 (* --- clause management --------------------------------------------------- *)
 
 let attach_clause s c =
-  Vec.push s.watches.(s.arena.(c + 2) lxor 1) c;
-  Vec.push s.watches.(s.arena.(c + 3) lxor 1) c
+  Vec.push s.watches.(word s.arena (c + 2) lxor 1) c;
+  Vec.push s.watches.(word s.arena (c + 3) lxor 1) c
 
 let var_bump s v =
   let act = s.activity in
-  let a = act.(v) +. s.var_inc in
-  act.(v) <- a;
+  let a = Float.Array.get act v +. s.var_inc in
+  Float.Array.set act v a;
   if a > 1e100 then begin
     for i = 1 to s.nvars do
-      act.(i) <- act.(i) *. 1e-100
+      Float.Array.set act i (Float.Array.get act i *. 1e-100)
     done;
     s.var_inc <- s.var_inc *. 1e-100
   end;
-  let i = s.heap_index.(v) in
+  let i = word s.heap_index v in
   if i >= 0 then heap_sift_up s i
 
 let var_decay s = s.var_inc <- s.var_inc /. 0.95
@@ -344,11 +404,11 @@ let var_decay s = s.var_inc <- s.var_inc /. 0.95
    that first bump overflows. *)
 let cla_bump s c =
   let act = s.cla_act in
-  let id = s.arena.(c + 1) in
+  let id = word s.arena (c + 1) in
   act.(id) <- act.(id) +. s.cla_inc;
   if act.(id) > 1e20 then begin
     for i = 0 to Vec.size s.learnts - 1 do
-      let id = s.arena.(Vec.get s.learnts i + 1) in
+      let id = word s.arena (Vec.get s.learnts i + 1) in
       act.(id) <- act.(id) *. 1e-20
     done;
     s.cla_inc <- s.cla_inc *. 1e-20
@@ -417,7 +477,7 @@ let add_clause3 s a b c =
 (* --- propagation --------------------------------------------------------- *)
 
 (* Returns the conflicting clause, or -1. The arena, the per-variable
-   arrays and the watch table do not grow while propagating, and no watch
+   stores and the watch table do not grow while propagating, and no watch
    list receives a clause while it is the one being scanned, so all of them
    can be held across the loop; only the trail's buffer can grow. A literal
    [l] is false when its variable's byte in [assigns] is [l land 1], and
@@ -446,11 +506,11 @@ let propagate s =
       let l0 = c + 2 in
       (* ensure the false literal is the second one *)
       let first =
-        let x = a.(l0) in
+        let x = word a l0 in
         if x = falsified then begin
-          let y = a.(l0 + 1) in
-          a.(l0) <- y;
-          a.(l0 + 1) <- falsified;
+          let y = word a (l0 + 1) in
+          set_word a l0 y;
+          set_word a (l0 + 1) falsified;
           y
         end
         else x
@@ -463,13 +523,13 @@ let propagate s =
       end
       else begin
         (* look for a new literal to watch *)
-        let last = l0 + (a.(c) lsr 2) in
+        let last = l0 + (word a c lsr 2) in
         let j = ref (l0 + 2) in
         while !j < last do
-          let lj = a.(!j) in
+          let lj = word a !j in
           if Bytes.get_uint8 assigns (lj lsr 1) <> lj land 1 then begin
-            a.(l0 + 1) <- lj;
-            a.(!j) <- falsified;
+            set_word a (l0 + 1) lj;
+            set_word a !j falsified;
             Vec.push watches.(lj lxor 1) c;
             j := max_int
           end
@@ -492,8 +552,8 @@ let propagate s =
           else begin
             let v = first lsr 1 in
             Bytes.set_uint8 assigns v (fbit lxor 1);
-            level.(v) <- dl;
-            reason.(v) <- c;
+            set_word level v dl;
+            set_word reason v c;
             Vec.push trail first
           end
         end
@@ -527,13 +587,13 @@ let analyze s confl =
     if is_learnt s c' then cla_bump s c';
     let base = c' + 2 in
     let start = if !p = -1 then 0 else 1 in
-    for j = base + start to base + (a.(c') lsr 2) - 1 do
-      let q = a.(j) in
+    for j = base + start to base + (word a c' lsr 2) - 1 do
+      let q = word a j in
       let v = q lsr 1 in
-      let lv = level.(v) in
-      if (not seen.(v)) && lv > 0 then begin
+      let lv = word level v in
+      if Bytes.get_uint8 seen v = 0 && lv > 0 then begin
         var_bump s v;
-        seen.(v) <- true;
+        Bytes.set_uint8 seen v 1;
         if lv >= dl then incr path_count
         else begin
           Vec.push out q;
@@ -542,16 +602,16 @@ let analyze s confl =
       end
     done;
     (* select next literal to expand from the trail *)
-    while not seen.(trail.(!index) lsr 1) do
+    while Bytes.get_uint8 seen (trail.(!index) lsr 1) = 0 do
       decr index
     done;
     let l = trail.(!index) in
     decr index;
     p := l;
-    seen.(l lsr 1) <- false;
+    Bytes.set_uint8 seen (l lsr 1) 0;
     decr path_count;
     if !path_count > 0 then begin
-      c := s.reason.(l lsr 1);
+      c := word s.reason (l lsr 1);
       assert (!c >= 0)
     end
     else continue := false
@@ -559,7 +619,7 @@ let analyze s confl =
   let d = out.data and n = Vec.size out in
   d.(0) <- !p lxor 1;
   for i = 1 to n - 1 do
-    seen.(d.(i) lsr 1) <- false
+    Bytes.set_uint8 seen (d.(i) lsr 1) 0
   done;
   (* reverse the found-order tail *)
   let i = ref 1 and j = ref (n - 1) in
@@ -577,8 +637,8 @@ let analyze s confl =
 (* The clause is the reason for its first literal, which is assigned: it
    must stay, or conflict analysis would follow a deleted reason. *)
 let locked s c =
-  let l0 = s.arena.(c + 2) in
-  lit_val s l0 = 1 && s.reason.(l0 lsr 1) = c
+  let l0 = word s.arena (c + 2) in
+  lit_val s l0 = 1 && word s.reason (l0 lsr 1) = c
 
 let remove_watch s l c =
   let ws = s.watches.(l) in
@@ -594,9 +654,9 @@ let remove_watch s l c =
   Vec.shrink ws !kept
 
 let delete_clause s c =
-  remove_watch s (s.arena.(c + 2) lxor 1) c;
-  remove_watch s (s.arena.(c + 3) lxor 1) c;
-  s.arena.(c) <- s.arena.(c) lor deleted_bit;
+  remove_watch s (word s.arena (c + 2) lxor 1) c;
+  remove_watch s (word s.arena (c + 3) lxor 1) c;
+  set_word s.arena c (word s.arena c lor deleted_bit);
   s.garbage <- s.garbage + 2 + clause_len s c
 
 (* Slide the live clauses down over the deleted ones, keeping their order,
@@ -607,26 +667,31 @@ let compact s =
   let a = s.arena and size = s.arena_size in
   let dst = ref 0 and off = ref 0 in
   while !off < size do
-    let words = (a.(!off) lsr 2) + 2 in
-    if a.(!off) land deleted_bit = 0 then begin
-      a.(!off + 1) <- !dst;
+    let header = word a !off in
+    let words = (header lsr 2) + 2 in
+    if header land deleted_bit = 0 then begin
+      set_word a (!off + 1) !dst;
       dst := !dst + words
     end;
     off := !off + words
   done;
-  let forward c = a.(c + 1) in
+  let forward c = word a (c + 1) in
   for l = 0 to (2 * (s.nvars + 1)) - 1 do
     Vec.map_inplace forward s.watches.(l)
   done;
+  let reason = s.reason in
   for v = 1 to s.nvars do
-    if s.reason.(v) >= 0 then s.reason.(v) <- forward s.reason.(v)
+    let r = word reason v in
+    if r >= 0 then set_word reason v (forward r)
   done;
   Vec.map_inplace forward s.clauses;
   Vec.map_inplace forward s.learnts;
   off := 0;
   while !off < size do
-    let words = (a.(!off) lsr 2) + 2 in
-    if a.(!off) land deleted_bit = 0 then Array.blit a !off a (forward !off) words;
+    let header = word a !off in
+    let words = (header lsr 2) + 2 in
+    if header land deleted_bit = 0 then
+      Bytes.blit a (4 * !off) a (4 * forward !off) (4 * words);
     off := !off + words
   done;
   s.arena_size <- !dst;
@@ -639,7 +704,7 @@ let reduce_db s =
   let n = Vec.size s.learnts in
   let arr = Array.sub s.learnts.data 0 n in
   let act = s.cla_act in
-  let activity c = act.(s.arena.(c + 1)) in
+  let activity c = act.(word s.arena (c + 1)) in
   Array.sort (fun a b -> Float.compare (activity a) (activity b)) arr;
   Vec.clear s.learnts;
   let limit = s.cla_inc /. float_of_int (max n 1) in
@@ -657,7 +722,7 @@ let reduce_db s =
   if 2 * s.garbage > s.arena_size then compact s;
   for i = 0 to n_kept - 1 do
     act.(i) <- kept.(i);
-    s.arena.(Vec.get s.learnts i + 1) <- i
+    set_word s.arena (Vec.get s.learnts i + 1) i
   done;
   s.n_learnt_ids <- n_kept
 
@@ -723,22 +788,22 @@ let luby y x =
    assumptions. *)
 let seed_final s l =
   let v = l lsr 1 in
-  if s.level.(v) > 0 then s.seen.(v) <- true
+  if word s.level v > 0 then Bytes.set_uint8 s.seen v 1
 
 let analyze_final s =
   let core = ref [] in
   for i = Vec.size s.trail - 1 downto 0 do
     let l = Vec.get s.trail i in
     let v = l lsr 1 in
-    if s.seen.(v) then begin
-      let r = s.reason.(v) in
+    if Bytes.get_uint8 s.seen v = 1 then begin
+      let r = word s.reason v in
       if r < 0 then core := l :: !core (* a decision: an assumption *)
       else
         for j = r + 2 to r + 1 + clause_len s r do
-          let v' = s.arena.(j) lsr 1 in
-          if v' <> v && s.level.(v') > 0 then s.seen.(v') <- true
+          let v' = word s.arena j lsr 1 in
+          if v' <> v && word s.level v' > 0 then Bytes.set_uint8 s.seen v' 1
         done;
-      s.seen.(v) <- false
+      Bytes.set_uint8 s.seen v 0
     end
   done;
   !core
@@ -765,7 +830,7 @@ let search s ~assumptions ~order ~max_conflicts =
         (* the conflict depends only on assumption decisions and their
            consequences: the query is unsatisfiable under them *)
         for j = confl + 2 to confl + 1 + clause_len s confl do
-          seed_final s s.arena.(j)
+          seed_final s (word s.arena j)
         done;
         s.last_core <- analyze_final s;
         raise Assumption_conflict
@@ -827,7 +892,7 @@ let search s ~assumptions ~order ~max_conflicts =
       else begin
         s.n_decisions <- s.n_decisions + 1;
         Vec.push s.trail_lim (Vec.size s.trail);
-        let l = if s.polarity.(v) then 2 * v else (2 * v) + 1 in
+        let l = (2 * v) + 1 - Bytes.get_uint8 s.polarity v in
         enqueue s l (-1);
         loop ()
       end
@@ -881,7 +946,10 @@ let solve ?conflict_limit ?deadline ?(assumptions = []) ?decide_vars s =
               o.owned <- true
             end;
             Array.sort
-              (fun a b -> compare s.activity.(b) s.activity.(a))
+              (fun a b ->
+                Float.compare
+                  (Float.Array.get s.activity b)
+                  (Float.Array.get s.activity a))
               o.vars
         | _ -> ());
         let inner = int_of_float (100. *. luby 2. i) in

@@ -12,13 +12,27 @@
     (unless the instance itself became unsatisfiable, which subsequent
     calls report).
 
-    {b Representation.} Clauses live in one growable [int array] arena —
-    per clause a header word (length and flags), a learnt-id word (indexing
-    a float array of learnt activities) and the literals — and are named
-    by their offset. Watch lists, reasons and the clause and learnt
+    {b Representation.} Clauses live in one arena of packed 32-bit words
+    (a [Bytes.t], read with bounds-checked [Bytes.get_int32_le]) — per
+    clause a header word (length and flags), a learnt-id word (indexing a
+    float array of learnt activities) and the literals — and are named by
+    their word offset. Watch lists, reasons and the clause and learnt
     vectors are int vectors of offsets, so loading and searching allocate
-    no heap block per clause. {!reset} truncates the arena; learnt-clause
+    no heap block per clause. The per-variable state is packed too: 32-bit
+    levels, reasons and heap positions, a [Float.Array.t] of activities
+    and one byte each for the value, the saved phase and the analysis mark.
+    {!reset} rewinds the counts and truncates the arena; learnt-clause
     reduction compacts it once more than half of it is garbage.
+
+    {b Reservation.} {!create} allocates every store at the capacity it is
+    given and leaves it uninitialised: a slot is written when its variable
+    or clause is made. None of these stores is scanned by the GC, and
+    capacity that is never written costs no memory page, so a long-lived
+    instance reserves room for its largest expected problem once and then
+    never copies or re-initialises a store; past the capacity, a store
+    doubles, copying only what is in use. Literals and offsets must fit a
+    signed 32-bit word, which bounds an instance at [2{^30} - 1] variables
+    and [2{^31} - 1] arena words.
 
     {b Trajectory contract.} The representation is not observable: the
     literal order inside each clause, the watch-list visit and compaction
@@ -51,7 +65,12 @@
 
 type t
 
-val create : unit -> t
+val create : ?vars:int -> ?words:int -> unit -> t
+(** An empty instance with room for [vars] variables (default 3) and
+    [words] arena words (default 0) before any store grows. The capacity
+    is reserved, not initialised, and is not observable: every instance
+    searches alike whatever its capacity. Raises [Invalid_argument] if
+    either is negative or past the 32-bit bounds above. *)
 
 val reset : t -> unit
 (** Return the instance to exactly the state {!create} builds — no
@@ -61,14 +80,17 @@ val reset : t -> unit
     instance. *)
 
 val new_var : t -> int
-(** Allocate a fresh variable; returns its (positive) index, starting at 1. *)
+(** Allocate a fresh variable; returns its (positive) index, starting at 1.
+    Raises [Invalid_argument] past [2{^30} - 1] variables, where a literal
+    would leave the 32-bit range. *)
 
 val num_vars : t -> int
 
 val add_clause : t -> int list -> unit
 (** Add a clause. Adding the empty clause (or only falsified literals at
     level 0) makes the instance unsatisfiable. Raises [Invalid_argument] on
-    literals naming unallocated variables. *)
+    literals naming unallocated variables, or when the clause would take
+    the arena past [2{^31} - 1] words. *)
 
 val add_clause3 : t -> int -> int -> int -> unit
 (** [add_clause] for a clause of three literals, without building a list:

@@ -103,8 +103,8 @@ type frame = {
    variables. Lives in [state]; see the [Frames] module below for the
    operations. *)
 type frames_ctx = {
-  mutable fc_sat : Sat.t;
-  mutable fc_bb : Bitblast.t;
+  fc_sat : Sat.t;
+  fc_bb : Bitblast.t;
   fc_guards : int Term.Tbl.t; (* term -> activation var *)
   fc_guard_terms : (int, Term.t) Hashtbl.t; (* reverse, for unsat cores *)
   mutable fc_frames : frame list; (* innermost first (as State.path) *)
@@ -121,12 +121,14 @@ type frames_ctx = {
 }
 
 (* The solver's one mutable state: statistics, ambient budget, fault PRNG
-   and the two SAT instances. *)
+   and the two SAT instances, each built on first use and then kept for
+   the life of the process. *)
 type solver_state = {
   sstats : stats;
   mutable sbudget : budget option;
   mutable sfault : Random.State.t option; (* seeded on the first draw *)
-  mutable sframes : frames_ctx option; (* lazily-built incremental context *)
+  mutable sframes : frames_ctx option; (* the incremental context *)
+  mutable sframes_live : bool; (* [sframes] used since it was last cleared *)
   mutable sscratch : Bitblast.t option; (* scratch-route instance, reset per query *)
   mutable sscratch_busy : bool;
 }
@@ -137,6 +139,7 @@ let state =
     sbudget = None;
     sfault = None;
     sframes = None;
+    sframes_live = false;
     sscratch = None;
     sscratch_busy = false;
   }
@@ -169,27 +172,29 @@ let reset_stats () = reset_one (stats ())
 
 let aggregate_stats () = { state.sstats with queries = state.sstats.queries }
 
-(* The incremental context caches CNF, guard variables and learnt clauses
-   keyed by term structure: kept, it would leave the long-lived SAT instance
-   holding guards for terms from the configuration being abandoned — and
-   after a [Term.clear_interning] those structural keys can collide with
-   fresh terms. The next incremental check lazily rebuilds a fresh context.
-   The scratch instance holds no results, only buffers sized to the largest
-   query so far; a query running on it keeps its own reference, and the
-   next query builds a fresh instance. *)
-let reset_contexts () =
-  state.sframes <- None;
-  state.sscratch <- None
+(* Contexts are recycled once the SAT instance accumulates this many
+   variables: every CDCL answer assigns all variables, so an instance that
+   grew unboundedly across an entire run would make even trivial checks pay
+   for every query that came before. Recycling re-asserts only the current
+   stack (the bitblast cache is rebuilt on demand). *)
+let context_var_cap = ref 200_000
 
-let reset_all_for_tests () =
-  reset_one state.sstats;
-  reset_contexts ();
-  Term.clear_interning ();
-  Bitblast.reset_memo_stats ();
-  Obs.reset_all ()
+let set_context_var_cap n =
+  if n < 1 then invalid_arg "Solver.set_context_var_cap";
+  context_var_cap := n
 
-let aggregate_incremental_contexts () =
-  match state.sframes with Some _ -> 1 | None -> 0
+(* Arena words reserved per reserved variable. On FSP, the frame context
+   and the largest scratch query each peak at about 15 words per variable,
+   learnt clauses included (131k words for 9.5k variables, 15k for 1k). *)
+let reserved_words_per_var = 20
+
+(* A SAT instance for one of the two long-lived routes, with room reserved
+   for a frame context at its recycling bound. The reservation is address
+   space: a page of it is committed when first written, so a run pays only
+   for the storage it uses, and no store is copied before the bound. *)
+let reserved_sat () =
+  let vars = !context_var_cap in
+  Sat.create ~vars ~words:(reserved_words_per_var * vars) ()
 
 (* --- incremental-solving switch --------------------------------------------
 
@@ -308,7 +313,7 @@ let with_budget ~conflict_limit attempt =
    scratch instance reset to the state a fresh one has: models depend only
    on the query, and the instance's buffers are reused rather than
    reallocated per query. A re-entrant call, which would reset the instance
-   under its caller, gets a fresh instance instead. *)
+   under its caller, gets a fresh (unreserved) instance instead. *)
 let with_scratch f =
   if state.sscratch_busy then f (Bitblast.create (Sat.create ()))
   else begin
@@ -318,7 +323,7 @@ let with_scratch f =
           Bitblast.reset bb;
           bb
       | None ->
-          let bb = Bitblast.create (Sat.create ()) in
+          let bb = Bitblast.create (reserved_sat ()) in
           state.sscratch <- Some bb;
           bb
     in
@@ -451,17 +456,6 @@ let enumerate ?site ~model_vars ~limit base on_model =
    is why report digests are byte-identical with incrementality on or
    off. *)
 
-(* Contexts are recycled once the SAT instance accumulates this many
-   variables: every CDCL answer assigns all variables, so an instance that
-   grew unboundedly across an entire run would make even trivial checks pay
-   for every query that came before. Recycling re-asserts only the current
-   stack (the bitblast cache is rebuilt on demand). *)
-let context_var_cap = ref 200_000
-
-let set_context_var_cap n =
-  if n < 1 then invalid_arg "Solver.set_context_var_cap";
-  context_var_cap := n
-
 module Frames = struct
   type t = frames_ctx
 
@@ -470,7 +464,7 @@ module Frames = struct
   let in_prefix = -1
 
   let create () =
-    let sat = Sat.create () in
+    let sat = reserved_sat () in
     {
       fc_sat = sat;
       fc_bb = Bitblast.create sat;
@@ -486,12 +480,32 @@ module Frames = struct
     }
 
   let current () =
-    match state.sframes with
-    | Some c -> c
-    | None ->
-        let c = create () in
-        state.sframes <- Some c;
-        c
+    let c =
+      match state.sframes with
+      | Some c -> c
+      | None ->
+          let c = create () in
+          state.sframes <- Some c;
+          c
+    in
+    state.sframes_live <- true;
+    c
+
+  (* Back to the state [create] builds, on the same SAT instance and
+     buffers: [Bitblast.reset] restores the fresh instance exactly, and
+     only the [fc_listed] slots of the instance's variables were ever
+     marked. The check stamp runs on; stamps only need to differ from the
+     marks left in [fc_listed]. *)
+  let clear c =
+    let n = min (Array.length c.fc_listed) (Sat.num_vars c.fc_sat + 1) in
+    Array.fill c.fc_listed 0 n 0;
+    Bitblast.reset c.fc_bb;
+    Term.Tbl.reset c.fc_guards;
+    Hashtbl.reset c.fc_guard_terms;
+    c.fc_frames <- [];
+    c.fc_depth <- 0;
+    c.fc_cone_len <- 0;
+    c.fc_last_core <- None
 
   (* Activation variable implying the term; allocated (and the implication
      clause added) once per context, then reused by every later frame or
@@ -563,21 +577,13 @@ module Frames = struct
       :: c.fc_frames;
     c.fc_depth <- c.fc_depth + 1
 
-  (* A fresh instance, with the live frames re-entered oldest first: their
-     guards, and so the carried cone prefix, are renumbered. *)
+  (* The context cleared back to a fresh instance, with the live frames
+     re-entered oldest first: their guards, and so the carried cone
+     prefix, are renumbered. *)
   let recycle c =
     Obs.count "solver.context_resets";
-    let sat = Sat.create () in
-    c.fc_sat <- sat;
-    c.fc_bb <- Bitblast.create sat;
-    Term.Tbl.reset c.fc_guards;
-    Hashtbl.reset c.fc_guard_terms;
-    c.fc_last_core <- None;
     let frames = c.fc_frames in
-    c.fc_frames <- [];
-    c.fc_depth <- 0;
-    c.fc_cone_len <- 0;
-    Array.fill c.fc_listed 0 (Array.length c.fc_listed) 0;
+    clear c;
     List.iter (fun f -> enter c f.fr_term) (List.rev frames)
 
   let push c term =
@@ -744,6 +750,29 @@ module Frames = struct
   let unsat_core c = c.fc_last_core
 end
 
+(* The incremental context caches CNF, guard variables and learnt clauses
+   keyed by term structure: kept, it would leave the long-lived SAT instance
+   holding guards for terms from the configuration being abandoned — and
+   after a [Term.clear_interning] those structural keys can collide with
+   fresh terms. So the context is cleared back to the fresh state, on the
+   same instance, and counts as live again on its next check. The scratch
+   instance holds no results (every query resets it first); it is reset
+   here too, to let go of the abandoned terms, unless an enumeration
+   session is running on it. *)
+let reset_contexts () =
+  Option.iter Frames.clear state.sframes;
+  state.sframes_live <- false;
+  if not state.sscratch_busy then Option.iter Bitblast.reset state.sscratch
+
+let reset_all_for_tests () =
+  reset_one state.sstats;
+  reset_contexts ();
+  Term.clear_interning ();
+  Bitblast.reset_memo_stats ();
+  Obs.reset_all ()
+
+let aggregate_incremental_contexts () = if state.sframes_live then 1 else 0
+
 let check_assuming ?site ?conflict_limit ?model_vars ?(path = []) extras =
   if not (incremental_enabled ()) then check ?site ?conflict_limit (extras @ path)
   else begin
@@ -759,7 +788,4 @@ let is_sat_assuming ?site ?path terms =
 
 let last_assumption_core () =
   if not (incremental_enabled ()) then None
-  else
-    match state.sframes with
-    | None -> None
-    | Some c -> Frames.unsat_core c
+  else Option.bind state.sframes Frames.unsat_core

@@ -138,14 +138,17 @@ val last_assumption_core : unit -> Term.t list option
     when the conflict was found before reaching the SAT core machinery. *)
 
 val set_context_var_cap : int -> unit
-(** Variable count at which the incremental context is recycled
-    (rebuilt fresh, re-asserting only the live frames) — bounds the cost
-    unrelated accumulated CNF imposes on every later check. Default
-    200_000. Raises [Invalid_argument] on a non-positive cap. Test API. *)
+(** Variable count at which the incremental context is recycled (its
+    instance reset to the fresh state, re-asserting only the live frames)
+    — bounds the cost unrelated accumulated CNF imposes on every later
+    check. Default 200_000. The frame context and the scratch instance
+    reserve SAT storage for this many variables when they are first
+    built; past it, their stores double. Raises [Invalid_argument] on a
+    non-positive cap. Test API. *)
 
 val aggregate_incremental_contexts : unit -> int
-(** 1 while the shared incremental context exists, 0 right after
-    {!reset_contexts} / {!reset_all_for_tests}, which drop it. *)
+(** 1 once the shared incremental context has been used, 0 right after
+    {!reset_contexts} / {!reset_all_for_tests}, which clear it. *)
 
 (** Explicit handle on the frame-stack machinery backing {!check_assuming}
     — the differential test harness drives it directly.
@@ -316,6 +319,7 @@ val reset_all_for_tests : unit -> unit
     test suites are order-independent. *)
 
 val reset_contexts : unit -> unit
-(** Drop the incremental frame context and the scratch instance; each is
-    rebuilt fresh on its next use, so no guard built under an abandoned
-    configuration survives. *)
+(** Clear the incremental frame context and the scratch instance back to
+    the state a fresh one has ([Bitblast.reset]), so no guard built under
+    an abandoned configuration survives. The instances and their reserved
+    storage are kept: each is built once per process. *)

@@ -394,7 +394,9 @@ type setup = {
   clients : Ast.program list;
   server : Ast.program;
   mask : string list option;
-  interp : Interp.config;
+  interp : unit -> Interp.config;
+  (* built after the run's fresh-variable counter is reset, so a
+     local-state variable shares its id with no message variable *)
   client_interp : Interp.config option;
 }
 
@@ -406,7 +408,7 @@ let setups =
       clients = Fsp_model.clients ();
       server = Fsp_model.server;
       mask = Some Fsp_model.analysis_mask;
-      interp = Interp.default_config;
+      interp = (fun () -> Interp.default_config);
       client_interp = None;
     };
     {
@@ -416,8 +418,9 @@ let setups =
       server = Pbft_model.replica;
       mask = Some Pbft_model.analysis_mask;
       interp =
-        Local_state.over_approximate ~vars:[ ("last_rid", 16) ]
-          Interp.default_config;
+        (fun () ->
+          Local_state.over_approximate ~vars:[ ("last_rid", 16) ]
+            Interp.default_config);
       client_interp = None;
     };
     {
@@ -427,10 +430,11 @@ let setups =
       server = Kv_model.server;
       mask = Some Kv_model.analysis_mask;
       interp =
-        {
-          Interp.default_config with
-          Interp.auto_classify = Some Kv_model.auto_classifier;
-        };
+        (fun () ->
+          {
+            Interp.default_config with
+            Interp.auto_classify = Some Kv_model.auto_classifier;
+          });
       client_interp = None;
     };
     {
@@ -439,7 +443,7 @@ let setups =
       clients = [ Gossip_model.reporter ];
       server = Gossip_model.aggregator ~hardened:false ();
       mask = Some Gossip_model.analysis_mask;
-      interp = Interp.default_config;
+      interp = (fun () -> Interp.default_config);
       client_interp =
         Some
           (Local_state.concrete
@@ -453,8 +457,9 @@ let setups =
       server = Paxos_model.acceptor;
       mask = Some [ "mtype"; "ballot"; "value" ];
       interp =
-        Local_state.concrete ~prefix:(Paxos_model.phase1_prefix ~ballot:5)
-          Interp.default_config;
+        (fun () ->
+          Local_state.concrete ~prefix:(Paxos_model.phase1_prefix ~ballot:5)
+            Interp.default_config);
       client_interp = None;
     };
   ]
@@ -471,7 +476,7 @@ let run_setup s ~use_slice ~split_bits =
       Search.default_config with
       Search.mask = s.mask;
       Search.witnesses_per_path = 2;
-      Search.interp = s.interp;
+      Search.interp = s.interp ();
       Search.use_slice = use_slice;
       Search.split_bits = Some split_bits;
     }

@@ -204,7 +204,11 @@ let qcheck_sat_matches_brute_force =
 
 (* [Sat.reset] must leave nothing of the previous problem behind: after a
    reset, an instance left in any end state answers a new CNF exactly as a
-   fresh one does, down to the model and the search counters. *)
+   fresh one does, down to the model and the search counters. The reused
+   instance reserves room for 2 variables and 16 arena words, so the
+   problem it is driven through first (over 40 variables, over 100
+   clauses) grows every store past its reservation, and the reset
+   instance answers from the grown ones. *)
 
 type prior = Prior_sat | Prior_unsat | Prior_unknown | Prior_core
 
@@ -266,8 +270,9 @@ let qcheck_sat_reset_is_create =
   in
   QCheck2.Test.make ~name:"reset instance answers like a fresh one" ~count:300 gen
     (fun (prior, seed, nvars, clauses, assumptions) ->
-      let reused = Sat.create () in
+      let reused = Sat.create ~vars:2 ~words:16 () in
       let primed = drive_to_state reused (Random.State.make [| seed |]) prior in
+      let outgrown = Sat.num_vars reused > 2 && Sat.arena_words reused > 16 in
       Sat.reset reused;
       let fresh = Sat.create () in
       let load s =
@@ -285,7 +290,7 @@ let qcheck_sat_reset_is_create =
           (Sat.num_clauses s, Sat.num_learnts s, Sat.unsat_core s) )
       in
       let solve_both f = observe reused (f reused) = observe fresh (f fresh) in
-      primed
+      primed && outgrown
       && Sat.num_vars reused = nvars
       && solve_both (fun s -> Sat.solve s)
       && solve_both (fun s -> Sat.solve ~assumptions s))
@@ -545,36 +550,83 @@ let test_sat_reduce_db () =
     (List.for_all (List.exists (Sat.lit_value s)) cnf);
   reduced "planted" s
 
-(* The arena of one long-lived instance stays bounded across many
-   incremental solves: reduction deletes learnts and compaction reclaims
-   their words. An arena that only grew would never shrink, and would hold
-   every learnt clause derived over some 40,000 conflicts. *)
-let test_sat_arena_bounded () =
+(* 200 solves under random assumptions on one instance [s]: the peak
+   arena size of each hundred, whether some solve shrank the arena, and
+   the last answer's trajectory line. *)
+let arena_bounded_run s =
   let rand = lcg 99 in
-  let s = Sat.create () in
   let vars = Array.init 200 (fun _ -> Sat.new_var s) in
   let cnf = planted_3sat rand vars ~clauses:852 in
   List.iter (Sat.add_clause s) cnf;
-  let peaks = Array.make 2 0 and shrank = ref false in
+  let peaks = Array.make 2 0 and shrank = ref false and last = ref None in
   for i = 0 to 199 do
     let before = Sat.arena_words s in
     let assumptions =
       List.init 4 (fun _ -> if rand 2 = 0 then vars.(rand 200) else -vars.(rand 200))
     in
-    (match Sat.solve ~conflict_limit:500 ~assumptions s with
+    let answer = Sat.solve ~conflict_limit:500 ~assumptions s in
+    (match answer with
     | Some Sat.Sat ->
         Alcotest.(check bool) "model satisfies" true
           (List.for_all (List.exists (Sat.lit_value s)) cnf
           && List.for_all (Sat.lit_value s) assumptions)
     | Some Sat.Unsat | None -> ());
+    last := answer;
     let words = Sat.arena_words s in
     if words < before then shrank := true;
     peaks.(i / 100) <- max peaks.(i / 100) words
   done;
+  (peaks, !shrank, observe_solve s !last)
+
+(* The arena of one long-lived instance stays bounded across many
+   incremental solves: reduction deletes learnts and compaction reclaims
+   their words. An arena that only grew would never shrink, and would hold
+   every learnt clause derived over some 40,000 conflicts. *)
+let test_sat_arena_bounded () =
+  let s = Sat.create () in
+  let peaks, shrank, _ = arena_bounded_run s in
   Alcotest.(check bool) "many conflicts" true (Sat.conflicts s > 30_000);
-  Alcotest.(check bool) "compaction shrank the arena" true !shrank;
+  Alcotest.(check bool) "compaction shrank the arena" true shrank;
   Alcotest.(check bool) "no growth in the second hundred solves" true
     (4 * peaks.(1) <= 5 * peaks.(0))
+
+(* An instance's reserved capacity is not observable. The run above, on an
+   instance reserving 16 variables and 256 arena words, grows both stores
+   while loading and its arena again mid-search, between compactions; on
+   one reserving room for everything, no store grows. Both end on the
+   line a default instance printed before instances had a capacity. *)
+let test_sat_capacity_outgrown () =
+  let recorded =
+    "sat c=39602 d=56104 p=1551577 l=859 m=2d5e6b5e283e core=[]"
+  in
+  let small = Sat.create ~vars:16 ~words:256 () in
+  let peaks, _, line = arena_bounded_run small in
+  Alcotest.(check bool) "variables outgrew the reservation" true
+    (Sat.num_vars small > 16);
+  Alcotest.(check bool) "arena outgrew the reservation" true
+    (peaks.(0) > 256 && peaks.(1) > 256);
+  Alcotest.(check string) "small reservation: trajectory" recorded line;
+  let roomy = Sat.create ~vars:200 ~words:(1 lsl 20) () in
+  let _, _, line = arena_bounded_run roomy in
+  Alcotest.(check string) "roomy reservation: trajectory" recorded line
+
+(* Two distinct variables that share an id (the fresh-variable counter
+   was reset between them) would otherwise share bits: [x = 1 /\ y = 2]
+   came back Unsat. The context refuses the second one instead. *)
+let test_bitblast_shared_id_refused () =
+  let saved = Term.fresh_counter_value () in
+  Fun.protect ~finally:(fun () -> Term.set_fresh_counter saved) @@ fun () ->
+  Term.reset_fresh_counter ();
+  let x = Term.fresh_var ~name:"x" (Term.Bitvec 8) in
+  Term.reset_fresh_counter ();
+  let y = Term.fresh_var ~name:"y" (Term.Bitvec 8) in
+  Alcotest.(check int) "one id" x.Term.id y.Term.id;
+  let bb = Bitblast.create (Sat.create ()) in
+  let eq v n = Term.eq (Term.var v) (t8 n) in
+  Bitblast.assert_true bb (eq x 1);
+  match Bitblast.assert_true bb (eq y 2) with
+  | () -> Alcotest.fail "a second variable with x's id was bitblasted"
+  | exception Invalid_argument _ -> ()
 
 (* Clause entry normalizes each clause by sorting it, so neither the
    order its literals arrive in nor the fixed-arity entry (a binary clause
@@ -1313,6 +1365,8 @@ let () =
           Alcotest.test_case "reduction keeps reasons" `Quick test_sat_reduce_db;
           Alcotest.test_case "arena bounded across solves" `Quick
             test_sat_arena_bounded;
+          Alcotest.test_case "capacity outgrown, same trajectory" `Quick
+            test_sat_capacity_outgrown;
           Alcotest.test_case "clause entry normalizes literal order" `Quick
             test_sat_clause_entry_normalizes;
         ] );
@@ -1348,6 +1402,8 @@ let () =
         [
           Alcotest.test_case "n-ary and/or folding" `Quick test_and_many_folds;
           Alcotest.test_case "majority folding" `Quick test_maj_folds;
+          Alcotest.test_case "variables sharing an id are refused" `Quick
+            test_bitblast_shared_id_refused;
         ] );
       qsuite "bitblast-properties" [ qcheck_circuits_match_brute_force ];
       qsuite "solver-properties"
