@@ -590,11 +590,11 @@ let on_constraint ctx (st : State.t) cond =
         end
         else
         (* rides the frame context whose stack already holds this state's
-           path (scratch [check] while incrementality is off); its model only
-           settles later prune checks, while witness extraction below runs
-           in its own enumeration session on a freshly reset instance
-           (models from the shared persistent one would depend on its
-           history and perturb report digests) *)
+           path (scratch [check] while incrementality is off); its model
+           depends on the instance's history, so it only settles later
+           prune checks. Report witnesses come from [Solver.witnesses] on
+           the same context, whose lexicographic solves make them a
+           function of the query alone *)
         match
           Solver.check_assuming ~site:"prune" ~model_vars:vars
             ~path:st.State.path
@@ -656,8 +656,11 @@ let witness_of_model vars model =
     vars
 
 (* Enumerate concrete Trojan witnesses on an accepting path in one solver
-   session, blocking each discovered message (or message class) before
-   re-solving. *)
+   session on the frame context (whose stack already holds the path),
+   blocking each discovered message (or message class) before re-solving.
+   Each witness is the least message the query admits under its preferred
+   bits: scattered per witness when exact messages are blocked, so
+   consecutive witnesses differ in more than their last bits. *)
 let emit_trojans ctx r (st : State.t) label =
   match st.State.msg_vars with
   | None -> ()
@@ -710,8 +713,12 @@ let emit_trojans ctx r (st : State.t) label =
       in
       let n = ref 0 in
       match
-        Solver.enumerate ~site:"witness" ~model_vars:vars
-          ~limit:ctx.cfg.witnesses_per_path base_query (fun model ->
+        Solver.witnesses ~site:"witness" ~model_vars:vars
+          ~limit:ctx.cfg.witnesses_per_path
+          ~scatter:(Option.is_none ctx.cfg.distinct_by)
+          ~path:st.State.path
+          (List.map (negation_for ctx) alive)
+          (fun model ->
             let witness = witness_of_model vars model in
             emit ~n:!n ~confirmed:true witness;
             incr n;

@@ -521,6 +521,12 @@ let extract_model t =
   Hashtbl.fold (fun _ (var, r) model -> add_value t var r model)
     t.term_vars Model.empty
 
+let var_bits t (v : Term.var) =
+  match Hashtbl.find_opt t.term_vars v.Term.id with
+  | Some (_, Rvec bits) -> bits
+  | Some (_, Rlit l) -> [| l |]
+  | None -> [||]
+
 let extract_vars t vars =
   Array.fold_left
     (fun model (v : Term.var) ->

@@ -55,6 +55,12 @@ val extract_vars : t -> Term.var array -> Model.t
     harmless, since the query does not mention it. Only valid after
     [Sat.solve] returned [Sat]. *)
 
+val var_bits : t -> Term.var -> int array
+(** The literals of the variable's bits, least significant first (one
+    for a boolean), or [[||]] when this context has not bitblasted it.
+    A bitvector's array is shared with the context: the caller must not
+    write into it. *)
+
 val cached_terms : t -> int
 (** Distinct terms translated so far in this context — the reuse a
     long-lived (incremental) context has accumulated. *)

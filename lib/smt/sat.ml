@@ -741,12 +741,15 @@ let pick_branch_var s =
    conflicts; a backtrack unassigns variables to its left, so conflicts (and
    fresh [search] calls after a restart) reset it to 0. [vars] is the
    caller's buffer until the first re-sort ([owned] false), which first
-   swaps in a private copy of exactly [len] vars. *)
+   swaps in a private copy of exactly [len] vars. A lexicographic order
+   ([lex]) holds DIMACS literals instead, each deciding its variable to
+   make it true, and is never re-sorted. *)
 type order = {
   mutable vars : int array;
   len : int;
   mutable next : int;
   mutable owned : bool;
+  lex : bool;
 }
 
 (* The first unassigned candidate at or after the pointer; 0 when every
@@ -759,6 +762,22 @@ let pick_branch_restricted s o =
       if Bytes.get s.assigns v = unset then begin
         o.next <- i;
         v
+      end
+      else go (i + 1)
+  in
+  go o.next
+
+(* The lexicographic order's next decision: the internal literal of the
+   first entry whose variable is unassigned; 0 when there is none. *)
+let pick_branch_lex s o =
+  let rec go i =
+    if i >= o.len then 0
+    else
+      let d = o.vars.(i) in
+      let v = abs d in
+      if Bytes.get s.assigns v = unset then begin
+        o.next <- i;
+        if d > 0 then 2 * v else (2 * v) + 1
       end
       else go (i + 1)
   in
@@ -883,16 +902,20 @@ let search s ~assumptions ~order ~max_conflicts =
           loop ()
     end
     else begin
-      let v =
-        match order with
-        | None -> pick_branch_var s
-        | Some o -> pick_branch_restricted s o
+      (* a picked variable decided to its saved phase; 0 stays 0 *)
+      let phased v =
+        if v = 0 then 0 else (2 * v) + 1 - Bytes.get_uint8 s.polarity v
       in
-      if v = 0 then Some Sat
+      let l =
+        match order with
+        | None -> phased (pick_branch_var s)
+        | Some o when o.lex -> pick_branch_lex s o
+        | Some o -> phased (pick_branch_restricted s o)
+      in
+      if l = 0 then Some Sat
       else begin
         s.n_decisions <- s.n_decisions + 1;
         Vec.push s.trail_lim (Vec.size s.trail);
-        let l = (2 * v) + 1 - Bytes.get_uint8 s.polarity v in
         enqueue s l (-1);
         loop ()
       end
@@ -900,29 +923,40 @@ let search s ~assumptions ~order ~max_conflicts =
   in
   loop ()
 
-let solve ?conflict_limit ?deadline ?(assumptions = []) ?decide_vars s =
+(* The [(buf, len)] of a decision order, checked: [len] fits [buf] and
+   each of its first [len] entries names one of the instance's variables,
+   as a variable or, [~lits], as a literal. *)
+let check_order s ~lits (buf, len) =
+  if len < 0 || len > Array.length buf then
+    invalid_arg "Sat.solve: decide count out of range";
+  for i = 0 to len - 1 do
+    let v = if lits then abs buf.(i) else buf.(i) in
+    if v < 1 || v > s.nvars then
+      invalid_arg "Sat.solve: decide variable out of range"
+  done
+
+let solve ?conflict_limit ?deadline ?(assumptions = []) ?decide_vars ?lex s =
   cancel_until s 0;
   s.last_core <- [];
+  if decide_vars <> None && lex <> None then
+    invalid_arg "Sat.solve: both decide_vars and lex";
   if not s.ok then Some Unsat
   else begin
     let assumptions = Array.of_list (List.map (lit_of_dimacs s) assumptions) in
     let order =
-      match decide_vars with
-      | None -> None
-      | Some (vars, len) ->
-          if len < 0 || len > Array.length vars then
-            invalid_arg "Sat.solve: decide count out of range";
-          for i = 0 to len - 1 do
-            let v = vars.(i) in
-            if v < 1 || v > s.nvars then
-              invalid_arg "Sat.solve: decide variable out of range"
-          done;
+      match (decide_vars, lex) with
+      | Some (vars, len), _ ->
+          check_order s ~lits:false (vars, len);
           (* the first restart segment decides in the order given — for
              circuit CNF, allocation order is roughly topological (inputs
              first, outputs propagated), and easy queries never pay for a
              sort — later segments re-sort by activity (below), giving
              conflict-heavy queries a periodically-refreshed VSIDS order *)
-          Some { vars; len; next = 0; owned = false }
+          Some { vars; len; next = 0; owned = false; lex = false }
+      | None, Some (lits, len) ->
+          check_order s ~lits:true (lits, len);
+          Some { vars = lits; len; next = 0; owned = false; lex = true }
+      | None, None -> None
     in
     s.max_learnts <- max 1000. (float_of_int (Vec.size s.clauses) /. 3.);
     let budget_left =
@@ -937,7 +971,7 @@ let solve ?conflict_limit ?deadline ?(assumptions = []) ?decide_vars s =
       if !budget_left <= 0 || past_deadline () then None
       else begin
         (match order with
-        | Some o when i > 0 ->
+        | Some o when i > 0 && not o.lex ->
             (* the query survived a whole restart segment: refresh the static
                decision order from the activities the conflicts built up, on
                a copy the caller's buffer never sees *)

@@ -105,6 +105,7 @@ val solve :
   ?deadline:float ->
   ?assumptions:int list ->
   ?decide_vars:int array * int ->
+  ?lex:int array * int ->
   t ->
   result option
 (** Run the search, optionally under assumption literals that hold for this
@@ -130,7 +131,26 @@ val solve :
     buffer across calls (it is read before {!solve} returns, and later
     restart segments re-sort a private copy of the [len] variables). Raises
     [Invalid_argument] if [len] is outside [0, Array.length buf] or one of
-    those variables is not one of the instance's. *)
+    those variables is not one of the instance's.
+
+    [lex = (buf, len)] is the lexicographic mode: decisions follow the
+    DIMACS literals [buf.(0) .. buf.(len - 1)], each decision taking the
+    first of them whose variable is unassigned and making that literal
+    true, and no restart re-sorts them. Like [decide_vars] it claims
+    [Sat] once all of their variables are assigned, under the same
+    closure condition. The model it returns is the least satisfying
+    assignment of those variables in the order of [buf] (a variable at
+    its first occurrence, its literal's value preferred), so it does not
+    depend on the instance's learnt clauses, activities, saved phases or
+    variable numbering: that assignment satisfies every clause, learnt
+    ones included, so propagation from a partial assignment agreeing with
+    it only derives literals it agrees with, and a decision that departs
+    from it cannot be part of a model and is undone before one is
+    returned. The search itself (conflicts, decisions) still depends on
+    the instance. [buf] is never written. Raises [Invalid_argument] if
+    both [decide_vars] and [lex] are given, if [len] is outside
+    [0, Array.length buf], or if a literal names no variable of the
+    instance. *)
 
 val value : t -> int -> bool
 (** Value of a variable in the satisfying assignment; only valid after

@@ -118,6 +118,7 @@ type frames_ctx = {
      stamp of the last check that appended it *)
   mutable fc_stamp : int;
   mutable fc_last_core : Term.t list option; (* terms behind the last Unsat *)
+  mutable fc_busy : bool; (* a witness session runs on the stack *)
 }
 
 (* The solver's one mutable state: statistics, ambient budget, fault PRNG
@@ -131,6 +132,8 @@ type solver_state = {
   mutable sframes_live : bool; (* [sframes] used since it was last cleared *)
   mutable sscratch : Bitblast.t option; (* scratch-route instance, reset per query *)
   mutable sscratch_busy : bool;
+  mutable switness : bool; (* a witness session is open, on either route *)
+  mutable slex : int array; (* a witness solve's decision order *)
 }
 
 let state =
@@ -142,6 +145,8 @@ let state =
     sframes_live = false;
     sscratch = None;
     sscratch_busy = false;
+    switness = false;
+    slex = [||];
   }
 
 let stats () = state.sstats
@@ -348,10 +353,10 @@ let counted_solve sat solve =
   answer
 
 (* One SAT attempt on the CNF already loaded into [bb], with the model
-   [read] back on [Sat]. *)
-let run_sat bb ~read ~conflict_limit ~deadline =
+   [read] back on [Sat]; [lex] as [Sat.solve]'s. *)
+let run_sat bb ~read ~lex ~conflict_limit ~deadline =
   let answer =
-    counted_solve (Bitblast.sat bb) (Sat.solve ?conflict_limit ?deadline)
+    counted_solve (Bitblast.sat bb) (Sat.solve ?conflict_limit ?deadline ?lex)
   in
   match answer with
   | Some Sat.Sat -> Sat (read bb)
@@ -363,7 +368,8 @@ let solve_with_sat terms ~conflict_limit ~deadline =
   else
     with_scratch (fun bb ->
         Obs.span Obs.Bitblast (fun () -> List.iter (Bitblast.assert_true bb) terms);
-        run_sat bb ~read:Bitblast.extract_model ~conflict_limit ~deadline)
+        run_sat bb ~read:Bitblast.extract_model ~lex:None ~conflict_limit
+          ~deadline)
 
 let check ?site ?conflict_limit terms =
   let st = state.sstats in
@@ -387,48 +393,117 @@ let implied assumptions t = is_unsat (Term.not_ t :: assumptions)
 
 (* --- enumeration sessions --------------------------------------------------
 
-   The contract is in the interface. A session holds the scratch
-   instance from its first solve to its last, so a solver query issued
-   from [on_model] gets a fresh instance from [with_scratch] rather than
-   resetting the session's. *)
-let enumerate ?site ~model_vars ~limit base on_model =
+   The contract is in the interface. A session's loop: [first ()] answers
+   the base query, then each model goes to [on_model] and [again k block]
+   asserts the blocking term it returns and answers again for model [k];
+   every answer counts as one query with a [solver_query] span. *)
+let run_session ?site ~limit ~first ~again on_model =
   let st = state.sstats in
   let query f =
     st.queries <- st.queries + 1;
     Obs.span ?site Obs.Solver_query f
   in
+  (* [n]: models delivered before this answer *)
+  let rec next n = function
+    | Unsat -> `Exhausted
+    | Unknown -> `Unknown
+    | Sat model ->
+        let block = on_model model in
+        if n + 1 >= limit then `Limit
+        else next (n + 1) (query (fun () -> again (n + 1) block))
+  in
+  next 0 (query first)
+
+(* A session on the scratch instance, reset once at its start and held
+   to its end, so a solver query issued from [on_model] gets a fresh
+   instance from [with_scratch] rather than resetting the session's.
+   [order bb k] is the decision order of model [k]'s solve, if any. *)
+let scratch_session ?site ~model_vars ~limit ~order base on_model =
+  with_scratch (fun bb ->
+      let read bb = Bitblast.extract_vars bb model_vars in
+      let solve k =
+        let lex = order bb k in
+        with_budget ~conflict_limit:None (fun ~conflict_limit ~deadline ->
+            if fault_fires () then Unknown
+            else run_sat bb ~read ~lex ~conflict_limit ~deadline)
+      in
+      let assert_true t =
+        Obs.span Obs.Bitblast (fun () -> Bitblast.assert_true bb t)
+      in
+      run_session ?site ~limit on_model
+        ~first:(fun () ->
+          match canonicalize base with
+          | None -> Unsat
+          | Some key when Interval.definitely_unsat key -> Unsat
+          | Some key ->
+              List.iter assert_true key;
+              solve 0)
+        ~again:(fun k block ->
+          assert_true block;
+          solve k))
+
+let enumerate ?site ~model_vars ~limit base on_model =
   if limit <= 0 then `Limit
   else
-    with_scratch (fun bb ->
-        let read bb = Bitblast.extract_vars bb model_vars in
-        let solve () =
-          with_budget ~conflict_limit:None (fun ~conflict_limit ~deadline ->
-              if fault_fires () then Unknown
-              else run_sat bb ~read ~conflict_limit ~deadline)
-        in
-        (* [n]: models delivered before this answer *)
-        let rec next n = function
-          | Unsat -> `Exhausted
-          | Unknown -> `Unknown
-          | Sat model ->
-              let block = on_model model in
-              if n + 1 >= limit then `Limit
-              else
-                next (n + 1)
-                  (query (fun () ->
-                       Obs.span Obs.Bitblast (fun () ->
-                           Bitblast.assert_true bb block);
-                       solve ()))
-        in
-        next 0
-          (query (fun () ->
-               match canonicalize base with
-               | None -> Unsat
-               | Some key when Interval.definitely_unsat key -> Unsat
-               | Some key ->
-                   Obs.span Obs.Bitblast (fun () ->
-                       List.iter (Bitblast.assert_true bb) key);
-                   solve ())))
+    scratch_session ?site ~model_vars ~limit
+      ~order:(fun _ _ -> None)
+      base on_model
+
+(* --- canonical witnesses ----------------------------------------------------
+
+   A witness solve decides in one fixed lexicographic order ([Sat.solve]'s
+   [lex]): the message bits first, so its message is the least one the
+   query admits under the preferred bit values, whatever instance it runs
+   on. Bits outside the query take their preferred value on an instance
+   that has translated them and are absent (zero) on one that has not, so
+   a preference is false wherever a bit may be outside the query: always
+   for witness 0, and from witness 1 on only under blocks that mention
+   every message variable ([~scatter]). *)
+
+(* murmur3's 32-bit finalizer, spelled out so witness preferences do not
+   hang on the runtime's [Hashtbl.hash]. Products wrap modulo 2^63, which
+   keeps their low 32 bits exact. *)
+let fmix32 h =
+  let h = h land 0xffff_ffff in
+  let h = (h lxor (h lsr 16)) * 0x85eb_ca6b land 0xffff_ffff in
+  let h = (h lxor (h lsr 13)) * 0xc2b2_ae35 land 0xffff_ffff in
+  h lxor (h lsr 16)
+
+(* Does witness [k] prefer message bit [p] (message order, most
+   significant bit first) to be true? Consecutive least models differ only
+   in their last bits; a pseudo-random pattern per witness spreads them. *)
+let prefers ~scatter k p =
+  scatter && k > 0 && fmix32 ((k * 0x9e37_79b9) lxor fmix32 p) land 1 = 1
+
+let var_width (v : Term.var) =
+  match v.Term.sort with Term.Bool -> 1 | Term.Bitvec w -> w
+
+(* Witness [k]'s decision order on [bb], in [state.slex] (grown, never
+   shrunk): every bit of [model_vars] [bb] has translated, in message order
+   and most significant first, as the literal the witness prefers, then
+   the [m] variables [rest 0 .. rest (m - 1)] preferring false. Returns
+   its length. *)
+let load_lex bb ~model_vars ~scatter k m rest =
+  let need = Array.fold_left (fun n v -> n + var_width v) m model_vars in
+  if Array.length state.slex < need then
+    state.slex <- Array.make (max need (2 * Array.length state.slex)) 0;
+  let buf = state.slex in
+  let n = ref 0 and p = ref 0 in
+  Array.iter
+    (fun v ->
+      let bits = Bitblast.var_bits bb v in
+      let w = Array.length bits in
+      for j = w - 1 downto 0 do
+        let l = bits.(j) in
+        buf.(!n) <- (if prefers ~scatter k (!p + w - 1 - j) then l else -l);
+        incr n
+      done;
+      p := !p + var_width v)
+    model_vars;
+  for i = 0 to m - 1 do
+    buf.(!n + i) <- -rest i
+  done;
+  !n + m
 
 (* --- assumption-based frame stack ------------------------------------------
 
@@ -443,18 +518,20 @@ let enumerate ?site ~model_vars ~limit base on_model =
    term later (the interpreter pushes [cond] for the true child after
    checking [not cond] for the false child) costs a table hit.
 
-   A [Sat] answer through a frame context carries the values of the
-   caller's [model_vars] (those the instance has bitblasted), read from
-   the SAT assignment, and is otherwise empty. Such a model is a sound
-   restriction of a satisfying assignment, but it depends on the
-   instance's history: phase saving and learnt clauses steer a persistent
+   A [Sat] answer of [check] carries the values of the caller's
+   [model_vars] (those the instance has bitblasted), read from the SAT
+   assignment, and is otherwise empty. Such a model is a sound restriction
+   of a satisfying assignment, but it depends on the instance's history:
+   phase saving, activities and learnt clauses steer a persistent
    instance to models shaped by every earlier query. So it may decide
    later verdicts (the search settles satisfiable alive and prune checks
-   with it) but never reaches a report: witness bytes come only from
-   instances reset to the fresh state — scratch [check] and the
-   enumeration sessions above. Complete solvers agree on verdicts, which
-   is why report digests are byte-identical with incrementality on or
-   off. *)
+   with it) but never reaches a report. Witness bytes come from
+   [witnesses], whose solves decide the message bits first in one fixed
+   order with fixed preferred values ([Sat.solve]'s [lex]): the model
+   that search returns is the least one in that order, which no history
+   can move, so it equals the scratch session's. Complete solvers agree
+   on verdicts, and these witnesses on models, which is why report
+   digests are byte-identical with incrementality on or off. *)
 
 module Frames = struct
   type t = frames_ctx
@@ -477,6 +554,7 @@ module Frames = struct
       fc_listed = [||];
       fc_stamp = 0;
       fc_last_core = None;
+      fc_busy = false;
     }
 
   let current () =
@@ -586,11 +664,20 @@ module Frames = struct
     clear c;
     List.iter (fun f -> enter c f.fr_term) (List.rev frames)
 
+  (* A witness session holds the stack from its first solve to its last:
+     moving the stack under it would change the query it enumerates. *)
+  let not_busy c what =
+    if c.fc_busy then
+      invalid_arg
+        ("Solver.Frames." ^ what ^ ": a witness session holds the stack")
+
   let push c term =
+    not_busy c "push";
     Obs.count "solver.push";
     enter c term
 
   let pop c =
+    not_busy c "pop";
     match c.fc_frames with
     | [] -> invalid_arg "Solver.Frames.pop: empty frame stack"
     | f :: rest ->
@@ -611,6 +698,7 @@ module Frames = struct
      the shorter one's length and walked newest first together, so the
      oldest mismatch bounds the prefix; no list is reversed. *)
   let set_path c target =
+    not_busy c "set_path";
     let rec drop k l = if k = 0 then l else drop (k - 1) (List.tl l) in
     let m = List.length target in
     let len = min c.fc_depth m in
@@ -657,7 +745,52 @@ module Frames = struct
 
   let bitblast c = c.fc_bb
 
+  (* The frames' guards, oldest first, then the extras' (guarding them):
+     assumptions become the leading decision levels, so this keeps the
+     shared path prefix at the same levels across sibling queries. *)
+  let assumptions c extras =
+    List.fold_left (fun l f -> f.fr_guard :: l) [] c.fc_frames
+    @ List.map (guard c) extras
+
+  (* One query's SAT search on the context under the ambient budget, the
+     escalation rungs keeping the learnt clauses; [solve] is one attempt
+     but for its budget. *)
+  let solve_budgeted c ~conflict_limit ~model_vars solve =
+    let st = state.sstats in
+    let rung = ref (-1) in
+    with_budget ~conflict_limit (fun ~conflict_limit ~deadline ->
+        incr rung;
+        if !rung > 0 then begin
+          let retained = Sat.num_learnts c.fc_sat in
+          (* learning carried into an escalation retry: the rung
+             restarts with a bigger budget but not from scratch *)
+          st.rung_retained <- st.rung_retained + retained;
+          Obs.count ~n:retained "solver.rung_retained_learnts"
+        end;
+        if fault_fires () then Unknown
+        else
+          match
+            counted_solve c.fc_sat (solve ~conflict_limit ~deadline)
+          with
+          | Some Sat.Sat ->
+              Sat
+                (match model_vars with
+                | None -> Model.empty
+                | Some vars -> Bitblast.extract_vars c.fc_bb vars)
+          | Some Sat.Unsat ->
+              c.fc_last_core <-
+                (match Sat.unsat_core c.fc_sat with
+                | [] -> None
+                | lits ->
+                    Some
+                      (List.filter_map
+                         (fun l -> Hashtbl.find_opt c.fc_guard_terms (abs l))
+                         lits));
+              Unsat
+          | None -> Unknown)
+
   let check ?site ?conflict_limit ?model_vars c extras =
+    not_busy c "check";
     let st = state.sstats in
     st.queries <- st.queries + 1;
     st.incremental_checks <- st.incremental_checks + 1;
@@ -685,14 +818,7 @@ module Frames = struct
           if Sat.num_vars c.fc_sat > !context_var_cap then recycle c;
           let assumptions, n_decide =
             Obs.span Obs.Bitblast (fun () ->
-                (* frame guards oldest-first, then the per-call extras:
-                   assumptions become the leading decision levels, so this
-                   keeps the shared path prefix at the same levels across
-                   sibling queries *)
-                let path_guards =
-                  List.fold_left (fun l f -> f.fr_guard :: l) [] c.fc_frames
-                in
-                let assumptions = path_guards @ List.map (guard c) extras in
+                let assumptions = assumptions c extras in
                 (* decisions restricted to the query's own translation
                    cone: everything else in the shared instance is either
                    an unassumed activation implication or a total circuit
@@ -701,42 +827,10 @@ module Frames = struct
                    accumulated *)
                 (assumptions, load_decide_vars c extras))
           in
-          let rung = ref (-1) in
-          with_budget ~conflict_limit (fun ~conflict_limit ~deadline ->
-              incr rung;
-              if !rung > 0 then begin
-                let retained = Sat.num_learnts c.fc_sat in
-                (* learning carried into an escalation retry: the rung
-                   restarts with a bigger budget but not from scratch *)
-                st.rung_retained <- st.rung_retained + retained;
-                Obs.count ~n:retained "solver.rung_retained_learnts"
-              end;
-              if fault_fires () then Unknown
-              else begin
-                let answer =
-                  counted_solve c.fc_sat
-                    (Sat.solve ?conflict_limit ?deadline ~assumptions
-                       ~decide_vars:(c.fc_cone, n_decide))
-                in
-                match answer with
-                | Some Sat.Sat ->
-                    Sat
-                      (match model_vars with
-                      | None -> Model.empty
-                      | Some vars -> Bitblast.extract_vars c.fc_bb vars)
-                | Some Sat.Unsat ->
-                    c.fc_last_core <-
-                      (match Sat.unsat_core c.fc_sat with
-                      | [] -> None
-                      | lits ->
-                          Some
-                            (List.filter_map
-                               (fun l ->
-                                 Hashtbl.find_opt c.fc_guard_terms (abs l))
-                               lits));
-                    Unsat
-                | None -> Unknown
-              end)
+          solve_budgeted c ~conflict_limit ~model_vars
+            (fun ~conflict_limit ~deadline ->
+              Sat.solve ?conflict_limit ?deadline ~assumptions
+                ~decide_vars:(c.fc_cone, n_decide) ?lex:None)
         end)
 
   let is_sat ?conflict_limit c extras =
@@ -748,6 +842,58 @@ module Frames = struct
      last [Unsat]; [None] when the last check answered Sat/Unknown or hit a
      trivially-false conjunct. *)
   let unsat_core c = c.fc_last_core
+
+  (* A witness session on the stack as it stands: [extras] and then each
+     block ride as guarded extras, and every solve decides in witness
+     order — the message bits, then the query's cone. Its answers match
+     the scratch session's: the first query is refuted by the same
+     interval pre-check only, and every query after a block is solved.
+     Nothing else checks on the context during the session, so the cone
+     its last solve left in [fc_cone] stands, and a block's solve only
+     appends the block's cone (the order past the message bits does not
+     move the witness); a recycle renumbers it, so it is reloaded. *)
+  let witnesses ?site ~model_vars ~limit ~scatter c extras on_model =
+    let st = state.sstats in
+    let extras = ref extras in
+    let cone_len = ref (-1) (* decide vars in [fc_cone]; -1: reload *) in
+    let solve k added =
+      st.incremental_checks <- st.incremental_checks + 1;
+      c.fc_last_core <- None;
+      if Sat.num_vars c.fc_sat > !context_var_cap then begin
+        recycle c;
+        cone_len := -1
+      end;
+      let assumptions, n =
+        Obs.span Obs.Bitblast (fun () ->
+            let assumptions = assumptions c !extras in
+            cone_len :=
+              if !cone_len < 0 then load_decide_vars c !extras
+              else
+                List.fold_left
+                  (fun n e -> append_cone c n c.fc_stamp e)
+                  !cone_len added;
+            ( assumptions,
+              load_lex c.fc_bb ~model_vars ~scatter k !cone_len (fun i ->
+                  c.fc_cone.(i)) ))
+      in
+      solve_budgeted c ~conflict_limit:None ~model_vars:(Some model_vars)
+        (fun ~conflict_limit ~deadline ->
+          Sat.solve ?conflict_limit ?deadline ~assumptions ?decide_vars:None
+            ~lex:(state.slex, n))
+    in
+    c.fc_busy <- true;
+    Fun.protect
+      ~finally:(fun () -> c.fc_busy <- false)
+      (fun () ->
+        run_session ?site ~limit on_model
+          ~first:(fun () ->
+            let ivals, _ = carried c in
+            if Interval.unsat (List.fold_left Interval.extend ivals !extras)
+            then Unsat
+            else solve 0 !extras)
+          ~again:(fun k block ->
+            extras := block :: !extras;
+            solve k [ block ]))
 end
 
 (* The incremental context caches CNF, guard variables and learnt clauses
@@ -758,8 +904,11 @@ end
    same instance, and counts as live again on its next check. The scratch
    instance holds no results (every query resets it first); it is reset
    here too, to let go of the abandoned terms, unless an enumeration
-   session is running on it. *)
+   session is running on it. Neither may move under an open witness
+   session. *)
 let reset_contexts () =
+  if state.switness then
+    invalid_arg "Solver.reset_contexts: a witness session is open";
   Option.iter Frames.clear state.sframes;
   state.sframes_live <- false;
   if not state.sscratch_busy then Option.iter Bitblast.reset state.sscratch
@@ -774,6 +923,8 @@ let reset_all_for_tests () =
 let aggregate_incremental_contexts () = if state.sframes_live then 1 else 0
 
 let check_assuming ?site ?conflict_limit ?model_vars ?(path = []) extras =
+  if state.switness then
+    invalid_arg "Solver.check_assuming: a witness session is open";
   if not (incremental_enabled ()) then check ?site ?conflict_limit (extras @ path)
   else begin
     let c = Frames.current () in
@@ -789,3 +940,29 @@ let is_sat_assuming ?site ?path terms =
 let last_assumption_core () =
   if not (incremental_enabled ()) then None
   else Option.bind state.sframes Frames.unsat_core
+
+let witnesses ?site ~model_vars ~limit ~scatter ?(path = []) extras on_model =
+  if state.switness then
+    invalid_arg "Solver.witnesses: a witness session is open";
+  if limit <= 0 then `Limit
+  else begin
+    state.switness <- true;
+    Fun.protect
+      ~finally:(fun () -> state.switness <- false)
+      (fun () ->
+        if incremental_enabled () then begin
+          let c = Frames.current () in
+          Frames.set_path c path;
+          Frames.witnesses ?site ~model_vars ~limit ~scatter c extras on_model
+        end
+        else
+          scratch_session ?site ~model_vars ~limit
+            ~order:(fun bb k ->
+              let n =
+                load_lex bb ~model_vars ~scatter k
+                  (Sat.num_vars (Bitblast.sat bb))
+                  (fun i -> i + 1)
+              in
+              Some (state.slex, n))
+            (extras @ path) on_model)
+  end

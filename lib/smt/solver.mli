@@ -6,12 +6,14 @@
     bitblasting -> CDCL SAT search -> model extraction. No answer is
     cached between queries.
 
-    Because each query is decided on a CNF built from nothing from its
+    {!check} decides each query on a CNF built from nothing from its
     canonical conjunct list — on a SAT instance reset to the state of a
-    fresh one — answers (including models) do not depend on the queries
-    before them.
-    {!enumerate} extends the same discipline from one query to one
-    enumeration session. *)
+    fresh one — so its answers (including models) do not depend on the
+    queries before them; {!enumerate} extends the same discipline from one
+    query to one enumeration session. {!witnesses} gets the same
+    independence another way: its solves decide in a fixed lexicographic
+    order, whose first model does not depend on the instance, so report
+    witnesses come from the long-lived frame context. *)
 
 type result = Sat of Model.t | Unsat | Unknown
 
@@ -71,11 +73,58 @@ val enumerate :
 
     {b Determinism contract.} The [k]-th model is a function of the
     canonical [base] and the first [k - 1] blocking terms only: not of the
-    queries before the session. So witnesses enumerated this way are
-    identical at any shard split and across a resume. They generally differ from
+    queries before the session. So models enumerated this way are
+    identical at any shard split and across a resume. The conformance
+    check, classic symbolic execution and the filter compiler's residues
+    enumerate this way; report witnesses come from {!witnesses}. Models
+    generally differ from
     the models {!check} would return for [base] plus the same blocks,
     except the first, which is {!check}'s model of [base] whenever neither
     needed a budget escalation. *)
+
+val witnesses :
+  ?site:string ->
+  model_vars:Term.var array ->
+  limit:int ->
+  scatter:bool ->
+  ?path:Term.t list ->
+  Term.t list ->
+  (Model.t -> Term.t) ->
+  [ `Exhausted | `Limit | `Unknown ]
+(** [witnesses ~model_vars ~limit ~scatter ~path extras on_model]: the
+    {!enumerate} loop for report witnesses, over the conjunction of [path]
+    (newest first, as [State.path]) and [extras], with canonical models.
+    Each solve decides in one fixed lexicographic order ([Sat.solve]'s
+    [lex]): every bit of [model_vars] the instance has translated, in
+    message order and most significant bit first, then the rest of the
+    query. So model [k] is the least message (in that bit order) the query
+    and the first [k] blocking terms admit under witness [k]'s preferred
+    bit values: all false for witness 0 and whenever [scatter] is false; a
+    fixed pseudo-random pattern of [k] and the bit's position from witness
+    1 on when [scatter] is true. [scatter] is only for blocking terms that
+    mention every variable of [model_vars] (exact-message blocking): a bit
+    outside the query reads as its preference where the instance has
+    translated it and as zero where it has not, so a preference must be
+    false wherever such a bit can occur.
+
+    With incremental solving on, the session runs on the frame context:
+    its stack is aligned with [path], and [extras] and each blocking term
+    ride as guarded extras. Off, it runs on the scratch instance reset to
+    the fresh state, as {!enumerate} does; that is the reference route.
+    The answers are the same on both, at any shard split and across a
+    resume, since each model is a function of the query and the blocking
+    terms before it: [Sat.solve]'s lexicographic mode does not depend on
+    the instance's history or variable numbering. (The models may hold
+    different sets of variables: those outside the query read as their
+    preference on the frame context and are absent on a scratch instance
+    that never translated them.) Answers, budgets, fault draws and query
+    counts otherwise follow {!enumerate}.
+
+    The session holds the solver from its first solve to its last: a
+    {!check_assuming}, a {!reset_contexts}, a nested [witnesses] or a
+    {!Frames} operation that would move the frame context's stack
+    ([push], [pop], [set_path], [check]), called from [on_model], raises
+    [Invalid_argument]. *)
 
 (** {1 Incremental solving (assumption-based frame stack)}
 
@@ -92,10 +141,11 @@ val enumerate :
     the bitblaster's variable map; without [model_vars] it is empty. Such
     a model is a restriction of a full satisfying assignment of the query,
     but it depends on the instance's history, so it may settle later
-    verdicts and must not reach a report: witness bytes come only from
-    instances reset to the fresh state ({!check} and {!enumerate}).
-    Complete solvers agree on verdicts, so report digests are
-    byte-identical whether incrementality is on or off. *)
+    verdicts and must not reach a report: witness bytes come from
+    {!witnesses}, whose lexicographic solves make them a function of the
+    query alone, on the frame context or the scratch instance. Complete
+    solvers agree on verdicts, so report digests are byte-identical
+    whether incrementality is on or off. *)
 
 val incremental_enabled : unit -> bool
 (** Whether {!check_assuming} uses the incremental context.

@@ -107,6 +107,224 @@ let qcheck_differential_sharing_off =
     ~count:100 gen_case
     (fun case -> with_sharing false (fun () -> run_differential case))
 
+(* --- canonical witnesses ------------------------------------------------------
+
+   [Solver.witnesses] on the frame context, after a random history (earlier
+   checks on other paths, so pushes and pops, and recycling under a small
+   variable cap), returns exactly the witnesses the reset scratch instance
+   returns. Witness 0 is the least message the query admits, found by
+   evaluating the query on every message with [Model.eval_bool], which
+   shares no code with bitblasting or SAT. *)
+
+type witness_case = {
+  wc_bytes : int; (* message bytes, 1 or 2 *)
+  wc_history : (atom list * atom) list; (* earlier checks: path, extra *)
+  wc_cap : int; (* the context's variable cap during the case *)
+  wc_path : atom list;
+  wc_extras : atom list;
+  wc_exact : bool;
+  (* block exact messages with scattered preferences, or else the high
+     nibble of byte 0 with all-false ones *)
+  wc_limit : int;
+}
+
+let gen_witness_case =
+  let open QCheck2.Gen in
+  let* wc_bytes = int_range 1 2 in
+  let* wc_history =
+    list_size (int_bound 5) (pair (list_size (int_bound 4) gen_atom) gen_atom)
+  in
+  let* wc_cap = int_range 40 400 in
+  let* wc_path = list_size (int_bound 4) gen_atom in
+  let* wc_extras = list_size (int_bound 2) gen_atom in
+  let* wc_exact = bool in
+  let+ wc_limit = int_range 1 5 in
+  { wc_bytes; wc_history; wc_cap; wc_path; wc_extras; wc_exact; wc_limit }
+
+let message_bytes msg model =
+  Array.map
+    (fun v ->
+      match Model.find model v with
+      | Some (Model.Vbv b) -> Bv.to_int b
+      | Some (Model.Vbool _) -> invalid_arg "message_bytes: boolean"
+      | None -> 0)
+    msg
+
+let message_model msg bytes =
+  Model.of_list
+    (Array.to_list
+       (Array.mapi (fun i v -> (v, Model.Vbv (Bv.of_int ~width:8 bytes.(i)))) msg))
+
+(* The least message, byte 0 first and each byte as a number, satisfying
+   every term, by trying them all in that order. *)
+let least_message msg terms =
+  let n = Array.length msg in
+  let rec go k =
+    if k >= 1 lsl (8 * n) then None
+    else
+      let bytes = Array.init n (fun i -> (k lsr (8 * (n - 1 - i))) land 0xff) in
+      if List.for_all (Model.eval_bool (message_model msg bytes)) terms then
+        Some bytes
+      else go (k + 1)
+  in
+  go 0
+
+let run_witness_case c =
+  let msg =
+    Array.init c.wc_bytes (fun i ->
+        Term.fresh_var ~name:(Printf.sprintf "wm%d" i) (Term.Bitvec 8))
+  in
+  let m = Array.map Term.var msg in
+  (* queries read only the message; the history also reads two other
+     variables, which the frame context then holds beside it *)
+  let query_vars = Array.init n_vars (fun i -> m.(i mod c.wc_bytes)) in
+  let history_vars =
+    Array.init n_vars (fun i ->
+        if i < c.wc_bytes then m.(i)
+        else
+          Term.var
+            (Term.fresh_var ~name:(Printf.sprintf "wh%d" i) (Term.Bitvec 8)))
+  in
+  let path = List.map (build_atom query_vars) c.wc_path in
+  let extras = List.map (build_atom query_vars) c.wc_extras in
+  let block bytes =
+    if c.wc_exact then
+      Term.not_
+        (Term.and_l
+           (Array.to_list
+              (Array.mapi
+                 (fun i x -> Term.eq x (Term.int ~width:8 bytes.(i)))
+                 m)))
+    else
+      Term.neq
+        (Term.band m.(0) (Term.int ~width:8 0xf0))
+        (Term.int ~width:8 (bytes.(0) land 0xf0))
+  in
+  let enumerate () =
+    let found = ref [] in
+    let outcome =
+      Solver.witnesses ~model_vars:msg ~limit:c.wc_limit ~scatter:c.wc_exact
+        ~path extras (fun model ->
+          let bytes = message_bytes msg model in
+          found := bytes :: !found;
+          block bytes)
+    in
+    (outcome, List.rev !found)
+  in
+  let on_frames =
+    with_incremental true (fun () ->
+        List.iter
+          (fun (p, e) ->
+            ignore
+              (Solver.check_assuming
+                 ~path:(List.map (build_atom history_vars) p)
+                 [ build_atom history_vars e ]))
+          c.wc_history;
+        enumerate ())
+  in
+  let on_scratch = with_incremental false enumerate in
+  let query = path @ extras in
+  (* each witness satisfies the query and differs from the ones before *)
+  let valid =
+    let rec go blocks = function
+      | [] -> true
+      | w :: rest ->
+          List.for_all (Model.eval_bool (message_model msg w)) (query @ blocks)
+          && go (block w :: blocks) rest
+    in
+    go [] (snd on_frames)
+  in
+  let least =
+    match (least_message msg query, on_frames) with
+    | None, (`Exhausted, []) -> true
+    | Some least, (_, w0 :: _) -> w0 = least
+    | _ -> false
+  in
+  on_frames = on_scratch && valid && least
+
+let qcheck_canonical_witnesses =
+  QCheck2.Test.make
+    ~name:"frame = scratch, witness 0 least"
+    ~count:120 gen_witness_case (fun c ->
+      Solver.reset_all_for_tests ();
+      Solver.set_fault_injection ();
+      Solver.set_context_var_cap c.wc_cap;
+      Fun.protect
+        ~finally:(fun () -> Solver.set_context_var_cap 200_000)
+        (fun () -> run_witness_case c))
+
+(* A witness session holds the solver: from [on_model], anything that
+   would move the frame stack under it raises, on either route, and the
+   solver is usable again once the session is over. *)
+let test_witness_session_not_reentrant () =
+  let raises f =
+    match f () with exception Invalid_argument _ -> true | _ -> false
+  in
+  List.iter
+    (fun incremental ->
+      with_incremental incremental (fun () ->
+          Solver.reset_all_for_tests ();
+          let msg = [| Term.fresh_var ~name:"rm" (Term.Bitvec 8) |] in
+          let x = Term.var msg.(0) in
+          let lo = Term.ult (Term.int ~width:8 3) x in
+          let reentries =
+            [
+              ( "check_assuming",
+                fun () -> Solver.check_assuming ~path:[ lo ] [ Term.tru ] );
+              ( "is_sat_assuming",
+                fun () ->
+                  ignore (Solver.is_sat_assuming ~path:[] [ lo ]);
+                  Solver.Unknown );
+              ( "witnesses",
+                fun () ->
+                  ignore
+                    (Solver.witnesses ~model_vars:msg ~limit:1 ~scatter:false
+                       [ lo ] (fun _ -> Term.tru));
+                  Solver.Unknown );
+              ( "reset_contexts",
+                fun () ->
+                  Solver.reset_contexts ();
+                  Solver.Unknown );
+            ]
+          in
+          List.iter
+            (fun (what, reenter) ->
+              let raised = ref false in
+              let outcome =
+                Solver.witnesses ~model_vars:msg ~limit:2 ~scatter:true
+                  ~path:[ lo ] [] (fun model ->
+                    raised := raises reenter;
+                    Term.neq x (Term.int ~width:8 (message_bytes msg model).(0)))
+              in
+              Alcotest.(check bool)
+                (Printf.sprintf "incremental %b: %s from on_model raises"
+                   incremental what)
+                true !raised;
+              Alcotest.(check bool)
+                (Printf.sprintf "incremental %b: session after %s ends" incremental what)
+                true (outcome = `Limit);
+              (* the session let go of the solver *)
+              Alcotest.(check bool)
+                (Printf.sprintf "incremental %b: check after %s" incremental what)
+                true
+                (Solver.check_assuming ~path:[ lo ] [ Term.ult x (Term.int ~width:8 3) ]
+                = Solver.Unsat))
+            reentries;
+          (* an exception out of [on_model] also ends the session *)
+          (match
+             Solver.witnesses ~model_vars:msg ~limit:1 ~scatter:false [ lo ]
+               (fun _ -> ignore (Solver.check_assuming [ lo ]); Term.tru)
+           with
+          | exception Invalid_argument _ -> ()
+          | _ -> Alcotest.fail "re-entry must raise out of the session");
+          Alcotest.(check bool)
+            (Printf.sprintf "incremental %b: solver usable after a raise"
+               incremental)
+            true
+            (Solver.is_sat_assuming ~path:[ lo ] [ Term.tru ])))
+    [ true; false ];
+  Solver.reset_all_for_tests ()
+
 (* --- frame-stack behaviour -------------------------------------------------- *)
 
 (* Pushing a frame then popping it restores the previous verdict for a fixed
@@ -481,6 +699,7 @@ let () =
     [
       qsuite "differential"
         [ qcheck_differential_sharing_on; qcheck_differential_sharing_off ];
+      qsuite "witnesses" [ qcheck_canonical_witnesses ];
       qsuite "frames"
         [
           qcheck_pop_restores_verdicts;
@@ -493,6 +712,11 @@ let () =
             test_set_path_mirrors_stack;
           Alcotest.test_case "unsat core localizes the conflict" `Quick
             test_unsat_core_localizes;
+        ] );
+      ( "witness-session",
+        [
+          Alcotest.test_case "not re-entrant" `Quick
+            test_witness_session_not_reentrant;
         ] );
       ( "escalation",
         [

@@ -458,6 +458,89 @@ let test_chaos_shard_failure_isolated () =
 
 (* --- cooperative cancellation and checkpoint/resume -------------------------- *)
 
+(* Run the built CLI with [env] on top of the test's environment: its exit
+   code and stdout. *)
+let run_cli ~env args =
+  let binary =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bin/achilles_cli.exe"
+  in
+  let names = List.map (fun kv -> String.sub kv 0 (String.index kv '=')) env in
+  let inherited =
+    List.filter
+      (fun kv ->
+        match String.index_opt kv '=' with
+        | Some i -> not (List.mem (String.sub kv 0 i) names)
+        | None -> true)
+      (Array.to_list (Unix.environment ()))
+  in
+  let out = Filename.temp_file "achilles-rob-cli" ".out" in
+  Fun.protect ~finally:(fun () -> Sys.remove out) @@ fun () ->
+  let fd = Unix.openfile out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  let pid =
+    Fun.protect
+      ~finally:(fun () -> Unix.close fd)
+      (fun () ->
+        Unix.create_process_env binary
+          (Array.of_list (binary :: args))
+          (Array.of_list (env @ inherited))
+          Unix.stdin fd Unix.stderr)
+  in
+  let status =
+    match snd (Unix.waitpid [] pid) with
+    | Unix.WEXITED code -> code
+    | Unix.WSIGNALED _ | Unix.WSTOPPED _ -> -1
+  in
+  (status, In_channel.with_open_bin out In_channel.input_all)
+
+(* Each bundled target's [analyze T -w 16] report digest, plain, then
+   resumed with each of the four shard checkpoints lost in turn: a lost
+   shard is searched again, and its witnesses must come out as the
+   undisturbed run's, so they cannot depend on what the solver saw before
+   the shard. *)
+let cli_resume_each_shard_lost () =
+  let dir = Filename.concat (Filename.get_temp_dir_name ()) "achilles-rob-cli-resume" in
+  let rec rm_rf path =
+    match Sys.is_directory path with
+    | true ->
+        Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+        Unix.rmdir path
+    | false -> Sys.remove path
+    | exception Sys_error _ -> ()
+  in
+  let digest target args =
+    let code, out =
+      run_cli ~env:[]
+        ([ "analyze"; target; "-w"; "16"; "--digest" ] @ args)
+    in
+    Alcotest.(check int) (target ^ ": exit code") 0 code;
+    let prefix = "report digest: " in
+    let n = String.length prefix in
+    match
+      List.find_opt
+        (fun l -> String.length l > n && String.sub l 0 n = prefix)
+        (String.split_on_char '\n' out)
+    with
+    | Some l -> String.sub l n (String.length l - n)
+    | None -> Alcotest.failf "%s: no report digest" target
+  in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  List.iter
+    (fun target ->
+      let plain = digest target [] in
+      for lost = 0 to 3 do
+        rm_rf dir;
+        Alcotest.(check string)
+          (Printf.sprintf "%s: checkpointed run" target)
+          plain
+          (digest target [ "--checkpoint-dir"; dir ]);
+        Sys.remove (Filename.concat dir (Printf.sprintf "shard-%04d.ckpt" lost));
+        Alcotest.(check string)
+          (Printf.sprintf "%s: resumed without shard %d" target lost)
+          plain
+          (digest target [ "--resume"; dir ])
+      done)
+    [ "rw"; "fsp"; "fsp-glob"; "pbft"; "kv"; "gossip"; "paxos" ]
+
 let test_checkpoint_resume_identical () =
   let client, server, base = extract_case fixed_case in
   let dir = fresh_dir "achilles-rob-resume" in
@@ -484,7 +567,8 @@ let test_checkpoint_resume_identical () =
     (full.Search.coverage.Search.total_shards - 2)
     resumed.Search.coverage.Search.resumed_shards;
   Alcotest.(check bool) "resumed coverage complete" true
-    (Search.coverage_complete resumed.Search.coverage)
+    (Search.coverage_complete resumed.Search.coverage);
+  cli_resume_each_shard_lost ()
 
 let test_checkpoint_fingerprint_guard () =
   let client, server, base = extract_case fixed_case in
@@ -750,38 +834,6 @@ let test_fsp_under_faults () =
    must terminate with complete coverage (exit 0, not 3), account for the
    injected faults and still report Trojans; the working example must also
    finish under a one-second deadline. *)
-let run_cli ~env args =
-  let binary =
-    Filename.concat (Filename.dirname Sys.executable_name) "../bin/achilles_cli.exe"
-  in
-  let names = List.map (fun kv -> String.sub kv 0 (String.index kv '=')) env in
-  let inherited =
-    List.filter
-      (fun kv ->
-        match String.index_opt kv '=' with
-        | Some i -> not (List.mem (String.sub kv 0 i) names)
-        | None -> true)
-      (Array.to_list (Unix.environment ()))
-  in
-  let out = Filename.temp_file "achilles-rob-cli" ".out" in
-  Fun.protect ~finally:(fun () -> Sys.remove out) @@ fun () ->
-  let fd = Unix.openfile out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
-  let pid =
-    Fun.protect
-      ~finally:(fun () -> Unix.close fd)
-      (fun () ->
-        Unix.create_process_env binary
-          (Array.of_list (binary :: args))
-          (Array.of_list (env @ inherited))
-          Unix.stdin fd Unix.stderr)
-  in
-  let status =
-    match snd (Unix.waitpid [] pid) with
-    | Unix.WEXITED code -> code
-    | Unix.WSIGNALED _ | Unix.WSTOPPED _ -> -1
-  in
-  (status, In_channel.with_open_bin out In_channel.input_all)
-
 let test_cli_under_faults () =
   let env = [ "ACHILLES_SOLVER_FAULT_RATE=0.05" ] in
   let expect what args needles =

@@ -202,6 +202,54 @@ let qcheck_sat_matches_brute_force =
       | Some Sat.Unsat -> not expected
       | None -> false)
 
+(* [Sat.solve ~lex]'s model is the least satisfying assignment in its
+   literal order (each literal's value preferred), whatever the instance
+   went through before: here earlier solves under random assumptions,
+   which leave learnt clauses, activities and saved phases behind. The
+   least assignment is found by trying assignments in that order. *)
+let qcheck_sat_lex_least =
+  let gen =
+    QCheck2.Gen.(
+      let* nvars = int_range 1 7 in
+      let* nclauses = int_range 1 14 in
+      let lit = map2 (fun v s -> if s then v else -v) (int_range 1 nvars) bool in
+      let* clauses = list_size (return nclauses) (list_size (int_range 1 3) lit) in
+      let* order = shuffle_l (List.init nvars succ) in
+      let* signs = list_size (return nvars) bool in
+      let* warmup = list_size (int_bound 4) (list_size (int_bound 3) lit) in
+      let+ assumptions = list_size (int_bound 2) lit in
+      let lex = List.map2 (fun v s -> if s then v else -v) order signs in
+      (nvars, clauses, lex, warmup, assumptions))
+  in
+  QCheck2.Test.make ~name:"lex solve: least model" ~count:300 gen
+    (fun (nvars, clauses, lex, warmup, assumptions) ->
+      let s = Sat.create () in
+      for _ = 1 to nvars do
+        ignore (Sat.new_var s)
+      done;
+      List.iter (Sat.add_clause s) clauses;
+      List.iter (fun assumptions -> ignore (Sat.solve ~assumptions s)) warmup;
+      let value = Array.make (nvars + 1) false in
+      let holds l = if l > 0 then value.(l) else not value.(-l) in
+      let rec least = function
+        | [] ->
+            List.for_all (List.exists holds) clauses
+            && List.for_all holds assumptions
+        | l :: rest ->
+            value.(abs l) <- l > 0;
+            least rest
+            ||
+            (value.(abs l) <- l < 0;
+             least rest)
+      in
+      let expected = least lex in
+      match Sat.solve ~assumptions ~lex:(Array.of_list lex, nvars) s with
+      | Some Sat.Sat ->
+          expected
+          && List.for_all (fun v -> Sat.value s v = value.(v)) (List.init nvars succ)
+      | Some Sat.Unsat -> not expected
+      | None -> false)
+
 (* [Sat.reset] must leave nothing of the previous problem behind: after a
    reset, an instance left in any end state answers a new CNF exactly as a
    fresh one does, down to the model and the search counters. The reused
@@ -1371,7 +1419,11 @@ let () =
             test_sat_clause_entry_normalizes;
         ] );
       qsuite "sat-properties"
-        [ qcheck_sat_matches_brute_force; qcheck_sat_reset_is_create ];
+        [
+          qcheck_sat_matches_brute_force;
+          qcheck_sat_reset_is_create;
+          qcheck_sat_lex_least;
+        ];
       ( "solver",
         [
           Alcotest.test_case "ranges" `Quick test_solver_simple;
