@@ -713,7 +713,7 @@ let () =
           Alcotest.test_case "unsat core localizes the conflict" `Quick
             test_unsat_core_localizes;
         ] );
-      ( "witness-session",
+      ( "session",
         [
           Alcotest.test_case "not re-entrant" `Quick
             test_witness_session_not_reentrant;
