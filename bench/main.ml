@@ -693,7 +693,6 @@ let measure_layer_row (l : layer_row) analyze =
     let counters = (Obs.aggregate ()).Obs.counters in
     fun name -> Option.value ~default:0 (List.assoc_opt name counters)
   in
-  let full_path_queries = counter "interp.feasibility_queries" in
   let pairs_checked =
     match analysis.Achilles.different_from_stats with
     | Some s -> s.Different_from.pairs_checked
@@ -719,10 +718,7 @@ let measure_layer_row (l : layer_row) analyze =
       ("cnf_vars", int cnf_vars);
       ("cnf_clauses", int cnf_clauses);
       ("terms_created", int terms_created);
-      ( "feasibility_queries",
-        int
-          (full_path_queries
-          + report.Search.coverage.Search.slice_cone_queries) );
+      ("feasibility_queries", int (counter "interp.feasibility_queries"));
       ("pairs_checked", int pairs_checked);
       ("trojans", int (List.length report.Search.trojans));
       ("unconfirmed", int (List.length unconfirmed));

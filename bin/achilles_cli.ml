@@ -178,12 +178,10 @@ let no_prune_arg =
 
 let no_slice_arg =
   let doc =
-    "Disable static dependency slicing: branch feasibility goes back to \
-     full-path solver queries, message-independent branches count against \
-     the depth bound again, and every differentFrom pair check hits the \
-     solver (also: $(b,ACHILLES_SLICE=0)). Reports are byte-identical in \
-     both modes; this is the escape hatch and the $(i,slice-off) row of \
-     $(b,--experiment layers)."
+    "Disable differentFrom's static-slice shortcuts: every differentFrom \
+     pair check hits the solver (also: $(b,ACHILLES_SLICE=0)). Reports are \
+     byte-identical in both modes; this is the escape hatch and the \
+     $(i,slice-off) row of $(b,--experiment layers)."
   in
   Arg.(value & flag & info [ "no-slice" ] ~doc)
 

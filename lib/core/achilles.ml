@@ -17,17 +17,6 @@ type analysis = {
 
 let analyze ?(search_config = Search.default_config)
     ?(client_interp = Interp.default_config) ~layout ~clients ~server () =
-  let client_interp =
-    (* the slice oracle is verdict-preserving, so client extraction can use
-       it too — client guard chains are mostly single-variable interval
-       atoms the oracle decides without a solver call *)
-    if search_config.Search.use_slice then
-      {
-        client_interp with
-        Interp.oracle = Some (Achilles_slice.Slice.make_oracle ());
-      }
-    else client_interp
-  in
   let client, client_stats =
     Client_extract.extract ~config:client_interp ~layout clients
   in

@@ -30,10 +30,10 @@ val analyze :
   server:Ast.program ->
   unit ->
   analysis
-(** Run the full pipeline: client extraction (through the slice oracle
-    when [use_slice] is set), the differentFrom matrix — computed only when
-    the search configuration enables its use, and informed by the server's
-    static slice when [use_slice] is set — then {!Search.run}. *)
+(** Run the full pipeline: client extraction, the differentFrom matrix —
+    computed only when the search configuration enables its use, and
+    informed by the server's static slice when [use_slice] is set — then
+    {!Search.run}. *)
 
 val trojans : analysis -> Search.trojan list
 val pp_summary : Format.formatter -> analysis -> unit

@@ -64,10 +64,6 @@ let pp_coverage fmt (c : Search.coverage) =
       c.Search.budget_exhaustions;
   if c.Search.injected_faults > 0 then
     Format.fprintf fmt "  injected faults %d@," c.Search.injected_faults;
-  if c.Search.slice_static_branches > 0 || c.Search.slice_cone_queries > 0 then
-    Format.fprintf fmt
-      "  slice oracle    %d branches decided statically, %d cone queries@,"
-      c.Search.slice_static_branches c.Search.slice_cone_queries;
   Format.fprintf fmt "@]"
 
 (* Counts only: span durations and histograms are wall-clock and belong in

@@ -13,10 +13,7 @@ type config = {
       (* record, for every dropped client path, the unsat core of server
          constraints that made it incompatible (from the frame context's
          assumption core; none while incremental solving is off) *)
-  use_slice : bool;
-      (* answer branch feasibility through the static-slice oracle (cone
-         restriction + equality-chain decisions); verdict-preserving, so
-         report digests are unchanged *)
+  use_slice : bool; (* not read by [run]; see search.mli *)
   mask : string list option;
   witnesses_per_path : int;
   distinct_by : (Bv.t array -> Term.var array -> Term.t) option;
@@ -109,18 +106,7 @@ type coverage = {
   budget_exhaustions : int;
   injected_faults : int;
   abandoned_states : int; (* states cut off by cancellation *)
-  (* slice-oracle effectiveness, process-wide since the last stats reset
-     (never digested): branch decisions settled statically, and full-path
-     feasibility queries replaced by cone-restricted ones *)
-  slice_static_branches : int;
-  slice_cone_queries : int;
 }
-
-(* Cumulative Obs counter reads. *)
-let slice_counters () =
-  let counters = (Obs.aggregate ()).Obs.counters in
-  let get name = Option.value ~default:0 (List.assoc_opt name counters) in
-  (get "slice.branch_skipped", get "slice.cone_queries")
 
 let coverage_complete c =
   c.completed_shards = c.total_shards
@@ -1039,7 +1025,6 @@ let merge_outs ~base ~started ~interrupted sh =
       slots
   in
   let sum f = List.fold_left (fun acc (r, _) -> acc + f r) 0 outs in
-  let slice_static, slice_cone = slice_counters () in
   let coverage =
     {
       total_shards = Array.length sh.slots;
@@ -1056,8 +1041,6 @@ let merge_outs ~base ~started ~interrupted sh =
       budget_exhaustions = sum (fun r -> r.rec_exhaustions);
       injected_faults = sum (fun r -> r.rec_faults);
       abandoned_states = sh.abandoned;
-      slice_static_branches = slice_static;
-      slice_cone_queries = slice_cone;
     }
   in
   (* keep the counter ahead of every id any shard allocated, so later
@@ -1180,8 +1163,6 @@ let explore_pass ~config ~different_from ~client ~server ~started ~base sh =
          it finished *)
       Interp.skip_route =
         (if Array.for_all is_todo sh.slots then None else Some logged);
-      Interp.oracle =
-        (if config.use_slice then Some (Slice.make_oracle ()) else None);
     }
   in
   let saved_budget = Solver.get_budget () in

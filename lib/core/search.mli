@@ -67,11 +67,8 @@ type config = {
          taken from {!Solver.last_assumption_core} (so none while
          incremental solving is switched off) *)
   use_slice : bool;
-      (* answer server branch feasibility through the static-slice oracle
-         ({!Achilles_slice.Slice.make_oracle}): cone-restricted, memoized
-         queries with equality chains decided statically, and [max_depth]
-         counting only message-tainted decisions. Verdict-preserving on
-         clean runs, so the report digest is byte-identical either way.
+      (* not read by {!run}: {!Achilles.analyze} builds the server's static
+         slice with it and passes it to differentFrom's slice shortcuts.
          Defaults to {!Achilles_slice.Slice.enabled} ([ACHILLES_SLICE]) *)
   mask : string list option; (* analyzed fields; None = all *)
   witnesses_per_path : int; (* concrete witnesses enumerated per path *)
@@ -188,10 +185,6 @@ type coverage = {
   budget_exhaustions : int; (* solver escalation ladders ending Unknown *)
   injected_faults : int; (* faults fired by {!Solver.set_fault_injection} *)
   abandoned_states : int; (* states cut off by cancellation *)
-  (* slice-oracle effectiveness (process-wide since the last stats reset;
-     never digested): *)
-  slice_static_branches : int; (* branch feasibilities settled statically *)
-  slice_cone_queries : int; (* cone-restricted queries replacing full-path ones *)
 }
 
 val coverage_complete : coverage -> bool

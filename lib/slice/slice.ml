@@ -1,10 +1,9 @@
 (* Static dependency slicing over the protocol DSL: a whole-program taint
    analysis from Receive sources (which branches can read which message
-   fields), value-set machinery for injective byte chains, and a branch
-   feasibility oracle that answers from the variable-connected cone of the
-   path instead of the whole path. Everything here is a pure decision
-   optimization: on clean runs every verdict coincides with the full query
-   it replaces, so report digests are identical slice on or off. *)
+   fields) and value-set machinery for injective byte chains, both used by
+   differentFrom to skip pair checks. Everything here is a pure decision
+   optimization: on clean runs every verdict coincides with the solver
+   query it replaces, so report digests are identical slice on or off. *)
 
 open Achilles_smt
 open Achilles_symvm
@@ -348,258 +347,7 @@ let var_bits parts =
 let injective_image_bits t =
   Option.map var_bits (injective_chain t)
 
-(* Is the constant in the chain's image? Walk from the low end and compare
-   the bits at every constant part. *)
-let in_image parts c =
-  let rec walk off = function
-    | [] -> true
-    | p :: rest -> (
-        match p with
-        | Vpart _ -> walk (off + part_width p) rest
-        | Cpart bv ->
-            let w = Bv.width bv in
-            Bv.equal bv (Bv.extract ~hi:(off + w - 1) ~lo:off c)
-            && walk (off + w) rest)
-  in
-  walk 0 (List.rev parts)
+(* --- benchmark shim ------------------------------------------------------------ *)
 
-(* --- the cone oracle ---------------------------------------------------------- *)
-
-(* Transitive var-sharing closure of the path's conjuncts, seeded from the
-   condition's variables, in original path order. Since the whole path is
-   satisfiable (the oracle is only consulted on exact paths) and the
-   conjuncts outside the cone share no variable with [cond] or the cone,
-   SAT(path /\ cond) = SAT(cone /\ cond). *)
-let cone_of path cond =
-  match path with
-  | [] -> []
-  | _ ->
-      let module IS = Set.Make (Int) in
-      let conj = Array.of_list path in
-      let n = Array.length conj in
-      let ids = Array.map Term.var_ids conj in
-      let selected = Array.make n false in
-      let seen = ref (IS.of_list (Term.var_ids cond)) in
-      let changed = ref true in
-      while !changed do
-        changed := false;
-        for k = 0 to n - 1 do
-          if
-            (not selected.(k))
-            && List.exists (fun id -> IS.mem id !seen) ids.(k)
-          then begin
-            selected.(k) <- true;
-            changed := true;
-            seen := List.fold_left (fun s id -> IS.add id s) !seen ids.(k)
-          end
-        done
-      done;
-      List.filteri (fun k _ -> selected.(k)) path
-
-(* Unpack a condition as an atom over one base term: an (in)equality or an
-   unsigned comparison against a constant. *)
-type batom =
-  | Aeq of Bv.t (* base = c *)
-  | Aneq of Bv.t (* base <> c *)
-  | Alt of Bv.t (* base < c, unsigned *)
-  | Ale of Bv.t (* base <= c *)
-  | Agt of Bv.t (* base > c *)
-  | Age of Bv.t (* base >= c *)
-
-let atom (cond : Term.t) =
-  let eq pos (a : Term.t) (b : Term.t) =
-    match (a.Term.node, b.Term.node) with
-    | Term.Const c, _ -> Some (b, if pos then Aeq c else Aneq c)
-    | _, Term.Const c -> Some (a, if pos then Aeq c else Aneq c)
-    | _ -> None
-  in
-  let ult pos (a : Term.t) (b : Term.t) =
-    match (a.Term.node, b.Term.node) with
-    | Term.Const c, _ -> Some (b, if pos then Agt c else Ale c)
-    | _, Term.Const c -> Some (a, if pos then Alt c else Age c)
-    | _ -> None
-  in
-  let ule pos (a : Term.t) (b : Term.t) =
-    match (a.Term.node, b.Term.node) with
-    | Term.Const c, _ -> Some (b, if pos then Age c else Alt c)
-    | _, Term.Const c -> Some (a, if pos then Ale c else Agt c)
-    | _ -> None
-  in
-  match cond.Term.node with
-  | Term.Eq (a, b) -> eq true a b
-  | Term.Ult (a, b) -> ult true a b
-  | Term.Ule (a, b) -> ule true a b
-  | Term.Not t -> (
-      match t.Term.node with
-      | Term.Eq (a, b) -> eq false a b
-      | Term.Ult (a, b) -> ult false a b
-      | Term.Ule (a, b) -> ule false a b
-      | _ -> None)
-  | _ -> None
-
-(* Contiguous image [lo, lo + 2^vw - 1] of an injective chain whose variable
-   parts occupy the low bits (constant parts, if any, all sit above them).
-   Bounded to 61 bits so the interval arithmetic below stays exact in
-   [Int64]. *)
-let contiguous_image t =
-  match injective_chain t with
-  | None -> None
-  | Some parts ->
-      let rec vars_low seen_var = function
-        | [] -> true
-        | Cpart _ :: _ when seen_var -> false
-        | Cpart _ :: rest -> vars_low seen_var rest
-        | Vpart _ :: rest -> vars_low true rest
-      in
-      let total = List.fold_left (fun a p -> a + part_width p) 0 parts in
-      if (not (vars_low false parts)) || total > 61 then None
-      else
-        let vw = var_bits parts in
-        (* parts are high bits first: fold builds the value with every
-           variable part contributing zero, which is exactly [lo] *)
-        let lo =
-          List.fold_left
-            (fun acc p ->
-              let v = match p with Cpart c -> Bv.value c | Vpart _ -> 0L in
-              Int64.add (Int64.shift_left acc (part_width p)) v)
-            0L parts
-        in
-        Some (lo, Int64.add lo (Int64.sub (Int64.shift_left 1L vw) 1L))
-
-(* SAT of an atom conjunction over one base with a contiguous image: clamp
-   the interval with the bounds, then count what the disequalities leave. *)
-let decide_interval base atoms =
-  match contiguous_image base with
-  | None -> None
-  | Some (lo, hi) ->
-      let l = ref lo and u = ref hi in
-      let eqs = ref [] and neqs = ref [] in
-      List.iter
-        (fun a ->
-          match a with
-          | Aeq c -> eqs := Bv.value c :: !eqs
-          | Aneq c -> neqs := Bv.value c :: !neqs
-          | Alt c -> u := Int64.min !u (Int64.sub (Bv.value c) 1L)
-          | Ale c -> u := Int64.min !u (Bv.value c)
-          | Agt c -> l := Int64.max !l (Int64.add (Bv.value c) 1L)
-          | Age c -> l := Int64.max !l (Bv.value c))
-        atoms;
-      let in_range v = v >= !l && v <= !u in
-      Some
-        (match !eqs with
-        | e :: rest ->
-            List.for_all (Int64.equal e) rest
-            && in_range e
-            && not (List.exists (Int64.equal e) !neqs)
-        | [] ->
-            !l <= !u
-            && Int64.to_int (Int64.add (Int64.sub !u !l) 1L)
-               > List.length
-                   (List.sort_uniq Int64.compare (List.filter in_range !neqs)))
-
-(* Decide SAT(cone /\ cond) statically when every conjunct involved is an
-   atom over one shared base term. Exact: [Some v] must be the verdict the
-   solver would return.
-
-   - some equality [base = e] in the cone: the path is satisfiable, so the
-     base is pinned to [e] and the condition is decided by comparing
-     constants (this also subsumes the syntactic-subsumption check with
-     field-level precision);
-   - only (dis)equalities, base an injective chain: [base = c] is SAT iff
-     [c] is in the image and excluded by no disequality; [base <> c] is SAT
-     iff the excluded image values do not cover the whole image;
-   - unsigned comparisons present, base with a contiguous image: exact
-     interval arithmetic over the clamped range. *)
-let decide ~cone cond =
-  match atom cond with
-  | None -> None
-  | Some (base, catom) -> (
-      let rec collect acc = function
-        | [] -> Some (List.rev acc)
-        | conj :: rest -> (
-            match atom conj with
-            | Some (base', a) when Term.equal base base' ->
-                collect (a :: acc) rest
-            | _ -> None)
-      in
-      match collect [] cone with
-      | None -> None
-      | Some cone_atoms -> (
-          let interval =
-            List.exists
-              (function Alt _ | Ale _ | Agt _ | Age _ -> true | _ -> false)
-              (catom :: cone_atoms)
-          in
-          if interval then decide_interval base (catom :: cone_atoms)
-          else
-            let pos, c =
-              match catom with
-              | Aeq c -> (true, c)
-              | Aneq c -> (false, c)
-              | _ -> assert false
-            in
-            let eqs, neqs =
-              List.partition_map
-                (function
-                  | Aeq d -> Either.Left d
-                  | Aneq d -> Either.Right d
-                  | _ -> assert false)
-                cone_atoms
-            in
-            match eqs with
-            | e :: rest ->
-                if List.for_all (Bv.equal e) rest then
-                  Some (if pos then Bv.equal c e else not (Bv.equal c e))
-                else None (* contradictory cone: leave it to the solver *)
-            | [] -> (
-                match injective_chain base with
-                | None -> None
-                | Some parts ->
-                    if pos then
-                      Some
-                        (in_image parts c
-                        && not (List.exists (Bv.equal c) neqs))
-                    else
-                      let vw = var_bits parts in
-                      if vw >= 62 then Some true
-                      else
-                        let excluded =
-                          List.sort_uniq Int64.compare
-                            (List.filter_map
-                               (fun d ->
-                                 if in_image parts d then Some (Bv.value d)
-                                 else None)
-                               (c :: neqs))
-                        in
-                        Some (List.length excluded < 1 lsl vw))))
-
-let verdict_of_result = function
-  | Solver.Sat _ -> Interp.Feasible_exact
-  | Solver.Unsat -> Interp.Infeasible
-  | Solver.Unknown -> Interp.Feasible_unknown
-
-let make_oracle () : Interp.oracle =
-  (* per-oracle memo on the alpha-canonical cone key; one oracle per run or
-     per shard *)
-  let memo : (string, Interp.feasibility) Hashtbl.t = Hashtbl.create 512 in
-  fun ~path cond ->
-    Obs.span Obs.Slice @@ fun () ->
-    let cone = cone_of path cond in
-    match decide ~cone cond with
-    | Some sat ->
-        Obs.count "slice.branch_skipped";
-        if sat then Interp.Feasible_exact else Interp.Infeasible
-    | None -> (
-        let key = Term.alpha_key (cond :: cone) in
-        match Hashtbl.find_opt memo key with
-        | Some v ->
-            Obs.count "slice.memo_hits";
-            v
-        | None ->
-            Obs.count "slice.cone_queries";
-            let v =
-              verdict_of_result (Solver.check ~site:"slice_cone" (cond :: cone))
-            in
-            (* Unknown is retryable (budgets, fault injection): don't pin it *)
-            if v <> Interp.Feasible_unknown then Hashtbl.replace memo key v;
-            v)
+(* Does nothing; see slice.mli. *)
+let make_oracle () = ()

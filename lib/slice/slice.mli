@@ -1,28 +1,24 @@
 (** Static dependency slicing over the protocol DSL.
 
-    The interpreter pays a full-path solver query for every symbolic branch,
-    yet most server branches never depend on message bytes, and most of the
-    ones that do only relate a handful of message bytes to constants. This
-    module computes, once per program, what depends on what — and turns that
-    into decisions the rest of the pipeline consumes:
+    Most server branches never depend on message bytes. This module
+    computes, once per program, what depends on what, and turns that into
+    decisions the differentFrom preprocessing consumes:
 
     - {!analyze} runs a whole-program taint analysis from [Receive] sources
       through scalars, buffers and procedure calls, producing a branch
       census (which conditions are message-byte-tainted, and through which
       layout fields) and a per-field dependence summary (how many branches,
       state updates and sends each field can reach).
-    - {!make_oracle} builds an {!Achilles_symvm.Interp.oracle}: branch
-      feasibility answered from the variable-connected {e cone} of the path
-      instead of the whole path, with equality chains on one base term
-      decided statically and the rest answered by a memoized cone-restricted
-      solver query.
     - {!injective_image_bits} is the value-set machinery [Different_from]
       uses to decide provably-different / provably-contained field pairs
       without a solver.
 
+    Branch feasibility is not decided here: every branch check is a
+    [Solver.check_assuming] on the frame context ({!Achilles_symvm.Interp}).
+
     {b Soundness bar.} Slicing is a pure decision optimization: on clean
     (unbudgeted, fault-free) runs every verdict it produces coincides with
-    the verdict of the full query it replaces, so report digests are
+    the verdict of the solver query it replaces, so report digests are
     byte-identical slice on or off, at any shard split. The taint analysis
     only over-approximates (joins, no strong updates, symbolic offsets
     spill to whole buffers), so "field reaches no branch" is a proof, never
@@ -32,9 +28,10 @@ open Achilles_smt
 open Achilles_symvm
 
 val enabled : unit -> bool
-(** Whether slicing is on. Defaults to [true]; the environment variable
-    [ACHILLES_SLICE] (["0"], ["false"], ["off"], ["no"]) or {!set_enabled}
-    turns it off — the [--no-slice] escape hatch reads this. *)
+(** Whether differentFrom's slice shortcuts are on. Defaults to [true]; the
+    environment variable [ACHILLES_SLICE] (["0"], ["false"], ["off"],
+    ["no"]) or {!set_enabled} turns them off — the [--no-slice] escape
+    hatch reads this. *)
 
 val set_enabled : bool -> unit
 
@@ -110,28 +107,9 @@ val injective_image_bits : Term.t -> int option
     unconstrained field value escape a single concrete value" without a
     solver. *)
 
-(** {1 The feasibility oracle} *)
+(** {1 Benchmark shim} *)
 
-val make_oracle : unit -> Interp.oracle
-(** A fresh oracle (per run or per shard). Given a known-satisfiable
-    [path] and a branch condition [cond], it:
-
-    + restricts the path to the {e cone} — the transitive var-sharing
-      closure of the path's conjuncts seeded from [cond]'s variables; since
-      the rest of the path is satisfiable and shares no variable with
-      [cond] or the cone, [SAT(path /\ cond) = SAT(cone /\ cond)];
-    + decides atom chains over a single shared base term statically
-      (counter [slice.branch_skipped]): equality/disequality chains over
-      injective concatenation chains, and unsigned-comparison intervals
-      over bases with a contiguous image (exact range-minus-holes
-      counting). This is the field-level subsumption upgrade: only the
-      constraints on the branch's own read set are consulted, and e.g. a
-      switch case is killed by the preceding cases' disequalities, or a
-      guard chain [x > a, x < b] decided, without any solver work;
-    + otherwise answers with a scratch solver query over [cond :: cone]
-      (counter [slice.cone_queries]), memoized on the alpha-canonical key
-      of the cone (counter [slice.memo_hits]); [Unknown] degrades to
-      [Feasible_unknown] and is not memoized.
-
-    Verdicts coincide with the full-path query on clean runs — the digest
-    invariance the search relies on. *)
+val make_oracle : unit -> unit
+(** Does nothing. It stays only because the benchmark harness
+    (perfbench/analysis.ml) still sets [Interp.config.oracle] from it; it
+    goes with the benchmark's next change. *)

@@ -6,20 +6,6 @@ exception Runtime_error of string
 
 let runtime_error fmt = Format.kasprintf (fun s -> raise (Runtime_error s)) fmt
 
-(* Three-way feasibility verdict. [Feasible_exact] is a real [Sat]: the
-   extended path is known satisfiable, preserving the invariant behind
-   [State.path_exact]. [Feasible_unknown] keeps the path (conservative) but
-   poisons exactness down the subtree. *)
-type feasibility = Feasible_exact | Feasible_unknown | Infeasible
-
-(* A feasibility oracle decides [path /\ cond] without (necessarily) paying
-   for a full-path solver query — e.g. the slice oracle's cone
-   factorization. Only consulted while [State.path_exact] holds, i.e. the
-   path itself is known satisfiable; verdicts must coincide with what the
-   scratch query over the full path would answer (modulo Unknown, which may
-   only degrade toward [Feasible_unknown]). *)
-type oracle = path:Term.t list -> Term.t -> feasibility
-
 type config = {
   max_unroll : int;
   max_depth : int;
@@ -35,9 +21,7 @@ type config = {
   skip_route : (string -> bool) option;
       (* when set, fork children whose route it accepts are not explored
          (a resumed search skips subtrees its checkpoints already hold) *)
-  oracle : oracle option;
-      (* feasibility oracle for branch/assume checks on exact paths; when
-         set, [max_depth] also counts only message-tainted decisions *)
+  oracle : unit option; (* read by nothing; see interp.mli *)
 }
 
 let default_config =
@@ -247,26 +231,15 @@ let rec eval ctx st (locals : locals) (e : Ast.expr) : Term.t =
    new. With incremental solving off ([Solver.set_incremental false], the
    reference route) it is the scratch query [check (cond :: path)]. *)
 let feasible ctx (st : State.t) cond =
-  match ctx.config.oracle with
-  | Some oracle when st.State.path_exact -> oracle ~path:st.State.path cond
-  | _ -> (
-      Obs.count "interp.feasibility_queries";
-      match
-        Solver.check_assuming ~site:"feasibility"
-          ?conflict_limit:ctx.config.feasibility_conflict_limit
-          ~path:st.State.path [ cond ]
-      with
-      | Solver.Sat _ -> Feasible_exact
-      | Solver.Unsat -> Infeasible
-      | Solver.Unknown -> Feasible_unknown (* conservative: keep exploring *))
-
-(* Record the exactness of the verdict that admitted a conjunct: once a path
-   carries an Unknown-admitted constraint it is no longer known satisfiable
-   and the oracle's factorization argument stops applying below it. *)
-let mark_exactness (st : State.t) = function
-  | Feasible_unknown when st.State.path_exact ->
-      { st with State.path_exact = false }
-  | _ -> st
+  Obs.count "interp.feasibility_queries";
+  match
+    Solver.check_assuming ~site:"feasibility"
+      ?conflict_limit:ctx.config.feasibility_conflict_limit
+      ~path:st.State.path [ cond ]
+  with
+  | Solver.Sat _ -> true
+  | Solver.Unsat -> false
+  | Solver.Unknown -> true (* conservative: keep exploring *)
 
 (* Does the condition read any byte of the analyzed message? Sorted-list
    intersection over the memoized distinct-var-id lists. *)
@@ -353,28 +326,26 @@ let branch ctx (st : State.t) cond ift iff : outcomes =
   | Some true -> ift st
   | Some false -> iff st
   | None -> (
-      let t_verdict = feasible ctx st cond in
-      let f_verdict = feasible ctx st (Term.not_ cond) in
-      let one_sided verdict cond side =
-        match add_constraint ctx (mark_exactness st verdict) cond with
+      let t_feasible = feasible ctx st cond in
+      let f_feasible = feasible ctx st (Term.not_ cond) in
+      let one_sided cond side =
+        match add_constraint ctx st cond with
         | Some st -> side st
         | None -> Seq.empty
       in
-      match t_verdict, f_verdict with
-      | Infeasible, Infeasible ->
+      match t_feasible, f_feasible with
+      | false, false ->
           (* the current path was already infeasible; treat as dropped *)
           Seq.return (finish ctx st State.Dropped, String_map.empty, End)
-      | Infeasible, f_verdict -> one_sided f_verdict (Term.not_ cond) iff
-      | t_verdict, Infeasible -> one_sided t_verdict cond ift
-      | t_verdict, f_verdict ->
-          (* With an oracle installed, only message-tainted decisions spend
-             depth budget: untainted forks (local/config state) are the ones
-             slicing makes cheap, so they must not starve the interesting
-             depth. Without an oracle, every fork counts, as before. *)
+      | false, true -> one_sided (Term.not_ cond) iff
+      | true, false -> one_sided cond ift
+      | true, true ->
+          (* Only message-tainted decisions spend depth budget: forks on
+             local or configuration state must not starve the depth the
+             analyzed message's branches need. *)
           let next_depth =
-            if ctx.config.oracle <> None && not (message_tainted st cond) then
-              st.State.depth
-            else st.State.depth + 1
+            if message_tainted st cond then st.State.depth + 1
+            else st.State.depth
           in
           if next_depth > ctx.config.max_depth then
             Seq.return (truncate ctx st `Depth, String_map.empty, End)
@@ -382,7 +353,7 @@ let branch ctx (st : State.t) cond ift iff : outcomes =
             Seq.return (truncate ctx st `States, String_map.empty, End)
           else begin
             ctx.stats.forks <- ctx.stats.forks + 1;
-            let continue side verdict cond bit : outcomes =
+            let continue side cond bit : outcomes =
              fun () ->
               (* deferred to forcing time: the true subtree is explored
                  (and numbered) in full before this child even exists *)
@@ -392,14 +363,13 @@ let branch ctx (st : State.t) cond ift iff : outcomes =
               | _ -> (
                 let child = fork_child ctx st route in
                 let child = { child with State.depth = next_depth } in
-                let child = mark_exactness child verdict in
                 match add_constraint ctx child cond with
                 | Some child -> side child ()
                 | None -> Seq.Nil)
             in
             Seq.append
-              (continue ift t_verdict cond "0")
-              (continue iff f_verdict (Term.not_ cond) "1")
+              (continue ift cond "0")
+              (continue iff (Term.not_ cond) "1")
           end)
 
 (* --- statement execution ------------------------------------------------------ *)
@@ -596,12 +566,12 @@ and exec_stmt_unsafe ctx (st : State.t) (locals : locals) (stmt : Ast.stmt) :
       | Some true -> Seq.return (st, locals, Fall)
       | Some false -> Seq.return (finish ctx st State.Dropped, locals, End)
       | None -> (
-          match feasible ctx st cond with
-          | Infeasible -> Seq.return (finish ctx st State.Dropped, locals, End)
-          | verdict -> (
-              match add_constraint ctx (mark_exactness st verdict) cond with
-              | Some st -> Seq.return (st, locals, Fall)
-              | None -> Seq.empty)))
+          if not (feasible ctx st cond) then
+            Seq.return (finish ctx st State.Dropped, locals, End)
+          else
+            match add_constraint ctx st cond with
+            | Some st -> Seq.return (st, locals, Fall)
+            | None -> Seq.empty))
   | Drop_path -> Seq.return (finish ctx st State.Dropped, locals, End)
   | Mark_accept label ->
       (* accept/reject markers classify the handling of the analyzed
@@ -661,9 +631,6 @@ let initial_state ctx =
     globals;
     buffers;
     path = List.rev ctx.config.initial_path;
-    (* [initial_path] is satisfiable by construction (concrete-run prefixes
-       and havoc bounds), which is what seeds the oracle's invariant *)
-    path_exact = true;
     depth = 0;
     sent = [];
     received = 0;

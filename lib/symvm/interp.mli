@@ -14,34 +14,20 @@
     earlier rounds through the same handler code.
 
     Branches whose condition is symbolic query the SMT solver for the
-    feasibility of each side and fork accordingly. Hooks observe constraint
+    feasibility of each side ([Solver.check_assuming] at site
+    ["feasibility"], on the frame context) and fork accordingly; an
+    [Unknown] answer keeps the side. Hooks observe constraint
     additions, forks, sends and terminal states, and can prune states — this
     is how the Achilles search drops server paths that no Trojan message can
     trigger. *)
 
 open Achilles_smt
 
-(** Verdict of a branch/assume feasibility check. [Feasible_exact] is a real
-    [Sat] — the extended path is known satisfiable, which is what keeps
-    {!State.t.path_exact} true down that side. [Feasible_unknown] is the
-    conservative keep-exploring degradation (budget exhaustion, injected
-    fault, or an oracle that cannot decide): the side is still explored but
-    exactness is poisoned for the whole subtree. *)
-type feasibility = Feasible_exact | Feasible_unknown | Infeasible
-
-type oracle = path:Term.t list -> Term.t -> feasibility
-(** A feasibility oracle decides [path /\ cond] cheaper than a full-path
-    solver query (see [Achilles_slice.Slice.make_oracle]). It is consulted
-    only while the state's [path_exact] invariant holds — every conjunct of
-    [path] was admitted with an exact [Sat], so the path itself is known
-    satisfiable and factorization arguments (answering from a variable-
-    connected cone of the path) are sound. Verdicts must agree with the
-    full-path query on clean runs; under degradation an oracle may only err
-    toward [Feasible_unknown]. *)
-
 type config = {
   max_unroll : int; (* loop iterations per [While] per path *)
-  max_depth : int; (* symbolic branch decisions per path *)
+  max_depth : int;
+      (* two-sided forks per path on conditions that read a byte of the
+         analyzed message; forks on local or configuration state are free *)
   max_states : int; (* total states created per run *)
   feasibility_conflict_limit : int option;
       (* optional SAT budget for branch feasibility; [Unknown] counts as
@@ -62,17 +48,13 @@ type config = {
       (* when set, a fork child whose route (its fork decisions, ['0'] for
          the true side) the predicate accepts is not created, and its
          subtree is not explored; [None] explores everything *)
-  oracle : oracle option;
-      (* when set, branch/assume feasibility on exact paths goes through the
-         oracle instead of a full-path solver query, and [max_depth] counts
-         only message-tainted branch decisions (forks on conditions reading
-         no byte of the analyzed message are free). Requires
-         [initial_path] to be satisfiable. [None] keeps the historical
-         behavior bit for bit. *)
+  oracle : unit option;
+      (* read by nothing. It stays only because the benchmark harness
+         (perfbench/analysis.ml) still sets it; it goes with the
+         benchmark's next change. *)
 }
 
 val default_config : config
-(** [oracle] defaults to [None]. *)
 
 val classify_by_reply : State.t -> State.status option
 (** §5.1's default heuristic: replying to the analyzed message means the

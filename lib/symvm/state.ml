@@ -32,11 +32,7 @@ type t = {
   globals : Term.t String_map.t;
   buffers : Term.t array String_map.t;
   path : Term.t list; (* newest constraint first *)
-  path_exact : bool;
-      (* every conjunct on [path] was admitted with an exact [Sat] — the
-         invariant the slice oracle's cone factorization relies on; turns
-         false the first time a conjunct rides in on an [Unknown] *)
-  depth : int; (* number of branch decisions on symbolic data *)
+  depth : int; (* message-tainted two-sided forks on the way here *)
   sent : message list; (* newest first *)
   received : int; (* number of [Receive] statements executed *)
   incoming_queue : Term.t array list; (* messages pending for [Receive] *)

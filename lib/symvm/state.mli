@@ -38,13 +38,9 @@ type t = {
   globals : Term.t String_map.t;
   buffers : Term.t array String_map.t;
   path : Term.t list;  (** path constraints, newest first *)
-  path_exact : bool;
-      (** [true] while every conjunct on [path] was admitted with an exact
-          [Sat] verdict, so the whole path is known satisfiable — the
-          invariant the slice oracle's cone factorization relies on. Turns
-          [false] (and stays false down the subtree) the first time a
-          conjunct is admitted on an [Unknown] degradation. *)
-  depth : int;  (** branch decisions on symbolic data along this path *)
+  depth : int;
+      (** two-sided forks along this path on conditions that read a byte
+          of the analyzed message (what [Interp.config.max_depth] bounds) *)
   sent : message list;  (** newest first *)
   received : int;  (** number of [Receive] statements executed *)
   incoming_queue : Term.t array list;  (** messages pending for [Receive] *)

@@ -416,8 +416,6 @@ let report_of msg_vars term =
         budget_exhaustions = 0;
         injected_faults = 0;
         abandoned_states = 0;
-        slice_static_branches = 0;
-        slice_cone_queries = 0;
       };
   }
 

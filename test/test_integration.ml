@@ -455,8 +455,8 @@ let test_context_recycling () =
       Solver.set_context_var_cap 200_000;
       Solver.reset_all_for_tests ())
   @@ fun () ->
-  check_target "fsp" `Fsp ~resets:166 ~sat:(1437, 31748, 293705);
-  check_target "pbft" `Pbft ~resets:40 ~sat:(9, 8355, 43033)
+  check_target "fsp" `Fsp ~resets:167 ~sat:(1372, 31408, 306438);
+  check_target "pbft" `Pbft ~resets:40 ~sat:(9, 8517, 50262)
 
 let cli_binary =
   Filename.concat (Filename.dirname Sys.executable_name) "../bin/achilles_cli.exe"
@@ -614,16 +614,50 @@ let test_cli_checkpoint_no_extra_work () =
          (fun l -> contains l {|"kind":"span_begin","name":"solver_query"|})
          lines)
   in
-  Alcotest.(check int) "unsharded solver queries" 551 (queries []);
-  Alcotest.(check int) "checkpointed solver queries" 551
+  Alcotest.(check int) "unsharded solver queries" 719 (queries []);
+  Alcotest.(check int) "checkpointed solver queries" 719
     (queries [ "--checkpoint-dir"; dir ]);
   rm_rf dir;
   let env = [ "ACHILLES_SLICE=1"; "ACHILLES_SOLVER_FAULT_RATE=0.05" ] in
-  let expected = Some "a6f3e76575edd0b73df2b9c1bf0393aa" in
+  let expected = Some "d265e1b99bfd12a320db4371d355a356" in
   Alcotest.(check (option string)) "5% faults, unsharded" expected
     (cli_digest ~env [ "fsp"; "-w"; "16" ]);
   Alcotest.(check (option string)) "5% faults, checkpointed" expected
     (cli_digest ~env [ "fsp"; "-w"; "16"; "--checkpoint-dir"; dir ])
+
+(* Every solver query an analysis issues comes from one of the search's
+   own call sites: branch feasibility rides the frame context at site
+   "feasibility", and no other component sends branch checks to the
+   scratch instance under a site of its own. *)
+let test_cli_query_sites () =
+  let sites =
+    List.map
+      (Printf.sprintf {|"site":"%s"|})
+      [ "feasibility"; "alive"; "prune"; "witness"; "negate"; "different_from" ]
+  in
+  List.iter
+    (fun target ->
+      let trace = scratch_path "achilles-cli-sites.jsonl" in
+      let code, _, _ =
+        run_cli [ "analyze"; target; "-w"; "16"; "--trace"; trace ]
+      in
+      Alcotest.(check int) ("analyze " ^ target ^ " exits 0") 0 code;
+      let lines = In_channel.with_open_bin trace In_channel.input_lines in
+      Sys.remove trace;
+      let queries =
+        List.filter
+          (fun l -> contains l {|"kind":"span_begin","name":"solver_query"|})
+          lines
+      in
+      Alcotest.(check bool) (target ^ ": some solver queries") true
+        (queries <> []);
+      List.iter
+        (fun line ->
+          if not (List.exists (contains line) sites) then
+            Alcotest.failf "%s: query outside the search's sites: %s" target
+              line)
+        queries)
+    [ "rw"; "fsp"; "fsp-glob"; "pbft"; "kv"; "gossip"; "paxos" ]
 
 (* A usage error: exit 124, and stderr carries every needle. *)
 let check_usage_error args needles =
@@ -765,8 +799,9 @@ let test_wildcard_trojan_via_analysis () =
 (* The whole run's SAT trajectory: the conflicts, decisions and
    propagations [analyze T -w 16 --digest] prints, summed over every solve
    on the scratch and frame instances (see {!Goldens.sat_counters}). The
-   pins are of a sliced, fault-free run, so both are set here: without the
-   slice oracle, or with injected faults, the run issues other solves. *)
+   pins are of a sliced, fault-free run, so both are set here: without
+   differentFrom's slice shortcuts, or with injected faults, the run issues
+   other solves. *)
 let test_sat_counters_pinned () =
   let env = [ "ACHILLES_SLICE=1"; "ACHILLES_SOLVER_FAULT_RATE=0" ] in
   List.iter
@@ -810,6 +845,8 @@ let () =
             test_cli_closed_pipe;
           Alcotest.test_case "checkpointing adds no search work" `Slow
             test_cli_checkpoint_no_extra_work;
+          Alcotest.test_case "queries come from the search's sites" `Slow
+            test_cli_query_sites;
           Alcotest.test_case "--mask names are checked" `Quick
             test_cli_mask_checked;
           Alcotest.test_case "numeric options are checked" `Quick

@@ -1,15 +1,15 @@
 (* The static dependency slice (lib/slice), end to end:
 
    - golden taint summaries for every bundled target model;
-   - the injective-chain value-set machinery;
-   - the feasibility oracle's static equality-chain decisions;
+   - the injective-chain value-set machinery, and the alpha keys
+     differentFrom's memo is keyed on;
    - slice-aware differentFrom: identical matrices, identical fresh-variable
      consumption, fewer solver queries;
    - the soundness bar itself: report digests byte-identical slice on/off,
      at 1 and 16 shards, on the bundled targets and on random server trees,
-     and the FSP branch-query and differentFrom-pair work the oracle saves;
-   - the taint-aware depth bound: message-independent branches stop
-     consuming [max_depth] when the oracle is installed. *)
+     and the FSP differentFrom-pair work the slice saves;
+   - the taint-aware depth bound: message-independent branches never
+     consume [max_depth]. *)
 
 open Achilles_smt
 open Achilles_symvm
@@ -200,72 +200,20 @@ let test_injective_image_bits () =
   Alcotest.check bits "arithmetic is opaque" None
     (Slice.injective_image_bits (Term.add v8 w8))
 
-(* --- the oracle's static decisions --------------------------------------------- *)
-
-let feas =
-  let s = function
-    | Interp.Feasible_exact -> "Feasible_exact"
-    | Interp.Feasible_unknown -> "Feasible_unknown"
-    | Interp.Infeasible -> "Infeasible"
+(* differentFrom's memo is keyed on [Term.alpha_key], which names each
+   variable's sort: [x <u y /\ y <u z] is UNSAT over 1-bit variables and
+   SAT over 8-bit ones, so the two chains share a shape but must not share
+   a key. *)
+let test_alpha_key_keeps_sorts () =
+  let chain w =
+    let v name = Term.var (Term.fresh_var ~name (Term.Bitvec w)) in
+    let x = v "x" and y = v "y" and z = v "z" in
+    Term.alpha_key [ Term.ult x y; Term.ult y z ]
   in
-  Alcotest.testable (fun fmt v -> Format.pp_print_string fmt (s v)) ( = )
-
-let test_oracle_static_decide () =
-  Solver.reset_all_for_tests ();
-  let oracle = Slice.make_oracle () in
-  let x = Term.var (Term.fresh_var ~name:"x" (Term.Bitvec 8)) in
-  let y = Term.var (Term.fresh_var ~name:"y" (Term.Bitvec 8)) in
-  let c n = Term.const (Bv.of_int ~width:8 n) in
-  let check name expected path cond =
-    Alcotest.check feas name expected (oracle ~path cond)
-  in
-  (* an equality in the cone pins the base (the path is satisfiable) *)
-  check "pinned: same constant" Interp.Feasible_exact
-    [ Term.eq x (c 5) ] (Term.eq x (c 5));
-  check "pinned: other constant" Interp.Infeasible
-    [ Term.eq x (c 5) ] (Term.eq x (c 7));
-  check "pinned: negated self" Interp.Infeasible
-    [ Term.eq x (c 5) ] (Term.neq x (c 5));
-  check "pinned: negated other" Interp.Feasible_exact
-    [ Term.eq x (c 5) ] (Term.neq x (c 7));
-  (* disequality chains over an injective base (the switch-case pattern) *)
-  check "chain blocks the excluded value" Interp.Infeasible
-    [ Term.neq x (c 1); Term.neq x (c 2) ]
-    (Term.eq x (c 2));
-  check "chain admits a fresh value" Interp.Feasible_exact
-    [ Term.neq x (c 1) ] (Term.eq x (c 3));
-  check "room left in the image" Interp.Feasible_exact
-    [ Term.neq x (c 1) ] (Term.neq x (c 2));
-  (* the cone drops variable-disjoint conjuncts *)
-  check "disjoint constraints are irrelevant" Interp.Feasible_exact
-    [ Term.eq y (c 9) ] (Term.eq x (c 4));
-  (* single-variable interval atoms (the client guard-chain pattern) *)
-  check "bound admits a member" Interp.Feasible_exact
-    [ Term.ult x (c 10) ] (Term.eq x (c 5));
-  check "bound excludes a non-member" Interp.Infeasible
-    [ Term.ult x (c 10) ] (Term.eq x (c 12));
-  check "bounds that cross are empty" Interp.Infeasible
-    [ Term.uge x (c 7) ]
-    (Term.ult x (c 7));
-  check "narrow range minus holes survives" Interp.Feasible_exact
-    [ Term.ugt x (c 3); Term.ult x (c 6); Term.neq x (c 4) ]
-    (Term.eq x (c 5));
-  check "narrow range exhausted by holes" Interp.Infeasible
-    [ Term.ugt x (c 3); Term.ult x (c 6); Term.neq x (c 4) ]
-    (Term.neq x (c 5));
-  (* a 1-bit image exhausts: b <> 0 /\ b <> 1 is unsat *)
-  let b = Term.var (Term.fresh_var ~name:"bit" (Term.Bitvec 1)) in
-  let c1 n = Term.const (Bv.of_int ~width:1 n) in
-  check "image exhausted" Interp.Infeasible
-    [ Term.neq b (c1 0) ] (Term.neq b (c1 1));
-  (* non-atoms fall back to the cone query and still agree with the truth *)
-  check "non-atom falls back to the solver" Interp.Feasible_exact
-    [ Term.eq y (c 9) ]
-    (Term.ult x (c 5));
-  check "unsat non-atom via the solver" Interp.Infeasible
-    [ Term.ult x (c 1) ]
-    (Term.neq x (c 0));
-  Solver.reset_all_for_tests ()
+  Alcotest.(check bool) "1-bit and 8-bit chains get different keys" false
+    (String.equal (chain 1) (chain 8));
+  Alcotest.(check string) "same sorts, fresh names: same key" (chain 8)
+    (chain 8)
 
 (* --- slice-aware differentFrom -------------------------------------------------- *)
 
@@ -465,9 +413,8 @@ let setups =
   ]
 
 (* One analysis of a setup from a reset state: the report digest, plus the
-   two work counters the oracle exists to shrink — branch-feasibility solver
-   queries (full-path, plus cone-restricted with the oracle on) and the
-   differentFrom pairs that reach the solver. *)
+   work counter the slice exists to shrink — the differentFrom pairs that
+   reach the solver. *)
 let run_setup s ~use_slice ~split_bits =
   Solver.reset_all_for_tests ();
   Term.reset_fresh_counter ();
@@ -486,49 +433,33 @@ let run_setup s ~use_slice ~split_bits =
       ~layout:s.layout ~clients:s.clients ~server:s.server ()
   in
   let report = analysis.Achilles.report in
-  let full_path =
-    Option.value ~default:0
-      (List.assoc_opt "interp.feasibility_queries"
-         (Achilles_obs.Obs.aggregate ()).Achilles_obs.Obs.counters)
-  in
   let pairs_checked =
     match analysis.Achilles.different_from_stats with
     | Some st -> st.Different_from.pairs_checked
     | None -> 0
   in
-  ( Report.report_digest report,
-    full_path + report.Search.coverage.Search.slice_cone_queries,
-    pairs_checked )
+  (Report.report_digest report, pairs_checked)
 
 let test_digests_slice_invariant () =
   List.iter
     (fun s ->
-      let reference, feas_off, pairs_off =
-        run_setup s ~use_slice:false ~split_bits:0
-      in
+      let reference, pairs_off = run_setup s ~use_slice:false ~split_bits:0 in
       List.iter
         (fun (use_slice, split_bits) ->
-          let digest, feas, pairs = run_setup s ~use_slice ~split_bits in
+          let digest, pairs = run_setup s ~use_slice ~split_bits in
           Alcotest.(check string)
             (Printf.sprintf "%s: slice %b, split bits %d" s.sname use_slice
                split_bits)
             reference digest;
-          (* the oracle pays for itself on FSP (200 -> 32 branch queries and
-             96 -> 16 pairs when last measured) *)
-          if s.sname = "fsp" && use_slice && split_bits = 0 then begin
-            Alcotest.(check bool)
-              (Printf.sprintf
-                 "fsp: >= 2x fewer branch-feasibility queries (%d -> %d)"
-                 feas_off feas)
-              true
-              (feas_off >= 2 * feas);
+          (* the slice pays for itself on FSP (96 -> 16 pairs when last
+             measured) *)
+          if s.sname = "fsp" && use_slice && split_bits = 0 then
             Alcotest.(check bool)
               (Printf.sprintf
                  "fsp: >= 3x fewer differentFrom pairs checked (%d -> %d)"
                  pairs_off pairs)
               true
-              (pairs_off >= 3 * pairs)
-          end)
+              (pairs_off >= 3 * pairs))
         [ (true, 0); (false, 4); (true, 4) ])
     setups
 
@@ -641,8 +572,9 @@ let qcheck_random_digest_invariance =
 (* --- taint-aware depth accounting ------------------------------------------------ *)
 
 (* A server whose branching is dominated by message-independent decisions:
-   with the oracle installed, only message-tainted branches count against
-   [max_depth], so a bound the clean chain would blow stops truncating. *)
+   only message-tainted branches count against [max_depth], so a bound the
+   clean chain would blow does not truncate it, while the one tainted
+   branch still spends depth. *)
 let local_chain_server depth =
   let open Builder in
   let rec chain k =
@@ -668,36 +600,21 @@ let local_chain_server depth =
 let test_taint_aware_depth () =
   let depth = 8 in
   let server = local_chain_server depth in
-  let run oracle =
+  let run max_depth =
     Solver.reset_all_for_tests ();
     Term.reset_fresh_counter ();
-    let config =
-      { Interp.default_config with Interp.max_depth = 4; Interp.oracle }
-    in
-    Interp.run ~config server
+    Interp.run
+      ~config:{ Interp.default_config with Interp.max_depth }
+      server
   in
-  let without = run None in
-  let with_slice = run (Some (Slice.make_oracle ())) in
-  Alcotest.(check bool) "plain interpreter truncates the clean chain" true
-    (without.Interp.stats.Interp.truncated_depth > 0);
-  Alcotest.(check int) "sliced interpreter never truncates" 0
-    (with_slice.Interp.stats.Interp.truncated_depth);
-  Alcotest.(check bool) "and explores more of the clean chain" true
-    (with_slice.Interp.stats.Interp.forks > without.Interp.stats.Interp.forks)
-
-(* The memo key names each variable's sort: [x <u y /\ y <u z] is UNSAT
-   over 1-bit variables and SAT over 8-bit ones, so the two cones share a
-   shape but must not share a verdict. *)
-let test_oracle_memo_keeps_sorts () =
-  Solver.reset_all_for_tests ();
-  let oracle = Slice.make_oracle () in
-  let chain w =
-    let v name = Term.var (Term.fresh_var ~name (Term.Bitvec w)) in
-    let x = v "x" and y = v "y" and z = v "z" in
-    oracle ~path:[ Term.ult x y ] (Term.ult y z)
-  in
-  Alcotest.check feas "1-bit chain" Interp.Infeasible (chain 1);
-  Alcotest.check feas "8-bit chain" Interp.Feasible_exact (chain 8)
+  let bounded = run 4 in
+  Alcotest.(check int) "the plain interpreter never truncates the clean chain"
+    0 bounded.Interp.stats.Interp.truncated_depth;
+  Alcotest.(check int) "and explores all of it" (depth + 1)
+    bounded.Interp.stats.Interp.forks;
+  let zero = run 0 in
+  Alcotest.(check int) "the message-tainted branch still spends depth" 1
+    zero.Interp.stats.Interp.truncated_depth
 
 let () =
   Alcotest.run "slice"
@@ -712,13 +629,8 @@ let () =
         [
           Alcotest.test_case "injective image bits" `Quick
             test_injective_image_bits;
-        ] );
-      ( "oracle",
-        [
-          Alcotest.test_case "static decisions" `Quick
-            test_oracle_static_decide;
           Alcotest.test_case "memo keys keep sorts" `Quick
-            test_oracle_memo_keeps_sorts;
+            test_alpha_key_keeps_sorts;
         ] );
       ( "different-from",
         [
