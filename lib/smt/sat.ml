@@ -94,6 +94,7 @@ type t = {
   mutable seen : Bytes.t; (* scratch for conflict analysis, 1 when seen *)
   mutable heap_index : Bytes.t; (* 32-bit positions in [heap], -1 if absent *)
   heap : Vec.t; (* binary max-heap of vars ordered by activity *)
+  mutable heap_live : bool; (* false until a solve first picks from [heap] *)
   trail : Vec.t; (* assigned literals in order *)
   trail_lim : Vec.t; (* trail size at each decision level *)
   lits : Vec.t; (* scratch: the clause being added or learnt *)
@@ -141,6 +142,7 @@ let create ?(vars = 3) ?(words = 0) () =
       seen = Bytes.create n;
       heap_index = Bytes.create (4 * n);
       heap = Vec.create ();
+      heap_live = false;
       trail = Vec.create ();
       trail_lim = Vec.create ();
       lits = Vec.create ();
@@ -168,6 +170,7 @@ let reset s =
   Vec.clear s.clauses;
   Vec.clear s.learnts;
   Vec.clear s.heap;
+  s.heap_live <- false;
   Vec.clear s.trail;
   Vec.clear s.trail_lim;
   s.ok <- true;
@@ -243,8 +246,10 @@ let heap_sift_down s i =
   h.(!i) <- v;
   set_word index v !i
 
+(* A no-op until the heap is live: no variable has a heap index then, so
+   [var_bump]'s sift is one too. *)
 let heap_insert s v =
-  if word s.heap_index v = -1 then begin
+  if s.heap_live && word s.heap_index v = -1 then begin
     Vec.push s.heap v;
     heap_sift_up s (Vec.size s.heap - 1)
   end
@@ -943,6 +948,14 @@ let solve ?conflict_limit ?deadline ?(assumptions = []) ?decide_vars ?lex s =
   if not s.ok then Some Unsat
   else begin
     let assumptions = Array.of_list (List.map (lit_of_dimacs s) assumptions) in
+    if decide_vars = None && lex = None && not s.heap_live then begin
+      (* the first solve that picks from the heap builds it, in variable
+         order, as [new_var] would have *)
+      s.heap_live <- true;
+      for v = 1 to s.nvars do
+        heap_insert s v
+      done
+    end;
     let order =
       match (decide_vars, lex) with
       | Some (vars, len), _ ->
