@@ -97,6 +97,8 @@ type t = {
   mutable heap_live : bool; (* false until a solve first picks from [heap] *)
   trail : Vec.t; (* assigned literals in order *)
   trail_lim : Vec.t; (* trail size at each decision level *)
+  mutable assumed : int array; (* the last solve's assumptions, internal *)
+  mutable n_assumed : int; (* leading levels opened for [assumed] *)
   lits : Vec.t; (* scratch: the clause being added or learnt *)
   mutable qhead : int;
   mutable var_inc : float;
@@ -145,6 +147,8 @@ let create ?(vars = 3) ?(words = 0) () =
       heap_live = false;
       trail = Vec.create ();
       trail_lim = Vec.create ();
+      assumed = [||];
+      n_assumed = 0;
       lits = Vec.create ();
       qhead = 0;
       var_inc = 1.0;
@@ -173,6 +177,8 @@ let reset s =
   s.heap_live <- false;
   Vec.clear s.trail;
   Vec.clear s.trail_lim;
+  s.assumed <- [||];
+  s.n_assumed <- 0;
   s.ok <- true;
   s.nvars <- 0;
   s.qhead <- 0;
@@ -343,7 +349,8 @@ let cancel_until s lvl =
     done;
     Vec.shrink s.trail bound;
     Vec.shrink s.trail_lim lvl;
-    s.qhead <- bound
+    s.qhead <- bound;
+    if s.n_assumed > lvl then s.n_assumed <- lvl
   end
 
 (* --- clause arena --------------------------------------------------------- *)
@@ -421,10 +428,51 @@ let cla_bump s c =
 
 let cla_decay s = s.cla_inc <- s.cla_inc /. 0.999
 
+(* Move the best watch candidate among [s.lits]'s entries [i .. k - 1] to
+   slot [i]: the first literal that is not false, else the first false one
+   at the highest level. A clause with no false literal keeps its order. *)
+let promote_watch s i k =
+  let a = s.lits.data in
+  let rank l = if lit_val s l <> 0 then max_int else word s.level (l lsr 1) in
+  let best = ref i and best_rank = ref (rank a.(i)) in
+  let j = ref (i + 1) in
+  while !best_rank < max_int && !j < k do
+    let r = rank a.(!j) in
+    if r > !best_rank then begin
+      best := !j;
+      best_rank := r
+    end;
+    incr j
+  done;
+  let x = a.(i) in
+  a.(i) <- a.(!best);
+  a.(!best) <- x
+
+(* A clause [c] attached above level 0 whose second watch is false is unit
+   or conflicting under the kept trail. Unit: backtrack to the level where
+   it became unit and enqueue its first literal there, with [c] as reason
+   (a first literal already true at or below that level needs nothing).
+   Conflicting, both watches false at one level: backtrack below it. *)
+let assert_added s c =
+  let l0 = word s.arena (c + 2) and l1 = word s.arena (c + 3) in
+  if lit_val s l1 = 0 then begin
+    let lv1 = word s.level (l1 lsr 1) in
+    match lit_val s l0 with
+    | 0 when word s.level (l0 lsr 1) = lv1 -> cancel_until s (lv1 - 1)
+    | 1 when word s.level (l0 lsr 1) <= lv1 -> ()
+    | _ ->
+        cancel_until s lv1;
+        enqueue s l0 c
+  end
+
 (* Store the clause held in [s.lits]: sort it ascending (the watch order
    the solver has always used) in place with an insertion sort, then drop
-   duplicates and false literals in one pass; a complementary pair
-   (adjacent once sorted) or a true literal makes the clause redundant. *)
+   duplicates and literals false at level 0 in one pass; a complementary
+   pair (adjacent once sorted) or a literal true at level 0 makes the
+   clause redundant. A literal fixed above level 0, by the assumption
+   levels a solve kept, neither shrinks nor satisfies the clause: a unit
+   goes to level 0, and a longer clause watches its best two literals and
+   is asserted or backtracked past where the kept trail falsifies it. *)
 let add_lits s =
   let n = Vec.size s.lits and a = s.lits.data in
   for i = 1 to n - 1 do
@@ -442,8 +490,8 @@ let add_lits s =
     if l <> !prev then begin
       if l = !prev lxor 1 then redundant := true;
       (match lit_val s l with
-      | 1 -> redundant := true
-      | 0 -> ()
+      | 1 when word s.level (l lsr 1) = 0 -> redundant := true
+      | 0 when word s.level (l lsr 1) = 0 -> ()
       | _ ->
           a.(!kept) <- l;
           incr kept);
@@ -453,16 +501,24 @@ let add_lits s =
   if not !redundant then
     match !kept with
     | 0 -> s.ok <- false
-    | 1 -> enqueue s a.(0) (-1)
+    | 1 ->
+        cancel_until s 0;
+        enqueue s a.(0) (-1)
     | k ->
+        let above_root = decision_level s > 0 in
+        if above_root then begin
+          promote_watch s 0 k;
+          promote_watch s 1 k
+        end;
         let c = alloc_clause s ~learnt:false k in
         Vec.push s.clauses c;
-        attach_clause s c
+        attach_clause s c;
+        if above_root then assert_added s c
 
-(* Clauses may only be simplified against root-level facts; a model left
-   by a previous [solve] must not satisfy-away or shrink a new clause. *)
+(* A model left by a previous [solve] is dropped, but not the assumption
+   levels it kept. *)
 let add_clause s lits =
-  if decision_level s > 0 then cancel_until s 0;
+  cancel_until s s.n_assumed;
   if s.ok then begin
     Vec.clear s.lits;
     List.iter (fun l -> Vec.push s.lits (lit_of_dimacs s l)) lits;
@@ -470,7 +526,7 @@ let add_clause s lits =
   end
 
 let add_clause3 s a b c =
-  if decision_level s > 0 then cancel_until s 0;
+  cancel_until s s.n_assumed;
   if s.ok then begin
     Vec.clear s.lits;
     Vec.push s.lits (lit_of_dimacs s a);
@@ -857,6 +913,8 @@ let search s ~assumptions ~order ~max_conflicts =
           seed_final s (word s.arena j)
         done;
         s.last_core <- analyze_final s;
+        (* the levels below the conflicting one stay, propagated *)
+        cancel_until s (decision_level s - 1);
         raise Assumption_conflict
       end
       else begin
@@ -895,14 +953,17 @@ let search s ~assumptions ~order ~max_conflicts =
       | 1 ->
           (* already implied: open an empty level so indices line up *)
           Vec.push s.trail_lim (Vec.size s.trail);
+          s.n_assumed <- level + 1;
           loop ()
       | 0 ->
-          (* this assumption is falsified by the previous ones *)
+          (* this assumption is falsified by the previous ones, whose
+             levels all stay *)
           seed_final s (l lxor 1);
           s.last_core <- l :: analyze_final s;
           raise Assumption_conflict
       | _ ->
           Vec.push s.trail_lim (Vec.size s.trail);
+          s.n_assumed <- level + 1;
           enqueue s l (-1);
           loop ()
     end
@@ -941,13 +1002,21 @@ let check_order s ~lits (buf, len) =
   done
 
 let solve ?conflict_limit ?deadline ?(assumptions = []) ?decide_vars ?lex s =
-  cancel_until s 0;
   s.last_core <- [];
   if decide_vars <> None && lex <> None then
     invalid_arg "Sat.solve: both decide_vars and lex";
   if not s.ok then Some Unsat
   else begin
     let assumptions = Array.of_list (List.map (lit_of_dimacs s) assumptions) in
+    (* keep the levels of the assumptions this call shares, as a prefix,
+       with the last one: they hold the same decisions, propagated *)
+    let shared = min s.n_assumed (Array.length assumptions) in
+    let keep = ref 0 in
+    while !keep < shared && s.assumed.(!keep) = assumptions.(!keep) do
+      incr keep
+    done;
+    cancel_until s !keep;
+    s.assumed <- assumptions;
     if decide_vars = None && lex = None && not s.heap_live then begin
       (* the first solve that picks from the heap builds it, in variable
          order, as [new_var] would have *)
@@ -1013,9 +1082,7 @@ let solve ?conflict_limit ?deadline ?(assumptions = []) ?decide_vars ?lex s =
         s.ok <- false;
         Some Unsat
     | (Some Sat | None) as result -> result
-    | exception Assumption_conflict ->
-        cancel_until s 0;
-        Some Unsat
+    | exception Assumption_conflict -> Some Unsat
   end
 
 let value s v =

@@ -455,8 +455,8 @@ let test_context_recycling () =
       Solver.set_context_var_cap 200_000;
       Solver.reset_all_for_tests ())
   @@ fun () ->
-  check_target "fsp" `Fsp ~resets:167 ~sat:(1372, 31408, 306438);
-  check_target "pbft" `Pbft ~resets:40 ~sat:(9, 8517, 50262)
+  check_target "fsp" `Fsp ~resets:167 ~sat:(1372, 31408, 281528);
+  check_target "pbft" `Pbft ~resets:40 ~sat:(9, 8517, 39884)
 
 let cli_binary =
   Filename.concat (Filename.dirname Sys.executable_name) "../bin/achilles_cli.exe"
