@@ -1018,8 +1018,8 @@ let solve ?conflict_limit ?deadline ?(assumptions = []) ?decide_vars ?lex s =
     cancel_until s !keep;
     s.assumed <- assumptions;
     if decide_vars = None && lex = None && not s.heap_live then begin
-      (* the first solve that picks from the heap builds it, in variable
-         order, as [new_var] would have *)
+      (* the first solve that picks from the heap builds it, inserting
+         the variables in order *)
       s.heap_live <- true;
       for v = 1 to s.nvars do
         heap_insert s v

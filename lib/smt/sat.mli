@@ -12,6 +12,15 @@
     (unless the instance itself became unsatisfiable, which subsequent
     calls report).
 
+    An incremental caller pays only for what changed between calls. Each
+    assumption is decided at a decision level of its own, and a solve
+    keeps the levels of the longest prefix its assumptions share with the
+    last solve's, propagated, instead of re-propagating them from level 0.
+    Clauses added between solves are checked against that kept trail.
+    The VSIDS decision heap is built by the first solve that picks from
+    it (one with neither [decide_vars] nor [lex]); an instance whose
+    solves always pass a decision order never maintains one.
+
     {b Representation.} Clauses live in one arena of packed 32-bit words
     (a [Bytes.t], read with bounds-checked [Bytes.get_int32_le]) — per
     clause a header word (length and flags), a learnt-id word (indexing a
@@ -61,7 +70,30 @@
       each phase and reinserting each absent variable in that order.
     - Conflict analysis visits the conflict clause whole, then each
       reason without its first literal, in clause order, bumping each
-      newly seen variable above level 0 as it is met. *)
+      newly seen variable above level 0 as it is met.
+    - The heap is empty until the first solve with neither [decide_vars]
+      nor [lex], which inserts variables [1 .. n] in order; from then on
+      {!new_var} inserts each new variable. Before that, no variable is in
+      the heap and bumping sifts nothing.
+    - A solve cancels to the longest prefix of assumption levels it
+      shares with the last solve (the same literals in the same order);
+      levels past it, and every search level, are undone. An assumption
+      conflict found by propagation undoes only the conflicting level; an
+      assumption the earlier levels falsify undoes nothing. A restart,
+      and a solve that runs out of its conflict budget, cancel to level 0.
+    - Clause addition first undoes the search levels above the kept
+      assumption levels, sorts the clause ascending and drops duplicates
+      and literals false at level 0 (a complementary pair or a literal
+      true at level 0 drops the clause). A unit clause cancels to level 0
+      and is enqueued there. A longer clause moves to its first slot the
+      first literal that is not false (failing that, the first false one
+      at the highest level), then does the same for its second slot from
+      the rest, so a clause with no false literal keeps its sorted order.
+      If the second watch is false, the clause is unit or conflicting:
+      both watches false at one level cancels below that level; otherwise
+      the first literal, unless already true at or below the second's
+      level, is enqueued at the second's level (cancelling to it), with
+      the clause as its reason. *)
 
 type t
 
@@ -74,10 +106,10 @@ val create : ?vars:int -> ?words:int -> unit -> t
 
 val reset : t -> unit
 (** Return the instance to exactly the state {!create} builds — no
-    variables, clauses, learnts, counters or saved phases — while keeping
-    its allocated buffers for reuse. Everything observable afterwards
-    (variable numbering, decisions, models, statistics) is as on a fresh
-    instance. *)
+    variables, clauses, learnts, counters, saved phases, kept assumption
+    levels or decision heap — while keeping its allocated buffers for
+    reuse. Everything observable afterwards (variable numbering,
+    decisions, models, statistics) is as on a fresh instance. *)
 
 val new_var : t -> int
 (** Allocate a fresh variable; returns its (positive) index, starting at 1.
@@ -88,13 +120,18 @@ val num_vars : t -> int
 
 val add_clause : t -> int list -> unit
 (** Add a clause. Adding the empty clause (or only falsified literals at
-    level 0) makes the instance unsatisfiable. Raises [Invalid_argument] on
-    literals naming unallocated variables, or when the clause would take
-    the arena past [2{^31} - 1] words. *)
+    level 0) makes the instance unsatisfiable. The model of the last solve
+    is dropped, but the assumption levels it kept stay, unless the clause
+    is a unit (which goes to level 0) or the kept trail makes it unit or
+    false (then the instance backtracks to where it became so; see the
+    trajectory contract). Only level-0 facts shrink or drop the clause.
+    Raises [Invalid_argument] on literals naming unallocated variables, or
+    when the clause would take the arena past [2{^31} - 1] words. *)
 
 val add_clause3 : t -> int -> int -> int -> unit
 (** [add_clause] for a clause of three literals, without building a list:
-    the same ascending sort, duplicate and false-literal removal, so
+    the same ascending sort, duplicate and false-literal removal and the
+    same treatment of the kept assumption levels, so
     [add_clause3 s a b c] is exactly [add_clause s [a; b; c]]. A binary
     clause is entered as [add_clause3 s a b b]. *)
 
@@ -109,7 +146,11 @@ val solve :
   t ->
   result option
 (** Run the search, optionally under assumption literals that hold for this
-    call only. [None] means a resource budget was exhausted (only possible
+    call only. The decision levels of the longest prefix of [assumptions]
+    shared with the last call's (as its levels stand after any clause
+    added since) are kept, not re-propagated. The answer, and a [lex]
+    model, do not depend on what was kept; the search, and so any other
+    model or core, may. [None] means a resource budget was exhausted (only possible
     when one is given): either [conflict_limit] conflicts were spent, or the
     wall clock passed [deadline] (an absolute [Unix.gettimeofday] time,
     checked between restarts — the overshoot is bounded by one restart
@@ -154,7 +195,9 @@ val solve :
 
 val value : t -> int -> bool
 (** Value of a variable in the satisfying assignment; only valid after
-    {!solve} returned [Sat]. Unassigned variables read as [false]. *)
+    {!solve} returned [Sat] and before the next clause or solve.
+    Unassigned variables read as [false]. After any other answer it reads
+    whatever the kept trail holds, which is unspecified. *)
 
 val lit_value : t -> int -> bool
 (** Value of a DIMACS literal under the model. *)

@@ -518,6 +518,15 @@ let load_lex bb ~model_vars ~scatter k m rest =
    term later (the interpreter pushes [cond] for the true child after
    checking [not cond] for the false child) costs a table hit.
 
+   The frames' guards lead the assumptions, oldest first, so consecutive
+   checks share their common path prefix as a prefix of assumptions. The
+   SAT instance keeps those decision levels, propagated, from one solve
+   to the next, and across the guard and block clauses added between
+   solves ([Sat.solve], [Sat.add_clause]): a check propagates only the
+   guards past the shared prefix and its extras'. Every solve here passes
+   a decision order ([decide_vars] or [lex]), so the instance never
+   builds a VSIDS heap.
+
    A [Sat] answer of [check] carries the values of the caller's
    [model_vars] (those the instance has bitblasted), read from the SAT
    assignment, and is otherwise empty. Such a model is a sound restriction

@@ -535,7 +535,10 @@ let trajectory_corpus () =
   @ reused_core ()
 
 (* Recorded on the record-and-option clause representation the flat arena
-   replaced; the arena must reproduce every line. *)
+   replaced; the arena must reproduce every line. Re-pinned once when
+   solves began keeping the assumption levels they share with the last
+   solve: six lines of the incremental and reused instances lost one
+   propagation, and every other field held. *)
 let pinned_trajectory =
   [
     "sat c=8 d=22 p=166 l=8 m=7a6d3cb44324 core=[]";
@@ -648,7 +651,8 @@ let test_sat_arena_bounded () =
    instance reserving 16 variables and 256 arena words, grows both stores
    while loading and its arena again mid-search, between compactions; on
    one reserving room for everything, no store grows. Both end on the
-   line a default instance printed before instances had a capacity. *)
+   line a default instance prints (one propagation fewer than before
+   solves kept their shared assumption levels). *)
 let test_sat_capacity_outgrown () =
   let recorded =
     "sat c=39602 d=56104 p=1551576 l=859 m=2d5e6b5e283e core=[]"
@@ -806,7 +810,6 @@ let qcheck_sat_incremental_differential =
         List.iter (Sat.add_clause f) !clauses;
         (f, Sat.solve ~assumptions ?lex f)
       in
-      let holds value = List.exists value in
       let previous = ref [] in
       let ok = ref true in
       for _ = 1 to 30 do
@@ -817,7 +820,8 @@ let qcheck_sat_incremental_differential =
             (List.init width (fun i ->
                  if i < false_lits then falsified () else lit ()))
         done;
-        let shared = List.filteri (fun i _ -> i < int (List.length !previous + 1)) !previous in
+        let kept = int (List.length !previous + 1) in
+        let shared = List.filteri (fun i _ -> i < kept) !previous in
         let assumptions = shared @ List.init (int 4) (fun _ -> lit ()) in
         previous := assumptions;
         let order () =
@@ -844,7 +848,7 @@ let qcheck_sat_incremental_differential =
           | Some Sat.Sat ->
               let value = Sat.lit_value s in
               expected = Some Sat.Sat
-              && List.for_all (holds value) !clauses
+              && List.for_all (List.exists value) !clauses
               && List.for_all value assumptions
               && (lex = None
                  || List.for_all (fun v -> Sat.value s v = Sat.value f v)
