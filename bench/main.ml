@@ -54,20 +54,12 @@ let fresh_measurement f =
 
 (* --- the shared FSP Achilles run (used by E1, E2, E3, E4) --------------------- *)
 
-let fsp_search_config =
-  {
-    Search.default_config with
-    Search.mask = Some Fsp_model.analysis_mask;
-    Search.witnesses_per_path = 16;
-    Search.distinct_by = Some Fsp_model.block_class;
-  }
-
 let fsp_analysis =
   lazy
     (fresh_measurement (fun () ->
-         Achilles.analyze ~search_config:fsp_search_config
-           ~layout:Fsp_model.layout ~clients:(Fsp_model.clients ())
-           ~server:Fsp_model.server ()))
+         Registry.analyze
+           ~config:(Registry.search_config ~witnesses:16 Registry.fsp)
+           Registry.fsp))
 
 let trojan_classes trojans =
   List.filter_map
@@ -373,25 +365,13 @@ let experiment_fuzzing () =
 
 (* --- E6: PBFT accuracy -------------------------------------------------------------- *)
 
-let pbft_config =
-  lazy
-    {
-      Search.default_config with
-      Search.mask = Some Pbft_model.analysis_mask;
-      Search.interp =
-        Local_state.over_approximate ~vars:[ ("last_rid", 16) ]
-          Interp.default_config;
-      Search.witnesses_per_path = 2;
-    }
-
 let experiment_pbft () =
   banner "E6: PBFT — rediscovering the MAC attack (§6.2)";
   let analysis, elapsed =
     fresh_measurement (fun () ->
-        Achilles.analyze
-          ~search_config:(Lazy.force pbft_config)
-          ~layout:Pbft_model.layout ~clients:[ Pbft_model.client ]
-          ~server:Pbft_model.replica ())
+        Registry.analyze
+          ~config:(Registry.search_config ~witnesses:2 Registry.pbft)
+          Registry.pbft)
   in
   let trojans = Achilles.trojans analysis in
   let all_mac =
@@ -414,18 +394,13 @@ let experiment_pbft () =
 
 let experiment_ablation () =
   banner "E7 / §6.4: optimized search vs non-optimized differencing";
-  let scale label command_set witnesses =
-    let commands = command_set in
-    let clients = Fsp_model.clients ~command_set:commands () in
-    let server = Fsp_model.server_for commands in
-    Format.printf "  -- %s: %d clients (%d client paths) --@." label
-      (List.length commands)
-      (4 * List.length commands);
+  let scale label (target : Registry.t) witnesses =
+    let clients = List.length (target.clients ()) in
+    Format.printf "  -- %s: %d clients (%d client paths) --@." label clients
+      (4 * clients);
     let run name config =
       let analysis, time =
-        fresh_measurement (fun () ->
-            Achilles.analyze ~search_config:config ~layout:Fsp_model.layout
-              ~clients ~server ())
+        fresh_measurement (fun () -> Registry.analyze ~config target)
       in
       let witnesses = List.length (Achilles.trojans analysis) in
       let stats = analysis.Achilles.report.Search.search_stats in
@@ -435,7 +410,7 @@ let experiment_ablation () =
         stats.Search.transitive_drops;
       time
     in
-    let base = { fsp_search_config with Search.witnesses_per_path = witnesses } in
+    let base = Registry.search_config ~witnesses target in
     let full = run "Achilles (all optimizations)" base in
     let _ =
       run "  - differentFrom matrix"
@@ -461,9 +436,8 @@ let experiment_ablation () =
     Format.printf "  non-optimized / optimized = %.2fx@.@."
       (posthoc /. max full 1e-9)
   in
-  scale "paper scale" Fsp_model.commands 16;
-  if not !quick then
-    scale "stress scale" (Fsp_model.extended_commands 24) 16;
+  scale "paper scale" Registry.fsp 16;
+  if not !quick then scale "stress scale" Registry.fsp_wide 16;
   Format.printf
     "  (paper: 2h15 non-optimized vs 1h03 optimized = 2.14x; the gap@.\
     \  grows with the number of client path predicates, which is what the@.\
@@ -539,19 +513,12 @@ let experiment_impact_pbft () =
 let experiment_local_state () =
   banner "E10 / §3.4: the three local-state modes on the Paxos acceptor";
   let analyze label interp =
+    let target = { Registry.paxos with interp = (fun () -> interp) } in
     let analysis, time =
       fresh_measurement (fun () ->
-          Achilles.analyze
-            ~search_config:
-              {
-                Search.default_config with
-                Search.mask = Some [ "mtype"; "ballot"; "value" ];
-                Search.interp = interp;
-                Search.witnesses_per_path = 3;
-              }
-            ~layout:Paxos_model.layout
-            ~clients:[ Paxos_model.proposer_concrete ~value:7 ]
-            ~server:Paxos_model.acceptor ())
+          Registry.analyze
+            ~config:(Registry.search_config ~witnesses:3 target)
+            target)
     in
     Format.printf "  %-38s %5.2fs  %d witnesses@." label time
       (List.length (Achilles.trojans analysis))
@@ -729,30 +696,20 @@ let measure_layer_row (l : layer_row) analyze =
 
 let experiment_layers () =
   banner "layers: every layer switched off in turn, on FSP (E1) and PBFT";
-  (* Force the lazy config outside the measured runs: [over_approximate]
-     allocates a fresh variable at construction. *)
-  let pbft = Lazy.force pbft_config in
-  let config base (l : layer_row) =
-    {
-      base with
-      Search.use_slice = l.slice;
-      Search.solver_budget = l.budget;
-    }
+  (* each row builds its config after the row's fresh-counter reset, so
+     PBFT's [last_rid] shares its id with no message variable *)
+  let analyze target witnesses (l : layer_row) =
+    Registry.analyze
+      ~config:
+        {
+          (Registry.search_config ~witnesses target) with
+          Search.use_slice = l.slice;
+          Search.solver_budget = l.budget;
+        }
+      target
   in
   let targets =
-    [
-      ( "fsp",
-        fun l ->
-          Achilles.analyze
-            ~search_config:(config fsp_search_config l)
-            ~layout:Fsp_model.layout ~clients:(Fsp_model.clients ())
-            ~server:Fsp_model.server () );
-      ( "pbft",
-        fun l ->
-          Achilles.analyze ~search_config:(config pbft l)
-            ~layout:Pbft_model.layout ~clients:[ Pbft_model.client ]
-            ~server:Pbft_model.replica () );
-    ]
+    [ ("fsp", analyze Registry.fsp 16); ("pbft", analyze Registry.pbft 2) ]
   in
   (* fixed-width columns; a digest is 32 characters *)
   let width c = if c = "digest" then 32 else max 6 (String.length c) in

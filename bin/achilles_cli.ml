@@ -14,120 +14,26 @@ module Obs = Achilles_obs.Obs
 module Slice = Achilles_slice.Slice
 open Cmdliner
 
-type target = {
-  target_name : string;
-  description : string;
-  layout : Layout.t;
-  clients : Ast.program list;
-  server : Ast.program;
-  default_mask : string list option;
-  interp : Interp.config;
-  client_interp : Interp.config option;
-      (* client-extraction interpreter when it differs from the default
-         (e.g. a concrete local-state scenario for the clients) *)
-  distinct_by : (Bv.t array -> Smt_term.var array -> Smt_term.t) option;
-}
-
+(* The registry's targets, each interpreter built once, here at start-up,
+   whichever command runs: the fresh variables an interpreter allocates
+   (PBFT's [last_rid]) come before any analysis's own, so [last_rid] is
+   variable 1 and every analysis numbers its variables from 2 -- the
+   numbering the pinned report digests were taken with. *)
 let targets =
-  [
-    {
-      target_name = "rw";
-      description = "the paper's working example (Figures 2-3)";
-      layout = Rw_example.layout;
-      clients = [ Rw_example.client ];
-      server = Rw_example.server;
-      default_mask = Some [ "address" ];
-      interp = Interp.default_config;
-      client_interp = None;
-      distinct_by = None;
-    };
-    {
-      target_name = "fsp";
-      description = "FSP file transfer protocol, 8 client utilities (§6.1)";
-      layout = Fsp_model.layout;
-      clients = Fsp_model.clients ();
-      server = Fsp_model.server;
-      default_mask = Some Fsp_model.analysis_mask;
-      interp = Interp.default_config;
-      client_interp = None;
-      distinct_by = Some Fsp_model.block_class;
-    };
-    {
-      target_name = "fsp-glob";
-      description = "FSP with wildcard-aware clients (the §6.3 glob bug)";
-      layout = Fsp_model.layout;
-      clients = Fsp_model.clients ~model_globbing:true ();
-      server = Fsp_model.server;
-      default_mask = Some Fsp_model.analysis_mask;
-      interp = Interp.default_config;
-      client_interp = None;
-      distinct_by = None;
-    };
-    {
-      target_name = "pbft";
-      description = "PBFT replica vs client (the MAC attack, §6.2)";
-      layout = Pbft_model.layout;
-      clients = [ Pbft_model.client ];
-      server = Pbft_model.replica;
-      default_mask = Some Pbft_model.analysis_mask;
-      interp =
-        Local_state.over_approximate ~vars:[ ("last_rid", 16) ]
-          Interp.default_config;
-      client_interp = None;
-      distinct_by = None;
-    };
-    {
-      target_name = "paxos";
-      description = "Paxos acceptor in phase 2 (local-state demo, §3.4)";
-      layout = Paxos_model.layout;
-      clients = [ Paxos_model.proposer_concrete ~value:7 ];
-      server = Paxos_model.acceptor;
-      default_mask = Some [ "mtype"; "ballot"; "value" ];
-      interp =
-        Local_state.concrete ~prefix:(Paxos_model.phase1_prefix ~ballot:5)
-          Interp.default_config;
-      client_interp = None;
-      distinct_by = None;
-    };
-    {
-      target_name = "kv";
-      description = "key-value store with auto-classified replies (§5)";
-      layout = Kv_model.layout;
-      clients = [ Kv_model.client ];
-      server = Kv_model.server;
-      default_mask = Some Kv_model.analysis_mask;
-      interp =
-        {
-          Interp.default_config with
-          Interp.auto_classify = Some Kv_model.auto_classifier;
-        };
-      client_interp = None;
-      distinct_by = None;
-    };
-    {
-      target_name = "gossip";
-      description = "gossip failure-report aggregator (the S3-outage scenario)";
-      layout = Gossip_model.layout;
-      clients = [ Gossip_model.reporter ];
-      server = Gossip_model.aggregator ~hardened:false ();
-      default_mask = Some Gossip_model.analysis_mask;
-      interp = Interp.default_config;
-      client_interp =
-        Some
-          (Local_state.concrete
-             ~incoming:(List.init 2 (fun _ -> Gossip_model.failure_event))
-             ~prefix:Gossip_model.reporter_prefix Interp.default_config);
-      distinct_by = None;
-    };
-  ]
+  List.map
+    (fun (t : Registry.t) ->
+      let interp = t.interp () in
+      { t with interp = (fun () -> interp) })
+    Registry.all
 
 let find_target name =
-  match List.find_opt (fun t -> t.target_name = name) targets with
+  match List.find_opt (fun (t : Registry.t) -> t.name = name) targets with
   | Some t -> Ok t
   | None ->
       Error
         (Printf.sprintf "unknown target %S; try: %s" name
-           (String.concat ", " (List.map (fun t -> t.target_name) targets)))
+           (String.concat ", "
+              (List.map (fun (t : Registry.t) -> t.Registry.name) targets)))
 
 (* --- common arguments ----------------------------------------------------------- *)
 
@@ -268,8 +174,8 @@ let explain_arg =
   Arg.(value & flag & info [ "explain" ] ~doc)
 
 (* The --mask fields, each checked against the target's message layout. *)
-let parse_mask target = function
-  | None -> Ok target.default_mask
+let parse_mask (target : Registry.t) = function
+  | None -> Ok target.Registry.mask
   | Some s -> (
       let names =
         List.map (fun f -> f.Layout.field_name) (Layout.fields target.layout)
@@ -282,7 +188,7 @@ let parse_mask target = function
             (Printf.sprintf "unknown --mask field%s %s for target %s; valid: %s"
                (if List.length unknown > 1 then "s" else "")
                (String.concat ", " (List.map (Printf.sprintf "%S") unknown))
-               target.target_name (String.concat ", " names)))
+               target.Registry.name (String.concat ", " names)))
 
 (* SIGINT/SIGTERM flip a flag the search polls at every branch constraint:
    the in-flight shard winds down, completed shards are kept (and checkpointed
@@ -309,14 +215,15 @@ let exit_code_of (report : Search.report) =
 let list_cmd =
   let run () =
     List.iter
-      (fun t -> Format.printf "%-10s %s@." t.target_name t.description)
+      (fun (t : Registry.t) ->
+        Format.printf "%-10s %s@." t.Registry.name t.Registry.description)
       targets;
     0
   in
   Cmd.v (Cmd.info "list" ~doc:"List the bundled target systems")
     Term.(const run $ const ())
 
-let run_analysis ~name target ~mask ~witnesses ~no_drop ~no_df ~no_prune
+let run_analysis ~name (target : Registry.t) ~mask ~witnesses ~no_drop ~no_df ~no_prune
     ~no_slice ~verbose ~explain ~deadline ~solver_budget ~checkpoint_dir
     ~resume ~trace ~digest =
   if no_slice then Slice.set_enabled false;
@@ -339,27 +246,20 @@ let run_analysis ~name target ~mask ~witnesses ~no_drop ~no_df ~no_prune
   in
   let config =
     {
-      Search.default_config with
+      (Registry.search_config ~witnesses target) with
       Search.mask;
-      Search.witnesses_per_path = witnesses;
-      Search.distinct_by = target.distinct_by;
       Search.drop_alive = not no_drop;
       Search.use_different_from = not no_df;
       Search.prune_no_trojan = not no_prune;
       Search.use_slice = Slice.enabled () && not no_slice;
       Search.explain_drops = explain;
-      Search.interp = target.interp;
       Search.solver_budget;
       Search.checkpoint_dir;
       Search.resume = resume <> None;
       Search.cancel = (fun () -> Atomic.get interrupted);
     }
   in
-  let analysis =
-    Achilles.analyze ~search_config:config
-      ?client_interp:target.client_interp ~layout:target.layout
-      ~clients:target.clients ~server:target.server ()
-  in
+  let analysis = Registry.analyze ~config target in
   Obs.span Obs.Report (fun () ->
       Format.printf "%a@.@." Achilles.pp_summary analysis;
       List.iter
@@ -452,12 +352,12 @@ let predicate name =
   | Error e ->
       Format.eprintf "%s@." e;
       1
-  | Ok target ->
+  | Ok (target : Registry.t) ->
       let config =
-        match target.client_interp with Some c -> c | None -> target.interp
+        match target.client_interp with Some c -> c () | None -> target.interp ()
       in
       let pc, stats =
-        Client_extract.extract ~config ~layout:target.layout target.clients
+        Client_extract.extract ~config ~layout:target.layout (target.clients ())
       in
       Format.printf "%a@." Predicate.pp_client_predicate pc;
       Format.printf
@@ -467,7 +367,7 @@ let predicate name =
       Format.printf "-- grammar summary (what correct clients put in each field) --@.";
       Format.printf "%a@."
         Report.pp_grammar
-        (Report.describe_grammar ?mask:target.default_mask pc);
+        (Report.describe_grammar ?mask:target.mask pc);
       0
 
 let predicate_cmd =
@@ -481,17 +381,17 @@ let conformance name =
   | Error e ->
       Format.eprintf "%s@." e;
       1
-  | Ok target ->
+  | Ok (target : Registry.t) ->
       let client_config =
-        match target.client_interp with Some c -> c | None -> target.interp
+        match target.client_interp with Some c -> c () | None -> target.interp ()
       in
       let pc, _ =
         Client_extract.extract ~config:client_config ~layout:target.layout
-          target.clients
+          (target.clients ())
       in
       let report =
-        Conformance.run ~interp:target.interp ~max_per_path:2 ~client:pc
-          ~server:target.server ()
+        Conformance.run ~interp:(target.interp ()) ~max_per_path:2 ~client:pc
+          ~server:(target.server ()) ()
       in
       Format.printf "%a@." (Conformance.pp_report target.layout) report;
       0
@@ -509,12 +409,12 @@ let show name =
   | Error e ->
       Format.eprintf "%s@." e;
       1
-  | Ok target ->
+  | Ok (target : Registry.t) ->
       Format.printf "%a@.@." Layout.pp target.layout;
-      Format.printf "%a@.@." Pp.pp_program target.server;
+      Format.printf "%a@.@." Pp.pp_program (target.server ());
       List.iter
         (fun client -> Format.printf "%a@.@." Pp.pp_program client)
-        target.clients;
+        (target.clients ());
       0
 
 let show_cmd =
@@ -528,24 +428,13 @@ let replay name witnesses =
   | Error e ->
       Format.eprintf "%s@." e;
       1
-  | Ok target ->
-      let config =
-        {
-          Search.default_config with
-          Search.mask = target.default_mask;
-          Search.witnesses_per_path = witnesses;
-          Search.distinct_by = target.distinct_by;
-          Search.interp = target.interp;
-        }
-      in
+  | Ok (target : Registry.t) ->
       let analysis =
-        Achilles.analyze ~search_config:config
-          ?client_interp:target.client_interp ~layout:target.layout
-          ~clients:target.clients ~server:target.server ()
+        Registry.analyze ~config:(Registry.search_config ~witnesses target) target
       in
       let trojans = Achilles.trojans analysis in
       let confirmation =
-        Achilles_runtime.Inject.confirm ~server:target.server trojans
+        Achilles_runtime.Inject.confirm ~server:(target.server ()) trojans
       in
       Format.printf "%a@." Achilles_runtime.Inject.pp_confirmation confirmation;
       if confirmation.Achilles_runtime.Inject.rejected > 0 then 1 else 0
@@ -619,22 +508,10 @@ let print_witness_arg =
   in
   Arg.(value & flag & info [ "print-witnesses" ] ~doc)
 
-let write_filter ~name target ~mask ~witnesses ~enum_values ~output
-    ~print_witnesses =
-  let config =
-    {
-      Search.default_config with
-      Search.mask;
-      Search.witnesses_per_path = witnesses;
-      Search.distinct_by = target.distinct_by;
-      Search.interp = target.interp;
-    }
-  in
-  let analysis =
-    Achilles.analyze ~search_config:config
-      ?client_interp:target.client_interp ~layout:target.layout
-      ~clients:target.clients ~server:target.server ()
-  in
+let write_filter ~name (target : Registry.t) ~mask ~witnesses ~enum_values
+    ~output ~print_witnesses =
+  let config = { (Registry.search_config ~witnesses target) with Search.mask } in
+  let analysis = Registry.analyze ~config target in
   let filter =
     Obs.span Obs.Filter_eval (fun () ->
         Filter.compile ~enum_values ~target:name ~layout:target.layout

@@ -225,8 +225,8 @@ open Achilles_smt
 
 type trojan_class = { class_cmd : int; reported_len : int; true_len : int }
 
-(* The 80 Trojan message types: 8 commands x (reported length 1..4) x
-   (true length 0..reported-1). *)
+(* The 80 Trojan message types: 8 commands x (reported length 1..max_path)
+   x (true length 0..reported-1), 8·L(L+1)/2 at path bound L. *)
 let all_trojan_classes =
   List.concat_map
     (fun c ->
@@ -234,7 +234,7 @@ let all_trojan_classes =
         (fun reported_len ->
           List.init reported_len (fun true_len ->
               { class_cmd = c.code; reported_len; true_len }))
-        [ 1; 2; 3; 4 ])
+        (List.init max_path succ))
     commands
 
 let is_printable b =

@@ -159,14 +159,13 @@ let test_expected_finds_math () =
 let test_posthoc_matches_achilles () =
   let mask = [ "address" ] in
   let optimized =
-    Achilles.analyze
-      ~search_config:{ Search.default_config with Search.mask = Some mask }
-      ~layout:Rw_example.layout ~clients:[ Rw_example.client ]
-      ~server:Rw_example.server ()
+    Registry.analyze
+      ~config:{ (Registry.search_config Registry.rw) with Search.mask = Some mask }
+      Registry.rw
   in
   let posthoc =
-    Posthoc.run ~mask ~layout:Rw_example.layout ~clients:[ Rw_example.client ]
-      ~server:Rw_example.server ()
+    Posthoc.run ~mask ~layout:Registry.rw.layout
+      ~clients:(Registry.rw.clients ()) ~server:(Registry.rw.server ()) ()
   in
   let labels analysis =
     List.map (fun (t : Search.trojan) -> t.Search.accept_label)

@@ -257,15 +257,11 @@ let test_different_from_fsp () =
 
 (* --- search ------------------------------------------------------------------------ *)
 
-let rw_analysis config =
-  Achilles.analyze ~search_config:config ~layout:Rw_example.layout
-    ~clients:[ Rw_example.client ] ~server:Rw_example.server ()
-
-let rw_mask_config =
-  { Search.default_config with Search.mask = Some [ "address" ] }
+let rw_analysis config = Registry.analyze ~config Registry.rw
+let rw_config () = Registry.search_config Registry.rw
 
 let test_search_rw_finds_trojan () =
-  let analysis = rw_analysis rw_mask_config in
+  let analysis = rw_analysis (rw_config ()) in
   let trojans = Achilles.trojans analysis in
   Alcotest.(check int) "one accepting trojan path" 1 (List.length trojans);
   let t = List.hd trojans in
@@ -284,7 +280,7 @@ let test_search_optimizations_equivalent () =
       (fun (drop_alive, use_df) ->
         let config =
           {
-            rw_mask_config with
+            (rw_config ()) with
             Search.drop_alive = drop_alive;
             Search.use_different_from = use_df;
           }
@@ -307,7 +303,7 @@ let test_search_optimizations_equivalent () =
   | [] -> assert false
 
 let test_search_no_pruning_still_correct () =
-  let config = { rw_mask_config with Search.prune_no_trojan = false } in
+  let config = { (rw_config ()) with Search.prune_no_trojan = false } in
   let analysis = rw_analysis config in
   (* without pruning, the WRITE path reaches its accept marker but yields no
      witness (its Trojan query is unsatisfiable) *)
@@ -319,7 +315,7 @@ let test_search_no_pruning_still_correct () =
     (Rw_example.is_trojan (List.hd trojans).Search.witness)
 
 let test_search_alive_samples_decrease () =
-  let analysis = rw_analysis rw_mask_config in
+  let analysis = rw_analysis (rw_config ()) in
   let samples =
     analysis.Achilles.report.Search.search_stats.Search.alive_samples
   in
@@ -333,7 +329,7 @@ let test_search_alive_samples_decrease () =
 let test_search_witness_enumeration () =
   let config =
     {
-      rw_mask_config with
+      (rw_config ()) with
       Search.witnesses_per_path = 5 (* block exact bytes between witnesses *);
     }
   in
@@ -356,20 +352,10 @@ let test_search_witness_enumeration () =
 
 (* --- local state -------------------------------------------------------------------- *)
 
-let paxos_config interp =
-  {
-    Search.default_config with
-    Search.mask = Some [ "mtype"; "ballot"; "value" ];
-    Search.interp = interp;
-  }
-
-let paxos_trojans interp ~clients =
-  let analysis =
-    Achilles.analyze
-      ~search_config:(paxos_config interp)
-      ~layout:Paxos_model.layout ~clients ~server:Paxos_model.acceptor ()
-  in
-  Achilles.trojans analysis
+(* the registry's Paxos target, analysed from the acceptor state [interp] *)
+let paxos_trojans interp =
+  Achilles.trojans
+    (Registry.analyze { Registry.paxos with interp = (fun () -> interp) })
 
 let test_local_state_concrete () =
   (* acceptor promised ballot 5, proposers locked on value 7: Accepts with
@@ -379,7 +365,7 @@ let test_local_state_concrete () =
       Interp.default_config
   in
   let trojans =
-    paxos_trojans interp ~clients:[ Paxos_model.proposer_concrete ~value:7 ]
+    paxos_trojans interp
   in
   Alcotest.(check bool) "found trojans" true (trojans <> []);
   List.iter
@@ -418,7 +404,7 @@ let test_local_state_constructed_symbolic () =
   in
   let interp = Local_state.constructed_symbolic ~rounds Interp.default_config in
   let trojans =
-    paxos_trojans interp ~clients:[ Paxos_model.proposer_concrete ~value:7 ]
+    paxos_trojans interp
   in
   Alcotest.(check bool) "analysis completes with symbolic round" true
     (trojans <> [])
@@ -436,7 +422,7 @@ let test_local_state_over_approximate () =
       Interp.default_config
   in
   let trojans =
-    paxos_trojans interp ~clients:[ Paxos_model.proposer_concrete ~value:7 ]
+    paxos_trojans interp
   in
   Alcotest.(check bool) "found trojans under symbolic state" true
     (trojans <> [])

@@ -12,13 +12,7 @@ let b8 n = Bv.of_int ~width:8 n
 (* --- refinement (§4.1) ----------------------------------------------------------- *)
 
 let test_refine_confirms_rw_trojans () =
-  let config =
-    { Search.default_config with Search.mask = Some [ "address" ] }
-  in
-  let analysis =
-    Achilles.analyze ~search_config:config ~layout:Rw_example.layout
-      ~clients:[ Rw_example.client ] ~server:Rw_example.server ()
-  in
+  let analysis = Registry.analyze Registry.rw in
   let result =
     Refine.refine ~client:analysis.Achilles.client (Achilles.trojans analysis)
   in
@@ -124,14 +118,8 @@ let test_classify_by_reply () =
     [ "accepted:auto:reply"; "rejected:auto:no-reply" ]
     statuses
 
-let kv_interp =
-  {
-    Interp.default_config with
-    Interp.auto_classify = Some Kv_model.auto_classifier;
-  }
-
 let test_kv_auto_classification () =
-  let run = Interp.run ~config:kv_interp Kv_model.server in
+  let run = Interp.run ~config:(Registry.kv.interp ()) (Registry.kv.server ()) in
   let accepted, rejected =
     List.partition
       (fun (s : State.t) ->
@@ -151,16 +139,9 @@ let test_kv_auto_classification () =
 
 let kv_analysis =
   lazy
-    (let config =
-       {
-         Search.default_config with
-         Search.mask = Some Kv_model.analysis_mask;
-         Search.interp = kv_interp;
-         Search.witnesses_per_path = 8;
-       }
-     in
-     Achilles.analyze ~search_config:config ~layout:Kv_model.layout
-       ~clients:[ Kv_model.client ] ~server:Kv_model.server ())
+    (Registry.analyze
+       ~config:(Registry.search_config ~witnesses:8 Registry.kv)
+       Registry.kv)
 
 let test_kv_trojans () =
   let analysis = Lazy.force kv_analysis in
@@ -227,7 +208,7 @@ let test_kv_concrete_agrees () =
 let qcheck_kv_classification_consistent =
   let exploration =
     lazy
-      (let run = Interp.run ~config:kv_interp Kv_model.server in
+      (let run = Interp.run ~config:(Registry.kv.interp ()) (Registry.kv.server ()) in
        List.filter_map
          (fun (st : State.t) ->
            match st.State.msg_vars, st.State.status with
@@ -310,16 +291,9 @@ let test_minimize_witness () =
 
 let test_drop_explanations () =
   let config =
-    {
-      Search.default_config with
-      Search.mask = Some [ "address" ];
-      Search.explain_drops = true;
-    }
+    { (Registry.search_config Registry.rw) with Search.explain_drops = true }
   in
-  let analysis =
-    Achilles.analyze ~search_config:config ~layout:Rw_example.layout
-      ~clients:[ Rw_example.client ] ~server:Rw_example.server ()
-  in
+  let analysis = Registry.analyze ~config Registry.rw in
   let drops = analysis.Achilles.report.Search.drops in
   Alcotest.(check bool) "drops recorded" true (drops <> []);
   (* the WRITE client path (cp_id 1) dies on the READ branch, and vice
@@ -392,17 +366,17 @@ let gossip_client_interp ~observed =
     ~incoming:(List.init observed (fun _ -> Gossip_model.failure_event))
     ~prefix:Gossip_model.reporter_prefix Interp.default_config
 
+(* the registry's gossip target, with the aggregator [hardened] or not and
+   the reporter having observed [observed] failure events *)
 let gossip_analysis ~hardened ~observed =
-  Achilles.analyze
-    ~search_config:
-      {
-        Search.default_config with
-        Search.mask = Some Gossip_model.analysis_mask;
-        Search.witnesses_per_path = 6;
-      }
-    ~client_interp:(gossip_client_interp ~observed)
-    ~layout:Gossip_model.layout ~clients:[ Gossip_model.reporter ]
-    ~server:(Gossip_model.aggregator ~hardened ()) ()
+  let target =
+    {
+      Registry.gossip with
+      server = (fun () -> Gossip_model.aggregator ~hardened ());
+      client_interp = Some (fun () -> gossip_client_interp ~observed);
+    }
+  in
+  Registry.analyze ~config:(Registry.search_config ~witnesses:6 target) target
 
 let test_gossip_concrete_state_trojans () =
   let observed = 2 in

@@ -19,103 +19,25 @@ open Achilles_targets
 module Filter = Achilles_filter.Filter
 module Daemon = Achilles_filter.Daemon
 
-(* --- the bundled targets, mirrored from the CLI ------------------------------ *)
-
-type setup = {
-  sname : string;
-  layout : Layout.t;
-  clients : Ast.program list;
-  server : Ast.program;
-  mask : string list option;
-  interp : Interp.config;
-  client_interp : Interp.config option;
-}
-
-let setups =
-  [
-    {
-      sname = "fsp";
-      layout = Fsp_model.layout;
-      clients = Fsp_model.clients ();
-      server = Fsp_model.server;
-      mask = Some Fsp_model.analysis_mask;
-      interp = Interp.default_config;
-      client_interp = None;
-    };
-    {
-      sname = "pbft";
-      layout = Pbft_model.layout;
-      clients = [ Pbft_model.client ];
-      server = Pbft_model.replica;
-      mask = Some Pbft_model.analysis_mask;
-      interp =
-        Local_state.over_approximate ~vars:[ ("last_rid", 16) ]
-          Interp.default_config;
-      client_interp = None;
-    };
-    {
-      sname = "kv";
-      layout = Kv_model.layout;
-      clients = [ Kv_model.client ];
-      server = Kv_model.server;
-      mask = Some Kv_model.analysis_mask;
-      interp =
-        {
-          Interp.default_config with
-          Interp.auto_classify = Some Kv_model.auto_classifier;
-        };
-      client_interp = None;
-    };
-    {
-      sname = "gossip";
-      layout = Gossip_model.layout;
-      clients = [ Gossip_model.reporter ];
-      server = Gossip_model.aggregator ~hardened:false ();
-      mask = Some Gossip_model.analysis_mask;
-      interp = Interp.default_config;
-      client_interp =
-        Some
-          (Local_state.concrete
-             ~incoming:(List.init 2 (fun _ -> Gossip_model.failure_event))
-             ~prefix:Gossip_model.reporter_prefix Interp.default_config);
-    };
-    {
-      sname = "paxos";
-      layout = Paxos_model.layout;
-      clients = [ Paxos_model.proposer_concrete ~value:7 ];
-      server = Paxos_model.acceptor;
-      mask = Some [ "mtype"; "ballot"; "value" ];
-      interp =
-        Local_state.concrete ~prefix:(Paxos_model.phase1_prefix ~ballot:5)
-          Interp.default_config;
-      client_interp = None;
-    };
-  ]
+(* --- the bundled targets, from the registry ------------------------------- *)
 
 let compiled =
   List.map
-    (fun s ->
-      ( s.sname,
+    (fun name ->
+      let target = Option.get (Registry.find name) in
+      ( name,
         lazy
-          (let config =
-             {
-               Search.default_config with
-               Search.mask = s.mask;
-               Search.witnesses_per_path = 4;
-               Search.interp = s.interp;
-             }
-           in
-           let analysis =
-             Achilles.analyze ~search_config:config
-               ?client_interp:s.client_interp ~layout:s.layout
-               ~clients:s.clients ~server:s.server ()
+          (let analysis =
+             Registry.analyze
+               ~config:(Registry.search_config ~witnesses:4 target)
+               target
            in
            let filter =
-             Filter.compile ~target:s.sname ~layout:s.layout
+             Filter.compile ~target:name ~layout:target.layout
                ~report:analysis.Achilles.report ()
            in
-           (s, analysis.Achilles.report, filter)) ))
-    setups
+           (target, analysis.Achilles.report, filter)) ))
+    [ "fsp"; "pbft"; "kv"; "gossip"; "paxos" ]
 
 let force name = Lazy.force (List.assoc name compiled)
 
@@ -205,15 +127,14 @@ let differential_test name =
     ~name:(Printf.sprintf "%s: filter verdict == solver verdict" name)
     ~count:10_000
     (QCheck2.Gen.delay (fun () ->
-         let s, report, _ = force name in
-         ignore s;
+         let target, report, _ = force name in
          let witnesses =
            List.filter_map
              (fun (t : Search.trojan) ->
                if t.Search.confirmed then Some (witness_bytes t) else None)
              report.Search.trojans
          in
-         message_gen (Layout.total_size (List.find (fun s -> s.sname = name) setups).layout) witnesses))
+         message_gen (Layout.total_size target.Registry.layout) witnesses))
     (fun bytes ->
       let _, report, filter = force name in
       let ev = Filter.evaluator filter in

@@ -658,15 +658,7 @@ let test_fsp_settles_by_models () =
       ~finally:(fun () -> Obs.set_sink None)
       (fun () ->
         with_incremental true (fun () ->
-            Achilles.analyze
-              ~search_config:
-                {
-                  Search.default_config with
-                  Search.mask = Some Achilles_targets.Fsp_model.analysis_mask;
-                }
-              ~layout:Achilles_targets.Fsp_model.layout
-              ~clients:(Achilles_targets.Fsp_model.clients ())
-              ~server:Achilles_targets.Fsp_model.server ()))
+            Achilles_targets.Registry.(analyze fsp)))
   in
   let counter name =
     Option.value ~default:0

@@ -14,18 +14,8 @@ open Achilles_runtime
 open Achilles_symvm
 open Achilles_targets
 
-let fsp_config =
-  {
-    Search.default_config with
-    Search.mask = Some Fsp_model.analysis_mask;
-    Search.witnesses_per_path = 16;
-    Search.distinct_by = Some Fsp_model.block_class;
-  }
-
-let fsp_analysis =
-  lazy
-    (Achilles.analyze ~search_config:fsp_config ~layout:Fsp_model.layout
-       ~clients:(Fsp_model.clients ()) ~server:Fsp_model.server ())
+let fsp_config () = Registry.search_config ~witnesses:16 Registry.fsp
+let fsp_analysis = lazy (Registry.analyze ~config:(fsp_config ()) Registry.fsp)
 
 let trojan_classes analysis =
   List.filter_map
@@ -121,76 +111,13 @@ let test_server_vs_memoized_preprocessing () =
    default 4 witnesses per path and at 16. PBFT is left out: its analysis
    over-approximates the replica's [last_rid], so a witness is accepted
    in some replica state, not necessarily in the initial one. *)
-type replay_target = {
-  rt_name : string;
-  rt_layout : Layout.t;
-  rt_clients : Ast.program list;
-  rt_server : Ast.program;
-  rt_mask : string list;
-  rt_interp : Interp.config;
-  rt_client_interp : Interp.config option;
-  rt_distinct_by : (Bv.t array -> Term.var array -> Term.t) option;
-}
-
-let replay_targets () =
-  let plain name layout clients server mask =
-    {
-      rt_name = name;
-      rt_layout = layout;
-      rt_clients = clients;
-      rt_server = server;
-      rt_mask = mask;
-      rt_interp = Interp.default_config;
-      rt_client_interp = None;
-      rt_distinct_by = None;
-    }
-  in
-  [
-    plain "rw" Rw_example.layout [ Rw_example.client ] Rw_example.server
-      [ "address" ];
-    {
-      (plain "fsp" Fsp_model.layout (Fsp_model.clients ()) Fsp_model.server
-         Fsp_model.analysis_mask)
-      with
-      rt_distinct_by = Some Fsp_model.block_class;
-    };
-    {
-      (plain "kv" Kv_model.layout [ Kv_model.client ] Kv_model.server
-         Kv_model.analysis_mask)
-      with
-      rt_interp =
-        {
-          Interp.default_config with
-          Interp.auto_classify = Some Kv_model.auto_classifier;
-        };
-    };
-    {
-      (plain "gossip" Gossip_model.layout [ Gossip_model.reporter ]
-         (Gossip_model.aggregator ~hardened:false ())
-         Gossip_model.analysis_mask)
-      with
-      rt_client_interp =
-        Some
-          (Local_state.concrete
-             ~incoming:(List.init 2 (fun _ -> Gossip_model.failure_event))
-             ~prefix:Gossip_model.reporter_prefix Interp.default_config);
-    };
-    {
-      (plain "paxos" Paxos_model.layout
-         [ Paxos_model.proposer_concrete ~value:7 ]
-         Paxos_model.acceptor [ "mtype"; "ballot"; "value" ])
-      with
-      rt_interp =
-        Local_state.concrete ~prefix:(Paxos_model.phase1_prefix ~ballot:5)
-          Interp.default_config;
-    };
-  ]
+let replay_targets = [ "rw"; "fsp"; "kv"; "gossip"; "paxos" ]
 
 (* The label a concrete run ends with: its marker, or for an
    auto-classified server ([Kv_model.auto_classifier]) the status byte of
    its first reply, named as the classifier names it. *)
-let concrete_label (t : replay_target) (o : Concrete.outcome) =
-  match (o.Concrete.status, t.rt_interp.Interp.auto_classify, o.Concrete.sent) with
+let concrete_label (interp : Interp.config) (o : Concrete.outcome) =
+  match (o.Concrete.status, interp.Interp.auto_classify, o.Concrete.sent) with
   | State.Accepted label, _, _ -> Some label
   | State.Finished, Some _, (_, reply) :: _ when Bv.to_int reply.(0) = 2 ->
       Some "auto:status-2"
@@ -199,31 +126,21 @@ let concrete_label (t : replay_target) (o : Concrete.outcome) =
 let test_witnesses_replay () =
   Solver.set_fault_injection ();
   List.iter
-    (fun (t : replay_target) ->
-      let initial_globals =
-        List.map
-          (fun (name, v) -> (name, Option.get (Term.const_value v)))
-          t.rt_interp.Interp.initial_globals
-      in
+    (fun name ->
+      let t = Option.get (Registry.find name) in
       List.iter
         (fun witnesses ->
           Solver.reset_all_for_tests ();
           Term.reset_fresh_counter ();
-          let analysis =
-            Achilles.analyze
-              ~search_config:
-                {
-                  Search.default_config with
-                  Search.mask = Some t.rt_mask;
-                  Search.witnesses_per_path = witnesses;
-                  Search.distinct_by = t.rt_distinct_by;
-                  Search.interp = t.rt_interp;
-                }
-              ?client_interp:t.rt_client_interp ~layout:t.rt_layout
-              ~clients:t.rt_clients ~server:t.rt_server ()
+          let config = Registry.search_config ~witnesses t in
+          let initial_globals =
+            List.map
+              (fun (name, v) -> (name, Option.get (Term.const_value v)))
+              config.Search.interp.Interp.initial_globals
           in
+          let analysis = Registry.analyze ~config t in
           let trojans = Achilles.trojans analysis in
-          let what = Printf.sprintf "%s -w %d" t.rt_name witnesses in
+          let what = Printf.sprintf "%s -w %d" name witnesses in
           Alcotest.(check bool) (what ^ ": reports witnesses") true (trojans <> []);
           List.iter
             (fun (tr : Search.trojan) ->
@@ -231,39 +148,26 @@ let test_witnesses_replay () =
                 tr.Search.confirmed;
               let outcome =
                 Concrete.run ~incoming:[ tr.Search.witness ] ~initial_globals
-                  t.rt_server
+                  (t.server ())
               in
               Alcotest.(check (option string))
                 (what ^ ": concrete run accepts under the reported label")
-                (Some tr.Search.accept_label) (concrete_label t outcome);
-              if t.rt_name = "fsp" then
+                (Some tr.Search.accept_label)
+                (concrete_label config.Search.interp outcome);
+              if name = "fsp" then
                 Alcotest.(check bool) (what ^ ": an FSP Trojan") true
                   (match Fsp_model.classify tr.Search.witness with
                   | Fsp_model.Trojan _ -> true
                   | Fsp_model.Valid _ | Fsp_model.Rejected -> false))
             trojans)
         [ 4; 16 ])
-    (replay_targets ());
+    replay_targets;
   Solver.reset_all_for_tests ()
 
 let test_pbft_end_to_end () =
-  let interp =
-    Local_state.over_approximate ~vars:[ ("last_rid", 16) ]
-      Interp.default_config
-  in
-  let config =
-    {
-      Search.default_config with
-      Search.mask = Some Pbft_model.analysis_mask;
-      Search.interp = interp;
-      Search.witnesses_per_path = 3;
-    }
-  in
+  let config = Registry.search_config ~witnesses:3 Registry.pbft in
   let t0 = Unix.gettimeofday () in
-  let analysis =
-    Achilles.analyze ~search_config:config ~layout:Pbft_model.layout
-      ~clients:[ Pbft_model.client ] ~server:Pbft_model.replica ()
-  in
+  let analysis = Registry.analyze ~config Registry.pbft in
   let elapsed = Unix.gettimeofday () -. t0 in
   let trojans = Achilles.trojans analysis in
   (* "a few seconds" in the paper; our bounded model is faster still *)
@@ -295,10 +199,9 @@ let test_sharded_golden_digests () =
   let run split_bits =
     Solver.reset_all_for_tests ();
     Term.reset_fresh_counter ();
-    Achilles.analyze
-      ~search_config:{ fsp_config with Search.split_bits = Some split_bits }
-      ~layout:Fsp_model.layout ~clients:(Fsp_model.clients ())
-      ~server:Fsp_model.server ()
+    Registry.analyze
+      ~config:{ (fsp_config ()) with Search.split_bits = Some split_bits }
+      Registry.fsp
   in
   let a1 = run 0 and a4 = run 4 in
   let fig10 (a : Achilles.analysis) = Report.discovery_digest a.Achilles.report in
@@ -322,18 +225,6 @@ let test_sharded_golden_digests () =
    counter. Last measured on FSP: 19,089 -> 2,678 terms allocated with
    sharing on, 121,323 -> 7,549 bitblast memo misses with incremental on. *)
 let test_layer_switches () =
-  (* built after each run's counter reset, so the local-state variable
-     shares its id with no message variable *)
-  let pbft_config () =
-    {
-      Search.default_config with
-      Search.mask = Some Pbft_model.analysis_mask;
-      Search.interp =
-        Local_state.over_approximate ~vars:[ ("last_rid", 16) ]
-          Interp.default_config;
-      Search.witnesses_per_path = 2;
-    }
-  in
   let run ?(sharing = true) ?(incremental = true) ?(split_bits = 0) target =
     Solver.reset_all_for_tests ();
     Term.reset_fresh_counter ();
@@ -345,18 +236,17 @@ let test_layer_switches () =
           Term.set_sharing true;
           Solver.set_incremental true)
         (fun () ->
+          (* each config is built after the run's counter reset, so PBFT's
+             local-state variable shares its id with no message variable *)
           match target with
           | `Fsp ->
-              Achilles.analyze
-                ~search_config:
-                  { fsp_config with Search.split_bits = Some split_bits }
-                ~layout:Fsp_model.layout ~clients:(Fsp_model.clients ())
-                ~server:Fsp_model.server ()
+              Registry.analyze
+                ~config:{ (fsp_config ()) with Search.split_bits = Some split_bits }
+                Registry.fsp
           | `Pbft ->
-              Achilles.analyze
-                ~search_config:(pbft_config ())
-                ~layout:Pbft_model.layout ~clients:[ Pbft_model.client ]
-                ~server:Pbft_model.replica ())
+              Registry.analyze
+                ~config:(Registry.search_config ~witnesses:2 Registry.pbft)
+                Registry.pbft)
     in
     let _, terms_created = Term.aggregate_intern_stats () in
     let _, memo_misses = Bitblast.aggregate_memo_stats () in
@@ -401,31 +291,14 @@ let test_context_recycling () =
     Term.reset_fresh_counter ();
     Solver.set_fault_injection ();
     Solver.set_context_var_cap cap;
+    (* the config is built after the counter reset, so PBFT's local-state
+       variable shares its id with no message variable *)
     let analysis =
-      match target with
-      | `Fsp ->
-          Achilles.analyze
-            ~search_config:{ fsp_config with Search.use_slice = true }
-            ~layout:Fsp_model.layout ~clients:(Fsp_model.clients ())
-            ~server:Fsp_model.server ()
-      | `Pbft ->
-          (* the local-state variable is made after the counter reset, so
-             no message variable shares its id *)
-          let interp =
-            Local_state.over_approximate ~vars:[ ("last_rid", 16) ]
-              Interp.default_config
-          in
-          Achilles.analyze
-            ~search_config:
-              {
-                Search.default_config with
-                Search.mask = Some Pbft_model.analysis_mask;
-                Search.interp = interp;
-                Search.witnesses_per_path = 16;
-                Search.use_slice = true;
-              }
-            ~layout:Pbft_model.layout ~clients:[ Pbft_model.client ]
-            ~server:Pbft_model.replica ()
+      let target = match target with `Fsp -> Registry.fsp | `Pbft -> Registry.pbft in
+      Registry.analyze
+        ~config:
+          { (Registry.search_config ~witnesses:16 target) with Search.use_slice = true }
+        target
     in
     let module Obs = Achilles_obs.Obs in
     let resets =
@@ -553,6 +426,18 @@ let test_cli_verdict_digests () =
         (Some golden)
         (cli_digest ~prefix:"verdict digest: " args))
     Goldens.verdict_digests
+
+(* fsp-wide, FSP at 24 utilities, is a registry entry like any other: its
+   one-witness run prints all three digest lines, so its SAT counters can
+   be read from the CLI. *)
+let test_cli_fsp_wide () =
+  let code, out, _ = run_cli [ "analyze"; "fsp-wide"; "-w"; "1"; "--digest" ] in
+  Alcotest.(check int) "analyze fsp-wide exits 0" 0 code;
+  List.iter
+    (fun prefix ->
+      Alcotest.(check bool) (prefix ^ " printed") true
+        (List.exists (String.starts_with ~prefix) (String.split_on_char '\n' out)))
+    [ "report digest: "; "verdict digest: "; "sat counters: " ]
 
 (* The search runs on one domain: [-j] and [--domains] are unknown
    options, refused while parsing the command line. *)
@@ -773,20 +658,15 @@ let test_cli_verbose_prints_directly () =
 let test_wildcard_trojan_via_analysis () =
   (* with globbing-aware clients, the analysis must produce a witness with a
      literal '*' in the path — the wildcard bug found by Achilles *)
-  let config =
+  let target =
     {
-      Search.default_config with
-      Search.mask = Some Fsp_model.analysis_mask;
-      Search.witnesses_per_path = 40;
-      Search.distinct_by = None (* block exact bytes to explore classes *);
+      Registry.fsp_glob with
+      clients = (fun () -> [ List.hd (Registry.fsp_glob.clients ()) ]);
     }
   in
-  let clients =
-    [ Fsp_model.client ~model_globbing:true (List.hd Fsp_model.commands) ]
-  in
+  (* fsp-glob blocks exact bytes, not classes: 40 witnesses explore classes *)
   let analysis =
-    Achilles.analyze ~search_config:config ~layout:Fsp_model.layout ~clients
-      ~server:Fsp_model.server ()
+    Registry.analyze ~config:(Registry.search_config ~witnesses:40 target) target
   in
   let trojans = Achilles.trojans analysis in
   let wildcarded =
@@ -857,6 +737,8 @@ let () =
             test_cli_unwritable_trace;
           Alcotest.test_case "--verbose prints symbolic expressions" `Quick
             test_cli_verbose_prints_directly;
+          Alcotest.test_case "fsp-wide prints its digest lines" `Quick
+            test_cli_fsp_wide;
         ] );
       ( "pbft",
         [ Alcotest.test_case "MAC attack end to end" `Slow test_pbft_end_to_end ] );

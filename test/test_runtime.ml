@@ -279,24 +279,15 @@ let test_pbft_corrupt_mac_costs_recovery () =
 (* --- fault injection of analysis witnesses ------------------------------------------- *)
 
 let test_inject_confirms_fsp_witnesses () =
-  let config =
+  (* two clients suffice for a quick end-to-end check *)
+  let target =
     {
-      Search.default_config with
-      Search.mask = Some Fsp_model.analysis_mask;
-      Search.witnesses_per_path = 4;
-      Search.distinct_by = Some Fsp_model.block_class;
+      Registry.fsp with
+      clients = (fun () -> List.filteri (fun i _ -> i < 2) (Registry.fsp.clients ()));
     }
   in
-  (* two clients suffice for a quick end-to-end check *)
-  let clients =
-    [
-      Fsp_model.client (List.nth Fsp_model.commands 0);
-      Fsp_model.client (List.nth Fsp_model.commands 1);
-    ]
-  in
   let analysis =
-    Achilles.analyze ~search_config:config ~layout:Fsp_model.layout ~clients
-      ~server:Fsp_model.server ()
+    Registry.analyze ~config:(Registry.search_config ~witnesses:4 target) target
   in
   let trojans = Achilles.trojans analysis in
   Alcotest.(check bool) "witnesses found" true (trojans <> []);

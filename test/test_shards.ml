@@ -2,93 +2,13 @@
    (corrupt loads, stale temp files, failed writes, another split's
    files), driven through [Search.Shards]. *)
 
-open Achilles_smt
-open Achilles_symvm
 open Achilles_core
 
-(* --- a fixed client/server pair (same shape as the robustness suite) -------- *)
+(* --- a fixed client/server pair (shared with the robustness suite) -------- *)
 
-let message_size = 3
-let layout = Layout.make ~name:"shards" [ ("tag", 1); ("a", 1); ("b", 1) ]
-
-type tree =
-  | Leaf of bool
-  | Node of { field : int; op : int; konst : int; t : tree; f : tree }
-
-type field_spec = Fconst of int | Fbounded of int
-
-let server_of_tree tree =
-  let open Builder in
-  let labels = ref 0 in
-  let next () =
-    incr labels;
-    string_of_int !labels
-  in
-  let rec block = function
-    | Leaf true -> [ mark_accept ("ok" ^ next ()) ]
-    | Leaf false -> [ mark_reject ("no" ^ next ()) ]
-    | Node { field; op; konst; t; f } ->
-        let byte = load "msg" (i8 field) in
-        let cond =
-          match op with
-          | 0 -> byte =: i8 konst
-          | 1 -> byte <>: i8 konst
-          | 2 -> byte <: i8 konst
-          | _ -> byte >: i8 konst
-        in
-        [ if_ cond (block t) (block f) ]
-  in
-  prog "shards-server"
-    ~buffers:[ ("msg", message_size) ]
-    (receive "msg" :: block tree)
-
-let client_of_spec idx spec =
-  let open Builder in
-  let body =
-    List.concat
-      (List.mapi
-         (fun i fs ->
-           match fs with
-           | Fconst c -> [ store "msg" (i8 i) (i8 c) ]
-           | Fbounded hi ->
-               let name = Printf.sprintf "din%d_%d" idx i in
-               [
-                 read_input name ~width:8;
-                 when_ (v name >: i8 hi) [ halt ];
-                 store "msg" (i8 i) (v name);
-               ])
-         spec)
-    @ [ send (i8 0) "msg" ]
-  in
-  prog
-    (Printf.sprintf "shards-client%d" idx)
-    ~buffers:[ ("msg", message_size) ]
-    body
-
-let extract_case (tree, client_specs) =
-  let server = server_of_tree tree in
-  let clients = List.mapi client_of_spec client_specs in
-  Solver.reset_all_for_tests ();
-  Term.reset_fresh_counter ();
-  let client, _ = Client_extract.extract ~layout clients in
-  (client, server, Term.fresh_counter_value ())
-
-let run_case ?(config = Search.default_config) ~base client server =
-  Solver.reset_all_for_tests ();
-  Term.set_fresh_counter base;
-  Search.run ~config ~client ~server ()
-
-let fixed_case =
-  ( Node
-      {
-        field = 0;
-        op = 2;
-        konst = 4;
-        t = Node { field = 1; op = 0; konst = 2; t = Leaf true; f = Leaf false };
-        f = Leaf true;
-      },
-    [ [ Fbounded 5; Fconst 2; Fbounded 3 ]; [ Fconst 1; Fbounded 6; Fconst 0 ] ]
-  )
+include Random_protocol.Make (struct
+  let layout = "shards" and program = "shards" and input = "din"
+end)
 
 (* --- workdir plumbing --------------------------------------------------------- *)
 

@@ -142,20 +142,22 @@ let golden_paxos =
 
 let model_summaries =
   [
-    ("rw", Rw_example.layout, Rw_example.server, golden_rw);
-    ("fsp", Fsp_model.layout, Fsp_model.server, golden_fsp);
-    ("kv", Kv_model.layout, Kv_model.server, golden_kv);
-    ("pbft", Pbft_model.layout, Pbft_model.replica, golden_pbft);
-    ("gossip", Gossip_model.layout, Gossip_model.aggregator (), golden_gossip);
-    ("paxos", Paxos_model.layout, Paxos_model.acceptor, golden_paxos);
+    ("rw", golden_rw);
+    ("fsp", golden_fsp);
+    ("kv", golden_kv);
+    ("pbft", golden_pbft);
+    ("gossip", golden_gossip);
+    ("paxos", golden_paxos);
   ]
 
 let test_golden_summaries () =
   List.iter
-    (fun (name, layout, server, golden) ->
+    (fun (name, golden) ->
+      let t = Option.get (Registry.find name) in
       let rendered =
         String.trim
-          (Format.asprintf "%a" Slice.pp_summary (Slice.analyze ~layout server))
+          (Format.asprintf "%a" Slice.pp_summary
+             (Slice.analyze ~layout:t.layout (t.server ())))
       in
       Alcotest.(check string) (name ^ " summary") golden rendered)
     model_summaries
@@ -336,102 +338,21 @@ let test_server_slice_skips_branchless_fields () =
 
 (* --- the digest bar: bundled targets, slice on/off x splits -------------------- *)
 
-type setup = {
-  sname : string;
-  layout : Layout.t;
-  clients : Ast.program list;
-  server : Ast.program;
-  mask : string list option;
-  interp : unit -> Interp.config;
-  (* built after the run's fresh-variable counter is reset, so a
-     local-state variable shares its id with no message variable *)
-  client_interp : Interp.config option;
-}
-
-let setups =
-  [
-    {
-      sname = "fsp";
-      layout = Fsp_model.layout;
-      clients = Fsp_model.clients ();
-      server = Fsp_model.server;
-      mask = Some Fsp_model.analysis_mask;
-      interp = (fun () -> Interp.default_config);
-      client_interp = None;
-    };
-    {
-      sname = "pbft";
-      layout = Pbft_model.layout;
-      clients = [ Pbft_model.client ];
-      server = Pbft_model.replica;
-      mask = Some Pbft_model.analysis_mask;
-      interp =
-        (fun () ->
-          Local_state.over_approximate ~vars:[ ("last_rid", 16) ]
-            Interp.default_config);
-      client_interp = None;
-    };
-    {
-      sname = "kv";
-      layout = Kv_model.layout;
-      clients = [ Kv_model.client ];
-      server = Kv_model.server;
-      mask = Some Kv_model.analysis_mask;
-      interp =
-        (fun () ->
-          {
-            Interp.default_config with
-            Interp.auto_classify = Some Kv_model.auto_classifier;
-          });
-      client_interp = None;
-    };
-    {
-      sname = "gossip";
-      layout = Gossip_model.layout;
-      clients = [ Gossip_model.reporter ];
-      server = Gossip_model.aggregator ~hardened:false ();
-      mask = Some Gossip_model.analysis_mask;
-      interp = (fun () -> Interp.default_config);
-      client_interp =
-        Some
-          (Local_state.concrete
-             ~incoming:(List.init 2 (fun _ -> Gossip_model.failure_event))
-             ~prefix:Gossip_model.reporter_prefix Interp.default_config);
-    };
-    {
-      sname = "paxos";
-      layout = Paxos_model.layout;
-      clients = [ Paxos_model.proposer_concrete ~value:7 ];
-      server = Paxos_model.acceptor;
-      mask = Some [ "mtype"; "ballot"; "value" ];
-      interp =
-        (fun () ->
-          Local_state.concrete ~prefix:(Paxos_model.phase1_prefix ~ballot:5)
-            Interp.default_config);
-      client_interp = None;
-    };
-  ]
-
-(* One analysis of a setup from a reset state: the report digest, plus the
-   work counter the slice exists to shrink — the differentFrom pairs that
-   reach the solver. *)
-let run_setup s ~use_slice ~split_bits =
+(* One analysis of a bundled target from a reset state: the report digest,
+   plus the work counter the slice exists to shrink — the differentFrom
+   pairs that reach the solver. The config is built after the reset, so a
+   local-state variable shares its id with no message variable. *)
+let run_target target ~use_slice ~split_bits =
   Solver.reset_all_for_tests ();
   Term.reset_fresh_counter ();
   let config =
     {
-      Search.default_config with
-      Search.mask = s.mask;
-      Search.witnesses_per_path = 2;
-      Search.interp = s.interp ();
-      Search.use_slice = use_slice;
+      (Registry.search_config ~witnesses:2 target) with
+      Search.use_slice;
       Search.split_bits = Some split_bits;
     }
   in
-  let analysis =
-    Achilles.analyze ~search_config:config ?client_interp:s.client_interp
-      ~layout:s.layout ~clients:s.clients ~server:s.server ()
-  in
+  let analysis = Registry.analyze ~config target in
   let report = analysis.Achilles.report in
   let pairs_checked =
     match analysis.Achilles.different_from_stats with
@@ -442,18 +363,19 @@ let run_setup s ~use_slice ~split_bits =
 
 let test_digests_slice_invariant () =
   List.iter
-    (fun s ->
-      let reference, pairs_off = run_setup s ~use_slice:false ~split_bits:0 in
+    (fun name ->
+      let target = Option.get (Registry.find name) in
+      let reference, pairs_off = run_target target ~use_slice:false ~split_bits:0 in
       List.iter
         (fun (use_slice, split_bits) ->
-          let digest, pairs = run_setup s ~use_slice ~split_bits in
+          let digest, pairs = run_target target ~use_slice ~split_bits in
           Alcotest.(check string)
-            (Printf.sprintf "%s: slice %b, split bits %d" s.sname use_slice
+            (Printf.sprintf "%s: slice %b, split bits %d" name use_slice
                split_bits)
             reference digest;
           (* the slice pays for itself on FSP (96 -> 16 pairs when last
              measured) *)
-          if s.sname = "fsp" && use_slice && split_bits = 0 then
+          if name = "fsp" && use_slice && split_bits = 0 then
             Alcotest.(check bool)
               (Printf.sprintf
                  "fsp: >= 3x fewer differentFrom pairs checked (%d -> %d)"
@@ -461,97 +383,13 @@ let test_digests_slice_invariant () =
               true
               (pairs_off >= 3 * pairs))
         [ (true, 0); (false, 4); (true, 4) ])
-    setups
+    [ "fsp"; "pbft"; "kv"; "gossip"; "paxos" ]
 
 (* --- the digest bar on random server trees -------------------------------------- *)
 
-let message_size = 3
-let rnd_layout = Layout.make ~name:"slice-rnd" [ ("tag", 1); ("a", 1); ("b", 1) ]
-
-type tree =
-  | Leaf of bool
-  | Node of { field : int; op : int; konst : int; t : tree; f : tree }
-
-type field_spec = Fconst of int | Fbounded of int
-
-let tree_gen =
-  QCheck2.Gen.(
-    sized_size (int_range 1 3)
-    @@ fix (fun self depth ->
-           let leaf = map (fun b -> Leaf b) bool in
-           if depth = 0 then leaf
-           else
-             frequency
-               [
-                 (1, leaf);
-                 ( 3,
-                   let* field = int_range 0 (message_size - 1) in
-                   let* op = int_range 0 3 in
-                   let* konst = int_range 0 7 in
-                   let* t = self (depth - 1) in
-                   let* f = self (depth - 1) in
-                   return (Node { field; op; konst; t; f }) );
-               ]))
-
-let client_gen =
-  QCheck2.Gen.(
-    list_size (int_range 1 2)
-      (list_repeat message_size
-         (oneof
-            [
-              map (fun c -> Fconst c) (int_range 0 7);
-              map (fun hi -> Fbounded hi) (int_range 0 7);
-            ])))
-
-let case_gen = QCheck2.Gen.pair tree_gen client_gen
-
-let server_of_tree tree =
-  let open Builder in
-  let labels = ref 0 in
-  let next () =
-    incr labels;
-    string_of_int !labels
-  in
-  let rec block = function
-    | Leaf true -> [ mark_accept ("ok" ^ next ()) ]
-    | Leaf false -> [ mark_reject ("no" ^ next ()) ]
-    | Node { field; op; konst; t; f } ->
-        let byte = load "msg" (i8 field) in
-        let cond =
-          match op with
-          | 0 -> byte =: i8 konst
-          | 1 -> byte <>: i8 konst
-          | 2 -> byte <: i8 konst
-          | _ -> byte >: i8 konst
-        in
-        [ if_ cond (block t) (block f) ]
-  in
-  prog "slice-gen-server"
-    ~buffers:[ ("msg", message_size) ]
-    (receive "msg" :: block tree)
-
-let client_of_spec idx spec =
-  let open Builder in
-  let body =
-    List.concat
-      (List.mapi
-         (fun i fs ->
-           match fs with
-           | Fconst c -> [ store "msg" (i8 i) (i8 c) ]
-           | Fbounded hi ->
-               let name = Printf.sprintf "sin%d_%d" idx i in
-               [
-                 read_input name ~width:8;
-                 when_ (v name >: i8 hi) [ halt ];
-                 store "msg" (i8 i) (v name);
-               ])
-         spec)
-    @ [ send (i8 0) "msg" ]
-  in
-  prog
-    (Printf.sprintf "slice-gen-client%d" idx)
-    ~buffers:[ ("msg", message_size) ]
-    body
+include Random_protocol.Make (struct
+  let layout = "slice-rnd" and program = "slice-gen" and input = "sin"
+end)
 
 let qcheck_random_digest_invariance =
   QCheck2.Test.make ~name:"random servers: digest slice on = slice off"
@@ -561,7 +399,7 @@ let qcheck_random_digest_invariance =
       let digest ~use_slice =
         Solver.reset_all_for_tests ();
         Term.reset_fresh_counter ();
-        let client, _ = Client_extract.extract ~layout:rnd_layout clients in
+        let client, _ = Client_extract.extract ~layout clients in
         let config =
           { Search.default_config with Search.use_slice; Search.witnesses_per_path = 2 }
         in

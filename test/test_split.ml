@@ -10,93 +10,11 @@ module Obs = Achilles_obs.Obs
 
 (* --- determinism: random client/server pairs ---------------------------------- *)
 
-let message_size = 3
-
-let layout =
-  Layout.make ~name:"par" [ ("tag", 1); ("a", 1); ("b", 1) ]
-
 (* A random server is a binary decision tree over the three message bytes;
    a random client pins each field to a constant or bounds it from above. *)
-type tree =
-  | Leaf of bool (* accept? *)
-  | Node of { field : int; op : int; konst : int; t : tree; f : tree }
-
-type field_spec = Fconst of int | Fbounded of int
-
-let tree_gen =
-  QCheck2.Gen.(
-    sized_size (int_range 1 3) @@ fix (fun self depth ->
-        let leaf = map (fun b -> Leaf b) bool in
-        if depth = 0 then leaf
-        else
-          frequency
-            [
-              (1, leaf);
-              ( 3,
-                let* field = int_range 0 (message_size - 1) in
-                let* op = int_range 0 3 in
-                let* konst = int_range 0 7 in
-                let* t = self (depth - 1) in
-                let* f = self (depth - 1) in
-                return (Node { field; op; konst; t; f }) );
-            ]))
-
-let client_gen =
-  QCheck2.Gen.(
-    list_size (int_range 1 2)
-      (list_repeat message_size
-         (oneof
-            [
-              map (fun c -> Fconst c) (int_range 0 7);
-              map (fun hi -> Fbounded hi) (int_range 0 7);
-            ])))
-
-let case_gen = QCheck2.Gen.pair tree_gen client_gen
-
-let server_of_tree tree =
-  let open Builder in
-  let labels = ref 0 in
-  let next () =
-    incr labels;
-    string_of_int !labels
-  in
-  let rec block = function
-    | Leaf true -> [ mark_accept ("ok" ^ next ()) ]
-    | Leaf false -> [ mark_reject ("no" ^ next ()) ]
-    | Node { field; op; konst; t; f } ->
-        let byte = load "msg" (i8 field) in
-        let cond =
-          match op with
-          | 0 -> byte =: i8 konst
-          | 1 -> byte <>: i8 konst
-          | 2 -> byte <: i8 konst
-          | _ -> byte >: i8 konst
-        in
-        [ if_ cond (block t) (block f) ]
-  in
-  prog "gen-server"
-    ~buffers:[ ("msg", message_size) ]
-    (receive "msg" :: block tree)
-
-let client_of_spec idx spec =
-  let open Builder in
-  let body =
-    List.concat
-      (List.mapi
-         (fun i fs ->
-           match fs with
-           | Fconst c -> [ store "msg" (i8 i) (i8 c) ]
-           | Fbounded hi ->
-               let name = Printf.sprintf "in%d_%d" idx i in
-               [
-                 read_input name ~width:8;
-                 when_ (v name >: i8 hi) [ halt ];
-                 store "msg" (i8 i) (v name);
-               ])
-         spec)
-    @ [ send (i8 0) "msg" ]
-  in
-  prog (Printf.sprintf "gen-client%d" idx) ~buffers:[ ("msg", message_size) ] body
+include Random_protocol.Make (struct
+  let layout = "par" and program = "gen" and input = "in"
+end)
 
 (* [negate(pathCi)] builds this run made: the [negate.paths_negated]
    counter and the [negate] span count *)
@@ -219,16 +137,13 @@ let test_fsp_negations_once_per_run () =
       Solver.reset_all_for_tests ();
       Term.reset_fresh_counter ();
       let a =
-        Achilles.analyze
-          ~search_config:
+        Registry.analyze
+          ~config:
             {
-              Search.default_config with
+              (Registry.search_config Registry.fsp) with
               Search.split_bits = Some split_bits;
-              Search.mask = Some Fsp_model.analysis_mask;
-              Search.witnesses_per_path = 1;
             }
-          ~layout:Fsp_model.layout ~clients:(Fsp_model.clients ())
-          ~server:Fsp_model.server ()
+          Registry.fsp
       in
       let paths = Predicate.client_path_count a.Achilles.client in
       Alcotest.(check int) "FSP has 32 client paths" 32 paths;

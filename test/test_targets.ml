@@ -1,9 +1,11 @@
 (* Tests for the target-system models: the working example, FSP, PBFT and
    Paxos — mostly through concrete execution, which pins down the protocol
-   semantics the symbolic experiments rely on. *)
+   semantics the symbolic experiments rely on — and for the registry that
+   bundles them. *)
 
 open Achilles_smt
 open Achilles_symvm
+open Achilles_core
 open Achilles_targets
 
 let b8 n = Bv.of_int ~width:8 n
@@ -345,6 +347,46 @@ let test_rw_server_bug () =
   Alcotest.(check string) "unknown peer" "rejected:unknown-peer"
     (status_of (deliver (rw_message ~sender:9 ~request:1 ~address:42)))
 
+(* --- the target registry -------------------------------------------------- *)
+
+(* Each entry builds its interpreter when asked, after the caller's
+   fresh-counter reset: PBFT's [last_rid] takes the counter's next id, and
+   no entry's local-state variable shares an id with a message variable of
+   the same analysis. Two rounds, each after its own reset, so a config
+   built at module load or cached in a lazy fails the second. *)
+let test_registry_thunks () =
+  for round = 1 to 2 do
+    List.iter
+      (fun (t : Registry.t) ->
+        Solver.reset_all_for_tests ();
+        Term.reset_fresh_counter ();
+        let config = Registry.search_config t in
+        let local =
+          List.concat_map
+            (fun (_, v) -> Term.var_ids v)
+            config.Search.interp.Interp.initial_globals
+        in
+        let what = Printf.sprintf "round %d, %s" round t.Registry.name in
+        if t.Registry.name = "pbft" then
+          Alcotest.(check (list int))
+            (what ^ ": last_rid is the counter's next variable")
+            [ 1 ] local;
+        let report = (Registry.analyze ~config t).Achilles.report in
+        let message =
+          List.concat_map
+            (fun ((sp : Predicate.server_path), _) ->
+              Array.to_list
+                (Array.map (fun (v : Term.var) -> v.Term.id) sp.Predicate.msg_vars))
+            (Search.trojan_queries report)
+        in
+        Alcotest.(check bool) (what ^ ": has accepting paths") true (message <> []);
+        Alcotest.(check (list int))
+          (what ^ ": no local-state variable is a message variable")
+          []
+          (List.filter (fun id -> List.mem id message) local))
+      Registry.all
+  done
+
 let () =
   let qsuite name tests =
     (name, List.map (QCheck_alcotest.to_alcotest ~verbose:false) tests)
@@ -394,4 +436,9 @@ let () =
         ] );
       ( "rw-example",
         [ Alcotest.test_case "server bug" `Quick test_rw_server_bug ] );
+      ( "registry",
+        [
+          Alcotest.test_case "interpreters built after the counter reset" `Quick
+            test_registry_thunks;
+        ] );
     ]
