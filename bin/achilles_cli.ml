@@ -353,11 +353,9 @@ let predicate name =
       Format.eprintf "%s@." e;
       1
   | Ok (target : Registry.t) ->
-      let config =
-        match target.client_interp with Some c -> c () | None -> target.interp ()
-      in
       let pc, stats =
-        Client_extract.extract ~config ~layout:target.layout (target.clients ())
+        Client_extract.extract ~config:(Registry.client_config target)
+          ~layout:target.layout (target.clients ())
       in
       Format.printf "%a@." Predicate.pp_client_predicate pc;
       Format.printf
@@ -382,11 +380,9 @@ let conformance name =
       Format.eprintf "%s@." e;
       1
   | Ok (target : Registry.t) ->
-      let client_config =
-        match target.client_interp with Some c -> c () | None -> target.interp ()
-      in
       let pc, _ =
-        Client_extract.extract ~config:client_config ~layout:target.layout
+        Client_extract.extract ~config:(Registry.client_config target)
+          ~layout:target.layout
           (target.clients ())
       in
       let report =

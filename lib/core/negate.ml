@@ -41,10 +41,20 @@ let negate_field ~layout ~target (path : Predicate.client_path) field_name =
       match related_constraints path ids with
       | [] -> None (* case 2 with no constraints: abandon the field *)
       | constraints -> (
+          let last = Term.fresh_counter_value () in
           match rename_fresh (value :: constraints) with
-          | value' :: constraints' ->
+          | value' :: constraints' -> (
               let negated = Term.or_l (List.map Term.not_ constraints') in
-              Some (Term.and_ (Term.eq target value') negated)
+              (* the fresh copies are existential: when the value is made
+                 of constants and copies, each copy is the target's slice
+                 at its position, and the disjunct reads over the target *)
+              let is_aux id = id > last in
+              match Elim.slice_eqs ~is_aux ~target value' with
+              | Some eqs ->
+                  Some
+                    (Term.and_l
+                       (Elim.one_point ~is_aux (eqs @ Elim.flatten_and negated)))
+              | None -> Some (Term.and_ (Term.eq target value') negated))
           | [] -> assert false))
 
 let negate_path ?(check_overlap = true) ?mask ~layout ~server_vars
@@ -53,6 +63,7 @@ let negate_path ?(check_overlap = true) ?mask ~layout ~server_vars
   Obs.count "negate.paths_negated";
   let server_bytes = Array.map Term.var server_vars in
   let binding = lazy (Predicate.bind_to_server ~server_vars path) in
+  let refutes = lazy (Predicate.refuter ~server_vars path) in
   let fields = Predicate.analyzed_fields ?mask layout in
   let disjuncts =
     List.filter_map
@@ -60,16 +71,25 @@ let negate_path ?(check_overlap = true) ?mask ~layout ~server_vars
         let target = Layout.field_term layout server_bytes f.Layout.field_name in
         match negate_field ~layout ~target path f.Layout.field_name with
         | None -> None
-        | Some disjunct ->
-            if
-              check_overlap
-              (* verdict-only, so the overlap probe shares the
-                 incremental context (and its bitblasted binding) across
-                 all fields and paths; scratch when incrementality is off *)
-              && Solver.is_sat_assuming ~site:"negate"
-                   (disjunct :: Lazy.force binding)
-            then None (* a message satisfies both: discard to avoid FPs *)
-            else Some disjunct)
+        | Some disjunct when (not check_overlap) || Lazy.force refutes disjunct
+          ->
+            (* unchecked, or no message of this client path satisfies it:
+               nothing to ask *)
+            Some disjunct
+        | Some disjunct -> (
+            (* verdict-only, so the overlap probe shares the incremental
+               context (and its bitblasted binding) across all fields and
+               paths; scratch when incrementality is off *)
+            match
+              Solver.check_assuming ~site:"negate"
+                (disjunct :: Lazy.force binding)
+            with
+            | Solver.Unsat -> Some disjunct
+            | Solver.Sat _ ->
+                None (* a message satisfies both: discard to avoid FPs *)
+            | Solver.Unknown ->
+                (* undecided: discarding only under-approximates *)
+                None))
       fields
   in
   Term.or_l disjuncts

@@ -8,13 +8,26 @@
     - a field holding an expression over symbolic inputs contributes
       "server field = renamed-expression AND (disjunction of the negated
       path constraints influencing those inputs)", with all client
-      variables renamed fresh so each disjunct quantifies independently;
+      variables renamed fresh so each disjunct quantifies independently.
+      When the renamed value is a concatenation of constants and fresh
+      variables, the fresh copies are solved away
+      ({!Achilles_smt.Elim}): each one becomes the slice of the server
+      field at its position, and each constant piece the equation
+      [slice = C], so the disjunct reads
+      "AND (slice = C) AND (disjunction of the negated constraints over the
+      slices)" over the server's bytes alone. Any other value keeps the
+      renamed form;
     - a symbolic field with no influencing constraints is abandoned
       (contributes nothing) — the under-approximation of §4.2.
 
     Optionally each disjunct is checked for overlap against the original
     client path predicate and discarded when a common solution exists,
-    which removes negate-induced false positives (§4.1). *)
+    which removes negate-induced false positives (§4.1). A disjunct that
+    folds to false once the client's bytes replace the server's and its
+    constraints are read as facts ({!Predicate.refuter}) cannot overlap,
+    and is kept with no solver query. A probe the solver leaves undecided
+    ([Unknown]: budget or injected fault) discards its disjunct, the
+    under-approximating direction. *)
 
 open Achilles_smt
 open Achilles_symvm
@@ -30,7 +43,9 @@ val negate_field :
   string ->
   Term.t option
 (** Negation of one field, phrased over [target] (the server-side term for
-    that field's value). [None] when the field is abandoned. *)
+    that field's value). [None] when the field is abandoned. The fresh
+    copies are allocated even when they are solved away, so the variable
+    ids allocated after a negation do not depend on its form. *)
 
 val negate_path :
   ?check_overlap:bool ->

@@ -30,6 +30,15 @@ let bind_to_server ~server_vars path =
   in
   equalities @ path.constraints
 
+let refuter ~server_vars path =
+  if Array.length server_vars <> Array.length path.message then
+    invalid_arg "Predicate.refuter: message size mismatch";
+  let bytes = Hashtbl.create (Array.length server_vars) in
+  Array.iteri
+    (fun i (v : Term.var) -> Hashtbl.replace bytes v.Term.id path.message.(i))
+    server_vars;
+  Elim.refuter ~facts:path.constraints (fun v -> Hashtbl.find_opt bytes v.Term.id)
+
 let field_vars layout path name =
   let f = Layout.field layout name in
   let ids = ref [] in

@@ -39,6 +39,15 @@ val bind_to_server :
     one equality per byte between the server's symbolic message bytes and
     the client's message byte expressions ([msgS = msgC]). *)
 
+val refuter :
+  server_vars:Term.var array -> client_path -> Term.t -> bool
+(** [refuter ~server_vars path t]: does [t] fold to false once each server
+    message byte is replaced by the client's byte term and the client's path
+    constraints are read as facts ({!Achilles_smt.Elim.refuter})? Then
+    [t /\ bind_to_server ~server_vars path] is unsatisfiable. [false]
+    proves nothing. Partial application builds the substitution once; the
+    closure memoises every term it rewrites. *)
+
 val field_vars : Layout.t -> client_path -> string -> int list
 (** Ids of the client input variables that feed the given field's bytes. *)
 

@@ -264,6 +264,9 @@ type search_ctx = {
   different_from : Different_from.t option;
   alive : (int, alive_entry) Hashtbl.t; (* state id -> its alive entry *)
   bindings : (int, Term.t list) Hashtbl.t; (* client idx -> msgS=msgC binding *)
+  refuters : (Term.t -> bool) option array;
+      (* client idx -> its memoised {!Predicate.refuter}, from its first
+         alive check *)
   mutable negated : Term.t array; (* client idx -> negate(pathCi) *)
   shards : cursor;
   mutable server_vars : Term.var array option;
@@ -388,33 +391,61 @@ let binding_for ctx idx =
       Hashtbl.replace ctx.bindings idx b;
       b
 
-(* pathS /\ bind(pathCi) unsatisfiable? The hot query of the search.
-   [Unknown] (budget exhausted, fault injected) must keep the client path
-   alive: an alive path only adds its — then implied — negation to the
-   Trojan query, whereas a wrong drop would delete a conjunct and admit
-   spurious Trojans. Degrading towards "alive" is the sound direction. *)
-let binding_check ctx idx (st : State.t) =
-  (* on the frame context the path prefix is asserted once and
-     shared with the prune query, the interpreter's feasibility checks and
-     every other client's binding check at this state; only the binding
-     terms ride as per-call assumptions (scratch while incremental solving
-     is off) *)
-  match
-    Solver.check_assuming ~site:"alive" ?model_vars:ctx.server_vars
-      ~path:st.State.path (binding_for ctx idx)
-  with
-  | Solver.Unsat -> `Incompatible
-  | Solver.Sat m -> `Compatible m
-  | Solver.Unknown -> `Unknown
+(* The first conjunct of the server path that folds to false once client
+   path [idx]'s message bytes replace the message variables and its
+   constraints are read as facts: the bindings make the message equal those
+   bytes, so pathS /\ bind(pathCi) is then unsatisfiable. Memoised per
+   (client path, conjunct) for the whole run. *)
+let refuted_conjunct ctx idx (st : State.t) =
+  let refutes =
+    match ctx.refuters.(idx) with
+    | Some r -> r
+    | None ->
+        let r =
+          Predicate.refuter ~server_vars:(Option.get ctx.server_vars)
+            ctx.paths.(idx)
+        in
+        ctx.refuters.(idx) <- Some r;
+        r
+  in
+  List.find_opt refutes st.State.path
 
-(* Explanation for the drop just reported by [binding_check]: the server
-   constraints in the unsat core. The frame context's core may also name
-   binding terms; those are filtered out so the explanation keeps its
-   historical meaning. No core (incremental solving off): no explanation. *)
+(* Explanation for a drop the frame context just proved: the server
+   constraints in the unsat core. The core may also name binding terms;
+   those are filtered out so the explanation keeps its historical meaning.
+   No core (incremental solving off): no explanation. *)
 let drop_core (st : State.t) =
   Option.map
     (List.filter (fun t -> List.exists (Term.equal t) st.State.path))
     (Solver.last_assumption_core ())
+
+(* pathS /\ bind(pathCi) unsatisfiable? The hot query of the search, unless
+   substitution refutes it first. [`Incompatible] carries the drop's
+   explanation when [explain_drops] asks for one: the folded conjunct, or
+   the query's unsat core. [Unknown] (budget exhausted, fault injected) must
+   keep the client path alive: an alive path only adds its — then implied —
+   negation to the Trojan query, whereas a wrong drop would delete a
+   conjunct and admit spurious Trojans. Degrading towards "alive" is the
+   sound direction. *)
+let binding_check ctx idx (st : State.t) =
+  match refuted_conjunct ctx idx st with
+  | Some c ->
+      Obs.count "search.alive_refuted";
+      `Incompatible (if ctx.cfg.explain_drops then Some [ c ] else None)
+  | None -> (
+      (* on the frame context the path prefix is asserted once and shared
+         with the prune query, the interpreter's feasibility checks and
+         every other client's binding check at this state; only the binding
+         terms ride as per-call assumptions (scratch while incremental
+         solving is off) *)
+      match
+        Solver.check_assuming ~site:"alive" ?model_vars:ctx.server_vars
+          ~path:st.State.path (binding_for ctx idx)
+      with
+      | Solver.Unsat ->
+          `Incompatible (if ctx.cfg.explain_drops then drop_core st else None)
+      | Solver.Sat m -> `Compatible m
+      | Solver.Unknown -> `Unknown)
 
 let alive_for ctx (st : State.t) =
   match Hashtbl.find_opt ctx.alive st.State.id with
@@ -534,19 +565,16 @@ let on_constraint ctx (st : State.t) cond =
                           (fun r -> r.rec_unknown_alive <- r.rec_unknown_alive + 1)
                           log;
                         Some (i, None)
-                    | `Incompatible ->
-                        (match log with
-                        | Some r when ctx.cfg.explain_drops -> (
-                            match drop_core st with
-                            | Some conflicting ->
-                                r.rec_drops <-
-                                  {
-                                    wd_id = local_id ctx st;
-                                    wd_path = i;
-                                    wd_conflicting = conflicting;
-                                  }
-                                  :: r.rec_drops
-                            | None -> ())
+                    | `Incompatible core ->
+                        (match (log, core) with
+                        | Some r, Some conflicting ->
+                            r.rec_drops <-
+                              {
+                                wd_id = local_id ctx st;
+                                wd_path = i;
+                                wd_conflicting = conflicting;
+                              }
+                              :: r.rec_drops
                         | _ -> ());
                         Obs.count "search.client_path_drops";
                         if Obs.live () then
@@ -759,6 +787,7 @@ let make_ctx ~config ~client ~different_from ~shards ~started =
     different_from;
     alive = Hashtbl.create 256;
     bindings = Hashtbl.create 64;
+    refuters = Array.make (List.length client.Predicate.paths) None;
     negated = [||];
     shards;
     server_vars = None;

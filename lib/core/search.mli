@@ -20,6 +20,17 @@
     ["search.alive_settled"] and ["search.prune_settled"] counters count
     those.
 
+    An alive check that is not settled is first tried by substitution
+    ({!Predicate.refuter}): the client path's message bytes replace the
+    server's message variables in each server path conjunct, and the client
+    path's constraints are read as facts. If a conjunct folds to false, the
+    bindings make the server path unsatisfiable, so the client path is
+    dropped with no solver query. Refutations are memoised per (client
+    path, conjunct) for the whole run; each counts as an alive check and in
+    ["search.alive_refuted"]. Only an unsatisfiable check can be refuted, so
+    the alive sets, and everything the search reports, are those a solver
+    query would give.
+
     Accepting states therefore have Trojan messages by construction; the
     search emits a symbolic Trojan expression and one or more concrete
     witnesses per accepting path, each timestamped for the discovery curve
@@ -63,8 +74,10 @@ type config = {
          perfbench harness's config literal names it; delete it together
          with that line *)
   explain_drops : bool;
-      (* record an unsat-core explanation for every dropped client path,
-         taken from {!Solver.last_assumption_core} (so none while
+      (* record an explanation for every dropped client path: the server
+         conjunct that folded to false for a refuted check, else the unsat
+         core of the check's query, taken from
+         {!Solver.last_assumption_core} (so none for a queried drop while
          incremental solving is switched off) *)
   use_slice : bool;
       (* not read by {!run}: {!Achilles.analyze} builds the server's static
@@ -145,7 +158,8 @@ type drop_explanation = {
   conflicting : Term.t list;
       (* the unsat core: server path constraints that together with the
          msgS = msgC binding rule this client path out — "why can't client
-         path i trigger this state any more" *)
+         path i trigger this state any more". For a drop refuted by
+         substitution, the one conjunct that folded to false *)
 }
 
 type stats = {

@@ -2,16 +2,15 @@
 
    The compiler's job is existential-variable elimination: a Trojan query
    mentions the server's symbolic message bytes plus auxiliary variables
-   (the negate operator's fresh-renamed client inputs, over-approximated
-   server local state), and the solver decides it existentially. The filter
-   must answer the same question from concrete bytes alone, so every
-   auxiliary variable is resolved at compile time:
+   (fresh-renamed client inputs the negate operator could not solve away,
+   over-approximated server local state), and the solver decides it
+   existentially. The filter must answer the same question from concrete
+   bytes alone, so every auxiliary variable is resolved at compile time:
 
-   - one-point rule: an [x = e] conjunct with [x] auxiliary and [x] not in
-     [e] substitutes [e] for [x] (the negate operator's [field = renamed
-     expression] equations unify this way with the server's byte terms);
-   - equations between concatenations split segment-wise when the segment
-     widths align, surfacing per-byte one-point opportunities;
+   - the one-point rule ([Elim.one_point], shared with the negate
+     operator): equations between concatenations split segment-wise when
+     the segment widths align, then an [x = e] conjunct with [x] auxiliary
+     and [x] not in [e] substitutes [e] for [x];
    - atom-level QE: when an auxiliary variable's occurrences are confined
      to one atom (or negated atom), [∃x. atom] rewrites to an aux-free
      residual (e.g. [∃l. rid <> l] over a w-bit [l] is simply true);
@@ -227,39 +226,10 @@ let reachable ops root =
 
 (* --- existential elimination ----------------------------------------------- *)
 
-let has_aux is_aux t = List.exists is_aux (T.var_ids t)
+let has_aux is_aux t = Elim.has_aux ~is_aux t
 let aux_ids is_aux t = List.filter is_aux (T.var_ids t)
-
-let rec flatten_and t =
-  match t.T.node with
-  | T.And (a, b) -> flatten_and a @ flatten_and b
-  | _ -> [ t ]
-
-let rec segments t =
-  match t.T.node with
-  | T.Concat (a, b) -> segments a @ segments b
-  | _ -> [ t ]
-
-let bare_aux is_aux t =
-  match t.T.node with
-  | T.Var v when is_aux v.T.id -> Some v
-  | _ -> None
-
-(* [eq a b] between concatenations whose segment widths align pairwise
-   splits into per-segment equations (surfacing one-point opportunities).
-   [None] when the boundaries don't line up. *)
-let split_eq a b =
-  let sa = segments a and sb = segments b in
-  if List.length sa <= 1 || List.length sa <> List.length sb then None
-  else
-    let rec go sa sb acc =
-      match (sa, sb) with
-      | [], [] -> Some (List.rev acc)
-      | x :: xs, y :: ys when T.width_of x = T.width_of y ->
-          go xs ys (T.eq x y :: acc)
-      | _ -> None
-    in
-    go sa sb []
+let flatten_and = Elim.flatten_and
+let bare_aux is_aux t = Elim.bare_aux ~is_aux t
 
 let smin w = Bv.make ~width:w (Int64.shift_left 1L (w - 1))
 let smax w = Bv.lognot (smin w)
@@ -361,85 +331,46 @@ let rec elim_term is_aux t =
 
 (* [∃(aux vars). AND conjs]. *)
 and elim_conj is_aux conjs =
-  (* split aligned concat equations to surface per-segment one-points *)
-  let conjs =
+  (* the one-point rule, after splitting aligned concat equations *)
+  let conjs = Elim.one_point ~is_aux conjs in
+  let plain, auxed = List.partition (fun c -> not (has_aux is_aux c)) conjs in
+  let resolved =
     List.concat_map
-      (fun c ->
-        match c.T.node with
-        | T.Eq (a, b)
-          when has_aux is_aux c
-               && bare_aux is_aux a = None
-               && bare_aux is_aux b = None -> (
-            match split_eq a b with Some eqs -> eqs | None -> [ c ])
-        | _ -> [ c ])
-      conjs
+      (fun comp ->
+        match comp with
+        | [ single ] ->
+            (* all of its aux vars are private to it: descend *)
+            let r = elim_term_descend is_aux single in
+            flatten_and r
+        | several -> (
+            (* shared aux vars: eliminate the vars private to each
+               conjunct, then retry the component as a whole *)
+            let count id =
+              List.length
+                (List.filter (fun c -> List.mem id (aux_ids is_aux c)) several)
+            in
+            let progressed = ref false in
+            let several' =
+              List.map
+                (fun c ->
+                  let private_ids =
+                    List.filter (fun id -> count id = 1) (aux_ids is_aux c)
+                  in
+                  if private_ids = [] then c
+                  else
+                    let is_private id =
+                      is_aux id && List.mem id private_ids
+                    in
+                    let c' = elim_term is_private c in
+                    if not (T.equal c' c) then progressed := true;
+                    c')
+                several
+            in
+            if !progressed then flatten_and (elim_conj is_aux several')
+            else several))
+      (components is_aux auxed)
   in
-  (* one-point rule: x = e with x auxiliary and x not in e *)
-  let one_point =
-    List.find_map
-      (fun c ->
-        match c.T.node with
-        | T.Eq (a, b) -> (
-            match bare_aux is_aux a with
-            | Some v when not (List.mem v.T.id (T.var_ids b)) -> Some (c, v, b)
-            | _ -> (
-                match bare_aux is_aux b with
-                | Some v when not (List.mem v.T.id (T.var_ids a)) ->
-                    Some (c, v, a)
-                | _ -> None))
-        | _ -> None)
-      conjs
-  in
-  match one_point with
-  | Some (eq_conjunct, v, e) ->
-      let subst_var (u : T.var) =
-        if u.T.id = v.T.id then Some e else None
-      in
-      elim_conj is_aux
-        (List.filter_map
-           (fun c -> if c == eq_conjunct then None else Some (T.subst subst_var c))
-           conjs)
-  | None ->
-      let plain, auxed = List.partition (fun c -> not (has_aux is_aux c)) conjs in
-      let resolved =
-        List.concat_map
-          (fun comp ->
-            match comp with
-            | [ single ] ->
-                (* all of its aux vars are private to it: descend *)
-                let r = elim_term_descend is_aux single in
-                flatten_and r
-            | several -> (
-                (* shared aux vars: eliminate the vars private to each
-                   conjunct, then retry the component as a whole *)
-                let all_ids = List.concat_map (aux_ids is_aux) several in
-                let count id =
-                  List.length
-                    (List.filter (fun c -> List.mem id (aux_ids is_aux c)) several)
-                in
-                let progressed = ref false in
-                let several' =
-                  List.map
-                    (fun c ->
-                      let private_ids =
-                        List.filter (fun id -> count id = 1) (aux_ids is_aux c)
-                      in
-                      if private_ids = [] then c
-                      else
-                        let is_private id =
-                          is_aux id && List.mem id private_ids
-                        in
-                        let c' = elim_term is_private c in
-                        if not (T.equal c' c) then progressed := true;
-                        c')
-                    several
-                in
-                ignore all_ids;
-                if !progressed then flatten_and (elim_conj is_aux several')
-                else several))
-          (components is_aux auxed)
-      in
-      T.and_l (plain @ resolved)
+  T.and_l (plain @ resolved)
 
 (* elim_term, but never bounce straight back into elim_conj on an
    unchanged conjunction (the single-conjunct component case): descend

@@ -2,8 +2,8 @@
 
     The offline analysis ends with, per accepting server state, the Trojan
     query [pathS /\ AND_alive negate(pathCi)] over the symbolic message
-    bytes (plus auxiliary variables: the fresh-renamed client inputs
-    introduced by the negate operator, and any over-approximated server
+    bytes (plus auxiliary variables: fresh-renamed client inputs the
+    negate operator could not solve away, and any over-approximated server
     local state). This module lowers those queries into a self-contained
     decision DAG over concrete message bytes that a server front end can
     evaluate on every incoming message without a solver:
@@ -12,8 +12,9 @@
       shared op DAG (common subexpressions deduplicated via the hash-consed
       term ids) evaluated with concrete bitvector arithmetic;
     - auxiliary variables are eliminated at compile time: the one-point
-      rule unifies the negate operator's [field = renamed-expression]
-      equations with the server's byte terms, atom-level quantifier
+      rule of {!Achilles_smt.Elim}, which the negate operator also runs on
+      each disjunct, unifies [x = e] equations (after splitting aligned
+      concatenations) with the server's byte terms, atom-level quantifier
       elimination resolves single-occurrence existentials (e.g. a
       [rid <> last_rid] freshness check against over-approximated local
       state), and what remains is projected onto its message bytes by

@@ -785,9 +785,37 @@ let rec size t =
       1 + size a + size b
   | Ite (c, a, b) -> 1 + size c + size a + size b
 
+(* [t]'s node rebuilt through the smart constructors from [f] applied to
+   each child; a leaf comes back as it is. *)
+let map_children f t =
+  match t.node with
+  | True | False | Const _ | Var _ -> t
+  | Not a -> not_ (f a)
+  | And (a, b) -> and_ (f a) (f b)
+  | Or (a, b) -> or_ (f a) (f b)
+  | Ite (c, a, b) -> ite (f c) (f a) (f b)
+  | Eq (a, b) -> eq (f a) (f b)
+  | Ult (a, b) -> ult (f a) (f b)
+  | Slt (a, b) -> slt (f a) (f b)
+  | Ule (a, b) -> ule (f a) (f b)
+  | Sle (a, b) -> sle (f a) (f b)
+  | Add (a, b) -> add (f a) (f b)
+  | Sub (a, b) -> sub (f a) (f b)
+  | Mul (a, b) -> mul (f a) (f b)
+  | Udiv (a, b) -> udiv (f a) (f b)
+  | Urem (a, b) -> urem (f a) (f b)
+  | Bnot a -> bnot (f a)
+  | Band (a, b) -> band (f a) (f b)
+  | Bor (a, b) -> bor (f a) (f b)
+  | Bxor (a, b) -> bxor (f a) (f b)
+  | Shl (a, b) -> shl (f a) (f b)
+  | Lshr (a, b) -> lshr (f a) (f b)
+  | Ashr (a, b) -> ashr (f a) (f b)
+  | Concat (a, b) -> concat (f a) (f b)
+  | Extract (hi, lo, a) -> extract ~hi ~lo (f a)
+
 let rec subst f t =
   match t.node with
-  | True | False | Const _ -> t
   | Var v -> (
       match f v with
       | None -> t
@@ -795,29 +823,7 @@ let rec subst f t =
           if not (sort_equal (sort_of t') v.sort) then
             sort_error "subst: sort mismatch for %s" v.name;
           t')
-  | Not a -> not_ (subst f a)
-  | And (a, b) -> and_ (subst f a) (subst f b)
-  | Or (a, b) -> or_ (subst f a) (subst f b)
-  | Ite (c, a, b) -> ite (subst f c) (subst f a) (subst f b)
-  | Eq (a, b) -> eq (subst f a) (subst f b)
-  | Ult (a, b) -> ult (subst f a) (subst f b)
-  | Slt (a, b) -> slt (subst f a) (subst f b)
-  | Ule (a, b) -> ule (subst f a) (subst f b)
-  | Sle (a, b) -> sle (subst f a) (subst f b)
-  | Add (a, b) -> add (subst f a) (subst f b)
-  | Sub (a, b) -> sub (subst f a) (subst f b)
-  | Mul (a, b) -> mul (subst f a) (subst f b)
-  | Udiv (a, b) -> udiv (subst f a) (subst f b)
-  | Urem (a, b) -> urem (subst f a) (subst f b)
-  | Bnot a -> bnot (subst f a)
-  | Band (a, b) -> band (subst f a) (subst f b)
-  | Bor (a, b) -> bor (subst f a) (subst f b)
-  | Bxor (a, b) -> bxor (subst f a) (subst f b)
-  | Shl (a, b) -> shl (subst f a) (subst f b)
-  | Lshr (a, b) -> lshr (subst f a) (subst f b)
-  | Ashr (a, b) -> ashr (subst f a) (subst f b)
-  | Concat (a, b) -> concat (subst f a) (subst f b)
-  | Extract (hi, lo, a) -> extract ~hi ~lo (subst f a)
+  | _ -> map_children (subst f) t
 
 (* --- printing ------------------------------------------------------------- *)
 
@@ -932,29 +938,7 @@ let rebuild t =
           | False -> fls
           | Const bv -> const bv
           | Var v -> var v
-          | Not a -> not_ (go a)
-          | And (a, b) -> and_ (go a) (go b)
-          | Or (a, b) -> or_ (go a) (go b)
-          | Ite (c, a, b) -> ite (go c) (go a) (go b)
-          | Eq (a, b) -> eq (go a) (go b)
-          | Ult (a, b) -> ult (go a) (go b)
-          | Slt (a, b) -> slt (go a) (go b)
-          | Ule (a, b) -> ule (go a) (go b)
-          | Sle (a, b) -> sle (go a) (go b)
-          | Add (a, b) -> add (go a) (go b)
-          | Sub (a, b) -> sub (go a) (go b)
-          | Mul (a, b) -> mul (go a) (go b)
-          | Udiv (a, b) -> udiv (go a) (go b)
-          | Urem (a, b) -> urem (go a) (go b)
-          | Bnot a -> bnot (go a)
-          | Band (a, b) -> band (go a) (go b)
-          | Bor (a, b) -> bor (go a) (go b)
-          | Bxor (a, b) -> bxor (go a) (go b)
-          | Shl (a, b) -> shl (go a) (go b)
-          | Lshr (a, b) -> lshr (go a) (go b)
-          | Ashr (a, b) -> ashr (go a) (go b)
-          | Concat (a, b) -> concat (go a) (go b)
-          | Extract (hi, lo, a) -> extract ~hi ~lo (go a)
+          | _ -> map_children go t
         in
         Tbl.replace memo t u;
         u

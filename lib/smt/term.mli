@@ -141,6 +141,10 @@ val mentions : t -> var -> bool
 val size : t -> int
 (** Number of AST nodes. *)
 
+val map_children : (t -> t) -> t -> t
+(** [map_children f t] rebuilds [t]'s top node through the smart constructors from
+    [f] applied to each child (so it folds); a leaf is returned as it is. *)
+
 val subst : (var -> t option) -> t -> t
 (** Capture-free substitution of variables; substituted terms must have the
     variable's sort. *)

@@ -142,10 +142,12 @@ let search_config
     Search.interp = t.interp ();
   }
 
+let client_config t =
+  match t.client_interp with Some c -> c () | None -> Interp.default_config
+
 let analyze ?config t =
   let search_config =
     match config with Some c -> c | None -> search_config t
   in
-  Achilles.analyze ~search_config
-    ?client_interp:(Option.map (fun f -> f ()) t.client_interp)
+  Achilles.analyze ~search_config ~client_interp:(client_config t)
     ~layout:t.layout ~clients:(t.clients ()) ~server:(t.server ()) ()

@@ -51,6 +51,10 @@ val search_config : ?witnesses:int -> t -> Search.config
 (** {!Search.default_config} with the entry's mask, [distinct_by] and a
     freshly built [interp] (and [witnesses] per path when given). *)
 
+val client_config : t -> Interp.config
+(** A freshly built client interpreter: [client_interp], or
+    {!Interp.default_config} when the entry has none. *)
+
 val analyze : ?config:Search.config -> t -> Achilles.analysis
 (** {!Achilles.analyze} on the entry's layout, clients and server, with its
     client interpreter; [config] defaults to [search_config t]. *)

@@ -11,7 +11,7 @@
    classes): Figure 10's discovery series and Figure 11's alive samples,
    from a run that starts with a reset solver and fresh-variable counter.
    [test_integration] and [test_obs] (traced) both check them. *)
-let fig10_digest = "3e8d219036f0f270b12d72b1187c21a9"
+let fig10_digest = "9dd99893fd3957160261026462b47b93"
 let fig11_digest = "0f7bc3f897fc2fdb28e2d2e7bf624c9c"
 
 (* The behaviour contract, end to end through the CLI: the report digest of
@@ -19,13 +19,13 @@ let fig11_digest = "0f7bc3f897fc2fdb28e2d2e7bf624c9c"
    benchmark's FSP configuration (16 witnesses per path). *)
 let cli_digests =
   [
-    ([ "rw" ], "a98f81c10bfd01f75ff29604f6f307d6");
-    ([ "fsp" ], "ca1ecf36111ff80a5bb0ddde4b9eb865");
-    ([ "pbft" ], "b0090364453b69870c7bbb4e3c551ded");
-    ([ "kv" ], "93168eeba05eeb13b0d540d80617bc34");
-    ([ "gossip" ], "7f05c8de00114bcabfec9780c0a03e6b");
+    ([ "rw" ], "9a8fe925b7051feaf02928147ebff8fb");
+    ([ "fsp" ], "7096d74ac113c463dee3c4dd29284f6b");
+    ([ "pbft" ], "9d7700827a678cc4926127c3227e5b92");
+    ([ "kv" ], "30ba99c27ab74f8817a238c6f6da2df8");
+    ([ "gossip" ], "d368d5c424a2a5f00e93b8c5fad3e14d");
     ([ "paxos" ], "60e720380aecd9d6ebcd680ab1281167");
-    ([ "fsp"; "-w"; "16" ], "8d26ebb559a571bf55207e25426dcf30");
+    ([ "fsp"; "-w"; "16" ], "39c4fd16d1894c8652518b5fc42f7dea");
   ]
 
 (* The same runs' verdicts: [achilles analyze T --digest]'s verdict digest,
@@ -35,13 +35,13 @@ let cli_digests =
    [fig11_digest], as they are. *)
 let verdict_digests =
   [
-    ([ "rw" ], "8fe9f4d40906f05b8109f5dea6b61267");
-    ([ "fsp" ], "416ca3c272583b687a8b14d46a0ab159");
-    ([ "pbft" ], "9fe8f7d2c4b49f58d903cd9ff90c9078");
-    ([ "kv" ], "23a31f9ae74aed7dd1040d260910184d");
-    ([ "gossip" ], "2c5fb8b0eac191f19cdd3ea748dd1b50");
+    ([ "rw" ], "dbdf4574a76c9e4193efee2638c42424");
+    ([ "fsp" ], "38c5e006a8e6b32af2781ebfa36d4cf8");
+    ([ "pbft" ], "0a0ddeddcc2e35a8614c412453b1dfab");
+    ([ "kv" ], "c5f37753999ecf5f723f4b69a9feaedb");
+    ([ "gossip" ], "c1db2f1b0fa1aab88de1b666fc75e1a0");
     ([ "paxos" ], "c98a3d1f649236463c7b159267d1a6d3");
-    ([ "fsp"; "-w"; "16" ], "82c17cc27e593b39923a87e802ba8f2a");
+    ([ "fsp"; "-w"; "16" ], "3b5a0e9cdaa78fbd8dba58e263f98f3b");
   ]
 
 (* The compiled filter images: the MD5 of the file
@@ -50,7 +50,7 @@ let verdict_digests =
    op numbering and the wire format byte for byte. *)
 let filter_digests =
   [
-    ("rw", "fd9a07a8329a50eaf3ab3fc1addd4e88");
+    ("rw", "8c1ce053e56566e715445de9d239aed9");
     ("fsp", "b6aa5cc6324b7141bf97bca3352e07aa");
     ("fsp-glob", "ebe148d20b4127e4f21229bed6adb744");
     ("pbft", "e210182f498b537b0336b1a8bbdf8df3");
@@ -67,6 +67,6 @@ let filter_digests =
    every decision keeps these; one that moves them moves models too. *)
 let sat_counters =
   [
-    ([ "fsp"; "-w"; "16" ], (936, 26313, 210085));
-    ([ "pbft"; "-w"; "16" ], (10, 8419, 33484));
+    ([ "fsp"; "-w"; "16" ], (139, 8225, 84321));
+    ([ "pbft"; "-w"; "16" ], (1, 7523, 29556));
   ]

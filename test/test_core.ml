@@ -53,6 +53,10 @@ let test_negate_constrained_symbolic_field () =
   let target = Term.var (fresh8 "t") in
   match Negate.negate_field ~layout:tiny ~target path "val" with
   | Some negation ->
+      (* the fresh copy of x is solved away: the disjunct reads over the
+         target alone *)
+      Alcotest.(check (list int)) "over the target only"
+        (Term.var_ids target) (Term.var_ids negation);
       (* anything in (2, 10) is generable, so it must NOT satisfy the
          negation; values outside are exactly what the negation captures *)
       Alcotest.(check bool) "5 excluded" false
@@ -97,6 +101,33 @@ let test_negate_path_overlap_discard () =
   in
   Alcotest.(check bool) "kept without the check" false
     (Term.equal unsound Term.fls)
+
+(* An overlap probe the solver cannot decide discards its disjunct:
+   keeping it could flag a message a correct client sends (§4.1), whereas
+   discarding only under-approximates. The field value x + 1 is not a
+   concatenation of inputs, and no substitution refutes its probe, so the
+   probe reaches the solver; under a certain fault it answers Unknown. *)
+let test_negate_overlap_unknown_discards () =
+  let x = fresh8 "x" in
+  let path =
+    path_of ~kind:(Term.int ~width:8 1)
+      ~value:(Term.add (Term.var x) (Term.int ~width:8 1))
+      ~constraints:[ Term.ult (Term.var x) (Term.const (b8 10)) ]
+  in
+  let vars = server_vars () in
+  let negate () =
+    Negate.negate_path ~check_overlap:true ~mask:[ "val" ] ~layout:tiny
+      ~server_vars:vars path
+  in
+  let probes () = (Solver.stats ()).Solver.queries in
+  let before = probes () in
+  Alcotest.(check bool) "kept when the probe answers unsat" false
+    (Term.equal (negate ()) Term.fls);
+  Alcotest.(check int) "the probe reached the solver" (before + 1) (probes ());
+  Fun.protect ~finally:(fun () -> Solver.set_fault_injection ()) @@ fun () ->
+  Solver.set_fault_injection ~rate:1.0 ();
+  Alcotest.(check bool) "discarded when the probe answers unknown" true
+    (Term.equal (negate ()) Term.fls)
 
 let test_negate_related_constraints_transitive () =
   let x = fresh8 "x" and y = fresh8 "y" in
@@ -463,6 +494,8 @@ let () =
             test_negate_abandons_unconstrained;
           Alcotest.test_case "overlap discard" `Quick
             test_negate_path_overlap_discard;
+          Alcotest.test_case "undecided overlap discards" `Quick
+            test_negate_overlap_unknown_discards;
           Alcotest.test_case "transitive constraints" `Quick
             test_negate_related_constraints_transitive;
         ] );

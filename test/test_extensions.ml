@@ -309,17 +309,29 @@ let test_drop_explanations () =
       Alcotest.(check bool) "non-empty core" true (d.Search.conflicting <> []))
     drops;
   (* a core really is conflicting: re-checking it against the binding of the
-     dropped path must be UNSAT *)
+     dropped path must be UNSAT. A drop refuted by substitution names the
+     one server conjunct that folded, never the core of an earlier query *)
   let server_paths = analysis.Achilles.report.Search.accepting in
   match server_paths with
   | sp :: _ ->
-      let d = List.hd drops in
-      let path = List.nth analysis.Achilles.client.Predicate.paths d.Search.dropped_path in
-      let binding =
-        Predicate.bind_to_server ~server_vars:sp.Predicate.msg_vars path
+      let server_vars = sp.Predicate.msg_vars in
+      let refuted =
+        List.filter
+          (fun (d : Search.drop_explanation) ->
+            let path =
+              List.nth analysis.Achilles.client.Predicate.paths
+                d.Search.dropped_path
+            in
+            Alcotest.(check bool) "core conflicts with the binding" true
+              (Solver.is_unsat
+                 (d.Search.conflicting @ Predicate.bind_to_server ~server_vars path));
+            match d.Search.conflicting with
+            | [ c ] -> Predicate.refuter ~server_vars path c
+            | _ -> false)
+          drops
       in
-      Alcotest.(check bool) "core conflicts with the binding" true
-        (Solver.is_unsat (d.Search.conflicting @ binding))
+      Alcotest.(check bool) "a refuted drop names its folded conjunct" true
+        (refuted <> [])
   | [] -> Alcotest.fail "no accepting paths"
 
 (* --- conformance: lost messages (C \ S) ----------------------------------------------- *)

@@ -37,7 +37,7 @@ let compiled =
                ~report:analysis.Achilles.report ()
            in
            (target, analysis.Achilles.report, filter)) ))
-    [ "fsp"; "pbft"; "kv"; "gossip"; "paxos" ]
+    [ "fsp"; "pbft"; "kv"; "gossip"; "paxos"; "rw" ]
 
 let force name = Lazy.force (List.assoc name compiled)
 
@@ -145,6 +145,21 @@ let differential_test name =
         QCheck2.Test.fail_reportf "filter says %s, solver says %s"
           (pp_verdict got) (pp_verdict expected)
       else true)
+
+(* rw's Trojan query holds one negation with a single disjunct: the READ
+   address outside the clients' [0, 100). A read of address 50 with a good
+   checksum is what a correct client sends, so the filter accepts it. (A
+   compiler that eliminates each conjunct of that disjunct on its own
+   reads both as true, and flags the message.) *)
+let test_rw_client_read_accepted () =
+  let _, report, filter = force "rw" in
+  let bytes = [| 1; 1; 0; 0; 0; 50; 0; 0; 0; 0; 52 |] in
+  let got =
+    Filter.verdict (Filter.evaluator filter)
+      (Array.map (fun b -> Bv.of_int ~width:8 b) bytes)
+  in
+  Alcotest.(check string) "solver accepts" "accept" (pp_verdict (oracle report bytes));
+  Alcotest.(check string) "filter accepts" "accept" (pp_verdict got)
 
 let test_witnesses_flagged () =
   List.iter
@@ -1106,6 +1121,8 @@ let () =
             test_exact_compilation;
           Alcotest.test_case "wrong length is unknown" `Quick
             test_wrong_length_is_unknown;
+          Alcotest.test_case "rw accepts a client's read" `Quick
+            test_rw_client_read_accepted;
         ] );
       ( "serialization",
         [

@@ -1,11 +1,14 @@
 (* Tests for the hash-consed term core: semantic equivalence of the smart
    constructors against direct bit-level evaluation under random models,
    hash-consing invariants (equal <=> physical equality, id stability under
-   replay, sharing-off agreement), and the intern counters. (The group
+   replay, sharing-off agreement), the intern counters, and the word-level
+   elimination and refutation of [Elim] on random protocols. (The group
    holding the intern-counter case keeps its historical name,
    "solver-cache"; the solver keeps no result cache any more.) *)
 
 open Achilles_smt
+open Achilles_symvm
+open Achilles_core
 
 (* Every property must leave sharing on for later tests, whatever happens. *)
 let with_sharing mode f =
@@ -348,6 +351,180 @@ let test_intern_stats_move () =
         created1;
       Solver.reset_all_for_tests ())
 
+(* --- word-level elimination and refutation ---------------------------------- *)
+
+module Proto = Random_protocol.Make (struct
+  let layout = "elim" and program = "elim" and input = "in"
+end)
+
+(* Layouts over the protocol's 3-byte message. Multi-byte fields make the
+   clients' field values concatenations of constants and inputs, so the
+   negate operator solves its fresh copies at every slice offset. *)
+let elim_layouts =
+  [
+    Proto.layout;
+    Layout.make ~name:"elim-2" [ ("tag", 1); ("ab", 2) ];
+    Layout.make ~name:"elim-21" [ ("ta", 2); ("b", 1) ];
+    Layout.make ~name:"elim-3" [ ("all", 3) ];
+  ]
+
+let msg_vars () =
+  Array.init Proto.message_size (fun i ->
+      Term.fresh_var ~name:(Printf.sprintf "msg[%d]" i) (Term.Bitvec 8))
+
+(* The negate operator's field case 2 as it read before elimination:
+   [target = value'] and the negated constraints over fresh copies of the
+   client's inputs. *)
+let renamed_negate_field ~layout ~target (path : Predicate.client_path) name =
+  let value = Layout.field_term layout path.Predicate.message name in
+  match Term.const_value value with
+  | Some c -> Some (Term.neq target (Term.const c))
+  | None -> (
+      match Negate.related_constraints path (Term.var_ids value) with
+      | [] -> None
+      | constraints ->
+          let copies = Hashtbl.create 8 in
+          let copy (v : Term.var) =
+            match Hashtbl.find_opt copies v.Term.id with
+            | Some t -> Some t
+            | None ->
+                let t = Term.var (Term.fresh_var ~name:"copy" v.Term.sort) in
+                Hashtbl.replace copies v.Term.id t;
+                Some t
+          in
+          let rename = Term.subst copy in
+          Some
+            (Term.and_
+               (Term.eq target (rename value))
+               (Term.or_l (List.map (fun c -> Term.not_ (rename c)) constraints))))
+
+(* (a) For a message [m], the eliminated negation of a field admits
+   [msg = m] exactly when the renamed one does. Bytes are drawn mostly
+   from the clients' constants and bounds (0..7), so both answers occur. *)
+let qcheck_elim_negation_equisat =
+  let byte = QCheck2.Gen.(oneof [ int_range 0 9; int_bound 255 ]) in
+  QCheck2.Test.make ~name:"eliminated negation = renamed negation" ~count:100
+    ~long_factor:10
+    QCheck2.Gen.(
+      triple Proto.case_gen (oneofl elim_layouts)
+        (array_repeat Proto.message_size byte))
+    (fun (case, layout, bytes) ->
+      let client, _, _ = Proto.extract_case case in
+      let vars = msg_vars () in
+      let msg_is_m =
+        Array.to_list
+          (Array.mapi
+             (fun i b -> Term.eq (Term.var vars.(i)) (Term.int ~width:8 b))
+             bytes)
+      in
+      let admits = function
+        | None -> None
+        | Some negation -> Some (Solver.is_sat (negation :: msg_is_m))
+      in
+      List.for_all
+        (fun path ->
+          List.for_all
+            (fun (f : Layout.field) ->
+              let target =
+                Layout.field_term layout (Array.map Term.var vars)
+                  f.Layout.field_name
+              in
+              admits (Negate.negate_field ~layout ~target path f.Layout.field_name)
+              = admits
+                  (renamed_negate_field ~layout ~target path
+                     f.Layout.field_name))
+            (Layout.fields layout))
+        client.Predicate.paths)
+
+(* Server-side conjuncts: unsigned comparisons of one message byte with a
+   small constant, as the random servers branch and the random clients
+   bound their inputs (so a conjunct can meet a client constraint or its
+   negation), mixed with arbitrary recipes. *)
+let gen_server_conjunct =
+  let open QCheck2.Gen in
+  let atom =
+    map3
+      (fun (op, _, _) (i, flip) k ->
+        let byte = RVar i and k = RConst (Bv.of_int ~width:8 k) in
+        if flip then RCmp (op, k, byte) else RCmp (op, byte, k))
+      (oneofl (List.filter (fun (op, _, _) -> op <> "slt" && op <> "sle") cmp_ops))
+      (pair (int_bound (n_vars - 1)) bool)
+      (int_range 0 7)
+  in
+  frequency [ (2, atom); (2, map (fun r -> RNot r) atom); (1, gen_bool 2) ]
+
+(* (b) A refutation only ever answers "unsat": no conjunct is refuted for
+   a client path whose binding the solver finds satisfiable with it. *)
+let qcheck_refutation_sound =
+  QCheck2.Test.make ~name:"refutation never refutes a satisfiable query"
+    ~count:200 ~long_factor:10
+    QCheck2.Gen.(
+      pair Proto.case_gen (list_size (int_range 1 3) gen_server_conjunct))
+    (fun (case, recipes) ->
+      let client, _, _ = Proto.extract_case case in
+      let vars = msg_vars () in
+      let conjuncts = List.map (build_bool vars) recipes in
+      List.for_all
+        (fun path ->
+          (not (List.exists (Predicate.refuter ~server_vars:vars path) conjuncts))
+          || not
+               (Solver.is_sat
+                  (conjuncts @ Predicate.bind_to_server ~server_vars:vars path)))
+        client.Predicate.paths)
+
+(* The refutation is not vacuous: on the fixed scenario's first client
+   (tag <= 5, a = 2, b <= 3) it folds a constant mismatch and a bound the
+   client's constraints contradict, and nothing the client can send. *)
+let test_refutation_fires () =
+  let _, specs = Proto.fixed_case in
+  let client, _, _ = Proto.extract_case (Leaf true, [ List.hd specs ]) in
+  let vars = msg_vars () in
+  let m i = Term.var vars.(i) in
+  let refutes =
+    Predicate.refuter ~server_vars:vars (List.hd client.Predicate.paths)
+  in
+  Alcotest.(check bool) "a = 3" true (refutes (Term.eq (m 1) (Term.int ~width:8 3)));
+  Alcotest.(check bool) "tag > 5" true (refutes (Term.ugt (m 0) (Term.int ~width:8 5)));
+  Alcotest.(check bool) "a = 2" false (refutes (Term.eq (m 1) (Term.int ~width:8 2)));
+  Alcotest.(check bool) "tag > 4" false (refutes (Term.ugt (m 0) (Term.int ~width:8 4)))
+
+(* (c) Substitution followed by folding keeps the Bv semantics: the
+   rewritten term, evaluated under [values], equals the recipe's
+   denotation with each substituted variable at its image's value; with
+   facts that hold under [values], so does the fact-rewriting simplifier. *)
+let qcheck_subst_keeps_bv_semantics =
+  QCheck2.Test.make ~name:"substitution and folding keep Bv semantics"
+    ~count:500 ~long_factor:10
+    QCheck2.Gen.(
+      quad (gen_bool 4)
+        (array_repeat n_vars (option (gen_bv ~width:var_width 2)))
+        (list_size (int_bound 3) (gen_bool 2))
+        gen_values)
+    (fun (recipe, images, facts, values) ->
+      let vars = make_vars () in
+      let m = model_of vars values in
+      let image (v : Term.var) =
+        let rec index i = if vars.(i).Term.id = v.Term.id then i else index (i + 1) in
+        Option.map (build_bv vars) images.(index 0)
+      in
+      let substituted =
+        Array.mapi
+          (fun i img ->
+            match img with Some r -> denote_bv values r | None -> values.(i))
+          images
+      in
+      let expected = denote_bool substituted recipe in
+      let facts =
+        List.map
+          (fun f ->
+            build_bool vars (if denote_bool values f then f else RNot f))
+          facts
+      in
+      let t = build_bool vars recipe in
+      Model.eval_bool m (Term.subst image t) = expected
+      && Model.eval_bool m (Elim.simplifier image t) = expected
+      && Model.eval_bool m (Elim.simplifier ~facts image t) = expected)
+
 let () =
   let qsuite name tests =
     (name, List.map (QCheck_alcotest.to_alcotest ~verbose:false) tests)
@@ -377,4 +554,12 @@ let () =
         [
           Alcotest.test_case "intern counters" `Quick test_intern_stats_move;
         ] );
+      qsuite "elim"
+        [
+          qcheck_elim_negation_equisat;
+          qcheck_refutation_sound;
+          qcheck_subst_keeps_bv_semantics;
+        ];
+      ( "elim-cases",
+        [ Alcotest.test_case "refutation fires" `Quick test_refutation_fires ] );
     ]

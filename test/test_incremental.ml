@@ -636,7 +636,8 @@ let test_incremental_toggle () =
 (* On FSP, most alive checks are satisfiable and settled by
    the model the client path carries down the tree, with no query: the
    alive site issues at most 350 solver queries (794 before models were
-   carried) and the prune site at most 25 (40 before). *)
+   carried) and the prune site at most 25 (40 before). Every alive check
+   is settled, refuted by substitution or queried. *)
 let test_fsp_settles_by_models () =
   let open Achilles_core in
   let module Obs = Achilles_obs.Obs in
@@ -680,8 +681,9 @@ let test_fsp_settles_by_models () =
     (Printf.sprintf "prune queries <= 25 (%d)" (site "prune"))
     true
     (site "prune" <= 25);
-  Alcotest.(check int) "every alive check settled or queried" 794
-    (counter "search.alive_settled" + site "alive")
+  Alcotest.(check int) "every alive check settled, refuted or queried" 794
+    (counter "search.alive_settled" + counter "search.alive_refuted"
+   + site "alive")
 
 let () =
   let qsuite name tests =

@@ -328,8 +328,8 @@ let test_context_recycling () =
       Solver.set_context_var_cap 200_000;
       Solver.reset_all_for_tests ())
   @@ fun () ->
-  check_target "fsp" `Fsp ~resets:167 ~sat:(1372, 31408, 281528);
-  check_target "pbft" `Pbft ~resets:40 ~sat:(9, 8517, 39884)
+  check_target "fsp" `Fsp ~resets:22 ~sat:(126, 8513, 77069);
+  check_target "pbft" `Pbft ~resets:30 ~sat:(1, 7652, 35680)
 
 let cli_binary =
   Filename.concat (Filename.dirname Sys.executable_name) "../bin/achilles_cli.exe"
@@ -427,6 +427,23 @@ let test_cli_verdict_digests () =
         (cli_digest ~prefix:"verdict digest: " args))
     Goldens.verdict_digests
 
+(* [predicate] and [conformance] extract every entry's client predicate
+   with its client interpreter ({!Registry.client_config}): a target with
+   no client interpreter of its own uses the default one, never the
+   server's, whose local-state globals the clients do not declare. *)
+let test_cli_client_commands () =
+  List.iter
+    (fun (t : Registry.t) ->
+      List.iter
+        (fun cmd ->
+          let code, _, err = run_cli [ cmd; t.Registry.name ] in
+          Alcotest.(check int)
+            (Printf.sprintf "%s %s exits 0 (stderr: %s)" cmd t.Registry.name
+               (String.trim err))
+            0 code)
+        [ "predicate"; "conformance" ])
+    Registry.all
+
 (* fsp-wide, FSP at 24 utilities, is a registry entry like any other: its
    one-witness run prints all three digest lines, so its SAT counters can
    be read from the CLI. *)
@@ -499,12 +516,12 @@ let test_cli_checkpoint_no_extra_work () =
          (fun l -> contains l {|"kind":"span_begin","name":"solver_query"|})
          lines)
   in
-  Alcotest.(check int) "unsharded solver queries" 719 (queries []);
-  Alcotest.(check int) "checkpointed solver queries" 719
+  Alcotest.(check int) "unsharded solver queries" 405 (queries []);
+  Alcotest.(check int) "checkpointed solver queries" 405
     (queries [ "--checkpoint-dir"; dir ]);
   rm_rf dir;
   let env = [ "ACHILLES_SLICE=1"; "ACHILLES_SOLVER_FAULT_RATE=0.05" ] in
-  let expected = Some "d265e1b99bfd12a320db4371d355a356" in
+  let expected = Some "7a0bfe06031d6422689567dd30c44dca" in
   Alcotest.(check (option string)) "5% faults, unsharded" expected
     (cli_digest ~env [ "fsp"; "-w"; "16" ]);
   Alcotest.(check (option string)) "5% faults, checkpointed" expected
@@ -739,6 +756,8 @@ let () =
             test_cli_verbose_prints_directly;
           Alcotest.test_case "fsp-wide prints its digest lines" `Quick
             test_cli_fsp_wide;
+          Alcotest.test_case "predicate and conformance run every target"
+            `Quick test_cli_client_commands;
         ] );
       ( "pbft",
         [ Alcotest.test_case "MAC attack end to end" `Slow test_pbft_end_to_end ] );
